@@ -26,7 +26,7 @@ from .core import (
     FLAG_NAMES,
 )
 from .oracle import BudgetExceeded
-from .topos import SearchBudgetExceeded
+from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
 class Report:
@@ -143,11 +143,12 @@ def cmd_adjunction(args, report):
     P = serialize.load_presheaf(args.presheaf)
     u = topos.unit(P)
     report.add("unit-iso", name, u.bijective)
+    f = u.lam_obj.structure_map
+    # built before the triangles, which then reuse the Lambda it holds
+    eps = None if f is None else topos.counit(f, u.gamma_obj)
     report.add("triangle-1", name, bool(topos.triangle_check(P)))
-    if not u.lam_obj.is_empty():
-        f = u.lam_obj.structure_map
+    if eps is not None:
         report.add("triangle-2", name, bool(topos.triangle_check2(f)))
-        eps = topos.counit(f, u.gamma_obj)
         report.add("counit-bijective-on-etale", name, eps.bijective)
     if args.morphism:
         f = serialize.load_morphism(args.morphism)
@@ -271,7 +272,7 @@ def build_parser():
 
     p = sub.add_parser("gamma", help="Gamma fibers of a morphism into S")
     p.add_argument("--morphism", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
     p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser("adjunction", help="unit/counit/triangle checks")
@@ -304,7 +305,7 @@ def build_parser():
     p.add_argument("--dedup", choices=("none", "iso", "iso+anti"),
                    default="iso+anti")
     p.add_argument("--stars", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("family", help="emit a standard family member")
@@ -319,15 +320,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None and "STARGROUP_BUDGET" in os.environ:
-        if hasattr(args, "budget"):
-            args.budget = int(os.environ["STARGROUP_BUDGET"])
     report = Report()
     try:
+        if hasattr(args, "budget"):
+            args.budget = topos.resolve_budget(args.budget, default=None)
         args.fn(args, report)
     except (SearchBudgetExceeded, BudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except BudgetInvalid as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -447,23 +447,24 @@ def _representable_functoriality(S: InverseSemigroup) -> bool:
 # presheaf enumeration and random generation
 
 
+@lru_cache(maxsize=None)
 def _presheaf_skeleton(S: InverseSemigroup):
-    """Non-identity morphisms in assignment order plus, per morphism, its
-    factorizations into earlier-or-identity morphisms."""
+    """Non-identity morphisms in assignment order, and per morphism key the
+    composition squares m = m1 m2 it takes part in, as key triples
+    (m, m1, m2) in factorization order; built once per base."""
     idems = set(S.idempotents)
-    morphs = list(all_ls_morphisms(S))
-    nonid = [m for m in morphs if not (m.s == m.e and m.s in idems)]
-    factorizations = {}
+    morphs = all_ls_morphisms(S)
+    nonid = tuple(m for m in morphs if not (m.s == m.e and m.s in idems))
+    squares = {(m.s, m.e): [] for m in morphs}
     for m in morphs:
-        facts = []
         for m1 in morphs:
             for m2 in morphs:
-                if ls_dom(S, m1) != m2.e:
+                if ls_dom(S, m1) != m2.e or compose_ls(S, m1, m2) != m:
                     continue
-                if compose_ls(S, m1, m2) == m:
-                    facts.append((m1, m2))
-        factorizations[m] = facts
-    return nonid, factorizations
+                square = ((m.s, m.e), (m1.s, m1.e), (m2.s, m2.e))
+                for key in set(square):
+                    squares[key].append(square)
+    return nonid, {key: tuple(sq) for key, sq in squares.items()}
 
 
 def _valid_size_profiles(S, max_fiber):
@@ -484,40 +485,34 @@ def _fill_transitions(S, profile, rng=None):
     """Yield complete transition assignments for the given fiber sizes via
     backtracking over non-identity morphisms with forced composites."""
     idems = list(S.idempotents)
-    nonid, factorizations = _presheaf_skeleton(S)
+    nonid, squares = _presheaf_skeleton(S)
     assign = {(e, e): tuple(range(profile[e])) for e in idems}
 
     def candidates(m):
-        d = ls_dom(S, m)
-        size_e, size_d = profile[m.e], profile[d]
+        key = (m.s, m.e)
         forced = None
-        for m1, m2 in factorizations[m]:
-            k1, k2 = (m1.s, m1.e), (m2.s, m2.e)
-            if k1 in assign and k2 in assign:
-                t = tuple(assign[k2][assign[k1][i]] for i in range(size_e))
+        for k12, k1, k2 in squares[key]:
+            if k12 == key and k1 in assign and k2 in assign:
+                t = tuple(assign[k2][v] for v in assign[k1])
                 if forced is not None and t != forced:
                     return []
                 forced = t
         if forced is not None:
             return [forced]
+        size_e, size_d = profile[m.e], profile[ls_dom(S, m)]
         opts = list(itertools.product(range(size_d), repeat=size_e))
         if rng is not None:
             rng.shuffle(opts)
         return opts
 
-    def consistent():
-        for m, facts in factorizations.items():
-            key = (m.s, m.e)
-            if key not in assign:
-                continue
-            for m1, m2 in facts:
-                k1, k2 = (m1.s, m1.e), (m2.s, m2.e)
-                if k1 in assign and k2 in assign:
-                    size_e = profile[m.e]
-                    if assign[key] != tuple(
-                        assign[k2][assign[k1][i]] for i in range(size_e)
-                    ):
-                        return False
+    def consistent(key):
+        # the assignment was consistent before ``key`` was assigned, so only
+        # the squares through ``key`` can have broken
+        for k12, k1, k2 in squares[key]:
+            if k12 in assign and k1 in assign and k2 in assign:
+                t1, t2 = assign[k1], assign[k2]
+                if assign[k12] != tuple(t2[v] for v in t1):
+                    return False
         return True
 
     def fill(k):
@@ -528,7 +523,7 @@ def _fill_transitions(S, profile, rng=None):
         key = (m.s, m.e)
         for cand in candidates(m):
             assign[key] = cand
-            if consistent():
+            if consistent(key):
                 yield from fill(k + 1)
             del assign[key]
 

@@ -6,11 +6,20 @@ with x in P(c(r)); Gamma probes a *-homomorphism f: X -> S with left
 backtracking enumeration driven by the left *-homomorphism constraints, and
 a fast path through the fiber presheaf available when f is etale with left
 involutive source; when both apply their results are compared.
+
+``lam(P)`` and ``gamma(f, budget, strategy)`` share what they build: a call
+returns the object already built for the same ``P`` (or the same ``f``,
+strategy and budget) while some caller still holds it, and builds afresh
+once every holder has dropped it.  Every check runs once per object built,
+and a call that raises leaves nothing behind.  Sharing is by identity, so a
+``Presheaf`` or ``StarMorphism`` must not be mutated after construction, nor
+a ``LambdaObject`` or ``GammaPresheaf`` at all.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 
 from . import ssets
@@ -34,6 +43,8 @@ from .site import (
     LSMorphism,
     Presheaf,
     PresheafMap,
+    _se_mul,
+    _se_star,
     all_ls_morphisms,
     as_inverse,
     ls_dom,
@@ -55,14 +66,44 @@ class NotLeftInvolutive(StarError):
     pass
 
 
+class BudgetInvalid(StarError):
+    pass
+
+
 DEFAULT_BUDGET = 10 ** 6
 
 
-def _budget(value):
-    if value is not None:
+def resolve_budget(value=None, default=DEFAULT_BUDGET):
+    """A search budget: ``value``, else the STARGROUP_BUDGET environment
+    variable, else ``default``.  Text is read as a decimal integer; anything
+    but a non-negative integer raises BudgetInvalid."""
+    if value is None:
+        value = os.environ.get("STARGROUP_BUDGET") or default
+    if value is None or (type(value) is int and value >= 0):
         return value
-    env = os.environ.get("STARGROUP_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    try:
+        budget = int(value, 10)
+    except (TypeError, ValueError):
+        budget = -1
+    if budget < 0:
+        raise BudgetInvalid(
+            f"budget must be a non-negative integer, got {value!r}")
+    return budget
+
+
+# What lam and gamma built, keyed by the id of the presheaf or morphism they
+# were built from.  Values are held weakly, so an entry lasts only while some
+# caller holds the result; the result refers to its presheaf or morphism,
+# which therefore stays alive and keeps its id while the entry exists.
+_BUILT = weakref.WeakValueDictionary()
+
+
+def _shared(key, build, *args):
+    obj = _BUILT.get(key)
+    if obj is None:
+        obj = build(*args)
+        _BUILT[key] = obj
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +133,13 @@ class LambdaObject:
 
 
 def lam(P: Presheaf) -> LambdaObject:
-    """Build Lambda(P) and verify it is left involutive with etale structure
-    map, that projections are exactly the idempotent-tagged pairs, and that
-    the canonical action matches the transition formula."""
+    """Lambda(P), verified left involutive with etale structure map, with
+    projections exactly the idempotent-tagged pairs and the canonical action
+    matching the transition formula.  Shared while held (module docstring)."""
+    return _shared(("lam", id(P)), _lam, P)
+
+
+def _lam(P: Presheaf) -> LambdaObject:
     S = P.base
     sg = S.semigroup
     pairs = tuple(
@@ -180,19 +225,9 @@ def _se_tables(S: InverseSemigroup, e: int):
     sg = S.semigroup
     carrier = representable_carrier(S, e)
     pos = {u: i for i, u in enumerate(carrier)}
-
-    def semul(a, b):
-        p, q = a
-        r, _ = b
-        pr = sg.mul[p][r]
-        return (pr, sg.mul[q][sg.mul[pr][sg.star[pr]]])
-
-    def sestar(a):
-        r, s = a
-        return (sg.star[r], sg.mul[s][r])
-
-    star_idx = tuple(pos[sestar(u)] for u in carrier)
-    mul_idx = tuple(tuple(pos[semul(u, v)] for v in carrier) for u in carrier)
+    star_idx = tuple(pos[_se_star(sg, u)] for u in carrier)
+    mul_idx = tuple(tuple(pos[_se_mul(sg, u, v)] for v in carrier)
+                    for u in carrier)
     dom_idx = tuple(mul_idx[star_idx[i]][i] for i in range(len(carrier)))
     return carrier, pos, mul_idx, star_idx, dom_idx
 
@@ -287,12 +322,18 @@ def gamma(f: StarMorphism, budget=None, strategy="auto") -> GammaPresheaf:
     """Gamma(f) for a *-homomorphism f into an inverse semigroup.
 
     strategy: 'generic', 'fast', or 'auto' (both when the fast path applies,
-    with the two results asserted equal).
+    with the two results asserted equal).  budget: see resolve_budget.
+    Shared while held (module docstring).
     """
+    budget = resolve_budget(budget)
+    return _shared(("gamma", id(f), strategy, budget), _gamma, f, budget,
+                   strategy)
+
+
+def _gamma(f: StarMorphism, budget: int, strategy: str) -> GammaPresheaf:
     if not f.is_star_hom:
         raise ShapeError("Gamma needs a *-homomorphism as input")
     S = as_inverse(f.target)
-    budget = _budget(budget)
     fast_ok = is_etale(f) and classify(f.source).left_involutive
     if strategy == "fast" and not fast_ok:
         raise NotEtale("fast Gamma path needs an etale map with left "

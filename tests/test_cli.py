@@ -3,6 +3,8 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from stargroup import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -148,6 +150,24 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.delenv("STARGROUP_BUDGET")
     code, _ = run_cli("gamma", "--morphism", str(FIXTURES / "id_i2.json"))
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_budget_env_var_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("STARGROUP_BUDGET", value)
+    for args in (("gamma", "--morphism", str(FIXTURES / "id_sl2.json")),
+                 ("adjunction", "--presheaf", str(FIXTURES / "p21.json"))):
+        code, out = run_cli(*args)
+        assert code == 2 and out == ""
+        assert "budget must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_budget_flag_is_a_usage_error(capsys, value):
+    code, _ = run_cli("gamma", "--morphism", str(FIXTURES / "id_sl2.json"),
+                      "--budget", value)
+    assert code == 2
+    assert "budget must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_format_flag_both_positions():

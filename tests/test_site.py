@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from stargroup import oracle, topos
+from stargroup import oracle, site, topos
 from stargroup.core import classify, is_etale
 from stargroup.site import (
     LSMorphism,
@@ -232,3 +235,102 @@ def test_random_presheaf_deterministic(i2_inv):
     a = random_presheaf(i2_inv, 3, random.Random(11))
     b = random_presheaf(i2_inv, 3, random.Random(11))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# presheaf generation against the full-sweep reference
+
+
+def reference_fill(S, profile, rng=None):
+    """The generator with the skeleton rebuilt on each call and every
+    composition square re-checked after each assignment."""
+    idems = set(S.idempotents)
+    morphs = list(all_ls_morphisms(S))
+    nonid = [m for m in morphs if not (m.s == m.e and m.s in idems)]
+    factorizations = {
+        m: [(m1, m2) for m1 in morphs for m2 in morphs
+            if ls_dom(S, m1) == m2.e and compose_ls(S, m1, m2) == m]
+        for m in morphs
+    }
+    assign = {(e, e): tuple(range(profile[e])) for e in idems}
+
+    def candidates(m):
+        size_e, size_d = profile[m.e], profile[ls_dom(S, m)]
+        forced = None
+        for m1, m2 in factorizations[m]:
+            k1, k2 = (m1.s, m1.e), (m2.s, m2.e)
+            if k1 in assign and k2 in assign:
+                t = tuple(assign[k2][assign[k1][i]] for i in range(size_e))
+                if forced is not None and t != forced:
+                    return []
+                forced = t
+        if forced is not None:
+            return [forced]
+        opts = list(itertools.product(range(size_d), repeat=size_e))
+        if rng is not None:
+            rng.shuffle(opts)
+        return opts
+
+    def consistent():
+        for m, facts in factorizations.items():
+            key = (m.s, m.e)
+            if key not in assign:
+                continue
+            for m1, m2 in facts:
+                k1, k2 = (m1.s, m1.e), (m2.s, m2.e)
+                if k1 in assign and k2 in assign:
+                    if assign[key] != tuple(assign[k2][assign[k1][i]]
+                                            for i in range(profile[m.e])):
+                        return False
+        return True
+
+    def fill(k):
+        if k == len(nonid):
+            yield dict(assign)
+            return
+        key = (nonid[k].s, nonid[k].e)
+        for cand in candidates(nonid[k]):
+            assign[key] = cand
+            if consistent():
+                yield from fill(k + 1)
+            del assign[key]
+
+    yield from fill(0)
+
+
+def reference_enumerate(S, max_fiber):
+    for profile in site._valid_size_profiles(S, max_fiber):
+        fibers = {e: tuple(str(i) for i in range(n))
+                  for e, n in profile.items()}
+        for transitions in reference_fill(S, profile):
+            yield validate_presheaf(S, fibers, transitions)
+
+
+def reference_random(S, max_fiber, rng):
+    profiles = [p for p in site._valid_size_profiles(S, max_fiber)
+                if sum(p.values()) > 0]
+    rng.shuffle(profiles)
+    for profile in profiles:
+        for transitions in reference_fill(S, profile, rng=rng):
+            fibers = {e: tuple(str(i) for i in range(n))
+                      for e, n in profile.items()}
+            return validate_presheaf(S, fibers, transitions)
+
+
+def tables(P):
+    return list(P.fibers.items()), list(P.transitions.items())
+
+
+def test_enumerate_presheaves_matches_full_sweep(sl2_inv, sl3_inv, i2_inv):
+    for S in (sl2_inv, sl3_inv, i2_inv):
+        got = [tables(P) for P in enumerate_presheaves(S, 2)]
+        assert got == [tables(P) for P in reference_enumerate(S, 2)]
+
+
+def test_random_presheaf_matches_full_sweep(sl2_inv, sl3_inv, i2_inv):
+    bases = (sl2_inv, sl3_inv, i2_inv)
+    for i in range(100):
+        S = bases[i % 3]
+        got = random_presheaf(S, 3, random.Random(1000 + i))
+        want = reference_random(S, 3, random.Random(1000 + i))
+        assert tables(got) == tables(want)

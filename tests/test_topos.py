@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
 from stargroup import oracle, site, topos
 from stargroup.core import (
+    InvalidStarSemigroup,
     StarMorphism,
     classify,
     etale_lift,
@@ -399,3 +402,111 @@ def test_bsleft_biconditional_sweep(star_pool, sl2, sl3):
                 cells.add((data["etale"], data["left_involutive"], data["bijective"]))
     assert (True, True, True) in cells       # positive instances
     assert any(not e or not l for e, l, _ in cells)  # negative instances
+
+
+# ---------------------------------------------------------------------------
+# sharing of Lambda and Gamma objects
+
+
+def count_builds(monkeypatch, name):
+    """Count the real builds behind topos.lam / topos.gamma."""
+    calls = []
+    build = getattr(topos, name)
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(topos, name, counted)
+    return calls
+
+
+def test_lam_shared_while_held(sl2_inv, monkeypatch):
+    builds = count_builds(monkeypatch, "_lam")
+    P = terminal_presheaf(sl2_inv)
+    first = lam(P)
+    assert lam(P) is first
+    assert len(builds) == 1
+    tables = (first.pairs, first.semigroup.mul, first.semigroup.star)
+    del first
+    gc.collect()
+    again = lam(P)
+    assert len(builds) == 2
+    assert (again.pairs, again.semigroup.mul, again.semigroup.star) == tables
+
+
+def test_lam_not_shared_between_equal_presheaves(sl2_inv):
+    P, Q = terminal_presheaf(sl2_inv), terminal_presheaf(sl2_inv)
+    assert P == Q
+    assert lam(P) is not lam(Q)
+
+
+def test_gamma_strategies_are_separate_entries(id_i2):
+    generic = gamma(id_i2, strategy="generic")
+    fast = gamma(id_i2, strategy="fast")
+    assert generic is not fast
+    assert generic.alphas == fast.alphas
+    assert gamma(id_i2, strategy="generic") is generic
+    assert gamma(id_i2, strategy="fast") is fast
+    auto = gamma(id_i2)
+    assert auto is not generic and auto is not fast
+    # the key holds the resolved budget, not the argument as given
+    assert gamma(id_i2, budget=topos.DEFAULT_BUDGET) is auto
+
+
+def test_gamma_budget_still_enforced_while_held(id_i2):
+    held = gamma(id_i2)
+    with pytest.raises(topos.SearchBudgetExceeded):
+        gamma(id_i2, budget=1)
+    assert gamma(id_i2) is held
+
+
+def test_lam_that_raises_keeps_raising(sl3_inv, monkeypatch):
+    builds = count_builds(monkeypatch, "_lam")
+    # an unvalidated presheaf whose composition fails: Lambda's product is
+    # not associative
+    bad = site.Presheaf(
+        sl3_inv, {2: ("a",), 1: ("b",), 0: ("c", "d")},
+        {(0, 0): (0, 1), (1, 1): (0,), (2, 2): (0,),
+         (1, 2): (0,), (0, 1): (0,), (0, 2): (1,)})
+    for _ in range(2):
+        with pytest.raises(InvalidStarSemigroup):
+            lam(bad)
+    assert len(builds) == 2
+
+
+def test_chain_builds_lambda_and_gamma_once_per_object(p21, monkeypatch):
+    """The unit, counit, triangles, m and the five-way check on one
+    presheaf build Lambda(P), Lambda(Gamma(Lambda P)), Lambda(P_f) and one
+    Gamma."""
+    lams = count_builds(monkeypatch, "_lam")
+    gammas = count_builds(monkeypatch, "_gamma")
+    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    u = unit(P)
+    f = u.lam_obj.structure_map
+    eps = counit(f, u.gamma_obj)
+    assert triangle_check(P) and triangle_check2(f)
+    assert m_iso(f).is_bijective
+    assert prop_inv_check(P).all_agree()
+    assert eps.bijective
+    assert len(lams) == 3
+    assert len(gammas) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", -1, 1.5, True])
+def test_resolve_budget_rejects(value):
+    with pytest.raises(topos.BudgetInvalid):
+        topos.resolve_budget(value)
+
+
+def test_resolve_budget_sources(monkeypatch, id_sl2):
+    monkeypatch.delenv("STARGROUP_BUDGET", raising=False)
+    assert topos.resolve_budget() == topos.DEFAULT_BUDGET
+    assert topos.resolve_budget(None, default=None) is None
+    assert topos.resolve_budget("0") == 0
+    monkeypatch.setenv("STARGROUP_BUDGET", "7")
+    assert topos.resolve_budget() == 7
+    assert topos.resolve_budget(3) == 3
+    monkeypatch.setenv("STARGROUP_BUDGET", "x")
+    with pytest.raises(topos.BudgetInvalid):
+        gamma(id_sl2)
