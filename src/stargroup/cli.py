@@ -2,8 +2,8 @@
 
 Every subcommand loads inputs, runs checks, and prints a report whose rows
 follow one schema: {check, instance, pass, witness?}.  Exit codes: 0 all
-requested checks pass, 1 a check failed, 2 usage or IO problem, 3 a search
-budget was exceeded.
+requested checks pass, 1 a check failed, 2 usage or IO problem (one line on
+stderr), 3 a search budget was exceeded.
 """
 
 from __future__ import annotations
@@ -16,16 +16,13 @@ import sys
 from . import groupoid as gp
 from . import modalg, oracle, serialize, site, topos, verify
 from .core import (
-    InvalidStarSemigroup,
     StarError,
-    StarMorphism,
     classify,
     idempotents,
-    is_etale,
     natural_order,
     FLAG_NAMES,
 )
-from .oracle import BudgetExceeded
+from .oracle import BudgetExceeded, UnknownFamily
 from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
@@ -34,20 +31,18 @@ class Report:
         self.rows = []
 
     def add(self, check, instance, ok, witness=None):
-        row = {"check": check, "instance": instance, "pass": bool(ok)}
-        if witness is not None:
-            row["witness"] = witness
-        self.rows.append(row)
+        self.rows.append(verify.VerifyRow(check, instance, bool(ok), witness))
 
     @property
     def ok(self):
-        return all(r["pass"] for r in self.rows)
+        return all(r.ok for r in self.rows)
 
     def emit(self, fmt):
+        rows = [r.as_dict() for r in self.rows]
         if fmt == "json":
-            print(json.dumps(self.rows, indent=1, sort_keys=True))
+            print(json.dumps(rows, indent=1, sort_keys=True))
         else:
-            for r in self.rows:
+            for r in rows:
                 status = "PASS" if r["pass"] else "FAIL"
                 extra = f"  witness={r['witness']}" if "witness" in r else ""
                 print(f"{status}  {r['check']}  [{r['instance']}]{extra}")
@@ -193,14 +188,14 @@ def cmd_verify(args, report):
             report.add(f"statement:{sid}", spec.kind, True,
                        witness=[spec.summary])
         return
+    if args.max_order > oracle.MAX_ENUM_ORDER:
+        raise BudgetExceeded(
+            f"enumeration capped at order {oracle.MAX_ENUM_ORDER}")
     ids = args.statement or None
-    rows = verify.run_statements(statement_ids=ids,
-                                 max_order=args.max_order,
-                                 jobs=args.jobs)
-    for row in rows:
-        report.add(row.check, row.instance, row.ok,
-                   witness=list(row.witness) if row.witness else None)
-    counts = oracle.enumeration_counts(min(args.max_order, 4))
+    report.rows.extend(verify.run_statements(statement_ids=ids,
+                                             max_order=args.max_order,
+                                             jobs=args.jobs))
+    counts = oracle.enumeration_counts(args.max_order)
     expected = {n: oracle.KNOWN_CLASS_COUNTS[n] for n in counts}
     report.add("enumeration-self-test", f"n<={args.max_order}",
                counts == expected, witness=[counts])
@@ -226,8 +221,26 @@ def cmd_family(args, report):
         serialize.save_semigroup(X, args.output)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is one line on stderr, like every other exit 2
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _size(text):
+    """A size argument: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stargroup",
         description="finite *-semigroups, mediator groupoids, and the "
                     "presheaf topos of an inverse semigroup",
@@ -238,7 +251,7 @@ def build_parser():
     common.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
+                                parser_class=lambda **kw: _Parser(
                                     parents=[common], **kw))
 
     p = sub.add_parser("validate", help="load and validate any known file")
@@ -293,15 +306,15 @@ def build_parser():
     p.set_defaults(fn=cmd_fhat)
 
     p = sub.add_parser("verify", help="statement registry vs the oracle")
-    p.add_argument("--all", action="store_true")
     p.add_argument("--list", action="store_true")
-    p.add_argument("--statement", action="append")
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--statement", action="append",
+                   choices=oracle.statement_ids(), metavar="ID")
+    p.add_argument("--max-order", type=_size, default=3)
+    p.add_argument("--jobs", type=_size, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream semigroup tables as JSONL")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_size, required=True)
     p.add_argument("--dedup", choices=("none", "iso", "iso+anti"),
                    default="iso+anti")
     p.add_argument("--stars", action="store_true")
@@ -310,7 +323,7 @@ def build_parser():
 
     p = sub.add_parser("family", help="emit a standard family member")
     p.add_argument("--name", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_family)
 
@@ -328,13 +341,13 @@ def main(argv=None):
     except (SearchBudgetExceeded, BudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except BudgetInvalid as exc:
+    except (BudgetInvalid, UnknownFamily) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidStarSemigroup, StarError) as exc:
+    except StarError as exc:
         report.add("error", type(exc).__name__, False, witness=[str(exc)])
         report.emit(args.format)
         return 1

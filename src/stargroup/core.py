@@ -10,7 +10,8 @@ which keeps reports deterministic regardless of how a sweep is scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
+from typing import NamedTuple
 
 
 class StarError(Exception):
@@ -62,8 +63,9 @@ INVOLUTION = "InvolutionViolation"
 PARTIAL_ISOMETRY = "PartialIsometryViolation"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """One failed axiom or identity: its kind and its least witness."""
+
     kind: str
     witness: tuple
 
@@ -71,10 +73,59 @@ class Violation:
         return f"{self.kind}{self.witness}"
 
 
-class InvalidStarSemigroup(StarError):
+@dataclass(frozen=True)
+class Verdict:
+    """What a check found: its violations in the order found, each kept
+    once.  ``ok`` (and truth) when there are none; ``witness`` is the first
+    violation's witness."""
+
+    violations: tuple[Violation, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "violations",
+                           tuple(dict.fromkeys(self.violations)))
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def witness(self):
+        return self.violations[0].witness if self.violations else None
+
+    def __bool__(self):
+        return self.ok
+
+
+class memo:
+    """A per-object memo, as functools.cached_property: the first read
+    computes the value and stores it on the object, where later reads find
+    it.  It stores with setattr, because cached_property writes through
+    ``__dict__``, which on CPython 3.11 moves all of the object's attributes
+    into a dict and slows every later attribute read on the object."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        setattr(obj, self.func.__name__, value)
+        return value
+
+
+class Invalid(StarError):
+    """A structure fails its axioms; ``violations`` lists every failure."""
+
     def __init__(self, violations):
         self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
+        super().__init__("; ".join(map(str, self.violations)))
+
+
+class InvalidStarSemigroup(Invalid):
+    pass
 
 
 @dataclass(frozen=True)
@@ -138,7 +189,10 @@ def _freeze_tables(order, mul, star):
 
 def check_star_semigroup(order, mul, star) -> tuple[Violation, ...]:
     """All violated *-semigroup axioms, least witness each; empty if valid."""
-    mul, star = _freeze_tables(order, mul, star)
+    return _axiom_violations(order, *_freeze_tables(order, mul, star))
+
+
+def _axiom_violations(order, mul, star):
     out = []
     rng = range(order)
     witness = next(
@@ -160,7 +214,7 @@ def check_star_semigroup(order, mul, star) -> tuple[Violation, ...]:
 def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
     """Validate raw tables; raises InvalidStarSemigroup with all witnesses."""
     mul, star = _freeze_tables(order, mul, star)
-    violations = check_star_semigroup(order, mul, star)
+    violations = _axiom_violations(order, mul, star)
     if violations:
         raise InvalidStarSemigroup(violations)
     return FiniteStarSemigroup(order, mul, star, name)
@@ -187,12 +241,12 @@ def cod(X: FiniteStarSemigroup, x: int) -> int:
     return e
 
 
-@lru_cache(maxsize=None)
+@cache
 def idempotents(X: FiniteStarSemigroup) -> tuple[int, ...]:
     return tuple(x for x in X.elements if X.mul[x][x] == x)
 
 
-@lru_cache(maxsize=None)
+@cache
 def projections(X: FiniteStarSemigroup) -> tuple[int, ...]:
     return tuple(x for x in X.elements
                  if X.mul[x][x] == x and X.star[x] == x)
@@ -245,11 +299,6 @@ class ClassificationReport:
             if flag == name:
                 return wit
         return None
-
-    def as_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in FLAG_NAMES}
-        out["witnesses"] = {flag: list(wit) for flag, wit in self.witnesses}
-        return out
 
 
 def _first_pair(X, pred):
@@ -346,7 +395,7 @@ def _unique_quasi_inverse_witness(X):
     return None
 
 
-@lru_cache(maxsize=None)
+@cache
 def classify(X: FiniteStarSemigroup) -> ClassificationReport:
     """Classify X into the semigroup hierarchy.
 
@@ -457,7 +506,7 @@ class Relation:
         return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def natural_order(X: FiniteStarSemigroup) -> Relation:
     """The common left/right partial order of a locally involutive semigroup.
 
@@ -482,7 +531,8 @@ def natural_order(X: FiniteStarSemigroup) -> Relation:
 
 @dataclass(eq=False)
 class StarMorphism:
-    """A carrier map between *-semigroups with computed, cached flags."""
+    """A carrier map between *-semigroups; its flags and etale verdict are
+    computed on first use and kept."""
 
     source: FiniteStarSemigroup
     target: FiniteStarSemigroup
@@ -498,46 +548,55 @@ class StarMorphism:
         for v in self.map:
             if not 0 <= v < self.target.order:
                 raise ShapeError(f"map value {v} out of target range")
-        self._cache = {}
 
     def __call__(self, x: int) -> int:
         return self.map[x]
 
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    @property
+    @memo
     def is_star_morphism(self) -> bool:
         X, S, f = self.source, self.target, self.map
-        return self._cached(
-            "star",
-            lambda: all(f[X.star[x]] == S.star[f[x]] for x in X.elements),
-        )
+        return all(f[X.star[x]] == S.star[f[x]] for x in X.elements)
 
-    @property
+    @memo
     def is_multiplicative(self) -> bool:
         X, S, f = self.source, self.target, self.map
-        return self._cached(
-            "mult",
-            lambda: all(
-                f[X.mul[x][y]] == S.mul[f[x]][f[y]]
-                for x in X.elements for y in X.elements
-            ),
+        return all(
+            f[X.mul[x][y]] == S.mul[f[x]][f[y]]
+            for x in X.elements for y in X.elements
         )
 
-    @property
+    @memo
     def is_left_star_hom(self) -> bool:
-        def compute():
-            if not self.is_star_morphism:
-                return False
-            X, S, f = self.source, self.target, self.map
-            return all(
-                f[X.mul[x][y]] == S.mul[f[x]][f[X.mul[X.d(x)][y]]]
-                for x in X.elements for y in X.elements
-            )
-        return self._cached("left", compute)
+        if not self.is_star_morphism:
+            return False
+        X, S, f = self.source, self.target, self.map
+        return all(
+            f[X.mul[x][y]] == S.mul[f[x]][f[X.mul[X.d(x)][y]]]
+            for x in X.elements for y in X.elements
+        )
+
+    @memo
+    def etale(self) -> Verdict:
+        """The etale verdict; see etale_report."""
+        if not self.is_left_star_hom:
+            raise NotLeftStarHom(f"{self!r} is not a left *-homomorphism")
+        X, S, f = self.source, self.target, self.map
+        checked = {}
+        out = []
+        for x in X.elements:
+            p = X.c(x)
+            if p not in checked:
+                images = [f[z] for z in _left_fixpoints(X, p)]
+                checked[p] = (
+                    len(set(images)) == len(images)
+                    and set(images) == set(_left_fixpoints(S, S.c(f[x])))
+                )
+            if not checked[p]:
+                out.append(Violation("CosetBijectionViolation", (x,)))
+                break
+        if classify(X).left_involutive and classify(S).left_involutive:
+            _crosscheck_etale(self, not out)
+        return Verdict(out)
 
     @property
     def is_star_hom(self) -> bool:
@@ -553,7 +612,7 @@ class StarMorphism:
 
     @property
     def is_etale(self) -> bool:
-        return etale_report(self).ok
+        return self.etale.ok
 
     def __repr__(self):
         tag = self.name or "?"
@@ -589,51 +648,19 @@ def check_morphism(f: StarMorphism) -> MorphismFlags:
     return flags
 
 
-@dataclass(frozen=True)
-class EtaleReport:
-    ok: bool
-    witness: tuple | None
-
-
 def _left_fixpoints(X, p):
     """pX = {z : p z = z} when p is a codomain; true in any *-semigroup."""
     return [z for z in X.elements if X.mul[p][z] == z]
 
 
-def etale_report(f: StarMorphism) -> EtaleReport:
+def etale_report(f: StarMorphism) -> Verdict:
     """Is f etale: f restricted to xX is a bijection onto f(x)S for all x.
 
     When source and target are both left involutive the two equivalent
     formulations (coset bijections X|p -> S|f(p) and unique lifting of
     equations s = f(p)s) are recomputed and must agree.
     """
-    if not f.is_left_star_hom:
-        raise NotLeftStarHom(f"{f!r} is not a left *-homomorphism")
-    X, S = f.source, f.target
-
-    def compute():
-        checked = {}
-        verdict, wit = True, None
-        for x in X.elements:
-            p = X.c(x)
-            if p not in checked:
-                coset = _left_fixpoints(X, p)
-                q = S.c(f.map[x])
-                images = [f.map[z] for z in coset]
-                target_coset = set(_left_fixpoints(S, q))
-                checked[p] = (
-                    len(set(images)) == len(images)
-                    and set(images) == target_coset
-                )
-            if not checked[p]:
-                verdict, wit = False, (x,)
-                break
-
-        if classify(X).left_involutive and classify(S).left_involutive:
-            _crosscheck_etale(f, verdict)
-        return EtaleReport(verdict, wit)
-
-    return f._cached("etale", compute)
+    return f.etale
 
 
 def _crosscheck_etale(f, main_verdict):

@@ -10,14 +10,18 @@ identities; it is never stored separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 
 from .core import (
     ConsistencyError,
     FiniteStarSemigroup,
+    Invalid,
+    InvalidStarSemigroup,
     Relation,
     ShapeError,
     StarError,
+    Verdict,
+    Violation,
     classify,
     natural_order,
     projections,
@@ -41,7 +45,7 @@ class NotQuasiInvolutive(StarError):
     pass
 
 
-class InvalidGroupoid(StarError):
+class InvalidGroupoid(Invalid):
     pass
 
 
@@ -106,25 +110,25 @@ def validate_groupoid(G: OrderedGroupoidWithMediator):
     for p in G.objects:
         i = G.identity[p]
         if G.dom[i] != p or G.cod[i] != p:
-            problems.append(("IdentityEndpoints", (p,)))
+            problems.append(Violation("IdentityEndpoints", (p,)))
     for x in G.morphisms:
         for y in G.morphisms:
             z = G.compose[x][y]
             defined = G.dom[x] == G.cod[y]
             if (z != -1) != defined:
-                problems.append(("CompositionDomain", (x, y)))
+                problems.append(Violation("CompositionDomain", (x, y)))
             elif z != -1 and (G.dom[z] != G.dom[y] or G.cod[z] != G.cod[x]):
-                problems.append(("CompositionEndpoints", (x, y)))
+                problems.append(Violation("CompositionEndpoints", (x, y)))
     for x in G.morphisms:
         i, j = G.identity[G.cod[x]], G.identity[G.dom[x]]
         if G.compose[i][x] != x or G.compose[x][j] != x:
-            problems.append(("IdentityLaw", (x,)))
+            problems.append(Violation("IdentityLaw", (x,)))
         inv = G.inverse[x]
         if G.dom[inv] != G.cod[x] or G.cod[inv] != G.dom[x]:
-            problems.append(("InverseEndpoints", (x,)))
+            problems.append(Violation("InverseEndpoints", (x,)))
         elif (G.compose[x][inv] != G.identity[G.cod[x]]
               or G.compose[inv][x] != G.identity[G.dom[x]]):
-            problems.append(("InverseLaw", (x,)))
+            problems.append(Violation("InverseLaw", (x,)))
     for x in G.morphisms:
         for y in G.morphisms:
             if G.compose[x][y] == -1:
@@ -133,14 +137,14 @@ def validate_groupoid(G: OrderedGroupoidWithMediator):
                 if G.compose[y][z] == -1:
                     continue
                 if G.compose[G.compose[x][y]][z] != G.compose[x][G.compose[y][z]]:
-                    problems.append(("Associativity", (x, y, z)))
+                    problems.append(Violation("Associativity", (x, y, z)))
 
     if not G.order.is_partial_order():
-        problems.append(("OrderNotPartialOrder", ()))
+        problems.append(Violation("OrderNotPartialOrder", ()))
     for x in G.morphisms:
         for y in G.morphisms:
             if G.order.leq(x, y) and not G.order.leq(G.inverse[x], G.inverse[y]):
-                problems.append(("OrderInversion", (x, y)))
+                problems.append(Violation("OrderInversion", (x, y)))
     for x1 in G.morphisms:
         for x2 in G.morphisms:
             if not G.order.leq(x1, x2):
@@ -152,7 +156,7 @@ def validate_groupoid(G: OrderedGroupoidWithMediator):
                     if G.compose[x2][y2] == -1 or not G.order.leq(y1, y2):
                         continue
                     if not G.order.leq(G.compose[x1][y1], G.compose[x2][y2]):
-                        problems.append(("OrderComposition", (x1, y1, x2, y2)))
+                        problems.append(Violation("OrderComposition", (x1, y1, x2, y2)))
 
     for x in G.morphisms:
         for p in G.objects:
@@ -161,16 +165,16 @@ def validate_groupoid(G: OrderedGroupoidWithMediator):
             hits = [y for y in G.morphisms
                     if G.order.leq(y, x) and G.dom[y] == p]
             if len(hits) != 1:
-                problems.append(("RestrictionNotUnique", (x, p, len(hits))))
+                problems.append(Violation("RestrictionNotUnique", (x, p, len(hits))))
         for q in G.objects:
             if not G.object_leq(q, G.cod[x]):
                 continue
             hits = [y for y in G.morphisms
                     if G.order.leq(y, x) and G.cod[y] == q]
             if len(hits) != 1:
-                problems.append(("CorestrictionNotUnique", (x, q, len(hits))))
+                problems.append(Violation("CorestrictionNotUnique", (x, q, len(hits))))
             elif hits[0] != G.inverse[_restrict_raw(G, G.inverse[x], q)]:
-                problems.append(("CorestrictionFormula", (x, q)))
+                problems.append(Violation("CorestrictionFormula", (x, q)))
 
     if problems:
         raise InvalidGroupoid(problems)
@@ -223,7 +227,7 @@ def _ext_or_none(G, x, y):
     return _ext(G, x, y)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _extended_associativity_checked(G: OrderedGroupoidWithMediator) -> bool:
     """Sweep (x(x)y)(x)z = x(x)(y(x)z) over all chains where both sides are
     defined; ran once per groupoid."""
@@ -241,16 +245,13 @@ def _extended_associativity_checked(G: OrderedGroupoidWithMediator) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MediatorReport:
-    ok: bool
-    violations: tuple[tuple[str, tuple], ...]
+NO_MEDIATOR = Violation("MissingMediator", ())
 
 
-def validate_mediator(G: OrderedGroupoidWithMediator) -> MediatorReport:
+def validate_mediator(G: OrderedGroupoidWithMediator) -> Verdict:
     """Check order-preservation, the two bounds, and action commutation."""
     if G.mediator is None:
-        raise InvalidGroupoid("groupoid carries no mediator")
+        raise InvalidGroupoid([NO_MEDIATOR])
     _shape_check(G)
     med = G.mediator
     out = []
@@ -258,9 +259,9 @@ def validate_mediator(G: OrderedGroupoidWithMediator) -> MediatorReport:
         for q in G.objects:
             m = med[p][q]
             if not G.object_leq(G.dom[m], q):
-                out.append(("DomBoundViolation", (p, q)))
+                out.append(Violation("DomBoundViolation", (p, q)))
             if not G.object_leq(G.cod[m], p):
-                out.append(("CodBoundViolation", (p, q)))
+                out.append(Violation("CodBoundViolation", (p, q)))
     for p1 in G.objects:
         for q1 in G.objects:
             for p2 in G.objects:
@@ -270,7 +271,7 @@ def validate_mediator(G: OrderedGroupoidWithMediator) -> MediatorReport:
                     if not G.object_leq(q1, q2):
                         continue
                     if not G.order.leq(med[p1][q1], med[p2][q2]):
-                        out.append(("OrderPreservationViolation",
+                        out.append(Violation("OrderPreservationViolation",
                                     (p1, q1, p2, q2)))
     for p in G.objects:
         for x in G.morphisms:
@@ -279,11 +280,11 @@ def validate_mediator(G: OrderedGroupoidWithMediator) -> MediatorReport:
                 for q in G.objects:
                     xq = _ext(G, x, med[G.dom[x]][q])
                     if _ext(G, px, med[G.dom[px]][q]) != _ext(G, med[p][G.cod[xq]], xq):
-                        out.append(("CommutationViolation", (p, x, q)))
+                        out.append(Violation("CommutationViolation", (p, x, q)))
             except NotComparable:
                 # bound violations can leave an induced action undefined
-                out.append(("ActionUndefined", (p, x)))
-    return MediatorReport(not out, tuple(out))
+                out.append(Violation("ActionUndefined", (p, x)))
+    return Verdict(out)
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +354,22 @@ def esn_semigroup(G: OrderedGroupoidWithMediator) -> FiniteStarSemigroup:
     try:
         X = validate_star_semigroup(n, mul, G.inverse,
                                     name=f"S({G.name})" if G.name else None)
-    except Exception as exc:
-        raise InvalidGroupoid(f"induced product is not a *-semigroup: {exc}")
-    if not classify(X).quasi_involutive:
-        raise InvalidGroupoid("induced semigroup is not quasi-involutive")
+    except InvalidStarSemigroup as exc:
+        raise InvalidGroupoid(exc.violations) from None
+    report = classify(X)
+    if not report.quasi_involutive:
+        raise InvalidGroupoid([Violation(
+            "InducedNotQuasiInvolutive", report.witness("quasi_involutive"))])
     idents = set(G.identity)
     if set(projections(X)) != idents:
         # the identities-are-projections claim fails; typically an order-2
         # automorphism slipped through the mediator axioms
-        raise InvalidGroupoid(
-            "projections of the induced semigroup differ from the identities "
-            f"of the groupoid: {sorted(set(projections(X)) ^ idents)}"
-        )
+        raise InvalidGroupoid([Violation(
+            "ProjectionsNotIdentities",
+            tuple(sorted(set(projections(X)) ^ idents)))])
     for x in X.elements:
         if X.d(x) != G.identity[G.dom[x]] or X.c(x) != G.identity[G.cod[x]]:
-            raise InvalidGroupoid(f"domain/codomain mismatch at morphism {x}")
+            raise InvalidGroupoid([Violation("EndpointMismatch", (x,))])
     return X
 
 
@@ -382,7 +384,7 @@ def mediator_kind(G: OrderedGroupoidWithMediator) -> str:
     """'trivial' (identity at the meet), 'symmetric' (m_pq^-1 = m_qp) or
     'general'; asserted against the classification of the induced semigroup."""
     if G.mediator is None:
-        raise InvalidGroupoid("groupoid carries no mediator")
+        raise InvalidGroupoid([NO_MEDIATOR])
     med = G.mediator
     idents = set(G.identity)
     trivial = True

@@ -20,13 +20,21 @@ from .core import (
     ShapeError,
     StarError,
     StarMorphism,
+    Verdict,
+    Violation,
     classify,
     is_etale,
-    projections,
+    memo,
     validate_star_semigroup,
 )
 from .site import as_inverse
-from .ssets import SSetStructure, balanced_check, canonical_action, make_sset
+from .ssets import (
+    SSetStructure,
+    balanced_check,
+    canonical_action,
+    check_sset,
+    make_sset,
+)
 
 
 class FiberMismatch(StarError):
@@ -64,7 +72,6 @@ class SModule:
             raise ShapeError("zero section has wrong length")
         if len(self.add) != n or any(len(r) != n for r in self.add):
             raise ShapeError("addition table has wrong shape")
-        self._cache = {}
 
     @property
     def size(self):
@@ -84,144 +91,12 @@ class SModule:
         A = self.sset
         return A.star[A.act(A.star[a], self.base.star[r])]
 
-
-@dataclass(eq=False)
-class SAlgebra:
-    module: SModule
-    product: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        self.product = tuple(tuple(r) for r in self.product)
-        n = self.module.size
-        if len(self.product) != n or any(len(r) != n for r in self.product):
-            raise ShapeError("product table has wrong shape")
-
-    @property
-    def size(self):
-        return self.module.size
-
-
-@dataclass(frozen=True)
-class ModuleReport:
-    ok: bool
-    violations: tuple[tuple[str, tuple], ...]
-
-
-def validate_module(M: SModule) -> ModuleReport:
-    """Every module axiom swept with witnesses; for balanced modules the
-    bimodule laws are included."""
-    A, S = M.sset, M.sset.base
-    out = []
-    from .ssets import check_sset
-
-    out.extend(check_sset(A))
-    for r in S.elements:
-        if A.smap[M.zero[r]] != r:
-            out.append(("ZeroSectionViolation", (r,)))
-        if M.zero[S.star[r]] != A.star[M.zero[r]]:
-            out.append(("ZeroStarViolation", (r,)))
-        for s in S.elements:
-            if M.zero[S.mul[r][s]] != A.act(M.zero[r], s):
-                out.append(("ZeroEquivarianceViolation", (r, s)))
-    for a in A.elements:
-        for b in A.elements:
-            defined = M.add[a][b] != -1
-            if defined != (A.smap[a] == A.smap[b]):
-                out.append(("AdditionDomainViolation", (a, b)))
-            if not defined:
-                continue
-            v = M.add[a][b]
-            if A.smap[v] != A.smap[a]:
-                out.append(("AdditionFiberViolation", (a, b)))
-            if M.add[b][a] != v:
-                out.append(("AdditionCommutativityViolation", (a, b)))
-            if A.star[v] != M.add[A.star[a]][A.star[b]]:
-                out.append(("StarAdditivityViolation", (a, b)))
-            for r in S.elements:
-                if A.act(v, r) != M.add[A.act(a, r)][A.act(b, r)]:
-                    out.append(("DistributivityViolation", (a, b, r)))
-            for c in A.elements:
-                if A.smap[c] == A.smap[a]:
-                    if M.add[M.add[a][b]][c] != M.add[a][M.add[b][c]]:
-                        out.append(("AdditionAssociativityViolation", (a, b, c)))
-    for a in A.elements:
-        if M.add[a][M.zero[A.smap[a]]] != a:
-            out.append(("ZeroLawViolation", (a,)))
-
-    if balanced_check(A).balanced:
-        for r in S.elements:
-            for a in A.elements:
-                ra = M.left(r, a)
-                if A.smap[ra] != S.mul[r][A.smap[a]]:
-                    out.append(("LeftEquivarianceViolation", (r, a)))
-                for s in S.elements:
-                    if A.act(ra, s) != M.left(r, A.act(a, s)):
-                        out.append(("BimoduleCommutationViolation", (r, a, s)))
-                for b in A.elements:
-                    if A.smap[a] == A.smap[b]:
-                        if M.left(r, M.add[a][b]) != M.add[M.left(r, a)][M.left(r, b)]:
-                            out.append(("LeftDistributivityViolation", (r, a, b)))
-            for s in S.elements:
-                if M.zero[S.mul[r][s]] != M.left(r, M.zero[s]):
-                    out.append(("ZeroLeftEquivarianceViolation", (r, s)))
-    seen = []
-    dedup = [v for v in out if not (v in seen or seen.append(v))]
-    return ModuleReport(not dedup, tuple(dedup))
-
-
-@dataclass(frozen=True)
-class AlgebraReport:
-    ok: bool
-    violations: tuple[tuple[str, tuple], ...]
-
-
-def validate_algebra(Alg: SAlgebra) -> AlgebraReport:
-    M = Alg.module
-    A, S = M.sset, M.sset.base
-    mul = Alg.product
-    out = list(validate_module(M).violations)
-    for a in A.elements:
-        for b in A.elements:
-            if A.star[mul[a][b]] != mul[A.star[b]][A.star[a]]:
-                out.append(("ProductStarViolation", (a, b)))
-            if A.smap[mul[a][b]] != S.mul[A.smap[a]][A.smap[b]]:
-                out.append(("PsiHomViolation", (a, b)))
-            for c in A.elements:
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    out.append(("ProductAssociativityViolation", (a, b, c)))
-        if mul[mul[a][A.star[a]]][a] != a:
-            out.append(("PartialIsometryViolation", (a,)))
-    for r in S.elements:
-        for s in S.elements:
-            if mul[M.zero[r]][M.zero[s]] != M.zero[S.mul[r][s]]:
-                out.append(("ZeroHomViolation", (r, s)))
-    for a in A.elements:
-        for b in A.elements:
-            if A.smap[a] != A.smap[b]:
-                continue
-            ab = M.add[a][b]
-            for c in A.elements:
-                if M.add[mul[a][c]][mul[b][c]] != mul[ab][c]:
-                    out.append(("ProductDistributivityViolation", (a, b, c)))
-                if M.add[mul[c][a]][mul[c][b]] != mul[c][ab]:
-                    out.append(("OtherDistributivityViolation", (c, a, b)))
-    for a in A.elements:
-        for b in A.elements:
-            for r in S.elements:
-                if mul[a][A.act(b, r)] != A.act(mul[a][b], r):
-                    out.append(("ProductActionViolation", (a, b, r)))
-                if mul[a][A.star[A.act(b, r)]] != mul[A.act(a, S.star[r])][A.star[b]]:
-                    out.append(("ProductStarActionViolation", (a, b, r)))
-    seen = []
-    dedup = [v for v in out if not (v in seen or seen.append(v))]
-    return AlgebraReport(not dedup, tuple(dedup))
-
-
-def _derived_table(M: SModule):
-    """The derivation-style product ab = a psi(b) + psi(a) b, with the
-    general consequences asserted once: associativity, (ab)* = b*a*,
-    a 0(r) = ar, and multiplicativity of the zero section."""
-    def compute():
+    @memo
+    def derived_table(self) -> tuple[tuple[int, ...], ...]:
+        """The derivation-style product ab = a psi(b) + psi(a) b, with the
+        general consequences asserted once: associativity, (ab)* = b*a*,
+        a 0(r) = ar, and multiplicativity of the zero section."""
+        M = self
         if not balanced_check(M.sset).balanced:
             raise NotBalanced("derived product needs a balanced module")
         A, S = M.sset, M.sset.base
@@ -247,13 +122,123 @@ def _derived_table(M: SModule):
                 if table[M.zero[r]][M.zero[s]] != M.zero[S.mul[r][s]]:
                     raise ConsistencyError("zero section not multiplicative")
         return table
-    if "derived" not in M._cache:
-        M._cache["derived"] = compute()
-    return M._cache["derived"]
+
+
+@dataclass(eq=False)
+class SAlgebra:
+    module: SModule
+    product: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        self.product = tuple(tuple(r) for r in self.product)
+        n = self.module.size
+        if len(self.product) != n or any(len(r) != n for r in self.product):
+            raise ShapeError("product table has wrong shape")
+
+    @property
+    def size(self):
+        return self.module.size
+
+
+def validate_module(M: SModule) -> Verdict:
+    """Every module axiom swept with witnesses; for balanced modules the
+    bimodule laws are included."""
+    A, S = M.sset, M.sset.base
+    out = list(check_sset(A))
+    for r in S.elements:
+        if A.smap[M.zero[r]] != r:
+            out.append(Violation("ZeroSectionViolation", (r,)))
+        if M.zero[S.star[r]] != A.star[M.zero[r]]:
+            out.append(Violation("ZeroStarViolation", (r,)))
+        for s in S.elements:
+            if M.zero[S.mul[r][s]] != A.act(M.zero[r], s):
+                out.append(Violation("ZeroEquivarianceViolation", (r, s)))
+    for a in A.elements:
+        for b in A.elements:
+            defined = M.add[a][b] != -1
+            if defined != (A.smap[a] == A.smap[b]):
+                out.append(Violation("AdditionDomainViolation", (a, b)))
+            if not defined:
+                continue
+            v = M.add[a][b]
+            if A.smap[v] != A.smap[a]:
+                out.append(Violation("AdditionFiberViolation", (a, b)))
+            if M.add[b][a] != v:
+                out.append(Violation("AdditionCommutativityViolation", (a, b)))
+            if A.star[v] != M.add[A.star[a]][A.star[b]]:
+                out.append(Violation("StarAdditivityViolation", (a, b)))
+            for r in S.elements:
+                if A.act(v, r) != M.add[A.act(a, r)][A.act(b, r)]:
+                    out.append(Violation("DistributivityViolation", (a, b, r)))
+            for c in A.elements:
+                if A.smap[c] == A.smap[a]:
+                    if M.add[M.add[a][b]][c] != M.add[a][M.add[b][c]]:
+                        out.append(Violation("AdditionAssociativityViolation", (a, b, c)))
+    for a in A.elements:
+        if M.add[a][M.zero[A.smap[a]]] != a:
+            out.append(Violation("ZeroLawViolation", (a,)))
+
+    if balanced_check(A).balanced:
+        for r in S.elements:
+            for a in A.elements:
+                ra = M.left(r, a)
+                if A.smap[ra] != S.mul[r][A.smap[a]]:
+                    out.append(Violation("LeftEquivarianceViolation", (r, a)))
+                for s in S.elements:
+                    if A.act(ra, s) != M.left(r, A.act(a, s)):
+                        out.append(Violation("BimoduleCommutationViolation", (r, a, s)))
+                for b in A.elements:
+                    if A.smap[a] == A.smap[b]:
+                        if M.left(r, M.add[a][b]) != M.add[M.left(r, a)][M.left(r, b)]:
+                            out.append(Violation("LeftDistributivityViolation", (r, a, b)))
+            for s in S.elements:
+                if M.zero[S.mul[r][s]] != M.left(r, M.zero[s]):
+                    out.append(Violation("ZeroLeftEquivarianceViolation", (r, s)))
+    return Verdict(out)
+
+
+def validate_algebra(Alg: SAlgebra) -> Verdict:
+    M = Alg.module
+    A, S = M.sset, M.sset.base
+    mul = Alg.product
+    out = list(validate_module(M).violations)
+    for a in A.elements:
+        for b in A.elements:
+            if A.star[mul[a][b]] != mul[A.star[b]][A.star[a]]:
+                out.append(Violation("ProductStarViolation", (a, b)))
+            if A.smap[mul[a][b]] != S.mul[A.smap[a]][A.smap[b]]:
+                out.append(Violation("PsiHomViolation", (a, b)))
+            for c in A.elements:
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    out.append(Violation("ProductAssociativityViolation", (a, b, c)))
+        if mul[mul[a][A.star[a]]][a] != a:
+            out.append(Violation("PartialIsometryViolation", (a,)))
+    for r in S.elements:
+        for s in S.elements:
+            if mul[M.zero[r]][M.zero[s]] != M.zero[S.mul[r][s]]:
+                out.append(Violation("ZeroHomViolation", (r, s)))
+    for a in A.elements:
+        for b in A.elements:
+            if A.smap[a] != A.smap[b]:
+                continue
+            ab = M.add[a][b]
+            for c in A.elements:
+                if M.add[mul[a][c]][mul[b][c]] != mul[ab][c]:
+                    out.append(Violation("ProductDistributivityViolation", (a, b, c)))
+                if M.add[mul[c][a]][mul[c][b]] != mul[c][ab]:
+                    out.append(Violation("OtherDistributivityViolation", (c, a, b)))
+    for a in A.elements:
+        for b in A.elements:
+            for r in S.elements:
+                if mul[a][A.act(b, r)] != A.act(mul[a][b], r):
+                    out.append(Violation("ProductActionViolation", (a, b, r)))
+                if mul[a][A.star[A.act(b, r)]] != mul[A.act(a, S.star[r])][A.star[b]]:
+                    out.append(Violation("ProductStarActionViolation", (a, b, r)))
+    return Verdict(out)
 
 
 def derived_product(M: SModule, a: int, b: int) -> int:
-    return _derived_table(M)[a][b]
+    return M.derived_table[a][b]
 
 
 def idem_to_algebra(M: SModule) -> SAlgebra:
@@ -265,7 +250,7 @@ def idem_to_algebra(M: SModule) -> SAlgebra:
     for a in A.elements:
         if M.add[a][a] != a:
             raise AdditionNotIdempotent(f"a + a != a at {a}")
-    table = _derived_table(M)
+    table = M.derived_table
     alg = SAlgebra(M, table)
     report = validate_algebra(alg)
     if not report.ok:

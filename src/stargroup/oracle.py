@@ -40,14 +40,6 @@ MAX_ENUM_ORDER = 4
 KNOWN_CLASS_COUNTS = {1: 1, 2: 4, 3: 18, 4: 126}
 
 
-@dataclass(frozen=True)
-class EnumerationTask:
-    order: int
-    dedup: str = "iso+anti"  # none | iso | iso+anti
-    require_star: bool = False
-    budget: int | None = None
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -187,17 +179,6 @@ def enumerate_star_structures(table):
             yield validate_star_semigroup(n, table, star)
 
 
-def run_enumeration(task: EnumerationTask):
-    """Stream (mul, star) pairs per an EnumerationTask; star is None unless
-    require_star is set."""
-    for table in enumerate_semigroups(task.order, task.dedup, task.budget):
-        if task.require_star:
-            for X in enumerate_star_structures(table):
-                yield (X.mul, X.star)
-        else:
-            yield (table, None)
-
-
 # ---------------------------------------------------------------------------
 # standard families
 
@@ -271,7 +252,7 @@ def standard_family(name, n) -> FiniteStarSemigroup:
             for j in range(n):
                 star[enc(i, j)] = enc(j, i)
         return validate_star_semigroup(order, mul, star, name=f"B{n}")
-    raise UnknownFamily(name)
+    raise UnknownFamily(f"unknown family {name!r}")
 
 
 # ---------------------------------------------------------------------------

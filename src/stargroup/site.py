@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .core import (
     ConsistencyError,
     FiniteStarSemigroup,
+    Invalid,
     NotIdempotent,
     ShapeError,
     StarError,
     StarMorphism,
+    Violation,
     classify,
     idempotents,
     is_etale,
@@ -29,10 +31,8 @@ class NotInverse(StarError):
     pass
 
 
-class PresheafInvalid(StarError):
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(f"{k}{w}" for k, w in self.violations))
+class PresheafInvalid(Invalid):
+    pass
 
 
 class NotNatural(StarError):
@@ -58,18 +58,13 @@ class InverseSemigroup:
 
 
 def as_inverse(X: FiniteStarSemigroup) -> InverseSemigroup:
-    """Wrap X as an inverse semigroup; verifies the star really is the
-    unique quasi-inverse of each element."""
+    """Wrap X as an inverse semigroup: classify's inverse flag already means
+    that the star is the unique quasi-inverse of each element."""
     report = classify(X)
     if not report.inverse:
         raise NotInverse(
             f"{X!r} is not inverse (witness {report.witness('inverse') or report.witness('commuting_projections')})"
         )
-    for x in X.elements:
-        quasi = [y for y in X.elements
-                 if X.mul[X.mul[x][y]][x] == x and X.mul[X.mul[y][x]][y] == y]
-        if quasi != [X.star[x]]:
-            raise NotInverse(f"star of {x} is not the unique quasi-inverse")
     return InverseSemigroup(X)
 
 
@@ -89,10 +84,6 @@ def ls_dom(S: InverseSemigroup, m: LSMorphism) -> int:
     return sg.mul[sg.star[m.s]][m.s]
 
 
-def ls_identity(e: int) -> LSMorphism:
-    return LSMorphism(e, e)
-
-
 def ls_morphisms(S: InverseSemigroup, d: int, e: int) -> tuple[LSMorphism, ...]:
     """All morphisms d -> e, ascending element order."""
     sg = S.semigroup
@@ -106,7 +97,7 @@ def ls_morphisms(S: InverseSemigroup, d: int, e: int) -> tuple[LSMorphism, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def all_ls_morphisms(S: InverseSemigroup) -> tuple[LSMorphism, ...]:
     sg = S.semigroup
     return tuple(
@@ -122,6 +113,19 @@ def compose_ls(S: InverseSemigroup, m1: LSMorphism, m2: LSMorphism) -> LSMorphis
     if ls_dom(S, m1) != m2.e:
         raise ShapeError(f"{m1} and {m2} are not composable")
     return LSMorphism(S.semigroup.mul[m1.s][m2.s], m1.e)
+
+
+@cache
+def _composable_triples(S: InverseSemigroup):
+    """Every composite m12 = m1 m2 of L(S) as key triples (m12, m1, m2),
+    keys (s, e), in (m1, m2) order; built once per base."""
+    morphs = all_ls_morphisms(S)
+    return tuple(
+        ((S.semigroup.mul[m1.s][m2.s], m1.e), (m1.s, m1.e), (m2.s, m2.e))
+        for m1 in morphs
+        for m2 in morphs
+        if ls_dom(S, m1) == m2.e
+    )
 
 
 @dataclass(frozen=True)
@@ -224,18 +228,11 @@ def check_presheaf(base: InverseSemigroup, fibers, transitions):
     for e in base.idempotents:
         tr = transitions[(e, e)]
         if tr != tuple(range(len(fibers[e]))):
-            problems.append(("IdentityViolation", (e,)))
-    for m1 in morphs:
-        for m2 in morphs:
-            if ls_dom(base, m1) != m2.e:
-                continue
-            m12 = compose_ls(base, m1, m2)
-            t1 = transitions[(m1.s, m1.e)]
-            t2 = transitions[(m2.s, m2.e)]
-            t12 = transitions[(m12.s, m12.e)]
-            if t12 != tuple(t2[t1[i]] for i in range(len(t1))):
-                problems.append(
-                    ("CompositionViolation", ((m1.s, m1.e), (m2.s, m2.e))))
+            problems.append(Violation("IdentityViolation", (e,)))
+    for k12, k1, k2 in _composable_triples(base):
+        t1, t2 = transitions[k1], transitions[k2]
+        if transitions[k12] != tuple(t2[v] for v in t1):
+            problems.append(Violation("CompositionViolation", (k1, k2)))
     return fibers, transitions, problems
 
 
@@ -311,7 +308,7 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
 # representable semigroups S(e)
 
 
-@lru_cache(maxsize=None)
+@cache
 def representable_carrier(S: InverseSemigroup, e: int) -> tuple[tuple[int, int], ...]:
     """Pairs (r, s) with d(s) = c(r) and es = s, lexicographic order."""
     sg = S.semigroup
@@ -349,7 +346,7 @@ class RepresentableSemigroup:
         return self.carrier.index(pair)
 
 
-@lru_cache(maxsize=None)
+@cache
 def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
     """S(e) with structure map psi(r, s) = r; validated left involutive with
     psi an etale *-homomorphism, and cross-checked against Lambda(e-hat)."""
@@ -420,7 +417,7 @@ def representable_action(S: InverseSemigroup, m: LSMorphism) -> StarMorphism:
     return f
 
 
-@lru_cache(maxsize=None)
+@cache
 def _representable_functoriality(S: InverseSemigroup) -> bool:
     """S(st) = S(s)S(t) for all composable pairs; ran once per base."""
     sg = S.semigroup
@@ -432,14 +429,10 @@ def _representable_functoriality(S: InverseSemigroup) -> bool:
         tgt = representable_carrier(S, m.e)
         tpos = {pair: i for i, pair in enumerate(tgt)}
         raw[(m.s, m.e)] = tuple(tpos[(u, sg.mul[m.s][v])] for (u, v) in src)
-    for m1 in morphs:
-        for m2 in morphs:
-            if ls_dom(S, m1) != m2.e:
-                continue
-            m12 = compose_ls(S, m1, m2)
-            t1, t2 = raw[(m1.s, m1.e)], raw[(m2.s, m2.e)]
-            if raw[(m12.s, m12.e)] != tuple(t1[v] for v in t2):
-                raise ConsistencyError(f"S({m1})S({m2}) != S({m12})")
+    for k12, k1, k2 in _composable_triples(S):
+        if raw[k12] != tuple(raw[k1][v] for v in raw[k2]):
+            m1, m2, m12 = (LSMorphism(*k) for k in (k1, k2, k12))
+            raise ConsistencyError(f"S({m1})S({m2}) != S({m12})")
     return True
 
 
@@ -447,7 +440,7 @@ def _representable_functoriality(S: InverseSemigroup) -> bool:
 # presheaf enumeration and random generation
 
 
-@lru_cache(maxsize=None)
+@cache
 def _presheaf_skeleton(S: InverseSemigroup):
     """Non-identity morphisms in assignment order, and per morphism key the
     composition squares m = m1 m2 it takes part in, as key triples
@@ -456,14 +449,9 @@ def _presheaf_skeleton(S: InverseSemigroup):
     morphs = all_ls_morphisms(S)
     nonid = tuple(m for m in morphs if not (m.s == m.e and m.s in idems))
     squares = {(m.s, m.e): [] for m in morphs}
-    for m in morphs:
-        for m1 in morphs:
-            for m2 in morphs:
-                if ls_dom(S, m1) != m2.e or compose_ls(S, m1, m2) != m:
-                    continue
-                square = ((m.s, m.e), (m1.s, m1.e), (m2.s, m2.e))
-                for key in set(square):
-                    squares[key].append(square)
+    for square in _composable_triples(S):
+        for key in set(square):
+            squares[key].append(square)
     return nonid, {key: tuple(sq) for key, sq in squares.items()}
 
 

@@ -14,25 +14,27 @@ from .core import (
     ConsistencyError,
     EquivalenceBroken,
     FiniteStarSemigroup,
+    Invalid,
     NotEtale,
     ShapeError,
-    StarError,
     StarMorphism,
+    Violation,
     classify,
     is_etale,
+    memo,
     validate_star_semigroup,
 )
 
 
-class SSetInvalid(StarError):
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(f"{k}{w}" for k, w in self.violations))
+class SSetInvalid(Invalid):
+    pass
 
 
 @dataclass(eq=False)
 class SSetStructure:
-    """Carrier with involution, structure map into S, and action table."""
+    """Carrier with involution, structure map into S, and action table;
+    its left identity, balance and left-action sweep are computed on first
+    use and kept."""
 
     size: int
     star: tuple[int, ...]
@@ -50,7 +52,6 @@ class SSetStructure:
             len(r) != self.base.order for r in self.action
         ):
             raise ShapeError("action table has wrong shape")
-        self._cache = {}
 
     @property
     def elements(self):
@@ -59,122 +60,15 @@ class SSetStructure:
     def act(self, x: int, s: int) -> int:
         return self.action[x][s]
 
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+    @memo
+    def left_identity(self) -> bool:
+        """Whether the left identity holds; see left_identity_witness."""
+        return left_identity_witness(self) is None
 
-    def __repr__(self):
-        return f"SSet(size={self.size}, base={self.base!r})"
-
-
-def check_sset(A: SSetStructure):
-    """Violations of the involutive S-set axioms."""
-    S = A.base
-    out = []
-    for x in A.elements:
-        if A.star[A.star[x]] != x:
-            out.append(("InvolutionViolation", (x,)))
-            break
-    for x in A.elements:
-        if A.smap[A.star[x]] != S.star[A.smap[x]]:
-            out.append(("StarMorphismViolation", (x,)))
-            break
-    wit = next(
-        ((x, s) for x in A.elements for s in S.elements
-         if A.smap[A.act(x, s)] != S.mul[A.smap[x]][s]),
-        None,
-    )
-    if wit is not None:
-        out.append(("EquivarianceViolation", wit))
-    wit = next(
-        ((x,) for x in A.elements if A.act(x, S.d(A.smap[x])) != x),
-        None,
-    )
-    if wit is not None:
-        out.append(("UnitViolation", wit))
-    wit = next(
-        ((x, s, t) for x in A.elements for s in S.elements for t in S.elements
-         if A.act(A.act(x, s), t) != A.act(x, S.mul[s][t])),
-        None,
-    )
-    if wit is not None:
-        out.append(("ActionAssociativityViolation", wit))
-    return tuple(out)
-
-
-def make_sset(size, star, base, smap, action) -> SSetStructure:
-    A = SSetStructure(size, star, base, smap, action)
-    violations = check_sset(A)
-    if violations:
-        raise SSetInvalid(violations)
-    return A
-
-
-def left_identity_witness(A: SSetStructure):
-    """(xs)* = (x* . f(x)s)* . f(x)* sweep; None when the identity holds."""
-    S = A.base
-    for x in A.elements:
-        fx = A.smap[x]
-        for s in S.elements:
-            lhs = A.star[A.act(x, s)]
-            rhs = A.act(A.star[A.act(A.star[x], S.mul[fx][s])], S.star[fx])
-            if lhs != rhs:
-                return (x, s)
-    return None
-
-
-def is_left_involutive_sset(A: SSetStructure) -> bool:
-    return A._cached("left", lambda: left_identity_witness(A) is None)
-
-
-def left_action(A: SSetStructure, r: int, x: int) -> int:
-    """rx = (x* r*)*."""
-    out = A.star[A.act(A.star[x], A.base.star[r])]
-    _left_action_sweep(A)
-    return out
-
-
-def _left_action_sweep(A: SSetStructure):
-    """When A is balanced over an inverse base, the left action must satisfy
-    (rx)s = r(xs) and f(rx) = r f(x); swept once per structure."""
-    def compute():
-        rep = balanced_check(A)
-        if not rep.balanced or not classify(A.base).inverse:
-            return True
-        S = A.base
-        la = lambda r, x: A.star[A.act(A.star[x], S.star[r])]
-        for r in S.elements:
-            for x in A.elements:
-                rx = la(r, x)
-                if A.smap[rx] != S.mul[r][A.smap[x]]:
-                    raise ConsistencyError(f"left action not equivariant at {(r, x)}")
-                for s in S.elements:
-                    if A.act(rx, s) != la(r, A.act(x, s)):
-                        raise ConsistencyError(
-                            f"left/right actions do not commute at {(r, x, s)}")
-        return True
-    return A._cached("left_action_sweep", compute)
-
-
-@dataclass(frozen=True)
-class BalancedReport:
-    cond1: bool
-    cond2: bool
-    balanced: bool
-    left_identity: bool
-    witness1: tuple | None = None
-    witness2: tuple | None = None
-
-
-def balanced_check(A: SSetStructure) -> BalancedReport:
-    """Check the two balance conditions and compare with the left identity.
-
-    Balanced always implies the left identity; over an inverse base the two
-    are equivalent.  Either implication failing raises EquivalenceBroken.
-    """
-    def compute():
-        S = A.base
+    @memo
+    def balance(self) -> "BalancedReport":
+        """See balanced_check."""
+        A, S = self, self.base
         w1 = None
         for x in A.elements:
             for r in S.elements:
@@ -203,7 +97,116 @@ def balanced_check(A: SSetStructure) -> BalancedReport:
             raise EquivalenceBroken(
                 "balanced and left involutive disagree over an inverse base")
         return BalancedReport(w1 is None, w2 is None, balanced, left, w1, w2)
-    return A._cached("balanced", compute)
+
+    @memo
+    def left_action_swept(self) -> bool:
+        """When the S-set is balanced over an inverse base, its left action
+        must satisfy (rx)s = r(xs) and f(rx) = r f(x); swept once."""
+        A, S = self, self.base
+        rep = balanced_check(A)
+        if not rep.balanced or not classify(S).inverse:
+            return True
+        la = lambda r, x: A.star[A.act(A.star[x], S.star[r])]
+        for r in S.elements:
+            for x in A.elements:
+                rx = la(r, x)
+                if A.smap[rx] != S.mul[r][A.smap[x]]:
+                    raise ConsistencyError(f"left action not equivariant at {(r, x)}")
+                for s in S.elements:
+                    if A.act(rx, s) != la(r, A.act(x, s)):
+                        raise ConsistencyError(
+                            f"left/right actions do not commute at {(r, x, s)}")
+        return True
+
+    def __repr__(self):
+        return f"SSet(size={self.size}, base={self.base!r})"
+
+
+def check_sset(A: SSetStructure):
+    """Violations of the involutive S-set axioms."""
+    S = A.base
+    out = []
+    for x in A.elements:
+        if A.star[A.star[x]] != x:
+            out.append(Violation("InvolutionViolation", (x,)))
+            break
+    for x in A.elements:
+        if A.smap[A.star[x]] != S.star[A.smap[x]]:
+            out.append(Violation("StarMorphismViolation", (x,)))
+            break
+    wit = next(
+        ((x, s) for x in A.elements for s in S.elements
+         if A.smap[A.act(x, s)] != S.mul[A.smap[x]][s]),
+        None,
+    )
+    if wit is not None:
+        out.append(Violation("EquivarianceViolation", wit))
+    wit = next(
+        ((x,) for x in A.elements if A.act(x, S.d(A.smap[x])) != x),
+        None,
+    )
+    if wit is not None:
+        out.append(Violation("UnitViolation", wit))
+    wit = next(
+        ((x, s, t) for x in A.elements for s in S.elements for t in S.elements
+         if A.act(A.act(x, s), t) != A.act(x, S.mul[s][t])),
+        None,
+    )
+    if wit is not None:
+        out.append(Violation("ActionAssociativityViolation", wit))
+    return tuple(out)
+
+
+def make_sset(size, star, base, smap, action) -> SSetStructure:
+    A = SSetStructure(size, star, base, smap, action)
+    violations = check_sset(A)
+    if violations:
+        raise SSetInvalid(violations)
+    return A
+
+
+def left_identity_witness(A: SSetStructure):
+    """(xs)* = (x* . f(x)s)* . f(x)* sweep; None when the identity holds."""
+    S = A.base
+    for x in A.elements:
+        fx = A.smap[x]
+        for s in S.elements:
+            lhs = A.star[A.act(x, s)]
+            rhs = A.act(A.star[A.act(A.star[x], S.mul[fx][s])], S.star[fx])
+            if lhs != rhs:
+                return (x, s)
+    return None
+
+
+def is_left_involutive_sset(A: SSetStructure) -> bool:
+    return A.left_identity
+
+
+def left_action(A: SSetStructure, r: int, x: int) -> int:
+    """rx = (x* r*)*; the first call sweeps the left action (see
+    SSetStructure.left_action_swept)."""
+    out = A.star[A.act(A.star[x], A.base.star[r])]
+    A.left_action_swept
+    return out
+
+
+@dataclass(frozen=True)
+class BalancedReport:
+    cond1: bool
+    cond2: bool
+    balanced: bool
+    left_identity: bool
+    witness1: tuple | None = None
+    witness2: tuple | None = None
+
+
+def balanced_check(A: SSetStructure) -> BalancedReport:
+    """Check the two balance conditions and compare with the left identity.
+
+    Balanced always implies the left identity; over an inverse base the two
+    are equivalent.  Either implication failing raises EquivalenceBroken.
+    """
+    return A.balance
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from .core import (
     ShapeError,
     StarError,
     StarMorphism,
+    Verdict,
+    Violation,
     classify,
     etale_lift,
     idempotents,
@@ -40,7 +42,6 @@ from .core import (
 )
 from .site import (
     InverseSemigroup,
-    LSMorphism,
     Presheaf,
     PresheafMap,
     _se_mul,
@@ -50,7 +51,6 @@ from .site import (
     ls_dom,
     representable_carrier,
     validate_presheaf,
-    validate_presheaf_map,
 )
 
 
@@ -325,6 +325,8 @@ def gamma(f: StarMorphism, budget=None, strategy="auto") -> GammaPresheaf:
     with the two results asserted equal).  budget: see resolve_budget.
     Shared while held (module docstring).
     """
+    if strategy not in ("generic", "fast", "auto"):
+        raise ValueError(f"unknown Gamma strategy {strategy!r}")
     budget = resolve_budget(budget)
     return _shared(("gamma", id(f), strategy, budget), _gamma, f, budget,
                    strategy)
@@ -482,31 +484,22 @@ def counit(f: StarMorphism, G: GammaPresheaf | None = None) -> CounitResult:
                         inv_left, bool(bijective and inv_left))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def triangle_check(P: Presheaf) -> CheckResult:
+def triangle_check(P: Presheaf) -> Verdict:
     """epsilon_{Lambda P} . Lambda(eta P) = id elementwise."""
     u = unit(P)
     if u.lam_obj.is_empty():
-        return CheckResult(True)
+        return Verdict()
     sg = P.base.semigroup
     eps = counit(u.lam_obj.structure_map, u.gamma_obj)
     LGP = eps.lam_gamma
     for i, (r, a) in enumerate(u.lam_obj.pairs):
         j = LGP.index[(r, u.components[sg.c(r)][a])]
         if eps.morphism.map[j] != i:
-            return CheckResult(False, (r, a))
-    return CheckResult(True)
+            return Verdict((Violation("TriangleViolation", (r, a)),))
+    return Verdict()
 
 
-def triangle_check2(f: StarMorphism) -> CheckResult:
+def triangle_check2(f: StarMorphism) -> Verdict:
     """Gamma(epsilon_f) . eta(Gamma f) = id, fiber by fiber."""
     S = as_inverse(f.target)
     sg = S.semigroup
@@ -521,8 +514,8 @@ def triangle_check2(f: StarMorphism) -> CheckResult:
                 elem = eps.lam_gamma.index[(p, moved)]
                 out.append(eps.morphism.map[elem])
             if tuple(out) != table:
-                return CheckResult(False, (e, xi_idx))
-    return CheckResult(True)
+                return Verdict((Violation("TriangleViolation", (e, xi_idx)),))
+    return Verdict()
 
 
 # ---------------------------------------------------------------------------

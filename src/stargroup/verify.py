@@ -20,7 +20,6 @@ from .core import (
     StarMorphism,
     classify,
     compose_morphisms,
-    etale_lift,
     idempotent_leq,
     idempotents,
     is_etale,
@@ -34,10 +33,12 @@ from .site import as_inverse, representable_semigroup
 
 @dataclass(frozen=True)
 class VerifyRow:
+    """One report row: {check, instance, pass, witness?}."""
+
     check: str
     instance: str
     ok: bool
-    witness: tuple | None = None
+    witness: tuple | list | None = None
 
     def as_dict(self):
         out = {"check": self.check, "instance": self.instance, "pass": self.ok}

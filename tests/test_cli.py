@@ -174,3 +174,25 @@ def test_format_flag_both_positions():
     a = run_cli("--format", "json", "classify", str(FIXTURES / "i2.json"))
     b = run_cli("classify", str(FIXTURES / "i2.json"), "--format", "json")
     assert a == b and a[0] == 0
+
+
+@pytest.mark.parametrize("args, code", [
+    (("verify", "--statement", "nope"), 2),
+    (("verify", "--max-order", "0"), 2),
+    (("verify", "--jobs", "0"), 2),
+    (("enumerate", "--order", "0"), 2),
+    (("enumerate", "--order", "x"), 2),
+    (("family", "--name", "nope", "--n", "2"), 2),
+    (("family", "--name", "brandt", "--n", "0"), 2),
+    (("family", "--name", "symmetric_inverse", "--n", "4"), 2),
+    (("verify", "--max-order", "5"), 3),
+])
+def test_usage_and_budget_errors_exit_cleanly(capsys, args, code):
+    # argparse reports its errors by raising SystemExit
+    try:
+        got, out = run_cli(*args)
+    except SystemExit as exc:
+        got, out = exc.code, ""
+    err = capsys.readouterr().err
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

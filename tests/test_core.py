@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from stargroup import oracle
 from stargroup.core import (
     ConsistencyError,
+    Invalid,
     InvalidStarSemigroup,
     NoLift,
     NotEtale,
@@ -11,6 +12,8 @@ from stargroup.core import (
     NotLocallyInvolutive,
     ShapeError,
     StarMorphism,
+    Verdict,
+    Violation,
     check_morphism,
     check_star_semigroup,
     classify,
@@ -25,6 +28,7 @@ from stargroup.core import (
     is_etale,
     leq_left,
     leq_right,
+    memo,
     natural_order,
     projections,
     validate_star_semigroup,
@@ -310,3 +314,97 @@ def test_classify_brandt(b2):
     rep = classify(b2)
     assert rep.inverse and rep.involutive
     assert len(projections(b2)) == 3  # zero plus the two diagonal units
+
+
+# ---------------------------------------------------------------------------
+# the check-result idiom: Violation, Verdict, Invalid
+
+
+def _invalid_inputs(c2, sl2_inv):
+    """(error, call) per validator, each call on input that breaks an axiom."""
+    from dataclasses import replace
+
+    from stargroup import groupoid, site, ssets
+
+    A = ssets.canonical_action(identity_morphism(c2))
+    bad_action = [list(row) for row in A.action]
+    bad_action[0][1] = 0
+    G = groupoid.esn_groupoid(c2)
+    return [
+        (InvalidStarSemigroup,
+         lambda: validate_star_semigroup(2, [[1, 0], [0, 0]], [0, 1])),
+        (site.PresheafInvalid, lambda: site.validate_presheaf(
+            sl2_inv, {1: ("u", "v"), 0: ("w",)},
+            {(0, 0): (0,), (1, 1): (1, 0), (0, 1): (0, 0)})),
+        (ssets.SSetInvalid,
+         lambda: ssets.make_sset(A.size, A.star, A.base, A.smap, bad_action)),
+        (groupoid.InvalidGroupoid,
+         lambda: groupoid.validate_groupoid(replace(G, inverse=(0, 0)))),
+        (groupoid.InvalidGroupoid,
+         lambda: groupoid.esn_semigroup(replace(G, mediator=((1,),)))),
+        (groupoid.InvalidGroupoid,
+         lambda: groupoid.validate_mediator(replace(G, mediator=None))),
+    ]
+
+
+def test_every_validator_raises_invalid_with_violations(c2, sl2_inv):
+    for error, call in _invalid_inputs(c2, sl2_inv):
+        with pytest.raises(error) as err:
+            call()
+        assert isinstance(err.value, Invalid)
+        violations = err.value.violations
+        assert violations
+        assert all(type(v) is Violation for v in violations)
+        assert str(err.value) == "; ".join(str(v) for v in violations)
+        for v in violations:
+            kind, witness = v
+            assert str(v) == f"{kind}{witness}" == f"{v.kind}{v.witness}"
+
+
+def test_checks_return_one_verdict_type(p21, id_sl2, i2, const_c2_t1):
+    from stargroup import groupoid, modalg, topos
+
+    fh = modalg.fhat(id_sl2)
+    verdicts = [
+        modalg.validate_module(fh.module),
+        modalg.validate_algebra(fh.algebra),
+        groupoid.validate_mediator(groupoid.esn_groupoid(i2)),
+        etale_report(id_sl2),
+        etale_report(const_c2_t1),
+        topos.triangle_check(p21),
+        topos.triangle_check2(const_c2_t1),
+    ]
+    assert all(type(v) is Verdict for v in verdicts)
+    assert [v.ok for v in verdicts] == [True] * 4 + [False, True, True]
+    assert etale_report(const_c2_t1).violations[0].kind
+
+
+def test_verdict_keeps_first_of_repeats_in_order():
+    a, b = Violation("A", (0,)), Violation("B", (1, 2))
+    v = Verdict((a, b, Violation("A", (0,)), b))
+    assert v.violations == (a, b)
+    assert v.witness == (0,)
+    assert not v and not v.ok
+    assert [k for k, _ in v.violations] == ["A", "B"]
+    assert Verdict((b, a)).witness == (1, 2)
+    empty = Verdict()
+    assert empty and empty.ok and empty.witness is None
+    assert empty == Verdict(()) and v == Verdict((a, b))
+
+
+def test_memo_computes_once_and_keeps_no_error():
+    calls = []
+
+    class Box:
+        @memo
+        def value(self):
+            calls.append(None)
+            if len(calls) == 1:
+                raise ValueError("first read fails")
+            return len(calls)
+
+    box = Box()
+    with pytest.raises(ValueError):
+        box.value
+    assert box.value == 2 and box.value == 2 and len(calls) == 2
+    assert Box().value == 3

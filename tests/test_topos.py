@@ -454,6 +454,13 @@ def test_gamma_strategies_are_separate_entries(id_i2):
     assert gamma(id_i2, budget=topos.DEFAULT_BUDGET) is auto
 
 
+def test_gamma_rejects_unknown_strategy(id_i2):
+    held = gamma(id_i2)
+    with pytest.raises(ValueError, match="bogus"):
+        gamma(id_i2, strategy="bogus")
+    assert gamma(id_i2) is held
+
+
 def test_gamma_budget_still_enforced_while_held(id_i2):
     held = gamma(id_i2)
     with pytest.raises(topos.SearchBudgetExceeded):
