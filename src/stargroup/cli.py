@@ -22,7 +22,9 @@ from .core import (
     natural_order,
     FLAG_NAMES,
 )
+from .modalg import CarrierTooLarge
 from .oracle import BudgetExceeded, UnknownFamily
+from .serialize import InputError
 from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
@@ -338,7 +340,7 @@ def main(argv=None):
         if hasattr(args, "budget"):
             args.budget = topos.resolve_budget(args.budget, default=None)
         args.fn(args, report)
-    except (SearchBudgetExceeded, BudgetExceeded) as exc:
+    except (SearchBudgetExceeded, BudgetExceeded, CarrierTooLarge) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (BudgetInvalid, UnknownFamily) as exc:
@@ -346,6 +348,9 @@ def main(argv=None):
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except StarError as exc:
         report.add("error", type(exc).__name__, False, witness=[str(exc)])

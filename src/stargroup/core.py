@@ -187,6 +187,12 @@ def _freeze_tables(order, mul, star):
     return mul, star
 
 
+def in_range(values, stop, start=0) -> bool:
+    """Whether every value of a sequence lies in start..stop-1 (true when
+    there are none)."""
+    return not values or (start <= min(values) and max(values) < stop)
+
+
 def check_star_semigroup(order, mul, star) -> tuple[Violation, ...]:
     """All violated *-semigroup axioms, least witness each; empty if valid."""
     return _axiom_violations(order, *_freeze_tables(order, mul, star))

@@ -23,6 +23,7 @@ from .core import (
     Verdict,
     Violation,
     classify,
+    in_range,
     natural_order,
     projections,
     validate_star_semigroup,
@@ -95,6 +96,10 @@ def _shape_check(G: OrderedGroupoidWithMediator):
     if G.mediator is not None:
         if len(G.mediator) != m or any(len(r) != m for r in G.mediator):
             raise ShapeError("mediator table has wrong shape")
+    if not (in_range(G.dom + G.cod, m) and in_range(G.identity + G.inverse, n)
+            and all(in_range(r, n, start=-1) for r in G.compose)
+            and all(in_range(r, n) for r in G.mediator or ())):
+        raise ShapeError("groupoid entry out of range")
 
 
 def validate_groupoid(G: OrderedGroupoidWithMediator):

@@ -102,32 +102,65 @@ def _associative_tables(n, budget=None):
     yield from fill(0)
 
 
-def _relabel(table, perm):
+def _relabellings(table):
+    """Flat encodings of the n! relabellings of a table: its isomorphism
+    class.  A relabelling by p maps the product xy to p(x)p(y)."""
     n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[perm[i]][perm[j]] = perm[table[i][j]]
-    return tuple(tuple(row) for row in out)
+    out = set()
+    for perm in itertools.permutations(range(n)):
+        inv = sorted(range(n), key=perm.__getitem__)
+        out.add(bytes(perm[table[a][b]] for a in inv for b in inv))
+    return out
 
 
-def _transpose(table):
-    n = len(table)
-    return tuple(tuple(table[j][i] for j in range(n)) for i in range(n))
+def _flat(table):
+    return bytes(v for row in table for v in row)
 
 
-def _canonical_form(table, anti):
-    n = len(table)
-    variants = [table]
-    if anti:
-        variants.append(_transpose(table))
-    best = None
-    for variant in variants:
-        for perm in itertools.permutations(range(n)):
-            cand = _relabel(variant, perm)
-            if best is None or cand < best:
-                best = cand
-    return best
+def _unflat(key, n):
+    return tuple(tuple(key[i:i + n]) for i in range(0, n * n, n))
+
+
+def _classes(n, budget=None):
+    """Every associative table of order n, in lexicographic order, as
+    ``(table, least of its isomorphism class, least of its iso+anti class)``.
+
+    The first member met of a class is its least, so marking that member's
+    whole orbit as seen picks one representative per class (McKay's orbit
+    rejection in its simplest exact form).  A seen table is dropped from the
+    set when it is met, since every table is met exactly once."""
+    seen_iso, seen_anti = set(), set()
+    for table in _associative_tables(n, budget):
+        key = _flat(table)
+        iso = key not in seen_iso
+        if iso:
+            orbit = _relabellings(table)
+            seen_iso |= orbit
+        # least of its iso+anti class implies least of its iso class
+        anti = key not in seen_anti
+        if anti:
+            seen_anti |= orbit | _relabellings(tuple(zip(*table)))
+        seen_iso.discard(key)
+        seen_anti.discard(key)
+        yield table, iso, anti
+
+
+# order -> {"iso": reps, "iso+anti": reps}, each rep a flat encoding; at
+# most MAX_ENUM_ORDER entries
+_REPRESENTATIVES = {}
+
+
+def _representatives(n):
+    reps = _REPRESENTATIVES.get(n)
+    if reps is None:
+        iso, anti = [], []
+        for table, is_iso, is_anti in _classes(n):
+            if is_iso:
+                iso.append(_flat(table))
+            if is_anti:
+                anti.append(_flat(table))
+        reps = _REPRESENTATIVES[n] = {"iso": tuple(iso), "iso+anti": tuple(anti)}
+    return reps
 
 
 def enumerate_semigroups(n, dedup="iso+anti", budget=None):
@@ -136,16 +169,23 @@ def enumerate_semigroups(n, dedup="iso+anti", budget=None):
     dedup: 'none' streams raw tables; 'iso' one representative per
     isomorphism class; 'iso+anti' folds in anti-isomorphism as well.
     Representatives are the lexicographically least table of their class.
+    Each order is searched once: an unbudgeted call keeps both lists of
+    representatives, and a budgeted call streams the search itself, so it
+    stops at the same step every time.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise BudgetExceeded(f"enumeration capped at order {MAX_ENUM_ORDER}")
     if dedup not in ("none", "iso", "iso+anti"):
         raise ValueError(f"unknown dedup mode {dedup!r}")
-    for table in _associative_tables(n, budget):
-        if dedup == "none":
-            yield table
-        elif table == _canonical_form(table, anti=dedup == "iso+anti"):
-            yield table
+    if dedup == "none":
+        yield from _associative_tables(n, budget)
+    elif budget is None:
+        for key in _representatives(n)[dedup]:
+            yield _unflat(key, n)
+    else:
+        for table, is_iso, is_anti in _classes(n, budget):
+            if (is_anti if dedup == "iso+anti" else is_iso):
+                yield table
 
 
 def enumeration_counts(max_order=MAX_ENUM_ORDER, dedup="iso+anti"):

@@ -4,6 +4,11 @@ References to other files are plain strings resolved relative to the
 referring file; inline objects are plain dicts.  All writers emit the same
 canonical encoding, so save(load(p)) reproduces p byte for byte whenever p
 was written by this module.
+
+Every reader first checks the JSON shape of its input (an object with the
+required keys, each of the expected JSON type) and raises ``InputError``
+when it does not match; only then are the tables validated, and a table
+that breaks an axiom raises a ``StarError`` as before.
 """
 
 from __future__ import annotations
@@ -11,10 +16,69 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import FiniteStarSemigroup, Relation, ShapeError, StarMorphism, validate_star_semigroup
+from .core import FiniteStarSemigroup, Relation, StarMorphism, validate_star_semigroup
 from .groupoid import OrderedGroupoidWithMediator, validate_groupoid
 from .site import Presheaf, as_inverse, validate_presheaf
 from .ssets import SSetStructure, make_sset
+
+
+class InputError(ValueError):
+    """A file that does not have the JSON shape its reader expects: a top
+    level that is not an object, a missing key or a field of the wrong
+    type.  Not a StarError: no table was read, so nothing was checked."""
+
+
+def _json_type(value) -> str:
+    """The JSON name of a decoded value's type, for messages."""
+    if isinstance(value, bool):
+        return "boolean"
+    return {int: "integer", float: "number", str: "string", list: "array",
+            dict: "object", type(None): "null"}.get(type(value), "value")
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_ints(v):
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+# the field types a schema names: a test and the phrase for messages
+_TYPES = {
+    "integer": (_is_int, "an integer"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "null": (lambda v: v is None, "null"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
+    "integers": (_is_ints, "an array of integers"),
+    "table": (lambda v: isinstance(v, list) and all(map(_is_ints, v)),
+              "an array of integer arrays"),
+}
+
+
+def _check(value, types, what):
+    if not any(_TYPES[t][0](value) for t in types):
+        wanted = " or ".join(_TYPES[t][1] for t in types)
+        raise InputError(f"{what} must be {wanted}, got {_json_type(value)}")
+
+
+def _schema(d, kind, required, optional=None):
+    """Return d after checking that it is a JSON object with every required
+    key and that each field present has one of the types its schema names."""
+    if not isinstance(d, dict):
+        raise InputError(f"{kind}: expected an object, got {_json_type(d)}")
+    for key in required:
+        if key not in d:
+            raise InputError(f"{kind}: missing key {key!r}")
+    for key, types in {**required, **(optional or {})}.items():
+        if key in d:
+            _check(d[key], types, f"{kind}: {key!r}")
+    return d
+
+
+_REF = ("string", "object")
+_NAME = {"name": ("string", "null")}
 
 
 def dumps(obj) -> str:
@@ -44,6 +108,9 @@ def semigroup_to_dict(X: FiniteStarSemigroup) -> dict:
 
 
 def semigroup_from_dict(d: dict) -> FiniteStarSemigroup:
+    _schema(d, "semigroup",
+            {"order": ("integer",), "mul": ("table",), "star": ("integers",)},
+            _NAME)
     return validate_star_semigroup(
         d["order"], d["mul"], d["star"], d.get("name")
     )
@@ -62,7 +129,8 @@ def _resolve_ref(ref, base_dir) -> FiniteStarSemigroup:
         return load_semigroup(Path(base_dir) / ref)
     if isinstance(ref, dict):
         return semigroup_from_dict(ref)
-    raise ShapeError(f"bad semigroup reference {ref!r}")
+    raise InputError(f"semigroup reference must be a string or an object, "
+                     f"got {_json_type(ref)}")
 
 
 # morphisms -----------------------------------------------------------------
@@ -77,6 +145,8 @@ def morphism_to_dict(f: StarMorphism, source_ref=None, target_ref=None) -> dict:
 
 
 def morphism_from_dict(d: dict, base_dir=".") -> StarMorphism:
+    _schema(d, "morphism",
+            {"source": _REF, "target": _REF, "map": ("integers",)})
     source = _resolve_ref(d["source"], base_dir)
     target = _resolve_ref(d["target"], base_dir)
     return StarMorphism(source, target, d["map"])
@@ -104,13 +174,28 @@ def presheaf_to_dict(P: Presheaf, base_ref=None) -> dict:
     }
 
 
+def _index_key(text, parts):
+    """A presheaf key of `parts` comma-separated integers: "3" or "1,0"."""
+    try:
+        values = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != parts:
+        raise InputError(f"presheaf: bad key {text!r}")
+    return values
+
+
 def presheaf_from_dict(d: dict, base_dir=".") -> Presheaf:
-    base = as_inverse(_resolve_ref(d["base"], base_dir))
-    fibers = {int(e): tuple(labels) for e, labels in d["fibers"].items()}
-    transitions = {}
+    _schema(d, "presheaf", {"base": _REF, "fibers": ("object",),
+                            "transitions": ("object",)})
+    fibers, transitions = {}, {}
+    for key, labels in d["fibers"].items():
+        _check(labels, ("array",), f"presheaf: fiber {key!r}")
+        fibers[_index_key(key, 1)[0]] = tuple(labels)
     for key, tr in d["transitions"].items():
-        s, e = key.split(",")
-        transitions[(int(s), int(e))] = tuple(tr)
+        _check(tr, ("integers",), f"presheaf: transition {key!r}")
+        transitions[_index_key(key, 2)] = tuple(tr)
+    base = as_inverse(_resolve_ref(d["base"], base_dir))
     return validate_presheaf(base, fibers, transitions)
 
 
@@ -148,7 +233,15 @@ def groupoid_to_dict(G: OrderedGroupoidWithMediator) -> dict:
 
 
 def groupoid_from_dict(d: dict) -> OrderedGroupoidWithMediator:
+    _schema(d, "groupoid",
+            {"objects": ("integer",), "morphisms": ("integer",),
+             "dom": ("integers",), "cod": ("integers",),
+             "identity": ("integers",), "inverse": ("integers",),
+             "compose": ("table",), "order": ("table",)},
+            {"mediator": ("table", "null"), **_NAME})
     n = d["morphisms"]
+    if len(d["order"]) != n or any(len(row) != n for row in d["order"]):
+        raise InputError(f"groupoid: 'order' must be a {n}x{n} table")
     rows = tuple(
         sum(1 << j for j in range(n) if d["order"][i][j]) for i in range(n)
     )
@@ -191,6 +284,9 @@ def sset_to_dict(A: SSetStructure, base_ref=None) -> dict:
 
 
 def sset_from_dict(d: dict, base_dir=".") -> SSetStructure:
+    _schema(d, "S-set",
+            {"carrier": ("integer",), "star": ("integers",), "base": _REF,
+             "map": ("integers",), "action": ("table",)})
     base = _resolve_ref(d["base"], base_dir)
     return make_sset(d["carrier"], d["star"], base, d["map"], d["action"])
 
@@ -210,7 +306,7 @@ def load_sset(path) -> SSetStructure:
 def load_any(path):
     """Detect the object kind from its keys and load it."""
     path = Path(path)
-    d = _read(path)
+    d = _schema(_read(path), "file", {})
     if "mul" in d:
         return semigroup_from_dict(d)
     if "fibers" in d:
@@ -221,7 +317,7 @@ def load_any(path):
         return sset_from_dict(d, path.parent)
     if "map" in d:
         return morphism_from_dict(d, path.parent)
-    raise ShapeError(f"unrecognized file format: {sorted(d)}")
+    raise InputError(f"unrecognized file format: {sorted(d)}")
 
 
 # F-hat dump ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from .core import (
     StarMorphism,
     Violation,
     classify,
+    in_range,
     is_etale,
     memo,
     validate_star_semigroup,
@@ -52,6 +53,10 @@ class SSetStructure:
             len(r) != self.base.order for r in self.action
         ):
             raise ShapeError("action table has wrong shape")
+        if not (in_range(self.star, self.size)
+                and all(in_range(r, self.size) for r in self.action)
+                and in_range(self.smap, self.base.order)):
+            raise ShapeError("star, map or action entry out of range")
 
     @property
     def elements(self):

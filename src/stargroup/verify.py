@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import oracle, topos
 from .core import (
     FiniteStarSemigroup,
+    StarError,
     StarMorphism,
     classify,
     compose_morphisms,
@@ -28,7 +29,9 @@ from .core import (
     projections,
     validate_star_semigroup,
 )
+from .oracle import BudgetExceeded
 from .site import as_inverse, representable_semigroup
+from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,25 @@ class VerifyRow:
         return out
 
 
+# validated semigroups by (mul, star) while run_statements runs, so each
+# distinct table pair is validated once per run; None outside a run
+_interned = None
+
+
+def _open_intern():
+    global _interned
+    _interned = {}
+
+
 def _sg(tables) -> FiniteStarSemigroup:
     mul, star = tables
-    return validate_star_semigroup(len(mul), mul, star)
+    if _interned is None:
+        return validate_star_semigroup(len(mul), mul, star)
+    key = (mul, star)
+    X = _interned.get(key)
+    if X is None:
+        X = _interned[key] = validate_star_semigroup(len(mul), mul, star)
+    return X
 
 
 def _morph(inst) -> StarMorphism:
@@ -509,9 +528,17 @@ def build_instances(statement_ids=None, max_order=3, sample4=8):
 
 
 def _run_task(task):
+    """One row.  An error inside a check fails its own row, with witness
+    ("error", type, message), instead of ending the sweep; an exceeded or
+    invalid budget still ends it."""
     sid, label, inst = task
-    main = MAIN_CHECKS[sid](inst)
-    naive = oracle.naive_check(sid, inst)
+    try:
+        main = MAIN_CHECKS[sid](inst)
+        naive = oracle.naive_check(sid, inst)
+    except (BudgetExceeded, SearchBudgetExceeded, BudgetInvalid):
+        raise
+    except (StarError, oracle.OracleError) as exc:
+        return (sid, label, False, ("error", type(exc).__name__, str(exc)))
     ok = bool(main) and main == naive
     witness = None if ok else ("main", main, "naive", naive)
     return (sid, label, ok, witness)
@@ -519,12 +546,19 @@ def _run_task(task):
 
 def run_statements(statement_ids=None, max_order=3, sample4=8, jobs=1):
     """Evaluate statements over their pools; rows sorted (check, instance)."""
+    global _interned
     tasks = build_instances(statement_ids, max_order, sample4)
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_task, tasks, chunksize=64))
-    else:
-        raw = [_run_task(t) for t in tasks]
+    try:
+        if jobs and jobs > 1:
+            # each worker keeps its own intern for the life of the pool
+            with ProcessPoolExecutor(max_workers=jobs,
+                                     initializer=_open_intern) as pool:
+                raw = list(pool.map(_run_task, tasks, chunksize=64))
+        else:
+            _open_intern()
+            raw = [_run_task(t) for t in tasks]
+    finally:
+        _interned = None
     rows = [VerifyRow(sid, label, ok, wit) for sid, label, ok, wit in raw]
     rows.sort(key=lambda r: (r.check, r.instance))
     return rows

@@ -196,3 +196,114 @@ def test_usage_and_budget_errors_exit_cleanly(capsys, args, code):
     err = capsys.readouterr().err
     assert (got, out) == (code, "")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_verify_report_bytes_are_pinned():
+    """The sha256 of `verify --max-order 3 --format json`, recorded before
+    the enumeration was rewritten: any change to the enumeration order,
+    the labels or a verdict changes it."""
+    import hashlib
+
+    code, out = run_cli("--format", "json", "verify", "--max-order", "3")
+    assert code == 0
+    expected = (GOLDEN / "verify_max3_json.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_error_in_one_task_fails_only_its_rows(monkeypatch, jobs):
+    import multiprocessing
+
+    from stargroup import verify
+    from stargroup.core import ConsistencyError
+
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched check only when forked")
+
+    def broken(inst):
+        raise ConsistencyError("routes disagree")
+
+    args = ("--format", "json", "verify", "--max-order", "2",
+            "--statement", "lem:reduct", "--statement", "lem:po-7",
+            "--jobs", jobs)
+    _, clean = run_cli(*args)
+    monkeypatch.setitem(verify.MAIN_CHECKS, "lem:po-7", broken)
+    code, out = run_cli(*args)
+    assert code == 1
+    rows, before = json.loads(out), json.loads(clean)
+    assert [(r["check"], r["instance"]) for r in rows] == \
+        [(r["check"], r["instance"]) for r in before]
+    for row, old in zip(rows, before):
+        if row["check"] == "lem:po-7":
+            assert row["pass"] is False
+            assert row["witness"] == ["error", "ConsistencyError",
+                                      "routes disagree"]
+        else:
+            assert row == old
+
+
+def test_fhat_cap_exceeded_exits_3(capsys):
+    code, out = run_cli("fhat", "--morphism", str(FIXTURES / "id_sl2.json"),
+                        "--cap", "0")
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", '{"star": [0]}', "missing key 'order'"),
+    ("classify", "[1, 2]", "expected an object, got array"),
+    ("classify", '{"order": "1", "mul": [[0]], "star": [0]}',
+     "'order' must be an integer, got string"),
+    ("classify", '{"order": 1, "mul": [[0.5]], "star": [0]}',
+     "'mul' must be an array of integer arrays"),
+    ("validate", "[1, 2]", "expected an object, got array"),
+    ("validate", '{"source": 5, "target": 5, "map": [0]}',
+     "'source' must be a string or an object"),
+    ("validate", '{"base": "t1.json", "fibers": {"x": [1]}, '
+                 '"transitions": {}}', "bad key 'x'"),
+    ("site", '{"order": 1, "mul": [[0]], "star": [0], "name": 3}',
+     "'name' must be a string or null"),
+    ("lambda", '{"base": "t1.json", "fibers": [], "transitions": {}}',
+     "'fibers' must be an object"),
+    ("gamma", '{"source": "t1.json", "target": "t1.json", "map": ["0"]}',
+     "'map' must be an array of integers"),
+])
+def test_loader_input_errors_exit_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    (tmp_path / "t1.json").write_text((FIXTURES / "t1.json").read_text())
+    flag = {"lambda": ["--presheaf"], "gamma": ["--morphism"]}.get(command, [])
+    code, out = run_cli(command, *flag, str(path))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_budget_error_in_a_task_still_exits_3(monkeypatch, capsys):
+    from stargroup import verify
+    from stargroup.topos import SearchBudgetExceeded
+
+    def over_budget(inst):
+        raise SearchBudgetExceeded("gamma budget 1")
+
+    monkeypatch.setitem(verify.MAIN_CHECKS, "lem:po-7", over_budget)
+    code, out = run_cli("verify", "--max-order", "2",
+                        "--statement", "lem:po-7")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("budget exceeded:")
+
+
+@pytest.mark.parametrize("doc", [
+    {"objects": 1, "morphisms": 1, "dom": [5], "cod": [0], "identity": [0],
+     "inverse": [0], "compose": [[0]], "order": [[1]]},
+    {"carrier": 1, "star": [0], "map": [0], "action": [[7]],
+     "base": {"order": 1, "mul": [[0]], "star": [0]}},
+])
+def test_out_of_range_entries_are_a_shape_error(tmp_path, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli("validate", str(path))
+    assert code == 1
+    assert out.startswith("FAIL  error  [ShapeError]")

@@ -121,3 +121,75 @@ def test_bijective_left_hom_without_left_hom_inverse(lz2, rz2):
     found = oracle.search_bijective_left_hom_without_inverse(pool)
     assert any(src == (lz2.mul, lz2.star) and tgt == (rz2.mul, rz2.star)
                for src, tgt, _ in found)
+
+
+# the brute-force canonical form the enumeration used before orbit marking:
+# the least relabelling of the table (and of its transpose, with anti)
+
+
+def _relabel(table, perm):
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = perm[table[i][j]]
+    return tuple(tuple(row) for row in out)
+
+
+def _canonical_form(table, anti):
+    import itertools
+
+    variants = [table]
+    if anti:
+        variants.append(tuple(zip(*table)))
+    return min(_relabel(v, perm) for v in variants
+               for perm in itertools.permutations(range(len(table))))
+
+
+@pytest.mark.parametrize("dedup", ["iso", "iso+anti"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_marking_matches_canonical_form(n, dedup):
+    expected = [t for t in enumerate_semigroups(n, "none")
+                if t == _canonical_form(t, anti=dedup == "iso+anti")]
+    assert list(enumerate_semigroups(n, dedup)) == expected
+    budgeted = list(enumerate_semigroups(n, dedup, budget=10 ** 6))
+    assert budgeted == expected
+
+
+def test_enumeration_iso_count_order4():
+    assert sum(1 for _ in enumerate_semigroups(4, "iso")) == 188
+
+
+@pytest.mark.parametrize("budget", [50, 200, 1000])
+def test_budget_streams_after_memo_is_filled(budget):
+    full = list(enumerate_semigroups(3, "iso"))
+    assert 3 in oracle._REPRESENTATIVES
+    got = []
+    with pytest.raises(BudgetExceeded):
+        for table in enumerate_semigroups(3, "iso", budget=budget):
+            got.append(table)
+    assert got == full[:len(got)]
+
+
+def test_sg_validates_each_table_pair_once_per_run(monkeypatch):
+    from stargroup import verify
+    from stargroup.core import validate_star_semigroup
+
+    seen = []
+
+    def counting(order, mul, star, name=None):
+        seen.append((mul, star))
+        return validate_star_semigroup(order, mul, star, name)
+
+    monkeypatch.setattr(verify, "validate_star_semigroup", counting)
+    ids = ["lem:reduct", "lem:po-7", "lem:fdt", "ex:fg", "prop:sym"]
+    rows = verify.run_statements(ids, max_order=2)
+    assert rows and all(r.ok for r in rows)
+    assert len(seen) == len(set(seen)) > 0
+    # each run validates afresh, and no intern outlives the run
+    assert verify._interned is None
+    first = len(seen)
+    verify.run_statements(ids, max_order=2)
+    assert len(seen) == 2 * first
+    verify._sg(seen[0])
+    assert len(seen) == 2 * first + 1
