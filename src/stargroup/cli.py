@@ -195,8 +195,7 @@ def cmd_verify(args, report):
             f"enumeration capped at order {oracle.MAX_ENUM_ORDER}")
     ids = args.statement or None
     report.rows.extend(verify.run_statements(statement_ids=ids,
-                                             max_order=args.max_order,
-                                             jobs=args.jobs))
+                                             max_order=args.max_order))
     counts = oracle.enumeration_counts(args.max_order)
     expected = {n: oracle.KNOWN_CLASS_COUNTS[n] for n in counts}
     report.add("enumeration-self-test", f"n<={args.max_order}",
@@ -312,7 +311,6 @@ def build_parser():
     p.add_argument("--statement", action="append",
                    choices=oracle.statement_ids(), metavar="ID")
     p.add_argument("--max-order", type=_size, default=3)
-    p.add_argument("--jobs", type=_size, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream semigroup tables as JSONL")

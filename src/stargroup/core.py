@@ -102,18 +102,31 @@ class memo:
     computes the value and stores it on the object, where later reads find
     it.  It stores with setattr, because cached_property writes through
     ``__dict__``, which on CPython 3.11 moves all of the object's attributes
-    into a dict and slows every later attribute read on the object."""
+    into a dict and slows every later attribute read on the object.
+
+    On a module function of one object, ``func(obj)`` is memoised the same
+    way, stored on ``obj`` under the function's name (which the object's
+    class must not otherwise use).  An error is never kept."""
 
     def __init__(self, func):
         self.func = func
+        self.name = func.__name__
         self.__doc__ = func.__doc__
+        self.__wrapped__ = func
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
         value = self.func(obj)
-        setattr(obj, self.func.__name__, value)
+        setattr(obj, self.name, value)
         return value
+
+    def __call__(self, obj):
+        value = getattr(obj, self.name, _UNSET)
+        return self.__get__(obj) if value is _UNSET else value
+
+
+_UNSET = object()
 
 
 class Invalid(StarError):
@@ -169,22 +182,27 @@ def _freeze_tables(order, mul, star):
     if not isinstance(order, int) or order < 1:
         raise ShapeError(f"order must be a positive integer, got {order!r}")
     try:
-        mul = tuple(tuple(int(v) for v in row) for row in mul)
-        star = tuple(int(v) for v in star)
-    except (TypeError, ValueError) as exc:
+        mul = tuple(map(tuple, mul))
+        star = tuple(star)
+    except TypeError as exc:
         raise ShapeError(f"tables are not integer tables: {exc}") from None
     if len(mul) != order or any(len(row) != order for row in mul):
         raise ShapeError(f"mul must be a {order}x{order} table")
     if len(star) != order:
         raise ShapeError(f"star must have length {order}")
     for row in mul:
-        for v in row:
-            if not 0 <= v < order:
-                raise ShapeError(f"mul entry {v} out of range 0..{order - 1}")
-    for v in star:
-        if not 0 <= v < order:
-            raise ShapeError(f"star entry {v} out of range 0..{order - 1}")
+        _check_entries(row, order, "mul")
+    _check_entries(star, order, "star")
     return mul, star
+
+
+def _check_entries(values, stop, what):
+    """Every entry an int in 0..stop-1: a float, string or bool is refused,
+    never converted."""
+    if not all(type(v) is int for v in values):
+        raise ShapeError(f"{what} entries must be integers, got {values!r}")
+    if not in_range(values, stop):
+        raise ShapeError(f"{what} entry out of range 0..{stop - 1}")
 
 
 def in_range(values, stop, start=0) -> bool:
@@ -546,14 +564,12 @@ class StarMorphism:
     name: str | None = None
 
     def __post_init__(self):
-        self.map = tuple(int(v) for v in self.map)
+        self.map = tuple(self.map)
         if len(self.map) != self.source.order:
             raise ShapeError(
                 f"map has length {len(self.map)}, expected {self.source.order}"
             )
-        for v in self.map:
-            if not 0 <= v < self.target.order:
-                raise ShapeError(f"map value {v} out of target range")
+        _check_entries(self.map, self.target.order, "map")
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -615,10 +631,6 @@ class StarMorphism:
     @property
     def is_bijective(self) -> bool:
         return self.target.order == self.source.order and self.is_injective
-
-    @property
-    def is_etale(self) -> bool:
-        return self.etale.ok
 
     def __repr__(self):
         tag = self.name or "?"

@@ -58,6 +58,8 @@ class SModule:
     """An involutive S-set with a zero section and fiberwise addition.
 
     ``add[a][b]`` is -1 exactly when the structure map separates a and b.
+    Its derived product is computed on first use and kept, so it must not be
+    mutated.
     """
 
     sset: SSetStructure
@@ -126,6 +128,9 @@ class SModule:
 
 @dataclass(eq=False)
 class SAlgebra:
+    """A module with a product table; its validate_algebra verdict is kept
+    on it, so it must not be mutated."""
+
     module: SModule
     product: tuple[tuple[int, ...], ...]
 
@@ -197,7 +202,10 @@ def validate_module(M: SModule) -> Verdict:
     return Verdict(out)
 
 
+@memo
 def validate_algebra(Alg: SAlgebra) -> Verdict:
+    """The module axioms of the underlying module and the algebra axioms,
+    swept once per algebra."""
     M = Alg.module
     A, S = M.sset, M.sset.base
     mul = Alg.product
@@ -453,14 +461,15 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
         raise ConsistencyError("F-hat structure map is not a *-homomorphism")
 
     out = FHatAlgebra(f, S, elements, index, module, algebra, sg, psi)
-    _fhat_identities(out, act0)
+    _fhat_identities(out)
     return out
 
 
-def _fhat_identities(fh: FHatAlgebra, act0):
+def _fhat_identities(fh: FHatAlgebra):
     """Coset identities: A r*r = A = rr* A; Ar* = {aa*}; r*A = {a*a};
     As = A 0(s)."""
     S, X = fh.base, fh.f.source
+    act0 = canonical_action(fh.f)
     mul = fh.algebra.product
     act = fh.module.sset.action
     for i, (r, A) in enumerate(fh.elements):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .core import (
     ConsistencyError,
@@ -24,6 +25,7 @@ from .core import (
     classify,
     idempotents,
     is_etale,
+    validate_star_semigroup,
 )
 
 
@@ -308,30 +310,32 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
 # representable semigroups S(e)
 
 
+class RepresentableTables(NamedTuple):
+    """S(e) as bare index tables over ``carrier``, not yet validated."""
+
+    carrier: tuple[tuple[int, int], ...]
+    mul: tuple[tuple[int, ...], ...]
+    star: tuple[int, ...]
+
+
 @cache
-def representable_carrier(S: InverseSemigroup, e: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (r, s) with d(s) = c(r) and es = s, lexicographic order."""
+def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
+    """The carrier of S(e), the pairs (r, s) with d(s) = c(r) and es = s in
+    lexicographic order, with the product (p, q)(r, s) = (pr, q c(pr)) and
+    the star (r, s)* = (r*, sr) as index tables.  Built once per (S, e);
+    representable_semigroup validates them, the Gamma search reads them."""
     sg = S.semigroup
-    if sg.mul[e][e] != e:
+    mul, star, c = sg.mul, sg.star, [sg.c(x) for x in sg.elements]
+    if mul[e][e] != e:
         raise NotIdempotent(f"{e} is not idempotent")
-    return tuple(
-        (r, s)
-        for r in sg.elements
-        for s in sg.elements
-        if sg.mul[sg.star[s]][s] == sg.mul[r][sg.star[r]] and sg.mul[e][s] == s
-    )
-
-
-def _se_mul(sg, a, b):
-    p, q = a
-    r, s = b
-    pr = sg.mul[p][r]
-    return (pr, sg.mul[q][sg.mul[pr][sg.star[pr]]])
-
-
-def _se_star(sg, a):
-    r, s = a
-    return (sg.star[r], sg.mul[s][r])
+    carrier = tuple((r, s) for r in sg.elements for s in sg.elements
+                    if sg.d(s) == c[r] and mul[e][s] == s)
+    pos = {pair: i for i, pair in enumerate(carrier)}
+    se_mul = tuple(
+        tuple(pos[(mul[p][r], mul[q][c[mul[p][r]]])] for r, _ in carrier)
+        for p, q in carrier)
+    se_star = tuple(pos[(star[r], mul[s][r])] for r, s in carrier)
+    return RepresentableTables(carrier, se_mul, se_star)
 
 
 @dataclass(frozen=True)
@@ -342,24 +346,15 @@ class RepresentableSemigroup:
     semigroup: FiniteStarSemigroup
     psi: StarMorphism
 
-    def position(self, pair) -> int:
-        return self.carrier.index(pair)
-
 
 @cache
 def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
     """S(e) with structure map psi(r, s) = r; validated left involutive with
     psi an etale *-homomorphism, and cross-checked against Lambda(e-hat)."""
     sg = S.semigroup
-    carrier = representable_carrier(S, e)
-    pos = {pair: i for i, pair in enumerate(carrier)}
-    k = len(carrier)
-    mul = [[pos[_se_mul(sg, carrier[i], carrier[j])] for j in range(k)]
-           for i in range(k)]
-    star = [pos[_se_star(sg, carrier[i])] for i in range(k)]
-    from .core import validate_star_semigroup
+    carrier, mul, star = representable_tables(S, e)
     sename = f"S({sg.name}|{e})" if sg.name else f"S(?|{e})"
-    se = validate_star_semigroup(k, mul, star, name=sename)
+    se = validate_star_semigroup(len(carrier), mul, star, name=sename)
     if not classify(se).left_involutive:
         raise ConsistencyError(f"{sename} is not left involutive")
     psi = StarMorphism(se, sg, tuple(r for r, s in carrier), name=f"psi_{e}")
@@ -425,8 +420,8 @@ def _representable_functoriality(S: InverseSemigroup) -> bool:
     raw = {}
     for m in morphs:
         d = ls_dom(S, m)
-        src = representable_carrier(S, d)
-        tgt = representable_carrier(S, m.e)
+        src = representable_tables(S, d).carrier
+        tgt = representable_tables(S, m.e).carrier
         tpos = {pair: i for i, pair in enumerate(tgt)}
         raw[(m.s, m.e)] = tuple(tpos[(u, sg.mul[m.s][v])] for (u, v) in src)
     for k12, k1, k2 in _composable_triples(S):

@@ -34,8 +34,8 @@ class SSetInvalid(Invalid):
 @dataclass(eq=False)
 class SSetStructure:
     """Carrier with involution, structure map into S, and action table;
-    its left identity, balance and left-action sweep are computed on first
-    use and kept."""
+    its axiom check (check_sset), left identity, balance and left-action
+    sweep are computed on first use and kept, so it must not be mutated."""
 
     size: int
     star: tuple[int, ...]
@@ -127,8 +127,9 @@ class SSetStructure:
         return f"SSet(size={self.size}, base={self.base!r})"
 
 
+@memo
 def check_sset(A: SSetStructure):
-    """Violations of the involutive S-set axioms."""
+    """Violations of the involutive S-set axioms, swept once per S-set."""
     S = A.base
     out = []
     for x in A.elements:
@@ -218,9 +219,11 @@ def balanced_check(A: SSetStructure) -> BalancedReport:
 # canonical action and the category isomorphism
 
 
+@memo
 def canonical_action(f: StarMorphism) -> SSetStructure:
     """The lifting action of an etale left *-homomorphism: xs is the unique
-    c(x)-fixpoint over f(x)s."""
+    c(x)-fixpoint over f(x)s.  Built once per morphism: every call on the
+    same ``f`` returns the same S-set."""
     if not is_etale(f):
         raise NotEtale(f"{f!r} is not etale")
     X, S = f.source, f.target

@@ -14,6 +14,14 @@ once every holder has dropped it.  Every check runs once per object built,
 and a call that raises leaves nothing behind.  Sharing is by identity, so a
 ``Presheaf`` or ``StarMorphism`` must not be mutated after construction, nor
 a ``LambdaObject`` or ``GammaPresheaf`` at all.
+
+Derived objects are built once each, by the module that owns them: the S(e)
+tables per base and idempotent (``site.representable_tables``; Gamma reads
+them unvalidated), the canonical action per morphism, the S-set axiom sweep
+per S-set and the verdict per algebra (``ssets.canonical_action``,
+``ssets.check_sset``, ``modalg.validate_algebra``).  The last three are kept
+on their object, so an ``SSetStructure``, ``SModule`` or ``SAlgebra`` must
+not be mutated after construction either.
 """
 
 from __future__ import annotations
@@ -44,12 +52,10 @@ from .site import (
     InverseSemigroup,
     Presheaf,
     PresheafMap,
-    _se_mul,
-    _se_star,
     all_ls_morphisms,
     as_inverse,
     ls_dom,
-    representable_carrier,
+    representable_tables,
     validate_presheaf,
 )
 
@@ -221,17 +227,6 @@ class GammaPresheaf:
         return len(self.alphas[e])
 
 
-def _se_tables(S: InverseSemigroup, e: int):
-    sg = S.semigroup
-    carrier = representable_carrier(S, e)
-    pos = {u: i for i, u in enumerate(carrier)}
-    star_idx = tuple(pos[_se_star(sg, u)] for u in carrier)
-    mul_idx = tuple(tuple(pos[_se_mul(sg, u, v)] for v in carrier)
-                    for u in carrier)
-    dom_idx = tuple(mul_idx[star_idx[i]][i] for i in range(len(carrier)))
-    return carrier, pos, mul_idx, star_idx, dom_idx
-
-
 def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
     """Backtracking enumeration of left *-homomorphisms S(e) -> X over S.
 
@@ -241,15 +236,16 @@ def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
     constraint whose participants are already assigned.
     """
     X = f.source
-    carrier, pos, mul_idx, star_idx, dom_idx = _se_tables(S, e)
+    carrier, mul_idx, star_idx = representable_tables(S, e)
     k = len(carrier)
+    dom_idx = tuple(mul_idx[star_idx[i]][i] for i in range(k))
     fibers = [
         tuple(x for x in X.elements if f.map[x] == r) for (r, _) in carrier
     ]
     if any(not fib for fib in fibers):
         return ()
 
-    ee = pos[(e, e)]
+    ee = carrier.index((e, e))
     projs = [i for i in range(k)
              if star_idx[i] == i and mul_idx[i][i] == i and i != ee]
     order = [ee] + projs + [i for i in range(k) if i != ee and i not in projs]
@@ -306,7 +302,7 @@ def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):
     (e, e); each table is built by unique lifting."""
     X = f.source
     sg = S.semigroup
-    carrier = representable_carrier(S, e)
+    carrier = representable_tables(S, e).carrier
     out = []
     for u in sorted(x for x in X.elements if f.map[x] == e):
         table = []
@@ -344,7 +340,7 @@ def _gamma(f: StarMorphism, budget: int, strategy: str) -> GammaPresheaf:
     carriers = {}
     alphas = {}
     for e in S.idempotents:
-        carriers[e] = representable_carrier(S, e)
+        carriers[e] = representable_tables(S, e).carrier
         if strategy == "fast":
             alphas[e] = _fast_alphas(f, S, e)
         elif strategy == "generic" or not fast_ok:
@@ -381,7 +377,7 @@ def _gamma(f: StarMorphism, budget: int, strategy: str) -> GammaPresheaf:
 
 def _empty_gamma(S: InverseSemigroup) -> GammaPresheaf:
     from .site import empty_presheaf
-    carriers = {e: representable_carrier(S, e) for e in S.idempotents}
+    carriers = {e: representable_tables(S, e).carrier for e in S.idempotents}
     return GammaPresheaf(S, None, carriers, {e: () for e in S.idempotents},
                          empty_presheaf(S))
 
@@ -614,7 +610,7 @@ def counit_explicit_preimage(f: StarMorphism, x: int):
     S = as_inverse(f.target)
     r = f.map[x]
     e = S.semigroup.c(r)
-    carrier = representable_carrier(S, e)
+    carrier = representable_tables(S, e).carrier
     table = []
     for (p, q) in carrier:
         y = etale_lift(f, X.c(x), q)

@@ -3,15 +3,13 @@ once through the main modules and once through the oracle's naive
 re-derivation, over instance pools generated from the enumeration and the
 standard families.  A row passes when both verdicts are True.
 
-Instance pools are generated deterministically; --jobs fans rows out over a
-process pool and the merged output is sorted, so the report is identical
-for any worker count.
+Instance pools are generated deterministically and the rows are sorted, so
+the report is the same on every run.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import oracle, topos
@@ -53,11 +51,6 @@ class VerifyRow:
 # validated semigroups by (mul, star) while run_statements runs, so each
 # distinct table pair is validated once per run; None outside a run
 _interned = None
-
-
-def _open_intern():
-    global _interned
-    _interned = {}
 
 
 def _sg(tables) -> FiniteStarSemigroup:
@@ -387,13 +380,14 @@ for _i in range(1, 9):
 
 def semigroup_pool(max_order=3, dedup="iso", sample4=8):
     """Validated *-semigroups over the enumeration, labeled deterministically.
-    Order-4 structures are sampled (every k-th class) to keep sweeps fast."""
+    Order-4 structures are sampled to keep sweeps fast: ``sample4=k`` keeps
+    classes 1, k+1, 2k+1, ... (every class when k is 0 or 1)."""
     out = []
     for n in range(1, min(max_order, 4) + 1):
         idx = 0
         for table in oracle.enumerate_semigroups(n, dedup):
             idx += 1
-            if n == 4 and sample4 and idx % sample4 != 1:
+            if n == 4 and sample4 and (idx - 1) % sample4:
                 continue
             for j, X in enumerate(oracle.enumerate_star_structures(table)):
                 out.append((f"n{n}#{idx}*{j}", (X.mul, X.star)))
@@ -411,7 +405,7 @@ def _star_morphism_maps(src, tgt, cap=4096):
             yield f
 
 
-def morphism_pool(max_order=3, limit_pairs=None):
+def morphism_pool(max_order=3):
     """All *-morphisms between pool semigroups plus the standard fixtures."""
     base = semigroup_pool(min(max_order, 2), sample4=0)
     extras = [
@@ -421,10 +415,7 @@ def morphism_pool(max_order=3, limit_pairs=None):
     ]
     pool = base + [(name, (X.mul, X.star)) for name, X in extras]
     out = []
-    pairs = [(a, b) for a in pool for b in pool]
-    if limit_pairs:
-        pairs = pairs[:limit_pairs]
-    for (la, ta), (lb, tb) in pairs:
+    for (la, ta), (lb, tb) in itertools.product(pool, repeat=2):
         for f in _star_morphism_maps(ta, tb):
             out.append((f"{la}->{lb}:{''.join(map(str, f))}",
                         (*ta, *tb, f)))
@@ -544,19 +535,13 @@ def _run_task(task):
     return (sid, label, ok, witness)
 
 
-def run_statements(statement_ids=None, max_order=3, sample4=8, jobs=1):
+def run_statements(statement_ids=None, max_order=3, sample4=8):
     """Evaluate statements over their pools; rows sorted (check, instance)."""
     global _interned
     tasks = build_instances(statement_ids, max_order, sample4)
+    _interned = {}
     try:
-        if jobs and jobs > 1:
-            # each worker keeps its own intern for the life of the pool
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     initializer=_open_intern) as pool:
-                raw = list(pool.map(_run_task, tasks, chunksize=64))
-        else:
-            _open_intern()
-            raw = [_run_task(t) for t in tasks]
+        raw = [_run_task(t) for t in tasks]
     finally:
         _interned = None
     rows = [VerifyRow(sid, label, ok, wit) for sid, label, ok, wit in raw]

@@ -66,6 +66,22 @@ def test_validate_shape_errors():
         validate_star_semigroup(2, [[0, 2], [1, 0]], [0, 1])
 
 
+def test_non_int_entries_are_a_shape_error_not_truncated(sl2):
+    # int() would turn these into the valid table ((0, 1), (1, 0))
+    with pytest.raises(ShapeError):
+        validate_star_semigroup(2, [[0.9, 1.7], ["1", 0]], [0, 1])
+    with pytest.raises(ShapeError):
+        validate_star_semigroup(2, [[0, 1], [1, 0]], [0, 1.0])
+    with pytest.raises(ShapeError):
+        validate_star_semigroup(2, [[False, True], [True, False]], [0, 1])
+    # and int() would turn this map into the identity (0, 1)
+    with pytest.raises(ShapeError):
+        StarMorphism(sl2, sl2, (0.9, 1.2))
+    with pytest.raises(ShapeError):
+        StarMorphism(sl2, sl2, ("0", 1))
+    assert StarMorphism(sl2, sl2, [0, 1]).map == (0, 1)
+
+
 def test_validate_collects_violations():
     # non-associative table: witness triple reported
     violations = check_star_semigroup(2, [[1, 0], [0, 0]], [0, 1])
@@ -408,3 +424,26 @@ def test_memo_computes_once_and_keeps_no_error():
         box.value
     assert box.value == 2 and box.value == 2 and len(calls) == 2
     assert Box().value == 3
+
+
+def test_memo_on_a_function_keeps_the_value_on_its_argument():
+    calls = []
+
+    @memo
+    def sweep(obj):
+        """A sweep."""
+        calls.append(obj)
+        if len(calls) == 1:
+            raise ValueError("first call fails")
+        return [len(calls)]
+
+    class Box:
+        pass
+
+    a, b = Box(), Box()
+    with pytest.raises(ValueError):
+        sweep(a)
+    first = sweep(a)
+    assert sweep(a) is first and first == [2] and a.sweep is first
+    assert sweep(b) == [3] and calls == [a, a, b]
+    assert sweep.__doc__ == "A sweep."

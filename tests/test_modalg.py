@@ -289,3 +289,39 @@ def test_gamma_algebra_trivial_algebra(sl2, id_sl2):
     G = gamma_algebra(alg)
     for e in G.base.idempotents:
         assert G.fiber_size(e) == 1
+
+
+def test_sset_and_algebra_swept_once_per_object(monkeypatch, p21):
+    """The adjunction chain, F-hat, its validation, rho and the free module
+    on one presheaf: each S-set's axioms are swept once, and the F-hat
+    algebra is validated once."""
+    from stargroup import site, ssets
+
+    sweeps = {"sset": [], "algebra": []}
+    for key, memoised in (("sset", ssets.check_sset),
+                          ("algebra", validate_algebra)):
+        def counted(obj, sweep=memoised.func, seen=sweeps[key]):
+            seen.append(obj)
+            return sweep(obj)
+        monkeypatch.setattr(memoised, "func", counted)
+
+    P = site.validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    u = topos.unit(P)
+    f = u.lam_obj.structure_map
+    eps = topos.counit(f, u.gamma_obj)  # held, so the triangles reuse it
+    assert topos.triangle_check(P) and topos.triangle_check2(f)
+    topos.m_iso(f)
+    ssets.balanced_check(ssets.canonical_action(f))
+    fh = fhat(f)
+    assert validate_algebra(fh.algebra).ok and validate_module(fh.module).ok
+    assert validate_algebra(fh.algebra) is validate_algebra(fh.algebra)
+    assert rho(fh).is_left_star_hom
+    assert FreeModule(f).check_axioms(count=5)
+    objects = [id(A) for A in sweeps["sset"]]
+    assert len(objects) == len(set(objects))
+    # Lambda(P), Lambda(Gamma Lambda P) and Lambda(P_f) have a canonical
+    # action each; F-hat has its module
+    assert ssets.canonical_action(f) in sweeps["sset"]
+    assert fh.module.sset in sweeps["sset"]
+    assert len(sweeps["sset"]) == 4 and eps.bijective
+    assert sweeps["algebra"] == [fh.algebra]

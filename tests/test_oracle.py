@@ -193,3 +193,24 @@ def test_sg_validates_each_table_pair_once_per_run(monkeypatch):
     assert len(seen) == 2 * first
     verify._sg(seen[0])
     assert len(seen) == 2 * first + 1
+
+
+def test_semigroup_pool_sample4_keeps_every_kth_class():
+    from stargroup import verify
+
+    def order4_classes(sample4):
+        return [label.split("*")[0]
+                for label, _ in verify.semigroup_pool(4, sample4=sample4)
+                if label.startswith("n4#")]
+
+    every = order4_classes(0)
+    # sample4=1 keeps every class (it once kept none)
+    assert order4_classes(1) == every
+    for k in (4, 8):
+        kept = {c for c in every if (int(c[3:]) - 1) % k == 0}
+        assert set(order4_classes(k)) == kept
+        assert order4_classes(k) == [c for c in every if c in kept]
+    # the sizes verify sweeps today: 32 structures of order <= 3, plus 29
+    # (sample4=8) or 62 (sample4=4) of order 4, out of 182
+    assert [len(verify.semigroup_pool(4, sample4=k)) for k in (0, 1, 4, 8)] \
+        == [214, 214, 94, 61]

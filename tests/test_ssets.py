@@ -239,3 +239,34 @@ def test_left_identity_gives_left_involutive_product(sl2, sl3, i2):
     for A in pop:
         X, f = sset_to_semigroup(A)
         assert classify(X).left_involutive == is_left_involutive_sset(A)
+
+
+def test_canonical_action_built_once_per_morphism(i2):
+    f = StarMorphism(i2, i2, tuple(i2.elements))
+    A = canonical_action(f)
+    assert canonical_action(f) is A
+    # an equal morphism is another object, with its own S-set
+    g = StarMorphism(i2, i2, tuple(i2.elements))
+    assert canonical_action(g) is not A
+    assert canonical_action(g).action == A.action
+
+
+def test_equal_maps_over_different_sources_get_different_ssets(c2):
+    """Two C2-sets on two points, one trivial and one swapping: their
+    Lambdas have the same structure map but different involutions, so
+    their canonical S-sets differ."""
+    from stargroup import site
+
+    S = site.as_inverse(c2)
+    (e,) = S.idempotents
+    g = next(s for s in c2.elements if s != e)
+    maps = []
+    for swap in ((0, 1), (1, 0)):
+        P = site.validate_presheaf(S, {e: ("a", "b")},
+                                   {(e, e): (0, 1), (g, e): swap})
+        maps.append(topos.lam(P).structure_map)
+    f1, f2 = maps
+    assert f1.map == f2.map and f1.source != f2.source
+    A1, A2 = canonical_action(f1), canonical_action(f2)
+    assert A1 is not A2 and A1.star != A2.star
+    assert canonical_action(f1) is A1 and canonical_action(f2) is A2

@@ -517,3 +517,52 @@ def test_resolve_budget_sources(monkeypatch, id_sl2):
     monkeypatch.setenv("STARGROUP_BUDGET", "x")
     with pytest.raises(topos.BudgetInvalid):
         gamma(id_sl2)
+
+
+def _reference_se_tables(S, e):
+    """The S(e) index tables as topos built them for the generic Gamma
+    search before site.representable_tables existed, from the product
+    (p, q)(r, s) = (pr, q c(pr)) and the star (r, s)* = (r*, sr)."""
+    sg = S.semigroup
+    carrier = tuple(
+        (r, s) for r in sg.elements for s in sg.elements
+        if sg.mul[sg.star[s]][s] == sg.mul[r][sg.star[r]]
+        and sg.mul[e][s] == s)
+    pos = {u: i for i, u in enumerate(carrier)}
+
+    def se_mul(a, b):
+        (p, q), (r, _) = a, b
+        pr = sg.mul[p][r]
+        return (pr, sg.mul[q][sg.mul[pr][sg.star[pr]]])
+
+    def se_star(a):
+        r, s = a
+        return (sg.star[r], sg.mul[s][r])
+
+    star_idx = tuple(pos[se_star(u)] for u in carrier)
+    mul_idx = tuple(tuple(pos[se_mul(u, v)] for v in carrier)
+                    for u in carrier)
+    return carrier, mul_idx, star_idx
+
+
+@pytest.mark.parametrize("family, n", [
+    ("semilattice_chain", 2), ("semilattice_chain", 3),
+    ("symmetric_inverse", 2), ("brandt", 2), ("symmetric_inverse", 3),
+])
+def test_site_se_tables_match_the_reference(family, n):
+    S = site.as_inverse(oracle.standard_family(family, n))
+    for e in S.idempotents:
+        tables = site.representable_tables(S, e)
+        assert tuple(tables) == _reference_se_tables(S, e)
+        assert site.representable_tables(S, e) is tables
+
+
+def test_gamma_reads_se_tables_without_validating_them(monkeypatch, i2):
+    def refuse(S, e):
+        raise AssertionError("Gamma validated S(e)")
+
+    monkeypatch.setattr(site, "representable_semigroup", refuse)
+    f = StarMorphism(i2, i2, tuple(i2.elements))
+    for strategy in ("generic", "fast", "auto"):
+        G = gamma(f, strategy=strategy)
+        assert [G.fiber_size(e) for e in G.base.idempotents] == [1, 1, 1, 1]
