@@ -223,20 +223,23 @@ def test_report_bytes_are_pinned(golden, args):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
-def test_verify_error_in_one_task_fails_only_its_rows(monkeypatch):
+@pytest.mark.parametrize("max_order", ["1", "2"])
+def test_verify_error_in_one_task_fails_only_its_rows(monkeypatch, max_order):
     from stargroup import verify
     from stargroup.core import ConsistencyError
 
     def broken(inst):
         raise ConsistencyError("routes disagree")
 
-    args = ("--format", "json", "verify", "--max-order", "2",
+    args = ("--format", "json", "verify", "--max-order", max_order,
             "--statement", "lem:reduct", "--statement", "lem:po-7")
     _, clean = run_cli(*args)
     monkeypatch.setitem(verify.MAIN_CHECKS, "lem:po-7", broken)
     code, out = run_cli(*args)
     assert code == 1
     rows, before = json.loads(out), json.loads(clean)
+    checks = {r["check"] for r in rows}
+    assert "lem:po-7" in checks and len(checks) > 1
     assert [(r["check"], r["instance"]) for r in rows] == \
         [(r["check"], r["instance"]) for r in before]
     for row, old in zip(rows, before):
