@@ -196,11 +196,17 @@ def _freeze_tables(order, mul, star):
     return mul, star
 
 
+def check_ints(values, what):
+    """Every entry an int: a float, string or bool is refused, never
+    converted."""
+    for v in values:
+        if type(v) is not int:
+            raise ShapeError(f"{what} entries must be integers, got {v!r}")
+
+
 def _check_entries(values, stop, what):
-    """Every entry an int in 0..stop-1: a float, string or bool is refused,
-    never converted."""
-    if not all(type(v) is int for v in values):
-        raise ShapeError(f"{what} entries must be integers, got {values!r}")
+    """Every entry an int in 0..stop-1."""
+    check_ints(values, what)
     if not in_range(values, stop):
         raise ShapeError(f"{what} entry out of range 0..{stop - 1}")
 

@@ -36,8 +36,9 @@ class UnknownStatement(OracleError):
 MAX_ENUM_ORDER = 4
 
 # classes of associative tables up to isomorphism and anti-isomorphism,
-# used as the enumeration self-test
-KNOWN_CLASS_COUNTS = {1: 1, 2: 4, 3: 18, 4: 126}
+# used as the enumeration self-test; order 5, beyond the cap, is checked by
+# a test of the search alone
+KNOWN_CLASS_COUNTS = {1: 1, 2: 4, 3: 18, 4: 126, 5: 1160}
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,22 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 4, 3: 18, 4: 126}
 
 def _associative_tables(n, budget=None):
     """All associative n x n tables, lexicographic order, via backtracking
-    with incremental associativity checks."""
+    with incremental associativity checks.
+
+    This is the unpruned tree, which ``dedup="none"`` and every budgeted
+    call walk, so a budget counts the same steps whatever the dedup.  The
+    class representatives come from the same search with every non-leader
+    cut (``_least_tables``; lex-leader predicates of Crawford et al., KR
+    1996, applied to semigroups by Distler et al., CP 2012)."""
+    return _search(n, budget, [()] * (n * n))
+
+
+def _search(n, budget, cuts):
+    """Backtracking over the cells in row-major order.  After a consistent
+    assignment to cell k, the branch is cut if some ``(p, cells)`` of
+    ``cuts[k]`` makes the filled prefix smaller (see ``_smaller``).  A map
+    absent from ``cuts[k]`` knows no more cells than at the parent, where
+    it was already compared."""
     cells = [(i, j) for i in range(n) for j in range(n)]
     table = [[-1] * n for _ in range(n)]
     steps = 0
@@ -90,27 +106,66 @@ def _associative_tables(n, budget=None):
             yield tuple(tuple(row) for row in table)
             return
         i, j = cells[k]
+        cut = cuts[k]
         for v in range(n):
             steps += 1
             if budget is not None and steps > budget:
                 raise BudgetExceeded(f"associativity search budget {budget}")
             table[i][j] = v
-            if consistent(i, j):
+            if consistent(i, j) and not (cut and _smaller(table, cut)):
                 yield from fill(k + 1)
         table[i][j] = -1
 
     yield from fill(0)
 
 
-def _relabellings(table):
-    """Flat encodings of the n! relabellings of a table: its isomorphism
-    class.  A relabelling by p maps the product xy to p(x)p(y)."""
-    n = len(table)
-    out = set()
-    for perm in itertools.permutations(range(n)):
-        inv = sorted(range(n), key=perm.__getitem__)
-        out.add(bytes(perm[table[a][b]] for a in inv for b in inv))
-    return out
+# Lex-leader symmetry breaking (Crawford, Ginsberg, Luks and Roy, KR 1996;
+# for semigroups, Distler, Jefferson, Kelsey and Kotthoff, CP 2012).  A
+# relabelling p sends T to p(T), whose cell (i, j) reads p[T[q[i]][q[j]]]
+# with q = p^-1; the relabelled transpose reads p[T[q[j]][q[i]]] and is
+# anti-isomorphic to T.  Compared cell by cell in row-major order, p(T) is
+# known on a prefix once the sources of its cells are filled.  If it is
+# smaller there at the first difference, no completion of T is the least of
+# its class.
+
+
+def _leader_cuts(n, transpose):
+    """``cuts[k]``: the ``(p, cells)`` whose comparison gains a cell once
+    cells 0..k are filled, ``cells`` being every ``(i, j, a, b)`` (compare
+    T[i][j] with p[T[a][b]]) that is known then.  Relabellings are the
+    non-identity permutations, or with ``transpose`` all n! relabelled
+    transposes.  ``cuts[n*n - 1]`` holds every map with every cell."""
+    cuts = [[] for _ in range(n * n)]
+    for p in itertools.permutations(range(n)):
+        if not transpose and p == tuple(range(n)):
+            continue
+        q = sorted(range(n), key=p.__getitem__)
+        cells = []
+        for c in range(n * n):
+            i, j = divmod(c, n)
+            a, b = (q[j], q[i]) if transpose else (q[i], q[j])
+            cells.append((i, j, a, b))
+        # known[c]: the last cell read by cells 0..c of the relabelled table
+        known = list(itertools.accumulate(
+            (a * n + b for _, _, a, b in cells), max))
+        for c, top in enumerate(known):
+            if c == n * n - 1 or known[c + 1] > top:
+                cuts[top].append((p, tuple(cells[:c + 1])))
+    return cuts
+
+
+def _smaller(table, cut):
+    """Whether some ``(p, cells)`` of ``cut`` relabels the table into a
+    smaller one at the first cell where the two differ."""
+    for p, cells in cut:
+        for i, j, a, b in cells:
+            v = p[table[a][b]]
+            t = table[i][j]
+            if v < t:
+                return True
+            if v > t:
+                break
+    return False
 
 
 def _flat(table):
@@ -121,28 +176,13 @@ def _unflat(key, n):
     return tuple(tuple(key[i:i + n]) for i in range(0, n * n, n))
 
 
-def _classes(n, budget=None):
-    """Every associative table of order n, in lexicographic order, as
-    ``(table, least of its isomorphism class, least of its iso+anti class)``.
-
-    The first member met of a class is its least, so marking that member's
-    whole orbit as seen picks one representative per class (McKay's orbit
-    rejection in its simplest exact form).  A seen table is dropped from the
-    set when it is met, since every table is met exactly once."""
-    seen_iso, seen_anti = set(), set()
-    for table in _associative_tables(n, budget):
-        key = _flat(table)
-        iso = key not in seen_iso
-        if iso:
-            orbit = _relabellings(table)
-            seen_iso |= orbit
-        # least of its iso+anti class implies least of its iso class
-        anti = key not in seen_anti
-        if anti:
-            seen_anti |= orbit | _relabellings(tuple(zip(*table)))
-        seen_iso.discard(key)
-        seen_anti.discard(key)
-        yield table, iso, anti
+def _least_tables(n):
+    """Every associative table of order n that is the least of its
+    isomorphism class, in lexicographic order, as ``(table, least of its
+    iso+anti class)``.  Non-leaders are cut while the search fills cells."""
+    anti = _leader_cuts(n, transpose=True)[-1]
+    for table in _search(n, None, _leader_cuts(n, transpose=False)):
+        yield table, not _smaller(table, anti)
 
 
 # order -> {"iso": reps, "iso+anti": reps}, each rep a flat encoding; at
@@ -154,9 +194,8 @@ def _representatives(n):
     reps = _REPRESENTATIVES.get(n)
     if reps is None:
         iso, anti = [], []
-        for table, is_iso, is_anti in _classes(n):
-            if is_iso:
-                iso.append(_flat(table))
+        for table, is_anti in _least_tables(n):
+            iso.append(_flat(table))
             if is_anti:
                 anti.append(_flat(table))
         reps = _REPRESENTATIVES[n] = {"iso": tuple(iso), "iso+anti": tuple(anti)}
@@ -169,9 +208,13 @@ def enumerate_semigroups(n, dedup="iso+anti", budget=None):
     dedup: 'none' streams raw tables; 'iso' one representative per
     isomorphism class; 'iso+anti' folds in anti-isomorphism as well.
     Representatives are the lexicographically least table of their class.
-    Each order is searched once: an unbudgeted call keeps both lists of
-    representatives, and a budgeted call streams the search itself, so it
-    stops at the same step every time.
+    An unbudgeted call reads both lists of representatives, kept per order,
+    from a search that cuts every partial table some relabelling makes
+    smaller (lex-leader symmetry breaking: Crawford et al., KR 1996;
+    Distler et al., CP 2012).  A budgeted call walks the unpruned search and
+    keeps each complete table that no relabelling (and, with 'iso+anti', no
+    relabelled transpose) makes smaller, so ``budget`` counts the same steps
+    for every dedup and stops at the same table every time.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise BudgetExceeded(f"enumeration capped at order {MAX_ENUM_ORDER}")
@@ -183,8 +226,12 @@ def enumerate_semigroups(n, dedup="iso+anti", budget=None):
         for key in _representatives(n)[dedup]:
             yield _unflat(key, n)
     else:
-        for table, is_iso, is_anti in _classes(n, budget):
-            if (is_anti if dedup == "iso+anti" else is_iso):
+        last = n * n - 1
+        cut = _leader_cuts(n, transpose=False)[last]
+        if dedup == "iso+anti":
+            cut += _leader_cuts(n, transpose=True)[last]
+        for table in _associative_tables(n, budget):
+            if not _smaller(table, cut):
                 yield table
 
 

@@ -22,6 +22,7 @@ from .core import (
     StarError,
     StarMorphism,
     Violation,
+    check_ints,
     classify,
     idempotents,
     is_etale,
@@ -206,11 +207,11 @@ class Presheaf:
 def check_presheaf(base: InverseSemigroup, fibers, transitions):
     sg = base.semigroup
     problems = []
-    fibers = {int(e): tuple(str(x) for x in labels) for e, labels in fibers.items()}
-    transitions = {
-        (int(s), int(e)): tuple(int(v) for v in vals)
-        for (s, e), vals in transitions.items()
-    }
+    check_ints(fibers, "fiber key")
+    fibers = {e: tuple(str(x) for x in labels) for e, labels in fibers.items()}
+    transitions = {(s, e): tuple(vals) for (s, e), vals in transitions.items()}
+    check_ints(itertools.chain(*transitions, *transitions.values()),
+               "transition key and transition")
     idems = set(base.idempotents)
     if set(fibers) != idems:
         raise ShapeError(f"fibers must be keyed by the idempotents {sorted(idems)}")
@@ -288,7 +289,9 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
     if source.base != target.base:
         raise ShapeError("presheaf map needs a common base")
     base = source.base
-    components = {int(e): tuple(int(v) for v in c) for e, c in components.items()}
+    check_ints(components, "component key")
+    components = {e: tuple(c) for e, c in components.items()}
+    check_ints(itertools.chain(*components.values()), "component")
     if set(components) != set(source.fibers):
         raise ShapeError("components must be keyed by every idempotent")
     for e, comp in components.items():

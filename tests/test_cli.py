@@ -223,6 +223,34 @@ def test_report_bytes_are_pinned(golden, args):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+def _stream_pins(name):
+    """``<stdout sha256>  <stderr sha256>  <exit code>  <argv>`` per line."""
+    for line in (GOLDEN / name).read_text().splitlines():
+        out_sha, err_sha, code, *args = line.split()
+        yield pytest.param(args, out_sha, err_sha, int(code),
+                           id=" ".join(args))
+
+
+@pytest.mark.parametrize("args, out_sha, err_sha, code", [
+    *_stream_pins("enumerate_budget.sha256"),
+    *_stream_pins("enumerate_stars.sha256"),
+])
+def test_enumerate_streams_are_pinned(monkeypatch, capsys, args, out_sha,
+                                      err_sha, code):
+    """The sha256 of stdout and stderr and the exit code of budgeted
+    `enumerate` runs (cut mid-stream, exit 3) and of `enumerate --stars`,
+    recorded before the lex-leader search replaced orbit marking: a budget
+    must count the same steps and stop at the same table."""
+    import hashlib
+
+    monkeypatch.delenv("STARGROUP_BUDGET", raising=False)
+    got = cli.main(args)
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest(), got) \
+        == (out_sha, err_sha, code)
+
+
 @pytest.mark.parametrize("max_order", ["1", "2"])
 def test_verify_error_in_one_task_fails_only_its_rows(monkeypatch, max_order):
     from stargroup import verify

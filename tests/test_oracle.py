@@ -1,3 +1,5 @@
+import functools
+import itertools
 import pathlib
 
 import pytest
@@ -214,3 +216,74 @@ def test_semigroup_pool_sample4_keeps_every_kth_class():
     # (sample4=8) or 62 (sample4=4) of order 4, out of 182
     assert [len(verify.semigroup_pool(4, sample4=k)) for k in (0, 1, 4, 8)] \
         == [214, 214, 94, 61]
+
+
+# the orbit-marking enumeration the library used before lex-leader pruning:
+# walk every associative table and let the first member met of a class mark
+# its whole orbit as seen
+
+
+def _relabellings(table):
+    n = len(table)
+    out = set()
+    for perm in itertools.permutations(range(n)):
+        inv = sorted(range(n), key=perm.__getitem__)
+        out.add(bytes(perm[table[a][b]] for a in inv for b in inv))
+    return out
+
+
+@functools.cache
+def _classes(n):
+    """``(table, least of its iso class, least of its iso+anti class)`` for
+    every associative table of order n, in lexicographic order."""
+    seen_iso, seen_anti, out = set(), set(), []
+    for table in oracle._associative_tables(n):
+        key = oracle._flat(table)
+        iso = key not in seen_iso
+        if iso:
+            orbit = _relabellings(table)
+            seen_iso |= orbit
+        anti = key not in seen_anti
+        if anti:
+            seen_anti |= orbit | _relabellings(tuple(zip(*table)))
+        seen_iso.discard(key)
+        seen_anti.discard(key)
+        out.append((table, iso, anti))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dedup", ["iso", "iso+anti"])
+def test_lex_leaders_match_orbit_marking_order4(dedup):
+    flag = 2 if dedup == "iso+anti" else 1
+    expected = [c[0] for c in _classes(4) if c[flag]]
+    assert list(enumerate_semigroups(4, dedup)) == expected
+    assert list(enumerate_semigroups(4, dedup, budget=10 ** 6)) == expected
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_leader_cuts_read_only_filled_cells(n, transpose):
+    """Each comparison in ``cuts[k]`` is a row-major prefix reading cells
+    0..k only; ``cuts[-1]`` compares every cell under every non-identity
+    relabelling (every relabelled transpose)."""
+    cuts = oracle._leader_cuts(n, transpose)
+    for k, cut in enumerate(cuts):
+        for _, cells in cut:
+            assert [i * n + j for i, j, _, _ in cells] == list(range(len(cells)))
+            assert all(a * n + b <= k for _, _, a, b in cells)
+    perms = [p for p in itertools.permutations(range(n))
+             if transpose or p != tuple(range(n))]
+    assert sorted(p for p, _ in cuts[-1]) == perms
+    assert all(len(cells) == n * n for _, cells in cuts[-1])
+
+
+@pytest.mark.slow
+def test_order5_class_counts_through_pruned_search():
+    """OEIS A027851 and A001423; order 5 stays beyond the cap, so the
+    search is read directly and nothing is kept for it."""
+    iso = anti = 0
+    for _, is_anti in oracle._least_tables(5):
+        iso += 1
+        anti += is_anti
+    assert (iso, anti) == (1915, oracle.KNOWN_CLASS_COUNTS[5]) == (1915, 1160)
+    assert 5 not in oracle._REPRESENTATIVES

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stargroup import oracle, site, topos
-from stargroup.core import classify, is_etale
+from stargroup.core import ShapeError, classify, is_etale
 from stargroup.site import (
     LSMorphism,
     NotInverse,
@@ -334,3 +334,36 @@ def test_random_presheaf_matches_full_sweep(sl2_inv, sl3_inv, i2_inv):
         got = random_presheaf(S, 3, random.Random(1000 + i))
         want = reference_random(S, 3, random.Random(1000 + i))
         assert tables(got) == tables(want)
+
+
+_P21_FIBERS = {1: ("u", "v"), 0: ("w",)}
+_P21_TRANSITIONS = {(0, 0): (0,), (1, 1): (0, 1), (0, 1): (0, 0)}
+
+
+@pytest.mark.parametrize("fibers, transitions", [
+    # a transition entry that int() would truncate to (0, 0)
+    (_P21_FIBERS, {**_P21_TRANSITIONS, (0, 1): (0.9, 0.2)}),
+    # a fiber key that int() would read as 1
+    ({1.7: ("u", "v"), 0: ("w",)}, _P21_TRANSITIONS),
+    (_P21_FIBERS, {**_P21_TRANSITIONS, (0, 1): (False, 0)}),
+    (_P21_FIBERS, {**_P21_TRANSITIONS, (0, 1): ("0", 0)}),
+    (_P21_FIBERS, {(0, 0): (0,), (1, 1): (0, 1), (0.0, 1): (0, 0)}),
+    (_P21_FIBERS, {(0, 0): (0,), (True, True): (0, 1), (0, 1): (0, 0)}),
+])
+def test_presheaf_refuses_non_int_keys_and_entries(sl2_inv, fibers,
+                                                   transitions):
+    with pytest.raises(ShapeError, match="must be integers"):
+        validate_presheaf(sl2_inv, fibers, transitions)
+
+
+@pytest.mark.parametrize("components", [
+    {1: (0, 0.0), 0: (0,)},
+    {1: (0, True), 0: (0,)},
+    {1: (0, 0), 0.0: (0,)},
+    {1: ("0", 0), 0: (0,)},
+])
+def test_presheaf_map_refuses_non_int_keys_and_entries(p21, sl2_inv,
+                                                       components):
+    Q = terminal_presheaf(sl2_inv)
+    with pytest.raises(ShapeError, match="must be integers"):
+        validate_presheaf_map(p21, Q, components)
