@@ -179,42 +179,36 @@ def same_tables(x: FiniteStarSemigroup, y: FiniteStarSemigroup) -> bool:
 
 
 def _freeze_tables(order, mul, star):
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ShapeError(f"order must be a positive integer, got {order!r}")
+    return (freeze(mul, "mul", order, length=order, width=order),
+            freeze(star, "star", order, length=order))
+
+
+def freeze(values, field, stop, length=None, width=None, start=0):
+    """A row of ints in start..stop-1 as a tuple, or with ``width`` a table
+    of such rows, each of that width, as a tuple of tuples; ``length``
+    counts the entries of a row or the rows of a table.  One pass over the
+    entries; a float, string, bool or None is refused, never converted.
+    Every failure is a ShapeError that names ``field``."""
     try:
-        mul = tuple(map(tuple, mul))
-        star = tuple(star)
-    except TypeError as exc:
-        raise ShapeError(f"tables are not integer tables: {exc}") from None
-    if len(mul) != order or any(len(row) != order for row in mul):
-        raise ShapeError(f"mul must be a {order}x{order} table")
-    if len(star) != order:
-        raise ShapeError(f"star must have length {order}")
-    for row in mul:
-        _check_entries(row, order, "mul")
-    _check_entries(star, order, "star")
-    return mul, star
-
-
-def check_ints(values, what):
-    """Every entry an int: a float, string or bool is refused, never
-    converted."""
-    for v in values:
-        if type(v) is not int:
-            raise ShapeError(f"{what} entries must be integers, got {v!r}")
-
-
-def _check_entries(values, stop, what):
-    """Every entry an int in 0..stop-1."""
-    check_ints(values, what)
-    if not in_range(values, stop):
-        raise ShapeError(f"{what} entry out of range 0..{stop - 1}")
-
-
-def in_range(values, stop, start=0) -> bool:
-    """Whether every value of a sequence lies in start..stop-1 (true when
-    there are none)."""
-    return not values or (start <= min(values) and max(values) < stop)
+        frozen = tuple(values) if width is None else tuple(map(tuple, values))
+    except TypeError:
+        kind = "a sequence" if width is None else "a table"
+        raise ShapeError(f"{field} must be {kind} of integers") from None
+    if length is not None and len(frozen) != length:
+        raise ShapeError(f"{field} has length {len(frozen)}, expected {length}")
+    for row in (frozen,) if width is None else frozen:
+        if width is not None and len(row) != width:
+            raise ShapeError(f"{field} has a row of length {len(row)}, "
+                             f"expected {width}")
+        for v in row:
+            if type(v) is not int or not start <= v < stop:
+                raise ShapeError(
+                    f"{field} entries must be integers, got {v!r}"
+                    if type(v) is not int else
+                    f"{field} entry {v} out of range {start}..{stop - 1}")
+    return frozen
 
 
 def check_star_semigroup(order, mul, star) -> tuple[Violation, ...]:
@@ -251,8 +245,8 @@ def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
 
 
 def _check_element(X: FiniteStarSemigroup, x: int):
-    if not 0 <= x < X.order:
-        raise ShapeError(f"element {x} out of range for order {X.order}")
+    if type(x) is not int or not 0 <= x < X.order:
+        raise ShapeError(f"element {x!r} is not an integer in 0..{X.order - 1}")
 
 
 def dom(X: FiniteStarSemigroup, x: int) -> int:
@@ -570,12 +564,8 @@ class StarMorphism:
     name: str | None = None
 
     def __post_init__(self):
-        self.map = tuple(self.map)
-        if len(self.map) != self.source.order:
-            raise ShapeError(
-                f"map has length {len(self.map)}, expected {self.source.order}"
-            )
-        _check_entries(self.map, self.target.order, "map")
+        self.map = freeze(self.map, "map", self.target.order,
+                          length=self.source.order)
 
     def __call__(self, x: int) -> int:
         return self.map[x]

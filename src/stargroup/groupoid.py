@@ -23,7 +23,7 @@ from .core import (
     Verdict,
     Violation,
     classify,
-    in_range,
+    freeze,
     natural_order,
     projections,
     validate_star_semigroup,
@@ -83,23 +83,19 @@ class OrderedGroupoidWithMediator:
 
 def _shape_check(G: OrderedGroupoidWithMediator):
     n, m = G.n_morphisms, G.n_objects
-    if m < 1 or n < 1:
-        raise ShapeError("empty groupoid")
-    if len(G.dom) != n or len(G.cod) != n or len(G.inverse) != n:
-        raise ShapeError("morphism arrays have wrong length")
-    if len(G.identity) != m:
-        raise ShapeError("identity array has wrong length")
-    if len(G.compose) != n or any(len(r) != n for r in G.compose):
-        raise ShapeError("compose table has wrong shape")
-    if G.order.size != n:
-        raise ShapeError("order relation has wrong size")
+    if not (type(n) is type(m) is int and n >= 1 and m >= 1):
+        raise ShapeError(f"object and morphism counts must be positive "
+                         f"integers, got {m!r} and {n!r}")
+    freeze(G.dom, "dom", m, length=n)
+    freeze(G.cod, "cod", m, length=n)
+    freeze(G.identity, "identity", n, length=m)
+    freeze(G.inverse, "inverse", n, length=n)
+    freeze(G.compose, "compose", n, length=n, width=n, start=-1)
+    if not isinstance(G.order, Relation) or G.order.size != n:
+        raise ShapeError(f"order must be a Relation of size {n}")
+    freeze(G.order.rows, "order", 1 << n, length=n)
     if G.mediator is not None:
-        if len(G.mediator) != m or any(len(r) != m for r in G.mediator):
-            raise ShapeError("mediator table has wrong shape")
-    if not (in_range(G.dom + G.cod, m) and in_range(G.identity + G.inverse, n)
-            and all(in_range(r, n, start=-1) for r in G.compose)
-            and all(in_range(r, n) for r in G.mediator or ())):
-        raise ShapeError("groupoid entry out of range")
+        freeze(G.mediator, "mediator", n, length=m, width=m)
 
 
 def validate_groupoid(G: OrderedGroupoidWithMediator):

@@ -23,6 +23,7 @@ from .core import (
     Verdict,
     Violation,
     classify,
+    freeze,
     is_etale,
     memo,
     validate_star_semigroup,
@@ -67,13 +68,10 @@ class SModule:
     add: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        self.zero = tuple(self.zero)
-        self.add = tuple(tuple(r) for r in self.add)
         n = self.sset.size
-        if len(self.zero) != self.sset.base.order:
-            raise ShapeError("zero section has wrong length")
-        if len(self.add) != n or any(len(r) != n for r in self.add):
-            raise ShapeError("addition table has wrong shape")
+        self.zero = freeze(self.zero, "zero section", n,
+                           length=self.sset.base.order)
+        self.add = freeze(self.add, "addition", n, length=n, width=n, start=-1)
 
     @property
     def size(self):
@@ -135,10 +133,8 @@ class SAlgebra:
     product: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        self.product = tuple(tuple(r) for r in self.product)
         n = self.module.size
-        if len(self.product) != n or any(len(r) != n for r in self.product):
-            raise ShapeError("product table has wrong shape")
+        self.product = freeze(self.product, "product", n, length=n, width=n)
 
     @property
     def size(self):

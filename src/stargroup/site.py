@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -22,8 +22,9 @@ from .core import (
     StarError,
     StarMorphism,
     Violation,
-    check_ints,
+    _check_element,
     classify,
+    freeze,
     idempotents,
     is_etale,
     validate_star_semigroup,
@@ -87,12 +88,17 @@ def ls_dom(S: InverseSemigroup, m: LSMorphism) -> int:
     return sg.mul[sg.star[m.s]][m.s]
 
 
+def _check_idempotent(sg: FiniteStarSemigroup, e):
+    _check_element(sg, e)
+    if sg.mul[e][e] != e:
+        raise NotIdempotent(f"{e} is not idempotent")
+
+
 def ls_morphisms(S: InverseSemigroup, d: int, e: int) -> tuple[LSMorphism, ...]:
     """All morphisms d -> e, ascending element order."""
     sg = S.semigroup
-    for v in (d, e):
-        if sg.mul[v][v] != v:
-            raise NotIdempotent(f"{v} is not idempotent")
+    _check_idempotent(sg, d)
+    _check_idempotent(sg, e)
     return tuple(
         LSMorphism(s, e)
         for s in sg.elements
@@ -204,30 +210,44 @@ class Presheaf:
         return f"Presheaf({self.base!r}, fibers={sizes})"
 
 
+@cache
+def _transition_shapes(S: InverseSemigroup):
+    """Per L(S)-morphism key (s, e), the field name that a shape error
+    gives its transition, and its domain s*s; built once per base."""
+    return {(m.s, m.e): (f"transition along {m}", ls_dom(S, m))
+            for m in all_ls_morphisms(S)}
+
+
+def _keys(table, field, stop, width=None):
+    """Check the keys of a dict argument as one row, or with ``width`` as a
+    table, of ints in 0..stop-1."""
+    if not isinstance(table, dict):
+        raise ShapeError(f"{field}s must be a dict, got {type(table).__name__}")
+    freeze(table, f"{field} key", stop, width=width)
+
+
 def check_presheaf(base: InverseSemigroup, fibers, transitions):
     sg = base.semigroup
     problems = []
-    check_ints(fibers, "fiber key")
-    fibers = {e: tuple(str(x) for x in labels) for e, labels in fibers.items()}
-    transitions = {(s, e): tuple(vals) for (s, e), vals in transitions.items()}
-    check_ints(itertools.chain(*transitions, *transitions.values()),
-               "transition key and transition")
+    _keys(fibers, "fiber", sg.order)
+    _keys(transitions, "transition", sg.order, width=2)
+    try:
+        fibers = {e: tuple(map(str, labels)) for e, labels in fibers.items()}
+    except TypeError:
+        raise ShapeError("each fiber must be a sequence of labels") from None
     idems = set(base.idempotents)
     if set(fibers) != idems:
         raise ShapeError(f"fibers must be keyed by the idempotents {sorted(idems)}")
     for e, labels in fibers.items():
         if len(set(labels)) != len(labels):
             raise ShapeError(f"duplicate labels in fiber {e}")
-    morphs = all_ls_morphisms(base)
-    if set(transitions) != {(m.s, m.e) for m in morphs}:
+    shapes = _transition_shapes(base)
+    if set(transitions) != shapes.keys():
         raise ShapeError("transitions must be keyed by every L(S)-morphism")
-    for m in morphs:
-        tr = transitions[(m.s, m.e)]
-        d = ls_dom(base, m)
-        if len(tr) != len(fibers[m.e]):
-            raise ShapeError(f"transition along {m} has wrong length")
-        if any(not 0 <= v < len(fibers[d]) for v in tr):
-            raise ShapeError(f"transition along {m} maps outside fiber {d}")
+    transitions = {
+        key: freeze(tr, shapes[key][0], len(fibers[shapes[key][1]]),
+                    length=len(fibers[key[1]]))
+        for key, tr in transitions.items()}
     for e in base.idempotents:
         tr = transitions[(e, e)]
         if tr != tuple(range(len(fibers[e]))):
@@ -261,8 +281,7 @@ def empty_presheaf(S: InverseSemigroup) -> Presheaf:
 def representable_presheaf(S: InverseSemigroup, e: int) -> Presheaf:
     """e-hat: fiber at d is Hom(d, e), transition by composition."""
     sg = S.semigroup
-    if sg.mul[e][e] != e:
-        raise NotIdempotent(f"{e} is not idempotent")
+    _check_idempotent(sg, e)
     homs = {d: ls_morphisms(S, d, e) for d in S.idempotents}
     fibers = {d: tuple(str(m.s) for m in homs[d]) for d in S.idempotents}
     transitions = {}
@@ -289,16 +308,13 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
     if source.base != target.base:
         raise ShapeError("presheaf map needs a common base")
     base = source.base
-    check_ints(components, "component key")
-    components = {e: tuple(c) for e, c in components.items()}
-    check_ints(itertools.chain(*components.values()), "component")
+    _keys(components, "component", base.order)
     if set(components) != set(source.fibers):
         raise ShapeError("components must be keyed by every idempotent")
-    for e, comp in components.items():
-        if len(comp) != len(source.fiber(e)):
-            raise ShapeError(f"component at {e} has wrong length")
-        if any(not 0 <= v < len(target.fiber(e)) for v in comp):
-            raise ShapeError(f"component at {e} maps outside the target fiber")
+    components = {
+        e: freeze(c, f"component at {e}", len(target.fiber(e)),
+                  length=len(source.fiber(e)))
+        for e, c in components.items()}
     for m in all_ls_morphisms(base):
         d = ls_dom(base, m)
         src_t = source.transition(m.s, m.e)
@@ -321,16 +337,17 @@ class RepresentableTables(NamedTuple):
     star: tuple[int, ...]
 
 
-@cache
+# typed, so that 0.0 or True is a miss that the element check refuses, not
+# a hit on the entry of 0 or 1
+@lru_cache(maxsize=None, typed=True)
 def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
     """The carrier of S(e), the pairs (r, s) with d(s) = c(r) and es = s in
     lexicographic order, with the product (p, q)(r, s) = (pr, q c(pr)) and
     the star (r, s)* = (r*, sr) as index tables.  Built once per (S, e);
     representable_semigroup validates them, the Gamma search reads them."""
     sg = S.semigroup
+    _check_idempotent(sg, e)
     mul, star, c = sg.mul, sg.star, [sg.c(x) for x in sg.elements]
-    if mul[e][e] != e:
-        raise NotIdempotent(f"{e} is not idempotent")
     carrier = tuple((r, s) for r in sg.elements for s in sg.elements
                     if sg.d(s) == c[r] and mul[e][s] == s)
     pos = {pair: i for i, pair in enumerate(carrier)}
@@ -350,7 +367,7 @@ class RepresentableSemigroup:
     psi: StarMorphism
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
     """S(e) with structure map psi(r, s) = r; validated left involutive with
     psi an etale *-homomorphism, and cross-checked against Lambda(e-hat)."""

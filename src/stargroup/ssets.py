@@ -20,7 +20,7 @@ from .core import (
     StarMorphism,
     Violation,
     classify,
-    in_range,
+    freeze,
     is_etale,
     memo,
     validate_star_semigroup,
@@ -44,19 +44,13 @@ class SSetStructure:
     action: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        self.star = tuple(self.star)
-        self.smap = tuple(self.smap)
-        self.action = tuple(tuple(row) for row in self.action)
-        if len(self.star) != self.size or len(self.smap) != self.size:
-            raise ShapeError("star/smap length mismatch")
-        if len(self.action) != self.size or any(
-            len(r) != self.base.order for r in self.action
-        ):
-            raise ShapeError("action table has wrong shape")
-        if not (in_range(self.star, self.size)
-                and all(in_range(r, self.size) for r in self.action)
-                and in_range(self.smap, self.base.order)):
-            raise ShapeError("star, map or action entry out of range")
+        n = self.size
+        if type(n) is not int or n < 0:
+            raise ShapeError(f"size must be a non-negative integer, got {n!r}")
+        self.star = freeze(self.star, "star", n, length=n)
+        self.smap = freeze(self.smap, "map", self.base.order, length=n)
+        self.action = freeze(self.action, "action", n, length=n,
+                             width=self.base.order)
 
     @property
     def elements(self):

@@ -43,6 +43,7 @@ from .core import (
     Violation,
     classify,
     etale_lift,
+    freeze,
     idempotents,
     is_etale,
     projections,
@@ -713,7 +714,7 @@ def ideal_correspondence(S: InverseSemigroup, D) -> IdealReport:
     """A normal idempotent subset D yields the two-sided *-closed ideal
     T = {s : s*s in D} with E cap T = D."""
     sg = S.semigroup
-    D = frozenset(int(d) for d in D)
+    D = frozenset(freeze(D, "D", sg.order))
     idems = set(S.idempotents)
     if not D <= idems:
         raise ShapeError("D must be a set of idempotents")

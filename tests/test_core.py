@@ -82,6 +82,18 @@ def test_non_int_entries_are_a_shape_error_not_truncated(sl2):
     assert StarMorphism(sl2, sl2, [0, 1]).map == (0, 1)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda X: StarMorphism(X, X, 5), id="map-not-a-sequence"),
+    pytest.param(lambda X: idempotent_leq(X, 0.0, 1), id="float-element"),
+    pytest.param(lambda X: idempotent_leq(X, True, 1), id="bool-element"),
+    pytest.param(lambda X: validate_star_semigroup(True, [[0]], [0]),
+                 id="bool-order"),
+])
+def test_malformed_arguments_are_a_shape_error(sl2, call):
+    with pytest.raises(ShapeError):
+        call(sl2)
+
+
 def test_validate_collects_violations():
     # non-associative table: witness triple reported
     violations = check_star_semigroup(2, [[1, 0], [0, 0]], [0, 1])

@@ -1,9 +1,16 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from stargroup import oracle
-from stargroup.core import StarMorphism, classify, same_tables
+from stargroup.core import (
+    Relation,
+    ShapeError,
+    StarMorphism,
+    classify,
+    same_tables,
+)
 from stargroup.groupoid import (
     InvalidGroupoid,
     NotBounded,
@@ -186,6 +193,20 @@ def test_order_two_automorphism_mediator_rejected(c2):
     assert validate_mediator(bad).ok  # the axioms alone do not exclude it
     with pytest.raises(InvalidGroupoid):
         esn_semigroup(bad)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda G: {"dom": tuple(map(float, G.dom))}, id="float-dom"),
+    pytest.param(lambda G: {"dom": 5}, id="dom-not-a-sequence"),
+    pytest.param(lambda G: {"n_objects": 2.0}, id="float-count"),
+    pytest.param(lambda G: {"order": Relation(G.n_morphisms, ())},
+                 id="order-rows-missing"),
+    pytest.param(lambda G: {"order": ((1, 0), (0, 1))}, id="order-a-table"),
+])
+def test_malformed_groupoid_is_a_shape_error(sl2, change):
+    G = esn_groupoid(sl2)
+    with pytest.raises(ShapeError):
+        validate_groupoid(replace(G, **change(G)))
 
 
 def test_functoriality_of_esn(star_pool):

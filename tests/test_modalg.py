@@ -1,12 +1,13 @@
 import pytest
 
 from stargroup import topos
-from stargroup.core import classify, identity_morphism, projections
+from stargroup.core import ShapeError, classify, identity_morphism, projections
 from stargroup.modalg import (
     AdditionNotIdempotent,
     CarrierTooLarge,
     FiberMismatch,
     FreeModule,
+    SAlgebra,
     SModule,
     derived_product,
     fhat,
@@ -142,6 +143,28 @@ def test_module_validator_catches_zero_corruption(fhat_id_sl2):
     assert not report.ok
     kinds = {k for k, _ in report.violations}
     assert "ZeroLawViolation" in kinds or "ZeroSectionViolation" in kinds
+
+
+def _first_entry(table, value):
+    return ((value,) + table[0][1:],) + table[1:]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda fh: validate_module(
+        SModule(fh.module.sset, (99,) + fh.module.zero[1:], fh.module.add)),
+        id="zero-out-of-range"),
+    pytest.param(lambda fh: validate_module(
+        SModule(fh.module.sset, fh.module.zero, 5)), id="add-not-a-table"),
+    pytest.param(lambda fh: validate_algebra(
+        SAlgebra(fh.module, _first_entry(fh.algebra.product, 99))),
+        id="product-out-of-range"),
+    pytest.param(lambda fh: validate_algebra(
+        SAlgebra(fh.module, _first_entry(fh.algebra.product, 0.0))),
+        id="product-float"),
+])
+def test_malformed_module_tables_are_a_shape_error(fhat_id_sl2, build):
+    with pytest.raises(ShapeError):
+        build(fhat_id_sl2)
 
 
 def test_fiber_monoid(fhat_p21):

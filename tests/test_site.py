@@ -367,3 +367,37 @@ def test_presheaf_map_refuses_non_int_keys_and_entries(p21, sl2_inv,
     Q = terminal_presheaf(sl2_inv)
     with pytest.raises(ShapeError, match="must be integers"):
         validate_presheaf_map(p21, Q, components)
+
+
+@pytest.mark.parametrize("fibers, transitions", [
+    (_P21_FIBERS, {5: (0,)}),
+    ({1: 5, 0: ("w",)}, _P21_TRANSITIONS),
+    (_P21_FIBERS, {(0, 0, 1): (0,)}),
+    (_P21_FIBERS, list(_P21_TRANSITIONS.items())),
+])
+def test_presheaf_refuses_malformed_tables(sl2_inv, fibers, transitions):
+    with pytest.raises(ShapeError):
+        validate_presheaf(sl2_inv, fibers, transitions)
+
+
+def test_presheaf_map_refuses_a_component_that_is_not_a_sequence(p21,
+                                                                 sl2_inv):
+    with pytest.raises(ShapeError):
+        validate_presheaf_map(p21, terminal_presheaf(sl2_inv), {1: 5, 0: (0,)})
+
+
+@pytest.mark.parametrize("fn, args", [
+    (ls_morphisms, (0, 9)),
+    (ls_morphisms, (-1, 1)),
+    (site.representable_tables, (9,)),
+    (representable_presheaf, (9,)),
+    (representable_presheaf, (True,)),
+    (representable_semigroup, (9,)),
+    (representable_semigroup, (-1,)),
+    (representable_semigroup, (0.0,)),
+])
+def test_element_arguments_are_checked_first(sl2_inv, fn, args):
+    # with S(0) cached, 0.0 must still be refused, not served the entry of 0
+    representable_semigroup(sl2_inv, 0)
+    with pytest.raises(ShapeError):
+        fn(sl2_inv, *args)

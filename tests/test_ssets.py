@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from stargroup import oracle, topos
-from stargroup.core import StarMorphism, same_tables
+from stargroup.core import ShapeError, StarMorphism, same_tables
 from stargroup.ssets import (
     SSetInvalid,
+    SSetStructure,
     balanced_check,
     canonical_action,
     is_left_involutive_sset,
@@ -142,6 +143,18 @@ def test_corrupted_action_caught(sl2, id_sl2):
     bad_action[1][0] = 1  # 1 . 0 should be 0
     with pytest.raises(SSetInvalid):
         make_sset(A.size, A.star, A.base, A.smap, bad_action)
+
+
+@pytest.mark.parametrize("size, action", [
+    (2, ((0.0, 0), (1, 1))),
+    (2, None),
+    (2.0, ((0, 0), (1, 1))),
+])
+def test_malformed_sset_is_a_shape_error(sl2, size, action):
+    with pytest.raises(ShapeError):
+        make_sset(size, sl2.star, sl2, (0, 1), action)
+    with pytest.raises(ShapeError):
+        SSetStructure(size, sl2.star, sl2, (0, 1), action)
 
 
 def test_left_action(sl2, id_sl2, i2, id_i2):

@@ -5,6 +5,7 @@ import pytest
 from stargroup import oracle, site, topos
 from stargroup.core import (
     InvalidStarSemigroup,
+    ShapeError,
     StarMorphism,
     classify,
     etale_lift,
@@ -333,6 +334,17 @@ def test_ideal_correspondence(i2_inv, i2):
     one = maps.index((0, -1))
     repn = ideal_correspondence(i2_inv, {one})
     assert not repn.normal and repn.witness is not None
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda S: ideal_correspondence(S, [True]), id="bool-D"),
+    pytest.param(lambda S: ideal_correspondence(S, [0.0]), id="float-D"),
+    pytest.param(lambda S: ideal_correspondence(S, [0, "a"]), id="string-D"),
+    pytest.param(lambda S: prop_sym_check(S, 9), id="element-9"),
+])
+def test_malformed_arguments_are_a_shape_error(sl2_inv, call):
+    with pytest.raises(ShapeError):
+        call(sl2_inv)
 
 
 def test_ideals_match_subterminal_count(i2_inv):
