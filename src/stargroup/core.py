@@ -211,19 +211,38 @@ def freeze(values, field, stop, length=None, width=None, start=0):
     return frozen
 
 
+def check_instance(value, cls, field):
+    """Refuse an object argument that is not a ``cls`` with a ShapeError
+    naming ``field``, before anything reads its attributes."""
+    if not isinstance(value, cls):
+        raise ShapeError(f"{field} must be of type {cls.__name__}, "
+                         f"got {type(value).__name__}")
+
+
 def check_star_semigroup(order, mul, star) -> tuple[Violation, ...]:
     """All violated *-semigroup axioms, least witness each; empty if valid."""
     return _axiom_violations(order, *_freeze_tables(order, mul, star))
 
 
+def action_associativity_witness(act, mul):
+    """Least (x, s, t) with (xs)t != x(st), for a table ``act`` of a right
+    action of the semigroup with product table ``mul`` (``act[x][s]`` is
+    xs); None when there is none.  With ``act`` = ``mul`` this is the
+    associativity of the semigroup itself."""
+    cols = range(len(mul))
+    for x, row in enumerate(act):
+        for s in cols:
+            xs_row, s_row = act[row[s]], mul[s]
+            for t in cols:
+                if xs_row[t] != row[s_row[t]]:
+                    return (x, s, t)
+    return None
+
+
 def _axiom_violations(order, mul, star):
     out = []
     rng = range(order)
-    witness = next(
-        ((x, y, z) for x in rng for y in rng for z in rng
-         if mul[mul[x][y]][z] != mul[x][mul[y][z]]),
-        None,
-    )
+    witness = action_associativity_witness(mul, mul)
     if witness is not None:
         out.append(Violation(ASSOCIATIVITY, witness))
     witness = next(((x,) for x in rng if star[star[x]] != x), None)
@@ -564,6 +583,8 @@ class StarMorphism:
     name: str | None = None
 
     def __post_init__(self):
+        check_instance(self.source, FiniteStarSemigroup, "source")
+        check_instance(self.target, FiniteStarSemigroup, "target")
         self.map = freeze(self.map, "map", self.target.order,
                           length=self.source.order)
 
@@ -578,20 +599,45 @@ class StarMorphism:
     @memo
     def is_multiplicative(self) -> bool:
         X, S, f = self.source, self.target, self.map
-        return all(
-            f[X.mul[x][y]] == S.mul[f[x]][f[y]]
-            for x in X.elements for y in X.elements
-        )
+        for x, row in enumerate(X.mul):
+            fx_row = S.mul[f[x]]
+            for y in X.elements:
+                if f[row[y]] != fx_row[f[y]]:
+                    return False
+        return True
 
     @memo
     def is_left_star_hom(self) -> bool:
         if not self.is_star_morphism:
             return False
         X, S, f = self.source, self.target, self.map
-        return all(
-            f[X.mul[x][y]] == S.mul[f[x]][f[X.mul[X.d(x)][y]]]
-            for x in X.elements for y in X.elements
-        )
+        for x, row in enumerate(X.mul):
+            dx_row, fx_row = X.mul[X.d(x)], S.mul[f[x]]
+            for y in X.elements:
+                if f[row[y]] != fx_row[f[dx_row[y]]]:
+                    return False
+        return True
+
+    @memo
+    def lifts(self) -> dict[int, dict[int, tuple[int, ...]]]:
+        """Per codomain p of the source (every projection is one), the
+        fixpoints {z : pz = z} grouped by their image f(z), each group in
+        ascending order: the candidates for the lift of s at p are
+        ``lifts[p].get(s, ())``.  Codomains, not only projections, because
+        the canonical action lifts at c(x), which need not be a projection
+        when the star does not reverse products."""
+        X, f = self.source, self.map
+        out = {}
+        for x in X.elements:
+            p = X.c(x)
+            if p not in out:
+                row = X.mul[p]
+                groups = {}
+                for z in X.elements:
+                    if row[z] == z:
+                        groups.setdefault(f[z], []).append(z)
+                out[p] = {s: tuple(zs) for s, zs in groups.items()}
+        return out
 
     @memo
     def etale(self) -> Verdict:
@@ -694,15 +740,11 @@ def _crosscheck_etale(f, main_verdict):
     lift_ok = True
     for p in projections(X):
         fp = f.map[p]
+        lifts = f.lifts[p]
         for s in S.elements:
             if S.mul[fp][s] != s:
                 continue
-            n = sum(
-                1
-                for z in X.elements
-                if X.mul[p][z] == z and f.map[z] == s
-            )
-            if n != 1:
+            if len(lifts.get(s, ())) != 1:
                 lift_ok = False
                 break
         if not lift_ok:
@@ -731,9 +773,9 @@ def etale_lift(f: StarMorphism, p: int, s: int) -> int:
         raise NotEtale(f"{f!r} is not etale")
     if S.mul[f.map[p]][s] != s:
         raise NoLift(f"equation s = f(p)s fails for p={p}, s={s}")
-    hits = [x for x in X.elements if X.mul[p][x] == x and f.map[x] == s]
+    hits = f.lifts[p].get(s, ())
     if len(hits) != 1:
         raise ConsistencyError(
-            f"lift of s={s} at p={p} not unique for etale {f!r}: {hits}"
+            f"lift of s={s} at p={p} not unique for etale {f!r}: {list(hits)}"
         )
     return hits[0]

@@ -22,6 +22,7 @@ from .core import (
     StarMorphism,
     Verdict,
     Violation,
+    check_instance,
     classify,
     freeze,
     is_etale,
@@ -68,6 +69,7 @@ class SModule:
     add: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        check_instance(self.sset, SSetStructure, "sset")
         n = self.sset.size
         self.zero = freeze(self.zero, "zero section", n,
                            length=self.sset.base.order)
@@ -100,26 +102,31 @@ class SModule:
         if not balanced_check(M.sset).balanced:
             raise NotBalanced("derived product needs a balanced module")
         A, S = M.sset, M.sset.base
+        star, smap, act, zero = A.star, A.smap, A.action, M.zero
         table = []
-        for a in A.elements:
-            row = []
-            for b in A.elements:
-                row.append(M.plus(A.act(a, A.smap[b]), M.left(A.smap[a], b)))
-            table.append(tuple(row))
+        for a, act_a in enumerate(act):
+            left_a = S.star[smap[a]]
+            table.append(tuple(
+                M.plus(act_a[smap[b]], star[act[star[b]][left_a]])
+                for b in A.elements))
         table = tuple(table)
-        for a in A.elements:
+        for a, ta in enumerate(table):
+            sa = star[a]
             for b in A.elements:
-                if A.star[table[a][b]] != table[A.star[b]][A.star[a]]:
+                if star[ta[b]] != table[star[b]][sa]:
                     raise ConsistencyError("derived product breaks (ab)* = b*a*")
+                tab, tb = table[ta[b]], table[b]
                 for c in A.elements:
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
+                    if tab[c] != ta[tb[c]]:
                         raise ConsistencyError("derived product not associative")
+            act_a = act[a]
             for r in S.elements:
-                if table[a][M.zero[r]] != A.act(a, r):
+                if ta[zero[r]] != act_a[r]:
                     raise ConsistencyError("a 0(r) != ar for the derived product")
         for r in S.elements:
+            zr, mul_r = table[zero[r]], S.mul[r]
             for s in S.elements:
-                if table[M.zero[r]][M.zero[s]] != M.zero[S.mul[r][s]]:
+                if zr[zero[s]] != zero[mul_r[s]]:
                     raise ConsistencyError("zero section not multiplicative")
         return table
 
@@ -133,6 +140,7 @@ class SAlgebra:
     product: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        check_instance(self.module, SModule, "module")
         n = self.module.size
         self.product = freeze(self.product, "product", n, length=n, width=n)
 
@@ -145,55 +153,69 @@ def validate_module(M: SModule) -> Verdict:
     """Every module axiom swept with witnesses; for balanced modules the
     bimodule laws are included."""
     A, S = M.sset, M.sset.base
+    star, smap, act, add, zero = A.star, A.smap, A.action, M.add, M.zero
+    smul, sstar = S.mul, S.star
     out = list(check_sset(A))
     for r in S.elements:
-        if A.smap[M.zero[r]] != r:
+        zr = zero[r]
+        if smap[zr] != r:
             out.append(Violation("ZeroSectionViolation", (r,)))
-        if M.zero[S.star[r]] != A.star[M.zero[r]]:
+        if zero[sstar[r]] != star[zr]:
             out.append(Violation("ZeroStarViolation", (r,)))
+        act_zr, mul_r = act[zr], smul[r]
         for s in S.elements:
-            if M.zero[S.mul[r][s]] != A.act(M.zero[r], s):
+            if zero[mul_r[s]] != act_zr[s]:
                 out.append(Violation("ZeroEquivarianceViolation", (r, s)))
-    for a in A.elements:
+    for a, add_a in enumerate(add):
+        fa, act_a = smap[a], act[a]
         for b in A.elements:
-            defined = M.add[a][b] != -1
-            if defined != (A.smap[a] == A.smap[b]):
+            v = add_a[b]
+            defined = v != -1
+            if defined != (fa == smap[b]):
                 out.append(Violation("AdditionDomainViolation", (a, b)))
             if not defined:
                 continue
-            v = M.add[a][b]
-            if A.smap[v] != A.smap[a]:
+            if smap[v] != fa:
                 out.append(Violation("AdditionFiberViolation", (a, b)))
-            if M.add[b][a] != v:
+            add_b = add[b]
+            if add_b[a] != v:
                 out.append(Violation("AdditionCommutativityViolation", (a, b)))
-            if A.star[v] != M.add[A.star[a]][A.star[b]]:
+            if star[v] != add[star[a]][star[b]]:
                 out.append(Violation("StarAdditivityViolation", (a, b)))
+            act_v, act_b = act[v], act[b]
             for r in S.elements:
-                if A.act(v, r) != M.add[A.act(a, r)][A.act(b, r)]:
+                if act_v[r] != add[act_a[r]][act_b[r]]:
                     out.append(Violation("DistributivityViolation", (a, b, r)))
+            add_v = add[v]
             for c in A.elements:
-                if A.smap[c] == A.smap[a]:
-                    if M.add[M.add[a][b]][c] != M.add[a][M.add[b][c]]:
+                if smap[c] == fa:
+                    if add_v[c] != add_a[add_b[c]]:
                         out.append(Violation("AdditionAssociativityViolation", (a, b, c)))
     for a in A.elements:
-        if M.add[a][M.zero[A.smap[a]]] != a:
+        if add[a][zero[smap[a]]] != a:
             out.append(Violation("ZeroLawViolation", (a,)))
 
     if balanced_check(A).balanced:
         for r in S.elements:
+            # the left action r . a = (a* r*)* of every a, as one row
+            rstar = sstar[r]
+            left = [star[act[star[a]][rstar]] for a in A.elements]
+            mul_r = smul[r]
             for a in A.elements:
-                ra = M.left(r, a)
-                if A.smap[ra] != S.mul[r][A.smap[a]]:
+                ra = left[a]
+                if smap[ra] != mul_r[smap[a]]:
                     out.append(Violation("LeftEquivarianceViolation", (r, a)))
+                act_ra, act_a = act[ra], act[a]
                 for s in S.elements:
-                    if A.act(ra, s) != M.left(r, A.act(a, s)):
+                    if act_ra[s] != left[act_a[s]]:
                         out.append(Violation("BimoduleCommutationViolation", (r, a, s)))
+                add_a, add_ra, fa = add[a], add[ra], smap[a]
                 for b in A.elements:
-                    if A.smap[a] == A.smap[b]:
-                        if M.left(r, M.add[a][b]) != M.add[M.left(r, a)][M.left(r, b)]:
+                    if fa == smap[b]:
+                        if left[add_a[b]] != add_ra[left[b]]:
                             out.append(Violation("LeftDistributivityViolation", (r, a, b)))
             for s in S.elements:
-                if M.zero[S.mul[r][s]] != M.left(r, M.zero[s]):
+                if zero[mul_r[s]] != left[zero[s]]:
                     out.append(Violation("ZeroLeftEquivarianceViolation", (r, s)))
     return Verdict(out)
 
@@ -204,39 +226,50 @@ def validate_algebra(Alg: SAlgebra) -> Verdict:
     swept once per algebra."""
     M = Alg.module
     A, S = M.sset, M.sset.base
-    mul = Alg.product
+    mul, add, zero = Alg.product, M.add, M.zero
+    star, smap, act, sstar = A.star, A.smap, A.action, S.star
     out = list(validate_module(M).violations)
-    for a in A.elements:
+    for a, mul_a in enumerate(mul):
+        sa, fa_row = star[a], S.mul[smap[a]]
         for b in A.elements:
-            if A.star[mul[a][b]] != mul[A.star[b]][A.star[a]]:
+            ab = mul_a[b]
+            if star[ab] != mul[star[b]][sa]:
                 out.append(Violation("ProductStarViolation", (a, b)))
-            if A.smap[mul[a][b]] != S.mul[A.smap[a]][A.smap[b]]:
+            if smap[ab] != fa_row[smap[b]]:
                 out.append(Violation("PsiHomViolation", (a, b)))
+            mul_ab, mul_b = mul[ab], mul[b]
             for c in A.elements:
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                if mul_ab[c] != mul_a[mul_b[c]]:
                     out.append(Violation("ProductAssociativityViolation", (a, b, c)))
-        if mul[mul[a][A.star[a]]][a] != a:
+        if mul[mul_a[sa]][a] != a:
             out.append(Violation("PartialIsometryViolation", (a,)))
     for r in S.elements:
+        zr, mul_r = mul[zero[r]], S.mul[r]
         for s in S.elements:
-            if mul[M.zero[r]][M.zero[s]] != M.zero[S.mul[r][s]]:
+            if zr[zero[s]] != zero[mul_r[s]]:
                 out.append(Violation("ZeroHomViolation", (r, s)))
-    for a in A.elements:
+    for a, mul_a in enumerate(mul):
+        fa, add_a = smap[a], add[a]
         for b in A.elements:
-            if A.smap[a] != A.smap[b]:
+            if fa != smap[b]:
                 continue
-            ab = M.add[a][b]
+            ab = add_a[b]
+            mul_b, mul_ab = mul[b], mul[ab]
             for c in A.elements:
-                if M.add[mul[a][c]][mul[b][c]] != mul[ab][c]:
+                if add[mul_a[c]][mul_b[c]] != mul_ab[c]:
                     out.append(Violation("ProductDistributivityViolation", (a, b, c)))
-                if M.add[mul[c][a]][mul[c][b]] != mul[c][ab]:
+                mul_c = mul[c]
+                if add[mul_c[a]][mul_c[b]] != mul_c[ab]:
                     out.append(Violation("OtherDistributivityViolation", (c, a, b)))
-    for a in A.elements:
+    for a, mul_a in enumerate(mul):
+        act_a = act[a]
         for b in A.elements:
+            act_b, act_ab, sb = act[b], act[mul_a[b]], star[b]
             for r in S.elements:
-                if mul[a][A.act(b, r)] != A.act(mul[a][b], r):
+                br = act_b[r]
+                if mul_a[br] != act_ab[r]:
                     out.append(Violation("ProductActionViolation", (a, b, r)))
-                if mul[a][A.star[A.act(b, r)]] != mul[A.act(a, S.star[r])][A.star[b]]:
+                if mul_a[star[br]] != mul[act_a[sstar[r]]][sb]:
                     out.append(Violation("ProductStarActionViolation", (a, b, r)))
     return Verdict(out)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from typing import NamedTuple
 
 from .core import (
@@ -23,6 +23,7 @@ from .core import (
     StarMorphism,
     Violation,
     _check_element,
+    check_instance,
     classify,
     freeze,
     idempotents,
@@ -227,6 +228,7 @@ def _keys(table, field, stop, width=None):
 
 
 def check_presheaf(base: InverseSemigroup, fibers, transitions):
+    check_instance(base, InverseSemigroup, "base")
     sg = base.semigroup
     problems = []
     _keys(fibers, "fiber", sg.order)
@@ -305,6 +307,8 @@ class PresheafMap:
 
 
 def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> PresheafMap:
+    check_instance(source, Presheaf, "source")
+    check_instance(target, Presheaf, "target")
     if source.base != target.base:
         raise ShapeError("presheaf map needs a common base")
     base = source.base
@@ -329,24 +333,47 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
 # representable semigroups S(e)
 
 
-class RepresentableTables(NamedTuple):
-    """S(e) as bare index tables over ``carrier``, not yet validated."""
-
+class _SeTables(NamedTuple):
     carrier: tuple[tuple[int, int], ...]
     mul: tuple[tuple[int, ...], ...]
     star: tuple[int, ...]
 
 
-# typed, so that 0.0 or True is a miss that the element check refuses, not
-# a hit on the entry of 0 or 1
-@lru_cache(maxsize=None, typed=True)
+class RepresentableTables(_SeTables):
+    """S(e) as bare index tables over ``carrier``, not yet validated, for
+    the idempotent ``e``.  Not slotted, so that what is derived from S(e)
+    alone (the generic Gamma search plan, topos._gamma_plan) is kept on the
+    tables with core.memo and lives exactly as long as they do."""
+
+    def __new__(cls, carrier, mul, star, e):
+        tables = super().__new__(cls, carrier, mul, star)
+        tables.e = e
+        return tables
+
+
+def _per_idempotent(build):
+    """``build(S, e)`` memoised per (S, e) in an unbounded lru_cache, with
+    the idempotent check run first: an unhashable, float or bool ``e`` is a
+    ShapeError, never a TypeError from the cache or a hit on the entry of 0
+    or 1.  ``cache_info`` is the cache's."""
+    cached = lru_cache(maxsize=None, typed=True)(build)
+
+    @wraps(build)
+    def checked(S: InverseSemigroup, e: int):
+        _check_idempotent(S.semigroup, e)
+        return cached(S, e)
+
+    checked.cache_info = cached.cache_info
+    return checked
+
+
+@_per_idempotent
 def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
     """The carrier of S(e), the pairs (r, s) with d(s) = c(r) and es = s in
     lexicographic order, with the product (p, q)(r, s) = (pr, q c(pr)) and
     the star (r, s)* = (r*, sr) as index tables.  Built once per (S, e);
     representable_semigroup validates them, the Gamma search reads them."""
     sg = S.semigroup
-    _check_idempotent(sg, e)
     mul, star, c = sg.mul, sg.star, [sg.c(x) for x in sg.elements]
     carrier = tuple((r, s) for r in sg.elements for s in sg.elements
                     if sg.d(s) == c[r] and mul[e][s] == s)
@@ -355,7 +382,7 @@ def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
         tuple(pos[(mul[p][r], mul[q][c[mul[p][r]]])] for r, _ in carrier)
         for p, q in carrier)
     se_star = tuple(pos[(star[r], mul[s][r])] for r, s in carrier)
-    return RepresentableTables(carrier, se_mul, se_star)
+    return RepresentableTables(carrier, se_mul, se_star, e)
 
 
 @dataclass(frozen=True)
@@ -367,7 +394,7 @@ class RepresentableSemigroup:
     psi: StarMorphism
 
 
-@lru_cache(maxsize=None, typed=True)
+@_per_idempotent
 def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
     """S(e) with structure map psi(r, s) = r; validated left involutive with
     psi an etale *-homomorphism, and cross-checked against Lambda(e-hat)."""
@@ -455,19 +482,43 @@ def _representable_functoriality(S: InverseSemigroup) -> bool:
 # presheaf enumeration and random generation
 
 
+class _FillStep(NamedTuple):
+    """One depth of the presheaf backtracking: the morphism assigned there
+    (its key, codomain e and domain d) and the composition squares, as key
+    triples (m12, m1, m2), that decide it."""
+
+    key: tuple[int, int]
+    e: int
+    d: int
+    forced: tuple      # m12 = key with m1, m2 assigned at an earlier depth
+    checks: tuple      # through key, all three keys assigned by this depth
+
+
 @cache
-def _presheaf_skeleton(S: InverseSemigroup):
-    """Non-identity morphisms in assignment order, and per morphism key the
-    composition squares m = m1 m2 it takes part in, as key triples
-    (m, m1, m2) in factorization order; built once per base."""
+def _presheaf_skeleton(S: InverseSemigroup) -> tuple[_FillStep, ...]:
+    """The plan of _fill_transitions, one step per non-identity morphism in
+    assignment order; built once per base.  The identities are assigned
+    first and the rest in this fixed order, so which squares force a
+    morphism's table and which it can break are known before any search."""
     idems = set(S.idempotents)
     morphs = all_ls_morphisms(S)
-    nonid = tuple(m for m in morphs if not (m.s == m.e and m.s in idems))
     squares = {(m.s, m.e): [] for m in morphs}
     for square in _composable_triples(S):
         for key in set(square):
             squares[key].append(square)
-    return nonid, {key: tuple(sq) for key, sq in squares.items()}
+    assigned = {(e, e) for e in idems}
+    steps = []
+    for m in morphs:
+        if m.s == m.e and m.s in idems:
+            continue
+        key = (m.s, m.e)
+        forced = tuple(sq for sq in squares[key] if sq[0] == key
+                       and sq[1] in assigned and sq[2] in assigned)
+        assigned.add(key)
+        checks = tuple(sq for sq in squares[key]
+                       if all(k in assigned for k in sq))
+        steps.append(_FillStep(key, m.e, ls_dom(S, m), forced, checks))
+    return tuple(steps)
 
 
 def _valid_size_profiles(S, max_fiber):
@@ -487,48 +538,44 @@ def _valid_size_profiles(S, max_fiber):
 def _fill_transitions(S, profile, rng=None):
     """Yield complete transition assignments for the given fiber sizes via
     backtracking over non-identity morphisms with forced composites."""
-    idems = list(S.idempotents)
-    nonid, squares = _presheaf_skeleton(S)
-    assign = {(e, e): tuple(range(profile[e])) for e in idems}
+    steps = _presheaf_skeleton(S)
+    assign = {(e, e): tuple(range(profile[e])) for e in S.idempotents}
 
-    def candidates(m):
-        key = (m.s, m.e)
+    def candidates(step):
         forced = None
-        for k12, k1, k2 in squares[key]:
-            if k12 == key and k1 in assign and k2 in assign:
-                t = tuple(assign[k2][v] for v in assign[k1])
-                if forced is not None and t != forced:
-                    return []
-                forced = t
+        for _, k1, k2 in step.forced:
+            t2 = assign[k2]
+            t = tuple(t2[v] for v in assign[k1])
+            if forced is not None and t != forced:
+                return []
+            forced = t
         if forced is not None:
             return [forced]
-        size_e, size_d = profile[m.e], profile[ls_dom(S, m)]
-        opts = list(itertools.product(range(size_d), repeat=size_e))
+        opts = list(itertools.product(range(profile[step.d]),
+                                      repeat=profile[step.e]))
         if rng is not None:
             rng.shuffle(opts)
         return opts
 
-    def consistent(key):
-        # the assignment was consistent before ``key`` was assigned, so only
-        # the squares through ``key`` can have broken
-        for k12, k1, k2 in squares[key]:
-            if k12 in assign and k1 in assign and k2 in assign:
-                t1, t2 = assign[k1], assign[k2]
-                if assign[k12] != tuple(t2[v] for v in t1):
-                    return False
+    def consistent(step):
+        # the assignment was consistent before ``step.key`` was assigned, so
+        # only the squares through it can have broken
+        for k12, k1, k2 in step.checks:
+            t2 = assign[k2]
+            if assign[k12] != tuple(t2[v] for v in assign[k1]):
+                return False
         return True
 
     def fill(k):
-        if k == len(nonid):
+        if k == len(steps):
             yield dict(assign)
             return
-        m = nonid[k]
-        key = (m.s, m.e)
-        for cand in candidates(m):
-            assign[key] = cand
-            if consistent(key):
+        step = steps[k]
+        for cand in candidates(step):
+            assign[step.key] = cand
+            if consistent(step):
                 yield from fill(k + 1)
-            del assign[key]
+            del assign[step.key]
 
     yield from fill(0)
 

@@ -19,6 +19,8 @@ from .core import (
     ShapeError,
     StarMorphism,
     Violation,
+    action_associativity_witness,
+    check_instance,
     classify,
     freeze,
     is_etale,
@@ -47,6 +49,7 @@ class SSetStructure:
         n = self.size
         if type(n) is not int or n < 0:
             raise ShapeError(f"size must be a non-negative integer, got {n!r}")
+        check_instance(self.base, FiniteStarSemigroup, "base")
         self.star = freeze(self.star, "star", n, length=n)
         self.smap = freeze(self.smap, "map", self.base.order, length=n)
         self.action = freeze(self.action, "action", n, length=n,
@@ -68,25 +71,14 @@ class SSetStructure:
     def balance(self) -> "BalancedReport":
         """See balanced_check."""
         A, S = self, self.base
-        w1 = None
-        for x in A.elements:
-            for r in S.elements:
-                xr = A.star[A.act(A.star[x], S.star[r])]  # rx
-                for s in S.elements:
-                    lhs = A.act(xr, s)
-                    rhs = A.star[A.act(A.star[A.act(x, s)], S.star[r])]
-                    if lhs != rhs:
-                        w1 = (x, r, s)
-                        break
-                if w1:
-                    break
-            if w1:
+        star, act = A.star, A.action
+        w1 = _balance_witness(star, act, S.star, S.elements)
+        w2 = None
+        for x, row in enumerate(act):
+            xfx = row[A.smap[star[x]]]
+            if star[xfx] != xfx:
+                w2 = (x,)
                 break
-        w2 = next(
-            ((x,) for x in A.elements
-             if A.star[A.act(x, A.smap[A.star[x]])] != A.act(x, A.smap[A.star[x]])),
-            None,
-        )
         balanced = w1 is None and w2 is None
         left = is_left_involutive_sset(A)
         if balanced and not left:
@@ -121,37 +113,46 @@ class SSetStructure:
         return f"SSet(size={self.size}, base={self.base!r})"
 
 
+def _balance_witness(star, act, sstar, srng):
+    """Least (x, r, s) with (rx)s != r(xs), rx = (x* r*)*; None if none."""
+    for x, row in enumerate(act):
+        xstar_row = act[star[x]]
+        for r in srng:
+            rx_row = act[star[xstar_row[sstar[r]]]]
+            for s in srng:
+                if rx_row[s] != star[act[star[row[s]]][sstar[r]]]:
+                    return (x, r, s)
+    return None
+
+
 @memo
 def check_sset(A: SSetStructure):
     """Violations of the involutive S-set axioms, swept once per S-set."""
     S = A.base
+    star, smap, act, smul = A.star, A.smap, A.action, S.mul
     out = []
     for x in A.elements:
-        if A.star[A.star[x]] != x:
+        if star[star[x]] != x:
             out.append(Violation("InvolutionViolation", (x,)))
             break
     for x in A.elements:
-        if A.smap[A.star[x]] != S.star[A.smap[x]]:
+        if smap[star[x]] != S.star[smap[x]]:
             out.append(Violation("StarMorphismViolation", (x,)))
             break
     wit = next(
         ((x, s) for x in A.elements for s in S.elements
-         if A.smap[A.act(x, s)] != S.mul[A.smap[x]][s]),
+         if smap[act[x][s]] != smul[smap[x]][s]),
         None,
     )
     if wit is not None:
         out.append(Violation("EquivarianceViolation", wit))
     wit = next(
-        ((x,) for x in A.elements if A.act(x, S.d(A.smap[x])) != x),
+        ((x,) for x in A.elements if act[x][S.d(smap[x])] != x),
         None,
     )
     if wit is not None:
         out.append(Violation("UnitViolation", wit))
-    wit = next(
-        ((x, s, t) for x in A.elements for s in S.elements for t in S.elements
-         if A.act(A.act(x, s), t) != A.act(x, S.mul[s][t])),
-        None,
-    )
+    wit = action_associativity_witness(act, smul)
     if wit is not None:
         out.append(Violation("ActionAssociativityViolation", wit))
     return tuple(out)
@@ -168,12 +169,12 @@ def make_sset(size, star, base, smap, action) -> SSetStructure:
 def left_identity_witness(A: SSetStructure):
     """(xs)* = (x* . f(x)s)* . f(x)* sweep; None when the identity holds."""
     S = A.base
-    for x in A.elements:
+    star, act = A.star, A.action
+    for x, row in enumerate(act):
         fx = A.smap[x]
+        xstar_row, fx_row, fx_star = act[star[x]], S.mul[fx], S.star[fx]
         for s in S.elements:
-            lhs = A.star[A.act(x, s)]
-            rhs = A.act(A.star[A.act(A.star[x], S.mul[fx][s])], S.star[fx])
-            if lhs != rhs:
+            if star[row[s]] != act[star[xstar_row[fx_row[s]]]][fx_star]:
                 return (x, s)
     return None
 
@@ -221,17 +222,16 @@ def canonical_action(f: StarMorphism) -> SSetStructure:
     if not is_etale(f):
         raise NotEtale(f"{f!r} is not etale")
     X, S = f.source, f.target
+    lifts = f.lifts
     action = []
     for x in X.elements:
-        cx = X.c(x)
+        at_cx, fx_row = lifts[X.c(x)], S.mul[f.map[x]]
         row = []
         for s in S.elements:
-            target = S.mul[f.map[x]][s]
-            hits = [z for z in X.elements
-                    if X.mul[cx][z] == z and f.map[z] == target]
+            hits = at_cx.get(fx_row[s], ())
             if len(hits) != 1:
                 raise ConsistencyError(
-                    f"canonical action ambiguous at ({x}, {s}): {hits}")
+                    f"canonical action ambiguous at ({x}, {s}): {list(hits)}")
             row.append(hits[0])
         action.append(tuple(row))
     A = make_sset(X.order, X.star, S, f.map, action)

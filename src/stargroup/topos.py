@@ -17,8 +17,10 @@ a ``LambdaObject`` or ``GammaPresheaf`` at all.
 
 Derived objects are built once each, by the module that owns them: the S(e)
 tables per base and idempotent (``site.representable_tables``; Gamma reads
-them unvalidated), the canonical action per morphism, the S-set axiom sweep
-per S-set and the verdict per algebra (``ssets.canonical_action``,
+them unvalidated, and keeps its search plan on them, ``_gamma_plan``), the
+lift table per morphism (``StarMorphism.lifts``, read by ``etale_lift`` and
+the canonical action), the canonical action per morphism, the S-set axiom
+sweep per S-set and the verdict per algebra (``ssets.canonical_action``,
 ``ssets.check_sset``, ``modalg.validate_algebra``).  The last three are kept
 on their object, so an ``SSetStructure``, ``SModule`` or ``SAlgebra`` must
 not be mutated after construction either.
@@ -29,6 +31,8 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from . import ssets
 from .core import (
@@ -46,6 +50,7 @@ from .core import (
     freeze,
     idempotents,
     is_etale,
+    memo,
     projections,
     validate_star_semigroup,
 )
@@ -53,6 +58,7 @@ from .site import (
     InverseSemigroup,
     Presheaf,
     PresheafMap,
+    RepresentableTables,
     all_ls_morphisms,
     as_inverse,
     ls_dom,
@@ -149,27 +155,31 @@ def lam(P: Presheaf) -> LambdaObject:
 def _lam(P: Presheaf) -> LambdaObject:
     S = P.base
     sg = S.semigroup
-    pairs = tuple(
-        (r, x) for r in sg.elements for x in range(len(P.fiber(sg.c(r))))
-    )
+    c = [sg.c(r) for r in sg.elements]
+    width = [len(P.fiber(c[r])) for r in sg.elements]
+    pairs = tuple((r, x) for r in sg.elements for x in range(width[r]))
     index = {pair: i for i, pair in enumerate(pairs)}
     if not pairs:
         return LambdaObject(P, S, pairs, index, None, None)
+    # pairs run through r, then x, so (r, x) sits at offset[r] + x
+    offset = (0, *accumulate(width))
+    trans = P.transitions
 
-    def star_of(pair):
-        r, x = pair
-        return (sg.star[r], P.transition(r, sg.c(r))[x])
-
-    def mul_of(a, b):
-        p, y = a
-        r, _ = b
-        pr = sg.mul[p][r]
-        return (pr, P.transition(sg.c(pr), sg.c(p))[y])
-
+    # (p, y)(r, x) = (pr, y . c(pr)) depends on x only through r's block
     n = len(pairs)
-    mul = [[index[mul_of(pairs[i], pairs[j])] for j in range(n)]
-           for i in range(n)]
-    star = [index[star_of(pairs[i])] for i in range(n)]
+    mul = []
+    for p in sg.elements:
+        blocks = []
+        for r in sg.elements:
+            pr = sg.mul[p][r]
+            blocks.append((offset[pr], trans[(c[pr], c[p])], width[r]))
+        for y in range(width[p]):
+            row = []
+            for base, tr, w in blocks:
+                row += [base + tr[y]] * w
+            mul.append(row)
+    # (r, x)* = (r*, x . r)
+    star = [offset[sg.star[r]] + trans[(r, c[r])][x] for r, x in pairs]
     lsg = validate_star_semigroup(n, mul, star, name="Lambda")
     f = StarMorphism(lsg, sg, tuple(r for r, _ in pairs), name="lambda-map")
     if not classify(lsg).left_involutive:
@@ -181,11 +191,11 @@ def _lam(P: Presheaf) -> LambdaObject:
     if set(projections(lsg)) != expected:
         raise ConsistencyError("projections of Lambda(P) are not the idempotent pairs")
     A = ssets.canonical_action(f)
-    for i, (r, x) in enumerate(pairs):
+    for (r, x), act_i in zip(pairs, A.action):
+        mul_r = sg.mul[r]
         for s in sg.elements:
-            rs = sg.mul[r][s]
-            formula = index[(rs, P.transition(sg.c(rs), sg.c(r))[x])]
-            if A.act(i, s) != formula:
+            rs = mul_r[s]
+            if act_i[s] != offset[rs] + trans[(c[rs], c[r])][x]:
                 raise ConsistencyError("canonical action differs from the "
                                        "transition formula on Lambda(P)")
     return LambdaObject(P, S, pairs, index, lsg, f)
@@ -228,25 +238,22 @@ class GammaPresheaf:
         return len(self.alphas[e])
 
 
-def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
-    """Backtracking enumeration of left *-homomorphisms S(e) -> X over S.
+class _GammaPlan(NamedTuple):
+    order: tuple[int, ...]
+    star_at: tuple[tuple[tuple[int, int], ...], ...]
+    constraints_at: tuple[tuple[tuple[int, int, int, int], ...], ...]
 
-    Constraint propagation follows the forced skeleton: the projection
-    (e, e) is assigned first, then the remaining projections, then the rest;
-    each assignment is checked against the star pairing and every product
-    constraint whose participants are already assigned.
-    """
-    X = f.source
-    carrier, mul_idx, star_idx = representable_tables(S, e)
+
+@memo
+def _gamma_plan(tables: RepresentableTables) -> _GammaPlan:
+    """The generic search plan over S(e), which depends on S and e alone:
+    the slot order, and per depth the star pairs and the product
+    constraints (u, v, uv, d(u)v) whose latest-assigned slot is filled at
+    that depth.  Kept on the tables, so it is built once per (S, e)."""
+    carrier, mul_idx, star_idx = tables
     k = len(carrier)
     dom_idx = tuple(mul_idx[star_idx[i]][i] for i in range(k))
-    fibers = [
-        tuple(x for x in X.elements if f.map[x] == r) for (r, _) in carrier
-    ]
-    if any(not fib for fib in fibers):
-        return ()
-
-    ee = carrier.index((e, e))
+    ee = carrier.index((tables.e, tables.e))
     projs = [i for i in range(k)
              if star_idx[i] == i and mul_idx[i][i] == i and i != ee]
     order = [ee] + projs + [i for i in range(k) if i != ee and i not in projs]
@@ -265,6 +272,28 @@ def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
         v = star_idx[u]
         last = max((u, v), key=lambda i: rank[i])
         star_at[rank[last]].append((u, v))
+    return _GammaPlan(tuple(order), tuple(map(tuple, star_at)),
+                      tuple(map(tuple, constraints_at)))
+
+
+def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
+    """Backtracking enumeration of left *-homomorphisms S(e) -> X over S.
+
+    Constraint propagation follows the forced skeleton: the projection
+    (e, e) is assigned first, then the remaining projections, then the rest;
+    each assignment is checked against the star pairing and every product
+    constraint whose participants are already assigned (_gamma_plan).
+    """
+    X = f.source
+    tables = representable_tables(S, e)
+    over = {}
+    for x in X.elements:
+        over.setdefault(f.map[x], []).append(x)
+    fibers = [over.get(r, ()) for r, _ in tables.carrier]
+    if any(not fib for fib in fibers):
+        return ()
+    order, star_at, constraints_at = _gamma_plan(tables)
+    k = len(order)
 
     values = [-1] * k
     found = []

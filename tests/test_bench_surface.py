@@ -1,10 +1,15 @@
 """The benchmark's traced run wraps named functions of the package; a rename
 or a changed signature would break ``perfbench/run.py --trace 1`` without
-failing any other test.  The tracer module is loaded by path and only read."""
+failing any other test.  The tracer module is loaded by path and only read.
+The presheaves workload runs here too, against the digest the benchmark's
+output gate records in ``perfbench/expected.json``, which is only read."""
 
+import hashlib
 import importlib
 import inspect
+import json
 import pathlib
+import sys
 import types
 
 import pytest
@@ -50,3 +55,22 @@ def test_argument_counts_match_signatures(tracer):
     for name, head in expected.items():
         params = list(inspect.signature(_resolve(name)).parameters)
         assert params[:len(head)] == head, name
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 3])
+def test_presheaves_workload_matches_the_recorded_digest(seed, monkeypatch):
+    # the benchmark's output gate, in process: a change to what the
+    # presheaf chain computes fails here, not only in the benchmark
+    path = TRACER.parent / "workloads.py"
+    workloads = types.ModuleType("_bench_workloads")
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(path.read_text(), str(path), "exec"), vars(workloads))
+    expected = json.loads((TRACER.parent / "expected.json").read_text())
+    outcome = workloads.run_presheaves(workloads.setup_presheaves(seed))
+    assert (outcome.items, outcome.failed) == (272, 0)
+    text = json.dumps(outcome.summaries["items"], sort_keys=True,
+                      separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == expected["presheaves"]["items"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stargroup.core import (
     Relation,
+    ShapeError,
     StarError,
     StarMorphism,
     validate_star_semigroup,
@@ -24,11 +25,13 @@ from stargroup.modalg import (
     validate_module,
 )
 from stargroup.site import (
+    representable_semigroup,
+    representable_tables,
     terminal_presheaf,
     validate_presheaf,
     validate_presheaf_map,
 )
-from stargroup.ssets import make_sset
+from stargroup.ssets import SSetStructure, make_sset
 
 ATOMS = (st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=2)
          | st.floats(-3, 9, allow_nan=False))
@@ -132,3 +135,27 @@ def test_constructor_returns_or_raises_a_star_error(cases, name, data):
         build(*args)
     except StarError:
         pass
+
+
+@pytest.mark.parametrize("name, build", [
+    ("base", lambda sl2, p21: validate_presheaf("x", {}, {})),
+    ("source", lambda sl2, p21: validate_presheaf_map(None, p21, {})),
+    ("target", lambda sl2, p21: validate_presheaf_map(p21, "x", {})),
+    ("source", lambda sl2, p21: StarMorphism(None, sl2, (0, 1))),
+    ("target", lambda sl2, p21: StarMorphism(sl2, p21, (0, 1))),
+    ("base", lambda sl2, p21: SSetStructure(1, (0,), None, (0,), ((0,),))),
+    ("sset", lambda sl2, p21: SModule(sl2, (0,), ((0,),))),
+    ("module", lambda sl2, p21: SAlgebra(None, ((0,),))),
+])
+def test_a_wrong_object_argument_is_a_shape_error_naming_it(sl2, p21, name,
+                                                            build):
+    with pytest.raises(ShapeError, match=f"^{name} must be of type "):
+        build(sl2, p21)
+
+
+@pytest.mark.parametrize("fn", [representable_tables, representable_semigroup])
+def test_an_unhashable_element_is_a_shape_error(sl2_inv, fn):
+    info = fn.cache_info()
+    with pytest.raises(ShapeError):
+        fn(sl2_inv, [0])
+    assert fn.cache_info() == info
