@@ -228,16 +228,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _size(text):
-    """A size argument: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 1, got {text!r}")
-    return value
+def _at_least(least):
+    """The type of an integer argument of at least ``least``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {least}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -300,7 +302,7 @@ def build_parser():
 
     p = sub.add_parser("fhat", help="build and validate F-hat(f)")
     p.add_argument("--morphism", required=True)
-    p.add_argument("--cap", type=int, default=2 ** 16)
+    p.add_argument("--cap", type=_at_least(0), default=2 ** 16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.add_argument("--dump-product", action="store_true")
@@ -310,11 +312,11 @@ def build_parser():
     p.add_argument("--list", action="store_true")
     p.add_argument("--statement", action="append",
                    choices=oracle.statement_ids(), metavar="ID")
-    p.add_argument("--max-order", type=_size, default=3)
+    p.add_argument("--max-order", type=_at_least(1), default=3)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream semigroup tables as JSONL")
-    p.add_argument("--order", type=_size, required=True)
+    p.add_argument("--order", type=_at_least(1), required=True)
     p.add_argument("--dedup", choices=("none", "iso", "iso+anti"),
                    default="iso+anti")
     p.add_argument("--stars", action="store_true")
@@ -323,7 +325,7 @@ def build_parser():
 
     p = sub.add_parser("family", help="emit a standard family member")
     p.add_argument("--name", required=True)
-    p.add_argument("--n", type=_size, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_family)
 

@@ -100,9 +100,10 @@ class Verdict:
 class memo:
     """A per-object memo, as functools.cached_property: the first read
     computes the value and stores it on the object, where later reads find
-    it.  It stores with setattr, because cached_property writes through
-    ``__dict__``, which on CPython 3.11 moves all of the object's attributes
-    into a dict and slows every later attribute read on the object.
+    it.  It stores with object.__setattr__, so that a frozen dataclass can
+    carry one, and never through ``__dict__`` as cached_property does: on
+    CPython 3.11 that moves all of the object's attributes into a dict and
+    slows every later attribute read on the object.
 
     On a module function of one object, ``func(obj)`` is memoised the same
     way, stored on ``obj`` under the function's name (which the object's
@@ -118,7 +119,7 @@ class memo:
         if obj is None:
             return self
         value = self.func(obj)
-        setattr(obj, self.name, value)
+        object.__setattr__(obj, self.name, value)
         return value
 
     def __call__(self, obj):
@@ -141,9 +142,20 @@ class InvalidStarSemigroup(Invalid):
     pass
 
 
+class Rows(NamedTuple):
+    """Per-element rows of a *-semigroup: the domain x*x, the codomain xx*,
+    and as a bitmask the set {f : ef = e = fe} of each e, so that for
+    idempotents e <= f is bit f of ``up[e]``."""
+
+    d: tuple[int, ...]
+    c: tuple[int, ...]
+    up: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class FiniteStarSemigroup:
-    """A finite semigroup with involution; every element a partial isometry."""
+    """A finite semigroup with involution; every element a partial isometry.
+    Its ``rows`` are computed on first use and kept."""
 
     order: int
     mul: tuple[tuple[int, ...], ...]
@@ -167,6 +179,20 @@ class FiniteStarSemigroup:
     def c(self, x: int) -> int:
         """Codomain xx*."""
         return self.mul[x][self.star[x]]
+
+    @memo
+    def rows(self) -> Rows:
+        mul, star = self.mul, self.star
+        up = []
+        for e, row in enumerate(mul):
+            bits = 0
+            for f, ef in enumerate(row):
+                if ef == e and mul[f][e] == e:
+                    bits |= 1 << f
+            up.append(bits)
+        return Rows(tuple(mul[star[x]][x] for x in self.elements),
+                    tuple(row[star[x]] for x, row in enumerate(mul)),
+                    tuple(up))
 
     def __repr__(self):
         tag = self.name or "?"
@@ -306,11 +332,6 @@ def idempotent_leq(X: FiniteStarSemigroup, e: int, f: int) -> bool:
     return X.mul[e][f] == e and X.mul[f][e] == e
 
 
-def _idem_leq(X, e, f):
-    # internal fast path: e, f known idempotent
-    return X.mul[e][f] == e and X.mul[f][e] == e
-
-
 FLAG_NAMES = (
     "restrictive", "corestrictive", "birestrictive", "involutive",
     "left_involutive", "right_involutive", "locally_involutive",
@@ -344,65 +365,79 @@ class ClassificationReport:
         return None
 
 
-def _first_pair(X, pred):
-    for x in X.elements:
-        for y in X.elements:
-            if not pred(x, y):
+def _restrictive_witness(X):
+    d, _, up = X.rows
+    for x, row in enumerate(X.mul):
+        for y, xy in enumerate(row):
+            if not up[d[xy]] >> d[y] & 1:
                 return (x, y)
     return None
 
 
-def _restrictive_witness(X):
-    return _first_pair(X, lambda x, y: _idem_leq(X, X.d(X.mul[x][y]), X.d(y)))
-
-
 def _corestrictive_witness(X):
-    return _first_pair(X, lambda x, y: _idem_leq(X, X.c(X.mul[x][y]), X.c(x)))
+    _, c, up = X.rows
+    for x, row in enumerate(X.mul):
+        upper = c[x]
+        for y, xy in enumerate(row):
+            if not up[c[xy]] >> upper & 1:
+                return (x, y)
+    return None
 
 
 def _birestrictive_witness(X):
     # the defining identity is recomputed, not the conjunction of flags
-    return _first_pair(
-        X,
-        lambda x, y: _idem_leq(X, X.d(X.mul[x][y]), X.d(y))
-        and _idem_leq(X, X.c(X.mul[x][y]), X.c(x)),
-    )
+    d, c, up = X.rows
+    for x, row in enumerate(X.mul):
+        upper = c[x]
+        for y, xy in enumerate(row):
+            if not (up[d[xy]] >> d[y] & 1 and up[c[xy]] >> upper & 1):
+                return (x, y)
+    return None
 
 
 def _involutive_witness(X):
-    return _first_pair(
-        X,
-        lambda x, y: X.star[X.mul[x][y]] == X.mul[X.star[y]][X.star[x]],
-    )
+    mul, star = X.mul, X.star
+    for x, row in enumerate(mul):
+        sx = star[x]
+        for y, xy in enumerate(row):
+            if star[xy] != mul[star[y]][sx]:
+                return (x, y)
+    return None
 
 
 def _left_involutive_witness(X):
-    return _first_pair(
-        X,
-        lambda x, y: X.star[X.mul[x][y]]
-        == X.mul[X.star[X.mul[X.d(x)][y]]][X.star[x]],
-    )
+    mul, star, d = X.mul, X.star, X.rows.d
+    for x, row in enumerate(mul):
+        sx, dx_row = star[x], mul[d[x]]
+        for y, xy in enumerate(row):
+            if star[xy] != mul[star[dx_row[y]]][sx]:
+                return (x, y)
+    return None
 
 
 def _right_involutive_witness(X):
-    return _first_pair(
-        X,
-        lambda x, y: X.star[X.mul[x][y]]
-        == X.mul[X.star[y]][X.star[X.mul[x][X.c(y)]]],
-    )
+    mul, star, c = X.mul, X.star, X.rows.c
+    for x, row in enumerate(mul):
+        for y, xy in enumerate(row):
+            if star[xy] != mul[star[y]][star[row[c[y]]]]:
+                return (x, y)
+    return None
 
 
 def _locally_involutive_witness(X):
     # exactly the three trigger conditions; no other pairs are tested
+    mul, star = X.mul, X.star
+    d, c, up = X.rows
     projs = set(projections(X))
-    for x in X.elements:
-        for y in X.elements:
+    for x, row in enumerate(mul):
+        dx, sx, x_proj = d[x], star[x], x in projs
+        for y, xy in enumerate(row):
             triggered = (
-                X.d(x) == X.c(y)
-                or (x in projs and _idem_leq(X, x, X.c(y)))
-                or (y in projs and _idem_leq(X, y, X.d(x)))
+                dx == c[y]
+                or (x_proj and up[x] >> c[y] & 1)
+                or (y in projs and up[y] >> dx & 1)
             )
-            if triggered and X.star[X.mul[x][y]] != X.mul[X.star[y]][X.star[x]]:
+            if triggered and star[xy] != mul[star[y]][sx]:
                 return (x, y)
     return None
 
@@ -429,11 +464,11 @@ def _unique_quasi_inverse_witness(X):
     In a *-semigroup x* is always a quasi-inverse of x, so failure means
     some x has a quasi-inverse y != x*.
     """
-    for x in X.elements:
-        for y in X.elements:
-            if y == X.star[x]:
-                continue
-            if X.mul[X.mul[x][y]][x] == x and X.mul[X.mul[y][x]][y] == y:
+    mul, star = X.mul, X.star
+    for x, row in enumerate(mul):
+        sx = star[x]
+        for y, xy in enumerate(row):
+            if y != sx and mul[xy][x] == x and mul[mul[y][x]][y] == y:
                 return (x, y)
     return None
 
@@ -492,7 +527,7 @@ def leq_left(X: FiniteStarSemigroup, x: int, y: int) -> bool:
     _check_element(X, x)
     _check_element(X, y)
     dx, dy = X.d(x), X.d(y)
-    return _idem_leq(X, dx, dy) and x == X.mul[y][dx]
+    return bool(X.rows.up[dx] >> dy & 1) and x == X.mul[y][dx]
 
 
 def leq_right(X: FiniteStarSemigroup, x: int, y: int) -> bool:
@@ -500,7 +535,7 @@ def leq_right(X: FiniteStarSemigroup, x: int, y: int) -> bool:
     _check_element(X, x)
     _check_element(X, y)
     cx, cy = X.c(x), X.c(y)
-    return _idem_leq(X, cx, cy) and x == X.mul[cx][y]
+    return bool(X.rows.up[cx] >> cy & 1) and x == X.mul[cx][y]
 
 
 @dataclass(frozen=True)
@@ -727,7 +762,8 @@ def _crosscheck_etale(f, main_verdict):
     X, S = f.source, f.target
 
     def downset(Z, p):
-        return [z for z in Z.elements if _idem_leq(Z, Z.c(z), p)]
+        _, c, up = Z.rows
+        return [z for z in Z.elements if up[c[z]] >> p & 1]
 
     coset_ok = True
     for p in projections(X):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import topos
 from .core import (
@@ -424,62 +425,78 @@ class FHatAlgebra:
 
 def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     """Materialize F-hat(f) = {(r, A) : A a finite subset of the fiber over
-    r} with union addition and the derived product As + rB."""
+    r} with union addition and the derived product As + rB; CarrierTooLarge
+    when it would have more than ``cap`` elements, and ShapeError when
+    ``cap`` is not a non-negative int.
+
+    A subset is the bitmask of its elements' positions in the ascending
+    fiber, and (r, A) sits at offset[r] + A.  Star and action map a subset
+    through the image of each of its bits; ``elements``, ``index`` and
+    ``position`` still speak of frozensets."""
+    if type(cap) is not int or cap < 0:
+        raise ShapeError(f"cap must be a non-negative integer, got {cap!r}")
     if not f.is_star_hom or not is_etale(f):
         raise NotEtale("F-hat needs an etale *-homomorphism")
     X, S = f.source, f.target
     if not classify(X).left_involutive:
         raise topos.NotLeftInvolutive("F-hat needs a left involutive source")
-    fibers = {r: [x for x in X.elements if f.map[x] == r] for r in S.elements}
-    total = sum(2 ** len(v) for v in fibers.values())
+    fibers = [[] for _ in S.elements]
+    bit = []
+    for x in X.elements:
+        fib = fibers[f.map[x]]
+        bit.append(1 << len(fib))
+        fib.append(x)
+    sizes = [1 << len(fib) for fib in fibers]
+    total = sum(sizes)
     if total > cap:
         raise CarrierTooLarge(f"F-hat carrier would have {total} > {cap} elements")
 
-    act0 = canonical_action(f)
+    act0 = canonical_action(f).action
+    offset = (0, *accumulate(sizes))
+    n = offset[-1]
     elements = []
-    for r in S.elements:
-        fib = fibers[r]
-        for mask in range(2 ** len(fib)):
-            subset = frozenset(fib[i] for i in range(len(fib)) if mask >> i & 1)
-            elements.append((r, subset))
+    for r, fib in enumerate(fibers):
+        subsets = [frozenset()]
+        for x in fib:
+            subsets += [A | {x} for A in subsets]
+        elements += [(r, A) for A in subsets]
     elements = tuple(elements)
     index = {el: i for i, el in enumerate(elements)}
 
-    def star_of(el):
-        r, A = el
-        return (S.star[r], frozenset(X.star[a] for a in A))
-
-    def act_of(el, s):
-        r, A = el
-        return (S.mul[r][s], frozenset(act0.act(a, s) for a in A))
-
-    def left_of(r, el):
-        return star_of(act_of(star_of(el), S.star[r]))
-
-    n = len(elements)
-    star = tuple(index[star_of(el)] for el in elements)
-    smap = tuple(r for r, _ in elements)
-    action = tuple(
-        tuple(index[act_of(el, s)] for s in S.elements) for el in elements
-    )
+    star, action, add = [], [], []
+    for r, fib in enumerate(fibers):
+        star_r = offset[S.star[r]]
+        star += [star_r + B
+                 for B in _subset_images([bit[X.star[x]] for x in fib])]
+        cols = [(offset[rs], _subset_images([bit[act0[x][s]] for x in fib]))
+                for s, rs in enumerate(S.mul[r])]
+        lo, size = offset[r], sizes[r]
+        before, after = (-1,) * lo, (-1,) * (n - lo - size)
+        for A in range(size):
+            action.append(tuple(o + images[A] for o, images in cols))
+            add.append(before + tuple(lo + (A | B) for B in range(size)) + after)
+    smap = tuple(r for r, size in enumerate(sizes) for _ in range(size))
     sset = make_sset(n, star, S, smap, action)
-    zero = tuple(index[(r, frozenset())] for r in S.elements)
-    add = []
-    for (r, A) in elements:
-        row = []
-        for (r2, B) in elements:
-            row.append(index[(r, A | B)] if r == r2 else -1)
-        add.append(tuple(row))
-    module = SModule(sset, zero, tuple(add))
+    module = SModule(sset, offset[:-1], tuple(add))
     algebra = idem_to_algebra(module)
 
-    # direct product formula AB = As union rB must agree with the derived one
-    for i, (r, A) in enumerate(elements):
-        for j, (s2, B) in enumerate(elements):
-            direct = (S.mul[r][s2],
-                      act_of((r, A), s2)[1] | left_of(r, (s2, B))[1])
-            if algebra.product[i][j] != index[direct]:
-                raise ConsistencyError("derived product differs from As + rB")
+    # the direct product formula AB = As union rB must agree with the
+    # derived one; As and rB are mapped bit by bit from X's star and the
+    # canonical action, not read from the tables above
+    for r, fib in enumerate(fibers):
+        rstar, mul_r = S.star[r], S.mul[r]
+        right = [_subset_images([bit[act0[x][s]] for x in fib])
+                 for s in S.elements]
+        left = [_subset_images([bit[X.star[act0[X.star[x]][rstar]]]
+                                for x in fib_s])
+                for fib_s in fibers]
+        for A in range(sizes[r]):
+            row = algebra.product[offset[r] + A]
+            for s, left_s in enumerate(left):
+                base, As, lo = offset[mul_r[s]], right[s][A], offset[s]
+                for B, rB in enumerate(left_s):
+                    if row[lo + B] != base + (As | rB):
+                        raise ConsistencyError("derived product differs from As + rB")
 
     mul_table = algebra.product
     sg = validate_star_semigroup(n, mul_table, star, name="Fhat")
@@ -491,6 +508,15 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
 
     out = FHatAlgebra(f, S, elements, index, module, algebra, sg, psi)
     _fhat_identities(out)
+    return out
+
+
+def _subset_images(bits):
+    """Per mask over len(bits) positions, the OR of ``bits[i]`` over its set
+    bits i: the image of every subset under a map given bit by bit."""
+    out = [0]
+    for b in bits:
+        out += [image | b for image in out]
     return out
 
 

@@ -10,10 +10,16 @@ involutive source; when both apply their results are compared.
 ``lam(P)`` and ``gamma(f, budget, strategy)`` share what they build: a call
 returns the object already built for the same ``P`` (or the same ``f``,
 strategy and budget) while some caller still holds it, and builds afresh
-once every holder has dropped it.  Every check runs once per object built,
-and a call that raises leaves nothing behind.  Sharing is by identity, so a
-``Presheaf`` or ``StarMorphism`` must not be mutated after construction, nor
-a ``LambdaObject`` or ``GammaPresheaf`` at all.
+once every holder has dropped it.  Lambda also shares by table: a Lambda
+whose product, star and map tables equal those of one still held, over the
+same base semigroup object, gets that one's validated semigroup and
+structure map, with their verdicts, and runs only the check against its own
+``P``'s transitions.  So the unit, counit and ``m`` checks on one presheaf,
+whose three Lambdas often have equal tables, validate each distinct Lambda
+once.  Every other check runs once per object built, and a call that raises
+leaves nothing behind.  Shared objects are handed to every caller, so a
+``Presheaf`` or ``StarMorphism`` must not be mutated after construction,
+nor a ``LambdaObject`` or ``GammaPresheaf`` at all.
 
 Derived objects are built once each, by the module that owns them: the S(e)
 tables per base and idempotent (``site.representable_tables``; Gamma reads
@@ -105,9 +111,11 @@ def resolve_budget(value=None, default=DEFAULT_BUDGET):
 
 
 # What lam and gamma built, keyed by the id of the presheaf or morphism they
-# were built from.  Values are held weakly, so an entry lasts only while some
-# caller holds the result; the result refers to its presheaf or morphism,
-# which therefore stays alive and keeps its id while the entry exists.
+# were built from, and Lambda's structure maps, keyed by the id of the base
+# semigroup and the product, star and map tables.  Values are held weakly,
+# so an entry lasts only while some caller holds the result; the result
+# refers to its presheaf, morphism or base, which therefore stays alive and
+# keeps its id while the entry exists.
 _BUILT = weakref.WeakValueDictionary()
 
 
@@ -166,7 +174,6 @@ def _lam(P: Presheaf) -> LambdaObject:
     trans = P.transitions
 
     # (p, y)(r, x) = (pr, y . c(pr)) depends on x only through r's block
-    n = len(pairs)
     mul = []
     for p in sg.elements:
         blocks = []
@@ -177,19 +184,18 @@ def _lam(P: Presheaf) -> LambdaObject:
             row = []
             for base, tr, w in blocks:
                 row += [base + tr[y]] * w
-            mul.append(row)
+            mul.append(tuple(row))
+    mul = tuple(mul)
     # (r, x)* = (r*, x . r)
-    star = [offset[sg.star[r]] + trans[(r, c[r])][x] for r, x in pairs]
-    lsg = validate_star_semigroup(n, mul, star, name="Lambda")
-    f = StarMorphism(lsg, sg, tuple(r for r, _ in pairs), name="lambda-map")
-    if not classify(lsg).left_involutive:
-        raise ConsistencyError("Lambda(P) is not left involutive")
-    if not f.is_star_hom or not is_etale(f):
-        raise ConsistencyError("Lambda(P) structure map is not an etale *-homomorphism")
-    idems = set(idempotents(sg))
-    expected = {i for i, (r, _) in enumerate(pairs) if r in idems}
-    if set(projections(lsg)) != expected:
-        raise ConsistencyError("projections of Lambda(P) are not the idempotent pairs")
+    star = tuple(offset[sg.star[r]] + trans[(r, c[r])][x] for r, x in pairs)
+    smap = tuple(r for r, _ in pairs)
+    # a structure map with these tables over sg, if one is held, comes
+    # validated with its verdicts; only the check against P's transitions
+    # below is P's own
+    f = _BUILT.get(("lam-tables", id(sg), mul, star, smap))
+    built = f is None
+    if built:
+        f = _lambda_map(sg, mul, star, smap)
     A = ssets.canonical_action(f)
     for (r, x), act_i in zip(pairs, A.action):
         mul_r = sg.mul[r]
@@ -198,7 +204,27 @@ def _lam(P: Presheaf) -> LambdaObject:
             if act_i[s] != offset[rs] + trans[(c[rs], c[r])][x]:
                 raise ConsistencyError("canonical action differs from the "
                                        "transition formula on Lambda(P)")
-    return LambdaObject(P, S, pairs, index, lsg, f)
+    if built:
+        # keyed on the tables the semigroup keeps, so none is held twice
+        _BUILT[("lam-tables", id(sg), f.source.mul, f.source.star, f.map)] = f
+    return LambdaObject(P, S, pairs, index, f.source, f)
+
+
+def _lambda_map(sg, mul, star, smap) -> StarMorphism:
+    """The structure map of Lambda's tables, validated: a left involutive
+    semigroup, an etale *-homomorphism onto ``sg``, and projections exactly
+    the pairs over idempotents."""
+    lsg = validate_star_semigroup(len(smap), mul, star, name="Lambda")
+    f = StarMorphism(lsg, sg, smap, name="lambda-map")
+    if not classify(lsg).left_involutive:
+        raise ConsistencyError("Lambda(P) is not left involutive")
+    if not f.is_star_hom or not is_etale(f):
+        raise ConsistencyError("Lambda(P) structure map is not an etale *-homomorphism")
+    idems = set(idempotents(sg))
+    expected = {i for i, r in enumerate(smap) if r in idems}
+    if set(projections(lsg)) != expected:
+        raise ConsistencyError("projections of Lambda(P) are not the idempotent pairs")
+    return f
 
 
 def lambda_morphism(gamma_map: PresheafMap,

@@ -344,3 +344,15 @@ def test_out_of_range_entries_are_a_shape_error(tmp_path, doc):
     code, out = run_cli("validate", str(path))
     assert code == 1
     assert out.startswith("FAIL  error  [ShapeError]")
+
+
+@pytest.mark.parametrize("cap", ["-1", "-5", "x"])
+def test_fhat_bad_cap_is_a_usage_error(capsys, cap):
+    try:
+        code, out = run_cli("fhat", "--morphism",
+                            str(FIXTURES / "id_sl2.json"), "--cap", cap)
+    except SystemExit as exc:
+        code, out = exc.code, ""
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "--cap" in err
