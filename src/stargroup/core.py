@@ -10,7 +10,7 @@ which keeps reports deterministic regardless of how a sweep is scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import update_wrapper
 from typing import NamedTuple
 
 
@@ -97,34 +97,54 @@ class Verdict:
         return self.ok
 
 
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
 class memo:
-    """A per-object memo, as functools.cached_property: the first read
-    computes the value and stores it on the object, where later reads find
-    it.  It stores with object.__setattr__, so that a frozen dataclass can
-    carry one, and never through ``__dict__`` as cached_property does: on
-    CPython 3.11 that moves all of the object's attributes into a dict and
-    slows every later attribute read on the object.
+    """A per-object memo, as functools.cached_property, but stored with
+    object.__setattr__: a frozen dataclass can carry one, and on CPython
+    3.11 writing through ``__dict__`` slows every later attribute read.
 
-    On a module function of one object, ``func(obj)`` is memoised the same
-    way, stored on ``obj`` under the function's name (which the object's
-    class must not otherwise use).  An error is never kept."""
+    On a module function, ``func(obj)`` is stored on ``obj`` under the
+    function's name (which the object's class must not otherwise use), and
+    ``func(obj, *key)`` in a dict by key there.  ``check(obj, *key)``, if
+    given, runs first on every call.  The function form counts hits and
+    misses for ``cache_info``.  An error is never kept."""
 
-    def __init__(self, func):
+    def __init__(self, func, check=None):
+        update_wrapper(self, func)
         self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-        self.__wrapped__ = func
+        self.check = check
+        self.hits = self.misses = 0
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
         value = self.func(obj)
-        object.__setattr__(obj, self.name, value)
+        object.__setattr__(obj, self.__name__, value)
         return value
 
-    def __call__(self, obj):
-        value = getattr(obj, self.name, _UNSET)
-        return self.__get__(obj) if value is _UNSET else value
+    def __call__(self, obj, *key):
+        if self.check is not None:
+            self.check(obj, *key)
+        held = getattr(obj, self.__name__, _UNSET)
+        if key and held is _UNSET:
+            held = {}
+            object.__setattr__(obj, self.__name__, held)
+        value = held.get(key, _UNSET) if key else held
+        if value is not _UNSET:
+            self.hits += 1
+            return value
+        self.misses += 1
+        if not key:
+            return self.__get__(obj)
+        value = held[key] = self.func(obj, *key)
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses)
 
 
 _UNSET = object()
@@ -155,22 +175,17 @@ class Rows(NamedTuple):
 @dataclass(frozen=True)
 class FiniteStarSemigroup:
     """A finite semigroup with involution; every element a partial isometry.
-    Its ``rows`` are computed on first use and kept."""
+    What is derived from it alone (``rows``, ``classify``, ``projections``
+    and the like) is computed on first use and kept on it."""
 
     order: int
     mul: tuple[tuple[int, ...], ...]
     star: tuple[int, ...]
     name: str | None = None
 
-    @property
+    @memo
     def elements(self) -> range:
         return range(self.order)
-
-    def m(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def s(self, x: int) -> int:
-        return self.star[x]
 
     def d(self, x: int) -> int:
         """Domain x*x."""
@@ -310,12 +325,12 @@ def cod(X: FiniteStarSemigroup, x: int) -> int:
     return e
 
 
-@cache
+@memo
 def idempotents(X: FiniteStarSemigroup) -> tuple[int, ...]:
     return tuple(x for x in X.elements if X.mul[x][x] == x)
 
 
-@cache
+@memo
 def projections(X: FiniteStarSemigroup) -> tuple[int, ...]:
     return tuple(x for x in X.elements
                  if X.mul[x][x] == x and X.star[x] == x)
@@ -473,7 +488,7 @@ def _unique_quasi_inverse_witness(X):
     return None
 
 
-@cache
+@memo
 def classify(X: FiniteStarSemigroup) -> ClassificationReport:
     """Classify X into the semigroup hierarchy.
 
@@ -584,7 +599,7 @@ class Relation:
         return True
 
 
-@cache
+@memo
 def natural_order(X: FiniteStarSemigroup) -> Relation:
     """The common left/right partial order of a locally involutive semigroup.
 

@@ -10,7 +10,6 @@ identities; it is never stored separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 
 from .core import (
     ConsistencyError,
@@ -24,6 +23,7 @@ from .core import (
     Violation,
     classify,
     freeze,
+    memo,
     natural_order,
     projections,
     validate_star_semigroup,
@@ -228,7 +228,7 @@ def _ext_or_none(G, x, y):
     return _ext(G, x, y)
 
 
-@cache
+@memo
 def _extended_associativity_checked(G: OrderedGroupoidWithMediator) -> bool:
     """Sweep (x(x)y)(x)z = x(x)(y(x)z) over all chains where both sides are
     defined; ran once per groupoid."""

@@ -8,7 +8,7 @@ was written by this module.
 Every reader first checks the JSON shape of its input (an object with the
 required keys, each of the expected JSON type) and raises ``InputError``
 when it does not match; only then are the tables validated, and a table
-that breaks an axiom raises a ``StarError`` as before.
+that breaks an axiom raises a ``StarError``.
 """
 
 from __future__ import annotations

@@ -4,13 +4,18 @@ presheaves on it, and the representable left involutive semigroups S(e).
 Presheaves store a transition table for every L(S)-morphism, so validation
 is pure table checking.  Fiber labels are opaque strings; internally each
 fiber is addressed by dense indices.
+
+What depends on the base alone (its L(S)-morphisms, the presheaf search
+plan, the S(e) tables and semigroups) is kept on the ``InverseSemigroup``
+with ``core.memo``, and ``as_inverse`` keeps one on each semigroup, so it
+is built once per base and lives as long as the base.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache, wraps
+from functools import partial
 from typing import NamedTuple
 
 from .core import (
@@ -28,6 +33,7 @@ from .core import (
     freeze,
     idempotents,
     is_etale,
+    memo,
     validate_star_semigroup,
 )
 
@@ -62,9 +68,11 @@ class InverseSemigroup:
         return f"InverseSemigroup({self.semigroup.name or '?'})"
 
 
+@memo
 def as_inverse(X: FiniteStarSemigroup) -> InverseSemigroup:
     """Wrap X as an inverse semigroup: classify's inverse flag already means
-    that the star is the unique quasi-inverse of each element."""
+    that the star is the unique quasi-inverse of each element.  One wrapper
+    per semigroup object, kept on it."""
     report = classify(X)
     if not report.inverse:
         raise NotInverse(
@@ -89,7 +97,8 @@ def ls_dom(S: InverseSemigroup, m: LSMorphism) -> int:
     return sg.mul[sg.star[m.s]][m.s]
 
 
-def _check_idempotent(sg: FiniteStarSemigroup, e):
+def _check_idempotent(S: InverseSemigroup, e):
+    sg = S.semigroup
     _check_element(sg, e)
     if sg.mul[e][e] != e:
         raise NotIdempotent(f"{e} is not idempotent")
@@ -97,9 +106,9 @@ def _check_idempotent(sg: FiniteStarSemigroup, e):
 
 def ls_morphisms(S: InverseSemigroup, d: int, e: int) -> tuple[LSMorphism, ...]:
     """All morphisms d -> e, ascending element order."""
+    _check_idempotent(S, d)
+    _check_idempotent(S, e)
     sg = S.semigroup
-    _check_idempotent(sg, d)
-    _check_idempotent(sg, e)
     return tuple(
         LSMorphism(s, e)
         for s in sg.elements
@@ -107,7 +116,7 @@ def ls_morphisms(S: InverseSemigroup, d: int, e: int) -> tuple[LSMorphism, ...]:
     )
 
 
-@cache
+@memo
 def all_ls_morphisms(S: InverseSemigroup) -> tuple[LSMorphism, ...]:
     sg = S.semigroup
     return tuple(
@@ -125,7 +134,7 @@ def compose_ls(S: InverseSemigroup, m1: LSMorphism, m2: LSMorphism) -> LSMorphis
     return LSMorphism(S.semigroup.mul[m1.s][m2.s], m1.e)
 
 
-@cache
+@memo
 def _composable_triples(S: InverseSemigroup):
     """Every composite m12 = m1 m2 of L(S) as key triples (m12, m1, m2),
     keys (s, e), in (m1, m2) order; built once per base."""
@@ -194,11 +203,8 @@ class Presheaf:
     def transition(self, s: int, e: int) -> tuple[int, ...]:
         return self.transitions[(s, e)]
 
-    def total_size(self) -> int:
-        return sum(len(v) for v in self.fibers.values())
-
     def is_empty(self) -> bool:
-        return self.total_size() == 0
+        return not any(self.fibers.values())
 
     def __eq__(self, other):
         return (isinstance(other, Presheaf)
@@ -211,7 +217,7 @@ class Presheaf:
         return f"Presheaf({self.base!r}, fibers={sizes})"
 
 
-@cache
+@memo
 def _transition_shapes(S: InverseSemigroup):
     """Per L(S)-morphism key (s, e), the field name that a shape error
     gives its transition, and its domain s*s; built once per base."""
@@ -282,8 +288,7 @@ def empty_presheaf(S: InverseSemigroup) -> Presheaf:
 
 def representable_presheaf(S: InverseSemigroup, e: int) -> Presheaf:
     """e-hat: fiber at d is Hom(d, e), transition by composition."""
-    sg = S.semigroup
-    _check_idempotent(sg, e)
+    _check_idempotent(S, e)
     homs = {d: ls_morphisms(S, d, e) for d in S.idempotents}
     fibers = {d: tuple(str(m.s) for m in homs[d]) for d in S.idempotents}
     transitions = {}
@@ -351,27 +356,13 @@ class RepresentableTables(_SeTables):
         return tables
 
 
-def _per_idempotent(build):
-    """``build(S, e)`` memoised per (S, e) in an unbounded lru_cache, with
-    the idempotent check run first: an unhashable, float or bool ``e`` is a
-    ShapeError, never a TypeError from the cache or a hit on the entry of 0
-    or 1.  ``cache_info`` is the cache's."""
-    cached = lru_cache(maxsize=None, typed=True)(build)
-
-    @wraps(build)
-    def checked(S: InverseSemigroup, e: int):
-        _check_idempotent(S.semigroup, e)
-        return cached(S, e)
-
-    checked.cache_info = cached.cache_info
-    return checked
-
-
-@_per_idempotent
+# the idempotent check runs before the memo is read, so that an unhashable,
+# float or bool e is refused, never a TypeError or the entry of 0 or 1
+@partial(memo, check=_check_idempotent)
 def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
     """The carrier of S(e), the pairs (r, s) with d(s) = c(r) and es = s in
     lexicographic order, with the product (p, q)(r, s) = (pr, q c(pr)) and
-    the star (r, s)* = (r*, sr) as index tables.  Built once per (S, e);
+    the star (r, s)* = (r*, sr) as index tables.  Kept on S per e;
     representable_semigroup validates them, the Gamma search reads them."""
     sg = S.semigroup
     mul, star, c = sg.mul, sg.star, [sg.c(x) for x in sg.elements]
@@ -394,7 +385,7 @@ class RepresentableSemigroup:
     psi: StarMorphism
 
 
-@_per_idempotent
+@partial(memo, check=_check_idempotent)
 def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
     """S(e) with structure map psi(r, s) = r; validated left involutive with
     psi an etale *-homomorphism, and cross-checked against Lambda(e-hat)."""
@@ -438,17 +429,21 @@ def _check_against_lambda(S, e, se, carrier):
                 raise ConsistencyError("Lambda(e-hat) and S(e) products differ")
 
 
+@memo
+def _action_table(S: InverseSemigroup, m: LSMorphism) -> tuple[int, ...]:
+    """S(m) as an index table from the S(d) to the S(e) carrier."""
+    mul_s = S.semigroup.mul[m.s]
+    tpos = {pair: i for i, pair in
+            enumerate(representable_tables(S, m.e).carrier)}
+    return tuple(tpos[(u, mul_s[v])]
+                 for u, v in representable_tables(S, ls_dom(S, m)).carrier)
+
+
 def representable_action(S: InverseSemigroup, m: LSMorphism) -> StarMorphism:
     """S(m): S(d) -> S(e) over S, (u, v) |-> (u, m.s v)."""
-    sg = S.semigroup
-    d = ls_dom(S, m)
-    src = representable_semigroup(S, d)
+    src = representable_semigroup(S, ls_dom(S, m))
     tgt = representable_semigroup(S, m.e)
-    tpos = {pair: i for i, pair in enumerate(tgt.carrier)}
-    mapping = tuple(
-        tpos[(u, sg.mul[m.s][v])] for (u, v) in src.carrier
-    )
-    f = StarMorphism(src.semigroup, tgt.semigroup, mapping,
+    f = StarMorphism(src.semigroup, tgt.semigroup, _action_table(S, m),
                      name=f"S({m.s}->{m.e})")
     if not f.is_star_hom:
         raise ConsistencyError(f"S({m}) is not a *-homomorphism")
@@ -459,18 +454,10 @@ def representable_action(S: InverseSemigroup, m: LSMorphism) -> StarMorphism:
     return f
 
 
-@cache
+@memo
 def _representable_functoriality(S: InverseSemigroup) -> bool:
     """S(st) = S(s)S(t) for all composable pairs; ran once per base."""
-    sg = S.semigroup
-    morphs = all_ls_morphisms(S)
-    raw = {}
-    for m in morphs:
-        d = ls_dom(S, m)
-        src = representable_tables(S, d).carrier
-        tgt = representable_tables(S, m.e).carrier
-        tpos = {pair: i for i, pair in enumerate(tgt)}
-        raw[(m.s, m.e)] = tuple(tpos[(u, sg.mul[m.s][v])] for (u, v) in src)
+    raw = {(m.s, m.e): _action_table(S, m) for m in all_ls_morphisms(S)}
     for k12, k1, k2 in _composable_triples(S):
         if raw[k12] != tuple(raw[k1][v] for v in raw[k2]):
             m1, m2, m12 = (LSMorphism(*k) for k in (k1, k2, k12))
@@ -494,7 +481,7 @@ class _FillStep(NamedTuple):
     checks: tuple      # through key, all three keys assigned by this depth
 
 
-@cache
+@memo
 def _presheaf_skeleton(S: InverseSemigroup) -> tuple[_FillStep, ...]:
     """The plan of _fill_transitions, one step per non-identity morphism in
     assignment order; built once per base.  The identities are assigned
@@ -580,9 +567,17 @@ def _fill_transitions(S, profile, rng=None):
     yield from fill(0)
 
 
+def _check_generator_args(S, max_fiber, least):
+    check_instance(S, InverseSemigroup, "base")
+    if type(max_fiber) is not int or max_fiber < least:
+        raise ShapeError(f"max_fiber must be an integer >= {least}, "
+                         f"got {max_fiber!r}")
+
+
 def enumerate_presheaves(S: InverseSemigroup, max_fiber: int):
     """All presheaves on L(S) with every fiber of size <= max_fiber,
     deterministic order, canonical string labels."""
+    _check_generator_args(S, max_fiber, 0)
     for profile in _valid_size_profiles(S, max_fiber):
         fibers = {e: tuple(str(i) for i in range(n))
                   for e, n in profile.items()}
@@ -592,6 +587,7 @@ def enumerate_presheaves(S: InverseSemigroup, max_fiber: int):
 
 def random_presheaf(S: InverseSemigroup, max_fiber: int, rng) -> Presheaf:
     """One random valid presheaf; deterministic for a given rng state."""
+    _check_generator_args(S, max_fiber, 1)
     profiles = [p for p in _valid_size_profiles(S, max_fiber)
                 if sum(p.values()) > 0]
     rng.shuffle(profiles)

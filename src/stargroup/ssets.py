@@ -55,8 +55,8 @@ class SSetStructure:
         self.action = freeze(self.action, "action", n, length=n,
                              width=self.base.order)
 
-    @property
-    def elements(self):
+    @memo
+    def elements(self) -> range:
         return range(self.size)
 
     def act(self, x: int, s: int) -> int:
@@ -129,33 +129,22 @@ def _balance_witness(star, act, sstar, srng):
 def check_sset(A: SSetStructure):
     """Violations of the involutive S-set axioms, swept once per S-set."""
     S = A.base
-    star, smap, act, smul = A.star, A.smap, A.action, S.mul
-    out = []
-    for x in A.elements:
-        if star[star[x]] != x:
-            out.append(Violation("InvolutionViolation", (x,)))
-            break
-    for x in A.elements:
-        if smap[star[x]] != S.star[smap[x]]:
-            out.append(Violation("StarMorphismViolation", (x,)))
-            break
-    wit = next(
-        ((x, s) for x in A.elements for s in S.elements
-         if smap[act[x][s]] != smul[smap[x]][s]),
-        None,
+    star, smap, act, smul, xs = A.star, A.smap, A.action, S.mul, A.elements
+    found = (
+        ("InvolutionViolation",
+         next(((x,) for x in xs if star[star[x]] != x), None)),
+        ("StarMorphismViolation",
+         next(((x,) for x in xs if smap[star[x]] != S.star[smap[x]]), None)),
+        ("EquivarianceViolation",
+         next(((x, s) for x in xs for s in S.elements
+               if smap[act[x][s]] != smul[smap[x]][s]), None)),
+        ("UnitViolation",
+         next(((x,) for x in xs if act[x][S.d(smap[x])] != x), None)),
+        ("ActionAssociativityViolation",
+         action_associativity_witness(act, smul)),
     )
-    if wit is not None:
-        out.append(Violation("EquivarianceViolation", wit))
-    wit = next(
-        ((x,) for x in A.elements if act[x][S.d(smap[x])] != x),
-        None,
-    )
-    if wit is not None:
-        out.append(Violation("UnitViolation", wit))
-    wit = action_associativity_witness(act, smul)
-    if wit is not None:
-        out.append(Violation("ActionAssociativityViolation", wit))
-    return tuple(out)
+    return tuple(Violation(kind, wit) for kind, wit in found
+                 if wit is not None)
 
 
 def make_sset(size, star, base, smap, action) -> SSetStructure:

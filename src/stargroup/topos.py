@@ -21,14 +21,14 @@ leaves nothing behind.  Shared objects are handed to every caller, so a
 ``Presheaf`` or ``StarMorphism`` must not be mutated after construction,
 nor a ``LambdaObject`` or ``GammaPresheaf`` at all.
 
-Derived objects are built once each, by the module that owns them: the S(e)
-tables per base and idempotent (``site.representable_tables``; Gamma reads
-them unvalidated, and keeps its search plan on them, ``_gamma_plan``), the
-lift table per morphism (``StarMorphism.lifts``, read by ``etale_lift`` and
-the canonical action), the canonical action per morphism, the S-set axiom
-sweep per S-set and the verdict per algebra (``ssets.canonical_action``,
-``ssets.check_sset``, ``modalg.validate_algebra``).  The last three are kept
-on their object, so an ``SSetStructure``, ``SModule`` or ``SAlgebra`` must
+Everything else derived from one object is kept on that object with
+``core.memo`` and lives as long as it does: the S(e) tables on their base
+(``site.representable_tables``; Gamma reads them unvalidated and keeps its
+search plan on them, ``_gamma_plan``), the lift table and the canonical
+action on a morphism (``StarMorphism.lifts``, ``ssets.canonical_action``),
+the axiom sweep on an S-set and the verdict on an algebra
+(``ssets.check_sset``, ``modalg.validate_algebra``).  So an object that
+carries a memo, an ``SSetStructure``, ``SModule`` or ``SAlgebra`` too, must
 not be mutated after construction either.
 """
 
@@ -65,6 +65,7 @@ from .site import (
     Presheaf,
     PresheafMap,
     RepresentableTables,
+    _action_table,
     all_ls_morphisms,
     as_inverse,
     ls_dom,
@@ -409,19 +410,16 @@ def _gamma(f: StarMorphism, budget: int, strategy: str) -> GammaPresheaf:
                     f"Gamma strategies disagree at idempotent {e}")
             alphas[e] = generic
 
-    sg = S.semigroup
     fibers = {e: tuple(str(i) for i in range(len(alphas[e])))
               for e in S.idempotents}
     transitions = {}
     for m in all_ls_morphisms(S):
-        d = ls_dom(S, m)
-        pos_e = {u: i for i, u in enumerate(carriers[m.e])}
-        lookup = {table: i for i, table in enumerate(alphas[d])}
+        # alpha . m reads alpha at S(m) of each element of S(d)
+        action = _action_table(S, m)
+        lookup = {table: i for i, table in enumerate(alphas[ls_dom(S, m)])}
         tr = []
         for table in alphas[m.e]:
-            moved = tuple(
-                table[pos_e[(p, sg.mul[m.s][q])]] for (p, q) in carriers[d]
-            )
+            moved = tuple(table[i] for i in action)
             if moved not in lookup:
                 raise ConsistencyError(
                     f"Gamma transition along {m} leaves the fiber")

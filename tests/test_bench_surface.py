@@ -46,6 +46,21 @@ def test_cached_functions_report_cache_info(tracer):
         assert callable(_resolve(name).cache_info), name
 
 
+def test_cache_info_counts_the_calls_of_each_cached_function(tracer, sl2_inv):
+    # the traced run reads .hits and .misses, not only a callable
+    args = {"core.classify": (sl2_inv.semigroup,),
+            "site.representable_semigroup": (sl2_inv, 1)}
+    assert set(args) == set(tracer.CACHED)
+    for name in tracer.CACHED:
+        fn = _resolve(name)
+        fn(*args[name])
+        info = fn.cache_info()
+        assert type(info.hits) is int and type(info.misses) is int, name
+        assert info.hits + info.misses >= 1, name
+        fn(*args[name])
+        assert fn.cache_info().hits == info.hits + 1, name
+
+
 def test_argument_counts_match_signatures(tracer):
     expected = {
         "ssets.make_sset": ["size", "star", "base"],

@@ -401,3 +401,26 @@ def test_element_arguments_are_checked_first(sl2_inv, fn, args):
     representable_semigroup(sl2_inv, 0)
     with pytest.raises(ShapeError):
         fn(sl2_inv, *args)
+
+
+@pytest.mark.parametrize("max_fiber", [2.0, True, False, -1, "2", None])
+def test_enumerate_presheaves_refuses_a_bad_max_fiber(sl2_inv, max_fiber):
+    with pytest.raises(ShapeError, match="^max_fiber must be an integer >= 0"):
+        next(enumerate_presheaves(sl2_inv, max_fiber))
+
+
+@pytest.mark.parametrize("max_fiber", [0, -1, 1.5, True, "1"])
+def test_random_presheaf_refuses_a_bad_max_fiber(sl2_inv, max_fiber):
+    with pytest.raises(ShapeError, match="^max_fiber must be an integer >= 1"):
+        random_presheaf(sl2_inv, max_fiber, random.Random(0))
+
+
+def test_presheaf_generators_refuse_a_base_that_is_not_inverse(sl2):
+    with pytest.raises(ShapeError, match="^base must be of type Inverse"):
+        next(enumerate_presheaves(sl2, 1))
+    with pytest.raises(ShapeError, match="^base must be of type Inverse"):
+        random_presheaf(sl2, 1, random.Random(0))
+
+
+def test_enumerate_presheaves_with_max_fiber_0_yields_the_empty_one(sl2_inv):
+    assert [P.is_empty() for P in enumerate_presheaves(sl2_inv, 0)] == [True]
