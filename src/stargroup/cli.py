@@ -20,6 +20,7 @@ from .core import (
     classify,
     idempotents,
     natural_order,
+    same_tables,
     FLAG_NAMES,
 )
 from .modalg import CarrierTooLarge
@@ -93,7 +94,6 @@ def cmd_esn_check(args, report):
     X = serialize.load_semigroup(args.input)
     name = _instance_name(X, args.input)
     G = gp.esn_groupoid(X)
-    from .core import same_tables
     report.add("esn-roundtrip-semigroup", name,
                same_tables(gp.esn_semigroup(G), X))
     report.add("esn-roundtrip-groupoid", name,
@@ -175,9 +175,9 @@ def cmd_fhat(args, report):
                witness=[list(v) for v in rep.violations[:3]] or None)
     r = modalg.rho(fh)
     report.add("fhat:rho-left-star-hom", name, r.is_left_star_hom)
-    free = modalg.FreeModule(f)
-    report.add("fhat:free-module-sample", name,
-               free.check_axioms(seed=args.seed))
+    sample = modalg.FreeModule(f).check_axioms(seed=args.seed)
+    report.add("fhat:free-module-sample", name, sample.ok,
+               witness=[list(v) for v in sample.violations[:3]] or None)
     if args.output:
         serialize._write(args.output,
                          serialize.fhat_to_dict(fh, args.dump_product))

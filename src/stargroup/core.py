@@ -457,13 +457,6 @@ def _locally_involutive_witness(X):
     return None
 
 
-def _quasi_involutive_witness(X):
-    w = _birestrictive_witness(X)
-    if w is not None:
-        return w
-    return _locally_involutive_witness(X)
-
-
 def _commuting_projections_witness(X):
     projs = projections(X)
     for p in projs:
@@ -494,28 +487,27 @@ def classify(X: FiniteStarSemigroup) -> ClassificationReport:
 
     Every flag is computed from its own defining identity, never derived
     from another flag, so the implication lattice between flags is a real
-    cross-check downstream.  The ``inverse`` flag is computed twice, by
-    uniqueness of quasi-inverses and as quasi-involutive + commuting
-    projections; disagreement raises ConsistencyError.
+    cross-check downstream.  The one exception is ``quasi_involutive``,
+    which is by definition birestrictive and locally involutive: its
+    witness is the first of those two sweeps' witnesses.  The ``inverse``
+    flag is computed twice, by uniqueness of quasi-inverses and as
+    quasi-involutive + commuting projections; disagreement raises
+    ConsistencyError.
     """
-    finders = {
-        "restrictive": _restrictive_witness,
-        "corestrictive": _corestrictive_witness,
-        "birestrictive": _birestrictive_witness,
-        "involutive": _involutive_witness,
-        "left_involutive": _left_involutive_witness,
-        "right_involutive": _right_involutive_witness,
-        "locally_involutive": _locally_involutive_witness,
-        "quasi_involutive": _quasi_involutive_witness,
-        "commuting_projections": _commuting_projections_witness,
+    found = {
+        "restrictive": _restrictive_witness(X),
+        "corestrictive": _corestrictive_witness(X),
+        "birestrictive": _birestrictive_witness(X),
+        "involutive": _involutive_witness(X),
+        "left_involutive": _left_involutive_witness(X),
+        "right_involutive": _right_involutive_witness(X),
+        "locally_involutive": _locally_involutive_witness(X),
     }
-    flags = {}
-    witnesses = []
-    for flag_name, finder in finders.items():
-        wit = finder(X)
-        flags[flag_name] = wit is None
-        if wit is not None:
-            witnesses.append((flag_name, wit))
+    found["quasi_involutive"] = (found["birestrictive"]
+                                 or found["locally_involutive"])
+    found["commuting_projections"] = _commuting_projections_witness(X)
+    flags = {name: wit is None for name, wit in found.items()}
+    witnesses = [(name, wit) for name, wit in found.items() if wit is not None]
 
     quasi_wit = _unique_quasi_inverse_witness(X)
     inverse_direct = quasi_wit is None

@@ -4,7 +4,8 @@ A groupoid is stored with explicit dom/cod/identity/inverse arrays, a
 partial composition table (-1 marks undefined), a materialized partial
 order on morphisms, and an optional total mediator table on object pairs.
 The object order is always derived from the morphism order restricted to
-identities; it is never stored separately.
+identities; it is never stored separately.  A groupoid's validation, its
+mediator's verdict and its ESN semigroup are kept on it with ``core.memo``.
 """
 
 from __future__ import annotations
@@ -98,11 +99,13 @@ def _shape_check(G: OrderedGroupoidWithMediator):
         freeze(G.mediator, "mediator", n, length=m, width=m)
 
 
+@memo
 def validate_groupoid(G: OrderedGroupoidWithMediator):
     """Check groupoid and ordered-groupoid axioms; raises InvalidGroupoid.
 
     Restriction/corestriction existence and uniqueness are checked here, so
-    restrict() can later assume exactly one candidate.
+    restrict() can later assume exactly one candidate.  Swept once per
+    groupoid, as are validate_mediator and esn_semigroup.
     """
     _shape_check(G)
     problems = []
@@ -249,6 +252,7 @@ def _extended_associativity_checked(G: OrderedGroupoidWithMediator) -> bool:
 NO_MEDIATOR = Violation("MissingMediator", ())
 
 
+@memo
 def validate_mediator(G: OrderedGroupoidWithMediator) -> Verdict:
     """Check order-preservation, the two bounds, and action commutation."""
     if G.mediator is None:
@@ -338,6 +342,7 @@ def esn_groupoid(X: FiniteStarSemigroup) -> OrderedGroupoidWithMediator:
     return G
 
 
+@memo
 def esn_semigroup(G: OrderedGroupoidWithMediator) -> FiniteStarSemigroup:
     """The quasi-involutive semigroup of an ordered groupoid with mediator:
     xy = x (x) m(d(x), c(y)) (x) y, star = inversion."""

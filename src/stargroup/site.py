@@ -405,15 +405,15 @@ def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigro
 
 
 def _check_against_lambda(S, e, se, carrier):
-    # S(e) must equal Lambda(e-hat) element for element
+    # S(e) must equal Lambda(e-hat) element for element; topos imports
+    # this module, so it is imported here, at call time
     from . import topos
 
-    ehat = representable_presheaf(S, e)
-    LP = topos.lam(ehat)
+    LP = topos.lam(representable_presheaf(S, e))
     sg = S.semigroup
-    fiber_elem = {
-        d: [int(lbl) for lbl in ehat.fiber(d)] for d in S.idempotents
-    }
+    # the fiber of e-hat at d lists Hom(d, e) in this order
+    fiber_elem = {d: [m.s for m in ls_morphisms(S, d, e)]
+                  for d in S.idempotents}
     mapping = []
     for (r, x) in LP.pairs:
         s = fiber_elem[sg.c(r)][x]

@@ -7,19 +7,22 @@ backtracking enumeration driven by the left *-homomorphism constraints, and
 a fast path through the fiber presheaf available when f is etale with left
 involutive source; when both apply their results are compared.
 
-``lam(P)`` and ``gamma(f, budget, strategy)`` share what they build: a call
-returns the object already built for the same ``P`` (or the same ``f``,
-strategy and budget) while some caller still holds it, and builds afresh
-once every holder has dropped it.  Lambda also shares by table: a Lambda
-whose product, star and map tables equal those of one still held, over the
-same base semigroup object, gets that one's validated semigroup and
-structure map, with their verdicts, and runs only the check against its own
-``P``'s transitions.  So the unit, counit and ``m`` checks on one presheaf,
-whose three Lambdas often have equal tables, validate each distinct Lambda
-once.  Every other check runs once per object built, and a call that raises
-leaves nothing behind.  Shared objects are handed to every caller, so a
-``Presheaf`` or ``StarMorphism`` must not be mutated after construction,
-nor a ``LambdaObject`` or ``GammaPresheaf`` at all.
+``lam(P)``, ``gamma(f, budget, strategy)``, ``unit(P)`` and ``counit(f, G)``
+share what they build: a call returns the object already built for the same
+``P`` (or the same ``f``, strategy and budget, or the same Gamma ``G``)
+while some caller still holds it, and builds afresh once every holder has
+dropped it.  So the triangle checks reuse the unit and counit the chain
+holds.  Lambda also shares by table: a Lambda whose product, star and map
+tables equal those of one still held, over the same base semigroup object,
+gets that one's validated semigroup and structure map, with their verdicts,
+and runs only the check against its own ``P``'s transitions.  So the unit,
+counit and ``m`` checks on one presheaf, whose three Lambdas often have
+equal tables, validate each distinct Lambda once.  Every other check runs
+once per object built, and a call that raises leaves nothing behind.
+Shared objects are handed to every caller, so a ``Presheaf`` or
+``StarMorphism`` must not be mutated after construction, nor a
+``LambdaObject``, ``GammaPresheaf``, ``UnitResult`` or ``CounitResult`` at
+all.
 
 Everything else derived from one object is kept on that object with
 ``core.memo`` and lives as long as it does: the S(e) tables on their base
@@ -68,7 +71,9 @@ from .site import (
     _action_table,
     all_ls_morphisms,
     as_inverse,
+    empty_presheaf,
     ls_dom,
+    representable_semigroup,
     representable_tables,
     validate_presheaf,
 )
@@ -111,12 +116,12 @@ def resolve_budget(value=None, default=DEFAULT_BUDGET):
     return budget
 
 
-# What lam and gamma built, keyed by the id of the presheaf or morphism they
-# were built from, and Lambda's structure maps, keyed by the id of the base
-# semigroup and the product, star and map tables.  Values are held weakly,
-# so an entry lasts only while some caller holds the result; the result
-# refers to its presheaf, morphism or base, which therefore stays alive and
-# keeps its id while the entry exists.
+# What lam, gamma, unit and counit built, keyed by the id of the presheaf,
+# morphism or Gamma they were built from, and Lambda's structure maps, keyed
+# by the id of the base semigroup and the product, star and map tables.
+# Values are held weakly, so an entry lasts only while some caller holds
+# the result; the result refers to its presheaf, morphism, Gamma or base,
+# which therefore stays alive and keeps its id while the entry exists.
 _BUILT = weakref.WeakValueDictionary()
 
 
@@ -430,7 +435,6 @@ def _gamma(f: StarMorphism, budget: int, strategy: str) -> GammaPresheaf:
 
 
 def _empty_gamma(S: InverseSemigroup) -> GammaPresheaf:
-    from .site import empty_presheaf
     carriers = {e: representable_tables(S, e).carrier for e in S.idempotents}
     return GammaPresheaf(S, None, carriers, {e: () for e in S.idempotents},
                          empty_presheaf(S))
@@ -449,20 +453,23 @@ class UnitResult:
     bijective: bool
 
 
-def unit(P: Presheaf, LP: LambdaObject | None = None,
-         G: GammaPresheaf | None = None) -> UnitResult:
+def unit(P: Presheaf) -> UnitResult:
     """eta(P)_d(a)(r, s) = (r, a.s); every component must be a bijection
-    onto Gamma(Lambda(P))(d) and the whole family natural."""
+    onto Gamma(Lambda(P))(d) and the whole family natural.  Shared while
+    held (module docstring)."""
+    return _shared(("unit", id(P)), _unit, P)
+
+
+def _unit(P: Presheaf) -> UnitResult:
     S = P.base
-    sg = S.semigroup
-    LP = LP if LP is not None else lam(P)
+    LP = lam(P)
     if LP.is_empty():
-        G = G if G is not None else _empty_gamma(S)
+        G = _empty_gamma(S)
         empty_components = {e: () for e in S.idempotents}
         if any(G.alphas[e] for e in S.idempotents):
             raise UnitNotIso("Gamma of the empty object is not empty")
         return UnitResult(P, LP, G, empty_components, True)
-    G = G if G is not None else gamma(LP.structure_map)
+    G = gamma(LP.structure_map)
     components = {}
     for d in S.idempotents:
         carrier = G.carriers[d]
@@ -502,11 +509,19 @@ class CounitResult:
 
 def counit(f: StarMorphism, G: GammaPresheaf | None = None) -> CounitResult:
     """epsilon_f(r, xi) = xi(r, c(r)); always a left *-homomorphism over S,
-    with bijectivity reported rather than assumed."""
+    with bijectivity reported rather than assumed.  ``G`` defaults to
+    ``gamma(f)`` and must be Gamma of ``f``.  Shared while held (module
+    docstring)."""
+    G = gamma(f) if G is None else G
+    if not isinstance(G, GammaPresheaf) or G.source is not f:
+        raise ShapeError("counit needs G to be Gamma of f")
+    return _shared(("counit", id(G)), _counit, G)
+
+
+def _counit(G: GammaPresheaf) -> CounitResult:
+    f, S = G.source, G.base
     X = f.source
-    S = as_inverse(f.target)
     sg = S.semigroup
-    G = G if G is not None else gamma(f)
     LG = lam(G.presheaf)
     if LG.is_empty():
         return CounitResult(G, LG, None, True, X.order == 0, False, None, False)
@@ -551,11 +566,9 @@ def triangle_check(P: Presheaf) -> Verdict:
 
 def triangle_check2(f: StarMorphism) -> Verdict:
     """Gamma(epsilon_f) . eta(Gamma f) = id, fiber by fiber."""
-    S = as_inverse(f.target)
-    sg = S.semigroup
-    G = gamma(f)
-    eps = counit(f, G)
-    for e in S.idempotents:
+    eps = counit(f)
+    G = eps.gamma_obj
+    for e in G.base.idempotents:
         carrier = G.carriers[e]
         for xi_idx, table in enumerate(G.alphas[e]):
             out = []
@@ -622,7 +635,7 @@ def m_iso(f: StarMorphism) -> StarMorphism:
     sg = S.semigroup
     P = fiber_presheaf(f)
     LP = lam(P)
-    fiber_elems = {e: tuple(int(lbl) for lbl in P.fiber(e))
+    fiber_elems = {e: tuple(x for x in X.elements if f.map[x] == e)
                    for e in S.idempotents}
     mapping = []
     for (r, ui) in LP.pairs:
@@ -737,8 +750,6 @@ class PropSymReport:
 def prop_sym_check(S: InverseSemigroup, e: int) -> PropSymReport:
     """Star reversal in S(e) happens exactly at left compatible (s, qp)
     pairs; and S(e) is inverse iff eS is pairwise left compatible."""
-    from .site import representable_semigroup
-
     sg = S.semigroup
     R = representable_semigroup(S, e)
     se = R.semigroup

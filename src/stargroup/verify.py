@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import oracle, topos
+from . import oracle, site, topos
 from .core import (
     FiniteStarSemigroup,
     StarError,
@@ -29,6 +29,7 @@ from .core import (
 )
 from .oracle import BudgetExceeded
 from .site import as_inverse, representable_semigroup
+from .ssets import canonical_action
 from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
@@ -268,8 +269,6 @@ def _main_xfy(inst):
     f = _morph(inst)
     if not (f.is_left_star_hom and is_etale(f)):
         return True
-    from .ssets import canonical_action
-
     X, S = f.source, f.target
     A = canonical_action(f)
     for x in X.elements:
@@ -471,8 +470,6 @@ def etale_idem_pool():
         ident = tuple(X.elements)
         for e in idm:
             out.append((f"id:{name}@e{e}", (X.mul, X.star, X.mul, X.star, ident, e)))
-    from . import site
-
     sl2 = as_inverse(oracle.standard_family("semilattice_chain", 2))
     P = site.validate_presheaf(sl2, {1: ("u", "v"), 0: ("w",)},
                                {(0, 0): (0,), (1, 1): (0, 1), (0, 1): (0, 0)})

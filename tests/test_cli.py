@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from stargroup import cli
+from stargroup import cli, modalg
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -123,6 +126,38 @@ def test_fhat_command(tmp_path):
     assert code == 0
     dumped = json.loads(out_path.read_text())
     assert len(dumped["carrier"]) == 4
+
+
+NON_COMMUTATIVE_FREE_MODULE = """
+import sys
+from stargroup import cli, modalg
+modalg.FreeModule.add = lambda self, a, b: (a[0], a[1] + b[1])
+sys.exit(cli.main(["fhat", "--morphism", sys.argv[1]]))
+"""
+
+
+def test_fhat_free_module_sample_fails_cleanly(monkeypatch, capsys):
+    """A free-module axiom that fails is a failed row, not a traceback."""
+    monkeypatch.setattr(modalg.FreeModule, "add",
+                        lambda self, a, b: (a[0], a[1] + b[1]))
+    code, out = run_cli("fhat", "--morphism", str(FIXTURES / "id_sl2.json"))
+    assert code == 1
+    assert "FAIL  fhat:free-module-sample" in out
+    assert "AdditionCommutativityViolation" in out
+    assert capsys.readouterr().err == ""
+
+
+def test_fhat_free_module_sample_fails_under_python_O():
+    """The sample check does not rest on assert statements, which -O
+    strips."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NON_COMMUTATIVE_FREE_MODULE,
+         str(FIXTURES / "id_sl2.json")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL  fhat:free-module-sample" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_compat_and_site():

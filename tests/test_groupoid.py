@@ -152,6 +152,26 @@ def test_esn_groupoid_roundtrip(sl2, i2, c2):
         assert groupoid_equal(esn_groupoid(esn_semigroup(G)), G)
 
 
+def test_esn_roundtrip_sweeps_the_groupoid_once(i2, monkeypatch):
+    """esn_groupoid, esn_semigroup and mediator_kind on one groupoid run its
+    axiom sweep (one partial-order check of its morphism order each) once,
+    and share one mediator verdict and one induced semigroup."""
+    sweeps = []
+    is_partial_order = Relation.is_partial_order
+
+    def counted(rel):
+        sweeps.append(rel)
+        return is_partial_order(rel)
+
+    monkeypatch.setattr(Relation, "is_partial_order", counted)
+    G = esn_groupoid(i2)
+    X = esn_semigroup(G)
+    assert same_tables(X, i2) and mediator_kind(G) == "trivial"
+    assert sweeps == [G.order]
+    assert esn_semigroup(G) is X
+    assert validate_mediator(G) is validate_mediator(G)
+
+
 def test_poset_groupoid_gives_semilattice(sl2):
     G = esn_groupoid(sl2)
     X = esn_semigroup(G)

@@ -154,7 +154,7 @@ def test_presheaves_digest_with_every_or_no_lambda_held(held, monkeypatch):
         monkeypatch.setattr(topos, "_BUILT", _HoldNothing())
     outcome = workloads.run_presheaves(workloads.setup_presheaves(0))
     assert (outcome.items, outcome.failed) == (272, 0)
-    assert len(kept) == (1904 if held == "every" else 0)
+    assert len(kept) == (1088 if held == "every" else 0)
     text = json.dumps(outcome.summaries["items"], sort_keys=True,
                       separators=(",", ":"))
     expected = json.loads((PERFBENCH / "expected.json").read_text())

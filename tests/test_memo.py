@@ -96,3 +96,21 @@ def test_the_cache_scan_finds_each_form():
             "    @functools.cached_property\n    def g(self): pass\n")
     assert sorted(_forbidden_uses(ast.parse(text))) == [
         "ft.cache", "functools.cached_property", "lru_cache"]
+
+
+def _asserts(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_in_the_package(path):
+    # python -O strips assert statements, so a check that reports returns a
+    # Verdict and one that refuses raises a StarError
+    assert _asserts(ast.parse(path.read_text())) == []
+
+
+def test_the_assert_scan_finds_one():
+    text = "def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n"
+    assert _asserts(ast.parse(text)) == [3]

@@ -1,7 +1,14 @@
 import pytest
 
 from stargroup import topos
-from stargroup.core import ShapeError, classify, identity_morphism, projections
+from stargroup.core import (
+    ConsistencyError,
+    ShapeError,
+    Verdict,
+    classify,
+    identity_morphism,
+    projections,
+)
 from stargroup.modalg import (
     AdditionNotIdempotent,
     CarrierTooLarge,
@@ -120,6 +127,52 @@ def test_derived_product_singleton_fiber(fhat_id_sl2, sl2):
     assert derived_product(M, one, one) == one
 
 
+def star_reversing(table, star):
+    return all(star[table[a][b]] == table[star[b]][star[a]]
+               for a in range(len(table)) for b in range(len(table)))
+
+
+def associative(table):
+    n = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in n for b in n for c in n)
+
+
+@pytest.mark.parametrize("keeps_star", [True, False],
+                         ids=["non-associative", "not-star-reversing"])
+def test_idem_to_algebra_refuses_a_broken_derived_table(
+        id_i2, monkeypatch, keeps_star):
+    """derived_table leaves associativity and (ab)* = b*a* to the
+    validate_algebra sweep in idem_to_algebra; a table that breaks either
+    must still be refused there.  The mutant moves one product ab to
+    another element of its fiber, and (b*a*) to the star of that element
+    too when it keeps the star reversed."""
+    mutants = []
+    derived = SModule.derived_table
+
+    def mutated(M, build=derived.func):
+        table = [list(row) for row in build(M)]
+        star, smap = M.sset.star, M.sset.smap
+        a, b = next((a, b) for a in range(M.size) for b in range(M.size)
+                    if (b, a) != (star[a], star[b])
+                    and sum(smap[v] == smap[table[a][b]]
+                            for v in range(M.size)) > 1)
+        v = next(v for v in range(M.size)
+                 if smap[v] == smap[table[a][b]] and v != table[a][b])
+        table[a][b] = v
+        if keeps_star:
+            table[star[b]][star[a]] = star[v]
+        mutants.append((tuple(map(tuple, table)), star))
+        return mutants[-1][0]
+
+    monkeypatch.setattr(derived, "func", mutated)
+    with pytest.raises(ConsistencyError, match="fails validation"):
+        fhat(id_i2)
+    (table, star), = mutants
+    assert star_reversing(table, star) == keeps_star
+    assert not associative(table)
+
+
 def test_idem_to_algebra_rejects_free(id_sl2):
     """The free module has 1 + 1 != 1, so idem_to_algebra refuses it; we
     emulate with the F-hat module whose addition we corrupt."""
@@ -183,6 +236,21 @@ def test_free_module_ops(id_sl2, sl2):
     with pytest.raises(FiberMismatch):
         F.add(x, F.zero(0))
     assert F.check_axioms()
+
+
+def non_commutative_add(self, a, b):
+    """FreeModule.add without sorting: a + b and b + a list their terms in
+    different orders."""
+    return (a[0], a[1] + b[1])
+
+
+def test_free_module_check_axioms_reports_violations(id_sl2, monkeypatch):
+    assert FreeModule(id_sl2).check_axioms() == Verdict()
+    monkeypatch.setattr(FreeModule, "add", non_commutative_add)
+    verdict = FreeModule(id_sl2).check_axioms()
+    assert not verdict.ok
+    assert "AdditionCommutativityViolation" in {
+        v.kind for v in verdict.violations}
 
 
 def test_free_module_distributes(p21):

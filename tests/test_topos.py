@@ -1,14 +1,17 @@
 import gc
+import weakref
 
 import pytest
 
 from stargroup import oracle, site, topos
 from stargroup.core import (
+    ConsistencyError,
     InvalidStarSemigroup,
     ShapeError,
     StarMorphism,
     classify,
     etale_lift,
+    identity_morphism,
     is_etale,
     projections,
 )
@@ -510,6 +513,79 @@ def test_chain_builds_lambda_and_gamma_once_per_object(p21, monkeypatch):
     assert eps.bijective
     assert len(lams) == 3
     assert len(gammas) == 1
+
+
+def test_unit_and_counit_shared_while_held(p21, monkeypatch):
+    units = count_builds(monkeypatch, "_unit")
+    counits = count_builds(monkeypatch, "_counit")
+    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    u = unit(P)
+    assert unit(P) is u
+    f = u.lam_obj.structure_map
+    eps = counit(f)
+    assert counit(f) is eps and counit(f, u.gamma_obj) is eps
+    assert eps.gamma_obj is u.gamma_obj
+    assert (len(units), len(counits)) == (1, 1)
+
+
+def test_unit_and_counit_rebuilt_once_dropped(p21, monkeypatch):
+    units = count_builds(monkeypatch, "_unit")
+    counits = count_builds(monkeypatch, "_counit")
+    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    f = lam(P).structure_map
+    held = weakref.ref(unit(P)), weakref.ref(counit(f))
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
+    assert unit(P).bijective and counit(f).bijective
+    assert (len(units), len(counits)) == (2, 2)
+
+
+def test_a_raising_unit_or_counit_keeps_nothing(p21, monkeypatch):
+    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    f = lam(P).structure_map
+    G = gamma(f)
+
+    def broken(Q):
+        raise ConsistencyError("broken Lambda")
+
+    monkeypatch.setattr(topos, "lam", broken)
+    for call in (lambda: unit(P), lambda: counit(f, G)):
+        with pytest.raises(ConsistencyError, match="broken Lambda"):
+            call()
+    assert ("unit", id(P)) not in topos._BUILT
+    assert ("counit", id(G)) not in topos._BUILT
+    monkeypatch.undo()
+    u, eps = unit(P), counit(f, G)
+    assert unit(P) is u and counit(f, G) is eps
+
+
+def test_counit_refuses_a_gamma_of_another_map(id_i2, i2):
+    other = identity_morphism(i2)
+    assert other is not id_i2 and other.map == id_i2.map
+    for G in (gamma(other), "not a Gamma"):
+        with pytest.raises(ShapeError, match="Gamma of f"):
+            counit(id_i2, G)
+
+
+def test_the_chain_sweeps_the_counit_map_once(p21, monkeypatch):
+    """Unit, counit and both triangles on one presheaf, with the unit and
+    counit held as the benchmark's chain holds them, build one counit, so
+    its map's left *-homomorphism sweep runs once."""
+    sweeps = []
+    memoised = StarMorphism.__dict__["is_left_star_hom"]
+
+    def counted(g, sweep=memoised.func):
+        if g.name == "counit":
+            sweeps.append(g)
+        return sweep(g)
+
+    monkeypatch.setattr(memoised, "func", counted)
+    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    u = unit(P)
+    f = u.lam_obj.structure_map
+    eps = counit(f, u.gamma_obj)
+    assert triangle_check(P) and triangle_check2(f)
+    assert eps.bijective and sweeps == [eps.morphism]
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5", -1, 1.5, True])
