@@ -616,8 +616,8 @@ def natural_order(X: FiniteStarSemigroup) -> Relation:
 
 @dataclass(eq=False)
 class StarMorphism:
-    """A carrier map between *-semigroups; its flags and etale verdict are
-    computed on first use and kept."""
+    """A carrier map between *-semigroups; its flags, fibers, lift table and
+    etale verdict (etale_report) are computed on first use and kept."""
 
     source: FiniteStarSemigroup
     target: FiniteStarSemigroup
@@ -661,6 +661,14 @@ class StarMorphism:
         return True
 
     @memo
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """Per target element, the ascending source elements over it."""
+        out = [[] for _ in self.target.elements]
+        for x, r in enumerate(self.map):
+            out[r].append(x)
+        return tuple(map(tuple, out))
+
+    @memo
     def lifts(self) -> dict[int, dict[int, tuple[int, ...]]]:
         """Per codomain p of the source (every projection is one), the
         fixpoints {z : pz = z} grouped by their image f(z), each group in
@@ -680,29 +688,6 @@ class StarMorphism:
                         groups.setdefault(f[z], []).append(z)
                 out[p] = {s: tuple(zs) for s, zs in groups.items()}
         return out
-
-    @memo
-    def etale(self) -> Verdict:
-        """The etale verdict; see etale_report."""
-        if not self.is_left_star_hom:
-            raise NotLeftStarHom(f"{self!r} is not a left *-homomorphism")
-        X, S, f = self.source, self.target, self.map
-        checked = {}
-        out = []
-        for x in X.elements:
-            p = X.c(x)
-            if p not in checked:
-                images = [f[z] for z in _left_fixpoints(X, p)]
-                checked[p] = (
-                    len(set(images)) == len(images)
-                    and set(images) == set(_left_fixpoints(S, S.c(f[x])))
-                )
-            if not checked[p]:
-                out.append(Violation("CosetBijectionViolation", (x,)))
-                break
-        if classify(X).left_involutive and classify(S).left_involutive:
-            _crosscheck_etale(self, not out)
-        return Verdict(out)
 
     @property
     def is_star_hom(self) -> bool:
@@ -755,14 +740,33 @@ def _left_fixpoints(X, p):
     return [z for z in X.elements if X.mul[p][z] == z]
 
 
+@memo
 def etale_report(f: StarMorphism) -> Verdict:
     """Is f etale: f restricted to xX is a bijection onto f(x)S for all x.
 
     When source and target are both left involutive the two equivalent
     formulations (coset bijections X|p -> S|f(p) and unique lifting of
-    equations s = f(p)s) are recomputed and must agree.
+    equations s = f(p)s) are recomputed and must agree.  Kept on ``f``.
     """
-    return f.etale
+    if not f.is_left_star_hom:
+        raise NotLeftStarHom(f"{f!r} is not a left *-homomorphism")
+    X, S = f.source, f.target
+    checked = {}
+    out = []
+    for x in X.elements:
+        p = X.c(x)
+        if p not in checked:
+            images = [f.map[z] for z in _left_fixpoints(X, p)]
+            checked[p] = (
+                len(set(images)) == len(images)
+                and set(images) == set(_left_fixpoints(S, S.c(f.map[x])))
+            )
+        if not checked[p]:
+            out.append(Violation("CosetBijectionViolation", (x,)))
+            break
+    if classify(X).left_involutive and classify(S).left_involutive:
+        _crosscheck_etale(f, not out)
+    return Verdict(out)
 
 
 def _crosscheck_etale(f, main_verdict):

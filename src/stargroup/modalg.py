@@ -345,11 +345,10 @@ class FreeModule:
 
     def sample_elements(self, max_terms=4, count=50, seed=0):
         rng = random.Random(seed)
-        X, S = self.source, self.base
         out = []
         for _ in range(count):
-            r = rng.randrange(S.order)
-            fiber = [x for x in X.elements if self.f.map[x] == r]
+            r = rng.randrange(self.base.order)
+            fiber = self.f.fibers[r]
             if not fiber:
                 out.append(self.zero(r))
                 continue
@@ -435,12 +434,11 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     X, S = f.source, f.target
     if not classify(X).left_involutive:
         raise topos.NotLeftInvolutive("F-hat needs a left involutive source")
-    fibers = [[] for _ in S.elements]
-    bit = []
-    for x in X.elements:
-        fib = fibers[f.map[x]]
-        bit.append(1 << len(fib))
-        fib.append(x)
+    fibers = f.fibers
+    bit = [0] * X.order
+    for fib in fibers:
+        for i, x in enumerate(fib):
+            bit[x] = 1 << i
     sizes = [1 << len(fib) for fib in fibers]
     total = sum(sizes)
     if total > cap:
@@ -626,7 +624,7 @@ def gamma_algebra(alg_or_fhat, budget=None) -> "topos.GammaPresheaf":
     """Probe the multiplicative carrier of an involutive S-algebra with left
     *-homomorphisms out of the S(e), reusing the Gamma enumeration."""
     if isinstance(alg_or_fhat, FHatAlgebra):
-        return topos.gamma(alg_or_fhat.psi, budget=budget, strategy="generic")
+        return topos.gamma(alg_or_fhat.psi, budget=budget)
     alg = alg_or_fhat
     M = alg.module
     A, S = M.sset, M.sset.base
@@ -638,4 +636,4 @@ def gamma_algebra(alg_or_fhat, budget=None) -> "topos.GammaPresheaf":
     if not psi.is_star_hom:
         raise ShapeError("algebra structure map is not a *-homomorphism")
     as_inverse(S)
-    return topos.gamma(psi, budget=budget, strategy="generic")
+    return topos.gamma(psi, budget=budget)

@@ -326,12 +326,7 @@ def load_any(path):
 def fhat_to_dict(fh, include_product=False) -> dict:
     out = {
         "base": semigroup_to_dict(fh.base),
-        "fibers": {
-            str(r): sorted(
-                x for x in fh.f.source.elements if fh.f.map[x] == r
-            )
-            for r in fh.base.elements
-        },
+        "fibers": {str(r): list(fib) for r, fib in enumerate(fh.f.fibers)},
         "carrier": [[r, sorted(A)] for (r, A) in fh.elements],
     }
     if include_product:

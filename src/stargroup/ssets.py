@@ -36,8 +36,9 @@ class SSetInvalid(Invalid):
 @dataclass(eq=False)
 class SSetStructure:
     """Carrier with involution, structure map into S, and action table;
-    its axiom check (check_sset), left identity, balance and left-action
-    sweep are computed on first use and kept, so it must not be mutated."""
+    its axiom check (check_sset), left identity (is_left_involutive_sset),
+    balance (balanced_check) and left-action sweep are computed on first
+    use and kept, so it must not be mutated."""
 
     size: int
     star: tuple[int, ...]
@@ -61,33 +62,6 @@ class SSetStructure:
 
     def act(self, x: int, s: int) -> int:
         return self.action[x][s]
-
-    @memo
-    def left_identity(self) -> bool:
-        """Whether the left identity holds; see left_identity_witness."""
-        return left_identity_witness(self) is None
-
-    @memo
-    def balance(self) -> "BalancedReport":
-        """See balanced_check."""
-        A, S = self, self.base
-        star, act = A.star, A.action
-        w1 = _balance_witness(star, act, S.star, S.elements)
-        w2 = None
-        for x, row in enumerate(act):
-            xfx = row[A.smap[star[x]]]
-            if star[xfx] != xfx:
-                w2 = (x,)
-                break
-        balanced = w1 is None and w2 is None
-        left = is_left_involutive_sset(A)
-        if balanced and not left:
-            raise EquivalenceBroken(
-                "balanced S-set without the left identity")
-        if classify(S).inverse and balanced != left:
-            raise EquivalenceBroken(
-                "balanced and left involutive disagree over an inverse base")
-        return BalancedReport(w1 is None, w2 is None, balanced, left, w1, w2)
 
     @memo
     def left_action_swept(self) -> bool:
@@ -168,8 +142,10 @@ def left_identity_witness(A: SSetStructure):
     return None
 
 
+@memo
 def is_left_involutive_sset(A: SSetStructure) -> bool:
-    return A.left_identity
+    """Whether the left identity holds (left_identity_witness); kept on A."""
+    return left_identity_witness(A) is None
 
 
 def left_action(A: SSetStructure, r: int, x: int) -> int:
@@ -190,13 +166,31 @@ class BalancedReport:
     witness2: tuple | None = None
 
 
+@memo
 def balanced_check(A: SSetStructure) -> BalancedReport:
-    """Check the two balance conditions and compare with the left identity.
+    """Check the two balance conditions and compare with the left identity;
+    kept on A.
 
     Balanced always implies the left identity; over an inverse base the two
     are equivalent.  Either implication failing raises EquivalenceBroken.
     """
-    return A.balance
+    S = A.base
+    star, act = A.star, A.action
+    w1 = _balance_witness(star, act, S.star, S.elements)
+    w2 = None
+    for x, row in enumerate(act):
+        xfx = row[A.smap[star[x]]]
+        if star[xfx] != xfx:
+            w2 = (x,)
+            break
+    balanced = w1 is None and w2 is None
+    left = is_left_involutive_sset(A)
+    if balanced and not left:
+        raise EquivalenceBroken("balanced S-set without the left identity")
+    if classify(S).inverse and balanced != left:
+        raise EquivalenceBroken(
+            "balanced and left involutive disagree over an inverse base")
+    return BalancedReport(w1 is None, w2 is None, balanced, left, w1, w2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 
 Lambda sends a presheaf P to the left involutive semigroup of pairs (r, x)
 with x in P(c(r)); Gamma probes a *-homomorphism f: X -> S with left
-*-homomorphisms S(e) -> X over S.  Gamma has two strategies: a generic
-backtracking enumeration driven by the left *-homomorphism constraints, and
-a fast path through the fiber presheaf available when f is etale with left
-involutive source; when both apply their results are compared.
+*-homomorphisms S(e) -> X over S, found by a backtracking search driven by
+the left *-homomorphism constraints.  When f is etale with left involutive
+source, the equivalence with the fiber presheaf says each such map is
+fixed by its value at (e, e) and built by unique lifting; Gamma runs that
+lifting path too, as a cross-check that must find the same tables.
 
-``lam(P)``, ``gamma(f, budget, strategy)``, ``unit(P)`` and ``counit(f, G)``
-share what they build: a call returns the object already built for the same
-``P`` (or the same ``f``, strategy and budget, or the same Gamma ``G``)
-while some caller still holds it, and builds afresh once every holder has
-dropped it.  So the triangle checks reuse the unit and counit the chain
-holds.  Lambda also shares by table: a Lambda whose product, star and map
+``lam(P)``, ``gamma(f, budget)``, ``unit(P)`` and ``counit(f, G)`` share
+what they build: a call returns the object already built for the same ``P``
+(or the same ``f`` and budget, or the same Gamma ``G``) while some caller
+still holds it, and builds afresh once every holder has dropped it.  So
+the triangle checks reuse the unit and counit the chain holds.  Lambda
+also shares by table: a Lambda whose product, star and map
 tables equal those of one still held, over the same base semigroup object,
 gets that one's validated semigroup and structure map, with their verdicts,
 and runs only the check against its own ``P``'s transitions.  So the unit,
@@ -76,6 +77,7 @@ from .site import (
     representable_semigroup,
     representable_tables,
     validate_presheaf,
+    validate_presheaf_map,
 )
 
 
@@ -318,10 +320,7 @@ def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
     """
     X = f.source
     tables = representable_tables(S, e)
-    over = {}
-    for x in X.elements:
-        over.setdefault(f.map[x], []).append(x)
-    fibers = [over.get(r, ()) for r, _ in tables.carrier]
+    fibers = [f.fibers[r] for r, _ in tables.carrier]
     if any(not fib for fib in fibers):
         return ()
     order, star_at, constraints_at = _gamma_plan(tables)
@@ -359,61 +358,44 @@ def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
     return tuple(sorted(found))
 
 
+def _lift_table(f: StarMorphism, carrier, u: int) -> tuple[int, ...]:
+    """The table over ``carrier`` of the map S(e) -> X with (e, e) |-> u,
+    for u over e: (r, s) goes to the lift of r at u.s = d(lift of s at u)."""
+    d = f.source.d
+    return tuple(etale_lift(f, d(etale_lift(f, u, s)), r) for r, s in carrier)
+
+
 def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):
     """Fiber-presheaf path: alphas correspond to f^-1(e) via evaluation at
     (e, e); each table is built by unique lifting."""
-    X = f.source
-    sg = S.semigroup
     carrier = representable_tables(S, e).carrier
-    out = []
-    for u in sorted(x for x in X.elements if f.map[x] == e):
-        table = []
-        for (r, s) in carrier:
-            us = etale_lift(f, u, s)          # lift of s at u
-            w = X.d(us)                       # transition u . s
-            table.append(etale_lift(f, w, r))  # lift of r at u . s
-        out.append(tuple(table))
-    return tuple(sorted(out))
+    return tuple(sorted(_lift_table(f, carrier, u) for u in f.fibers[e]))
 
 
-def gamma(f: StarMorphism, budget=None, strategy="auto") -> GammaPresheaf:
-    """Gamma(f) for a *-homomorphism f into an inverse semigroup.
-
-    strategy: 'generic', 'fast', or 'auto' (both when the fast path applies,
-    with the two results asserted equal).  budget: see resolve_budget.
-    Shared while held (module docstring).
+def gamma(f: StarMorphism, budget=None) -> GammaPresheaf:
+    """Gamma(f) for a *-homomorphism f into an inverse semigroup, by the
+    generic search; when f is etale with left involutive source, the
+    lifting path must find the same tables (module docstring).  budget: see
+    resolve_budget.  Shared while held (module docstring).
     """
-    if strategy not in ("generic", "fast", "auto"):
-        raise ValueError(f"unknown Gamma strategy {strategy!r}")
     budget = resolve_budget(budget)
-    return _shared(("gamma", id(f), strategy, budget), _gamma, f, budget,
-                   strategy)
+    return _shared(("gamma", id(f), budget), _gamma, f, budget)
 
 
-def _gamma(f: StarMorphism, budget: int, strategy: str) -> GammaPresheaf:
+def _gamma(f: StarMorphism, budget: int) -> GammaPresheaf:
     if not f.is_star_hom:
         raise ShapeError("Gamma needs a *-homomorphism as input")
     S = as_inverse(f.target)
-    fast_ok = is_etale(f) and classify(f.source).left_involutive
-    if strategy == "fast" and not fast_ok:
-        raise NotEtale("fast Gamma path needs an etale map with left "
-                       "involutive source")
+    liftable = is_etale(f) and classify(f.source).left_involutive
 
     carriers = {}
     alphas = {}
     for e in S.idempotents:
         carriers[e] = representable_tables(S, e).carrier
-        if strategy == "fast":
-            alphas[e] = _fast_alphas(f, S, e)
-        elif strategy == "generic" or not fast_ok:
-            alphas[e] = _generic_alphas(f, S, e, budget)
-        else:
-            generic = _generic_alphas(f, S, e, budget)
-            fast = _fast_alphas(f, S, e)
-            if generic != fast:
-                raise ConsistencyError(
-                    f"Gamma strategies disagree at idempotent {e}")
-            alphas[e] = generic
+        alphas[e] = _generic_alphas(f, S, e, budget)
+        if liftable and _fast_alphas(f, S, e) != alphas[e]:
+            raise ConsistencyError(
+                f"Gamma search and lifting disagree at idempotent {e}")
 
     fibers = {e: tuple(str(i) for i in range(len(alphas[e])))
               for e in S.idempotents}
@@ -485,13 +467,7 @@ def _unit(P: Presheaf) -> UnitResult:
         if len(set(comp)) != len(comp) or len(comp) != len(G.alphas[d]):
             raise UnitNotIso(f"unit component at {d} is not a bijection")
         components[d] = tuple(comp)
-    for m in all_ls_morphisms(S):
-        d = ls_dom(S, m)
-        ptr = P.transition(m.s, m.e)
-        gtr = G.presheaf.transition(m.s, m.e)
-        for i in range(len(P.fiber(m.e))):
-            if components[d][ptr[i]] != gtr[components[m.e][i]]:
-                raise ConsistencyError(f"unit not natural along {m}")
+    validate_presheaf_map(P, G.presheaf, components)
     return UnitResult(P, LP, G, components, True)
 
 
@@ -595,32 +571,28 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
         raise NotEtale("fiber presheaf needs an etale *-homomorphism")
     if not classify(X).left_involutive:
         raise NotLeftInvolutive("fiber presheaf needs a left involutive source")
-    fibers_elems = {
-        e: tuple(x for x in X.elements if f.map[x] == e)
-        for e in S.idempotents
-    }
+    over = f.fibers
     projs = set(projections(X))
-    for e, elems in fibers_elems.items():
-        for u in elems:
+    for e in S.idempotents:
+        for u in over[e]:
             if u not in projs:
                 raise ConsistencyError(f"fiber over {e} contains non-projection {u}")
-    fibers = {e: tuple(str(u) for u in elems)
-              for e, elems in fibers_elems.items()}
+    fibers = {e: tuple(str(u) for u in over[e]) for e in S.idempotents}
     transitions = {}
     for m in all_ls_morphisms(S):
         d = ls_dom(S, m)
-        posd = {u: i for i, u in enumerate(fibers_elems[d])}
+        posd = {u: i for i, u in enumerate(over[d])}
         tr = []
-        for u in fibers_elems[m.e]:
+        for u in over[m.e]:
             x = etale_lift(f, u, m.s)
             tr.append(posd[X.d(x)])
         transitions[(m.s, m.e)] = tuple(tr)
     P = validate_presheaf(S, fibers, transitions)
     for e in S.idempotents:
-        for u in fibers_elems[e]:
+        for ui, u in enumerate(over[e]):
             for d in S.idempotents:
                 if sg.mul[d][e] == d and sg.mul[e][d] == d:
-                    ud = fibers_elems[d][P.transition(d, e)[fibers_elems[e].index(u)]]
+                    ud = over[d][P.transition(d, e)[ui]]
                     if X.mul[u][ud] != ud:
                         raise ConsistencyError(
                             f"u.d = u(u.d) fails at u={u}, d={d}")
@@ -635,12 +607,8 @@ def m_iso(f: StarMorphism) -> StarMorphism:
     sg = S.semigroup
     P = fiber_presheaf(f)
     LP = lam(P)
-    fiber_elems = {e: tuple(x for x in X.elements if f.map[x] == e)
-                   for e in S.idempotents}
-    mapping = []
-    for (r, ui) in LP.pairs:
-        u = fiber_elems[sg.c(r)][ui]
-        mapping.append(etale_lift(f, u, r))
+    over = f.fibers
+    mapping = [etale_lift(f, over[sg.c(r)][ui], r) for r, ui in LP.pairs]
     m = StarMorphism(LP.semigroup, X, tuple(mapping), name="m")
     if not m.is_star_hom:
         raise ConsistencyError("m is not a *-homomorphism")
@@ -654,7 +622,7 @@ def m_iso(f: StarMorphism) -> StarMorphism:
         carrier = G.carriers[e]
         pos_ee = carrier.index((e, e))
         tables = []
-        for ui, u in enumerate(fiber_elems[e]):
+        for ui, u in enumerate(over[e]):
             table = tuple(
                 mapping[LP.index[(r, P.transition(s, e)[ui])]]
                 for (r, s) in carrier
@@ -671,19 +639,12 @@ def m_iso(f: StarMorphism) -> StarMorphism:
 
 
 def counit_explicit_preimage(f: StarMorphism, x: int):
-    """The explicit (r, xi) with epsilon(r, xi) = x for etale f: lift q at
-    c(x) to y, then p at d(y) to z, and set xi(p, q) = z."""
-    X = f.source
+    """The explicit (r, xi) with epsilon(r, xi) = x for etale f: r = f(x),
+    and xi the lifting table of u = c(x) (``_lift_table``)."""
     S = as_inverse(f.target)
     r = f.map[x]
-    e = S.semigroup.c(r)
-    carrier = representable_tables(S, e).carrier
-    table = []
-    for (p, q) in carrier:
-        y = etale_lift(f, X.c(x), q)
-        z = etale_lift(f, X.d(y), p)
-        table.append(z)
-    return r, tuple(table)
+    carrier = representable_tables(S, S.semigroup.c(r)).carrier
+    return r, _lift_table(f, carrier, f.source.c(x))
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ def _main_xirho(inst):
     X, S0 = fm.source, fm.target
     if not (classify(S0).inverse and fm.is_star_hom and is_etale(fm)):
         return True
-    G = topos.gamma(fm, strategy="generic")
+    G = topos.gamma(fm)
     carrier = G.carriers[e]
     ee = carrier.index((e, e))
     values = [table[ee] for table in G.alphas[e]]
@@ -377,14 +377,22 @@ for _i in range(1, 9):
 # instance pools
 
 
-def semigroup_pool(max_order=3, dedup="iso", sample4=8):
-    """Validated *-semigroups over the enumeration, labeled deterministically.
-    Order-4 structures are sampled to keep sweeps fast: ``sample4=k`` keeps
-    classes 1, k+1, 2k+1, ... (every class when k is 0 or 1)."""
+# pool semigroups with more candidate maps between them than MAP_CAP get
+# none; pair_pool keeps the first PAIR_CAP composable pairs
+MAP_CAP = 4096
+PAIR_CAP = 200
+
+
+def semigroup_pool(max_order=3, sample4=8):
+    """Validated *-semigroups over the enumeration, one isomorphism class
+    after another, labeled deterministically; beyond oracle.MAX_ENUM_ORDER
+    the enumeration raises BudgetExceeded.  Order-4 structures are sampled
+    to keep sweeps fast: ``sample4=k`` keeps classes 1, k+1, 2k+1, ...
+    (every class when k is 0 or 1)."""
     out = []
-    for n in range(1, min(max_order, 4) + 1):
+    for n in range(1, max_order + 1):
         idx = 0
-        for table in oracle.enumerate_semigroups(n, dedup):
+        for table in oracle.enumerate_semigroups(n, "iso"):
             idx += 1
             if n == 4 and sample4 and (idx - 1) % sample4:
                 continue
@@ -393,11 +401,11 @@ def semigroup_pool(max_order=3, dedup="iso", sample4=8):
     return out
 
 
-def _star_morphism_maps(src, tgt, cap=4096):
+def _star_morphism_maps(src, tgt):
     mx, sx = src
     ms, ss = tgt
     n, m = len(mx), len(ms)
-    if m ** n > cap:
+    if m ** n > MAP_CAP:
         return
     for f in itertools.product(range(m), repeat=n):
         if all(f[sx[x]] == ss[f[x]] for x in range(n)):
@@ -429,9 +437,10 @@ def _left_homs(tables_a, tables_b):
             yield f
 
 
-def pair_pool(max_order=2, cap=200):
-    """Composable left *-homomorphism pairs (g: X->Y, f: Y->Z)."""
-    pool = semigroup_pool(max_order, sample4=0)
+def pair_pool():
+    """The first PAIR_CAP composable left *-homomorphism pairs
+    (g: X->Y, f: Y->Z) over the semigroups of order <= 2."""
+    pool = semigroup_pool(2, sample4=0)
     out = []
     for la, ta in pool:
         for lb, tb in pool:
@@ -443,7 +452,7 @@ def pair_pool(max_order=2, cap=200):
                     for g in gs:
                         out.append((f"{la}->{lb}->{lc}:{g}/{f}",
                                     (*ta, *tb, *tc, g, f)))
-                        if len(out) >= cap:
+                        if len(out) >= PAIR_CAP:
                             return out
     return out
 

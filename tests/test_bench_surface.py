@@ -1,8 +1,9 @@
 """The benchmark's traced run wraps named functions of the package; a rename
 or a changed signature would break ``perfbench/run.py --trace 1`` without
 failing any other test.  The tracer module is loaded by path and only read.
-The presheaves workload runs here too, against the digest the benchmark's
-output gate records in ``perfbench/expected.json``, which is only read."""
+The verify and presheaves workloads run here too, against the digests the
+benchmark's output gate records in ``perfbench/expected.json``, which is
+only read."""
 
 import hashlib
 import importlib
@@ -13,6 +14,8 @@ import sys
 import types
 
 import pytest
+
+from stargroup import cli
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -89,3 +92,12 @@ def test_presheaves_workload_matches_the_recorded_digest(seed, monkeypatch):
                       separators=(",", ":"))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == expected["presheaves"]["items"]
+
+
+def test_verify_workload_matches_the_recorded_digest(capsys):
+    # the verify workload's output gate, in process: the user command's
+    # report must stay byte for byte what the benchmark recorded
+    expected = json.loads((TRACER.parent / "expected.json").read_text())
+    assert cli.main(["verify", "--max-order", "4", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == expected["verify"]["report"]

@@ -259,6 +259,21 @@ def test_etale_constant_fails(const_c2_t1):
     assert rep.witness is not None
 
 
+def test_etale_report_is_kept_on_the_morphism(i2):
+    f = identity_morphism(i2)
+    assert etale_report(f) is etale_report(f) and is_etale(f)
+    assert not hasattr(StarMorphism, "etale")
+
+
+def test_fibers_list_the_source_over_each_target_element(c2, t1, i2,
+                                                         const_c2_t1):
+    assert const_c2_t1.fibers == ((0, 1),)
+    assert StarMorphism(t1, c2, (0,)).fibers == ((0,), ())
+    f = StarMorphism(i2, i2, (3, 0, 3, 0, 1, 2, 4))
+    assert f.fibers == ((1, 3), (4,), (5,), (0, 2), (6,), (), ())
+    assert f.fibers is f.fibers
+
+
 def test_etale_requires_left_star_hom(c2, sl2):
     from stargroup.core import NotLeftStarHom
     bad = StarMorphism(c2, c2, (1, 0))  # swap is not a left *-hom on Z/2

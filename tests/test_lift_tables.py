@@ -212,8 +212,7 @@ def test_generic_gamma_matches_the_inline_plan(presheaves, budget):
         S = site.as_inverse(f.target)
         want = _outcome(lambda: {e: reference_generic_alphas(f, S, e, budget)[0]
                                  for e in S.idempotents})
-        got = _outcome(lambda: topos.gamma(f, budget=budget,
-                                           strategy="generic").alphas)
+        got = _outcome(lambda: topos.gamma(f, budget=budget).alphas)
         assert got == want, (f, budget)
 
 
@@ -224,9 +223,9 @@ def test_generic_gamma_stops_where_the_inline_plan_does(presheaves):
         S = site.as_inverse(f.target)
         need = max(reference_generic_alphas(f, S, e, math.inf)[1]
                    for e in S.idempotents)
-        topos.gamma(f, budget=need, strategy="generic")
+        topos.gamma(f, budget=need)
         with pytest.raises(SearchBudgetExceeded):
-            topos.gamma(f, budget=need - 1, strategy="generic")
+            topos.gamma(f, budget=need - 1)
 
 
 def test_gamma_plan_is_kept_on_the_tables(i2):

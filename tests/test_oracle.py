@@ -218,6 +218,13 @@ def test_semigroup_pool_sample4_keeps_every_kth_class():
         == [214, 214, 94, 61]
 
 
+def test_run_statements_past_the_enumeration_cap_raises():
+    # the pools follow oracle.MAX_ENUM_ORDER instead of stopping below it
+    from stargroup import verify
+    with pytest.raises(BudgetExceeded, match="capped at order"):
+        verify.run_statements(max_order=oracle.MAX_ENUM_ORDER + 1)
+
+
 # the orbit-marking enumeration the library used before lex-leader pruning:
 # walk every associative table and let the first member met of a class mark
 # its whole orbit as seen

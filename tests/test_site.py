@@ -179,7 +179,7 @@ def test_lem_xirho_on_generated_instances(i2_inv, sl2_inv, id_i2, id_sl2):
     # two left *-homs S(e) -> X over S agreeing at (e, e) agree: the value
     # at (e, e) determines the alpha table inside Gamma
     for S, f in ((i2_inv, id_i2), (sl2_inv, id_sl2)):
-        G = topos.gamma(f, strategy="generic")
+        G = topos.gamma(f)
         for e in S.idempotents:
             ee = G.carriers[e].index((e, e))
             values = [t[ee] for t in G.alphas[e]]
@@ -191,7 +191,7 @@ def test_yoneda_faithfulness(i2_inv):
     sg = i2_inv.semigroup
     for e in i2_inv.idempotents:
         R = representable_semigroup(i2_inv, e)
-        G = topos.gamma(R.psi, strategy="generic")
+        G = topos.gamma(R.psi)
         for d in i2_inv.idempotents:
             homs = ls_morphisms(i2_inv, d, e)
             tables = set()

@@ -137,6 +137,17 @@ def test_balanced_check_id(id_sl2):
     assert balanced_check(canonical_action(id_sl2)).balanced
 
 
+def test_sset_verdicts_are_kept_on_the_sset(i2):
+    A = canonical_action(StarMorphism(i2, i2, tuple(i2.elements)))
+    for verdict in (balanced_check, is_left_involutive_sset):
+        first = verdict(A)
+        misses = verdict.cache_info().misses
+        assert verdict(A) is first
+        assert verdict.cache_info().misses == misses
+    assert not hasattr(SSetStructure, "balance")
+    assert not hasattr(SSetStructure, "left_identity")
+
+
 def test_corrupted_action_caught(sl2, id_sl2):
     A = canonical_action(id_sl2)
     bad_action = [list(r) for r in A.action]

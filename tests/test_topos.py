@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import inspect
 import weakref
 
 import pytest
@@ -106,7 +108,7 @@ def test_gamma_identity_is_terminal(i2_inv, id_i2):
 def test_gamma_budget(p21):
     LP = lam(p21)
     with pytest.raises(topos.SearchBudgetExceeded):
-        gamma(LP.structure_map, budget=2, strategy="generic")
+        gamma(LP.structure_map, budget=2)
 
 
 def test_unit_iso_terminal(sl2_inv):
@@ -117,6 +119,24 @@ def test_unit_iso_terminal(sl2_inv):
 def test_unit_iso_p21(p21):
     u = unit(p21)
     assert [len(u.components[e]) for e in sorted(u.components)] == [1, 2]
+
+
+def test_a_non_natural_unit_raises_not_natural(p21, monkeypatch):
+    # Gamma whose identity transition at 1 swaps its two points: each unit
+    # component is still a bijection, but the family is not natural
+    real = topos.gamma
+
+    def swapped(f):
+        G = real(f)
+        transitions = dict(G.presheaf.transitions)
+        transitions[(1, 1)] = transitions[(1, 1)][::-1]
+        presheaf = site.Presheaf(G.base, G.presheaf.fibers, transitions)
+        return dataclasses.replace(G, presheaf=presheaf)
+
+    monkeypatch.setattr(topos, "gamma", swapped)
+    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    with pytest.raises(site.NotNatural):
+        unit(P)
 
 
 def test_unit_yoneda(i2_inv):
@@ -231,9 +251,42 @@ def test_gamma_fast_equals_generic(p21, id_i2, id_sl2, i2_inv):
     probes += [representable_semigroup(i2_inv, e).psi
                for e in i2_inv.idempotents]
     for f in probes:
-        a = gamma(f, strategy="generic")
-        b = gamma(f, strategy="fast")
-        assert a.alphas == b.alphas
+        S = site.as_inverse(f.target)
+        for e in S.idempotents:
+            generic = topos._generic_alphas(f, S, e, topos.DEFAULT_BUDGET)
+            assert topos._fast_alphas(f, S, e) == generic
+            assert gamma(f).alphas[e] == generic
+
+
+def test_gamma_cross_checks_the_lifting_path(i2, monkeypatch):
+    def wrong(f, S, e):
+        return ((0,) * len(site.representable_tables(S, e).carrier),)
+
+    monkeypatch.setattr(topos, "_fast_alphas", wrong)
+    with pytest.raises(ConsistencyError, match="lifting disagree"):
+        gamma(identity_morphism(i2))
+
+
+def test_gamma_lifts_only_where_the_lifting_path_applies(const_c2_t1,
+                                                        monkeypatch):
+    calls = []
+    real = topos._fast_alphas
+    monkeypatch.setattr(topos, "_fast_alphas",
+                        lambda *args: calls.append(args) or real(*args))
+    const = StarMorphism(const_c2_t1.source, const_c2_t1.target,
+                         const_c2_t1.map)
+    assert not is_etale(const)
+    gamma(const)
+    assert calls == []
+    t1 = site.as_inverse(const_c2_t1.target)
+    gamma(identity_morphism(t1.semigroup))
+    assert [e for _, _, e in calls] == list(t1.idempotents)
+
+
+def test_gamma_takes_a_map_and_a_budget_only():
+    params = inspect.signature(gamma).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("f", inspect.Parameter.empty), ("budget", None)]
 
 
 def test_counit_explicit_preimage(p21, id_i2):
@@ -456,24 +509,18 @@ def test_lam_not_shared_between_equal_presheaves(sl2_inv):
     assert lam(P) is not lam(Q)
 
 
-def test_gamma_strategies_are_separate_entries(id_i2):
-    generic = gamma(id_i2, strategy="generic")
-    fast = gamma(id_i2, strategy="fast")
-    assert generic is not fast
-    assert generic.alphas == fast.alphas
-    assert gamma(id_i2, strategy="generic") is generic
-    assert gamma(id_i2, strategy="fast") is fast
-    auto = gamma(id_i2)
-    assert auto is not generic and auto is not fast
+def test_gamma_is_one_entry_per_resolved_budget(i2):
+    f = identity_morphism(i2)
+    held = gamma(f)
+    assert gamma(f) is held
     # the key holds the resolved budget, not the argument as given
-    assert gamma(id_i2, budget=topos.DEFAULT_BUDGET) is auto
-
-
-def test_gamma_rejects_unknown_strategy(id_i2):
-    held = gamma(id_i2)
-    with pytest.raises(ValueError, match="bogus"):
-        gamma(id_i2, strategy="bogus")
-    assert gamma(id_i2) is held
+    assert gamma(f, budget=topos.DEFAULT_BUDGET) is held
+    other = gamma(f, budget=topos.DEFAULT_BUDGET + 1)
+    assert other is not held and other.alphas == held.alphas
+    keys = [key for key in topos._BUILT.keys()
+            if key[0] == "gamma" and key[1] == id(f)]
+    assert sorted(keys) == [("gamma", id(f), topos.DEFAULT_BUDGET),
+                            ("gamma", id(f), topos.DEFAULT_BUDGET + 1)]
 
 
 def test_gamma_budget_still_enforced_while_held(id_i2):
@@ -651,6 +698,5 @@ def test_gamma_reads_se_tables_without_validating_them(monkeypatch, i2):
 
     monkeypatch.setattr(site, "representable_semigroup", refuse)
     f = StarMorphism(i2, i2, tuple(i2.elements))
-    for strategy in ("generic", "fast", "auto"):
-        G = gamma(f, strategy=strategy)
-        assert [G.fiber_size(e) for e in G.base.idempotents] == [1, 1, 1, 1]
+    G = gamma(f)
+    assert [G.fiber_size(e) for e in G.base.idempotents] == [1, 1, 1, 1]
