@@ -49,6 +49,8 @@ class Report:
                 status = "PASS" if r["pass"] else "FAIL"
                 extra = f"  witness={r['witness']}" if "witness" in r else ""
                 print(f"{status}  {r['check']}  [{r['instance']}]{extra}")
+        # a failed write surfaces here, not in the interpreter's flush at exit
+        sys.stdout.flush()
 
 
 def _instance_name(obj, path):
@@ -175,7 +177,7 @@ def cmd_fhat(args, report):
                witness=[list(v) for v in rep.violations[:3]] or None)
     r = modalg.rho(fh)
     report.add("fhat:rho-left-star-hom", name, r.is_left_star_hom)
-    sample = modalg.FreeModule(f).check_axioms(seed=args.seed)
+    sample = modalg.FreeModule(f).check_quotient(fh, seed=args.seed)
     report.add("fhat:free-module-sample", name, sample.ok,
                witness=[list(v) for v in sample.violations[:3]] or None)
     if args.output:
@@ -339,7 +341,13 @@ def main(argv=None):
     try:
         if hasattr(args, "budget"):
             args.budget = topos.resolve_budget(args.budget, default=None)
-        args.fn(args, report)
+        try:
+            args.fn(args, report)
+        except (SearchBudgetExceeded, CarrierTooLarge, BudgetInvalid):
+            raise
+        except StarError as exc:
+            report.add("error", type(exc).__name__, False, witness=[str(exc)])
+        report.emit(args.format)
     except (SearchBudgetExceeded, BudgetExceeded, CarrierTooLarge) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -352,11 +360,6 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except StarError as exc:
-        report.add("error", type(exc).__name__, False, witness=[str(exc)])
-        report.emit(args.format)
-        return 1
-    report.emit(args.format)
     return 0 if report.ok else 1
 
 

@@ -9,6 +9,7 @@ which keeps reports deterministic regardless of how a sweep is scheduled.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import update_wrapper
 from typing import NamedTuple
@@ -295,13 +296,29 @@ def _axiom_violations(order, mul, star):
     return tuple(out)
 
 
+# validated semigroups by (mul, star, name), held weakly
+_INTERNED = weakref.WeakValueDictionary()
+
+
 def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
-    """Validate raw tables; raises InvalidStarSemigroup with all witnesses."""
+    """Validate raw tables; raises InvalidStarSemigroup with all witnesses.
+
+    Interned by content (hash-consing: Filliatre and Conchon, ML Workshop
+    2006): while a semigroup validated from equal tables under the same
+    name is still held, this returns that one, with everything kept on it,
+    and skips the axiom sweep.  The shape checks run on every call, and an
+    invalid table is never stored."""
     mul, star = _freeze_tables(order, mul, star)
-    violations = _axiom_violations(order, mul, star)
-    if violations:
-        raise InvalidStarSemigroup(violations)
-    return FiniteStarSemigroup(order, mul, star, name)
+    if name is not None and type(name) is not str:
+        raise ShapeError(f"name must be a string or None, got {name!r}")
+    key = (mul, star, name)
+    X = _INTERNED.get(key)
+    if X is None:
+        violations = _axiom_violations(order, mul, star)
+        if violations:
+            raise InvalidStarSemigroup(violations)
+        X = _INTERNED[key] = FiniteStarSemigroup(order, mul, star, name)
+    return X
 
 
 def _check_element(X: FiniteStarSemigroup, x: int):

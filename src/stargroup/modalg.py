@@ -394,6 +394,33 @@ class FreeModule:
                     out.append(Violation("RhoEquivarianceViolation", (x, s)))
         return Verdict(out)
 
+    def check_quotient(self, fh, max_terms=4, count=40, seed=0) -> Verdict:
+        """``check_axioms``, plus on the same sampled elements: the support
+        quotient lands in ``fh``, the F-hat of the same map, and commutes
+        with star, the action and addition."""
+        out = list(self.check_axioms(max_terms, count, seed).violations)
+        elems = self.sample_elements(max_terms, count, seed)
+        sset, add = fh.module.sset, fh.module.add
+
+        def at(a):
+            return fh.index.get(self.support(a))
+
+        for a in elems:
+            i = at(a)
+            if i is None:
+                out.append(Violation("SupportRangeViolation", (a,)))
+                continue
+            if sset.star[i] != at(self.star(a)):
+                out.append(Violation("QuotientStarViolation", (a,)))
+            for s in self.base.elements:
+                if sset.act(i, s) != at(self.act(a, s)):
+                    out.append(Violation("QuotientActionViolation", (a, s)))
+            for b in elems:
+                j = at(b) if b[0] == a[0] else None
+                if j is not None and add[i][j] != at(self.add(a, b)):
+                    out.append(Violation("QuotientAdditionViolation", (a, b)))
+        return Verdict(out)
+
 
 # ---------------------------------------------------------------------------
 # the idempotent quotient F-hat(f)

@@ -13,13 +13,15 @@ what they build: a call returns the object already built for the same ``P``
 (or the same ``f`` and budget, or the same Gamma ``G``) while some caller
 still holds it, and builds afresh once every holder has dropped it.  So
 the triangle checks reuse the unit and counit the chain holds.  Lambda
-also shares by table: a Lambda whose product, star and map
-tables equal those of one still held, over the same base semigroup object,
-gets that one's validated semigroup and structure map, with their verdicts,
-and runs only the check against its own ``P``'s transitions.  So the unit,
-counit and ``m`` checks on one presheaf, whose three Lambdas often have
-equal tables, validate each distinct Lambda once.  Every other check runs
-once per object built, and a call that raises leaves nothing behind.
+also shares by table, by the one rule of ``core.validate_star_semigroup``:
+its semigroup is interned by its product and star tables, and keeps its
+structure map onto each base and map with ``core.memo``.  So a Lambda whose
+tables equal those of one still held gets that one's validated semigroup
+and structure map, with their verdicts, and runs only the check against
+its own ``P``'s transitions.  So the unit, counit and ``m`` checks on one
+presheaf, whose three Lambdas often have equal tables, validate each
+distinct Lambda once.  Every other check runs once per object built, and a
+call that raises keeps nothing that failed a check.
 Shared objects are handed to every caller, so a ``Presheaf`` or
 ``StarMorphism`` must not be mutated after construction, nor a
 ``LambdaObject``, ``GammaPresheaf``, ``UnitResult`` or ``CounitResult`` at
@@ -119,11 +121,10 @@ def resolve_budget(value=None, default=DEFAULT_BUDGET):
 
 
 # What lam, gamma, unit and counit built, keyed by the id of the presheaf,
-# morphism or Gamma they were built from, and Lambda's structure maps, keyed
-# by the id of the base semigroup and the product, star and map tables.
-# Values are held weakly, so an entry lasts only while some caller holds
-# the result; the result refers to its presheaf, morphism, Gamma or base,
-# which therefore stays alive and keeps its id while the entry exists.
+# morphism or Gamma they were built from.  Values are held weakly, so an
+# entry lasts only while some caller holds the result; the result refers to
+# its presheaf, morphism or Gamma, which therefore stays alive and keeps its
+# id while the entry exists.
 _BUILT = weakref.WeakValueDictionary()
 
 
@@ -197,13 +198,11 @@ def _lam(P: Presheaf) -> LambdaObject:
     # (r, x)* = (r*, x . r)
     star = tuple(offset[sg.star[r]] + trans[(r, c[r])][x] for r, x in pairs)
     smap = tuple(r for r, _ in pairs)
-    # a structure map with these tables over sg, if one is held, comes
-    # validated with its verdicts; only the check against P's transitions
-    # below is P's own
-    f = _BUILT.get(("lam-tables", id(sg), mul, star, smap))
-    built = f is None
-    if built:
-        f = _lambda_map(sg, mul, star, smap)
+    # the semigroup is interned by its tables, so a structure map onto sg
+    # kept on it comes validated with its verdicts; only the check against
+    # P's transitions below is P's own
+    lsg = validate_star_semigroup(len(smap), mul, star, name="Lambda")
+    f = _lambda_map(lsg, sg, smap)
     A = ssets.canonical_action(f)
     for (r, x), act_i in zip(pairs, A.action):
         mul_r = sg.mul[r]
@@ -212,17 +211,15 @@ def _lam(P: Presheaf) -> LambdaObject:
             if act_i[s] != offset[rs] + trans[(c[rs], c[r])][x]:
                 raise ConsistencyError("canonical action differs from the "
                                        "transition formula on Lambda(P)")
-    if built:
-        # keyed on the tables the semigroup keeps, so none is held twice
-        _BUILT[("lam-tables", id(sg), f.source.mul, f.source.star, f.map)] = f
-    return LambdaObject(P, S, pairs, index, f.source, f)
+    return LambdaObject(P, S, pairs, index, lsg, f)
 
 
-def _lambda_map(sg, mul, star, smap) -> StarMorphism:
-    """The structure map of Lambda's tables, validated: a left involutive
-    semigroup, an etale *-homomorphism onto ``sg``, and projections exactly
-    the pairs over idempotents."""
-    lsg = validate_star_semigroup(len(smap), mul, star, name="Lambda")
+@memo
+def _lambda_map(lsg, sg, smap) -> StarMorphism:
+    """The structure map ``smap`` of the Lambda semigroup ``lsg`` onto
+    ``sg``, validated: ``lsg`` left involutive, an etale *-homomorphism, and
+    projections exactly the pairs over idempotents.  Kept on ``lsg``, keyed
+    by base and map."""
     f = StarMorphism(lsg, sg, smap, name="lambda-map")
     if not classify(lsg).left_involutive:
         raise ConsistencyError("Lambda(P) is not left involutive")

@@ -4,7 +4,11 @@ re-derivation, over instance pools generated from the enumeration and the
 standard families.  A row passes when both verdicts are True.
 
 Instance pools are generated deterministically and the rows are sorted, so
-the report is the same on every run.
+the report is the same on every run.  A pool entry carries its validated
+semigroups and morphisms, so every statement over it reads the verdicts
+kept on those objects, and equal tables validated elsewhere while held give
+the same object (``core.validate_star_semigroup``).  The oracle receives
+each entry's raw tables.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 
 from . import oracle, site, topos
 from .core import (
-    FiniteStarSemigroup,
     StarError,
     StarMorphism,
     classify,
@@ -25,7 +28,6 @@ from .core import (
     leq_left,
     leq_right,
     projections,
-    validate_star_semigroup,
 )
 from .oracle import BudgetExceeded
 from .site import as_inverse, representable_semigroup
@@ -49,33 +51,12 @@ class VerifyRow:
         return out
 
 
-# validated semigroups by (mul, star) while run_statements runs, so each
-# distinct table pair is validated once per run; None outside a run
-_interned = None
-
-
-def _sg(tables) -> FiniteStarSemigroup:
-    mul, star = tables
-    if _interned is None:
-        return validate_star_semigroup(len(mul), mul, star)
-    key = (mul, star)
-    X = _interned.get(key)
-    if X is None:
-        X = _interned[key] = validate_star_semigroup(len(mul), mul, star)
-    return X
-
-
-def _morph(inst) -> StarMorphism:
-    mx, sx, ms, ss, f = inst
-    return StarMorphism(_sg((mx, sx)), _sg((ms, ss)), f)
-
-
 # ---------------------------------------------------------------------------
 # main verdicts, one per registered statement
 
 
-def _main_reduct(inst):
-    r = classify(_sg(inst))
+def _main_reduct(X):
+    r = classify(X)
     if r.involutive and not (r.left_involutive and r.right_involutive):
         return False
     if (r.left_involutive or r.right_involutive) and not r.locally_involutive:
@@ -83,8 +64,7 @@ def _main_reduct(inst):
     return True
 
 
-def _main_birestrictive(inst):
-    X = _sg(inst)
+def _main_birestrictive(X):
     r = classify(X)
     if r.left_involutive and not r.corestrictive:
         return False
@@ -107,8 +87,7 @@ def _main_birestrictive(inst):
     return True
 
 
-def _main_leftright(inst):
-    X = _sg(inst)
+def _main_leftright(X):
     r = classify(X)
     projs = projections(X)
     for y in X.elements:
@@ -150,8 +129,7 @@ def _main_leftright(inst):
     return True
 
 
-def _main_3cond(inst):
-    X = _sg(inst)
+def _main_3cond(X):
     if not classify(X).left_involutive:
         return True
     for x in X.elements:
@@ -168,8 +146,7 @@ def _main_3cond(inst):
 
 
 def _main_po(item):
-    def fn(inst):
-        X = _sg(inst)
+    def fn(X):
         r = classify(X)
         for x in X.elements:
             dx, cx = X.d(x), X.c(x)
@@ -211,8 +188,7 @@ def _main_po(item):
     return fn
 
 
-def _main_fdt(inst):
-    f = _morph(inst)
+def _main_fdt(f):
     X, S = f.source, f.target
     if not (classify(X).left_involutive and classify(S).left_involutive
             and f.is_left_star_hom):
@@ -224,8 +200,7 @@ def _main_fdt(inst):
     return f.is_multiplicative == proj_mult
 
 
-def _main_reflect(inst):
-    f = _morph(inst)
+def _main_reflect(f):
     if not (f.is_left_star_hom and is_etale(f)):
         return True
     X, S = f.source, f.target
@@ -237,10 +212,7 @@ def _main_reflect(inst):
 
 
 def _main_fg(inst):
-    mx, sx, my, sy, mz, sz, g, f = inst
-    X, Y, Z = _sg((mx, sx)), _sg((my, sy)), _sg((mz, sz))
-    gm = StarMorphism(X, Y, g)
-    fm = StarMorphism(Y, Z, f)
+    gm, fm = inst
     fg = compose_morphisms(fm, gm)
     if not (gm.is_left_star_hom and fm.is_left_star_hom):
         return True
@@ -250,10 +222,7 @@ def _main_fg(inst):
 
 
 def _main_starhomo(inst):
-    mx, sx, my, sy, ms, ss, psi, h = inst
-    X, Y, S = _sg((mx, sx)), _sg((my, sy)), _sg((ms, ss))
-    pm = StarMorphism(X, Y, psi)
-    hm = StarMorphism(Y, S, h)
+    pm, hm = inst
     fm = compose_morphisms(hm, pm)
     if not (hm.is_star_hom and is_etale(hm) and fm.is_star_hom
             and pm.is_left_star_hom):
@@ -265,8 +234,7 @@ def _main_starhomo(inst):
     return True
 
 
-def _main_xfy(inst):
-    f = _morph(inst)
+def _main_xfy(f):
     if not (f.is_left_star_hom and is_etale(f)):
         return True
     X, S = f.source, f.target
@@ -293,14 +261,13 @@ def _main_xfy(inst):
     return True
 
 
-def _main_commproj(inst):
+def _main_commproj(X):
     # classify() itself cross-checks the two routes and raises on mismatch
-    classify(_sg(inst))
+    classify(X)
     return True
 
 
-def _main_rsrs(inst):
-    X = _sg(inst)
+def _main_rsrs(X):
     if not classify(X).inverse:
         return True
     S = as_inverse(X)
@@ -325,9 +292,8 @@ def _main_rsrs(inst):
 
 
 def _main_xirho(inst):
-    mx, sx, ms, ss, f, e = inst
-    fm = _morph((mx, sx, ms, ss, f))
-    X, S0 = fm.source, fm.target
+    fm, e = inst
+    S0 = fm.target
     if not (classify(S0).inverse and fm.is_star_hom and is_etale(fm)):
         return True
     G = topos.gamma(fm)
@@ -338,16 +304,14 @@ def _main_xirho(inst):
 
 
 def _main_sym(inst):
-    mul, star, e = inst
-    X = _sg((mul, star))
+    X, e = inst
     if not classify(X).inverse:
         return True
     return topos.prop_sym_check(as_inverse(X), e).ok
 
 
 def _main_seinv(inst):
-    mul, star, e = inst
-    X = _sg((mul, star))
+    X, e = inst
     if not classify(X).inverse:
         return True
     return topos.prop_sym_check(as_inverse(X), e).seinv_agrees
@@ -382,13 +346,16 @@ for _i in range(1, 9):
 MAP_CAP = 4096
 PAIR_CAP = 200
 
+# Every pool entry is (label, instance, raw).  The instance holds validated
+# objects for the main checks; raw is the same instance in the shape
+# oracle.naive_check documents for its kind.
 
 def semigroup_pool(max_order=3, sample4=8):
-    """Validated *-semigroups over the enumeration, one isomorphism class
-    after another, labeled deterministically; beyond oracle.MAX_ENUM_ORDER
-    the enumeration raises BudgetExceeded.  Order-4 structures are sampled
-    to keep sweeps fast: ``sample4=k`` keeps classes 1, k+1, 2k+1, ...
-    (every class when k is 0 or 1)."""
+    """The *-semigroups oracle.enumerate_star_structures validates, one
+    isomorphism class after another, labeled deterministically; beyond
+    oracle.MAX_ENUM_ORDER the enumeration raises BudgetExceeded.  Order-4
+    structures are sampled to keep sweeps fast: ``sample4=k`` keeps classes
+    1, k+1, 2k+1, ... (every class when k is 0 or 1)."""
     out = []
     for n in range(1, max_order + 1):
         idx = 0
@@ -397,13 +364,12 @@ def semigroup_pool(max_order=3, sample4=8):
             if n == 4 and sample4 and (idx - 1) % sample4:
                 continue
             for j, X in enumerate(oracle.enumerate_star_structures(table)):
-                out.append((f"n{n}#{idx}*{j}", (X.mul, X.star)))
+                out.append((f"n{n}#{idx}*{j}", X, (X.mul, X.star)))
     return out
 
 
-def _star_morphism_maps(src, tgt):
-    mx, sx = src
-    ms, ss = tgt
+def _star_morphism_maps(X, S):
+    mx, sx, ms, ss = X.mul, X.star, S.mul, S.star
     n, m = len(mx), len(ms)
     if m ** n > MAP_CAP:
         return
@@ -420,21 +386,20 @@ def morphism_pool(max_order=3):
         ("SL3", oracle.standard_family("semilattice_chain", 3)),
         ("I2", oracle.standard_family("symmetric_inverse", 2)),
     ]
-    pool = base + [(name, (X.mul, X.star)) for name, X in extras]
+    pool = [(label, X) for label, X, _ in base] + extras
     out = []
-    for (la, ta), (lb, tb) in itertools.product(pool, repeat=2):
-        for f in _star_morphism_maps(ta, tb):
+    for (la, X), (lb, S) in itertools.product(pool, repeat=2):
+        for f in _star_morphism_maps(X, S):
             out.append((f"{la}->{lb}:{''.join(map(str, f))}",
-                        (*ta, *tb, f)))
+                        StarMorphism(X, S, f),
+                        (X.mul, X.star, S.mul, S.star, f)))
     return out
 
 
-def _left_homs(tables_a, tables_b):
-    mx, sx = tables_a
-    ms, ss = tables_b
-    for f in _star_morphism_maps(tables_a, tables_b):
-        if oracle._n_is_left_hom(mx, sx, ms, ss, f):
-            yield f
+def _left_homs(X, S):
+    for f in _star_morphism_maps(X, S):
+        if oracle._n_is_left_hom(X.mul, X.star, S.mul, S.star, f):
+            yield StarMorphism(X, S, f)
 
 
 def pair_pool():
@@ -442,57 +407,54 @@ def pair_pool():
     (g: X->Y, f: Y->Z) over the semigroups of order <= 2."""
     pool = semigroup_pool(2, sample4=0)
     out = []
-    for la, ta in pool:
-        for lb, tb in pool:
-            gs = list(_left_homs(ta, tb))
+    for la, X, tx in pool:
+        for lb, Y, ty in pool:
+            gs = list(_left_homs(X, Y))
             if not gs:
                 continue
-            for lc, tc in pool:
-                for f in _left_homs(tb, tc):
+            for lc, Z, tz in pool:
+                for f in _left_homs(Y, Z):
                     for g in gs:
-                        out.append((f"{la}->{lb}->{lc}:{g}/{f}",
-                                    (*ta, *tb, *tc, g, f)))
+                        out.append((f"{la}->{lb}->{lc}:{g.map}/{f.map}",
+                                    (g, f), (*tx, *ty, *tz, g.map, f.map)))
                         if len(out) >= PAIR_CAP:
                             return out
     return out
 
 
 def inverse_pool(max_order=3):
-    out = []
-    for label, tables in semigroup_pool(max_order, sample4=4):
-        if oracle._n_inverse(tables[0]):
-            out.append((label, tables))
+    out = [(label, X, raw)
+           for label, X, raw in semigroup_pool(max_order, sample4=4)
+           if oracle._n_inverse(X.mul)]
     for name, X in [("SL2", oracle.standard_family("semilattice_chain", 2)),
                     ("I2", oracle.standard_family("symmetric_inverse", 2))]:
-        out.append((name, (X.mul, X.star)))
+        out.append((name, X, (X.mul, X.star)))
     return out
 
 
 def etale_idem_pool():
     """Etale *-homomorphisms into inverse bases, one instance per idempotent:
     identity maps plus a lambda object with two-point fibers."""
-    out = []
     bases = [("SL2", oracle.standard_family("semilattice_chain", 2)),
              ("I2", oracle.standard_family("symmetric_inverse", 2))]
-    for name, X in bases:
-        idm = [e for e in X.elements if X.mul[e][e] == e]
-        ident = tuple(X.elements)
-        for e in idm:
-            out.append((f"id:{name}@e{e}", (X.mul, X.star, X.mul, X.star, ident, e)))
+    maps = [(f"id:{name}", StarMorphism(X, X, tuple(X.elements)))
+            for name, X in bases]
     sl2 = as_inverse(oracle.standard_family("semilattice_chain", 2))
     P = site.validate_presheaf(sl2, {1: ("u", "v"), 0: ("w",)},
                                {(0, 0): (0,), (1, 1): (0, 1), (0, 1): (0, 0)})
-    LP = topos.lam(P)
-    lsg, f = LP.semigroup, LP.structure_map
-    for e in sl2.idempotents:
-        out.append((f"lambda:P21@e{e}",
-                    (lsg.mul, lsg.star, sl2.semigroup.mul, sl2.semigroup.star,
-                     f.map, e)))
+    maps.append(("lambda:P21", topos.lam(P).structure_map))
+    out = []
+    for label, f in maps:
+        X, S = f.source, f.target
+        raw = (X.mul, X.star, S.mul, S.star, f.map)
+        for e in idempotents(S):
+            out.append((f"{label}@e{e}", (f, e), (*raw, e)))
     return out
 
 
 def build_instances(statement_ids=None, max_order=3, sample4=8):
-    """(statement, label, instance) triples for the requested statements."""
+    """(statement, label, instance, raw) for the requested statements: the
+    main check reads the instance, oracle.naive_check the raw tables."""
     ids = statement_ids or sorted(oracle.REGISTRY)
     kinds = {sid: oracle.REGISTRY[sid].kind for sid in ids}
     pools = {}
@@ -504,10 +466,9 @@ def build_instances(statement_ids=None, max_order=3, sample4=8):
         pools["pair"] = pair_pool()
     if "inverse_idem" in kinds.values():
         pools["inverse_idem"] = [
-            (f"{label}@e{e}", (*tables, e))
-            for label, tables in inverse_pool(max_order)
-            for e in range(len(tables[0]))
-            if tables[0][e][e] == e
+            (f"{label}@e{e}", (X, e), (*raw, e))
+            for label, X, raw in inverse_pool(max_order)
+            for e in idempotents(X)
         ]
     if "etale_idem" in kinds.values():
         pools["etale_idem"] = etale_idem_pool()
@@ -519,8 +480,8 @@ def build_instances(statement_ids=None, max_order=3, sample4=8):
                     "morphism": "morphism", "pair": "pair",
                     "triangle": "pair", "inverse_idem": "inverse_idem",
                     "etale_idem": "etale_idem"}[kind]
-        for label, inst in pools[pool_key]:
-            tasks.append((sid, label, inst))
+        for label, inst, raw in pools[pool_key]:
+            tasks.append((sid, label, inst, raw))
     return tasks
 
 
@@ -528,10 +489,10 @@ def _run_task(task):
     """One row.  An error inside a check fails its own row, with witness
     ("error", type, message), instead of ending the sweep; an exceeded or
     invalid budget still ends it."""
-    sid, label, inst = task
+    sid, label, inst, raw = task
     try:
         main = MAIN_CHECKS[sid](inst)
-        naive = oracle.naive_check(sid, inst)
+        naive = oracle.naive_check(sid, raw)
     except (BudgetExceeded, SearchBudgetExceeded, BudgetInvalid):
         raise
     except (StarError, oracle.OracleError) as exc:
@@ -543,13 +504,7 @@ def _run_task(task):
 
 def run_statements(statement_ids=None, max_order=3, sample4=8):
     """Evaluate statements over their pools; rows sorted (check, instance)."""
-    global _interned
     tasks = build_instances(statement_ids, max_order, sample4)
-    _interned = {}
-    try:
-        raw = [_run_task(t) for t in tasks]
-    finally:
-        _interned = None
-    rows = [VerifyRow(sid, label, ok, wit) for sid, label, ok, wit in raw]
+    rows = [VerifyRow(*_run_task(t)) for t in tasks]
     rows.sort(key=lambda r: (r.check, r.instance))
     return rows

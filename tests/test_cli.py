@@ -147,6 +147,21 @@ def test_fhat_free_module_sample_fails_cleanly(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("support, kind", [
+    # drops the terms of multiplicity one, so a + a gains one a - a does not
+    (lambda self, a: (a[0], frozenset(x for x, k in a[1] if k > 1)),
+     "QuotientAdditionViolation"),
+    (lambda self, a: (a[0], frozenset({-1})), "SupportRangeViolation"),
+])
+def test_fhat_free_module_sample_checks_the_support_quotient(
+        monkeypatch, capsys, support, kind):
+    monkeypatch.setattr(modalg.FreeModule, "support", support)
+    code, out = run_cli("fhat", "--morphism", str(FIXTURES / "id_sl2.json"))
+    assert code == 1
+    assert "FAIL  fhat:free-module-sample" in out and kind in out
+    assert capsys.readouterr().err == ""
+
+
 def test_fhat_free_module_sample_fails_under_python_O():
     """The sample check does not rest on assert statements, which -O
     strips."""
@@ -158,6 +173,44 @@ def test_fhat_free_module_sample_fails_under_python_O():
     assert proc.returncode == 1, proc.stderr
     assert "FAIL  fhat:free-module-sample" in proc.stdout
     assert proc.stderr == ""
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"),
+                                   OSError(28, "No space left on device")])
+def test_a_failed_report_write_exits_2(monkeypatch, capsys, fmt, error):
+    """A report that cannot be written is one io error line and exit 2,
+    never a traceback; exit 1 would claim that a check failed."""
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
+    code = cli.main(["--format", fmt, "classify", str(FIXTURES / "i2.json")])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == f"io error: {error}\n"
+
+
+def test_verify_into_a_closed_pipe_exits_2():
+    """``stargroup verify --max-order 4 | head -1``: the reader leaves after
+    one line, so a later write fails with a broken pipe."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "stargroup.cli",
+             "verify", "--max-order", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert first.startswith("PASS  ")
+    assert err == "io error: [Errno 32] Broken pipe\n"
 
 
 def test_compat_and_site():

@@ -1,11 +1,15 @@
 """Lambda shares its semigroup and structure map by table while held: two
 presheaves whose Lambdas have the same product, star and map tables over
 the same base semigroup object get distinct ``LambdaObject``s around one
-validated semigroup and one structure map.  Each test builds its own base,
-so that no Lambda another test holds can be shared with it."""
+validated semigroup and one structure map.  The semigroup is interned by
+``core.validate_star_semigroup`` and keeps its structure maps with
+``core.memo``.  Each test builds its own base, a two-element chain labelled
+against the standard one under a name of its own, so that no Lambda or
+structure map another test holds can be shared with it."""
 
 import gc
 import hashlib
+import itertools
 import json
 import pathlib
 import sys
@@ -14,15 +18,19 @@ import weakref
 
 import pytest
 
-from stargroup import oracle, site, ssets, topos
-from stargroup.core import ConsistencyError
+from stargroup import core, site, ssets, topos
+from stargroup.core import ConsistencyError, validate_star_semigroup
 from stargroup.topos import lam
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+_PRIVATE = itertools.count()
 
 
 def private_base():
-    return site.as_inverse(oracle.standard_family("semilattice_chain", 2))
+    # free what earlier tests dropped, cycles included, before building
+    gc.collect()
+    return site.as_inverse(validate_star_semigroup(
+        2, [[0, 1], [1, 1]], [0, 1], name=f"private-{next(_PRIVATE)}"))
 
 
 def copy(P):
@@ -31,19 +39,21 @@ def copy(P):
 
 
 def table_entries(S):
-    return [key for key in topos._BUILT.keys()
-            if key[0] == "lam-tables" and key[1] == id(S.semigroup)]
+    """The structure maps onto S kept on live Lambda semigroups."""
+    return [f for X in list(core._INTERNED.values())
+            for (sg, _), f in vars(X).get("_lambda_map", {}).items()
+            if sg is S.semigroup]
 
 
 def count_map_builds(monkeypatch):
     builds = []
-    build = topos._lambda_map
+    build = topos._lambda_map.func
 
-    def counted(*args):
-        builds.append(args)
-        return build(*args)
+    def counted(lsg, sg, smap):
+        builds.append(smap)  # not lsg, which the list would keep alive
+        return build(lsg, sg, smap)
 
-    monkeypatch.setattr(topos, "_lambda_map", counted)
+    monkeypatch.setattr(topos._lambda_map, "func", counted)
     return builds
 
 
@@ -75,10 +85,12 @@ def test_not_shared_once_every_holder_is_dropped(monkeypatch):
 def test_not_shared_over_a_different_base_object():
     P = site.terminal_presheaf(private_base())
     Q = site.terminal_presheaf(private_base())
-    assert P.base.semigroup == Q.base.semigroup
+    assert P.base.semigroup is not Q.base.semigroup
+    assert core.same_tables(P.base.semigroup, Q.base.semigroup)
     LP, LQ = lam(P), lam(Q)
-    assert LP.semigroup is not LQ.semigroup
-    assert LP.semigroup.mul == LQ.semigroup.mul
+    # one interned semigroup, a structure map onto each base object
+    assert LP.semigroup is LQ.semigroup
+    assert LP.structure_map is not LQ.structure_map
     assert LP.structure_map.target is P.base.semigroup
     assert LQ.structure_map.target is Q.base.semigroup
 
@@ -86,8 +98,9 @@ def test_not_shared_over_a_different_base_object():
 def test_a_raising_build_stores_nothing(monkeypatch):
     P = site.terminal_presheaf(private_base())
     monkeypatch.setattr(topos, "is_etale", lambda f: False)
-    with pytest.raises(ConsistencyError, match="etale"):
-        lam(P)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="etale"):
+            lam(P)
     assert table_entries(P.base) == []
 
 
@@ -103,11 +116,14 @@ def tampered_action(f):
 
 
 def test_a_failed_transition_check_stores_nothing(monkeypatch):
+    # the structure map passed its own checks and stays on its semigroup;
+    # P's Lambda, which failed, is kept nowhere and fails again
     P = site.terminal_presheaf(private_base())
     monkeypatch.setattr(ssets, "canonical_action", tampered_action)
-    with pytest.raises(ConsistencyError, match="transition formula"):
-        lam(P)
-    assert table_entries(P.base) == []
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="transition formula"):
+            lam(P)
+    assert ("lam", id(P)) not in topos._BUILT
 
 
 def test_the_transition_check_runs_on_a_hit(monkeypatch):
@@ -123,11 +139,10 @@ def test_the_transition_check_runs_on_a_hit(monkeypatch):
 
 
 class _HoldNothing(weakref.WeakValueDictionary):
-    """A _BUILT that keeps no Lambda tables, so no build is ever shared."""
+    """An intern that keeps nothing, so no semigroup is shared by table."""
 
     def __setitem__(self, key, value):
-        if key[0] != "lam-tables":
-            super().__setitem__(key, value)
+        pass
 
 
 @pytest.mark.slow
@@ -151,7 +166,7 @@ def test_presheaves_digest_with_every_or_no_lambda_held(held, monkeypatch):
 
         monkeypatch.setattr(topos, "lam", lam_held)
     else:
-        monkeypatch.setattr(topos, "_BUILT", _HoldNothing())
+        monkeypatch.setattr(core, "_INTERNED", _HoldNothing())
     outcome = workloads.run_presheaves(workloads.setup_presheaves(0))
     assert (outcome.items, outcome.failed) == (272, 0)
     assert len(kept) == (1088 if held == "every" else 0)

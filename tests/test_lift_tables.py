@@ -16,7 +16,6 @@ from stargroup.core import (
     StarMorphism,
     etale_lift,
     is_etale,
-    validate_star_semigroup,
 )
 from stargroup.topos import SearchBudgetExceeded
 
@@ -149,12 +148,7 @@ def _etale_maps(presheaves):
     """Every etale map of verify.etale_idem_pool(), then the structure map
     of Lambda(P) for each presheaf.  Built by the calling test: both read
     the lift table, so a fault there fails the test, not a shared fixture."""
-    tables = {}
-    for _, (xmul, xstar, smul, sstar, fmap, _) in verify.etale_idem_pool():
-        tables[(xmul, xstar, smul, sstar, fmap)] = None
-    maps = [StarMorphism(validate_star_semigroup(len(xmul), xmul, xstar),
-                         validate_star_semigroup(len(smul), smul, sstar), fmap)
-            for xmul, xstar, smul, sstar, fmap in tables]
+    maps = list(dict.fromkeys(f for _, (f, _), _ in verify.etale_idem_pool()))
     lambdas = [topos.lam(P) for P in presheaves]
     maps += [LP.structure_map for LP in lambdas]
     assert len(maps) > 150 and all(is_etale(f) for f in maps)

@@ -1,5 +1,7 @@
 """Derived data is kept on the object it is derived from, with core.memo,
-so it is freed with that object and shared only by identity."""
+so it is freed with that object and shared only by identity; validated
+semigroups are interned by content while held, so equal tables share one
+object and what is kept on it."""
 
 import ast
 import gc
@@ -8,8 +10,13 @@ import weakref
 
 import pytest
 
-from stargroup import oracle, site, topos
-from stargroup.core import ShapeError, memo
+from stargroup import core, oracle, site, topos
+from stargroup.core import (
+    InvalidStarSemigroup,
+    ShapeError,
+    memo,
+    validate_star_semigroup,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stargroup"
 FORBIDDEN = {"cache", "lru_cache", "cached_property"}
@@ -22,6 +29,40 @@ def test_a_dropped_lambda_semigroup_is_freed():
     del LP
     gc.collect()
     assert ref() is None
+
+
+# a semigroup no other test builds: the two-element chain labelled against
+# the standard one
+CHAIN = ([[0, 1], [1, 1]], [0, 1])
+
+
+def test_equal_tables_and_name_give_one_object_while_held():
+    X = validate_star_semigroup(2, *CHAIN, name="intern-one")
+    Y = validate_star_semigroup(2, [(0, 1), (1, 1)], (0, 1), name="intern-one")
+    assert Y is X
+    assert validate_star_semigroup(2, *CHAIN, name="intern-two") is not X
+    assert validate_star_semigroup(2, *CHAIN) is not X
+
+
+def test_an_invalid_table_raises_on_every_call_and_is_never_stored():
+    before = len(core._INTERNED)
+    for _ in range(2):
+        with pytest.raises(InvalidStarSemigroup):
+            validate_star_semigroup(2, [[1, 0], [0, 0]], [0, 1], name="bad")
+    with pytest.raises(ShapeError):
+        validate_star_semigroup(2, *CHAIN, name=["not", "a", "string"])
+    assert ((((1, 0), (0, 0)), (0, 1), "bad") not in core._INTERNED
+            and len(core._INTERNED) <= before)
+
+
+def test_a_dropped_semigroup_is_freed_and_its_entry_goes():
+    X = validate_star_semigroup(2, *CHAIN, name="intern-dropped")
+    site.as_inverse(X)  # a wrapper that refers back to X: a cycle
+    key = (X.mul, X.star, X.name)
+    ref = weakref.ref(X)
+    del X
+    gc.collect()
+    assert ref() is None and key not in core._INTERNED
 
 
 def test_as_inverse_keeps_one_wrapper_per_semigroup():
@@ -96,6 +137,57 @@ def test_the_cache_scan_finds_each_form():
             "    @functools.cached_property\n    def g(self): pass\n")
     assert sorted(_forbidden_uses(ast.parse(text))) == [
         "ft.cache", "functools.cached_property", "lru_cache"]
+
+
+# the only module-level stores: the intern, what topos shares while held,
+# and the oracle's representatives
+STORES = {("core.py", "_INTERNED"), ("topos.py", "_BUILT"),
+          ("oracle.py", "_REPRESENTATIVES")}
+STORE_TYPES = {"dict", "defaultdict", "OrderedDict", "WeakValueDictionary",
+               "WeakKeyDictionary"}
+
+
+def _stores(tree):
+    """Each name a ``global`` statement declares, as ("global", name), and
+    each name bound at module level to an empty dict or a dict-like store,
+    as ("store", name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield from (("global", name) for name in node.names)
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        func = getattr(value, "func", None)
+        called = getattr(func, "id", getattr(func, "attr", None))
+        if ((isinstance(value, ast.Dict) and not value.keys)
+                or (isinstance(value, ast.Call) and called in STORE_TYPES)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from (("store", t.id) for t in targets
+                        if isinstance(t, ast.Name))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_global_or_new_module_store_in_the_package(path):
+    # shared state lives in the intern or in topos._BUILT, or on its owner
+    found = [(kind, name)
+             for kind, name in _stores(ast.parse(path.read_text()))
+             if kind == "global" or (path.name, name) not in STORES]
+    assert found == []
+
+
+def test_the_store_scan_finds_each_form():
+    text = ("import weakref\nfrom collections import defaultdict\n"
+            "A = {}\nB: dict = dict()\nC = weakref.WeakValueDictionary()\n"
+            "D = defaultdict(list)\nTABLE = {1: 2}\n"
+            "def f():\n    global A\n    local = {}\n")
+    assert list(_stores(ast.parse(text))) == [
+        ("global", "A"), ("store", "A"), ("store", "B"), ("store", "C"),
+        ("store", "D")]
+    assert {name for _, name in _stores(ast.parse(
+        (SRC / "core.py").read_text()))} == {"_INTERNED"}
 
 
 def _asserts(tree):

@@ -395,12 +395,12 @@ def test_sset_and_algebra_swept_once_per_object(monkeypatch, p21):
             seen.append(obj)
             return sweep(obj)
         monkeypatch.setattr(memoised, "func", counted)
-    built, build_map = [], topos._lambda_map
+    built, build_map = [], topos._lambda_map.func
 
     def counted_map(*args):
         built.append(build_map(*args))
         return built[-1]
-    monkeypatch.setattr(topos, "_lambda_map", counted_map)
+    monkeypatch.setattr(topos._lambda_map, "func", counted_map)
 
     P = site.validate_presheaf(p21.base, p21.fibers, p21.transitions)
     u = topos.unit(P)

@@ -173,28 +173,53 @@ def test_budget_streams_after_memo_is_filled(budget):
     assert got == full[:len(got)]
 
 
-def test_sg_validates_each_table_pair_once_per_run(monkeypatch):
-    from stargroup import verify
-    from stargroup.core import validate_star_semigroup
+def test_main_checks_read_the_validated_pool_objects(monkeypatch):
+    """No main check validates the tables of its instance again: each
+    reads the objects its pool entry carries, so nothing validated inside a
+    check was validated while the pools were built (the S(e) semigroups a
+    check builds are its own).  And one verify run sweeps the axioms at most
+    307 times, the count when a per-run dict interned the pools' raw
+    tables."""
+    import sys
 
-    seen = []
+    from stargroup import core, verify
 
-    def counting(order, mul, star, name=None):
-        seen.append((mul, star))
-        return validate_star_semigroup(order, mul, star, name)
+    sweeps, inside = [0], [False]
+    validated = {False: set(), True: set()}
+    sweep = core._axiom_violations
+    validate = core.validate_star_semigroup
 
-    monkeypatch.setattr(verify, "validate_star_semigroup", counting)
-    ids = ["lem:reduct", "lem:po-7", "lem:fdt", "ex:fg", "prop:sym"]
-    rows = verify.run_statements(ids, max_order=2)
+    def counted_sweep(*args):
+        sweeps[0] += 1
+        return sweep(*args)
+
+    def recorded(order, mul, star, name=None):
+        X = validate(order, mul, star, name)
+        validated[inside[0]].add((X.mul, X.star, X.name))
+        return X
+
+    def flagged(check):
+        def run(inst):
+            inside[0] = True
+            try:
+                return check(inst)
+            finally:
+                inside[0] = False
+        return run
+
+    monkeypatch.setattr(core, "_axiom_violations", counted_sweep)
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "validate_star_semigroup", None)
+        if name.startswith("stargroup") and bound is validate:
+            monkeypatch.setattr(module, "validate_star_semigroup", recorded)
+    for sid, check in list(verify.MAIN_CHECKS.items()):
+        monkeypatch.setitem(verify.MAIN_CHECKS, sid, flagged(check))
+
+    rows = verify.run_statements(max_order=4)
     assert rows and all(r.ok for r in rows)
-    assert len(seen) == len(set(seen)) > 0
-    # each run validates afresh, and no intern outlives the run
-    assert verify._interned is None
-    first = len(seen)
-    verify.run_statements(ids, max_order=2)
-    assert len(seen) == 2 * first
-    verify._sg(seen[0])
-    assert len(seen) == 2 * first + 1
+    assert 0 < sweeps[0] <= 307
+    assert validated[False] and validated[True]
+    assert not validated[True] & validated[False]
 
 
 def test_semigroup_pool_sample4_keeps_every_kth_class():
@@ -202,7 +227,7 @@ def test_semigroup_pool_sample4_keeps_every_kth_class():
 
     def order4_classes(sample4):
         return [label.split("*")[0]
-                for label, _ in verify.semigroup_pool(4, sample4=sample4)
+                for label, _, _ in verify.semigroup_pool(4, sample4=sample4)
                 if label.startswith("n4#")]
 
     every = order4_classes(0)

@@ -174,10 +174,8 @@ def pool_maps():
     """Left *-homomorphisms of verify's morphism pool between left
     involutive semigroups, etale or not."""
     out = []
-    for _, (mx, sx, ms, ss, f) in verify.morphism_pool(3):
-        X = core.validate_star_semigroup(len(mx), mx, sx)
-        S = core.validate_star_semigroup(len(ms), ms, ss)
-        g = StarMorphism(X, S, f)
+    for _, g, _ in verify.morphism_pool(3):
+        X, S = g.source, g.target
         if (g.is_left_star_hom and core.classify(X).left_involutive
                 and core.classify(S).left_involutive):
             out.append(g)
