@@ -42,15 +42,22 @@ class Report:
 
     def emit(self, fmt):
         rows = [r.as_dict() for r in self.rows]
-        if fmt == "json":
-            print(json.dumps(rows, indent=1, sort_keys=True))
-        else:
-            for r in rows:
-                status = "PASS" if r["pass"] else "FAIL"
-                extra = f"  witness={r['witness']}" if "witness" in r else ""
-                print(f"{status}  {r['check']}  [{r['instance']}]{extra}")
-        # a failed write surfaces here, not in the interpreter's flush at exit
-        sys.stdout.flush()
+        try:
+            if fmt == "json":
+                print(json.dumps(rows, indent=1, sort_keys=True))
+            else:
+                for r in rows:
+                    status = "PASS" if r["pass"] else "FAIL"
+                    extra = f"  witness={r['witness']}" if "witness" in r else ""
+                    print(f"{status}  {r['check']}  [{r['instance']}]{extra}")
+            # a failed write surfaces here, not in the interpreter's flush at exit
+            sys.stdout.flush()
+        except OSError:
+            # what stays buffered must not fail again in that flush (Python's
+            # signal docs, "Note on SIGPIPE")
+            if sys.stdout is sys.__stdout__:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
 
 
 def _instance_name(obj, path):
@@ -177,7 +184,7 @@ def cmd_fhat(args, report):
                witness=[list(v) for v in rep.violations[:3]] or None)
     r = modalg.rho(fh)
     report.add("fhat:rho-left-star-hom", name, r.is_left_star_hom)
-    sample = modalg.FreeModule(f).check_quotient(fh, seed=args.seed)
+    sample = modalg.FreeModule(f).check_axioms(seed=args.seed, fh=fh)
     report.add("fhat:free-module-sample", name, sample.ok,
                witness=[list(v) for v in sample.violations[:3]] or None)
     if args.output:

@@ -14,14 +14,14 @@ what they build: a call returns the object already built for the same ``P``
 still holds it, and builds afresh once every holder has dropped it.  So
 the triangle checks reuse the unit and counit the chain holds.  Lambda
 also shares by table, by the one rule of ``core.validate_star_semigroup``:
-its semigroup is interned by its product and star tables, and keeps its
-structure map onto each base and map with ``core.memo``.  So a Lambda whose
-tables equal those of one still held gets that one's validated semigroup
-and structure map, with their verdicts, and runs only the check against
-its own ``P``'s transitions.  So the unit, counit and ``m`` checks on one
-presheaf, whose three Lambdas often have equal tables, validate each
-distinct Lambda once.  Every other check runs once per object built, and a
-call that raises keeps nothing that failed a check.
+its semigroup is interned by its product and star tables, and holds its
+structure maps weakly (``_lambda_maps``).  So a Lambda whose tables equal
+those of one still held gets that one's validated semigroup and structure
+map, with their verdicts, and runs only the check against its own ``P``'s
+transitions: the unit, counit and ``m`` checks on one presheaf, whose
+three Lambdas often have equal tables, validate each distinct Lambda once.
+Every other check runs once per object built, and a call that raises
+keeps nothing that failed a check.
 Shared objects are handed to every caller, so a ``Presheaf`` or
 ``StarMorphism`` must not be mutated after construction, nor a
 ``LambdaObject``, ``GammaPresheaf``, ``UnitResult`` or ``CounitResult`` at
@@ -202,7 +202,10 @@ def _lam(P: Presheaf) -> LambdaObject:
     # kept on it comes validated with its verdicts; only the check against
     # P's transitions below is P's own
     lsg = validate_star_semigroup(len(smap), mul, star, name="Lambda")
-    f = _lambda_map(lsg, sg, smap)
+    maps = _lambda_maps(lsg)
+    f = maps.get((sg, smap))
+    if f is None:
+        f = maps[(sg, smap)] = _lambda_map(lsg, sg, smap)
     A = ssets.canonical_action(f)
     for (r, x), act_i in zip(pairs, A.action):
         mul_r = sg.mul[r]
@@ -215,11 +218,17 @@ def _lam(P: Presheaf) -> LambdaObject:
 
 
 @memo
+def _lambda_maps(lsg) -> weakref.WeakValueDictionary:
+    """The structure maps of the Lambda semigroup ``lsg`` by base and map,
+    held weakly: each refers to ``lsg``, so a strong hold would make a cycle
+    that only the collector frees, and sharing would follow its timing."""
+    return weakref.WeakValueDictionary()
+
+
 def _lambda_map(lsg, sg, smap) -> StarMorphism:
     """The structure map ``smap`` of the Lambda semigroup ``lsg`` onto
     ``sg``, validated: ``lsg`` left involutive, an etale *-homomorphism, and
-    projections exactly the pairs over idempotents.  Kept on ``lsg``, keyed
-    by base and map."""
+    projections exactly the pairs over idempotents."""
     f = StarMorphism(lsg, sg, smap, name="lambda-map")
     if not classify(lsg).left_involutive:
         raise ConsistencyError("Lambda(P) is not left involutive")

@@ -346,9 +346,6 @@ for _i in range(1, 9):
 MAP_CAP = 4096
 PAIR_CAP = 200
 
-# Every pool entry is (label, instance, raw).  The instance holds validated
-# objects for the main checks; raw is the same instance in the shape
-# oracle.naive_check documents for its kind.
 
 def semigroup_pool(max_order=3, sample4=8):
     """The *-semigroups oracle.enumerate_star_structures validates, one
@@ -369,12 +366,10 @@ def semigroup_pool(max_order=3, sample4=8):
 
 
 def _star_morphism_maps(X, S):
-    mx, sx, ms, ss = X.mul, X.star, S.mul, S.star
-    n, m = len(mx), len(ms)
-    if m ** n > MAP_CAP:
+    if S.order ** X.order > MAP_CAP:
         return
-    for f in itertools.product(range(m), repeat=n):
-        if all(f[sx[x]] == ss[f[x]] for x in range(n)):
+    for f in itertools.product(S.elements, repeat=X.order):
+        if all(f[X.star[x]] == S.star[f[x]] for x in X.elements):
             yield f
 
 
@@ -457,32 +452,25 @@ def build_instances(statement_ids=None, max_order=3, sample4=8):
     main check reads the instance, oracle.naive_check the raw tables."""
     ids = statement_ids or sorted(oracle.REGISTRY)
     kinds = {sid: oracle.REGISTRY[sid].kind for sid in ids}
+    wanted = set(kinds.values())
     pools = {}
-    if any(k in ("semigroup", "inverse") for k in kinds.values()):
-        pools["semigroup"] = semigroup_pool(max_order, sample4=sample4)
-    if "morphism" in kinds.values():
+    if wanted & {"semigroup", "inverse"}:
+        pools["semigroup"] = pools["inverse"] = semigroup_pool(
+            max_order, sample4=sample4)
+    if "morphism" in wanted:
         pools["morphism"] = morphism_pool(max_order)
-    if "pair" in kinds.values() or "triangle" in kinds.values():
-        pools["pair"] = pair_pool()
-    if "inverse_idem" in kinds.values():
+    if wanted & {"pair", "triangle"}:
+        pools["pair"] = pools["triangle"] = pair_pool()
+    if "inverse_idem" in wanted:
         pools["inverse_idem"] = [
             (f"{label}@e{e}", (X, e), (*raw, e))
             for label, X, raw in inverse_pool(max_order)
             for e in idempotents(X)
         ]
-    if "etale_idem" in kinds.values():
+    if "etale_idem" in wanted:
         pools["etale_idem"] = etale_idem_pool()
-
-    tasks = []
-    for sid in ids:
-        kind = kinds[sid]
-        pool_key = {"semigroup": "semigroup", "inverse": "semigroup",
-                    "morphism": "morphism", "pair": "pair",
-                    "triangle": "pair", "inverse_idem": "inverse_idem",
-                    "etale_idem": "etale_idem"}[kind]
-        for label, inst, raw in pools[pool_key]:
-            tasks.append((sid, label, inst, raw))
-    return tasks
+    return [(sid, label, inst, raw)
+            for sid in ids for label, inst, raw in pools[kinds[sid]]]
 
 
 def _run_task(task):

@@ -197,6 +197,27 @@ def test_a_failed_report_write_exits_2(monkeypatch, capsys, fmt, error):
     assert capsys.readouterr().err == f"io error: {error}\n"
 
 
+def buffered_cli_env():
+    """A subprocess environment with stdout block-buffered, as it is by
+    default, so that a failed write leaves bytes for the flush at exit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_a_report_onto_a_full_disk_exits_2():
+    """``stargroup --format json classify i2.json > /dev/full`` in its own
+    interpreter, whose flush at exit must not fail a second time."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stargroup.cli",
+             "--format", "json", "classify", str(FIXTURES / "i2.json")],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=buffered_cli_env())
+    assert proc.returncode == 2
+    assert proc.stderr == "io error: [Errno 28] No space left on device\n"
+
+
 def test_verify_into_a_closed_pipe_exits_2():
     """``stargroup verify --max-order 4 | head -1``: the reader leaves after
     one line, so a later write fails with a broken pipe."""
@@ -204,7 +225,7 @@ def test_verify_into_a_closed_pipe_exits_2():
             [sys.executable, "-m", "stargroup.cli",
              "verify", "--max-order", "4"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))) as proc:
+            env=buffered_cli_env()) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()

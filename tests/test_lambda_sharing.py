@@ -2,8 +2,8 @@
 presheaves whose Lambdas have the same product, star and map tables over
 the same base semigroup object get distinct ``LambdaObject``s around one
 validated semigroup and one structure map.  The semigroup is interned by
-``core.validate_star_semigroup`` and keeps its structure maps with
-``core.memo``.  Each test builds its own base, a two-element chain labelled
+``core.validate_star_semigroup`` and keeps its structure maps, held
+weakly, with ``core.memo``.  Each test builds its own base, a two-element chain labelled
 against the standard one under a name of its own, so that no Lambda or
 structure map another test holds can be shared with it."""
 
@@ -41,19 +41,19 @@ def copy(P):
 def table_entries(S):
     """The structure maps onto S kept on live Lambda semigroups."""
     return [f for X in list(core._INTERNED.values())
-            for (sg, _), f in vars(X).get("_lambda_map", {}).items()
+            for (sg, _), f in vars(X).get("_lambda_maps", {}).items()
             if sg is S.semigroup]
 
 
 def count_map_builds(monkeypatch):
     builds = []
-    build = topos._lambda_map.func
+    build = topos._lambda_map
 
     def counted(lsg, sg, smap):
         builds.append(smap)  # not lsg, which the list would keep alive
         return build(lsg, sg, smap)
 
-    monkeypatch.setattr(topos._lambda_map, "func", counted)
+    monkeypatch.setattr(topos, "_lambda_map", counted)
     return builds
 
 
@@ -80,6 +80,24 @@ def test_not_shared_once_every_holder_is_dropped(monkeypatch):
     again = lam(copy(P))
     assert (again.semigroup.mul, again.semigroup.star) == tables
     assert len(builds) == 2
+
+
+def test_a_dropped_lambda_goes_with_its_last_holder():
+    """No cycle keeps a Lambda alive: with the cycle collector off, its
+    semigroup, structure map and intern entry go as soon as the last holder
+    drops it, so how much is shared never depends on when the collector
+    runs."""
+    P = site.terminal_presheaf(private_base())
+    first = lam(P)
+    held = [weakref.ref(first.semigroup), weakref.ref(first.structure_map)]
+    key = (first.semigroup.mul, first.semigroup.star, "Lambda")
+    gc.disable()
+    try:
+        del first
+        assert [ref() for ref in held] == [None, None]
+        assert key not in core._INTERNED
+    finally:
+        gc.enable()
 
 
 def test_not_shared_over_a_different_base_object():
