@@ -3,7 +3,8 @@
 Every subcommand loads inputs, runs checks, and prints a report whose rows
 follow one schema: {check, instance, pass, witness?}.  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 usage or IO problem (one line on
-stderr), 3 a search budget was exceeded.
+stderr), 3 a search budget was exceeded, 130 interrupted (SIGINT, with one
+``interrupted`` line on stderr and no report).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import groupoid as gp
 from . import modalg, oracle, serialize, site, topos, verify
@@ -44,7 +46,7 @@ class Report:
         rows = [r.as_dict() for r in self.rows]
         try:
             if fmt == "json":
-                print(json.dumps(rows, indent=1, sort_keys=True))
+                print(_json_rows(rows))
             else:
                 for r in rows:
                     status = "PASS" if r["pass"] else "FAIL"
@@ -58,6 +60,32 @@ class Report:
             if sys.stdout is sys.__stdout__:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise
+
+
+def _json_value(value):
+    # json.dumps of a string, without the encoder's set-up
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _json_rows(rows):
+    """``json.dumps(rows, indent=1, sort_keys=True)`` for report rows, byte
+    for byte.  An indent makes json use its pure-Python encoder throughout;
+    here the fixed keys are written directly, and only a witness goes
+    through that encoder, its lines indented by the two levels it sits at."""
+    if not rows:
+        return "[]"
+    out = []
+    for row in rows:
+        text = (f' {{\n  "check": {_json_value(row["check"])},'
+                f'\n  "instance": {_json_value(row["instance"])},'
+                f'\n  "pass": {_json_value(row["pass"])}')
+        if "witness" in row:
+            witness = json.dumps(row["witness"], indent=1, sort_keys=True)
+            text += ',\n  "witness": ' + witness.replace("\n", "\n  ")
+        out.append(text + "\n }")
+    return "[\n" + ",\n".join(out) + "\n]"
 
 
 def _instance_name(obj, path):
@@ -367,6 +395,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0 if report.ok else 1
 
 

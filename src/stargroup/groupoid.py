@@ -23,6 +23,7 @@ from .core import (
     Verdict,
     Violation,
     classify,
+    compose,
     freeze,
     memo,
     natural_order,
@@ -329,9 +330,7 @@ def esn_groupoid(X: FiniteStarSemigroup) -> OrderedGroupoidWithMediator:
         raise NotQuasiInvolutive(f"{X!r} is not quasi-involutive")
     G0 = esn_ordered_groupoid(X)
     projs = G0.identity
-    mediator = tuple(
-        tuple(X.mul[p][q] for q in projs) for p in projs
-    )
+    mediator = tuple(compose(X.mul[p], projs) for p in projs)
     G = replace(G0, mediator=mediator)
     validate_groupoid(G)
     report = validate_mediator(G)

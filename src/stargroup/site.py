@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import (
@@ -30,6 +31,7 @@ from .core import (
     _check_element,
     check_instance,
     classify,
+    compose,
     freeze,
     idempotents,
     is_etale,
@@ -261,8 +263,7 @@ def check_presheaf(base: InverseSemigroup, fibers, transitions):
         if tr != tuple(range(len(fibers[e]))):
             problems.append(Violation("IdentityViolation", (e,)))
     for k12, k1, k2 in _composable_triples(base):
-        t1, t2 = transitions[k1], transitions[k2]
-        if transitions[k12] != tuple(t2[v] for v in t1):
+        if transitions[k12] != compose(transitions[k2], transitions[k1]):
             problems.append(Violation("CompositionViolation", (k1, k2)))
     return fibers, transitions, problems
 
@@ -459,7 +460,7 @@ def _representable_functoriality(S: InverseSemigroup) -> bool:
     """S(st) = S(s)S(t) for all composable pairs; ran once per base."""
     raw = {(m.s, m.e): _action_table(S, m) for m in all_ls_morphisms(S)}
     for k12, k1, k2 in _composable_triples(S):
-        if raw[k12] != tuple(raw[k1][v] for v in raw[k2]):
+        if raw[k12] != compose(raw[k1], raw[k2]):
             m1, m2, m12 = (LSMorphism(*k) for k in (k1, k2, k12))
             raise ConsistencyError(f"S({m1})S({m2}) != S({m12})")
     return True
@@ -478,7 +479,8 @@ class _FillStep(NamedTuple):
     e: int
     d: int
     forced: tuple      # m12 = key with m1, m2 assigned at an earlier depth
-    checks: tuple      # through key, all three keys assigned by this depth
+    checks: tuple      # through key, all three keys assigned by this depth,
+                       # neither factor an identity
 
 
 @memo
@@ -486,14 +488,17 @@ def _presheaf_skeleton(S: InverseSemigroup) -> tuple[_FillStep, ...]:
     """The plan of _fill_transitions, one step per non-identity morphism in
     assignment order; built once per base.  The identities are assigned
     first and the rest in this fixed order, so which squares force a
-    morphism's table and which it can break are known before any search."""
+    morphism's table and which it can break are known before any search.
+    A square with an identity factor holds by itself, the identities being
+    assigned identity tables, so it is never checked."""
     idems = set(S.idempotents)
     morphs = all_ls_morphisms(S)
     squares = {(m.s, m.e): [] for m in morphs}
     for square in _composable_triples(S):
         for key in set(square):
             squares[key].append(square)
-    assigned = {(e, e) for e in idems}
+    identities = {(e, e) for e in idems}
+    assigned = set(identities)
     steps = []
     for m in morphs:
         if m.s == m.e and m.s in idems:
@@ -503,15 +508,21 @@ def _presheaf_skeleton(S: InverseSemigroup) -> tuple[_FillStep, ...]:
                        and sq[1] in assigned and sq[2] in assigned)
         assigned.add(key)
         checks = tuple(sq for sq in squares[key]
-                       if all(k in assigned for k in sq))
+                       if all(k in assigned for k in sq)
+                       and sq[1] not in identities and sq[2] not in identities)
         steps.append(_FillStep(key, m.e, ls_dom(S, m), forced, checks))
     return tuple(steps)
 
 
-def _valid_size_profiles(S, max_fiber):
+@memo
+def _valid_size_profiles(S: InverseSemigroup, max_fiber: int) -> tuple:
+    """Every fiber-size profile, idempotent to size in 0..max_fiber, with no
+    non-empty fiber mapping into an empty one, in product order; read-only,
+    kept on S per max_fiber."""
     idems = list(S.idempotents)
     morphs = all_ls_morphisms(S)
     arrows = {(ls_dom(S, m), m.e) for m in morphs}
+    profiles = []
     for sizes in itertools.product(range(max_fiber + 1), repeat=len(idems)):
         profile = dict(zip(idems, sizes))
         ok = all(
@@ -519,7 +530,8 @@ def _valid_size_profiles(S, max_fiber):
             for (d, e) in arrows
         )
         if ok:
-            yield profile
+            profiles.append(MappingProxyType(profile))
+    return tuple(profiles)
 
 
 def _fill_transitions(S, profile, rng=None):
@@ -527,19 +539,24 @@ def _fill_transitions(S, profile, rng=None):
     backtracking over non-identity morphisms with forced composites."""
     steps = _presheaf_skeleton(S)
     assign = {(e, e): tuple(range(profile[e])) for e in S.idempotents}
+    # every table from the fiber at e to the fiber at d, per step key, in
+    # product order; made once per profile and copied for each shuffle
+    tables = {}
 
     def candidates(step):
         forced = None
         for _, k1, k2 in step.forced:
-            t2 = assign[k2]
-            t = tuple(t2[v] for v in assign[k1])
+            t = compose(assign[k2], assign[k1])
             if forced is not None and t != forced:
                 return []
             forced = t
         if forced is not None:
             return [forced]
-        opts = list(itertools.product(range(profile[step.d]),
-                                      repeat=profile[step.e]))
+        opts = tables.get(step.key)
+        if opts is None:
+            opts = tables[step.key] = tuple(itertools.product(
+                range(profile[step.d]), repeat=profile[step.e]))
+        opts = list(opts)
         if rng is not None:
             rng.shuffle(opts)
         return opts
@@ -548,8 +565,7 @@ def _fill_transitions(S, profile, rng=None):
         # the assignment was consistent before ``step.key`` was assigned, so
         # only the squares through it can have broken
         for k12, k1, k2 in step.checks:
-            t2 = assign[k2]
-            if assign[k12] != tuple(t2[v] for v in assign[k1]):
+            if assign[k12] != compose(assign[k2], assign[k1]):
                 return False
         return True
 

@@ -22,6 +22,9 @@ from .core import (
     action_associativity_witness,
     check_instance,
     classify,
+    columns,
+    compose,
+    composer,
     freeze,
     is_etale,
     memo,
@@ -88,11 +91,17 @@ class SSetStructure:
 
 
 def _balance_witness(star, act, sstar, srng):
-    """Least (x, r, s) with (rx)s != r(xs), rx = (x* r*)*; None if none."""
+    """Least (x, r, s) with (rx)s != r(xs), rx = (x* r*)*; None if none.
+    Each (x, r) compares the row over s whole first."""
+    # the left action of each r as a table: z |-> (z* r*)*
+    cols = columns(act)
+    left = [compose(star, compose(cols[sr], star)) for sr in sstar]
     for x, row in enumerate(act):
-        xstar_row = act[star[x]]
+        xstar_row, at_row = act[star[x]], composer(row)
         for r in srng:
             rx_row = act[star[xstar_row[sstar[r]]]]
+            if rx_row == at_row(left[r]):
+                continue
             for s in srng:
                 if rx_row[s] != star[act[star[row[s]]][sstar[r]]]:
                     return (x, r, s)

@@ -57,13 +57,15 @@ from .core import (
     StarMorphism,
     Verdict,
     Violation,
+    check_lift_points,
     classify,
-    etale_lift,
+    compose,
     freeze,
     idempotents,
     is_etale,
     memo,
     projections,
+    read_lift,
     validate_star_semigroup,
 )
 from .site import (
@@ -207,7 +209,13 @@ def _lam(P: Presheaf) -> LambdaObject:
     if f is None:
         f = maps[(sg, smap)] = _lambda_map(lsg, sg, smap)
     A = ssets.canonical_action(f)
+    # per r, the offset and transition of each (r, x)s = (rs, x . c(rs)), so
+    # that the row of (r, x) is compared whole before it is walked by cell
+    formula = [[(offset[rs], trans[(c[rs], c[r])]) for rs in sg.mul[r]]
+               for r in sg.elements]
     for (r, x), act_i in zip(pairs, A.action):
+        if act_i == tuple([o + tr[x] for o, tr in formula[r]]):
+            continue
         mul_r = sg.mul[r]
         for s in sg.elements:
             rs = mul_r[s]
@@ -366,15 +374,18 @@ def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
 
 def _lift_table(f: StarMorphism, carrier, u: int) -> tuple[int, ...]:
     """The table over ``carrier`` of the map S(e) -> X with (e, e) |-> u,
-    for u over e: (r, s) goes to the lift of r at u.s = d(lift of s at u)."""
+    for u over e: (r, s) goes to the lift of r at u.s = d(lift of s at u).
+    The caller checks f and u (``check_lift_points``); d(x) is always a
+    projection."""
     d = f.source.d
-    return tuple(etale_lift(f, d(etale_lift(f, u, s)), r) for r, s in carrier)
+    return tuple(read_lift(f, d(read_lift(f, u, s)), r) for r, s in carrier)
 
 
 def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):
     """Fiber-presheaf path: alphas correspond to f^-1(e) via evaluation at
     (e, e); each table is built by unique lifting."""
     carrier = representable_tables(S, e).carrier
+    check_lift_points(f, f.fibers[e])
     return tuple(sorted(_lift_table(f, carrier, u) for u in f.fibers[e]))
 
 
@@ -412,7 +423,7 @@ def _gamma(f: StarMorphism, budget: int) -> GammaPresheaf:
         lookup = {table: i for i, table in enumerate(alphas[ls_dom(S, m)])}
         tr = []
         for table in alphas[m.e]:
-            moved = tuple(table[i] for i in action)
+            moved = compose(table, action)
             if moved not in lookup:
                 raise ConsistencyError(
                     f"Gamma transition along {m} leaves the fiber")
@@ -463,10 +474,10 @@ def _unit(P: Presheaf) -> UnitResult:
         carrier = G.carriers[d]
         lookup = {table: i for i, table in enumerate(G.alphas[d])}
         comp = []
+        # each (r, s) of the carrier as r and the transition along s
+        along = [(r, P.transitions[(s, d)]) for r, s in carrier]
         for a in range(len(P.fiber(d))):
-            table = tuple(
-                LP.index[(r, P.transition(s, d)[a])] for (r, s) in carrier
-            )
+            table = tuple([LP.index[(r, tr[a])] for r, tr in along])
             if table not in lookup:
                 raise UnitNotIso(f"unit image at {d} is not a Gamma element")
             comp.append(lookup[table])
@@ -550,14 +561,13 @@ def triangle_check2(f: StarMorphism) -> Verdict:
     """Gamma(epsilon_f) . eta(Gamma f) = id, fiber by fiber."""
     eps = counit(f)
     G = eps.gamma_obj
+    index, eps_map = eps.lam_gamma.index, eps.morphism.map
     for e in G.base.idempotents:
-        carrier = G.carriers[e]
+        along = [(p, G.presheaf.transitions[(q, e)])
+                 for p, q in G.carriers[e]]
         for xi_idx, table in enumerate(G.alphas[e]):
-            out = []
-            for (p, q) in carrier:
-                moved = G.presheaf.transition(q, e)[xi_idx]  # xi . q
-                elem = eps.lam_gamma.index[(p, moved)]
-                out.append(eps.morphism.map[elem])
+            # epsilon(p, xi . q) over the carrier
+            out = [eps_map[index[(p, tr[xi_idx])]] for p, tr in along]
             if tuple(out) != table:
                 return Verdict((Violation("TriangleViolation", (e, xi_idx)),))
     return Verdict()
@@ -590,7 +600,7 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
         posd = {u: i for i, u in enumerate(over[d])}
         tr = []
         for u in over[m.e]:
-            x = etale_lift(f, u, m.s)
+            x = read_lift(f, u, m.s)
             tr.append(posd[X.d(x)])
         transitions[(m.s, m.e)] = tuple(tr)
     P = validate_presheaf(S, fibers, transitions)
@@ -614,7 +624,8 @@ def m_iso(f: StarMorphism) -> StarMorphism:
     P = fiber_presheaf(f)
     LP = lam(P)
     over = f.fibers
-    mapping = [etale_lift(f, over[sg.c(r)][ui], r) for r, ui in LP.pairs]
+    # fiber_presheaf checked that f is etale and each u a projection
+    mapping = [read_lift(f, over[sg.c(r)][ui], r) for r, ui in LP.pairs]
     m = StarMorphism(LP.semigroup, X, tuple(mapping), name="m")
     if not m.is_star_hom:
         raise ConsistencyError("m is not a *-homomorphism")
@@ -628,11 +639,9 @@ def m_iso(f: StarMorphism) -> StarMorphism:
         carrier = G.carriers[e]
         pos_ee = carrier.index((e, e))
         tables = []
+        along = [(r, P.transitions[(s, e)]) for r, s in carrier]
         for ui, u in enumerate(over[e]):
-            table = tuple(
-                mapping[LP.index[(r, P.transition(s, e)[ui])]]
-                for (r, s) in carrier
-            )
+            table = tuple([mapping[LP.index[(r, tr[ui])]] for r, tr in along])
             if table not in G.alphas[e]:
                 raise ConsistencyError("transpose of m misses Gamma(f)")
             if table[pos_ee] != u:
@@ -650,7 +659,9 @@ def counit_explicit_preimage(f: StarMorphism, x: int):
     S = as_inverse(f.target)
     r = f.map[x]
     carrier = representable_tables(S, S.semigroup.c(r)).carrier
-    return r, _lift_table(f, carrier, f.source.c(x))
+    u = f.source.c(x)
+    check_lift_points(f, (u,))
+    return r, _lift_table(f, carrier, u)
 
 
 # ---------------------------------------------------------------------------

@@ -465,3 +465,30 @@ def test_fhat_bad_cap_is_a_usage_error(capsys, cap):
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "--cap" in err
+
+
+WITNESS_ROWS = [
+    {"check": "plain", "instance": "i2.json", "pass": True},
+    {"check": "nested", "instance": "café \"q\"", "pass": False,
+     "witness": [1, [2, [3, []]], {"z": [1, {}], "a": None}, "two\nlines"]},
+    {"check": "int-keyed", "instance": "x", "pass": True,
+     "witness": [{3: [0, 1], 1: {"b": 2, "a": [True, 1.5]}}]},
+    {"check": "empty", "instance": "", "pass": True, "witness": []},
+]
+
+
+@pytest.mark.parametrize("rows", [[], WITNESS_ROWS[:1], WITNESS_ROWS,
+                                  WITNESS_ROWS[1:2], WITNESS_ROWS[2:]])
+def test_json_report_writer_matches_json_dumps(rows):
+    assert cli._json_rows(rows) == json.dumps(rows, indent=1, sort_keys=True)
+
+
+def test_an_interrupt_exits_130_with_one_line(monkeypatch, capsys):
+    def interrupted(args, report):
+        report.add("partial", "x", True)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_classify", interrupted)
+    code, out = run_cli("classify", str(FIXTURES / "i2.json"))
+    assert (code, out) == (130, "")
+    assert capsys.readouterr().err == "interrupted\n"

@@ -206,3 +206,43 @@ def test_no_assert_in_the_package(path):
 def test_the_assert_scan_finds_one():
     text = "def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n"
     assert _asserts(ast.parse(text)) == [3]
+
+
+def _table_compositions(tree):
+    """The line of each ``tuple(t[v] for v in u)``: a generator that reads
+    one table ``t``, which does not depend on v, at each entry of another."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple" and len(node.args) == 1
+                and isinstance(node.args[0], ast.GeneratorExp)):
+            continue
+        gen = node.args[0]
+        comp = gen.generators[0]
+        elt = gen.elt
+        if (len(gen.generators) == 1 and not comp.ifs
+                and isinstance(comp.target, ast.Name)
+                and isinstance(elt, ast.Subscript)
+                and isinstance(elt.slice, ast.Name)
+                and elt.slice.id == comp.target.id
+                and comp.target.id not in {n.id for n in ast.walk(elt.value)
+                                           if isinstance(n, ast.Name)}):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "oracle.py"),
+                         ids=lambda p: p.name)
+def test_tables_are_composed_with_core_compose(path):
+    # one itemgetter call composes a table; the oracle keeps its own code
+    assert list(_table_compositions(ast.parse(path.read_text()))) == []
+
+
+def test_the_composition_scan_finds_the_generator_form():
+    text = ("a = tuple(t2[v] for v in t1)\n"
+            "b = tuple(f.map[i] for i in g.map)\n"
+            "c = tuple(X.mul[p][q] for q in projs)\n"
+            "d = tuple(mul[star[x]][x] for x in range(3))\n"
+            "e = tuple(t[v] for v in u if v)\n"
+            "f = tuple(t[v, 0] for v in u)\n"
+            "g = [t[v] for v in u]\n")
+    assert list(_table_compositions(ast.parse(text))) == [1, 2, 3]
