@@ -474,28 +474,25 @@ def _birestrictive_witness(X):
 
 
 class _StarRows(NamedTuple):
-    """The two sides of (xy)* = y*x* as whole rows, for the row tests of
-    the involution sweeps: ``starred[x]`` is (xy)* and ``reversed[x]`` is
-    y*x* over y; ``cols[y]`` is column y of the product, xy over x."""
+    """Whole rows for the row tests of the involution sweeps: ``cols[y]``
+    is column y of the product, xy over x, and ``starred[x]`` the row of
+    (xy)* over y.  The row of y*x* over y is column x* read at y*."""
 
     cols: tuple
     starred: tuple
-    reversed: tuple
 
 
 @memo
 def _star_rows(X: FiniteStarSemigroup) -> _StarRows:
-    mul, star = X.mul, X.star
-    cols = columns(mul)
-    return _StarRows(cols, tuple([compose(star, row) for row in mul]),
-                     tuple([compose(cols[sx], star) for sx in star]))
+    return _StarRows(columns(X.mul),
+                     tuple([compose(X.star, row) for row in X.mul]))
 
 
 def _involutive_witness(X):
     mul, star = X.mul, X.star
-    _, starred, reversed_ = _star_rows(X)
+    cols, starred = _star_rows(X)
     for x, row in enumerate(mul):
-        if starred[x] == reversed_[x]:
+        if starred[x] == compose(cols[star[x]], star):
             continue
         sx = star[x]
         for y, xy in enumerate(row):
@@ -506,7 +503,7 @@ def _involutive_witness(X):
 
 def _left_involutive_witness(X):
     mul, star, d = X.mul, X.star, X.rows.d
-    cols, starred, _ = _star_rows(X)
+    cols, starred = _star_rows(X)
     for x, row in enumerate(mul):
         # (d(x)y)* x* over y: the row of (d(x)y)* read through column x*
         if starred[x] == compose(cols[star[x]], starred[d[x]]):
@@ -520,12 +517,7 @@ def _left_involutive_witness(X):
 
 def _right_involutive_witness(X):
     mul, star, c = X.mul, X.star, X.rows.c
-    starred = _star_rows(X).starred
-    at_star = compose(mul, star)
     for x, row in enumerate(mul):
-        # y* (x c(y))* over y: row y* of the product read at (x c(y))*
-        if starred[x] == pick(at_star, compose(starred[x], c)):
-            continue
         for y, xy in enumerate(row):
             if star[xy] != mul[star[y]][star[row[c[y]]]]:
                 return (x, y)
@@ -537,10 +529,10 @@ def _locally_involutive_witness(X):
     mul, star = X.mul, X.star
     d, c, up = X.rows
     projs = set(projections(X))
-    _, starred, reversed_ = _star_rows(X)
+    cols, starred = _star_rows(X)
     for x, row in enumerate(mul):
         # a row where (xy)* = y*x* for every y has no triggered violation
-        if starred[x] == reversed_[x]:
+        if starred[x] == compose(cols[star[x]], star):
             continue
         dx, sx, x_proj = d[x], star[x], x in projs
         for y, xy in enumerate(row):
