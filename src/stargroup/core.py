@@ -6,11 +6,13 @@ the involution a permutation table, so every identity is checked by a direct
 table sweep.  All witnesses are the lexicographically least violating tuple,
 which keeps reports deterministic regardless of how a sweep is scheduled.
 
-Tables are composed with ``compose`` (one ``operator.itemgetter`` call), and
-a sweep compares whole rows before cells: a row that matches as a tuple
-holds no violation, and only a row that differs is walked cell by cell to
-name the least witness.  So the row test decides "no violation" and the
-cell loop decides everything else.
+Tables are composed with ``compose`` (one ``operator.itemgetter`` call).  The
+associativity sweep, the one O(n^3) sweep here, compares whole rows before
+cells: a row that matches as a tuple holds no violation, and only a row that
+differs is walked cell by cell to name the least witness.  So the row test
+decides "no violation" and the cell loop decides everything else.  The
+O(n^2) sweeps stay cell by cell: at the sizes in use, a row test costs more
+than the cells it would skip.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import update_wrapper
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -290,20 +292,12 @@ def composer(before):
     return lambda after: compose(after, before)
 
 
-# pick and columns build their tuple from a list, so it is made at its final
-# size: one grown from an iterator is resized, and once freed CPython keeps it
-# for reuse among tuples of the new size, not of the old; built that way, the
-# row tests held about 1.5 MB more at peak on the presheaves workload
-
-
-def pick(rows, cols) -> tuple:
-    """rows[i][cols[i]] for every i, as a tuple: each row read at its own
-    column."""
-    return tuple([*map(getitem, rows, cols)])
-
-
 def columns(table) -> tuple:
-    """The columns of a table, as a tuple of tuples."""
+    """The columns of a table, as a tuple of tuples.  Built from a list, so
+    the tuple is made at its final size: one grown from an iterator is
+    resized, and once freed CPython keeps it for reuse among tuples of the
+    new size, not of the old, which held memory at peak on the presheaves
+    workload."""
     return tuple([*zip(*table)])
 
 
@@ -473,27 +467,9 @@ def _birestrictive_witness(X):
     return None
 
 
-class _StarRows(NamedTuple):
-    """Whole rows for the row tests of the involution sweeps: ``cols[y]``
-    is column y of the product, xy over x, and ``starred[x]`` the row of
-    (xy)* over y.  The row of y*x* over y is column x* read at y*."""
-
-    cols: tuple
-    starred: tuple
-
-
-@memo
-def _star_rows(X: FiniteStarSemigroup) -> _StarRows:
-    return _StarRows(columns(X.mul),
-                     tuple([compose(X.star, row) for row in X.mul]))
-
-
 def _involutive_witness(X):
     mul, star = X.mul, X.star
-    cols, starred = _star_rows(X)
     for x, row in enumerate(mul):
-        if starred[x] == compose(cols[star[x]], star):
-            continue
         sx = star[x]
         for y, xy in enumerate(row):
             if star[xy] != mul[star[y]][sx]:
@@ -503,11 +479,7 @@ def _involutive_witness(X):
 
 def _left_involutive_witness(X):
     mul, star, d = X.mul, X.star, X.rows.d
-    cols, starred = _star_rows(X)
     for x, row in enumerate(mul):
-        # (d(x)y)* x* over y: the row of (d(x)y)* read through column x*
-        if starred[x] == compose(cols[star[x]], starred[d[x]]):
-            continue
         sx, dx_row = star[x], mul[d[x]]
         for y, xy in enumerate(row):
             if star[xy] != mul[star[dx_row[y]]][sx]:
@@ -529,11 +501,7 @@ def _locally_involutive_witness(X):
     mul, star = X.mul, X.star
     d, c, up = X.rows
     projs = set(projections(X))
-    cols, starred = _star_rows(X)
     for x, row in enumerate(mul):
-        # a row where (xy)* = y*x* for every y has no triggered violation
-        if starred[x] == compose(cols[star[x]], star):
-            continue
         dx, sx, x_proj = d[x], star[x], x in projs
         for y, xy in enumerate(row):
             triggered = (
@@ -729,22 +697,25 @@ class StarMorphism:
 
     @memo
     def is_multiplicative(self) -> bool:
-        """f(xy) = f(x)f(y), one row x at a time: a verdict, no witness, so
-        the row test decides."""
         X, S, f = self.source, self.target, self.map
-        through_f = composer(f)
-        return all(compose(f, row) == through_f(S.mul[fx])
-                   for row, fx in zip(X.mul, f))
+        for x, row in enumerate(X.mul):
+            fx_row = S.mul[f[x]]
+            for y in X.elements:
+                if f[row[y]] != fx_row[f[y]]:
+                    return False
+        return True
 
     @memo
     def is_left_star_hom(self) -> bool:
-        """A *-morphism with f(xy) = f(x)f(d(x)y), one row x at a time."""
         if not self.is_star_morphism:
             return False
         X, S, f = self.source, self.target, self.map
-        mul = X.mul
-        return all(compose(f, row) == compose(S.mul[fx], compose(f, mul[dx]))
-                   for row, fx, dx in zip(mul, f, X.rows.d))
+        for x, row in enumerate(X.mul):
+            dx_row, fx_row = X.mul[X.d(x)], S.mul[f[x]]
+            for y in X.elements:
+                if f[row[y]] != fx_row[f[dx_row[y]]]:
+                    return False
+        return True
 
     @memo
     def fibers(self) -> tuple[tuple[int, ...], ...]:

@@ -209,13 +209,7 @@ def _lam(P: Presheaf) -> LambdaObject:
     if f is None:
         f = maps[(sg, smap)] = _lambda_map(lsg, sg, smap)
     A = ssets.canonical_action(f)
-    # per r, the offset and transition of each (r, x)s = (rs, x . c(rs)), so
-    # that the row of (r, x) is compared whole before it is walked by cell
-    formula = [[(offset[rs], trans[(c[rs], c[r])]) for rs in sg.mul[r]]
-               for r in sg.elements]
     for (r, x), act_i in zip(pairs, A.action):
-        if act_i == tuple([o + tr[x] for o, tr in formula[r]]):
-            continue
         mul_r = sg.mul[r]
         for s in sg.elements:
             rs = mul_r[s]

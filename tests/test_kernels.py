@@ -1,8 +1,9 @@
 """The row kernels against the per-cell sweeps they sit in front of.
 
-Each O(n^2) or O(n^3) sweep compares whole rows as tuples first and walks a
-row cell by cell only when it differs, so the row test decides "no
-violation" and the cell loop names the least witness or lists every
+The associativity sweeps (of a semigroup, of an S-set action and of an
+algebra's product) and the balance sweep compare whole rows as tuples first
+and walk a row cell by cell only when it differs, so the row test decides
+"no violation" and the cell loop names the least witness or lists every
 violation.  The sweeps as they were, cell by cell with no row test, are
 kept here as references; every kernel must give the same verdict, least
 witness and violation list, on valid tables and on tables with one cell
@@ -16,7 +17,6 @@ import pytest
 from stargroup import core, modalg, oracle, site, ssets, topos, verify
 from stargroup.core import (
     ConsistencyError,
-    FiniteStarSemigroup,
     NotEtale,
     StarMorphism,
     Verdict,
@@ -25,7 +25,6 @@ from stargroup.core import (
     compose,
     composer,
     is_etale,
-    pick,
 )
 
 BASES = (("semilattice_chain", 2), ("semilattice_chain", 3),
@@ -51,74 +50,6 @@ def ref_associativity(act, mul):
     return None
 
 
-def ref_involutive(X):
-    mul, star = X.mul, X.star
-    for x, row in enumerate(mul):
-        sx = star[x]
-        for y, xy in enumerate(row):
-            if star[xy] != mul[star[y]][sx]:
-                return (x, y)
-    return None
-
-
-def ref_left_involutive(X):
-    mul, star, d = X.mul, X.star, X.rows.d
-    for x, row in enumerate(mul):
-        sx, dx_row = star[x], mul[d[x]]
-        for y, xy in enumerate(row):
-            if star[xy] != mul[star[dx_row[y]]][sx]:
-                return (x, y)
-    return None
-
-
-def ref_right_involutive(X):
-    mul, star, c = X.mul, X.star, X.rows.c
-    for x, row in enumerate(mul):
-        for y, xy in enumerate(row):
-            if star[xy] != mul[star[y]][star[row[c[y]]]]:
-                return (x, y)
-    return None
-
-
-def ref_locally_involutive(X):
-    mul, star = X.mul, X.star
-    d, c, up = X.rows
-    projs = set(core.projections(X))
-    for x, row in enumerate(mul):
-        dx, sx, x_proj = d[x], star[x], x in projs
-        for y, xy in enumerate(row):
-            triggered = (
-                dx == c[y]
-                or (x_proj and up[x] >> c[y] & 1)
-                or (y in projs and up[y] >> dx & 1)
-            )
-            if triggered and star[xy] != mul[star[y]][sx]:
-                return (x, y)
-    return None
-
-
-WITNESSES = {
-    core._involutive_witness: ref_involutive,
-    core._left_involutive_witness: ref_left_involutive,
-    core._right_involutive_witness: ref_right_involutive,
-    core._locally_involutive_witness: ref_locally_involutive,
-}
-
-
-def ref_is_multiplicative(f):
-    X, S, m = f.source, f.target, f.map
-    return all(m[X.mul[x][y]] == S.mul[m[x]][m[y]]
-               for x in X.elements for y in X.elements)
-
-
-def ref_is_left_star_hom(f):
-    X, S, m = f.source, f.target, f.map
-    if not all(m[X.star[x]] == S.star[m[x]] for x in X.elements):
-        return False
-    return all(m[X.mul[x][y]] == S.mul[m[x]][m[X.mul[X.d(x)][y]]]
-               for x in X.elements for y in X.elements)
-
-
 def ref_balance(star, act, sstar, srng):
     for x, row in enumerate(act):
         xstar_row = act[star[x]]
@@ -130,73 +61,12 @@ def ref_balance(star, act, sstar, srng):
     return None
 
 
-def ref_validate_module(M):
-    A, S = M.sset, M.sset.base
-    star, smap, act, add, zero = A.star, A.smap, A.action, M.add, M.zero
-    smul, sstar = S.mul, S.star
-    out = list(ssets.check_sset(A))
-    for r in S.elements:
-        zr = zero[r]
-        if smap[zr] != r:
-            out.append(Violation("ZeroSectionViolation", (r,)))
-        if zero[sstar[r]] != star[zr]:
-            out.append(Violation("ZeroStarViolation", (r,)))
-        for s in S.elements:
-            if zero[smul[r][s]] != act[zr][s]:
-                out.append(Violation("ZeroEquivarianceViolation", (r, s)))
-    for a in A.elements:
-        for b in A.elements:
-            v = add[a][b]
-            defined = v != -1
-            if defined != (smap[a] == smap[b]):
-                out.append(Violation("AdditionDomainViolation", (a, b)))
-            if not defined:
-                continue
-            if smap[v] != smap[a]:
-                out.append(Violation("AdditionFiberViolation", (a, b)))
-            if add[b][a] != v:
-                out.append(Violation("AdditionCommutativityViolation", (a, b)))
-            if star[v] != add[star[a]][star[b]]:
-                out.append(Violation("StarAdditivityViolation", (a, b)))
-            for r in S.elements:
-                if act[v][r] != add[act[a][r]][act[b][r]]:
-                    out.append(Violation("DistributivityViolation", (a, b, r)))
-            for c in A.elements:
-                if smap[c] == smap[a] and add[v][c] != add[a][add[b][c]]:
-                    out.append(Violation("AdditionAssociativityViolation",
-                                         (a, b, c)))
-    for a in A.elements:
-        if add[a][zero[smap[a]]] != a:
-            out.append(Violation("ZeroLawViolation", (a,)))
-    if ssets.balanced_check(A).balanced:
-        for r in S.elements:
-            left = [star[act[star[a]][sstar[r]]] for a in A.elements]
-            for a in A.elements:
-                ra = left[a]
-                if smap[ra] != smul[r][smap[a]]:
-                    out.append(Violation("LeftEquivarianceViolation", (r, a)))
-                for s in S.elements:
-                    if act[ra][s] != left[act[a][s]]:
-                        out.append(Violation("BimoduleCommutationViolation",
-                                             (r, a, s)))
-                for b in A.elements:
-                    if (smap[a] == smap[b]
-                            and left[add[a][b]] != add[ra][left[b]]):
-                        out.append(Violation("LeftDistributivityViolation",
-                                             (r, a, b)))
-            for s in S.elements:
-                if zero[smul[r][s]] != left[zero[s]]:
-                    out.append(Violation("ZeroLeftEquivarianceViolation",
-                                         (r, s)))
-    return Verdict(out)
-
-
 def ref_validate_algebra(alg):
     M = alg.module
     A, S = M.sset, M.sset.base
     mul, add, zero = alg.product, M.add, M.zero
     star, smap, act, sstar = A.star, A.smap, A.action, S.star
-    out = list(ref_validate_module(M).violations)
+    out = list(modalg.validate_module(M).violations)
     for a in A.elements:
         for b in A.elements:
             ab = mul[a][b]
@@ -242,23 +112,15 @@ def ref_validate_algebra(alg):
 # populations
 
 
-def perturbed(table, cells, stop, start=0):
+def perturbed(table, cells, stop):
     """Copies of ``table`` with one cell changed: every other value in
-    start..stop-1 of each given (i, j)."""
+    0..stop-1 of each given (i, j)."""
     for i, j in cells:
-        for v in range(start, stop):
+        for v in range(stop):
             if v != table[i][j]:
                 rows = list(table)
                 rows[i] = (*table[i][:j], v, *table[i][j + 1:])
                 yield tuple(rows)
-
-
-def outcome(call, *args):
-    """What a call returns, or the type of the StarError it raises."""
-    try:
-        return call(*args)
-    except core.StarError as exc:
-        return type(exc)
 
 
 def some_cells(table, rng, count):
@@ -279,14 +141,6 @@ def lambdas():
     return out
 
 
-@pytest.fixture(scope="module")
-def semigroups(star_pool, lambdas):
-    """Every *-semigroup of order <= 3, the verify semigroup pool at order
-    4, and the Lambda semigroups of the presheaf population."""
-    pool = [X for _, X, _ in verify.semigroup_pool(4)]
-    return star_pool + pool + [LP.semigroup for LP in lambdas]
-
-
 # ---------------------------------------------------------------------------
 # compose
 
@@ -305,76 +159,32 @@ def test_compose_refuses_an_index_out_of_range():
             compose((1, 2, 3), before)
 
 
-def test_pick_and_columns():
-    table = ((0, 1, 2), (3, 4, 5))
-    assert columns(table) == ((0, 3), (1, 4), (2, 5))
-    assert pick(table, (2, 0)) == (2, 3)
-    assert columns(()) == () and pick((), ()) == ()
+def test_columns():
+    assert columns(((0, 1, 2), (3, 4, 5))) == ((0, 3), (1, 4), (2, 5))
+    assert columns(()) == ()
 
 
 # ---------------------------------------------------------------------------
-# the semigroup sweeps
+# associativity and balance
 
 
-def test_semigroup_kernels_match_the_cell_sweeps(semigroups):
-    assert len(semigroups) > 250
-    for X in semigroups:
-        assert (core.action_associativity_witness(X.mul, X.mul)
-                == ref_associativity(X.mul, X.mul) is None)
-        fresh = FiniteStarSemigroup(X.order, X.mul, X.star, X.name)
-        for kernel, ref in WITNESSES.items():
-            assert kernel(fresh) == ref(fresh), (kernel.__name__, X)
-
-
-def test_perturbed_cells_give_the_same_least_witness(star_pool, lambdas):
+def test_associativity_matches_the_cell_sweep(star_pool, lambdas):
+    # every *-semigroup of order <= 3, the verify pool at order 4 and the
+    # Lambdas, then one perturbed cell of each
     rng = random.Random(0)
-    found = dict.fromkeys(WITNESSES, 0)
+    tables = [X.mul for X in star_pool]
+    tables += [X.mul for _, X, _ in verify.semigroup_pool(4)]
+    tables += [LP.semigroup.mul for LP in lambdas]
+    assert len(tables) > 250
     broken = 0
-    for X in star_pool + [LP.semigroup for LP in lambdas]:
-        cells = some_cells(X.mul, rng, 12 if X.order <= 3 else 2)
-        for mul in perturbed(X.mul, cells, X.order):
-            wit = core.action_associativity_witness(mul, mul)
-            assert wit == ref_associativity(mul, mul)
+    for mul in tables:
+        assert core.action_associativity_witness(mul, mul) is None
+        count = 12 if len(mul) <= 3 else 2
+        for bad in perturbed(mul, some_cells(mul, rng, count), len(mul)):
+            wit = core.action_associativity_witness(bad, bad)
+            assert wit == ref_associativity(bad, bad), bad
             broken += wit is not None
-            Y = FiniteStarSemigroup(X.order, mul, X.star)
-            for kernel, ref in WITNESSES.items():
-                wit = kernel(Y)
-                assert wit == ref(Y), (kernel.__name__, X, mul)
-                found[kernel] += wit is not None
-    assert broken > 100 and min(found.values()) > 20, found
-
-
-# ---------------------------------------------------------------------------
-# the morphism sweeps
-
-
-def _morphisms(lambdas):
-    maps = [f for _, f, _ in verify.morphism_pool(3)]
-    maps += [LP.structure_map for LP in lambdas]
-    return maps
-
-
-def test_morphism_kernels_match_the_cell_sweeps(lambdas):
-    rng = random.Random(1)
-    maps = _morphisms(lambdas)
-    assert len(maps) > 500
-    counts = [0, 0]
-    for f in maps:
-        variants = [f.map]
-        if f.target.order > 1:
-            i = rng.randrange(f.source.order)
-            variants.append(tuple((v + 1) % f.target.order if k == i else v
-                                  for k, v in enumerate(f.map)))
-        for m in variants:
-            g = StarMorphism(f.source, f.target, m)
-            assert g.is_multiplicative == ref_is_multiplicative(g), g
-            assert g.is_left_star_hom == ref_is_left_star_hom(g), g
-            counts[g.is_multiplicative] += 1
-    assert min(counts) > 100, counts
-
-
-# ---------------------------------------------------------------------------
-# the S-set sweeps
+    assert broken > 100
 
 
 def test_sset_kernels_match_the_cell_sweeps(lambdas):
@@ -395,42 +205,15 @@ def test_sset_kernels_match_the_cell_sweeps(lambdas):
     assert min(broken) > 50, broken
 
 
-def test_lambda_refuses_an_action_that_differs_from_the_formula(
-        lambdas, monkeypatch):
-    # one cell of the canonical action changed: the row test must fall
-    # through to the cell loop, which raises
-    canonical = ssets.canonical_action
-    rng = random.Random(3)
-    for LP in [LP for LP in lambdas if len(LP.pairs) > 1][::9]:
-        good = canonical(LP.structure_map)
-        assert topos._lam(LP.presheaf).semigroup is LP.semigroup
-        action = next(perturbed(good.action, some_cells(good.action, rng, 1),
-                                good.size))
-        bad = ssets.SSetStructure(good.size, good.star, good.base, good.smap,
-                                  action)
-        monkeypatch.setattr(ssets, "canonical_action", lambda f: bad)
-        with pytest.raises(ConsistencyError, match="transition formula"):
-            topos._lam(LP.presheaf)
-        monkeypatch.setattr(ssets, "canonical_action", canonical)
-
-
-# ---------------------------------------------------------------------------
-# the module and algebra sweeps
-
-
-@pytest.fixture(scope="module")
-def fhats(lambdas):
-    """F-hat of every fourth Lambda structure map with at most 6 elements."""
+def test_algebra_kernel_lists_every_violation_of_a_broken_product(lambdas):
+    # F-hat of every fourth Lambda with at most 6 elements, then two
+    # perturbed product cells of each
+    rng = random.Random(4)
     small = [LP for LP in lambdas if LP.semigroup.order <= 6][::4]
     assert len(small) > 5
-    return [modalg.fhat(LP.structure_map) for LP in small]
-
-
-def test_algebra_kernels_list_every_violation_of_a_broken_product(fhats):
-    rng = random.Random(4)
     lists = 0
-    for fh in fhats:
-        alg = fh.algebra
+    for LP in small:
+        alg = modalg.fhat(LP.structure_map).algebra
         assert modalg.validate_algebra.func(alg) == ref_validate_algebra(alg)
         assert modalg.validate_algebra.func(alg).ok
         for product in perturbed(alg.product, some_cells(alg.product, rng, 2),
@@ -440,28 +223,6 @@ def test_algebra_kernels_list_every_violation_of_a_broken_product(fhats):
             assert got == ref_validate_algebra(broken)
             lists += len(got.violations) > 1
     assert lists > 10
-
-
-def test_module_kernels_list_every_violation(fhats):
-    rng = random.Random(5)
-    seen = set()
-    for fh in fhats:
-        M = fh.module
-        A = M.sset
-        assert modalg.validate_module(M) == ref_validate_module(M)
-        modules = [modalg.SModule(A, M.zero, add) for add in perturbed(
-            M.add, some_cells(M.add, rng, 2), A.size, start=-1)]
-        for act in perturbed(A.action, some_cells(A.action, rng, 1), A.size):
-            sset = ssets.SSetStructure(A.size, A.star, A.base, A.smap, act)
-            modules.append(modalg.SModule(sset, M.zero, M.add))
-        for broken in modules:
-            got = outcome(modalg.validate_module, broken)
-            assert got == outcome(ref_validate_module, broken)
-            seen |= {v.kind for v in getattr(got, "violations", ())}
-    # bimodule commutation is the balance identity, so a module that reaches
-    # that sweep has no violation there
-    assert {"DistributivityViolation", "AdditionAssociativityViolation",
-            "LeftDistributivityViolation"} <= seen, seen
 
 
 # ---------------------------------------------------------------------------
