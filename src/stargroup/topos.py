@@ -588,6 +588,7 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
             if u not in projs:
                 raise ConsistencyError(f"fiber over {e} contains non-projection {u}")
     fibers = {e: tuple(str(u) for u in over[e]) for e in S.idempotents}
+    # f is etale and each u a projection, both checked above: lifts are read
     transitions = {}
     for m in all_ls_morphisms(S):
         d = ls_dom(S, m)
