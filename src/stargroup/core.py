@@ -673,8 +673,9 @@ def natural_order(X: FiniteStarSemigroup) -> Relation:
 
 @dataclass(eq=False)
 class StarMorphism:
-    """A carrier map between *-semigroups; its flags, fibers, lift table and
-    etale verdict (etale_report) are computed on first use and kept."""
+    """A carrier map between *-semigroups; its flags, fibers, lift table,
+    canonical action and etale verdict (etale_report) are computed on first
+    use and kept."""
 
     source: FiniteStarSemigroup
     target: FiniteStarSemigroup
@@ -745,6 +746,31 @@ class StarMorphism:
                         groups.setdefault(f[z], []).append(z)
                 out[p] = {s: tuple(zs) for s, zs in groups.items()}
         return out
+
+    @memo
+    def action(self) -> tuple[tuple[int, ...], ...]:
+        """For an etale map, the canonical action table: ``action[x][s]`` is
+        the unique z with c(x)z = z and f(z) = f(x)s, read from ``lifts``.
+        Every lift is read here (``etale_lift``, ``ssets.canonical_action``
+        and the topos readers), so a lift's uniqueness is checked once, in
+        this build.  NotEtale when f is not etale."""
+        if not is_etale(self):
+            raise NotEtale(f"{self!r} is not etale")
+        X, S, f, lifts = self.source, self.target, self.map, self.lifts
+        table = []
+        for x in X.elements:
+            p, fx_row = X.c(x), S.mul[f[x]]
+            at_p, row = lifts[p], []
+            for s, t in enumerate(fx_row):
+                hits = at_p.get(t, ())
+                if len(hits) != 1:
+                    raise ConsistencyError(
+                        f"canonical action ambiguous at ({x}, {s}): lift of "
+                        f"{t} at {p} not unique for etale {self!r}: "
+                        f"{list(hits)}")
+                row.append(hits[0])
+            table.append(tuple(row))
+        return tuple(table)
 
     @property
     def is_star_hom(self) -> bool:
@@ -867,31 +893,14 @@ def is_etale(f: StarMorphism) -> bool:
 
 def etale_lift(f: StarMorphism, p: int, s: int) -> int:
     """The unique x with x = p x and f(x) = s, for a projection p and an
-    equation s = f(p) s in the target."""
+    equation s = f(p) s in the target: ``f.action[p][s]``, as c(p) = p."""
     X, S = f.source, f.target
     _check_element(X, p)
     _check_element(S, s)
     check_lift_points(f, (p,))
     if S.mul[f.map[p]][s] != s:
         raise NoLift(f"equation s = f(p)s fails for p={p}, s={s}")
-    hits = f.lifts[p].get(s, ())
-    if len(hits) != 1:
-        raise ConsistencyError(
-            f"lift of s={s} at p={p} not unique for etale {f!r}: {list(hits)}"
-        )
-    return hits[0]
-
-
-def read_lift(f: StarMorphism, p: int, s: int) -> int:
-    """``etale_lift(f, p, s)`` read straight from ``f.lifts``, for a caller
-    that has made etale_lift's checks on f and p once (``check_lift_points``)
-    and then reads many lifts.  A read that finds no unique lift goes to
-    etale_lift, which raises the error a checked call would."""
-    try:
-        (x,) = f.lifts[p][s]
-    except (KeyError, ValueError):
-        return etale_lift(f, p, s)
-    return x
+    return f.action[p][s]
 
 
 def check_lift_points(f: StarMorphism, points):

@@ -37,6 +37,7 @@ from .ssets import (
     balanced_check,
     canonical_action,
     check_sset,
+    left_table,
     make_sset,
 )
 
@@ -91,10 +92,6 @@ class SModule:
             raise FiberMismatch(f"{a} and {b} live in different fibers")
         return v
 
-    def left(self, r, a):
-        A = self.sset
-        return A.star[A.act(A.star[a], self.base.star[r])]
-
     @memo
     def derived_table(self) -> tuple[tuple[int, ...], ...]:
         """The derivation-style product ab = a psi(b) + psi(a) b of a
@@ -106,12 +103,11 @@ class SModule:
         if not balanced_check(M.sset).balanced:
             raise NotBalanced("derived product needs a balanced module")
         A, S = M.sset, M.sset.base
-        star, smap, act, zero = A.star, A.smap, A.action, M.zero
+        smap, act, zero, left = A.smap, A.action, M.zero, left_table(A)
         table = []
         for a, act_a in enumerate(act):
-            left_a = S.star[smap[a]]
-            ta = tuple(M.plus(act_a[smap[b]], star[act[star[b]][left_a]])
-                       for b in A.elements)
+            left_fa = left[smap[a]]
+            ta = tuple(M.plus(act_a[smap[b]], left_fa[b]) for b in A.elements)
             if any(ta[zero[r]] != act_a[r] for r in S.elements):
                 raise ConsistencyError("a 0(r) != ar for the derived product")
             table.append(ta)
@@ -182,20 +178,15 @@ def validate_module(M: SModule) -> Verdict:
         if add[a][zero[smap[a]]] != a:
             out.append(Violation("ZeroLawViolation", (a,)))
 
+    # (ra)s = r(as) needs no sweep here: it is balance condition 1, which
+    # balanced_check has swept on these tables
     if balanced_check(A).balanced:
-        for r in S.elements:
-            # the left action r . a = (a* r*)* of every a, as one row
-            rstar = sstar[r]
-            left = [star[act[star[a]][rstar]] for a in A.elements]
+        for r, left in enumerate(left_table(A)):
             mul_r = smul[r]
             for a in A.elements:
                 ra = left[a]
                 if smap[ra] != mul_r[smap[a]]:
                     out.append(Violation("LeftEquivarianceViolation", (r, a)))
-                act_ra, act_a = act[ra], act[a]
-                for s in S.elements:
-                    if act_ra[s] != left[act_a[s]]:
-                        out.append(Violation("BimoduleCommutationViolation", (r, a, s)))
                 add_a, add_ra, fa = add[a], add[ra], smap[a]
                 for b in A.elements:
                     if fa == smap[b]:
@@ -473,7 +464,8 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     if total > cap:
         raise CarrierTooLarge(f"F-hat carrier would have {total} > {cap} elements")
 
-    act0 = canonical_action(f).action
+    A0 = canonical_action(f)
+    act0, left0 = A0.action, left_table(A0)
     offset = (0, *accumulate(sizes))
     n = offset[-1]
     elements = []
@@ -503,14 +495,13 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     algebra = idem_to_algebra(module)
 
     # the direct product formula AB = As union rB must agree with the
-    # derived one; As and rB are mapped bit by bit from X's star and the
-    # canonical action, not read from the tables above
+    # derived one; As and rB are mapped bit by bit from the canonical action
+    # on X and its left action, not read from the tables above
     for r, fib in enumerate(fibers):
-        rstar, mul_r = S.star[r], S.mul[r]
+        mul_r, left0_r = S.mul[r], left0[r]
         right = [_subset_images([bit[act0[x][s]] for x in fib])
                  for s in S.elements]
-        left = [_subset_images([bit[X.star[act0[X.star[x]][rstar]]]
-                                for x in fib_s])
+        left = [_subset_images([bit[left0_r[x]] for x in fib_s])
                 for fib_s in fibers]
         for A in range(sizes[r]):
             row = algebra.product[offset[r] + A]
@@ -520,13 +511,11 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
                     if row[lo + B] != base + (As | rB):
                         raise ConsistencyError("derived product differs from As + rB")
 
-    mul_table = algebra.product
-    sg = validate_star_semigroup(n, mul_table, star, name="Fhat")
-    if not classify(sg).involutive:
-        raise ConsistencyError("F-hat multiplicative semigroup is not involutive")
+    # (ab)* = b*a* and psi(ab) = psi(a)psi(b) are validate_algebra's
+    # ProductStar and PsiHom sweeps of these tables, psi(a*) = psi(a)* is
+    # check_sset's star law: so sg is involutive and psi a *-homomorphism
+    sg = validate_star_semigroup(n, algebra.product, star, name="Fhat")
     psi = StarMorphism(sg, S, smap, name="fhat-psi")
-    if not psi.is_star_hom:
-        raise ConsistencyError("F-hat structure map is not a *-homomorphism")
 
     out = FHatAlgebra(f, S, elements, index, module, algebra, sg, psi)
     _fhat_identities(out)
@@ -543,23 +532,20 @@ def _subset_images(bits):
 
 
 def _fhat_identities(fh: FHatAlgebra):
-    """Coset identities: A r*r = A = rr* A; Ar* = {aa*}; r*A = {a*a}.
-    (As = A 0(s) is the derived product's own check, a 0(r) = ar.)"""
+    """Coset identities: rr* A = A; Ar* = {aa*}; r*A = {a*a}.  (A r*r = A
+    is check_sset's unit law at (r, A), swept by make_sset; As = A 0(s) is
+    the derived product's own check, a 0(r) = ar.)"""
     S, X = fh.base, fh.f.source
-    act0 = canonical_action(fh.f)
-    act = fh.module.sset.action
+    left0 = left_table(canonical_action(fh.f))
+    act, left = fh.module.sset.action, left_table(fh.module.sset)
     for i, (r, A) in enumerate(fh.elements):
-        a_rstar_r = act[i][S.mul[S.star[r]][r]]
-        rrstar_a = fh.index[
-            (r, frozenset(
-                X.star[act0.act(X.star[a], S.star[S.mul[r][S.star[r]]])]
-                for a in A))]
-        if a_rstar_r != i or rrstar_a != i:
-            raise ConsistencyError("A r*r = A = rr* A fails")
+        rrstar = left0[S.c(r)]
+        if fh.index[(r, frozenset(rrstar[a] for a in A))] != i:
+            raise ConsistencyError("rr* A = A fails")
         ar_star = act[i][S.star[r]]
         if fh.elements[ar_star][1] != frozenset(X.c(a) for a in A):
             raise ConsistencyError("Ar* != {aa*}")
-        rstar_a = fh.module.left(S.star[r], i)
+        rstar_a = left[S.star[r]][i]
         if fh.elements[rstar_a][1] != frozenset(X.d(a) for a in A):
             raise ConsistencyError("r*A != {a*a}")
 
@@ -576,8 +562,9 @@ class RhoResult:
 def rho(fh: FHatAlgebra) -> RhoResult:
     """x |-> (f(x), {x}): an injective left *-homomorphism into F-hat, and a
     *-homomorphism exactly when the source is involutive."""
-    X, S = fh.f.source, fh.base
-    act0 = canonical_action(fh.f)
+    X = fh.f.source
+    A0 = canonical_action(fh.f)
+    left0 = left_table(A0)
     mapping = tuple(fh.index[(fh.f.map[x], frozenset([x]))] for x in X.elements)
     m = StarMorphism(X, fh.semigroup, mapping, name="rho")
     if not m.is_left_star_hom:
@@ -586,8 +573,8 @@ def rho(fh: FHatAlgebra) -> RhoResult:
     for x in X.elements:
         for y in X.elements:
             z = X.mul[X.d(x)][y]
-            first = act0.act(x, fh.f.map[z])
-            second = X.star[act0.act(X.star[z], S.star[fh.f.map[x]])]
+            first = A0.act(x, fh.f.map[z])
+            second = left0[fh.f.map[x]][z]
             if {X.mul[x][y]} != {first, second}:
                 raise ConsistencyError("rho product identity fails")
     result = RhoResult(

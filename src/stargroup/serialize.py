@@ -1,7 +1,8 @@
 """JSON formats and canonical (bit-exact round-trip) save/load.
 
 References to other files are plain strings resolved relative to the
-referring file; inline objects are plain dicts.  All writers emit the same
+referring file; inline objects are plain dicts.  The readers take both; the
+writers inline every object.  All writers emit the same
 canonical encoding, so save(load(p)) reproduces p byte for byte whenever p
 was written by this module.
 
@@ -136,10 +137,10 @@ def _resolve_ref(ref, base_dir) -> FiniteStarSemigroup:
 # morphisms -----------------------------------------------------------------
 
 
-def morphism_to_dict(f: StarMorphism, source_ref=None, target_ref=None) -> dict:
+def morphism_to_dict(f: StarMorphism) -> dict:
     return {
-        "source": source_ref or semigroup_to_dict(f.source),
-        "target": target_ref or semigroup_to_dict(f.target),
+        "source": semigroup_to_dict(f.source),
+        "target": semigroup_to_dict(f.target),
         "map": list(f.map),
     }
 
@@ -152,8 +153,8 @@ def morphism_from_dict(d: dict, base_dir=".") -> StarMorphism:
     return StarMorphism(source, target, d["map"])
 
 
-def save_morphism(f: StarMorphism, path, source_ref=None, target_ref=None):
-    _write(path, morphism_to_dict(f, source_ref, target_ref))
+def save_morphism(f: StarMorphism, path):
+    _write(path, morphism_to_dict(f))
 
 
 def load_morphism(path) -> StarMorphism:
@@ -164,9 +165,9 @@ def load_morphism(path) -> StarMorphism:
 # presheaves ----------------------------------------------------------------
 
 
-def presheaf_to_dict(P: Presheaf, base_ref=None) -> dict:
+def presheaf_to_dict(P: Presheaf) -> dict:
     return {
-        "base": base_ref or semigroup_to_dict(P.base.semigroup),
+        "base": semigroup_to_dict(P.base.semigroup),
         "fibers": {str(e): list(labels) for e, labels in sorted(P.fibers.items())},
         "transitions": {
             f"{s},{e}": list(tr) for (s, e), tr in sorted(P.transitions.items())
@@ -199,8 +200,8 @@ def presheaf_from_dict(d: dict, base_dir=".") -> Presheaf:
     return validate_presheaf(base, fibers, transitions)
 
 
-def save_presheaf(P: Presheaf, path, base_ref=None):
-    _write(path, presheaf_to_dict(P, base_ref))
+def save_presheaf(P: Presheaf, path):
+    _write(path, presheaf_to_dict(P))
 
 
 def load_presheaf(path) -> Presheaf:
@@ -273,11 +274,11 @@ def load_groupoid(path) -> OrderedGroupoidWithMediator:
 # S-sets --------------------------------------------------------------------
 
 
-def sset_to_dict(A: SSetStructure, base_ref=None) -> dict:
+def sset_to_dict(A: SSetStructure) -> dict:
     return {
         "carrier": A.size,
         "star": list(A.star),
-        "base": base_ref or semigroup_to_dict(A.base),
+        "base": semigroup_to_dict(A.base),
         "map": list(A.smap),
         "action": [list(row) for row in A.action],
     }
@@ -291,8 +292,8 @@ def sset_from_dict(d: dict, base_dir=".") -> SSetStructure:
     return make_sset(d["carrier"], d["star"], base, d["map"], d["action"])
 
 
-def save_sset(A: SSetStructure, path, base_ref=None):
-    _write(path, sset_to_dict(A, base_ref))
+def save_sset(A: SSetStructure, path):
+    _write(path, sset_to_dict(A))
 
 
 def load_sset(path) -> SSetStructure:

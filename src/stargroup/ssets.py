@@ -39,9 +39,14 @@ class SSetInvalid(Invalid):
 @dataclass(eq=False)
 class SSetStructure:
     """Carrier with involution, structure map into S, and action table;
-    its axiom check (check_sset), left identity (is_left_involutive_sset),
-    balance (balanced_check) and left-action sweep are computed on first
-    use and kept, so it must not be mutated."""
+    its axiom check (check_sset), left-action table (left_table), left
+    identity (is_left_involutive_sset) and balance (balanced_check) are
+    computed on first use and kept, so it must not be mutated.
+
+    Over an involutive base, a balanced S-set's left action needs no sweep
+    of its own: (rx)s = r(xs) is balance condition 1, and f(rx) = r f(x)
+    follows from check_sset's laws, f(rx) = f(x* r*)* = (f(x)* r*)*
+    = r f(x) by the star-morphism law, equivariance and (ab)* = b*a*."""
 
     size: int
     star: tuple[int, ...]
@@ -66,44 +71,32 @@ class SSetStructure:
     def act(self, x: int, s: int) -> int:
         return self.action[x][s]
 
-    @memo
-    def left_action_swept(self) -> bool:
-        """When the S-set is balanced over an inverse base, its left action
-        must satisfy (rx)s = r(xs) and f(rx) = r f(x); swept once."""
-        A, S = self, self.base
-        rep = balanced_check(A)
-        if not rep.balanced or not classify(S).inverse:
-            return True
-        la = lambda r, x: A.star[A.act(A.star[x], S.star[r])]
-        for r in S.elements:
-            for x in A.elements:
-                rx = la(r, x)
-                if A.smap[rx] != S.mul[r][A.smap[x]]:
-                    raise ConsistencyError(f"left action not equivariant at {(r, x)}")
-                for s in S.elements:
-                    if A.act(rx, s) != la(r, A.act(x, s)):
-                        raise ConsistencyError(
-                            f"left/right actions do not commute at {(r, x, s)}")
-        return True
-
     def __repr__(self):
         return f"SSet(size={self.size}, base={self.base!r})"
 
 
-def _balance_witness(star, act, sstar, srng):
-    """Least (x, r, s) with (rx)s != r(xs), rx = (x* r*)*; None if none.
-    Each (x, r) compares the row over s whole first."""
-    # the left action of each r as a table: z |-> (z* r*)*
-    cols = columns(act)
-    left = [compose(star, compose(cols[sr], star)) for sr in sstar]
+@memo
+def left_table(A: SSetStructure) -> tuple[tuple[int, ...], ...]:
+    """The left action rx = (x* r*)* as one row over x per r of the base;
+    kept on A.  Every reader of the left action indexes it."""
+    star = A.star
+    cols = columns(A.action) or ((),) * A.base.order
+    return tuple([compose(star, compose(cols[sr], star))
+                  for sr in A.base.star])
+
+
+def _balance_witness(act, left):
+    """Least (x, r, s) with (rx)s != r(xs), for the action table ``act``
+    and its left-action rows ``left`` (left_table); None if none.  Each
+    (x, r) compares the row over s whole first."""
     for x, row in enumerate(act):
-        xstar_row, at_row = act[star[x]], composer(row)
-        for r in srng:
-            rx_row = act[star[xstar_row[sstar[r]]]]
-            if rx_row == at_row(left[r]):
+        at_row = composer(row)
+        for r, left_r in enumerate(left):
+            rx_row = act[left_r[x]]
+            if rx_row == at_row(left_r):
                 continue
-            for s in srng:
-                if rx_row[s] != star[act[star[row[s]]][sstar[r]]]:
+            for s, rx_s in enumerate(rx_row):
+                if rx_s != left_r[row[s]]:
                     return (x, r, s)
     return None
 
@@ -158,11 +151,8 @@ def is_left_involutive_sset(A: SSetStructure) -> bool:
 
 
 def left_action(A: SSetStructure, r: int, x: int) -> int:
-    """rx = (x* r*)*; the first call sweeps the left action (see
-    SSetStructure.left_action_swept)."""
-    out = A.star[A.act(A.star[x], A.base.star[r])]
-    A.left_action_swept
-    return out
+    """rx = (x* r*)*, read from left_table."""
+    return left_table(A)[r][x]
 
 
 @dataclass(frozen=True)
@@ -185,7 +175,7 @@ def balanced_check(A: SSetStructure) -> BalancedReport:
     """
     S = A.base
     star, act = A.star, A.action
-    w1 = _balance_witness(star, act, S.star, S.elements)
+    w1 = _balance_witness(act, left_table(A))
     w2 = None
     for x, row in enumerate(act):
         xfx = row[A.smap[star[x]]]
@@ -209,24 +199,10 @@ def balanced_check(A: SSetStructure) -> BalancedReport:
 @memo
 def canonical_action(f: StarMorphism) -> SSetStructure:
     """The lifting action of an etale left *-homomorphism: xs is the unique
-    c(x)-fixpoint over f(x)s.  Built once per morphism: every call on the
-    same ``f`` returns the same S-set."""
-    if not is_etale(f):
-        raise NotEtale(f"{f!r} is not etale")
+    c(x)-fixpoint over f(x)s, the table ``f.action``.  Built once per
+    morphism: every call on the same ``f`` returns the same S-set."""
     X, S = f.source, f.target
-    lifts = f.lifts
-    action = []
-    for x in X.elements:
-        at_cx, fx_row = lifts[X.c(x)], S.mul[f.map[x]]
-        row = []
-        for s in S.elements:
-            hits = at_cx.get(fx_row[s], ())
-            if len(hits) != 1:
-                raise ConsistencyError(
-                    f"canonical action ambiguous at ({x}, {s}): {list(hits)}")
-            row.append(hits[0])
-        action.append(tuple(row))
-    A = make_sset(X.order, X.star, S, f.map, action)
+    A = make_sset(X.order, X.star, S, f.map, f.action)
     if classify(X).left_involutive and classify(S).left_involutive:
         if not is_left_involutive_sset(A):
             raise ConsistencyError(

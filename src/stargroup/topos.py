@@ -31,11 +31,13 @@ Everything else derived from one object is kept on that object with
 ``core.memo`` and lives as long as it does: the S(e) tables on their base
 (``site.representable_tables``; Gamma reads them unvalidated and keeps its
 search plan on them, ``_gamma_plan``), the lift table and the canonical
-action on a morphism (``StarMorphism.lifts``, ``ssets.canonical_action``),
-the axiom sweep on an S-set and the verdict on an algebra
-(``ssets.check_sset``, ``modalg.validate_algebra``).  So an object that
-carries a memo, an ``SSetStructure``, ``SModule`` or ``SAlgebra`` too, must
-not be mutated after construction either.
+action table on a morphism (``StarMorphism.lifts``; ``StarMorphism.action``,
+which checks each lift's uniqueness once and which every lift read here
+indexes), its S-set (``ssets.canonical_action``), the axiom sweep and the
+left-action table on an S-set (``ssets.check_sset``, ``ssets.left_table``)
+and the verdict on an algebra (``modalg.validate_algebra``).  So an object
+that carries a memo, an ``SSetStructure``, ``SModule`` or ``SAlgebra`` too,
+must not be mutated after construction either.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .core import (
     is_etale,
     memo,
     projections,
-    read_lift,
     validate_star_semigroup,
 )
 from .site import (
@@ -243,12 +244,9 @@ def _lambda_map(lsg, sg, smap) -> StarMorphism:
     return f
 
 
-def lambda_morphism(gamma_map: PresheafMap,
-                    LP: LambdaObject | None = None,
-                    LQ: LambdaObject | None = None) -> StarMorphism:
+def lambda_morphism(gamma_map: PresheafMap) -> StarMorphism:
     """Lambda(gamma)(r, x) = (r, gamma_{c(r)}(x)); a *-homomorphism over S."""
-    LP = LP if LP is not None else lam(gamma_map.source)
-    LQ = LQ if LQ is not None else lam(gamma_map.target)
+    LP, LQ = lam(gamma_map.source), lam(gamma_map.target)
     sg = LP.base.semigroup
     mapping = tuple(
         LQ.index[(r, gamma_map.components[sg.c(r)][x])] for (r, x) in LP.pairs
@@ -370,9 +368,11 @@ def _lift_table(f: StarMorphism, carrier, u: int) -> tuple[int, ...]:
     """The table over ``carrier`` of the map S(e) -> X with (e, e) |-> u,
     for u over e: (r, s) goes to the lift of r at u.s = d(lift of s at u).
     The caller checks f and u (``check_lift_points``); d(x) is always a
-    projection."""
-    d = f.source.d
-    return tuple(read_lift(f, d(read_lift(f, u, s)), r) for r, s in carrier)
+    projection.  Each read satisfies its lift equation, as (r, s) is in
+    S(e): es = s, and f(d(x)) = d(s) = c(r) with c(r)r = r, so
+    ``f.action`` holds both lifts."""
+    act, d = f.action, f.source.d
+    return tuple(act[d(act[u][s])][r] for r, s in carrier)
 
 
 def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):
@@ -588,14 +588,17 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
             if u not in projs:
                 raise ConsistencyError(f"fiber over {e} contains non-projection {u}")
     fibers = {e: tuple(str(u) for u in over[e]) for e in S.idempotents}
-    # f is etale and each u a projection, both checked above: lifts are read
+    # f is etale and each u a projection, both checked above, and m.s
+    # satisfies f(u)m.s = m.s for u over m.e, as m is an L(S)-morphism: so
+    # the lift of m.s at u is f.action[u][m.s]
+    act = f.action
     transitions = {}
     for m in all_ls_morphisms(S):
         d = ls_dom(S, m)
         posd = {u: i for i, u in enumerate(over[d])}
         tr = []
         for u in over[m.e]:
-            x = read_lift(f, u, m.s)
+            x = act[u][m.s]
             tr.append(posd[X.d(x)])
         transitions[(m.s, m.e)] = tuple(tr)
     P = validate_presheaf(S, fibers, transitions)
@@ -619,8 +622,10 @@ def m_iso(f: StarMorphism) -> StarMorphism:
     P = fiber_presheaf(f)
     LP = lam(P)
     over = f.fibers
-    # fiber_presheaf checked that f is etale and each u a projection
-    mapping = [read_lift(f, over[sg.c(r)][ui], r) for r, ui in LP.pairs]
+    # fiber_presheaf checked that f is etale and each u a projection; u lies
+    # over c(r) and c(r)r = r, so the lift of r at u is f.action[u][r]
+    act = f.action
+    mapping = [act[over[sg.c(r)][ui]][r] for r, ui in LP.pairs]
     m = StarMorphism(LP.semigroup, X, tuple(mapping), name="m")
     if not m.is_star_hom:
         raise ConsistencyError("m is not a *-homomorphism")

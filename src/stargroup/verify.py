@@ -375,7 +375,7 @@ def _star_morphism_maps(X, S):
 
 def morphism_pool(max_order=3):
     """All *-morphisms between pool semigroups plus the standard fixtures."""
-    base = semigroup_pool(min(max_order, 2), sample4=0)
+    base = semigroup_pool(min(max_order, 2))
     extras = [
         ("SL2", oracle.standard_family("semilattice_chain", 2)),
         ("SL3", oracle.standard_family("semilattice_chain", 3)),
@@ -400,7 +400,7 @@ def _left_homs(X, S):
 def pair_pool():
     """The first PAIR_CAP composable left *-homomorphism pairs
     (g: X->Y, f: Y->Z) over the semigroups of order <= 2."""
-    pool = semigroup_pool(2, sample4=0)
+    pool = semigroup_pool(2)
     out = []
     for la, X, tx in pool:
         for lb, Y, ty in pool:
@@ -447,7 +447,7 @@ def etale_idem_pool():
     return out
 
 
-def build_instances(statement_ids=None, max_order=3, sample4=8):
+def build_instances(statement_ids=None, max_order=3):
     """(statement, label, instance, raw) for the requested statements: the
     main check reads the instance, oracle.naive_check the raw tables."""
     ids = statement_ids or sorted(oracle.REGISTRY)
@@ -455,8 +455,7 @@ def build_instances(statement_ids=None, max_order=3, sample4=8):
     wanted = set(kinds.values())
     pools = {}
     if wanted & {"semigroup", "inverse"}:
-        pools["semigroup"] = pools["inverse"] = semigroup_pool(
-            max_order, sample4=sample4)
+        pools["semigroup"] = pools["inverse"] = semigroup_pool(max_order)
     if "morphism" in wanted:
         pools["morphism"] = morphism_pool(max_order)
     if wanted & {"pair", "triangle"}:
@@ -490,9 +489,9 @@ def _run_task(task):
     return (sid, label, ok, witness)
 
 
-def run_statements(statement_ids=None, max_order=3, sample4=8):
+def run_statements(statement_ids=None, max_order=3):
     """Evaluate statements over their pools; rows sorted (check, instance)."""
-    tasks = build_instances(statement_ids, max_order, sample4)
+    tasks = build_instances(statement_ids, max_order)
     rows = [VerifyRow(*_run_task(t)) for t in tasks]
     rows.sort(key=lambda r: (r.check, r.instance))
     return rows

@@ -219,7 +219,7 @@ def test_criterion_7_algebras(fixture_etale_maps, p21, sl2_inv):
     Q = terminal_presheaf(sl2_inv)
     gmap = validate_presheaf_map(p21, Q, {1: (0, 0), 0: (0,)})
     LP, LQ = topos.lam(p21), topos.lam(Q)
-    phi = topos.lambda_morphism(gmap, LP, LQ)
+    phi = topos.lambda_morphism(gmap)
     fh_f, fh_g = fhat(LP.structure_map), fhat(LQ.structure_map)
     lift_morphism(phi, fh_f, fh_g)  # raises on any unpreserved structure
     lift_morphism(identity_morphism(LP.semigroup), fh_f, fh_f)
@@ -231,7 +231,7 @@ def test_criterion_8_oracle_agreement():
     over the full n <= 3 enumeration plus sampled n = 4 structures, and the
     enumeration self-test counts match."""
     started = time.time()
-    rows = verify.run_statements(max_order=4, sample4=8)
+    rows = verify.run_statements(max_order=4)
     bad = [r for r in rows if not r.ok]
     assert not bad, bad[:5]
     assert len(rows) > 5000

@@ -8,7 +8,9 @@ violation.  The sweeps as they were, cell by cell with no row test, are
 kept here as references; every kernel must give the same verdict, least
 witness and violation list, on valid tables and on tables with one cell
 perturbed.  ``core.compose`` is checked against the generator it replaced,
-and the unchecked lift reads against ``etale_lift``'s errors."""
+the lift reads through ``StarMorphism.action`` against ``etale_lift``'s
+errors, and ``ssets.left_table`` against the cell formula, with the laws of
+the sweeps it made redundant."""
 
 import random
 
@@ -59,6 +61,31 @@ def ref_balance(star, act, sstar, srng):
                 if rx_row[s] != star[act[star[row[s]]][sstar[r]]]:
                     return (x, r, s)
     return None
+
+
+def ref_left_table(A):
+    """The left action rx = (x* r*)*, one row over x per r, cell by cell."""
+    star, act, sstar = A.star, A.action, A.base.star
+    return tuple(tuple(star[act[star[x]][sstar[r]]] for x in range(A.size))
+                 for r in A.base.elements)
+
+
+def assert_left_table(A):
+    """left_table(A) is the cell formula; on a balanced S-set over an
+    involutive base, the two laws the left action was once swept for hold:
+    (rx)s = r(xs) and f(rx) = r f(x).  Returns whether A is balanced."""
+    left = ssets.left_table(A)
+    assert left == ref_left_table(A)
+    S = A.base
+    if not (ssets.balanced_check(A).balanced and core.classify(S).involutive):
+        return False
+    for r in S.elements:
+        for x in range(A.size):
+            rx = left[r][x]
+            assert A.smap[rx] == S.mul[r][A.smap[x]], (r, x)
+            for s in S.elements:
+                assert A.action[rx][s] == left[r][A.action[x][s]], (r, x, s)
+    return True
 
 
 def ref_validate_algebra(alg):
@@ -198,7 +225,8 @@ def test_sset_kernels_match_the_cell_sweeps(lambdas):
         for act in actions:
             wit = core.action_associativity_witness(act, S.mul)
             assert wit == ref_associativity(act, S.mul)
-            bal = ssets._balance_witness(A.star, act, S.star, S.elements)
+            B = ssets.SSetStructure(A.size, A.star, S, A.smap, act)
+            bal = ssets._balance_witness(act, ssets.left_table(B))
             assert bal == ref_balance(A.star, act, S.star, S.elements)
             broken[0] += wit is not None
             broken[1] += bal is not None
@@ -225,6 +253,20 @@ def test_algebra_kernel_lists_every_violation_of_a_broken_product(lambdas):
     assert lists > 10
 
 
+def test_every_fhat_has_its_left_table_and_the_laws_its_sweeps_settle(
+        lambdas):
+    # the F-hat S-set of every Lambda; fhat no longer asks classify for
+    # involutivity or psi for the *-homomorphism laws, as validate_algebra
+    # and check_sset have swept them on the same tables
+    balanced = 0
+    for LP in lambdas:
+        fh = modalg.fhat(LP.structure_map)
+        balanced += assert_left_table(fh.module.sset)
+        assert core.classify(fh.semigroup).involutive
+        assert fh.psi.is_star_hom
+    assert balanced == len(lambdas)
+
+
 # ---------------------------------------------------------------------------
 # lifts read after one check per map
 
@@ -238,12 +280,14 @@ def test_the_lift_readers_still_refuse_a_non_etale_map(const_c2_t1):
 
 
 def test_an_ambiguous_lift_read_still_raises(lambdas):
-    # every lift group doubled after the etale verdict is kept: a read that
-    # took the first candidate would pass
+    # every lift group doubled after the etale verdict is kept and before
+    # any reader builds the action table: a read that took the first
+    # candidate would pass
     f = next(LP.structure_map for LP in lambdas
              if len(LP.pairs) > LP.base.order)
+    assert topos.fiber_presheaf(f)
     g = StarMorphism(f.source, f.target, f.map)
-    assert is_etale(g) and topos.fiber_presheaf(g)
+    assert is_etale(g)
     g.lifts = {p: {s: xs + xs for s, xs in group.items()}
                for p, group in g.lifts.items()}
     for call in (topos.fiber_presheaf, topos.m_iso,

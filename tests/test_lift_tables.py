@@ -1,7 +1,8 @@
 """The tables built once per map or per base against the per-call code they
 replaced, kept here as the reference: the scans of ``etale_lift`` and
-``ssets.canonical_action`` for ``StarMorphism.lifts``, and the inline plan
-build of the generic Gamma search for ``topos._gamma_plan``."""
+``ssets.canonical_action`` for ``StarMorphism.lifts`` and
+``StarMorphism.action``, the cell formula for ``ssets.left_table``, and the
+inline plan build of the generic Gamma search for ``topos._gamma_plan``."""
 
 import math
 
@@ -18,6 +19,7 @@ from stargroup.core import (
     is_etale,
 )
 from stargroup.topos import SearchBudgetExceeded
+from test_kernels import assert_left_table
 
 BASES = (("semilattice_chain", 2), ("semilattice_chain", 3),
          ("symmetric_inverse", 2))
@@ -179,6 +181,22 @@ def test_etale_lift_matches_the_scan(presheaves):
 def test_canonical_action_matches_the_scan(presheaves):
     for f in _etale_maps(presheaves):
         assert ssets.canonical_action(f).action == reference_action(f), f
+
+
+def test_action_table_matches_the_scan(presheaves):
+    for f in _etale_maps(presheaves):
+        assert f.action == reference_action(f), f
+        for p in f.source.elements:
+            for s in f.target.elements:
+                want = _outcome(reference_lift, f, p, s)
+                if type(want) is int:
+                    assert etale_lift(f, p, s) == f.action[p][s] == want
+
+
+def test_left_table_of_the_canonical_action_is_the_cell_formula(presheaves):
+    maps = _etale_maps(presheaves)
+    balanced = sum(assert_left_table(ssets.canonical_action(f)) for f in maps)
+    assert balanced > 150
 
 
 def test_an_ambiguous_lift_still_raises(c2, t1, monkeypatch):

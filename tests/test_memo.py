@@ -208,6 +208,27 @@ def test_the_assert_scan_finds_one():
     assert _asserts(ast.parse(text)) == [3]
 
 
+def _lift_reads(tree):
+    """The line of each ``.lifts`` attribute read."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "lifts"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "core.py"),
+                         ids=lambda p: p.name)
+def test_lifts_are_read_only_in_core(path):
+    # a lift is read through f.action or etale_lift, whose table build
+    # checks each lift's uniqueness once
+    assert _lift_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_lift_read_scan_finds_one():
+    text = ("def f(g, p):\n    table = g.action\n"
+            "    return g.lifts[p], table\n")
+    assert _lift_reads(ast.parse(text)) == [3]
+
+
 def _table_compositions(tree):
     """The line of each ``tuple(t[v] for v in u)``: a generator that reads
     one table ``t``, which does not depend on v, at each entry of another."""

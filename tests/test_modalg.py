@@ -1,6 +1,6 @@
 import pytest
 
-from stargroup import topos
+from stargroup import ssets, topos
 from stargroup.core import (
     ConsistencyError,
     ShapeError,
@@ -91,7 +91,7 @@ def test_fhat_star_products(fhat_id_i2):
         r = fh.module.sset.smap[a]
         lhs = mul[star[a]][a]
         assert lhs == act[star[a]][r]
-        assert lhs == fh.module.left(fh.base.star[r], a)
+        assert lhs == ssets.left_action(fh.module.sset, fh.base.star[r], a)
 
 
 def test_fhat_projections(fhat_p21):
@@ -301,7 +301,7 @@ def test_lift_morphism(p21, sl2_inv):
     Q = terminal_presheaf(sl2_inv)
     gmap = validate_presheaf_map(p21, Q, {1: (0, 0), 0: (0,)})
     LP, LQ = topos.lam(p21), topos.lam(Q)
-    phi = topos.lambda_morphism(gmap, LP, LQ)
+    phi = topos.lambda_morphism(gmap)
     fh_f = fhat(LP.structure_map)
     fh_g = fhat(LQ.structure_map)
     lifted = lift_morphism(phi, fh_f, fh_g)
@@ -331,7 +331,7 @@ def test_gamma_algebra_naturality(p21, sl2_inv):
     Q = terminal_presheaf(sl2_inv)
     gmap = validate_presheaf_map(p21, Q, {1: (0, 0), 0: (0,)})
     LP, LQ = topos.lam(p21), topos.lam(Q)
-    phi = topos.lambda_morphism(gmap, LP, LQ)
+    phi = topos.lambda_morphism(gmap)
     fh_f, fh_g = fhat(LP.structure_map), fhat(LQ.structure_map)
     lifted = lift_morphism(phi, fh_f, fh_g).morphism
     Gf, Gg = gamma_algebra(fh_f), gamma_algebra(fh_g)

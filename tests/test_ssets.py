@@ -11,6 +11,7 @@ from stargroup.ssets import (
     canonical_action,
     is_left_involutive_sset,
     left_action,
+    left_table,
     make_sset,
     retwist,
     sset_to_semigroup,
@@ -146,6 +147,13 @@ def test_sset_verdicts_are_kept_on_the_sset(i2):
         assert verdict.cache_info().misses == misses
     assert not hasattr(SSetStructure, "balance")
     assert not hasattr(SSetStructure, "left_identity")
+
+
+def test_the_empty_sset_is_balanced_with_empty_left_rows(sl2):
+    # its action table has no columns to read the left action from
+    A = make_sset(0, (), sl2, (), ())
+    assert left_table(A) == ((),) * sl2.order
+    assert balanced_check(A).balanced
 
 
 def test_corrupted_action_caught(sl2, id_sl2):

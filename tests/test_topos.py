@@ -79,9 +79,8 @@ def test_lambda_morphism_functorial(p21, sl2_inv):
     Q = terminal_presheaf(sl2_inv)
     idm = validate_presheaf_map(p21, p21, {1: (0, 1), 0: (0,)})
     col = validate_presheaf_map(p21, Q, {1: (0, 0), 0: (0,)})
-    LP, LQ = lam(p21), lam(Q)
-    li = lambda_morphism(idm, LP, LP)
-    lc = lambda_morphism(col, LP, LQ)
+    li = lambda_morphism(idm)
+    lc = lambda_morphism(col)
     assert li.map == tuple(range(3))
     composite = tuple(lc.map[li.map[i]] for i in range(3))
     assert composite == lc.map
@@ -197,7 +196,7 @@ def test_counit_naturality(p21, sl2_inv):
     Q = terminal_presheaf(sl2_inv)
     gmap = validate_presheaf_map(p21, Q, {1: (0, 0), 0: (0,)})
     LP, LQ = lam(p21), lam(Q)
-    m = lambda_morphism(gmap, LP, LQ)
+    m = lambda_morphism(gmap)
     g, f = LP.structure_map, LQ.structure_map
     Gg, Gf = gamma(g), gamma(f)
     eps_g, eps_f = counit(g, Gg), counit(f, Gf)
@@ -440,7 +439,7 @@ def test_unit_natural_in_the_presheaf(p21, sl2_inv):
     Q = terminal_presheaf(sl2_inv)
     gmap = validate_presheaf_map(p21, Q, {1: (0, 0), 0: (0,)})
     uP, uQ = unit(p21), unit(Q)
-    LPg = lambda_morphism(gmap, uP.lam_obj, uQ.lam_obj)
+    LPg = lambda_morphism(gmap)
     for d in sl2_inv.idempotents:
         for a in range(len(p21.fiber(d))):
             table = uP.gamma_obj.alphas[d][uP.components[d][a]]
