@@ -336,8 +336,23 @@ def _axiom_violations(order, mul, star):
     return tuple(out)
 
 
-# validated semigroups by (mul, star, name), held weakly
+# every value shared while held (``shared``), by its key
 _INTERNED = weakref.WeakValueDictionary()
+
+
+def shared(key, build, *args):
+    """The value still held under ``key``, else ``build(*args)``, stored
+    under ``key`` and returned.  Values are held weakly, so an entry lasts
+    while some caller holds its value, and an error is never kept.
+
+    A validated semigroup's key is its content, (mul, star, name); every
+    other key is a tuple led by a string tag, so the two cannot collide.
+    Every id in a key is that of an object the value holds, so no id is
+    reused while the entry lives."""
+    value = _INTERNED.get(key)
+    if value is None:
+        value = _INTERNED[key] = build(*args)
+    return value
 
 
 def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
@@ -346,19 +361,18 @@ def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
     Interned by content (hash-consing: Filliatre and Conchon, ML Workshop
     2006): while a semigroup validated from equal tables under the same
     name is still held, this returns that one, with everything kept on it,
-    and skips the axiom sweep.  The shape checks run on every call, and an
-    invalid table is never stored."""
+    and skips the axiom sweep.  The shape checks run on every call."""
     mul, star = _freeze_tables(order, mul, star)
     if name is not None and type(name) is not str:
         raise ShapeError(f"name must be a string or None, got {name!r}")
-    key = (mul, star, name)
-    X = _INTERNED.get(key)
-    if X is None:
-        violations = _axiom_violations(order, mul, star)
-        if violations:
-            raise InvalidStarSemigroup(violations)
-        X = _INTERNED[key] = FiniteStarSemigroup(order, mul, star, name)
-    return X
+    return shared((mul, star, name), _validated, order, mul, star, name)
+
+
+def _validated(order, mul, star, name):
+    violations = _axiom_violations(order, mul, star)
+    if violations:
+        raise InvalidStarSemigroup(violations)
+    return FiniteStarSemigroup(order, mul, star, name)
 
 
 def _check_element(X: FiniteStarSemigroup, x: int):

@@ -564,7 +564,7 @@ def rho(fh: FHatAlgebra) -> RhoResult:
     *-homomorphism exactly when the source is involutive."""
     X = fh.f.source
     A0 = canonical_action(fh.f)
-    left0 = left_table(A0)
+    act0, left0 = A0.action, left_table(A0)
     mapping = tuple(fh.index[(fh.f.map[x], frozenset([x]))] for x in X.elements)
     m = StarMorphism(X, fh.semigroup, mapping, name="rho")
     if not m.is_left_star_hom:
@@ -573,7 +573,7 @@ def rho(fh: FHatAlgebra) -> RhoResult:
     for x in X.elements:
         for y in X.elements:
             z = X.mul[X.d(x)][y]
-            first = A0.act(x, fh.f.map[z])
+            first = act0[x][fh.f.map[z]]
             second = left0[fh.f.map[x]][z]
             if {X.mul[x][y]} != {first, second}:
                 raise ConsistencyError("rho product identity fails")

@@ -7,8 +7,9 @@ fiber is addressed by dense indices.
 
 What depends on the base alone (its L(S)-morphisms, the presheaf search
 plan, the S(e) tables and semigroups) is kept on the ``InverseSemigroup``
-with ``core.memo``, and ``as_inverse`` keeps one on each semigroup, so it
-is built once per base and lives as long as the base.
+with ``core.memo``, and ``as_inverse`` shares one per semigroup while held
+(``core.shared``), so it is built once per base while some holder keeps the
+wrapper, and is freed with the last holder.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import (
     idempotents,
     is_etale,
     memo,
+    shared,
     validate_star_semigroup,
 )
 
@@ -70,17 +72,17 @@ class InverseSemigroup:
         return f"InverseSemigroup({self.semigroup.name or '?'})"
 
 
-@memo
 def as_inverse(X: FiniteStarSemigroup) -> InverseSemigroup:
     """Wrap X as an inverse semigroup: classify's inverse flag already means
     that the star is the unique quasi-inverse of each element.  One wrapper
-    per semigroup object, kept on it."""
+    per semigroup object while held (``core.shared``); X does not refer to
+    it."""
     report = classify(X)
     if not report.inverse:
         raise NotInverse(
             f"{X!r} is not inverse (witness {report.witness('inverse') or report.witness('commuting_projections')})"
         )
-    return InverseSemigroup(X)
+    return shared(("inverse", id(X)), InverseSemigroup, X)
 
 
 @dataclass(frozen=True)
@@ -379,7 +381,6 @@ def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
 
 @dataclass(frozen=True)
 class RepresentableSemigroup:
-    base: InverseSemigroup
     e: int
     carrier: tuple[tuple[int, int], ...]
     semigroup: FiniteStarSemigroup
@@ -402,7 +403,7 @@ def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigro
     if not is_etale(psi):
         raise ConsistencyError(f"psi_{e} is not etale")
     _check_against_lambda(S, e, se, carrier)
-    return RepresentableSemigroup(S, e, carrier, se, psi)
+    return RepresentableSemigroup(e, carrier, se, psi)
 
 
 def _check_against_lambda(S, e, se, carrier):

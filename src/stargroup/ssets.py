@@ -69,6 +69,10 @@ class SSetStructure:
         return range(self.size)
 
     def act(self, x: int, s: int) -> int:
+        """xs; ShapeError unless x is in 0..size-1 and s an element of the
+        base.  Internal sweeps index ``action`` directly."""
+        freeze((x,), "element", self.size)
+        freeze((s,), "element", self.base.order)
         return self.action[x][s]
 
     def __repr__(self):
@@ -151,7 +155,10 @@ def is_left_involutive_sset(A: SSetStructure) -> bool:
 
 
 def left_action(A: SSetStructure, r: int, x: int) -> int:
-    """rx = (x* r*)*, read from left_table."""
+    """rx = (x* r*)*, read from left_table; ShapeError unless r is an
+    element of the base and x is in 0..size-1."""
+    freeze((r,), "element", A.base.order)
+    freeze((x,), "element", A.size)
     return left_table(A)[r][x]
 
 
@@ -213,7 +220,7 @@ def canonical_action(f: StarMorphism) -> SSetStructure:
 def sset_to_semigroup(A: SSetStructure):
     """The *-semigroup with product xy = x . f(y); returns (X, f) with f an
     etale *-homomorphism whose canonical action recovers A."""
-    mul = [[A.act(x, A.smap[y]) for y in A.elements] for x in A.elements]
+    mul = [compose(row, A.smap) for row in A.action]
     X = validate_star_semigroup(A.size, mul, A.star)
     f = StarMorphism(X, A.base, A.smap)
     if not f.is_star_hom:

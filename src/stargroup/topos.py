@@ -8,42 +8,42 @@ source, the equivalence with the fiber presheaf says each such map is
 fixed by its value at (e, e) and built by unique lifting; Gamma runs that
 lifting path too, as a cross-check that must find the same tables.
 
-``lam(P)``, ``gamma(f, budget)``, ``unit(P)`` and ``counit(f, G)`` share
-what they build: a call returns the object already built for the same ``P``
-(or the same ``f`` and budget, or the same Gamma ``G``) while some caller
-still holds it, and builds afresh once every holder has dropped it.  So
-the triangle checks reuse the unit and counit the chain holds.  Lambda
-also shares by table, by the one rule of ``core.validate_star_semigroup``:
-its semigroup is interned by its product and star tables, and holds its
-structure maps weakly (``_lambda_maps``).  So a Lambda whose tables equal
-those of one still held gets that one's validated semigroup and structure
-map, with their verdicts, and runs only the check against its own ``P``'s
-transitions: the unit, counit and ``m`` checks on one presheaf, whose
-three Lambdas often have equal tables, validate each distinct Lambda once.
-Every other check runs once per object built, and a call that raises
-keeps nothing that failed a check.
+Two rules keep what is built.  Derived data lives on its owner: what is
+derived from one object alone is kept on it with ``core.memo`` and lives as
+long as it does: the S(e) tables on their base
+(``site.representable_tables``; Gamma reads them unvalidated and keeps its
+search plan on them, ``_gamma_plan``), the lift and canonical action tables
+on a morphism (``StarMorphism.lifts``; ``StarMorphism.action``, which
+checks each lift's uniqueness once and which every lift read here indexes),
+its S-set (``ssets.canonical_action``), the axiom sweep and left-action
+table on an S-set (``ssets.check_sset``, ``ssets.left_table``) and the
+verdict on an algebra (``modalg.validate_algebra``).
+
+What is shared is shared while held, through ``core.shared``: a call of
+``lam(P)``, ``gamma(f, budget)``, ``unit(P)`` or ``counit(f, G)`` returns
+the object already built for the same ``P`` (or ``f`` and budget, or Gamma
+``G``) while some caller still holds it, and builds afresh once every
+holder has dropped it; so the triangle checks reuse the unit and counit
+the chain holds.  Lambda also shares by table: its semigroup is interned
+by its product and star (``core.validate_star_semigroup``), and its
+structure map by that semigroup, the base semigroup and the map.  So a
+Lambda whose tables equal those of one still held gets that one's
+validated semigroup and structure map, with their verdicts, and runs only
+the check against its own ``P``'s transitions: the unit, counit and ``m``
+checks on one presheaf, whose three Lambdas often have equal tables,
+validate each distinct Lambda once.  Every other check runs once per
+object built, and a call that raises keeps nothing that failed a check.
+
 Shared objects are handed to every caller, so a ``Presheaf`` or
 ``StarMorphism`` must not be mutated after construction, nor a
 ``LambdaObject``, ``GammaPresheaf``, ``UnitResult`` or ``CounitResult`` at
-all.
-
-Everything else derived from one object is kept on that object with
-``core.memo`` and lives as long as it does: the S(e) tables on their base
-(``site.representable_tables``; Gamma reads them unvalidated and keeps its
-search plan on them, ``_gamma_plan``), the lift table and the canonical
-action table on a morphism (``StarMorphism.lifts``; ``StarMorphism.action``,
-which checks each lift's uniqueness once and which every lift read here
-indexes), its S-set (``ssets.canonical_action``), the axiom sweep and the
-left-action table on an S-set (``ssets.check_sset``, ``ssets.left_table``)
-and the verdict on an algebra (``modalg.validate_algebra``).  So an object
-that carries a memo, an ``SSetStructure``, ``SModule`` or ``SAlgebra`` too,
-must not be mutated after construction either.
+all; neither may an object that carries a memo, an ``SSetStructure``,
+``SModule`` or ``SAlgebra`` too.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -67,6 +67,7 @@ from .core import (
     is_etale,
     memo,
     projections,
+    shared,
     validate_star_semigroup,
 )
 from .site import (
@@ -123,22 +124,6 @@ def resolve_budget(value=None, default=DEFAULT_BUDGET):
     return budget
 
 
-# What lam, gamma, unit and counit built, keyed by the id of the presheaf,
-# morphism or Gamma they were built from.  Values are held weakly, so an
-# entry lasts only while some caller holds the result; the result refers to
-# its presheaf, morphism or Gamma, which therefore stays alive and keeps its
-# id while the entry exists.
-_BUILT = weakref.WeakValueDictionary()
-
-
-def _shared(key, build, *args):
-    obj = _BUILT.get(key)
-    if obj is None:
-        obj = build(*args)
-        _BUILT[key] = obj
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Lambda
 
@@ -169,7 +154,7 @@ def lam(P: Presheaf) -> LambdaObject:
     """Lambda(P), verified left involutive with etale structure map, with
     projections exactly the idempotent-tagged pairs and the canonical action
     matching the transition formula.  Shared while held (module docstring)."""
-    return _shared(("lam", id(P)), _lam, P)
+    return shared(("lam", id(P)), _lam, P)
 
 
 def _lam(P: Presheaf) -> LambdaObject:
@@ -201,14 +186,12 @@ def _lam(P: Presheaf) -> LambdaObject:
     # (r, x)* = (r*, x . r)
     star = tuple(offset[sg.star[r]] + trans[(r, c[r])][x] for r, x in pairs)
     smap = tuple(r for r, _ in pairs)
-    # the semigroup is interned by its tables, so a structure map onto sg
-    # kept on it comes validated with its verdicts; only the check against
-    # P's transitions below is P's own
+    # the semigroup is interned by its tables, and its structure map onto
+    # sg is shared while held, so both come validated with their verdicts;
+    # only the check against P's transitions below is P's own
     lsg = validate_star_semigroup(len(smap), mul, star, name="Lambda")
-    maps = _lambda_maps(lsg)
-    f = maps.get((sg, smap))
-    if f is None:
-        f = maps[(sg, smap)] = _lambda_map(lsg, sg, smap)
+    f = shared(("lambda-map", id(lsg), id(sg), smap), _lambda_map,
+               lsg, sg, smap)
     A = ssets.canonical_action(f)
     for (r, x), act_i in zip(pairs, A.action):
         mul_r = sg.mul[r]
@@ -218,14 +201,6 @@ def _lam(P: Presheaf) -> LambdaObject:
                 raise ConsistencyError("canonical action differs from the "
                                        "transition formula on Lambda(P)")
     return LambdaObject(P, S, pairs, index, lsg, f)
-
-
-@memo
-def _lambda_maps(lsg) -> weakref.WeakValueDictionary:
-    """The structure maps of the Lambda semigroup ``lsg`` by base and map,
-    held weakly: each refers to ``lsg``, so a strong hold would make a cycle
-    that only the collector frees, and sharing would follow its timing."""
-    return weakref.WeakValueDictionary()
 
 
 def _lambda_map(lsg, sg, smap) -> StarMorphism:
@@ -390,7 +365,7 @@ def gamma(f: StarMorphism, budget=None) -> GammaPresheaf:
     resolve_budget.  Shared while held (module docstring).
     """
     budget = resolve_budget(budget)
-    return _shared(("gamma", id(f), budget), _gamma, f, budget)
+    return shared(("gamma", id(f), budget), _gamma, f, budget)
 
 
 def _gamma(f: StarMorphism, budget: int) -> GammaPresheaf:
@@ -450,7 +425,7 @@ def unit(P: Presheaf) -> UnitResult:
     """eta(P)_d(a)(r, s) = (r, a.s); every component must be a bijection
     onto Gamma(Lambda(P))(d) and the whole family natural.  Shared while
     held (module docstring)."""
-    return _shared(("unit", id(P)), _unit, P)
+    return shared(("unit", id(P)), _unit, P)
 
 
 def _unit(P: Presheaf) -> UnitResult:
@@ -502,7 +477,7 @@ def counit(f: StarMorphism, G: GammaPresheaf | None = None) -> CounitResult:
     G = gamma(f) if G is None else G
     if not isinstance(G, GammaPresheaf) or G.source is not f:
         raise ShapeError("counit needs G to be Gamma of f")
-    return _shared(("counit", id(G)), _counit, G)
+    return shared(("counit", id(G)), _counit, G)
 
 
 def _counit(G: GammaPresheaf) -> CounitResult:

@@ -2,8 +2,8 @@
 presheaves whose Lambdas have the same product, star and map tables over
 the same base semigroup object get distinct ``LambdaObject``s around one
 validated semigroup and one structure map.  The semigroup is interned by
-``core.validate_star_semigroup`` and keeps its structure maps, held
-weakly, with ``core.memo``.  Each test builds its own base, a two-element chain labelled
+``core.validate_star_semigroup``, and its structure maps are shared while
+held through ``core.shared``.  Each test builds its own base, a two-element chain labelled
 against the standard one under a name of its own, so that no Lambda or
 structure map another test holds can be shared with it."""
 
@@ -39,10 +39,9 @@ def copy(P):
 
 
 def table_entries(S):
-    """The structure maps onto S kept on live Lambda semigroups."""
-    return [f for X in list(core._INTERNED.values())
-            for (sg, _), f in vars(X).get("_lambda_maps", {}).items()
-            if sg is S.semigroup]
+    """The structure maps onto S still shared."""
+    return [f for key, f in list(core._INTERNED.items())
+            if key[0] == "lambda-map" and f.target is S.semigroup]
 
 
 def count_map_builds(monkeypatch):
@@ -141,7 +140,7 @@ def test_a_failed_transition_check_stores_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(ConsistencyError, match="transition formula"):
             lam(P)
-    assert ("lam", id(P)) not in topos._BUILT
+    assert ("lam", id(P)) not in core._INTERNED
 
 
 def test_the_transition_check_runs_on_a_hit(monkeypatch):

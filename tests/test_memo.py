@@ -1,16 +1,18 @@
 """Derived data is kept on the object it is derived from, with core.memo,
-so it is freed with that object and shared only by identity; validated
-semigroups are interned by content while held, so equal tables share one
-object and what is kept on it."""
+so it is freed with that object and shared only by identity; what is
+shared while held goes through core.shared: validated semigroups are
+interned by content, so equal tables share one object and what is kept on
+it, and other results by a tagged key."""
 
 import ast
+import collections
 import gc
 import pathlib
 import weakref
 
 import pytest
 
-from stargroup import core, oracle, site, topos
+from stargroup import core, oracle, site, topos, verify
 from stargroup.core import (
     InvalidStarSemigroup,
     ShapeError,
@@ -57,12 +59,73 @@ def test_an_invalid_table_raises_on_every_call_and_is_never_stored():
 
 def test_a_dropped_semigroup_is_freed_and_its_entry_goes():
     X = validate_star_semigroup(2, *CHAIN, name="intern-dropped")
-    site.as_inverse(X)  # a wrapper that refers back to X: a cycle
+    site.as_inverse(X)  # a wrapper that refers back to X
     key = (X.mul, X.star, X.name)
     ref = weakref.ref(X)
     del X
     gc.collect()
     assert ref() is None and key not in core._INTERNED
+
+
+def test_as_inverse_shares_one_wrapper_while_held():
+    X = validate_star_semigroup(2, *CHAIN, name="wrapped-while-held")
+    S = site.as_inverse(X)
+    assert site.as_inverse(X) is S
+    ref = weakref.ref(S)
+    del S
+    # X does not refer to its wrapper, so the wrapper goes with its holder
+    assert ref() is None and ("inverse", id(X)) not in core._INTERNED
+    S = site.as_inverse(X)
+    assert S.semigroup is X and site.as_inverse(X) is S
+
+
+def test_a_base_and_all_built_on_it_go_with_the_last_holder():
+    """With the cycle collector off, a base on which the unit, counit, both
+    triangles, m and every S(e) were built is freed as soon as its last
+    holder drops it, with its wrapper and Lambda semigroups, and no key of
+    the store names any of them."""
+    gc.collect()
+    gc.disable()
+    try:
+        X = validate_star_semigroup(2, *CHAIN, name="freed-with-its-holder")
+        S = site.as_inverse(X)
+        # 0 is the top of this chain: two points over it, one over 1
+        P = site.validate_presheaf(
+            S, {0: ("u", "v"), 1: ("w",)},
+            {(0, 0): (0, 1), (1, 1): (0,), (1, 0): (0, 0)})
+        u = topos.unit(P)
+        f = u.lam_obj.structure_map
+        eps = topos.counit(f, u.gamma_obj)
+        assert topos.triangle_check(P) and topos.triangle_check2(f)
+        m = topos.m_iso(f)
+        reps = [site.representable_semigroup(S, e) for e in S.idempotents]
+        held = [X, S, f.source, eps.lam_gamma.semigroup, m.source,
+                *(R.semigroup for R in reps)]
+        refs = [weakref.ref(obj) for obj in held]
+        ids = {id(obj) for obj in held}
+        contents = {(Y.mul, Y.star, Y.name) for Y in held[:1] + held[2:]}
+        del X, S, P, u, f, eps, m, reps, held
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert [key for key in core._INTERNED.keys()
+                if key in contents
+                or isinstance(key[0], str) and ids & set(key[1:])] == []
+    finally:
+        gc.enable()
+
+
+def test_verify_builds_each_representable_semigroup_once(monkeypatch):
+    # the pool holds each inverse base's wrapper, and so its S(e), for the
+    # whole run
+    built = collections.Counter()
+    build = site.representable_semigroup.func
+
+    def counted(S, e):
+        built[(S.semigroup, e)] += 1
+        return build(S, e)
+
+    monkeypatch.setattr(site.representable_semigroup, "func", counted)
+    verify.run_statements(max_order=4)
+    assert built and max(built.values()) == 1
 
 
 def test_as_inverse_keeps_one_wrapper_per_semigroup():
@@ -139,10 +202,9 @@ def test_the_cache_scan_finds_each_form():
         "ft.cache", "functools.cached_property", "lru_cache"]
 
 
-# the only module-level stores: the intern, what topos shares while held,
+# the only module-level stores: what is shared while held (core.shared),
 # and the oracle's representatives
-STORES = {("core.py", "_INTERNED"), ("topos.py", "_BUILT"),
-          ("oracle.py", "_REPRESENTATIVES")}
+STORES = {("core.py", "_INTERNED"), ("oracle.py", "_REPRESENTATIVES")}
 STORE_TYPES = {"dict", "defaultdict", "OrderedDict", "WeakValueDictionary",
                "WeakKeyDictionary"}
 
@@ -171,7 +233,7 @@ def _stores(tree):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_global_or_new_module_store_in_the_package(path):
-    # shared state lives in the intern or in topos._BUILT, or on its owner
+    # shared state lives in core._INTERNED or on its owner
     found = [(kind, name)
              for kind, name in _stores(ast.parse(path.read_text()))
              if kind == "global" or (path.name, name) not in STORES]
@@ -188,6 +250,47 @@ def test_the_store_scan_finds_each_form():
         ("store", "D")]
     assert {name for _, name in _stores(ast.parse(
         (SRC / "core.py").read_text()))} == {"_INTERNED"}
+
+
+WEAK_STORES = {"WeakValueDictionary", "WeakKeyDictionary"}
+
+
+def _weak_stores(tree, allowed=None):
+    """The line of each weak dictionary built, other than the one bound to
+    the module-level name ``allowed``."""
+    names = set(WEAK_STORES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "weakref":
+            names |= {a.asname or a.name for a in node.names
+                      if a.name in WEAK_STORES}
+    kept = {id(node.value) for node in tree.body
+            if allowed is not None and isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == allowed for t in node.targets)}
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        called = getattr(func, "id", getattr(func, "attr", None))
+        if (isinstance(node, ast.Call) and called in names
+                and id(node) not in kept):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_weak_store_but_the_shared_one(path):
+    # a weak store of its own, as a memo returning a weak dictionary on its
+    # owner, would be a second sharing rule beside core.shared
+    allowed = "_INTERNED" if path.name == "core.py" else None
+    assert list(_weak_stores(ast.parse(path.read_text()), allowed)) == []
+
+
+def test_the_weak_store_scan_finds_each_form():
+    text = ("import weakref\nfrom weakref import WeakKeyDictionary as WK\n"
+            "_INTERNED = weakref.WeakValueDictionary()\n"
+            "@memo\ndef _maps(owner):\n"
+            "    return weakref.WeakValueDictionary()\n"
+            "OTHER = WK()\n")
+    assert sorted(_weak_stores(ast.parse(text), "_INTERNED")) == [6, 7]
+    assert sorted(_weak_stores(ast.parse(text))) == [3, 6, 7]
 
 
 def _asserts(tree):

@@ -183,6 +183,16 @@ def test_left_action(sl2, id_sl2, i2, id_i2):
             assert left_action(A, r, x) == i2.mul[r][x]
 
 
+@pytest.mark.parametrize("x, s", [
+    (-1, -1), (-1, 0), (0, -1), (7, 0), (0, 7), (True, 0), (0, 1.0)])
+def test_act_and_left_action_refuse_an_argument_out_of_range(id_i2, x, s):
+    # I2 has seven elements; a negative index must not read from the end
+    A = canonical_action(id_i2)
+    for call in (lambda: A.act(x, s), lambda: left_action(A, s, x)):
+        with pytest.raises(ShapeError, match="element entr"):
+            call()
+
+
 def test_left_action_unit(p21):
     LP = topos.lam(p21)
     X = LP.semigroup

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from stargroup import oracle, site, topos
+from stargroup import core, oracle, site, topos
 from stargroup.core import (
     ConsistencyError,
     InvalidStarSemigroup,
@@ -516,7 +516,7 @@ def test_gamma_is_one_entry_per_resolved_budget(i2):
     assert gamma(f, budget=topos.DEFAULT_BUDGET) is held
     other = gamma(f, budget=topos.DEFAULT_BUDGET + 1)
     assert other is not held and other.alphas == held.alphas
-    keys = [key for key in topos._BUILT.keys()
+    keys = [key for key in core._INTERNED.keys()
             if key[0] == "gamma" and key[1] == id(f)]
     assert sorted(keys) == [("gamma", id(f), topos.DEFAULT_BUDGET),
                             ("gamma", id(f), topos.DEFAULT_BUDGET + 1)]
@@ -598,8 +598,8 @@ def test_a_raising_unit_or_counit_keeps_nothing(p21, monkeypatch):
     for call in (lambda: unit(P), lambda: counit(f, G)):
         with pytest.raises(ConsistencyError, match="broken Lambda"):
             call()
-    assert ("unit", id(P)) not in topos._BUILT
-    assert ("counit", id(G)) not in topos._BUILT
+    assert ("unit", id(P)) not in core._INTERNED
+    assert ("counit", id(G)) not in core._INTERNED
     monkeypatch.undo()
     u, eps = unit(P), counit(f, G)
     assert unit(P) is u and counit(f, G) is eps
