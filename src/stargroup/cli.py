@@ -20,7 +20,6 @@ from . import modalg, oracle, serialize, site, topos, verify
 from .core import (
     StarError,
     classify,
-    idempotents,
     natural_order,
     same_tables,
     FLAG_NAMES,

@@ -68,6 +68,10 @@ class EquivalenceBroken(ConsistencyError):
     pass
 
 
+class SearchBudgetExceeded(StarError):
+    pass
+
+
 ASSOCIATIVITY = "AssociativityViolation"
 INVOLUTION = "InvolutionViolation"
 PARTIAL_ISOMETRY = "PartialIsometryViolation"
@@ -299,6 +303,34 @@ def columns(table) -> tuple:
     new size, not of the old, which held memory at peak on the presheaves
     workload."""
     return tuple([*zip(*table)])
+
+
+def backtrack(depth, candidates, place, budget=None):
+    """Yield at each full assignment of depths 0..depth-1, in candidate
+    order: Knuth's Algorithm B (TAOCP 4B, 7.2.2), with an explicit stack.
+    ``place(t, c)`` stores c in the caller's assignment and says whether it
+    is still consistent; nothing is undone, so depth t reads only what
+    depths <= t placed.  Each candidate tried counts against ``budget``."""
+    if depth == 0:
+        yield
+        return
+    tried = 0
+    stack = [iter(candidates(0))]
+    while stack:
+        t = len(stack) - 1
+        for c in stack[t]:
+            tried += 1
+            if budget is not None and tried > budget:
+                raise SearchBudgetExceeded(
+                    f"backtracking search exceeded budget {budget}")
+            if place(t, c):
+                if t + 1 == depth:
+                    yield
+                else:
+                    stack.append(iter(candidates(t + 1)))
+                    break
+        else:
+            stack.pop()
 
 
 def action_associativity_witness(act, mul):

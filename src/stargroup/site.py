@@ -30,6 +30,7 @@ from .core import (
     StarMorphism,
     Violation,
     _check_element,
+    backtrack,
     check_instance,
     classify,
     compose,
@@ -536,21 +537,25 @@ def _valid_size_profiles(S: InverseSemigroup, max_fiber: int) -> tuple:
 
 
 def _fill_transitions(S, profile, rng=None):
-    """Yield complete transition assignments for the given fiber sizes via
-    backtracking over non-identity morphisms with forced composites."""
+    """Yield every presheaf with these fiber sizes, validated: backtracking
+    over the non-identity morphisms, each forced by its composites if any."""
     steps = _presheaf_skeleton(S)
     assign = {(e, e): tuple(range(profile[e])) for e in S.idempotents}
     # every table from the fiber at e to the fiber at d, per step key, in
     # product order; made once per profile and copied for each shuffle
     tables = {}
 
-    def candidates(step):
+    # Nothing is undone on backtrack: at depth t, ``forced`` reads keys
+    # placed at earlier depths and ``checks`` keys placed by this one, all on
+    # the current path, as is every key of a full assignment.
+    def candidates(t):
+        step = steps[t]
         forced = None
         for _, k1, k2 in step.forced:
-            t = compose(assign[k2], assign[k1])
-            if forced is not None and t != forced:
+            composite = compose(assign[k2], assign[k1])
+            if forced is not None and composite != forced:
                 return []
-            forced = t
+            forced = composite
         if forced is not None:
             return [forced]
         opts = tables.get(step.key)
@@ -562,26 +567,19 @@ def _fill_transitions(S, profile, rng=None):
             rng.shuffle(opts)
         return opts
 
-    def consistent(step):
-        # the assignment was consistent before ``step.key`` was assigned, so
+    def place(t, cand):
+        step = steps[t]
+        assign[step.key] = cand
+        # the assignment was consistent before ``step.key`` was placed, so
         # only the squares through it can have broken
         for k12, k1, k2 in step.checks:
             if assign[k12] != compose(assign[k2], assign[k1]):
                 return False
         return True
 
-    def fill(k):
-        if k == len(steps):
-            yield dict(assign)
-            return
-        step = steps[k]
-        for cand in candidates(step):
-            assign[step.key] = cand
-            if consistent(step):
-                yield from fill(k + 1)
-            del assign[step.key]
-
-    yield from fill(0)
+    fibers = {e: tuple(str(i) for i in range(n)) for e, n in profile.items()}
+    for _ in backtrack(len(steps), candidates, place):
+        yield validate_presheaf(S, fibers, assign)
 
 
 def _check_generator_args(S, max_fiber, least):
@@ -596,10 +594,7 @@ def enumerate_presheaves(S: InverseSemigroup, max_fiber: int):
     deterministic order, canonical string labels."""
     _check_generator_args(S, max_fiber, 0)
     for profile in _valid_size_profiles(S, max_fiber):
-        fibers = {e: tuple(str(i) for i in range(n))
-                  for e, n in profile.items()}
-        for transitions in _fill_transitions(S, profile):
-            yield validate_presheaf(S, fibers, transitions)
+        yield from _fill_transitions(S, profile)
 
 
 def random_presheaf(S: InverseSemigroup, max_fiber: int, rng) -> Presheaf:
@@ -609,8 +604,6 @@ def random_presheaf(S: InverseSemigroup, max_fiber: int, rng) -> Presheaf:
                 if sum(p.values()) > 0]
     rng.shuffle(profiles)
     for profile in profiles:
-        for transitions in _fill_transitions(S, profile, rng=rng):
-            fibers = {e: tuple(str(i) for i in range(n))
-                      for e, n in profile.items()}
-            return validate_presheaf(S, fibers, transitions)
+        for P in _fill_transitions(S, profile, rng=rng):
+            return P
     raise ConsistencyError("no valid presheaf found")

@@ -2,11 +2,12 @@
 
 Lambda sends a presheaf P to the left involutive semigroup of pairs (r, x)
 with x in P(c(r)); Gamma probes a *-homomorphism f: X -> S with left
-*-homomorphisms S(e) -> X over S, found by a backtracking search driven by
-the left *-homomorphism constraints.  When f is etale with left involutive
-source, the equivalence with the fiber presheaf says each such map is
-fixed by its value at (e, e) and built by unique lifting; Gamma runs that
-lifting path too, as a cross-check that must find the same tables.
+*-homomorphisms S(e) -> X over S, found by a backtracking search
+(``core.backtrack``) driven by the left *-homomorphism constraints.  When f
+is etale with left involutive source, the equivalence with the fiber
+presheaf says each such map is fixed by its value at (e, e) and built by
+unique lifting; Gamma runs that lifting path too, as a cross-check that
+must find the same tables.
 
 Two rules keep what is built.  Derived data lives on its owner: what is
 derived from one object alone is kept on it with ``core.memo`` and lives as
@@ -54,11 +55,13 @@ from .core import (
     EquivalenceBroken,
     FiniteStarSemigroup,
     NotEtale,
+    SearchBudgetExceeded,
     ShapeError,
     StarError,
     StarMorphism,
     Verdict,
     Violation,
+    backtrack,
     check_lift_points,
     classify,
     compose,
@@ -85,10 +88,6 @@ from .site import (
     validate_presheaf,
     validate_presheaf_map,
 )
-
-
-class SearchBudgetExceeded(StarError):
-    pass
 
 
 class UnitNotIso(StarError):
@@ -292,51 +291,36 @@ def _gamma_plan(tables: RepresentableTables) -> _GammaPlan:
 
 
 def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
-    """Backtracking enumeration of left *-homomorphisms S(e) -> X over S.
+    """The left *-homomorphisms S(e) -> X over S, by ``core.backtrack``.
 
     Constraint propagation follows the forced skeleton: the projection
     (e, e) is assigned first, then the remaining projections, then the rest;
     each assignment is checked against the star pairing and every product
     constraint whose participants are already assigned (_gamma_plan).
     """
-    X = f.source
     tables = representable_tables(S, e)
     fibers = [f.fibers[r] for r, _ in tables.carrier]
     if any(not fib for fib in fibers):
         return ()
     order, star_at, constraints_at = _gamma_plan(tables)
-    k = len(order)
+    values = [-1] * len(order)
+    xmul, xstar = f.source.mul, f.source.star
 
-    values = [-1] * k
-    found = []
-    steps = 0
-    xmul = X.mul
-    xstar = X.star
+    # Nothing is undone on backtrack: _gamma_plan files each check under
+    # its latest-assigned slot, so depth t reads only slots of depth <= t,
+    # all placed on the current path, as is every slot of a full assignment.
+    def place(t, cand):
+        values[order[t]] = cand
+        for u, xu in star_at[t]:
+            if values[xu] != xstar[values[u]]:
+                return False
+        for u, v, w, z in constraints_at[t]:
+            if values[w] != xmul[values[u]][values[z]]:
+                return False
+        return True
 
-    def fill(t):
-        nonlocal steps
-        if t == k:
-            found.append(tuple(values))
-            return
-        slot = order[t]
-        for cand in fibers[slot]:
-            steps += 1
-            if steps > budget:
-                raise SearchBudgetExceeded(
-                    f"Gamma enumeration exceeded budget {budget}")
-            values[slot] = cand
-            ok = all(values[xu] == xstar[values[u]] for u, xu in star_at[t])
-            if ok:
-                for (u, v, w, z) in constraints_at[t]:
-                    if values[w] != xmul[values[u]][values[z]]:
-                        ok = False
-                        break
-            if ok:
-                fill(t + 1)
-        values[slot] = -1
-
-    fill(0)
-    return tuple(sorted(found))
+    leaves = backtrack(len(order), lambda t: fibers[order[t]], place, budget)
+    return tuple(sorted(tuple(values) for _ in leaves))
 
 
 def _lift_table(f: StarMorphism, carrier, u: int) -> tuple[int, ...]:

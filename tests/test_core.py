@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,9 @@ from stargroup.core import (
     ShapeError,
     StarMorphism,
     Verdict,
+    SearchBudgetExceeded,
     Violation,
+    backtrack,
     check_morphism,
     check_star_semigroup,
     classify,
@@ -474,3 +478,57 @@ def test_memo_on_a_function_keeps_the_value_on_its_argument():
     assert sweep(a) is first and first == [2] and a.sweep is first
     assert sweep(b) == [3] and calls == [a, a, b]
     assert sweep.__doc__ == "A sweep."
+
+
+def _search(depth, order, refused=(), budget=None):
+    """Backtrack over ``order`` at every depth, refusing each assignment
+    prefix in ``refused``: the leaves, the (depth, candidate) pairs tried
+    and the prefix at which each depth's candidates were read."""
+    assign = [None] * depth
+    tried, entered = [], []
+
+    def candidates(t):
+        entered.append(tuple(assign[:t]))
+        return order
+
+    def place(t, c):
+        tried.append((t, c))
+        assign[t] = c
+        return tuple(assign[:t + 1]) not in refused
+
+    leaves = []
+    try:
+        for _ in backtrack(depth, candidates, place, budget):
+            leaves.append(tuple(assign))
+    except SearchBudgetExceeded:
+        leaves.append("over budget")
+    return leaves, tried, entered
+
+
+def test_backtrack_at_depth_0_yields_once():
+    def never(*args):
+        raise AssertionError(args)
+
+    assert list(backtrack(0, never, never)) == [None]
+    assert list(backtrack(0, never, never, budget=0)) == [None]
+
+
+def test_backtrack_yields_leaves_in_candidate_order():
+    leaves, tried, _ = _search(3, (2, 0, 1))
+    assert leaves == list(itertools.product((2, 0, 1), repeat=3))
+    assert len(tried) == 3 + 9 + 27
+
+
+def test_backtrack_budget_counts_candidates_tried():
+    # 2 + 4 + 8 candidates in the whole search
+    assert _search(3, (0, 1), budget=14)[0][-1] == (1, 1, 1)
+    for n in range(14):
+        leaves, tried, _ = _search(3, (0, 1), budget=n)
+        assert leaves[-1] == "over budget" and len(tried) == n
+
+
+def test_backtrack_never_enters_under_a_refused_candidate():
+    leaves, tried, entered = _search(3, (0, 1), refused={(1,), (0, 0)})
+    assert leaves == [(0, 1, 0), (0, 1, 1)]
+    assert (0, 1) in tried and (1, 0) in tried
+    assert entered == [(), (0,), (0, 1)]

@@ -8,6 +8,7 @@ import ast
 import collections
 import gc
 import pathlib
+import random
 import weakref
 
 import pytest
@@ -109,6 +110,23 @@ def test_a_base_and_all_built_on_it_go_with_the_last_holder():
         assert [key for key in core._INTERNED.keys()
                 if key in contents
                 or isinstance(key[0], str) and ids & set(key[1:])] == []
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("search", [
+    lambda i2: topos.gamma(core.identity_morphism(i2)),
+    lambda i2: list(site.enumerate_presheaves(site.as_inverse(i2), 2)),
+    lambda i2: site.random_presheaf(site.as_inverse(i2), 3, random.Random(1)),
+], ids=["gamma", "enumerate_presheaves", "random_presheaf"])
+def test_searches_leave_nothing_for_the_collector(i2, search):
+    # both searches run on core.backtrack, with no closure that refers to
+    # itself, so what they build is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        search(i2)
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -370,3 +388,41 @@ def test_the_composition_scan_finds_the_generator_form():
             "f = tuple(t[v, 0] for v in u)\n"
             "g = [t[v] for v in u]\n")
     assert list(_table_compositions(ast.parse(text))) == [1, 2, 3]
+
+
+def _self_referring_closures(tree):
+    """The line of each function nested in another function that refers to
+    its own name, and so to itself through its closure cell: a reference
+    cycle that only the collector frees."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted({node.lineno
+                   for outer in ast.walk(tree) if isinstance(outer, defs)
+                   for node in ast.walk(outer)
+                   if node is not outer and isinstance(node, defs)
+                   and any(isinstance(n, ast.Name) and n.id == node.name
+                           for n in ast.walk(node))})
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "oracle.py"),
+                         ids=lambda p: p.name)
+def test_no_closure_refers_to_itself(path):
+    # a search recurses through core.backtrack; the oracle keeps its own
+    assert _self_referring_closures(ast.parse(path.read_text())) == []
+
+
+def test_the_closure_scan_finds_a_self_referring_one():
+    text = ("def outer(n):\n"
+            "    def fill(t):\n"
+            "        return t and fill(t - 1)\n"
+            "    def leaf(t):\n"
+            "        def rec(u):\n"
+            "            return rec(u - 1) if u else u\n"
+            "        return rec(t)\n"
+            "    return fill(n), leaf(n)\n"
+            "def top(n):\n"
+            "    return n and top(n - 1)\n"
+            "class Box:\n"
+            "    def size(self):\n"
+            "        return self.size\n")
+    assert _self_referring_closures(ast.parse(text)) == [2, 5]

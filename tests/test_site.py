@@ -321,8 +321,9 @@ def tables(P):
     return list(P.fibers.items()), list(P.transitions.items())
 
 
-def test_enumerate_presheaves_matches_full_sweep(sl2_inv, sl3_inv, i2_inv):
-    for S in (sl2_inv, sl3_inv, i2_inv):
+def test_enumerate_presheaves_matches_full_sweep(sl2_inv, sl3_inv, i2_inv, t1):
+    # L(T1) has no non-identity morphism, so its search has depth 0
+    for S in (sl2_inv, sl3_inv, i2_inv, as_inverse(t1)):
         got = [tables(P) for P in enumerate_presheaves(S, 2)]
         assert got == [tables(P) for P in reference_enumerate(S, 2)]
 
