@@ -74,13 +74,25 @@ class OrderedGroupoidWithMediator:
         return range(self.n_morphisms)
 
     def object_leq(self, p: int, q: int) -> bool:
-        return self.order.leq(self.identity[p], self.identity[q])
+        _check_arguments(self, objects=(p, q))
+        return _object_leq(self, p, q)
 
     def __repr__(self):
         tag = self.name or "?"
         med = "+mediator" if self.mediator is not None else ""
         return (f"OrderedGroupoid({tag}, objects={self.n_objects}, "
                 f"morphisms={self.n_morphisms}{med})")
+
+
+def _object_leq(G, p, q):
+    return G.order.leq(G.identity[p], G.identity[q])
+
+
+def _check_arguments(G, morphisms=(), objects=()):
+    """Refuse a morphism or object argument of a public function that is not
+    an integer in range, with ShapeError; the sweeps index unchecked."""
+    freeze(morphisms, "morphism", G.n_morphisms)
+    freeze(objects, "object", G.n_objects)
 
 
 def _shape_check(G: OrderedGroupoidWithMediator):
@@ -165,69 +177,76 @@ def validate_groupoid(G: OrderedGroupoidWithMediator):
 
     for x in G.morphisms:
         for p in G.objects:
-            if not G.object_leq(p, G.dom[x]):
+            if not _object_leq(G, p, G.dom[x]):
                 continue
-            hits = [y for y in G.morphisms
-                    if G.order.leq(y, x) and G.dom[y] == p]
+            hits = _below(G, x, G.dom, p)
             if len(hits) != 1:
                 problems.append(Violation("RestrictionNotUnique", (x, p, len(hits))))
         for q in G.objects:
-            if not G.object_leq(q, G.cod[x]):
+            if not _object_leq(G, q, G.cod[x]):
                 continue
-            hits = [y for y in G.morphisms
-                    if G.order.leq(y, x) and G.cod[y] == q]
+            hits = _below(G, x, G.cod, q)
             if len(hits) != 1:
                 problems.append(Violation("CorestrictionNotUnique", (x, q, len(hits))))
-            elif hits[0] != G.inverse[_restrict_raw(G, G.inverse[x], q)]:
+                continue
+            # a restriction that is not unique was recorded by the loop above
+            # (or its endpoints by InverseEndpoints); compare only with one
+            back = _below(G, G.inverse[x], G.dom, q)
+            if len(back) == 1 and hits[0] != G.inverse[back[0]]:
                 problems.append(Violation("CorestrictionFormula", (x, q)))
 
     if problems:
         raise InvalidGroupoid(problems)
 
 
-def _restrict_raw(G, x, p):
-    hits = [y for y in G.morphisms if G.order.leq(y, x) and G.dom[y] == p]
+def _below(G, x, end, p):
+    """The y <= x whose ``end`` (``G.dom`` or ``G.cod``) is object p."""
+    return [y for y in G.morphisms if G.order.leq(y, x) and end[y] == p]
+
+
+def _unique_below(G, x, end, p, what):
+    hits = _below(G, x, end, p)
     if len(hits) != 1:
-        raise NonUnique(f"restriction of {x} to {p}: {hits}")
+        raise NonUnique(f"{what} of {x} to {p}: {hits}")
     return hits[0]
 
 
 def restrict(G: OrderedGroupoidWithMediator, x: int, p: int) -> int:
     """The unique y <= x with dom(y) = p, for p <= dom(x)."""
-    if not G.object_leq(p, G.dom[x]):
+    _check_arguments(G, (x,), (p,))
+    if not _object_leq(G, p, G.dom[x]):
         raise NotBounded(f"object {p} is not below dom({x})")
-    return _restrict_raw(G, x, p)
+    return _unique_below(G, x, G.dom, p, "restriction")
 
 
 def corestrict(G: OrderedGroupoidWithMediator, x: int, q: int) -> int:
     """The unique y <= x with cod(y) = q, for q <= cod(x)."""
-    if not G.object_leq(q, G.cod[x]):
+    _check_arguments(G, (x,), (q,))
+    if not _object_leq(G, q, G.cod[x]):
         raise NotBounded(f"object {q} is not below cod({x})")
-    hits = [y for y in G.morphisms if G.order.leq(y, x) and G.cod[y] == q]
-    if len(hits) != 1:
-        raise NonUnique(f"corestriction of {x} to {q}: {hits}")
-    return hits[0]
+    return _unique_below(G, x, G.cod, q, "corestriction")
 
 
 def extended_compose(G: OrderedGroupoidWithMediator, x: int, y: int) -> int:
     """x (x) y: compose after restricting x down to cod(y), or corestricting
     y up to dom(x), whichever comparison holds."""
+    _check_arguments(G, (x, y))
     _extended_associativity_checked(G)
     return _ext(G, x, y)
 
 
 def _ext(G, x, y):
     dx, cy = G.dom[x], G.cod[y]
-    if G.object_leq(cy, dx):
-        return G.compose[restrict(G, x, cy)][y]
-    if G.object_leq(dx, cy):
-        return G.compose[x][corestrict(G, y, dx)]
+    if _object_leq(G, cy, dx):
+        return G.compose[_unique_below(G, x, G.dom, cy, "restriction")][y]
+    if _object_leq(G, dx, cy):
+        return G.compose[x][_unique_below(G, y, G.cod, dx, "corestriction")]
     raise NotComparable(f"dom({x}) and cod({y}) are not comparable")
 
 
 def _ext_or_none(G, x, y):
     dx, cy = G.dom[x], G.cod[y]
-    if not (G.object_leq(cy, dx) or G.object_leq(dx, cy)):
+    if not (_object_leq(G, cy, dx) or _object_leq(G, dx, cy)):
         return None
     return _ext(G, x, y)
 
@@ -264,17 +283,17 @@ def validate_mediator(G: OrderedGroupoidWithMediator) -> Verdict:
     for p in G.objects:
         for q in G.objects:
             m = med[p][q]
-            if not G.object_leq(G.dom[m], q):
+            if not _object_leq(G, G.dom[m], q):
                 out.append(Violation("DomBoundViolation", (p, q)))
-            if not G.object_leq(G.cod[m], p):
+            if not _object_leq(G, G.cod[m], p):
                 out.append(Violation("CodBoundViolation", (p, q)))
     for p1 in G.objects:
         for q1 in G.objects:
             for p2 in G.objects:
-                if not G.object_leq(p1, p2):
+                if not _object_leq(G, p1, p2):
                     continue
                 for q2 in G.objects:
-                    if not G.object_leq(q1, q2):
+                    if not _object_leq(G, q1, q2):
                         continue
                     if not G.order.leq(med[p1][q1], med[p2][q2]):
                         out.append(Violation("OrderPreservationViolation",
@@ -380,8 +399,8 @@ def esn_semigroup(G: OrderedGroupoidWithMediator) -> FiniteStarSemigroup:
 
 def _meet(G, p, q):
     lows = [r for r in G.objects
-            if G.object_leq(r, p) and G.object_leq(r, q)]
-    best = [r for r in lows if all(G.object_leq(t, r) for t in lows)]
+            if _object_leq(G, r, p) and _object_leq(G, r, q)]
+    best = [r for r in lows if all(_object_leq(G, t, r) for t in lows)]
     return best[0] if best else None
 
 

@@ -6,12 +6,15 @@ little helpers.  It deliberately does not call the predicates in ``core``,
 ``site`` or ``topos``, so that an agreement test between ``naive_check`` and
 the main code path compares two genuinely different implementations.  The
 only imports from the rest of the package are the container type and its
-validator, used to wrap return values.
+validator, used to wrap return values.  Its searches are plain loops, and
+``REGISTRY`` is the one statement table: each entry holds the statement's
+instance kind, its summary and its naive check.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import FiniteStarSemigroup, validate_star_semigroup
@@ -57,66 +60,73 @@ def _associative_tables(n, budget=None):
     return _search(n, budget, [()] * (n * n))
 
 
-def _search(n, budget, cuts):
-    """Backtracking over the cells in row-major order.  After a consistent
-    assignment to cell k, the branch is cut if some ``(p, cells)`` of
-    ``cuts[k]`` makes the filled prefix smaller (see ``_smaller``).  A map
-    absent from ``cuts[k]`` knows no more cells than at the parent, where
-    it was already compared."""
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    table = [[-1] * n for _ in range(n)]
-    steps = 0
-
-    def consistent(a, b):
-        # check every triple whose four lookups just became complete
-        v = table[a][b]
-        for z in range(n):
-            bz = table[b][z]
-            if bz != -1:
-                left = table[v][z]
-                right = table[a][bz]
-                if left != -1 and right != -1 and left != right:
-                    return False
-        for x in range(n):
-            xa = table[x][a]
-            if xa != -1:
-                left = table[xa][b]
-                right = table[x][v]
-                if left != -1 and right != -1 and left != right:
-                    return False
-        for x in range(n):
-            row = table[x]
-            for y in range(n):
-                if row[y] == a:
-                    yb = table[y][b]
-                    if yb != -1 and table[x][yb] not in (-1, v):
-                        return False
+def _consistent(table, n, a, b):
+    """Whether the value just put in cell (a, b) keeps associativity on every
+    triple whose four lookups are filled (-1 marks an empty cell)."""
+    v = table[a][b]
+    for z in range(n):
+        bz = table[b][z]
+        if bz != -1:
+            left = table[v][z]
+            right = table[a][bz]
+            if left != -1 and right != -1 and left != right:
+                return False
+    for x in range(n):
+        xa = table[x][a]
+        if xa != -1:
+            left = table[xa][b]
+            right = table[x][v]
+            if left != -1 and right != -1 and left != right:
+                return False
+    for x in range(n):
+        row = table[x]
         for y in range(n):
-            ty = table[y]
-            for z in range(n):
-                if ty[z] == b:
-                    ay = table[a][y]
-                    if ay != -1 and table[ay][z] not in (-1, v):
-                        return False
-        return True
+            if row[y] == a:
+                yb = table[y][b]
+                if yb != -1 and table[x][yb] not in (-1, v):
+                    return False
+    for y in range(n):
+        ty = table[y]
+        for z in range(n):
+            if ty[z] == b:
+                ay = table[a][y]
+                if ay != -1 and table[ay][z] not in (-1, v):
+                    return False
+    return True
 
-    def fill(k):
-        nonlocal steps
-        if k == len(cells):
-            yield tuple(tuple(row) for row in table)
-            return
-        i, j = cells[k]
+
+def _search(n, budget, cuts):
+    """Backtracking over the cells in row-major order, as one loop: k is the
+    cell being filled, and its next value is one more than the value it
+    holds.  Each value tried is one step.  After a consistent assignment to
+    cell k, the branch is cut if some ``(p, cells)`` of ``cuts[k]`` makes the
+    filled prefix smaller (see ``_smaller``).  A map absent from ``cuts[k]``
+    knows no more cells than at the parent, where it was already compared.
+    A cell whose values are spent is reset to -1 before the search backs up,
+    because ``_consistent`` and ``_smaller`` read only filled cells."""
+    table = [[-1] * n for _ in range(n)]
+    last = n * n
+    steps = 0
+    k = 0
+    while k >= 0:
+        if k == last:
+            yield tuple(map(tuple, table))
+            k -= 1
+            continue
+        i, j = divmod(k, n)
+        row = table[i]
+        v = row[j] + 1
+        if v == n:
+            row[j] = -1
+            k -= 1
+            continue
+        steps += 1
+        if budget is not None and steps > budget:
+            raise BudgetExceeded(f"associativity search budget {budget}")
+        row[j] = v
         cut = cuts[k]
-        for v in range(n):
-            steps += 1
-            if budget is not None and steps > budget:
-                raise BudgetExceeded(f"associativity search budget {budget}")
-            table[i][j] = v
-            if consistent(i, j) and not (cut and _smaller(table, cut)):
-                yield from fill(k + 1)
-        table[i][j] = -1
-
-    yield from fill(0)
+        if _consistent(table, n, i, j) and not (cut and _smaller(table, cut)):
+            k += 1
 
 
 # Lex-leader symmetry breaking (Crawford, Ginsberg, Luks and Roy, KR 1996;
@@ -243,19 +253,11 @@ def enumeration_counts(max_order=MAX_ENUM_ORDER, dedup="iso+anti"):
 
 
 def _involutions(n):
-    """All self-inverse permutations of 0..n-1, deterministic order."""
-    def rec(remaining, acc):
-        if not remaining:
-            yield dict(acc)
-            return
-        i = remaining[0]
-        yield from rec(remaining[1:], acc + [(i, i)])
-        for j in remaining[1:]:
-            rest = [k for k in remaining[1:] if k != j]
-            yield from rec(rest, acc + [(i, j), (j, i)])
-
-    for mapping in rec(list(range(n)), []):
-        yield tuple(mapping[i] for i in range(n))
+    """All self-inverse permutations of 0..n-1, in lexicographic order."""
+    identity = tuple(range(n))
+    for p in itertools.permutations(identity):
+        if tuple(map(p.__getitem__, p)) == identity:
+            yield p
 
 
 def enumerate_star_structures(table):
@@ -600,8 +602,14 @@ def _st_3cond(inst):
 
 
 def _st_po(item):
+    # the hypothesis of items 3, 4, 7 and 8 depends on the instance only
+    hypothesis = {3: _n_left_involutive, 4: _n_right_involutive,
+                  7: _n_locally_involutive, 8: _n_locally_involutive}.get(item)
+
     def check(inst):
         mul, star = inst
+        if hypothesis is not None and not hypothesis(mul, star):
+            return True
         n = len(mul)
         for x in range(n):
             dx, cx = _nd(mul, star, x), _nc(mul, star, x)
@@ -616,19 +624,19 @@ def _st_po(item):
                     return False
                 if item == 2 and rr != a2:
                     return False
-                if item == 3 and _n_left_involutive(mul, star):
+                if item == 3:
                     if ll != (mul[star[y]][x] == dx and mul[y][star[x]] == cx):
                         return False
-                if item == 4 and _n_right_involutive(mul, star):
+                if item == 4:
                     if rr != (mul[star[x]][y] == dx and mul[x][star[y]] == cx):
                         return False
                 if item == 5 and ll and mul[x][star[y]] == cx and not rr:
                     return False
                 if item == 6 and rr and mul[star[y]][x] == dx and not ll:
                     return False
-                if item == 7 and _n_locally_involutive(mul, star) and ll != rr:
+                if item == 7 and ll != rr:
                     return False
-                if item == 8 and _n_locally_involutive(mul, star):
+                if item == 8:
                     if ll != _n_leq_right(mul, star, star[x], star[y]):
                         return False
         return True
@@ -759,7 +767,11 @@ def _st_rsrs(inst):
     return True
 
 
-def _st_xirho(inst, budget=200000):
+# the most candidate maps S(e) -> X that _st_xirho enumerates
+XIRHO_BUDGET = 200000
+
+
+def _st_xirho(inst):
     # f: X -> S etale *-hom into inverse S, idempotent e: any two left
     # *-homs S(e) -> X over S agreeing at (e,e) agree
     mx, sx, ms, ss, f, e = inst
@@ -774,7 +786,7 @@ def _st_xirho(inst, budget=200000):
     total = 1
     for fib in fibers:
         total *= max(len(fib), 1)
-        if total > budget:
+        if total > XIRHO_BUDGET:
             raise BudgetExceeded("xirho naive enumeration too large")
         if not fib:
             return True
@@ -843,73 +855,58 @@ def _st_seinv(inst):
 
 @dataclass(frozen=True)
 class StatementSpec:
-    id: str
     kind: str  # semigroup | morphism | pair | triangle | inverse | inverse_idem | etale_idem
     summary: str
+    check: Callable[[tuple], bool]
 
 
 REGISTRY = {
     "lem:reduct": StatementSpec(
-        "lem:reduct", "semigroup",
-        "involutive implies left+right involutive; left/right implies locally"),
+        "semigroup",
+        "involutive implies left+right involutive; left/right implies locally",
+        _st_reduct),
     "lem:birestrictive": StatementSpec(
-        "lem:birestrictive", "semigroup",
-        "left involutive implies corestrictive (and duals); pqp identities"),
+        "semigroup",
+        "left involutive implies corestrictive (and duals); pqp identities",
+        _st_birestrictive),
     "lem:left/right": StatementSpec(
-        "lem:left/right", "semigroup",
-        "the four projection-bound identity equivalences"),
+        "semigroup", "the four projection-bound identity equivalences",
+        _st_leftright),
     "cor:3cond": StatementSpec(
-        "cor:3cond", "semigroup",
-        "c(y) <= d(x) iff d(x)y = y in left involutive semigroups"),
+        "semigroup",
+        "c(y) <= d(x) iff d(x)y = y in left involutive semigroups",
+        _st_3cond),
     "lem:fdt": StatementSpec(
-        "lem:fdt", "morphism",
-        "multiplicative iff multiplicative on projection products"),
+        "morphism", "multiplicative iff multiplicative on projection products",
+        _st_fdt),
     "lem:reflect": StatementSpec(
-        "lem:reflect", "morphism", "etale left *-homs reflect right projections"),
+        "morphism", "etale left *-homs reflect right projections",
+        _st_reflect),
     "ex:fg": StatementSpec(
-        "ex:fg", "pair", "f and fg etale imply g etale"),
+        "pair", "f and fg etale imply g etale", _st_fg),
     "prop:starhomo": StatementSpec(
-        "prop:starhomo", "triangle",
-        "left *-hom over an etale *-hom is multiplicative"),
+        "triangle", "left *-hom over an etale *-hom is multiplicative",
+        _st_starhomo),
     "lem:xfy": StatementSpec(
-        "lem:xfy", "morphism", "x f(d(x)y) = xy for the canonical action"),
+        "morphism", "x f(d(x)y) = xy for the canonical action", _st_xfy),
     "prop:commproj": StatementSpec(
-        "prop:commproj", "semigroup",
-        "inverse iff quasi-involutive with commuting projections"),
+        "semigroup", "inverse iff quasi-involutive with commuting projections",
+        _st_commproj),
     "lem:rsrs": StatementSpec(
-        "lem:rsrs", "inverse", "factorization identities inside S(rr*)"),
+        "inverse", "factorization identities inside S(rr*)", _st_rsrs),
     "lem:xirho": StatementSpec(
-        "lem:xirho", "etale_idem",
-        "left *-homs out of S(e) agreeing at (e,e) agree"),
+        "etale_idem", "left *-homs out of S(e) agreeing at (e,e) agree",
+        _st_xirho),
     "prop:sym": StatementSpec(
-        "prop:sym", "inverse_idem",
-        "star reversal in S(e) iff left compatibility of s and qp"),
+        "inverse_idem",
+        "star reversal in S(e) iff left compatibility of s and qp", _st_sym),
     "rem:Seinv": StatementSpec(
-        "rem:Seinv", "inverse_idem",
-        "S(e) inverse iff eS pairwise left compatible"),
+        "inverse_idem", "S(e) inverse iff eS pairwise left compatible",
+        _st_seinv),
 }
 for _i in range(1, 9):
     REGISTRY[f"lem:po-{_i}"] = StatementSpec(
-        f"lem:po-{_i}", "semigroup", f"partial order characterization ({_i})")
-
-_CHECKS = {
-    "lem:reduct": _st_reduct,
-    "lem:birestrictive": _st_birestrictive,
-    "lem:left/right": _st_leftright,
-    "cor:3cond": _st_3cond,
-    "lem:fdt": _st_fdt,
-    "lem:reflect": _st_reflect,
-    "ex:fg": _st_fg,
-    "prop:starhomo": _st_starhomo,
-    "lem:xfy": _st_xfy,
-    "prop:commproj": _st_commproj,
-    "lem:rsrs": _st_rsrs,
-    "lem:xirho": _st_xirho,
-    "prop:sym": _st_sym,
-    "rem:Seinv": _st_seinv,
-}
-for _i in range(1, 9):
-    _CHECKS[f"lem:po-{_i}"] = _st_po(_i)
+        "semigroup", f"partial order characterization ({_i})", _st_po(_i))
 
 
 def statement_ids():
@@ -917,7 +914,8 @@ def statement_ids():
 
 
 def naive_check(statement_id, instance) -> bool:
-    """Evaluate a registered statement on a raw instance.
+    """Evaluate a registered statement on a raw instance with the check of
+    its ``REGISTRY`` entry.
 
     Instance shapes by kind:
       semigroup/inverse: (mul, star)
@@ -928,9 +926,10 @@ def naive_check(statement_id, instance) -> bool:
       etale_idem:        (mul_x, star_x, mul_s, star_s, map, e)
     Statements whose hypotheses fail on the instance hold vacuously.
     """
-    if statement_id not in _CHECKS:
+    spec = REGISTRY.get(statement_id)
+    if spec is None:
         raise UnknownStatement(statement_id)
-    return _CHECKS[statement_id](instance)
+    return spec.check(instance)
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,22 @@ def all_ls_morphisms(S: InverseSemigroup) -> tuple[LSMorphism, ...]:
     )
 
 
+def _check_ls_morphism(S: InverseSemigroup, m):
+    """Refuse a morphism argument of a public function whose element or
+    codomain is out of range, with ShapeError; the sweeps index unchecked."""
+    check_instance(m, LSMorphism, "morphism")
+    _check_element(S.semigroup, m.s)
+    _check_element(S.semigroup, m.e)
+
+
 def compose_ls(S: InverseSemigroup, m1: LSMorphism, m2: LSMorphism) -> LSMorphism:
     """m1 after m2: for m1: d -> e and m2: c -> d the product m1.s * m2.s."""
+    _check_ls_morphism(S, m1)
+    _check_ls_morphism(S, m2)
+    return _compose_ls(S, m1, m2)
+
+
+def _compose_ls(S, m1, m2):
     if ls_dom(S, m1) != m2.e:
         raise ShapeError(f"{m1} and {m2} are not composable")
     return LSMorphism(S.semigroup.mul[m1.s][m2.s], m1.e)
@@ -162,6 +176,8 @@ class PullbackSquare:
 def ls_pullback(S: InverseSemigroup, s: LSMorphism, t: LSMorphism) -> PullbackSquare:
     """The chosen pullback of s and t over their common codomain, with the
     universal property verified by exhaustive cone search."""
+    _check_ls_morphism(S, s)
+    _check_ls_morphism(S, t)
     if s.e != t.e:
         raise ShapeError("pullback legs need a common codomain")
     sg = S.semigroup
@@ -173,7 +189,7 @@ def ls_pullback(S: InverseSemigroup, s: LSMorphism, t: LSMorphism) -> PullbackSq
     leg2 = LSMorphism(sg.mul[sg.star[t.s]][cs], dt)
     if ls_dom(S, leg1) != apex or ls_dom(S, leg2) != apex:
         raise ConsistencyError("pullback legs have the wrong domain")
-    if compose_ls(S, s, leg1).s != compose_ls(S, t, leg2).s:
+    if _compose_ls(S, s, leg1).s != _compose_ls(S, t, leg2).s:
         raise ConsistencyError("chosen pullback square does not commute")
     for b in S.idempotents:
         for u in ls_morphisms(S, b, ds):
@@ -301,7 +317,7 @@ def representable_presheaf(S: InverseSemigroup, e: int) -> Presheaf:
         c = ls_dom(S, t)
         pos = {m.s: i for i, m in enumerate(homs[c])}
         transitions[(t.s, t.e)] = tuple(
-            pos[compose_ls(S, m, t).s] for m in homs[d]
+            pos[_compose_ls(S, m, t).s] for m in homs[d]
         )
     return validate_presheaf(S, fibers, transitions)
 
@@ -444,6 +460,7 @@ def _action_table(S: InverseSemigroup, m: LSMorphism) -> tuple[int, ...]:
 
 def representable_action(S: InverseSemigroup, m: LSMorphism) -> StarMorphism:
     """S(m): S(d) -> S(e) over S, (u, v) |-> (u, m.s v)."""
+    _check_ls_morphism(S, m)
     src = representable_semigroup(S, ls_dom(S, m))
     tgt = representable_semigroup(S, m.e)
     f = StarMorphism(src.semigroup, tgt.semigroup, _action_table(S, m),

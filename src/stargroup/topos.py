@@ -61,6 +61,7 @@ from .core import (
     StarMorphism,
     Verdict,
     Violation,
+    _check_element,
     backtrack,
     check_lift_points,
     classify,
@@ -664,6 +665,12 @@ def prop_inv_check(P: Presheaf) -> PropInvReport:
 
 def left_compatible(S: InverseSemigroup, s: int, t: int) -> bool:
     """st*t = ts*s; cross-checked against st* being idempotent."""
+    _check_element(S.semigroup, s)
+    _check_element(S.semigroup, t)
+    return _left_compatible(S, s, t)
+
+
+def _left_compatible(S, s, t):
     sg = S.semigroup
     direct = sg.mul[s][sg.mul[sg.star[t]][t]] == sg.mul[t][sg.mul[sg.star[s]][s]]
     u = sg.mul[s][sg.star[t]]
@@ -694,12 +701,12 @@ def prop_sym_check(S: InverseSemigroup, e: int) -> PropSymReport:
     for i, (p, q) in enumerate(R.carrier):
         for j, (r, s) in enumerate(R.carrier):
             reverses = se.star[se.mul[i][j]] == se.mul[se.star[j]][se.star[i]]
-            compatible = left_compatible(S, s, sg.mul[q][p])
+            compatible = _left_compatible(S, s, sg.mul[q][p])
             if reverses != compatible:
                 mismatches.append(((p, q), (r, s)))
     se_inverse = classify(se).inverse
     es = [s for s in sg.elements if sg.mul[e][s] == s]
-    es_compat = all(left_compatible(S, a, b) for a in es for b in es)
+    es_compat = all(_left_compatible(S, a, b) for a in es for b in es)
     return PropSymReport(e, not mismatches, tuple(mismatches),
                          se_inverse, es_compat, se_inverse == es_compat)
 

@@ -1,9 +1,11 @@
+import contextlib
+import io
 import itertools
 from dataclasses import replace
 
 import pytest
 
-from stargroup import oracle
+from stargroup import cli, oracle, serialize
 from stargroup.core import (
     Relation,
     ShapeError,
@@ -16,6 +18,7 @@ from stargroup.groupoid import (
     NotBounded,
     NotComparable,
     NotQuasiInvolutive,
+    OrderedGroupoidWithMediator,
     corestrict,
     esn_groupoid,
     esn_ordered_groupoid,
@@ -302,3 +305,44 @@ def test_restriction_is_precomposition(star_pool):
                     assert restrict(G, x, k) == X.mul[x][p]
                 if G.object_leq(k, G.cod[x]):
                     assert corestrict(G, x, k) == X.mul[p][x]
+
+
+def _two_vertex_groups():
+    """Objects 0 <= 1, a Z3 vertex group at each: i0, a, a^2 at 0 and i1, b,
+    b^2 at 1, with a <= b the only other order pair.  Inversion breaks the
+    order (a^2 is not below b^2), so b^2 has no restriction to 0."""
+    n = 6
+    compose = [[-1] * n for _ in range(n)]
+    for base in (0, 3):
+        for s in range(3):
+            for t in range(3):
+                compose[base + s][base + t] = base + (s + t) % 3
+    leq = {(x, x) for x in range(n)} | {(0, 3), (1, 4)}
+    rows = tuple(sum(1 << j for j in range(n) if (i, j) in leq)
+                 for i in range(n))
+    return OrderedGroupoidWithMediator(
+        n_objects=2, n_morphisms=n, dom=(0, 0, 0, 1, 1, 1),
+        cod=(0, 0, 0, 1, 1, 1), identity=(0, 3), inverse=(0, 2, 1, 3, 5, 4),
+        compose=tuple(map(tuple, compose)), order=Relation(n, rows))
+
+
+def test_a_missing_restriction_is_listed_not_raised():
+    # the corestriction formula at (b, 0) would read the restriction of b^2
+    # to 0; it is compared only where that restriction is unique
+    with pytest.raises(InvalidGroupoid) as info:
+        validate_groupoid(_two_vertex_groups())
+    kinds = [v.kind for v in info.value.violations]
+    assert {"OrderInversion", "RestrictionNotUnique"} <= set(kinds)
+    assert "CorestrictionFormula" not in kinds
+
+
+def test_validate_reports_the_malformed_groupoid(tmp_path):
+    path = tmp_path / "g.json"
+    serialize.save_groupoid(_two_vertex_groups(), path)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["validate", str(path)])
+    out = buf.getvalue()
+    assert code == 1 and out.startswith("FAIL  error  [InvalidGroupoid]")
+    assert "OrderInversion(1, 4)" in out
+    assert "RestrictionNotUnique(5, 0, 0)" in out

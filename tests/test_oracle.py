@@ -101,6 +101,34 @@ def test_naive_check_examples(lz2, i2):
     assert naive_check("prop:commproj", (i2.mul, i2.star))
 
 
+def _involutions_by_recursion(n):
+    """The recursion the library used before the filter over permutations:
+    fix the first remaining point, or pair it with each later one."""
+    def rec(remaining, acc):
+        if not remaining:
+            yield dict(acc)
+            return
+        i = remaining[0]
+        yield from rec(remaining[1:], acc + [(i, i)])
+        for j in remaining[1:]:
+            rest = [k for k in remaining[1:] if k != j]
+            yield from rec(rest, acc + [(i, j), (j, i)])
+
+    for mapping in rec(list(range(n)), []):
+        yield tuple(mapping[i] for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_involutions_match_the_recursion_in_order(n):
+    assert list(oracle._involutions(n)) == list(_involutions_by_recursion(n))
+
+
+def test_every_statement_has_both_checks():
+    from stargroup import verify
+    assert set(verify.MAIN_CHECKS) == set(oracle.REGISTRY)
+    assert all(callable(spec.check) for spec in oracle.REGISTRY.values())
+
+
 def test_oracle_does_not_import_main_predicates():
     """The module boundary: oracle may import the container type and its
     validator from core, and nothing from the other main modules."""

@@ -14,7 +14,10 @@ from stargroup.core import (
 )
 from stargroup.groupoid import (
     OrderedGroupoidWithMediator,
+    corestrict,
     esn_groupoid,
+    extended_compose,
+    restrict,
     validate_groupoid,
 )
 from stargroup.modalg import (
@@ -25,6 +28,10 @@ from stargroup.modalg import (
     validate_module,
 )
 from stargroup.site import (
+    LSMorphism,
+    compose_ls,
+    ls_pullback,
+    representable_action,
     representable_semigroup,
     representable_tables,
     terminal_presheaf,
@@ -32,6 +39,7 @@ from stargroup.site import (
     validate_presheaf_map,
 )
 from stargroup.ssets import SSetStructure, make_sset
+from stargroup.topos import left_compatible
 
 ATOMS = (st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=2)
          | st.floats(-3, 9, allow_nan=False))
@@ -159,3 +167,39 @@ def test_an_unhashable_element_is_a_shape_error(sl2_inv, fn):
     with pytest.raises(ShapeError):
         fn(sl2_inv, [0])
     assert fn.cache_info() == info
+
+
+OUT = LSMorphism(99, 0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda G, S: restrict(G, 99, 0), id="restrict-morphism"),
+    pytest.param(lambda G, S: restrict(G, -1, 0), id="restrict-negative"),
+    pytest.param(lambda G, S: restrict(G, 0, 9), id="restrict-object"),
+    pytest.param(lambda G, S: corestrict(G, 0, 9), id="corestrict-object"),
+    pytest.param(lambda G, S: corestrict(G, 0.0, 0), id="corestrict-float"),
+    pytest.param(lambda G, S: extended_compose(G, -1, 0), id="extended-first"),
+    pytest.param(lambda G, S: extended_compose(G, 0, 99), id="extended-second"),
+    pytest.param(lambda G, S: G.object_leq(-1, 0), id="object-leq-negative"),
+    pytest.param(lambda G, S: G.object_leq(0, 4), id="object-leq-past-end"),
+    pytest.param(lambda G, S: compose_ls(S, OUT, LSMorphism(0, 0)),
+                 id="compose-ls-first"),
+    pytest.param(lambda G, S: compose_ls(S, LSMorphism(0, 0), OUT),
+                 id="compose-ls-second"),
+    pytest.param(lambda G, S: compose_ls(S, LSMorphism(0, 0), (0, 0)),
+                 id="compose-ls-tuple"),
+    pytest.param(lambda G, S: ls_pullback(S, OUT, OUT), id="ls-pullback"),
+    pytest.param(lambda G, S: ls_pullback(S, LSMorphism(0, -1),
+                                          LSMorphism(0, -1)),
+                 id="ls-pullback-negative"),
+    pytest.param(lambda G, S: representable_action(S, OUT),
+                 id="representable-action"),
+    pytest.param(lambda G, S: left_compatible(S, 99, 0),
+                 id="left-compatible-first"),
+    pytest.param(lambda G, S: left_compatible(S, 0, -1),
+                 id="left-compatible-second"),
+])
+def test_an_argument_out_of_range_is_a_shape_error(i2, i2_inv, call):
+    # the ESN groupoid of I2 has 7 morphisms over 4 objects
+    with pytest.raises(ShapeError):
+        call(esn_groupoid(i2), i2_inv)
