@@ -62,9 +62,13 @@ class Report:
 
 
 def _json_value(value):
-    # json.dumps of a string, without the encoder's set-up
+    # json.dumps of a string or a bool, without the encoder's set-up
     if type(value) is str:
         return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     return json.dumps(value)
 
 

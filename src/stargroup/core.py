@@ -636,6 +636,10 @@ def leq_left(X: FiniteStarSemigroup, x: int, y: int) -> bool:
     """x <=_l y: d(x) <= d(y) and x = y d(x)."""
     _check_element(X, x)
     _check_element(X, y)
+    return _leq_left(X, x, y)
+
+
+def _leq_left(X, x, y):
     dx, dy = X.d(x), X.d(y)
     return bool(X.rows.up[dx] >> dy & 1) and x == X.mul[y][dx]
 
@@ -644,6 +648,10 @@ def leq_right(X: FiniteStarSemigroup, x: int, y: int) -> bool:
     """x <=_r y: c(x) <= c(y) and x = c(x) y."""
     _check_element(X, x)
     _check_element(X, y)
+    return _leq_right(X, x, y)
+
+
+def _leq_right(X, x, y):
     cx, cy = X.c(x), X.c(y)
     return bool(X.rows.up[cx] >> cy & 1) and x == X.mul[cx][y]
 
@@ -705,10 +713,10 @@ def natural_order(X: FiniteStarSemigroup) -> Relation:
         raise NotLocallyInvolutive(
             f"{X!r} is not locally involutive; natural order undefined"
         )
-    rel = Relation.from_predicate(X.order, lambda x, y: leq_left(X, x, y))
+    rel = Relation.from_predicate(X.order, lambda x, y: _leq_left(X, x, y))
     for x in X.elements:
         for y in X.elements:
-            if rel.leq(x, y) != leq_right(X, x, y):
+            if rel.leq(x, y) != _leq_right(X, x, y):
                 raise OrderMismatch((x, y))
     return rel
 

@@ -8,7 +8,8 @@ the main code path compares two genuinely different implementations.  The
 only imports from the rest of the package are the container type and its
 validator, used to wrap return values.  Its searches are plain loops, and
 ``REGISTRY`` is the one statement table: each entry holds the statement's
-instance kind, its summary and its naive check.
+instance kind, its summary and its naive check.  A predicate's verdict is
+kept only in the dict a caller passes to ``naive_check`` for one run.
 """
 
 from __future__ import annotations
@@ -413,11 +414,6 @@ def _n_corestrictive(mul, star):
                for x in range(n) for y in range(n))
 
 
-def _n_quasi(mul, star):
-    return (_n_restrictive(mul, star) and _n_corestrictive(mul, star)
-            and _n_locally_involutive(mul, star))
-
-
 def _n_inverse(mul):
     n = len(mul)
     for x in range(n):
@@ -499,16 +495,34 @@ def _n_left_compatible(mul, star, s, t):
     return mul[s][mul[star[t]][t]] == mul[t][mul[star[s]][s]]
 
 
+def _fact(facts, predicate, *tables):
+    """``predicate(*tables)``, read from ``facts`` when it holds the verdict.
+
+    ``facts`` is a dict its caller keeps for one run (``None`` computes
+    every time), keyed by the predicate and the raw tables themselves, so
+    equal tables held in distinct objects share one entry.  Only verdicts
+    are stored: a predicate that raises leaves no entry.  The tables must
+    be hashable (tuples); a table built from lists is passed to its
+    predicate directly."""
+    if facts is None:
+        return predicate(*tables)
+    key = (predicate, tables)
+    verdict = facts.get(key)
+    if verdict is None:
+        verdict = facts[key] = predicate(*tables)
+    return verdict
+
+
 # ---------------------------------------------------------------------------
 # naive statement checks
 
 
-def _st_reduct(inst):
+def _st_reduct(inst, facts):
     mul, star = inst
-    inv = _n_involutive(mul, star)
-    left = _n_left_involutive(mul, star)
-    right = _n_right_involutive(mul, star)
-    loc = _n_locally_involutive(mul, star)
+    inv = _fact(facts, _n_involutive, mul, star)
+    left = _fact(facts, _n_left_involutive, mul, star)
+    right = _fact(facts, _n_right_involutive, mul, star)
+    loc = _fact(facts, _n_locally_involutive, mul, star)
     if inv and not (left and right):
         return False
     if (left or right) and not loc:
@@ -516,16 +530,17 @@ def _st_reduct(inst):
     return True
 
 
-def _st_birestrictive(inst):
+def _st_birestrictive(inst, facts):
     mul, star = inst
-    left = _n_left_involutive(mul, star)
-    right = _n_right_involutive(mul, star)
-    inv = _n_involutive(mul, star)
-    if left and not _n_corestrictive(mul, star):
+    left = _fact(facts, _n_left_involutive, mul, star)
+    right = _fact(facts, _n_right_involutive, mul, star)
+    inv = _fact(facts, _n_involutive, mul, star)
+    if left and not _fact(facts, _n_corestrictive, mul, star):
         return False
-    if right and not _n_restrictive(mul, star):
+    if right and not _fact(facts, _n_restrictive, mul, star):
         return False
-    if inv and not (_n_restrictive(mul, star) and _n_corestrictive(mul, star)):
+    if inv and not (_fact(facts, _n_restrictive, mul, star)
+                    and _fact(facts, _n_corestrictive, mul, star)):
         return False
     projs = _nprojections(mul, star)
     for p in projs:
@@ -542,7 +557,7 @@ def _st_birestrictive(inst):
     return True
 
 
-def _st_leftright(inst):
+def _st_leftright(inst, facts):
     mul, star = inst
     n = len(mul)
     projs = _nprojections(mul, star)
@@ -572,12 +587,12 @@ def _st_leftright(inst):
             rhs2 = mul[x][cy] == x and mul[cy][star[x]] == star[x]
             if lhs2 != rhs2:
                 return False
-    if _n_left_involutive(mul, star):
+    if _fact(facts, _n_left_involutive, mul, star):
         for p in projs:
             for y in range(n):
                 if mul[p][y] == y and mul[star[y]][p] != star[y]:
                     return False
-    if _n_right_involutive(mul, star):
+    if _fact(facts, _n_right_involutive, mul, star):
         for q in projs:
             for x in range(n):
                 if mul[x][q] == x and mul[q][star[x]] != star[x]:
@@ -585,9 +600,9 @@ def _st_leftright(inst):
     return True
 
 
-def _st_3cond(inst):
+def _st_3cond(inst, facts):
     mul, star = inst
-    if not _n_left_involutive(mul, star):
+    if not _fact(facts, _n_left_involutive, mul, star):
         return True
     n = len(mul)
     for x in range(n):
@@ -606,9 +621,10 @@ def _st_po(item):
     hypothesis = {3: _n_left_involutive, 4: _n_right_involutive,
                   7: _n_locally_involutive, 8: _n_locally_involutive}.get(item)
 
-    def check(inst):
+    def check(inst, facts):
         mul, star = inst
-        if hypothesis is not None and not hypothesis(mul, star):
+        if hypothesis is not None and not _fact(facts, hypothesis,
+                                                mul, star):
             return True
         n = len(mul)
         for x in range(n):
@@ -643,22 +659,23 @@ def _st_po(item):
     return check
 
 
-def _st_fdt(inst):
+def _st_fdt(inst, facts):
     mx, sx, ms, ss, f = inst
-    if not (_n_left_involutive(mx, sx) and _n_left_involutive(ms, ss)
-            and _n_is_left_hom(mx, sx, ms, ss, f)):
+    if not (_fact(facts, _n_left_involutive, mx, sx)
+            and _fact(facts, _n_left_involutive, ms, ss)
+            and _fact(facts, _n_is_left_hom, mx, sx, ms, ss, f)):
         return True
     proj_mult = all(
         f[mx[p][x]] == ms[f[p]][f[x]]
         for p in _nprojections(mx, sx) for x in range(len(mx))
     )
-    return _n_is_mult(mx, ms, f) == proj_mult
+    return _fact(facts, _n_is_mult, mx, ms, f) == proj_mult
 
 
-def _st_reflect(inst):
+def _st_reflect(inst, facts):
     mx, sx, ms, ss, f = inst
-    if not (_n_is_left_hom(mx, sx, ms, ss, f)
-            and _n_is_etale(mx, sx, ms, ss, f)):
+    if not (_fact(facts, _n_is_left_hom, mx, sx, ms, ss, f)
+            and _fact(facts, _n_is_etale, mx, sx, ms, ss, f)):
         return True
     for x in range(len(mx)):
         if f[x] == _nc(ms, ss, f[x]) and x != _nc(mx, sx, x):
@@ -666,33 +683,36 @@ def _st_reflect(inst):
     return True
 
 
-def _st_fg(inst):
+def _st_fg(inst, facts):
     # g: X -> Y, f: Y -> Z; if f and f.g are etale then so is g
     mx, sx, my, sy, mz, sz, g, f = inst
     fg = tuple(f[g[x]] for x in range(len(mx)))
-    if not (_n_is_left_hom(mx, sx, my, sy, g)
-            and _n_is_left_hom(my, sy, mz, sz, f)):
+    if not (_fact(facts, _n_is_left_hom, mx, sx, my, sy, g)
+            and _fact(facts, _n_is_left_hom, my, sy, mz, sz, f)):
         return True
-    if not (_n_is_etale(my, sy, mz, sz, f)
-            and _n_is_etale(mx, sx, mz, sz, fg)):
+    if not (_fact(facts, _n_is_etale, my, sy, mz, sz, f)
+            and _fact(facts, _n_is_etale, mx, sx, mz, sz, fg)):
         return True
-    return _n_is_etale(mx, sx, my, sy, g)
+    return _fact(facts, _n_is_etale, mx, sx, my, sy, g)
 
 
-def _st_starhomo(inst):
+def _st_starhomo(inst, facts):
     # psi: X -> Y, h: Y -> S with h etale *-hom; f = h.psi a *-hom
     mx, sx, my, sy, ms, ss, psi, h = inst
     f = tuple(h[psi[x]] for x in range(len(mx)))
-    if not (_n_is_star_morphism(my, sy, ms, ss, h) and _n_is_mult(my, ms, h)
-            and _n_is_etale(my, sy, ms, ss, h)):
+    if not (_fact(facts, _n_is_star_morphism, my, sy, ms, ss, h)
+            and _fact(facts, _n_is_mult, my, ms, h)
+            and _fact(facts, _n_is_etale, my, sy, ms, ss, h)):
         return True
-    if not (_n_is_star_morphism(mx, sx, ms, ss, f) and _n_is_mult(mx, ms, f)):
+    if not (_fact(facts, _n_is_star_morphism, mx, sx, ms, ss, f)
+            and _fact(facts, _n_is_mult, mx, ms, f)):
         return True
-    if not _n_is_left_hom(mx, sx, my, sy, psi):
+    if not _fact(facts, _n_is_left_hom, mx, sx, my, sy, psi):
         return True
-    if not _n_is_mult(mx, my, psi):
+    if not _fact(facts, _n_is_mult, mx, my, psi):
         return False
-    if _n_is_etale(mx, sx, ms, ss, f) and not _n_is_etale(mx, sx, my, sy, psi):
+    if (_fact(facts, _n_is_etale, mx, sx, ms, ss, f)
+            and not _fact(facts, _n_is_etale, mx, sx, my, sy, psi)):
         return False
     return True
 
@@ -706,10 +726,10 @@ def _n_action(mx, sx, ms, ss, f, x, s):
     return hits[0]
 
 
-def _st_xfy(inst):
+def _st_xfy(inst, facts):
     mx, sx, ms, ss, f = inst
-    if not (_n_is_left_hom(mx, sx, ms, ss, f)
-            and _n_is_etale(mx, sx, ms, ss, f)):
+    if not (_fact(facts, _n_is_left_hom, mx, sx, ms, ss, f)
+            and _fact(facts, _n_is_etale, mx, sx, ms, ss, f)):
         return True
     n = len(mx)
     for x in range(n):
@@ -719,7 +739,7 @@ def _st_xfy(inst):
         for y in range(n):
             if _n_action(mx, sx, ms, ss, f, x, f[mx[dx][y]]) != mx[x][y]:
                 return False
-    mult = _n_is_mult(mx, ms, f)
+    mult = _fact(facts, _n_is_mult, mx, ms, f)
     via_action = all(
         _n_action(mx, sx, ms, ss, f, x, f[y]) == mx[x][y]
         for x in range(n) for y in range(n)
@@ -737,16 +757,19 @@ def _st_xfy(inst):
     return True
 
 
-def _st_commproj(inst):
+def _st_commproj(inst, facts):
     mul, star = inst
     projs = _nprojections(mul, star)
     commuting = all(mul[p][q] == mul[q][p] for p in projs for q in projs)
-    return _n_inverse(mul) == (_n_quasi(mul, star) and commuting)
+    quasi = (_fact(facts, _n_restrictive, mul, star)
+             and _fact(facts, _n_corestrictive, mul, star)
+             and _fact(facts, _n_locally_involutive, mul, star))
+    return _fact(facts, _n_inverse, mul) == (quasi and commuting)
 
 
-def _st_rsrs(inst):
+def _st_rsrs(inst, facts):
     mul, star = inst
-    if not _n_inverse(mul):
+    if not _fact(facts, _n_inverse, mul):
         return True
     n = len(mul)
     for r in range(n):
@@ -771,14 +794,14 @@ def _st_rsrs(inst):
 XIRHO_BUDGET = 200000
 
 
-def _st_xirho(inst):
+def _st_xirho(inst, facts):
     # f: X -> S etale *-hom into inverse S, idempotent e: any two left
     # *-homs S(e) -> X over S agreeing at (e,e) agree
     mx, sx, ms, ss, f, e = inst
-    if not (_n_inverse(ms)
-            and _n_is_star_morphism(mx, sx, ms, ss, f)
-            and _n_is_mult(mx, ms, f)
-            and _n_is_etale(mx, sx, ms, ss, f)):
+    if not (_fact(facts, _n_inverse, ms)
+            and _fact(facts, _n_is_star_morphism, mx, sx, ms, ss, f)
+            and _fact(facts, _n_is_mult, mx, ms, f)
+            and _fact(facts, _n_is_etale, mx, sx, ms, ss, f)):
         return True
     carrier = _n_se_carrier(ms, ss, e)
     pos = {u: i for i, u in enumerate(carrier)}
@@ -822,9 +845,9 @@ def _st_xirho(inst):
     return True
 
 
-def _st_sym(inst):
+def _st_sym(inst, facts):
     mul, star, e = inst
-    if not _n_inverse(mul):
+    if not _fact(facts, _n_inverse, mul):
         return True
     carrier = _n_se_carrier(mul, star, e)
     for a in carrier:
@@ -839,9 +862,9 @@ def _st_sym(inst):
     return True
 
 
-def _st_seinv(inst):
+def _st_seinv(inst, facts):
     mul, star, e = inst
-    if not _n_inverse(mul):
+    if not _fact(facts, _n_inverse, mul):
         return True
     carrier = _n_se_carrier(mul, star, e)
     pos = {u: i for i, u in enumerate(carrier)}
@@ -850,6 +873,7 @@ def _st_seinv(inst):
               for j in range(k)] for i in range(k)]
     es = [s for s in range(len(mul)) if mul[e][s] == s]
     compat = all(_n_left_compatible(mul, star, r, s) for r in es for s in es)
+    # semul is a list of lists, so it has no key: a direct call
     return _n_inverse(semul) == compat
 
 
@@ -857,7 +881,7 @@ def _st_seinv(inst):
 class StatementSpec:
     kind: str  # semigroup | morphism | pair | triangle | inverse | inverse_idem | etale_idem
     summary: str
-    check: Callable[[tuple], bool]
+    check: Callable[[tuple, dict | None], bool]
 
 
 REGISTRY = {
@@ -913,9 +937,15 @@ def statement_ids():
     return sorted(REGISTRY)
 
 
-def naive_check(statement_id, instance) -> bool:
+def naive_check(statement_id, instance, facts=None) -> bool:
     """Evaluate a registered statement on a raw instance with the check of
     its ``REGISTRY`` entry.
+
+    ``facts``: a dict the caller keeps for one run, in which the checks
+    keep the verdict of each table-level predicate (``_n_left_involutive``,
+    ``_n_inverse``, ...) and map-level one (``_n_is_left_hom``,
+    ``_n_is_etale``, ...) per raw tables (``_fact``), so a run computes
+    each once.  Without it every predicate is computed on every call.
 
     Instance shapes by kind:
       semigroup/inverse: (mul, star)
@@ -929,7 +959,7 @@ def naive_check(statement_id, instance) -> bool:
     spec = REGISTRY.get(statement_id)
     if spec is None:
         raise UnknownStatement(statement_id)
-    return spec.check(instance)
+    return spec.check(instance, facts)
 
 
 # ---------------------------------------------------------------------------

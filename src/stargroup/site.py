@@ -133,11 +133,20 @@ def all_ls_morphisms(S: InverseSemigroup) -> tuple[LSMorphism, ...]:
 
 
 def _check_ls_morphism(S: InverseSemigroup, m):
-    """Refuse a morphism argument of a public function whose element or
-    codomain is out of range, with ShapeError; the sweeps index unchecked."""
+    """Refuse a morphism argument of a public function that is not a
+    morphism of L(S), with ShapeError: its element or codomain out of range,
+    a codomain that is not idempotent, or es != s.  The sweeps index
+    unchecked."""
     check_instance(m, LSMorphism, "morphism")
-    _check_element(S.semigroup, m.s)
-    _check_element(S.semigroup, m.e)
+    sg = S.semigroup
+    _check_element(sg, m.s)
+    _check_element(sg, m.e)
+    if sg.mul[m.e][m.e] != m.e:
+        raise ShapeError(f"{m} is not a morphism of L(S): "
+                         f"{m.e} is not idempotent")
+    if sg.mul[m.e][m.s] != m.s:
+        raise ShapeError(f"{m} is not a morphism of L(S): "
+                         f"{m.e}*{m.s} != {m.s}")
 
 
 def compose_ls(S: InverseSemigroup, m1: LSMorphism, m2: LSMorphism) -> LSMorphism:
@@ -386,13 +395,13 @@ def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
     representable_semigroup validates them, the Gamma search reads them."""
     sg = S.semigroup
     mul, star, c = sg.mul, sg.star, [sg.c(x) for x in sg.elements]
-    carrier = tuple((r, s) for r in sg.elements for s in sg.elements
-                    if sg.d(s) == c[r] and mul[e][s] == s)
+    carrier = tuple([(r, s) for r in sg.elements for s in sg.elements
+                     if sg.d(s) == c[r] and mul[e][s] == s])
     pos = {pair: i for i, pair in enumerate(carrier)}
-    se_mul = tuple(
-        tuple(pos[(mul[p][r], mul[q][c[mul[p][r]]])] for r, _ in carrier)
-        for p, q in carrier)
-    se_star = tuple(pos[(star[r], mul[s][r])] for r, s in carrier)
+    se_mul = tuple([
+        tuple([pos[(mul[p][r], mul[q][c[mul[p][r]]])] for r, _ in carrier])
+        for p, q in carrier])
+    se_star = tuple([pos[(star[r], mul[s][r])] for r, s in carrier])
     return RepresentableTables(carrier, se_mul, se_star, e)
 
 

@@ -162,7 +162,7 @@ def _lam(P: Presheaf) -> LambdaObject:
     sg = S.semigroup
     c = [sg.c(r) for r in sg.elements]
     width = [len(P.fiber(c[r])) for r in sg.elements]
-    pairs = tuple((r, x) for r in sg.elements for x in range(width[r]))
+    pairs = tuple([(r, x) for r in sg.elements for x in range(width[r])])
     index = {pair: i for i, pair in enumerate(pairs)}
     if not pairs:
         return LambdaObject(P, S, pairs, index, None, None)
@@ -184,8 +184,9 @@ def _lam(P: Presheaf) -> LambdaObject:
             mul.append(tuple(row))
     mul = tuple(mul)
     # (r, x)* = (r*, x . r)
-    star = tuple(offset[sg.star[r]] + trans[(r, c[r])][x] for r, x in pairs)
-    smap = tuple(r for r, _ in pairs)
+    star = tuple([offset[sg.star[r]] + trans[(r, c[r])][x]
+                  for r, x in pairs])
+    smap = tuple([r for r, _ in pairs])
     # the semigroup is interned by its tables, and its structure map onto
     # sg is shared while held, so both come validated with their verdicts;
     # only the check against P's transitions below is P's own
@@ -332,7 +333,7 @@ def _lift_table(f: StarMorphism, carrier, u: int) -> tuple[int, ...]:
     S(e): es = s, and f(d(x)) = d(s) = c(r) with c(r)r = r, so
     ``f.action`` holds both lifts."""
     act, d = f.action, f.source.d
-    return tuple(act[d(act[u][s])][r] for r, s in carrier)
+    return tuple([act[d(act[u][s])][r] for r, s in carrier])
 
 
 def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):

@@ -9,25 +9,26 @@ semigroups and morphisms, or the ``InverseSemigroup`` of its base, so every
 statement over it reads the verdicts kept on those objects, and equal
 tables validated elsewhere while held give the same object
 (``core.validate_star_semigroup``).  The oracle receives each entry's raw
-tables.
+tables, and one run hands all its naive checks one dict of verdicts, so each
+naive predicate is computed once per table or map per run.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle, site, topos
 from .core import (
     StarError,
     StarMorphism,
+    _leq_left,
+    _leq_right,
     classify,
     compose_morphisms,
     idempotent_leq,
     idempotents,
     is_etale,
-    leq_left,
-    leq_right,
     projections,
 )
 from .oracle import BudgetExceeded
@@ -36,9 +37,9 @@ from .ssets import canonical_action
 from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
-@dataclass(frozen=True)
-class VerifyRow:
-    """One report row: {check, instance, pass, witness?}."""
+class VerifyRow(NamedTuple):
+    """One report row: {check, instance, pass, witness?}.  A tuple, as a
+    run builds one per task."""
 
     check: str
     instance: str
@@ -147,12 +148,16 @@ def _main_3cond(X):
 
 
 def _main_po(item):
+    """The main check of ``lem:po-<item>``.  It compares the orders through
+    ``core._leq_left``/``_leq_right``, which skip the argument check of
+    their public forms: every element passed comes from ``X.elements`` or
+    ``X.star``."""
     def fn(X):
         r = classify(X)
         for x in X.elements:
             dx, cx = X.d(x), X.c(x)
             for y in X.elements:
-                ll, rr = leq_left(X, x, y), leq_right(X, x, y)
+                ll, rr = _leq_left(X, x, y), _leq_right(X, x, y)
                 if item == 1:
                     alt = (X.mul[x][X.d(y)] == x
                            and X.mul[X.star[y]][x] == dx
@@ -183,7 +188,7 @@ def _main_po(item):
                     if ll != rr:
                         return False
                 elif item == 8 and r.locally_involutive:
-                    if ll != leq_right(X, X.star[x], X.star[y]):
+                    if ll != _leq_right(X, X.star[x], X.star[y]):
                         return False
         return True
     return fn
@@ -448,6 +453,9 @@ def build_instances(statement_ids=None, max_order=3):
     """(statement, label, instance, raw) for the requested statements: the
     main check reads the instance, oracle.naive_check the raw tables."""
     ids = statement_ids or sorted(oracle.REGISTRY)
+    for sid in ids:
+        if sid not in oracle.REGISTRY:
+            raise oracle.UnknownStatement(sid)
     kinds = {sid: oracle.REGISTRY[sid].kind for sid in ids}
     wanted = set(kinds.values())
     pools = {}
@@ -472,26 +480,31 @@ def build_instances(statement_ids=None, max_order=3):
             for sid in ids for label, inst, raw in pools[kinds[sid]]]
 
 
-def _run_task(task):
+def _run_task(task, facts):
     """One row.  An error inside a check fails its own row, with witness
     ("error", type, message), instead of ending the sweep; an exceeded or
-    invalid budget still ends it."""
+    invalid budget still ends it.  ``facts``: the run's naive verdicts
+    (``oracle.naive_check``)."""
     sid, label, inst, raw = task
     try:
         main = MAIN_CHECKS[sid](inst)
-        naive = oracle.naive_check(sid, raw)
+        naive = oracle.naive_check(sid, raw, facts)
     except (BudgetExceeded, SearchBudgetExceeded, BudgetInvalid):
         raise
     except (StarError, oracle.OracleError) as exc:
-        return (sid, label, False, ("error", type(exc).__name__, str(exc)))
+        return VerifyRow(sid, label, False,
+                         ("error", type(exc).__name__, str(exc)))
     ok = bool(main) and main == naive
     witness = None if ok else ("main", main, "naive", naive)
-    return (sid, label, ok, witness)
+    return VerifyRow(sid, label, ok, witness)
 
 
 def run_statements(statement_ids=None, max_order=3):
-    """Evaluate statements over their pools; rows sorted (check, instance)."""
+    """Evaluate statements over their pools; rows sorted (check, instance).
+    The naive verdicts of the run's tables and maps are kept in one dict
+    that lives as long as the call."""
     tasks = build_instances(statement_ids, max_order)
-    rows = [VerifyRow(*_run_task(t)) for t in tasks]
+    facts = {}
+    rows = [_run_task(t, facts) for t in tasks]
     rows.sort(key=lambda r: (r.check, r.instance))
     return rows

@@ -311,6 +311,18 @@ def test_verify_report_bytes_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+def test_verify_max4_report_bytes_are_pinned():
+    """The sha256 of `verify --max-order 4 --format json`, recorded before
+    the oracle's naive verdicts were each computed once per run: any
+    change to a verdict, a label or the row order changes it."""
+    import hashlib
+
+    code, out = run_cli("verify", "--max-order", "4", "--format", "json")
+    assert code == 0
+    expected = (GOLDEN / "verify_max4_json.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 @pytest.mark.parametrize("golden, args", [
     ("adjunction_p21_json.sha256",
      ("adjunction", "--presheaf", "p21.json", "--morphism",

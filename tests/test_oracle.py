@@ -95,6 +95,60 @@ def test_naive_check_ids():
         naive_check("lem:unknown", ((), ()))
 
 
+def test_an_unknown_statement_id_is_refused_before_any_pool(monkeypatch):
+    from stargroup import verify
+
+    monkeypatch.setattr(verify, "semigroup_pool", None)
+    with pytest.raises(UnknownStatement, match="lem:nope"):
+        verify.run_statements(statement_ids=["lem:nope"])
+    with pytest.raises(UnknownStatement, match="lem:nope"):
+        verify.build_instances(["lem:reduct", "lem:nope"])
+
+
+def test_the_fact_table_gives_every_task_its_fresh_verdict():
+    from stargroup import verify
+
+    facts = {}
+    tasks = verify.build_instances(max_order=4)
+    shared = [naive_check(sid, raw, facts) for sid, _, _, raw in tasks]
+    assert shared == [naive_check(sid, raw) for sid, _, _, raw in tasks]
+    # one entry per predicate and distinct tables, fewer than half the rows
+    assert 0 < len(facts) < len(tasks) / 2
+
+
+def test_equal_tables_in_distinct_objects_share_one_fact(i2):
+    # tuple() of a tuple returns it, so each copy goes through a list
+    mul = tuple([tuple(list(row)) for row in i2.mul])
+    star = tuple(list(i2.star))
+    assert mul is not i2.mul and mul[0] is not i2.mul[0] and star is not i2.star
+    facts = {}
+    assert naive_check("lem:rsrs", (i2.mul, i2.star), facts)
+    assert naive_check("lem:rsrs", (mul, star), facts)
+    assert list(facts) == [(oracle._n_inverse, (i2.mul,))]
+
+
+def test_the_fact_table_keys_by_predicate(lz2):
+    # xy = x with the identity star: left involutive, not right involutive
+    facts = {}
+    assert oracle._fact(facts, oracle._n_left_involutive, lz2.mul, lz2.star)
+    assert not oracle._fact(facts, oracle._n_right_involutive,
+                            lz2.mul, lz2.star)
+    assert len(facts) == 2
+    assert naive_check("lem:reduct", (lz2.mul, lz2.star), facts)
+    assert naive_check("lem:birestrictive", (lz2.mul, lz2.star), facts)
+
+
+def test_the_fact_table_keeps_no_exception():
+    facts = {}
+
+    def fails(table):
+        raise oracle.OracleError("no verdict")
+
+    with pytest.raises(oracle.OracleError):
+        oracle._fact(facts, fails, ((0,),))
+    assert facts == {}
+
+
 def test_naive_check_examples(lz2, i2):
     assert naive_check("lem:po-7", (lz2.mul, lz2.star))
     assert naive_check("lem:reduct", (i2.mul, i2.star))

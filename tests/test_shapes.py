@@ -203,3 +203,25 @@ def test_an_argument_out_of_range_is_a_shape_error(i2, i2_inv, call):
     # the ESN groupoid of I2 has 7 morphisms over 4 objects
     with pytest.raises(ShapeError):
         call(esn_groupoid(i2), i2_inv)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda S: compose_ls(S, LSMorphism(1, 0), LSMorphism(1, 1)),
+                 id="compose-ls"),
+    pytest.param(lambda S: ls_pullback(S, LSMorphism(1, 0),
+                                       LSMorphism(0, 0)),
+                 id="ls-pullback"),
+    pytest.param(lambda S: representable_action(S, LSMorphism(1, 0)),
+                 id="representable-action"),
+])
+def test_a_pair_that_is_not_an_ls_morphism_is_a_shape_error(sl2_inv, call):
+    # over SL2 (xy = min(x, y)) 0*1 = 0, so (1 -> 0) has es != s
+    with pytest.raises(ShapeError, match="not a morphism of L"):
+        call(sl2_inv)
+
+
+def test_a_codomain_that_is_not_idempotent_is_a_shape_error(i2_inv):
+    sg = i2_inv.semigroup
+    e = next(x for x in sg.elements if sg.mul[x][x] != x)
+    with pytest.raises(ShapeError, match="not idempotent"):
+        representable_action(i2_inv, LSMorphism(e, e))
