@@ -377,8 +377,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     report = Report()
     try:
-        if hasattr(args, "budget"):
-            args.budget = topos.resolve_budget(args.budget, default=None)
+        # a given --budget is read here; gamma alone falls back to
+        # STARGROUP_BUDGET, whose steps are Gamma search steps
+        if getattr(args, "budget", None) is not None:
+            args.budget = topos.resolve_budget(args.budget)
         try:
             args.fn(args, report)
         except (SearchBudgetExceeded, CarrierTooLarge, BudgetInvalid):

@@ -152,9 +152,13 @@ class memo:
             self.hits += 1
             return value
         self.misses += 1
-        if not key:
-            return self.__get__(obj)
-        value = held[key] = self.func(obj, *key)
+        # stored here, not through __get__, whose obj-is-None branch serves
+        # class access and would hand back the memo itself
+        value = self.func(obj, *key)
+        if key:
+            held[key] = value
+        else:
+            object.__setattr__(obj, self.__name__, value)
         return value
 
     def cache_info(self) -> CacheInfo:

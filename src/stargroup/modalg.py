@@ -23,6 +23,7 @@ from .core import (
     StarMorphism,
     Verdict,
     Violation,
+    _check_element,
     check_instance,
     classify,
     composer,
@@ -87,10 +88,9 @@ class SModule:
         return self.sset.base
 
     def plus(self, a, b):
-        v = self.add[a][b]
-        if v == -1:
-            raise FiberMismatch(f"{a} and {b} live in different fibers")
-        return v
+        """a + b; ShapeError unless both are in 0..size-1."""
+        freeze((a, b), "element", self.size)
+        return _plus(self, a, b)
 
     @memo
     def derived_table(self) -> tuple[tuple[int, ...], ...]:
@@ -107,11 +107,19 @@ class SModule:
         table = []
         for a, act_a in enumerate(act):
             left_fa = left[smap[a]]
-            ta = tuple(M.plus(act_a[smap[b]], left_fa[b]) for b in A.elements)
+            ta = tuple(_plus(M, act_a[smap[b]], left_fa[b])
+                       for b in A.elements)
             if any(ta[zero[r]] != act_a[r] for r in S.elements):
                 raise ConsistencyError("a 0(r) != ar for the derived product")
             table.append(ta)
         return tuple(table)
+
+
+def _plus(M, a, b):
+    v = M.add[a][b]
+    if v == -1:
+        raise FiberMismatch(f"{a} and {b} live in different fibers")
+    return v
 
 
 @dataclass(eq=False)
@@ -258,6 +266,8 @@ def validate_algebra(Alg: SAlgebra) -> Verdict:
 
 
 def derived_product(M: SModule, a: int, b: int) -> int:
+    check_instance(M, SModule, "module")
+    freeze((a, b), "element", M.size)
     return M.derived_table[a][b]
 
 
@@ -303,8 +313,10 @@ class FreeModule:
         self.action = canonical_action(f)
 
     def element(self, r, items) -> tuple:
+        _check_element(self.base, r)
         counts = {}
         for x in items:
+            _check_element(self.source, x)
             if self.f.map[x] != r:
                 raise FiberMismatch(f"{x} does not lie over {r}")
             counts[x] = counts.get(x, 0) + 1
@@ -334,6 +346,7 @@ class FreeModule:
         return (self.base.mul[a[0]][s], tuple(sorted(counts.items())))
 
     def rho(self, x) -> tuple:
+        _check_element(self.source, x)
         return (self.f.map[x], ((x, 1),))
 
     def support(self, a) -> tuple:

@@ -246,9 +246,9 @@ def enumerate_semigroups(n, dedup="iso+anti", budget=None):
                 yield table
 
 
-def enumeration_counts(max_order=MAX_ENUM_ORDER, dedup="iso+anti"):
+def enumeration_counts(max_order=MAX_ENUM_ORDER):
     return {
-        n: sum(1 for _ in enumerate_semigroups(n, dedup))
+        n: sum(1 for _ in enumerate_semigroups(n))
         for n in range(1, max_order + 1)
     }
 

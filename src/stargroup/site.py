@@ -2,8 +2,9 @@
 presheaves on it, and the representable left involutive semigroups S(e).
 
 Presheaves store a transition table for every L(S)-morphism, so validation
-is pure table checking.  Fiber labels are opaque strings; internally each
-fiber is addressed by dense indices.
+is pure table checking.  An ``LSMorphism`` is its own transition key,
+equal to its plain pair (s, e).  Fiber labels are opaque strings; fibers
+are addressed by dense indices, S(e) by ``RepresentableTables.index``.
 
 What depends on the base alone (its L(S)-morphisms, the presheaf search
 plan, the S(e) tables and semigroups) is kept on the ``InverseSemigroup``
@@ -86,9 +87,9 @@ def as_inverse(X: FiniteStarSemigroup) -> InverseSemigroup:
     return shared(("inverse", id(X)), InverseSemigroup, X)
 
 
-@dataclass(frozen=True)
-class LSMorphism:
-    """A morphism s: d -> e of L(S): s*s = d and es = s."""
+class LSMorphism(NamedTuple):
+    """A morphism s: d -> e of L(S): s*s = d and es = s.  A tuple, so it
+    is the key of its transition table and equals the plain pair (s, e)."""
 
     s: int
     e: int
@@ -164,11 +165,11 @@ def _compose_ls(S, m1, m2):
 
 @memo
 def _composable_triples(S: InverseSemigroup):
-    """Every composite m12 = m1 m2 of L(S) as key triples (m12, m1, m2),
-    keys (s, e), in (m1, m2) order; built once per base."""
+    """Every composite m12 = m1 m2 of L(S) as morphism triples (m12, m1,
+    m2), in (m1, m2) order; built once per base."""
     morphs = all_ls_morphisms(S)
     return tuple(
-        ((S.semigroup.mul[m1.s][m2.s], m1.e), (m1.s, m1.e), (m2.s, m2.e))
+        (LSMorphism(S.semigroup.mul[m1.s][m2.s], m1.e), m1, m2)
         for m1 in morphs
         for m2 in morphs
         if ls_dom(S, m1) == m2.e
@@ -230,9 +231,6 @@ class Presheaf:
     def fiber(self, e: int) -> tuple[str, ...]:
         return self.fibers[e]
 
-    def transition(self, s: int, e: int) -> tuple[int, ...]:
-        return self.transitions[(s, e)]
-
     def is_empty(self) -> bool:
         return not any(self.fibers.values())
 
@@ -249,9 +247,9 @@ class Presheaf:
 
 @memo
 def _transition_shapes(S: InverseSemigroup):
-    """Per L(S)-morphism key (s, e), the field name that a shape error
-    gives its transition, and its domain s*s; built once per base."""
-    return {(m.s, m.e): (f"transition along {m}", ls_dom(S, m))
+    """Per L(S)-morphism, the field name that a shape error gives its
+    transition, and its domain s*s; built once per base."""
+    return {m: (f"transition along {m}", ls_dom(S, m))
             for m in all_ls_morphisms(S)}
 
 
@@ -263,7 +261,9 @@ def _keys(table, field, stop, width=None):
     freeze(table, f"{field} key", stop, width=width)
 
 
-def check_presheaf(base: InverseSemigroup, fibers, transitions):
+def validate_presheaf(base: InverseSemigroup, fibers, transitions) -> Presheaf:
+    """The presheaf with these fibers and transitions (keyed by morphisms or
+    plain (s, e) pairs), or PresheafInvalid with every violated law."""
     check_instance(base, InverseSemigroup, "base")
     sg = base.semigroup
     problems = []
@@ -290,14 +290,11 @@ def check_presheaf(base: InverseSemigroup, fibers, transitions):
         tr = transitions[(e, e)]
         if tr != tuple(range(len(fibers[e]))):
             problems.append(Violation("IdentityViolation", (e,)))
-    for k12, k1, k2 in _composable_triples(base):
-        if transitions[k12] != compose(transitions[k2], transitions[k1]):
-            problems.append(Violation("CompositionViolation", (k1, k2)))
-    return fibers, transitions, problems
-
-
-def validate_presheaf(base: InverseSemigroup, fibers, transitions) -> Presheaf:
-    fibers, transitions, problems = check_presheaf(base, fibers, transitions)
+    for m12, m1, m2 in _composable_triples(base):
+        if transitions[m12] != compose(transitions[m2], transitions[m1]):
+            # plain pairs, so the message reads as the keys
+            problems.append(Violation("CompositionViolation",
+                                      (tuple(m1), tuple(m2))))
     if problems:
         raise PresheafInvalid(problems)
     return Presheaf(base, fibers, transitions)
@@ -305,13 +302,13 @@ def validate_presheaf(base: InverseSemigroup, fibers, transitions) -> Presheaf:
 
 def terminal_presheaf(S: InverseSemigroup) -> Presheaf:
     fibers = {e: ("*",) for e in S.idempotents}
-    transitions = {(m.s, m.e): (0,) for m in all_ls_morphisms(S)}
+    transitions = dict.fromkeys(all_ls_morphisms(S), (0,))
     return validate_presheaf(S, fibers, transitions)
 
 
 def empty_presheaf(S: InverseSemigroup) -> Presheaf:
     fibers = {e: () for e in S.idempotents}
-    transitions = {(m.s, m.e): () for m in all_ls_morphisms(S)}
+    transitions = dict.fromkeys(all_ls_morphisms(S), ())
     return validate_presheaf(S, fibers, transitions)
 
 
@@ -325,7 +322,7 @@ def representable_presheaf(S: InverseSemigroup, e: int) -> Presheaf:
         d = t.e
         c = ls_dom(S, t)
         pos = {m.s: i for i, m in enumerate(homs[c])}
-        transitions[(t.s, t.e)] = tuple(
+        transitions[t] = tuple(
             pos[_compose_ls(S, m, t).s] for m in homs[d]
         )
     return validate_presheaf(S, fibers, transitions)
@@ -355,8 +352,8 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
         for e, c in components.items()}
     for m in all_ls_morphisms(base):
         d = ls_dom(base, m)
-        src_t = source.transition(m.s, m.e)
-        tgt_t = target.transition(m.s, m.e)
+        src_t = source.transitions[m]
+        tgt_t = target.transitions[m]
         for i in range(len(source.fiber(m.e))):
             if components[d][src_t[i]] != tgt_t[components[m.e][i]]:
                 raise NotNatural(f"naturality square fails along {m} at {i}")
@@ -375,13 +372,15 @@ class _SeTables(NamedTuple):
 
 class RepresentableTables(_SeTables):
     """S(e) as bare index tables over ``carrier``, not yet validated, for
-    the idempotent ``e``.  Not slotted, so that what is derived from S(e)
-    alone (the generic Gamma search plan, topos._gamma_plan) is kept on the
-    tables with core.memo and lives exactly as long as they do."""
+    the idempotent ``e``, with ``index`` the slot of each carrier pair.  Not
+    slotted, so that what is derived from S(e) alone (the generic Gamma
+    search plan, topos._gamma_plan) is kept on the tables with core.memo
+    and lives exactly as long as they do."""
 
-    def __new__(cls, carrier, mul, star, e):
+    def __new__(cls, carrier, mul, star, e, index):
         tables = super().__new__(cls, carrier, mul, star)
         tables.e = e
+        tables.index = index
         return tables
 
 
@@ -402,7 +401,7 @@ def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
         tuple([pos[(mul[p][r], mul[q][c[mul[p][r]]])] for r, _ in carrier])
         for p, q in carrier])
     se_star = tuple([pos[(star[r], mul[s][r])] for r, s in carrier])
-    return RepresentableTables(carrier, se_mul, se_star, e)
+    return RepresentableTables(carrier, se_mul, se_star, e, pos)
 
 
 @dataclass(frozen=True)
@@ -418,7 +417,7 @@ def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigro
     """S(e) with structure map psi(r, s) = r; validated left involutive with
     psi an etale *-homomorphism, and cross-checked against Lambda(e-hat)."""
     sg = S.semigroup
-    carrier, mul, star = representable_tables(S, e)
+    carrier, mul, star = tables = representable_tables(S, e)
     sename = f"S({sg.name}|{e})" if sg.name else f"S(?|{e})"
     se = validate_star_semigroup(len(carrier), mul, star, name=sename)
     if not classify(se).left_involutive:
@@ -428,11 +427,11 @@ def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigro
         raise ConsistencyError(f"psi_{e} is not a *-homomorphism")
     if not is_etale(psi):
         raise ConsistencyError(f"psi_{e} is not etale")
-    _check_against_lambda(S, e, se, carrier)
+    _check_against_lambda(S, e, se, tables.index)
     return RepresentableSemigroup(e, carrier, se, psi)
 
 
-def _check_against_lambda(S, e, se, carrier):
+def _check_against_lambda(S, e, se, index):
     # S(e) must equal Lambda(e-hat) element for element; topos imports
     # this module, so it is imported here, at call time
     from . import topos
@@ -445,8 +444,8 @@ def _check_against_lambda(S, e, se, carrier):
     mapping = []
     for (r, x) in LP.pairs:
         s = fiber_elem[sg.c(r)][x]
-        mapping.append(carrier.index((r, s)))
-    if sorted(mapping) != list(range(len(carrier))):
+        mapping.append(index.get((r, s), -1))
+    if sorted(mapping) != list(range(len(index))):
         raise ConsistencyError("Lambda(e-hat) and S(e) carriers differ")
     lsg = LP.semigroup
     for i in range(lsg.order):
@@ -461,8 +460,7 @@ def _check_against_lambda(S, e, se, carrier):
 def _action_table(S: InverseSemigroup, m: LSMorphism) -> tuple[int, ...]:
     """S(m) as an index table from the S(d) to the S(e) carrier."""
     mul_s = S.semigroup.mul[m.s]
-    tpos = {pair: i for i, pair in
-            enumerate(representable_tables(S, m.e).carrier)}
+    tpos = representable_tables(S, m.e).index
     return tuple(tpos[(u, mul_s[v])]
                  for u, v in representable_tables(S, ls_dom(S, m)).carrier)
 
@@ -485,11 +483,12 @@ def representable_action(S: InverseSemigroup, m: LSMorphism) -> StarMorphism:
 
 @memo
 def _representable_functoriality(S: InverseSemigroup) -> bool:
-    """S(st) = S(s)S(t) for all composable pairs; ran once per base."""
-    raw = {(m.s, m.e): _action_table(S, m) for m in all_ls_morphisms(S)}
-    for k12, k1, k2 in _composable_triples(S):
-        if raw[k12] != compose(raw[k1], raw[k2]):
-            m1, m2, m12 = (LSMorphism(*k) for k in (k1, k2, k12))
+    """S(st) = S(s)S(t) for all composable pairs; ran once per base.  S of
+    an identity is the identity by construction, (u, v) in S(e) having
+    ev = v, so a Gamma presheaf needs no sweep of its own (topos._gamma)."""
+    raw = {m: _action_table(S, m) for m in all_ls_morphisms(S)}
+    for m12, m1, m2 in _composable_triples(S):
+        if raw[m12] != compose(raw[m1], raw[m2]):
             raise ConsistencyError(f"S({m1})S({m2}) != S({m12})")
     return True
 
@@ -499,15 +498,14 @@ def _representable_functoriality(S: InverseSemigroup) -> bool:
 
 
 class _FillStep(NamedTuple):
-    """One depth of the presheaf backtracking: the morphism assigned there
-    (its key, codomain e and domain d) and the composition squares, as key
-    triples (m12, m1, m2), that decide it."""
+    """One depth of the presheaf backtracking: the morphism m assigned
+    there, its domain d, and the composition squares, as morphism triples
+    (m12, m1, m2), that decide it."""
 
-    key: tuple[int, int]
-    e: int
+    m: LSMorphism
     d: int
-    forced: tuple      # m12 = key with m1, m2 assigned at an earlier depth
-    checks: tuple      # through key, all three keys assigned by this depth,
+    forced: tuple      # m12 = m with m1, m2 assigned at an earlier depth
+    checks: tuple      # through m, all three assigned by this depth,
                        # neither factor an identity
 
 
@@ -521,24 +519,23 @@ def _presheaf_skeleton(S: InverseSemigroup) -> tuple[_FillStep, ...]:
     assigned identity tables, so it is never checked."""
     idems = set(S.idempotents)
     morphs = all_ls_morphisms(S)
-    squares = {(m.s, m.e): [] for m in morphs}
+    squares = {m: [] for m in morphs}
     for square in _composable_triples(S):
-        for key in set(square):
-            squares[key].append(square)
+        for m in set(square):
+            squares[m].append(square)
     identities = {(e, e) for e in idems}
     assigned = set(identities)
     steps = []
     for m in morphs:
-        if m.s == m.e and m.s in idems:
+        if m in identities:
             continue
-        key = (m.s, m.e)
-        forced = tuple(sq for sq in squares[key] if sq[0] == key
+        forced = tuple(sq for sq in squares[m] if sq[0] == m
                        and sq[1] in assigned and sq[2] in assigned)
-        assigned.add(key)
-        checks = tuple(sq for sq in squares[key]
+        assigned.add(m)
+        checks = tuple(sq for sq in squares[m]
                        if all(k in assigned for k in sq)
                        and sq[1] not in identities and sq[2] not in identities)
-        steps.append(_FillStep(key, m.e, ls_dom(S, m), forced, checks))
+        steps.append(_FillStep(m, ls_dom(S, m), forced, checks))
     return tuple(steps)
 
 
@@ -563,31 +560,31 @@ def _valid_size_profiles(S: InverseSemigroup, max_fiber: int) -> tuple:
 
 
 def _fill_transitions(S, profile, rng=None):
-    """Yield every presheaf with these fiber sizes, validated: backtracking
-    over the non-identity morphisms, each forced by its composites if any."""
+    """Yield every presheaf with these fiber sizes: backtracking over the
+    non-identity morphisms, each forced by its composites if any."""
     steps = _presheaf_skeleton(S)
     assign = {(e, e): tuple(range(profile[e])) for e in S.idempotents}
-    # every table from the fiber at e to the fiber at d, per step key, in
-    # product order; made once per profile and copied for each shuffle
+    # every table from the fiber at e to the fiber at d, per step morphism,
+    # in product order; made once per profile and copied for each shuffle
     tables = {}
 
-    # Nothing is undone on backtrack: at depth t, ``forced`` reads keys
-    # placed at earlier depths and ``checks`` keys placed by this one, all on
-    # the current path, as is every key of a full assignment.
+    # Nothing is undone on backtrack: at depth t, ``forced`` reads tables
+    # placed at earlier depths and ``checks`` tables placed by this one, all
+    # on the current path, as is every table of a full assignment.
     def candidates(t):
         step = steps[t]
         forced = None
-        for _, k1, k2 in step.forced:
-            composite = compose(assign[k2], assign[k1])
+        for _, m1, m2 in step.forced:
+            composite = compose(assign[m2], assign[m1])
             if forced is not None and composite != forced:
                 return []
             forced = composite
         if forced is not None:
             return [forced]
-        opts = tables.get(step.key)
+        opts = tables.get(step.m)
         if opts is None:
-            opts = tables[step.key] = tuple(itertools.product(
-                range(profile[step.d]), repeat=profile[step.e]))
+            opts = tables[step.m] = tuple(itertools.product(
+                range(profile[step.d]), repeat=profile[step.m.e]))
         opts = list(opts)
         if rng is not None:
             rng.shuffle(opts)
@@ -595,17 +592,21 @@ def _fill_transitions(S, profile, rng=None):
 
     def place(t, cand):
         step = steps[t]
-        assign[step.key] = cand
-        # the assignment was consistent before ``step.key`` was placed, so
+        assign[step.m] = cand
+        # the assignment was consistent before ``step.m`` was placed, so
         # only the squares through it can have broken
-        for k12, k1, k2 in step.checks:
-            if assign[k12] != compose(assign[k2], assign[k1]):
+        for m12, m1, m2 in step.checks:
+            if assign[m12] != compose(assign[m2], assign[m1]):
                 return False
         return True
 
+    # Each leaf is a presheaf, so validate_presheaf's sweep is not rerun:
+    # every identity is the identity table, a square with an identity factor
+    # holds by itself, ``place`` checked every other square once its three
+    # morphisms were set, and the tables have their shapes by construction.
     fibers = {e: tuple(str(i) for i in range(n)) for e, n in profile.items()}
     for _ in backtrack(len(steps), candidates, place):
-        yield validate_presheaf(S, fibers, assign)
+        yield Presheaf(S, fibers, dict(assign))
 
 
 def _check_generator_args(S, max_fiber, least):

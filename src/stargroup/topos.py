@@ -7,7 +7,9 @@ with x in P(c(r)); Gamma probes a *-homomorphism f: X -> S with left
 is etale with left involutive source, the equivalence with the fiber
 presheaf says each such map is fixed by its value at (e, e) and built by
 unique lifting; Gamma runs that lifting path too, as a cross-check that
-must find the same tables.
+must find the same tables, and which stands for m's transpose (``m_iso``).
+Gamma's presheaf is not swept again: its laws follow from those of S(m),
+swept once per base (``site._representable_functoriality``).
 
 Two rules keep what is built.  Derived data lives on its owner: what is
 derived from one object alone is kept on it with ``core.memo`` and lives as
@@ -80,6 +82,7 @@ from .site import (
     PresheafMap,
     RepresentableTables,
     _action_table,
+    _representable_functoriality,
     all_ls_morphisms,
     as_inverse,
     empty_presheaf,
@@ -106,13 +109,13 @@ class BudgetInvalid(StarError):
 DEFAULT_BUDGET = 10 ** 6
 
 
-def resolve_budget(value=None, default=DEFAULT_BUDGET):
+def resolve_budget(value=None):
     """A search budget: ``value``, else the STARGROUP_BUDGET environment
-    variable, else ``default``.  Text is read as a decimal integer; anything
-    but a non-negative integer raises BudgetInvalid."""
+    variable, else DEFAULT_BUDGET.  Text is read as a decimal integer;
+    anything but a non-negative integer raises BudgetInvalid."""
     if value is None:
-        value = os.environ.get("STARGROUP_BUDGET") or default
-    if value is None or (type(value) is int and value >= 0):
+        value = os.environ.get("STARGROUP_BUDGET") or DEFAULT_BUDGET
+    if type(value) is int and value >= 0:
         return value
     try:
         budget = int(value, 10)
@@ -242,11 +245,11 @@ def lambda_morphism(gamma_map: PresheafMap) -> StarMorphism:
 @dataclass(eq=False)
 class GammaPresheaf:
     """Gamma(f): per idempotent the left *-homomorphisms S(e) -> X over S,
-    stored as value tables keyed by the S(e) carrier order."""
+    stored as value tables in the carrier order of
+    ``site.representable_tables(base, e)``."""
 
     base: InverseSemigroup
     source: StarMorphism
-    carriers: dict[int, tuple[tuple[int, int], ...]]
     alphas: dict[int, tuple[tuple[int, ...], ...]]
     presheaf: Presheaf
 
@@ -269,7 +272,7 @@ def _gamma_plan(tables: RepresentableTables) -> _GammaPlan:
     carrier, mul_idx, star_idx = tables
     k = len(carrier)
     dom_idx = tuple(mul_idx[star_idx[i]][i] for i in range(k))
-    ee = carrier.index((tables.e, tables.e))
+    ee = tables.index[(tables.e, tables.e)]
     projs = [i for i in range(k)
              if star_idx[i] == i and mul_idx[i][i] == i and i != ee]
     order = [ee] + projs + [i for i in range(k) if i != ee and i not in projs]
@@ -360,10 +363,8 @@ def _gamma(f: StarMorphism, budget: int) -> GammaPresheaf:
     S = as_inverse(f.target)
     liftable = is_etale(f) and classify(f.source).left_involutive
 
-    carriers = {}
     alphas = {}
     for e in S.idempotents:
-        carriers[e] = representable_tables(S, e).carrier
         alphas[e] = _generic_alphas(f, S, e, budget)
         if liftable and _fast_alphas(f, S, e) != alphas[e]:
             raise ConsistencyError(
@@ -383,14 +384,16 @@ def _gamma(f: StarMorphism, budget: int) -> GammaPresheaf:
                 raise ConsistencyError(
                     f"Gamma transition along {m} leaves the fiber")
             tr.append(lookup[moved])
-        transitions[(m.s, m.e)] = tuple(tr)
-    presheaf = validate_presheaf(S, fibers, transitions)
-    return GammaPresheaf(S, f, carriers, alphas, presheaf)
+        transitions[m] = tuple(tr)
+    # A presheaf without validate_presheaf's sweep: S(id_e) is the identity
+    # on S(e), and alpha . S(m1 m2) = (alpha . S(m1)) . S(m2) as S(m1 m2) =
+    # S(m1)S(m2), which _representable_functoriality checks once per base.
+    _representable_functoriality(S)
+    return GammaPresheaf(S, f, alphas, Presheaf(S, fibers, transitions))
 
 
 def _empty_gamma(S: InverseSemigroup) -> GammaPresheaf:
-    carriers = {e: representable_tables(S, e).carrier for e in S.idempotents}
-    return GammaPresheaf(S, None, carriers, {e: () for e in S.idempotents},
+    return GammaPresheaf(S, None, {e: () for e in S.idempotents},
                          empty_presheaf(S))
 
 
@@ -426,7 +429,7 @@ def _unit(P: Presheaf) -> UnitResult:
     G = gamma(LP.structure_map)
     components = {}
     for d in S.idempotents:
-        carrier = G.carriers[d]
+        carrier = representable_tables(S, d).carrier
         lookup = {table: i for i, table in enumerate(G.alphas[d])}
         comp = []
         # each (r, s) of the carrier as r and the transition along s
@@ -473,12 +476,11 @@ def _counit(G: GammaPresheaf) -> CounitResult:
     LG = lam(G.presheaf)
     if LG.is_empty():
         return CounitResult(G, LG, None, True, X.order == 0, False, None, False)
-    pos = {e: {u: i for i, u in enumerate(G.carriers[e])}
-           for e in S.idempotents}
+    index = {e: representable_tables(S, e).index for e in S.idempotents}
     mapping = []
     for (r, xi) in LG.pairs:
         e = sg.c(r)
-        mapping.append(G.alphas[e][xi][pos[e][(r, e)]])
+        mapping.append(G.alphas[e][xi][index[e][(r, e)]])
     eps = StarMorphism(LG.semigroup, X, tuple(mapping), name="counit")
     if not eps.is_left_star_hom:
         raise ConsistencyError("counit is not a left *-homomorphism")
@@ -519,7 +521,7 @@ def triangle_check2(f: StarMorphism) -> Verdict:
     index, eps_map = eps.lam_gamma.index, eps.morphism.map
     for e in G.base.idempotents:
         along = [(p, G.presheaf.transitions[(q, e)])
-                 for p, q in G.carriers[e]]
+                 for p, q in representable_tables(G.base, e).carrier]
         for xi_idx, table in enumerate(G.alphas[e]):
             # epsilon(p, xi . q) over the carrier
             out = [eps_map[index[(p, tr[xi_idx])]] for p, tr in along]
@@ -561,13 +563,13 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
         for u in over[m.e]:
             x = act[u][m.s]
             tr.append(posd[X.d(x)])
-        transitions[(m.s, m.e)] = tuple(tr)
+        transitions[m] = tuple(tr)
     P = validate_presheaf(S, fibers, transitions)
     for e in S.idempotents:
         for ui, u in enumerate(over[e]):
             for d in S.idempotents:
                 if sg.mul[d][e] == d and sg.mul[e][d] == d:
-                    ud = over[d][P.transition(d, e)[ui]]
+                    ud = over[d][P.transitions[(d, e)][ui]]
                     if X.mul[u][ud] != ud:
                         raise ConsistencyError(
                             f"u.d = u(u.d) fails at u={u}, d={d}")
@@ -580,8 +582,7 @@ def m_iso(f: StarMorphism) -> StarMorphism:
     X = f.source
     S = as_inverse(f.target)
     sg = S.semigroup
-    P = fiber_presheaf(f)
-    LP = lam(P)
+    LP = lam(fiber_presheaf(f))
     over = f.fibers
     # fiber_presheaf checked that f is etale and each u a projection; u lies
     # over c(r) and c(r)r = r, so the lift of r at u is f.action[u][r]
@@ -594,23 +595,12 @@ def m_iso(f: StarMorphism) -> StarMorphism:
         raise ConsistencyError("m is not bijective")
     if any(f.map[mapping[i]] != LP.pairs[i][0] for i in range(len(mapping))):
         raise ConsistencyError("m is not over S")
-    # transpose check: Gamma(m) . eta(P_f) inverts evaluation at (e, e)
-    G = gamma(f)
-    for e in S.idempotents:
-        carrier = G.carriers[e]
-        pos_ee = carrier.index((e, e))
-        tables = []
-        along = [(r, P.transitions[(s, e)]) for r, s in carrier]
-        for ui, u in enumerate(over[e]):
-            table = tuple([mapping[LP.index[(r, tr[ui])]] for r, tr in along])
-            if table not in G.alphas[e]:
-                raise ConsistencyError("transpose of m misses Gamma(f)")
-            if table[pos_ee] != u:
-                raise ConsistencyError("transpose of m does not invert "
-                                       "evaluation at (e, e)")
-            tables.append(table)
-        if len(set(tables)) != len(G.alphas[e]):
-            raise ConsistencyError("transpose of m is not bijective")
+    # The transpose Gamma(m) . eta(P_f) inverts evaluation at (e, e): its
+    # table at u over e is _lift_table(f, carrier, u), reached through
+    # Lambda(P_f) and m, and gamma(f) compares exactly those tables with its
+    # search, fiber_presheaf having demanded what its lifting path needs.
+    # Each table sends (e, e) to u, as u is a projection over e.
+    gamma(f)
     return m
 
 
@@ -618,6 +608,7 @@ def counit_explicit_preimage(f: StarMorphism, x: int):
     """The explicit (r, xi) with epsilon(r, xi) = x for etale f: r = f(x),
     and xi the lifting table of u = c(x) (``_lift_table``)."""
     S = as_inverse(f.target)
+    _check_element(f.source, x)
     r = f.map[x]
     carrier = representable_tables(S, S.semigroup.c(r)).carrier
     u = f.source.c(x)

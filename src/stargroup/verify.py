@@ -279,8 +279,8 @@ def _main_rsrs(X):
     S = as_inverse(X)
     for r in X.elements:
         e = X.c(r)
-        R = representable_semigroup(S, e)
-        pos = {pair: i for i, pair in enumerate(R.carrier)}
+        se = representable_semigroup(S, e).semigroup
+        pos = site.representable_tables(S, e).index
         a = (r, e)
         for s in X.elements:
             rs = X.mul[r][s]
@@ -288,7 +288,6 @@ def _main_rsrs(X):
             c = (X.mul[X.d(r)][s], X.mul[r][X.mul[s][X.star[s]]])
             if a not in pos or b not in pos or c not in pos:
                 return False
-            se = R.semigroup
             if se.mul[pos[a]][pos[c]] != pos[b]:
                 return False
             da = se.mul[se.star[pos[a]]][pos[a]]
@@ -303,8 +302,7 @@ def _main_xirho(inst):
     if not (classify(S0).inverse and fm.is_star_hom and is_etale(fm)):
         return True
     G = topos.gamma(fm)
-    carrier = G.carriers[e]
-    ee = carrier.index((e, e))
+    ee = site.representable_tables(G.base, e).index[(e, e)]
     values = [table[ee] for table in G.alphas[e]]
     return len(set(values)) == len(values)
 
@@ -393,24 +391,28 @@ def morphism_pool(max_order=3):
     return out
 
 
-def _left_homs(X, S):
-    for f in _star_morphism_maps(X, S):
-        if oracle._n_is_left_hom(X.mul, X.star, S.mul, S.star, f):
-            yield StarMorphism(X, S, f)
+def _left_homs(X, S, made):
+    """The left *-homomorphisms X -> S, listed once per pair in ``made``."""
+    key = (id(X), id(S))
+    if key not in made:
+        made[key] = [StarMorphism(X, S, f) for f in _star_morphism_maps(X, S)
+                     if oracle._n_is_left_hom(X.mul, X.star, S.mul, S.star, f)]
+    return made[key]
 
 
 def pair_pool():
     """The first PAIR_CAP composable left *-homomorphism pairs
     (g: X->Y, f: Y->Z) over the semigroups of order <= 2."""
     pool = semigroup_pool(2)
+    made = {}
     out = []
     for la, X, tx in pool:
         for lb, Y, ty in pool:
-            gs = list(_left_homs(X, Y))
+            gs = _left_homs(X, Y, made)
             if not gs:
                 continue
             for lc, Z, tz in pool:
-                for f in _left_homs(Y, Z):
+                for f in _left_homs(Y, Z, made):
                     for g in gs:
                         out.append((f"{la}->{lb}->{lc}:{g.map}/{f.map}",
                                     (g, f), (*tx, *ty, *tz, g.map, f.map)))

@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from stargroup import core, oracle, site, topos, verify
+from stargroup import core, oracle, site, ssets, topos, verify
 from stargroup.core import (
     InvalidStarSemigroup,
     ShapeError,
@@ -429,3 +429,52 @@ def test_the_closure_scan_finds_a_self_referring_one():
             "    def size(self):\n"
             "        return self.size\n")
     assert _self_referring_closures(ast.parse(text)) == [2, 5]
+
+
+@pytest.mark.parametrize("fn", [core.classify, core.is_etale,
+                                ssets.canonical_action])
+def test_a_memo_called_on_none_never_returns_itself(fn):
+    # with no key, the memo computes and stores in __call__; the class
+    # access branch of __get__ used to hand back the memo for None
+    with pytest.raises(AttributeError, match="'NoneType' object"):
+        fn(None)
+
+
+def _rebuilt_addresses(tree):
+    """The line of each way to address an L(S)-morphism or an element of
+    S(e) that site already holds: a tuple ``(x.s, x.e)`` built from a
+    morphism, a ``carrier.index(`` search, and a ``.carriers`` read."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                and all(isinstance(a, ast.Attribute) for a in node.elts)
+                and [a.attr for a in node.elts] == ["s", "e"]
+                and ast.dump(node.elts[0].value)
+                == ast.dump(node.elts[1].value)):
+            yield node.lineno
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "index"
+              and getattr(node.func.value, "id",
+                          getattr(node.func.value, "attr", None))
+              == "carrier"):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "carriers":
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_site_alone_addresses_morphisms_and_se_elements(path):
+    # a morphism is its own transition key; S(e) carries its index
+    assert list(_rebuilt_addresses(ast.parse(path.read_text()))) == []
+
+
+def test_the_address_scan_finds_each_form():
+    text = ("key = (m.s, m.e)\n"
+            "keys = {(t.s, t.e): 0 for t in ms}\n"
+            "i = carrier.index((e, e))\n"
+            "j = R.carrier.index(pair)\n"
+            "c = G.carriers[e]\n"
+            "ok = (m.s, n.e), (m.e, m.s), m, tables.index[(e, e)]\n"
+            "k = pairs.index(pair)\n")
+    assert sorted(_rebuilt_addresses(ast.parse(text))) == [1, 2, 3, 4, 5]

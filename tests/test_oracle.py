@@ -27,6 +27,15 @@ def test_enumeration_counts_match_known():
     assert enumeration_counts(4) == {1: 1, 2: 4, 3: 18, 4: 126}
 
 
+@pytest.mark.parametrize("dedup", ["iso", "iso+anti"])
+def test_inverse_semigroup_counts_match_a001428(dedup):
+    # inversion is an anti-isomorphism of an inverse semigroup onto itself,
+    # so its iso and iso+anti classes coincide (OEIS A001428: 1, 2, 5, 16)
+    got = [sum(1 for t in enumerate_semigroups(n, dedup)
+               if oracle._n_inverse(t)) for n in range(1, 5)]
+    assert got == [1, 2, 5, 16]
+
+
 def test_enumeration_iso_counts():
     got = {n: sum(1 for _ in enumerate_semigroups(n, "iso")) for n in (2, 3)}
     assert got == {2: 5, 3: 24}

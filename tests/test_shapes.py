@@ -21,8 +21,10 @@ from stargroup.groupoid import (
     validate_groupoid,
 )
 from stargroup.modalg import (
+    FreeModule,
     SAlgebra,
     SModule,
+    derived_product,
     fhat,
     validate_algebra,
     validate_module,
@@ -39,7 +41,7 @@ from stargroup.site import (
     validate_presheaf_map,
 )
 from stargroup.ssets import SSetStructure, make_sset
-from stargroup.topos import left_compatible
+from stargroup.topos import counit_explicit_preimage, left_compatible
 
 ATOMS = (st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=2)
          | st.floats(-3, 9, allow_nan=False))
@@ -225,3 +227,35 @@ def test_a_codomain_that_is_not_idempotent_is_a_shape_error(i2_inv):
     e = next(x for x in sg.elements if sg.mul[x][x] != x)
     with pytest.raises(ShapeError, match="not idempotent"):
         representable_action(i2_inv, LSMorphism(e, e))
+
+
+# the identity of I2 has 7 elements and its F-hat module 14: unchecked, -1
+# answered for the last element and one past the end was an IndexError
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f, M: FreeModule(f).element(6, [-1]),
+                 id="element-negative"),
+    pytest.param(lambda f, M: FreeModule(f).element(6, [7]),
+                 id="element-past-end"),
+    pytest.param(lambda f, M: FreeModule(f).element(-1, []),
+                 id="element-fiber-negative"),
+    pytest.param(lambda f, M: FreeModule(f).rho(-1), id="rho-negative"),
+    pytest.param(lambda f, M: FreeModule(f).rho(7), id="rho-past-end"),
+    pytest.param(lambda f, M: counit_explicit_preimage(f, -1),
+                 id="preimage-negative"),
+    pytest.param(lambda f, M: counit_explicit_preimage(f, 7),
+                 id="preimage-past-end"),
+    pytest.param(lambda f, M: derived_product(M, -1, 0),
+                 id="derived-product-negative"),
+    pytest.param(lambda f, M: derived_product(M, 0, M.size),
+                 id="derived-product-past-end"),
+    pytest.param(lambda f, M: M.plus(-1, -1), id="plus-negative"),
+    pytest.param(lambda f, M: M.plus(M.size, 0), id="plus-past-end"),
+])
+def test_an_element_out_of_range_is_a_shape_error(id_i2, call):
+    with pytest.raises(ShapeError):
+        call(id_i2, fhat(id_i2).module)
+
+
+def test_plus_answers_in_range(id_i2):
+    M = fhat(id_i2).module
+    assert M.plus(0, 0) == M.add[0][0] != -1

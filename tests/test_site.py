@@ -181,7 +181,7 @@ def test_lem_xirho_on_generated_instances(i2_inv, sl2_inv, id_i2, id_sl2):
     for S, f in ((i2_inv, id_i2), (sl2_inv, id_sl2)):
         G = topos.gamma(f)
         for e in S.idempotents:
-            ee = G.carriers[e].index((e, e))
+            ee = site.representable_tables(S, e).index[(e, e)]
             values = [t[ee] for t in G.alphas[e]]
             assert len(set(values)) == len(values)
 

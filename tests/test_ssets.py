@@ -32,7 +32,7 @@ def test_canonical_action_lambda_formula(p21):
     for i, (r, x) in enumerate(LP.pairs):
         for s in sg.elements:
             rs = sg.mul[r][s]
-            expected = LP.index[(rs, p21.transition(sg.c(rs), sg.c(r))[x])]
+            expected = LP.index[(rs, p21.transitions[(sg.c(rs), sg.c(r))][x])]
             assert A.act(i, s) == expected
 
 

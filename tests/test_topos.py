@@ -429,7 +429,7 @@ def test_etale_lift_on_lambda(p21):
         for t in sg.elements:
             if sg.mul[e][t] != t:
                 continue
-            expected = LP.index[(t, p21.transition(sg.c(t), e)[x])]
+            expected = LP.index[(t, p21.transitions[(sg.c(t), e)][x])]
             assert etale_lift(f, i, t) == expected
 
 
@@ -643,7 +643,6 @@ def test_resolve_budget_rejects(value):
 def test_resolve_budget_sources(monkeypatch, id_sl2):
     monkeypatch.delenv("STARGROUP_BUDGET", raising=False)
     assert topos.resolve_budget() == topos.DEFAULT_BUDGET
-    assert topos.resolve_budget(None, default=None) is None
     assert topos.resolve_budget("0") == 0
     monkeypatch.setenv("STARGROUP_BUDGET", "7")
     assert topos.resolve_budget() == 7
