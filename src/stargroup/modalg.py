@@ -4,7 +4,10 @@ embedding rho, and morphism lifting.
 
 F(f) has an infinite carrier, so it is exposed as element-level operations
 with sampled axiom checks.  F-hat(f) is materialized in full: one element
-per pair (r, A) with A a subset of the fiber over r.
+per pair (r, A) with A a subset of the fiber over r.  The *-semigroup of
+F-hat, as of any algebra that ``gamma_algebra`` probes, is built from the
+algebra's tables without a sweep of its own: ``validate_algebra`` and
+``check_sset`` have swept every axiom on those tables.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .core import (
     freeze,
     is_etale,
     memo,
-    validate_star_semigroup,
 )
 from .site import as_inverse
 from .ssets import (
@@ -300,7 +302,10 @@ class FreeModule:
     """Formal finite fiberwise sums over an etale left involutive object.
 
     Elements are pairs (r, multiset) with the multiset stored as a sorted
-    tuple of (element, count) pairs; the empty sum at r is the zero."""
+    tuple of (element, count) pairs; the empty sum at r is the zero.  The
+    operations refuse a malformed element or base element with ShapeError;
+    ``check_axioms`` calls their unchecked forms, so that a broken operation
+    shows as a violation."""
 
     def __init__(self, f: StarMorphism):
         if not f.is_star_hom or not is_etale(f):
@@ -311,6 +316,25 @@ class FreeModule:
         self.source = f.source
         self.base = f.target
         self.action = canonical_action(f)
+
+    def _check(self, a):
+        """ShapeError unless a is (r, items) with r an element of the base
+        and items (x, count) pairs in ascending x, each x over r and each
+        count a positive int."""
+        if not (type(a) is tuple and len(a) == 2 and type(a[1]) is tuple):
+            raise ShapeError(f"{a!r} is not a pair (r, items) of F(f)")
+        r, items = a
+        _check_element(self.base, r)
+        last = -1
+        for item in items:
+            if not (type(item) is tuple and len(item) == 2):
+                raise ShapeError(f"term {item!r} is not a pair (x, count)")
+            x, k = item
+            _check_element(self.source, x)
+            if x <= last or self.f.map[x] != r or type(k) is not int or k < 1:
+                raise ShapeError(f"{item!r} is not a term (x, count) over {r} "
+                                 f"in ascending order")
+            last = x
 
     def element(self, r, items) -> tuple:
         _check_element(self.base, r)
@@ -323,9 +347,15 @@ class FreeModule:
         return (r, tuple(sorted(counts.items())))
 
     def zero(self, r) -> tuple:
+        _check_element(self.base, r)
         return (r, ())
 
     def add(self, a, b) -> tuple:
+        self._check(a)
+        self._check(b)
+        return self._add(a, b)
+
+    def _add(self, a, b):
         if a[0] != b[0]:
             raise FiberMismatch("cross-fiber addition")
         counts = dict(a[1])
@@ -334,14 +364,23 @@ class FreeModule:
         return (a[0], tuple(sorted(counts.items())))
 
     def star(self, a) -> tuple:
+        self._check(a)
+        return self._star(a)
+
+    def _star(self, a):
         X = self.source
         return (self.base.star[a[0]],
                 tuple(sorted((X.star[x], k) for x, k in a[1])))
 
     def act(self, a, s) -> tuple:
+        self._check(a)
+        _check_element(self.base, s)
+        return self._act(a, s)
+
+    def _act(self, a, s):
         counts = {}
         for x, k in a[1]:
-            y = self.action.act(x, s)
+            y = self.action.action[x][s]
             counts[y] = counts.get(y, 0) + k
         return (self.base.mul[a[0]][s], tuple(sorted(counts.items())))
 
@@ -351,6 +390,10 @@ class FreeModule:
 
     def support(self, a) -> tuple:
         """The quotient map to F-hat: forget multiplicities."""
+        self._check(a)
+        return self._support(a)
+
+    def _support(self, a):
         return (a[0], frozenset(x for x, _ in a[1]))
 
     def sample_elements(self, max_terms=4, count=40, seed=0):
@@ -376,54 +419,54 @@ class FreeModule:
         out = []
         for a in elems:
             r = a[0]
-            if self.add(a, self.zero(r)) != a:
+            if self._add(a, self.zero(r)) != a:
                 out.append(Violation("ZeroLawViolation", (a,)))
-            if self.star(self.star(a)) != a:
+            if self._star(self._star(a)) != a:
                 out.append(Violation("InvolutionViolation", (a,)))
             for s in S.elements:
-                if self.act(a, s)[0] != S.mul[r][s]:
+                if self._act(a, s)[0] != S.mul[r][s]:
                     out.append(Violation("ActionFiberViolation", (a, s)))
             for b in elems:
                 if b[0] != r:
                     continue
-                ab = self.add(a, b)
-                if ab != self.add(b, a):
+                ab = self._add(a, b)
+                if ab != self._add(b, a):
                     out.append(Violation("AdditionCommutativityViolation", (a, b)))
-                if self.star(ab) != self.add(self.star(a), self.star(b)):
+                if self._star(ab) != self._add(self._star(a), self._star(b)):
                     out.append(Violation("StarAdditivityViolation", (a, b)))
                 for s in S.elements:
-                    if self.act(ab, s) != self.add(self.act(a, s), self.act(b, s)):
+                    if self._act(ab, s) != self._add(self._act(a, s), self._act(b, s)):
                         out.append(Violation("DistributivityViolation", (a, b, s)))
             for s in S.elements:
                 for t in S.elements:
-                    if self.act(self.act(a, s), t) != self.act(a, S.mul[s][t]):
+                    if self._act(self._act(a, s), t) != self._act(a, S.mul[s][t]):
                         out.append(Violation("ActionAssociativityViolation", (a, s, t)))
         for x in X.elements:
-            if self.star(self.rho(x)) != self.rho(X.star[x]):
+            if self._star(self.rho(x)) != self.rho(X.star[x]):
                 out.append(Violation("RhoStarViolation", (x,)))
             for s in S.elements:
-                if self.act(self.rho(x), s) != self.rho(self.action.act(x, s)):
+                if self._act(self.rho(x), s) != self.rho(self.action.action[x][s]):
                     out.append(Violation("RhoEquivarianceViolation", (x, s)))
         if fh is None:
             return Verdict(out)
         sset, add = fh.module.sset, fh.module.add
 
         def at(a):
-            return fh.index.get(self.support(a))
+            return fh.index.get(self._support(a))
 
         for a in elems:
             i = at(a)
             if i is None:
                 out.append(Violation("SupportRangeViolation", (a,)))
                 continue
-            if sset.star[i] != at(self.star(a)):
+            if sset.star[i] != at(self._star(a)):
                 out.append(Violation("QuotientStarViolation", (a,)))
             for s in S.elements:
-                if sset.act(i, s) != at(self.act(a, s)):
+                if sset.act(i, s) != at(self._act(a, s)):
                     out.append(Violation("QuotientActionViolation", (a, s)))
             for b in elems:
                 j = at(b) if b[0] == a[0] else None
-                if j is not None and add[i][j] != at(self.add(a, b)):
+                if j is not None and add[i][j] != at(self._add(a, b)):
                     out.append(Violation("QuotientAdditionViolation", (a, b)))
         return Verdict(out)
 
@@ -524,10 +567,12 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
                     if row[lo + B] != base + (As | rB):
                         raise ConsistencyError("derived product differs from As + rB")
 
-    # (ab)* = b*a* and psi(ab) = psi(a)psi(b) are validate_algebra's
-    # ProductStar and PsiHom sweeps of these tables, psi(a*) = psi(a)* is
-    # check_sset's star law: so sg is involutive and psi a *-homomorphism
-    sg = validate_star_semigroup(n, algebra.product, star, name="Fhat")
+    # A *-semigroup with psi a *-homomorphism, with no sweep of its own:
+    # idem_to_algebra's validate_algebra swept this product table for
+    # associativity, aa*a = a, (ab)* = b*a* and psi(ab) = psi(a)psi(b)
+    # (ProductAssociativity, PartialIsometry, ProductStar, PsiHom), and
+    # make_sset's check_sset swept x** = x and psi(x*) = psi(x)*.
+    sg = FiniteStarSemigroup(n, algebra.product, tuple(star), "Fhat")
     psi = StarMorphism(sg, S, smap, name="fhat-psi")
 
     out = FHatAlgebra(f, S, elements, index, module, algebra, sg, psi)
@@ -660,9 +705,10 @@ def gamma_algebra(alg_or_fhat, budget=None) -> "topos.GammaPresheaf":
     report = validate_algebra(alg)
     if not report.ok:
         raise ShapeError(f"not a valid algebra: {report.violations[:3]}")
-    sg = validate_star_semigroup(A.size, alg.product, A.star)
+    # a *-semigroup with psi a *-homomorphism by the sweeps just passed, as
+    # in fhat: ProductAssociativity, PartialIsometry, PsiHom, and
+    # check_sset's involution and star laws
+    sg = FiniteStarSemigroup(A.size, alg.product, A.star)
     psi = StarMorphism(sg, S, A.smap)
-    if not psi.is_star_hom:
-        raise ShapeError("algebra structure map is not a *-homomorphism")
     as_inverse(S)
     return topos.gamma(psi, budget=budget)

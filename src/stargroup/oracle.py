@@ -227,6 +227,9 @@ def enumerate_semigroups(n, dedup="iso+anti", budget=None):
     relabelled transpose) makes smaller, so ``budget`` counts the same steps
     for every dedup and stops at the same table every time.
     """
+    if type(n) is not int or not (budget is None or type(budget) is int):
+        raise ValueError(f"order and budget must be integers, "
+                         f"got {n!r} and {budget!r}")
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise BudgetExceeded(f"enumeration capped at order {MAX_ENUM_ORDER}")
     if dedup not in ("none", "iso", "iso+anti"):
@@ -302,7 +305,10 @@ def _invert_partial(x):
 
 
 def standard_family(name, n) -> FiniteStarSemigroup:
-    """Named standard *-semigroups with their canonical involution."""
+    """Named standard *-semigroups with their canonical involution; n an
+    int of at least 1, else UnknownFamily."""
+    if type(n) is not int or n < 1:
+        raise UnknownFamily(f"family size must be an integer >= 1, got {n!r}")
     if name == "symmetric_inverse":
         if not 1 <= n <= 3:
             raise UnknownFamily("symmetric_inverse supported for n <= 3")

@@ -10,7 +10,9 @@ What depends on the base alone (its L(S)-morphisms, the presheaf search
 plan, the S(e) tables and semigroups) is kept on the ``InverseSemigroup``
 with ``core.memo``, and ``as_inverse`` shares one per semigroup while held
 (``core.shared``), so it is built once per base while some holder keeps the
-wrapper, and is freed with the last holder.
+wrapper, and is freed with the last holder.  Validation sweeps a presheaf
+from outside; a generated presheaf, and S(e) once its tables match
+Lambda(e-hat), are built without a sweep of their own.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ from .core import (
     compose,
     freeze,
     idempotents,
-    is_etale,
     memo,
     shared,
-    validate_star_semigroup,
 )
 
 
@@ -371,7 +371,7 @@ class _SeTables(NamedTuple):
 
 
 class RepresentableTables(_SeTables):
-    """S(e) as bare index tables over ``carrier``, not yet validated, for
+    """S(e) as bare index tables over ``carrier``, not yet checked, for
     the idempotent ``e``, with ``index`` the slot of each carrier pair.  Not
     slotted, so that what is derived from S(e) alone (the generic Gamma
     search plan, topos._gamma_plan) is kept on the tables with core.memo
@@ -391,7 +391,7 @@ def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
     """The carrier of S(e), the pairs (r, s) with d(s) = c(r) and es = s in
     lexicographic order, with the product (p, q)(r, s) = (pr, q c(pr)) and
     the star (r, s)* = (r*, sr) as index tables.  Kept on S per e;
-    representable_semigroup validates them, the Gamma search reads them."""
+    representable_semigroup checks them, the Gamma search reads them."""
     sg = S.semigroup
     mul, star, c = sg.mul, sg.star, [sg.c(x) for x in sg.elements]
     carrier = tuple([(r, s) for r in sg.elements for s in sg.elements
@@ -414,26 +414,25 @@ class RepresentableSemigroup:
 
 @partial(memo, check=_check_idempotent)
 def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
-    """S(e) with structure map psi(r, s) = r; validated left involutive with
-    psi an etale *-homomorphism, and cross-checked against Lambda(e-hat)."""
+    """S(e) with structure map psi(r, s) = r, built once its tables match
+    Lambda(e-hat) element for element."""
     sg = S.semigroup
     carrier, mul, star = tables = representable_tables(S, e)
+    _check_against_lambda(S, e, tables, tables.index)
+    # No sweep: the comparison is a bijection from Lambda(e-hat) that
+    # carries its product and star onto these tables and keeps the first
+    # component.  _lam swept Lambda(e-hat), and _lambda_map found it left
+    # involutive over S by an etale *-homomorphism (r, x) |-> r, which is
+    # psi after the bijection: so S(e) is left involutive and psi etale.
     sename = f"S({sg.name}|{e})" if sg.name else f"S(?|{e})"
-    se = validate_star_semigroup(len(carrier), mul, star, name=sename)
-    if not classify(se).left_involutive:
-        raise ConsistencyError(f"{sename} is not left involutive")
+    se = FiniteStarSemigroup(len(carrier), mul, star, sename)
     psi = StarMorphism(se, sg, tuple(r for r, s in carrier), name=f"psi_{e}")
-    if not psi.is_star_hom:
-        raise ConsistencyError(f"psi_{e} is not a *-homomorphism")
-    if not is_etale(psi):
-        raise ConsistencyError(f"psi_{e} is not etale")
-    _check_against_lambda(S, e, se, tables.index)
     return RepresentableSemigroup(e, carrier, se, psi)
 
 
 def _check_against_lambda(S, e, se, index):
-    # S(e) must equal Lambda(e-hat) element for element; topos imports
-    # this module, so it is imported here, at call time
+    # the S(e) tables must equal Lambda(e-hat) element for element; topos
+    # imports this module, so it is imported here, at call time
     from . import topos
 
     LP = topos.lam(representable_presheaf(S, e))
@@ -472,11 +471,9 @@ def representable_action(S: InverseSemigroup, m: LSMorphism) -> StarMorphism:
     tgt = representable_semigroup(S, m.e)
     f = StarMorphism(src.semigroup, tgt.semigroup, _action_table(S, m),
                      name=f"S({m.s}->{m.e})")
+    # over S, as _action_table keeps the first component, which psi reads
     if not f.is_star_hom:
         raise ConsistencyError(f"S({m}) is not a *-homomorphism")
-    if any(tgt.psi.map[f.map[i]] != src.psi.map[i]
-           for i in range(src.semigroup.order)):
-        raise ConsistencyError(f"S({m}) is not over S")
     _representable_functoriality(S)
     return f
 

@@ -28,7 +28,6 @@ from .core import (
     freeze,
     is_etale,
     memo,
-    validate_star_semigroup,
 )
 
 
@@ -218,18 +217,18 @@ def canonical_action(f: StarMorphism) -> SSetStructure:
 
 
 def sset_to_semigroup(A: SSetStructure):
-    """The *-semigroup with product xy = x . f(y); returns (X, f) with f an
-    etale *-homomorphism whose canonical action recovers A."""
-    mul = [compose(row, A.smap) for row in A.action]
-    X = validate_star_semigroup(A.size, mul, A.star)
-    f = StarMorphism(X, A.base, A.smap)
-    if not f.is_star_hom:
-        raise ConsistencyError("structure map of an S-set is not a *-homomorphism")
-    if not is_etale(f):
-        raise ConsistencyError("structure map of an S-set is not etale")
-    if canonical_action(f).action != A.action:
-        raise ConsistencyError("canonical action does not recover the S-set action")
-    return X, f
+    """(X, f): the *-semigroup X with product xy = x . f(y), and f the
+    structure map; SSetInvalid unless A is an S-set, ShapeError if empty.
+    By check_sset's laws, (x f(y)) f(z) = x f(y f(z)), x f(x*) f(x) = x,
+    x** = x and f(x f(y)) = f(x) f(y); a lift z at c(x) is c(x) f(z), so f
+    is etale, and xs = c(x) f(x)s, so its canonical action is that of A."""
+    if not A.size:
+        raise ShapeError("an empty S-set has no semigroup")
+    if check_sset(A):
+        raise SSetInvalid(check_sset(A))
+    mul = tuple([compose(row, A.smap) for row in A.action])
+    X = FiniteStarSemigroup(A.size, mul, A.star)
+    return X, StarMorphism(X, A.base, A.smap)
 
 
 @dataclass(frozen=True)
@@ -250,15 +249,15 @@ def retwist(f: StarMorphism) -> RetwistResult:
     A = canonical_action(f)
     X2, f2 = sset_to_semigroup(A)
     forward = StarMorphism(X, X2, tuple(X.elements), name="retwist")
-    if not (forward.is_left_star_hom and forward.is_bijective
-            and is_etale(forward)):
+    # an identity map, so bijective
+    if not (forward.is_left_star_hom and is_etale(forward)):
         raise ConsistencyError("identity into the retwist must be a bijective "
                                "etale left *-homomorphism")
     backward = StarMorphism(X2, X, tuple(X.elements))
-    cond1 = forward.is_left_star_hom and forward.is_bijective and backward.is_left_star_hom
+    cond1 = forward.is_left_star_hom and backward.is_left_star_hom
     cond2 = backward.is_left_star_hom
     cond3 = f.is_star_hom
-    cond4 = forward.is_star_hom and forward.is_bijective
+    cond4 = forward.is_star_hom
     conditions = (cond1, cond2, cond3, cond4)
     # 1 <=> 2 and 3 <=> 4 always; 3 => 1.  The converse 1 => 3 fails: a
     # non-multiplicative etale left *-homomorphism can still have a left

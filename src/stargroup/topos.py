@@ -9,7 +9,8 @@ presheaf says each such map is fixed by its value at (e, e) and built by
 unique lifting; Gamma runs that lifting path too, as a cross-check that
 must find the same tables, and which stands for m's transpose (``m_iso``).
 Gamma's presheaf is not swept again: its laws follow from those of S(m),
-swept once per base (``site._representable_functoriality``).
+swept once per base (``site._representable_functoriality``); nor is the
+fiber presheaf, each of whose transitions is a unique lift.
 
 Two rules keep what is built.  Derived data lives on its owner: what is
 derived from one object alone is kept on it with ``core.memo`` and lives as
@@ -89,7 +90,6 @@ from .site import (
     ls_dom,
     representable_semigroup,
     representable_tables,
-    validate_presheaf,
     validate_presheaf_map,
 )
 
@@ -233,8 +233,7 @@ def lambda_morphism(gamma_map: PresheafMap) -> StarMorphism:
     out = StarMorphism(LP.semigroup, LQ.semigroup, mapping, name="Lambda(gamma)")
     if not out.is_star_hom:
         raise ConsistencyError("Lambda of a natural map is not a *-homomorphism")
-    if any(LQ.pairs[mapping[i]][0] != LP.pairs[i][0] for i in range(len(mapping))):
-        raise ConsistencyError("Lambda(gamma) is not over S")
+    # over S by construction: (r, x) goes to LQ's pair (r, .)
     return out
 
 
@@ -557,14 +556,14 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
     act = f.action
     transitions = {}
     for m in all_ls_morphisms(S):
-        d = ls_dom(S, m)
-        posd = {u: i for i, u in enumerate(over[d])}
-        tr = []
-        for u in over[m.e]:
-            x = act[u][m.s]
-            tr.append(posd[X.d(x)])
-        transitions[m] = tuple(tr)
-    P = validate_presheaf(S, fibers, transitions)
+        posd = {u: i for i, u in enumerate(over[ls_dom(S, m)])}
+        transitions[m] = tuple([posd[X.d(act[u][m.s])] for u in over[m.e]])
+    # A presheaf without validate_presheaf's sweep.  Identity: the lift of
+    # e at u is u, and d(u) = u.  Composition: let x be the lift of s at u
+    # and y that of t at d(x).  Then xy is the lift of st at u, by
+    # uniqueness, as uxy = xy and f(xy) = f(x)f(y) = st; and d(xy) = d(y),
+    # as d(x)y = y and (xy)* = (d(x)y)*x* in a left involutive semigroup.
+    P = Presheaf(S, fibers, transitions)
     for e in S.idempotents:
         for ui, u in enumerate(over[e]):
             for d in S.idempotents:
@@ -591,10 +590,10 @@ def m_iso(f: StarMorphism) -> StarMorphism:
     m = StarMorphism(LP.semigroup, X, tuple(mapping), name="m")
     if not m.is_star_hom:
         raise ConsistencyError("m is not a *-homomorphism")
-    if not m.is_bijective or set(mapping) != set(X.elements):
+    # injective between carriers of one size, so onto X; over S by
+    # construction, as the lift of r at u lies over f(u)r = c(r)r = r
+    if not m.is_bijective:
         raise ConsistencyError("m is not bijective")
-    if any(f.map[mapping[i]] != LP.pairs[i][0] for i in range(len(mapping))):
-        raise ConsistencyError("m is not over S")
     # The transpose Gamma(m) . eta(P_f) inverts evaluation at (e, e): its
     # table at u over e is _lift_table(f, carrier, u), reached through
     # Lambda(P_f) and m, and gamma(f) compares exactly those tables with its

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from . import oracle, site, topos
 from .core import (
+    ShapeError,
     StarError,
     StarMorphism,
     _leq_left,
@@ -453,7 +454,11 @@ def etale_idem_pool():
 
 def build_instances(statement_ids=None, max_order=3):
     """(statement, label, instance, raw) for the requested statements: the
-    main check reads the instance, oracle.naive_check the raw tables."""
+    main check reads the instance, oracle.naive_check the raw tables.
+    ShapeError unless max_order is an int of at least 1."""
+    if type(max_order) is not int or max_order < 1:
+        raise ShapeError(f"max_order must be an integer >= 1, "
+                         f"got {max_order!r}")
     ids = statement_ids or sorted(oracle.REGISTRY)
     for sid in ids:
         if sid not in oracle.REGISTRY:

@@ -131,14 +131,14 @@ def test_fhat_command(tmp_path):
 NON_COMMUTATIVE_FREE_MODULE = """
 import sys
 from stargroup import cli, modalg
-modalg.FreeModule.add = lambda self, a, b: (a[0], a[1] + b[1])
+modalg.FreeModule._add = lambda self, a, b: (a[0], a[1] + b[1])
 sys.exit(cli.main(["fhat", "--morphism", sys.argv[1]]))
 """
 
 
 def test_fhat_free_module_sample_fails_cleanly(monkeypatch, capsys):
     """A free-module axiom that fails is a failed row, not a traceback."""
-    monkeypatch.setattr(modalg.FreeModule, "add",
+    monkeypatch.setattr(modalg.FreeModule, "_add",
                         lambda self, a, b: (a[0], a[1] + b[1]))
     code, out = run_cli("fhat", "--morphism", str(FIXTURES / "id_sl2.json"))
     assert code == 1
@@ -155,7 +155,7 @@ def test_fhat_free_module_sample_fails_cleanly(monkeypatch, capsys):
 ])
 def test_fhat_free_module_sample_checks_the_support_quotient(
         monkeypatch, capsys, support, kind):
-    monkeypatch.setattr(modalg.FreeModule, "support", support)
+    monkeypatch.setattr(modalg.FreeModule, "_support", support)
     code, out = run_cli("fhat", "--morphism", str(FIXTURES / "id_sl2.json"))
     assert code == 1
     assert "FAIL  fhat:free-module-sample" in out and kind in out

@@ -478,3 +478,77 @@ def test_the_address_scan_finds_each_form():
             "ok = (m.s, n.e), (m.e, m.s), m, tables.index[(e, e)]\n"
             "k = pairs.index(pair)\n")
     assert sorted(_rebuilt_addresses(ast.parse(text))) == [1, 2, 3, 4, 5]
+
+
+# Every call of a validator and every direct build of a semigroup or
+# presheaf, per function.  A validator takes tables from outside or from a
+# construction that nothing else checks; a direct build is one whose laws
+# follow from checks already run on the same object, each with its proof
+# beside it and a reference test in test_swept_once.py.  A new one joins
+# this list together with its reference test.
+BUILDS = {
+    # tables from outside: files, the oracle's own tables, a fixture
+    ("oracle.py", "enumerate_star_structures", "validate_star_semigroup"): 1,
+    ("oracle.py", "standard_family", "validate_star_semigroup"): 6,
+    ("serialize.py", "semigroup_from_dict", "validate_star_semigroup"): 1,
+    ("serialize.py", "presheaf_from_dict", "validate_presheaf"): 1,
+    ("verify.py", "etale_idem_pool", "validate_presheaf"): 1,
+    # constructions that nothing else checks
+    ("groupoid.py", "esn_semigroup", "validate_star_semigroup"): 1,
+    ("topos.py", "_lam", "validate_star_semigroup"): 1,
+    ("site.py", "terminal_presheaf", "validate_presheaf"): 1,
+    ("site.py", "empty_presheaf", "validate_presheaf"): 1,
+    ("site.py", "representable_presheaf", "validate_presheaf"): 1,
+    # the validators' own builds
+    ("core.py", "_validated", "FiniteStarSemigroup"): 1,
+    ("site.py", "validate_presheaf", "Presheaf"): 1,
+    # derived builds
+    ("site.py", "_fill_transitions", "Presheaf"): 1,
+    ("site.py", "representable_semigroup", "FiniteStarSemigroup"): 1,
+    ("topos.py", "_gamma", "Presheaf"): 1,
+    ("topos.py", "fiber_presheaf", "Presheaf"): 1,
+    ("modalg.py", "fhat", "FiniteStarSemigroup"): 1,
+    ("modalg.py", "gamma_algebra", "FiniteStarSemigroup"): 1,
+    ("ssets.py", "sset_to_semigroup", "FiniteStarSemigroup"): 1,
+}
+BUILDERS = {"validate_star_semigroup", "validate_presheaf",
+            "FiniteStarSemigroup", "Presheaf"}
+
+
+def _builds(tree, scope="<module>"):
+    """(function, callee) for each call of a name or attribute in
+    BUILDERS, with the innermost function around it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _builds(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if called in BUILDERS:
+                yield scope, called
+        yield from _builds(node, scope)
+
+
+def test_validators_and_direct_builds_are_pinned():
+    found = collections.Counter(
+        (path.name, scope, called)
+        for path in SRC.glob("*.py")
+        for scope, called in _builds(ast.parse(path.read_text())))
+    assert dict(found) == BUILDS
+
+
+def test_the_build_scan_finds_each_form():
+    text = ("X = FiniteStarSemigroup(1, ((0,),), (0,))\n"
+            "def f(S):\n"
+            "    def g():\n"
+            "        return site.validate_presheaf(S, {}, {})\n"
+            "    return Presheaf(S, {}, {}), g, validate_star_semigroup(1)\n"
+            "class C:\n"
+            "    def h(self):\n"
+            "        return [core.FiniteStarSemigroup(0, (), ())]\n"
+            "r = repr(Presheaf)\n")
+    assert sorted(_builds(ast.parse(text))) == [
+        ("<module>", "FiniteStarSemigroup"), ("f", "Presheaf"),
+        ("f", "validate_star_semigroup"), ("g", "validate_presheaf"),
+        ("h", "FiniteStarSemigroup")]

@@ -239,14 +239,14 @@ def test_free_module_ops(id_sl2, sl2):
 
 
 def non_commutative_add(self, a, b):
-    """FreeModule.add without sorting: a + b and b + a list their terms in
+    """FreeModule._add without sorting: a + b and b + a list their terms in
     different orders."""
     return (a[0], a[1] + b[1])
 
 
 def test_free_module_check_axioms_reports_violations(id_sl2, monkeypatch):
     assert FreeModule(id_sl2).check_axioms() == Verdict()
-    monkeypatch.setattr(FreeModule, "add", non_commutative_add)
+    monkeypatch.setattr(FreeModule, "_add", non_commutative_add)
     verdict = FreeModule(id_sl2).check_axioms()
     assert not verdict.ok
     assert "AdditionCommutativityViolation" in {

@@ -410,3 +410,33 @@ def test_order5_class_counts_through_pruned_search():
         anti += is_anti
     assert (iso, anti) == (1915, oracle.KNOWN_CLASS_COUNTS[5]) == (1915, 1160)
     assert 5 not in oracle._REPRESENTATIVES
+
+
+@pytest.mark.parametrize("n", [True, 2.5, -1, 0, "2", None])
+@pytest.mark.parametrize("name", ["symmetric_inverse", "semilattice_chain",
+                                  "brandt"])
+def test_a_family_size_that_is_not_a_positive_int_is_refused(name, n):
+    # I(True) was named ITrue, SL2.5 a raw TypeError, B-1 an
+    # InvalidStarSemigroup
+    with pytest.raises(UnknownFamily, match="integer >= 1"):
+        standard_family(name, n)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((True,), {}), ((2.0,), {}), ((2, "iso"), {"budget": "5"}),
+    ((2, "none"), {"budget": 5.0}), ((2, "iso+anti"), {"budget": False}),
+])
+def test_enumeration_refuses_a_non_int_order_or_budget(args, kwargs):
+    with pytest.raises(ValueError, match="must be integers"):
+        next(enumerate_semigroups(*args, **kwargs))
+
+
+@pytest.mark.parametrize("max_order", [0, -1, "3", 3.0, True, None])
+def test_verify_refuses_a_max_order_that_is_not_a_positive_int(max_order):
+    from stargroup import verify
+    from stargroup.core import ShapeError
+
+    with pytest.raises(ShapeError, match="max_order"):
+        verify.build_instances(max_order=max_order)
+    with pytest.raises(ShapeError, match="max_order"):
+        verify.run_statements(max_order=max_order)

@@ -259,3 +259,39 @@ def test_an_element_out_of_range_is_a_shape_error(id_i2, call):
 def test_plus_answers_in_range(id_i2):
     M = fhat(id_i2).module
     assert M.plus(0, 0) == M.add[0][0] != -1
+
+
+# raw tuples used to answer: star((-1, ())) gave (6, ()), add and support
+# on a non-pair raised a raw TypeError
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda F: F.star((-1, ())), id="star-base-negative"),
+    pytest.param(lambda F: F.zero(-1), id="zero-base-negative"),
+    pytest.param(lambda F: F.zero(7), id="zero-base-past-end"),
+    pytest.param(lambda F: F.act((0, ()), -1), id="act-s-negative"),
+    pytest.param(lambda F: F.act((0, ()), True), id="act-s-bool"),
+    pytest.param(lambda F: F.add((0, ()), 5), id="add-not-a-pair"),
+    pytest.param(lambda F: F.support(5), id="support-not-a-pair"),
+    pytest.param(lambda F: F.star([6, ()]), id="star-list"),
+    pytest.param(lambda F: F.star((6, (6,))), id="term-not-a-pair"),
+    pytest.param(lambda F: F.star((6, ((7, 1),))), id="term-past-end"),
+    pytest.param(lambda F: F.star((0, ((6, 1),))), id="term-off-fiber"),
+    pytest.param(lambda F: F.star((6, ((6, 0),))), id="count-zero"),
+    pytest.param(lambda F: F.star((6, ((6, True),))), id="count-bool"),
+    pytest.param(lambda F: F.star((6, ((6, 1.0),))), id="count-float"),
+    pytest.param(lambda F: F.act((6, ((6, 1), (6, 1))), 0),
+                 id="terms-repeated"),
+    pytest.param(lambda F: F.support((6, ((6, 1),), 0)), id="triple"),
+])
+def test_a_malformed_free_module_element_is_a_shape_error(id_i2, call):
+    with pytest.raises(ShapeError):
+        call(FreeModule(id_i2))
+
+
+def test_free_module_operations_answer_well_formed_elements(id_i2):
+    F = FreeModule(id_i2)
+    a = F.element(6, [6, 6])
+    assert a == (6, ((6, 2),))
+    assert F.add(a, F.zero(6)) == a == F.star(F.star(a))
+    r = id_i2.target.mul[6][6]
+    assert F.act(a, 6) == (r, ((r, 2),))
+    assert F.support(F.act(a, 6)) == (r, frozenset({r}))

@@ -1,18 +1,30 @@
-"""Each presheaf law is swept once.  Generated presheaves, Gamma presheaves
-and m's transpose are built without the sweep that used to follow them;
-these tests keep each removed sweep as a reference over the acceptance
+"""Each law is swept once.  Generated presheaves, Gamma presheaves, fiber
+presheaves, m's transpose, S(e), the F-hat and Gamma-algebra semigroups and
+the semigroup of an S-set are built without the sweep that used to follow
+them, each law following from a check already run on the same object.
+These tests keep each removed sweep as a reference over the acceptance
 population (every presheaf with fibers of size at most 2 over SL2, the
-3-chain and I2, plus 100 seeded random presheaves), so a builder that
-broke a law would show here.  A morphism of L(S) is its own transition
-key, equal to its plain pair."""
+3-chain and I2, plus 100 seeded random presheaves) and the inverse pool
+of verify, so a builder that broke a law would show here.  A morphism of
+L(S) is its own transition key, equal to its plain pair."""
 
 import random
 
 import pytest
 
-from stargroup import site, topos
-from stargroup.core import identity_morphism, validate_star_semigroup
+from stargroup import modalg, oracle, site, ssets, topos, verify
+from stargroup.core import (
+    ShapeError,
+    check_star_semigroup,
+    classify,
+    identity_morphism,
+    is_etale,
+    same_tables,
+    validate_star_semigroup,
+)
 from stargroup.site import LSMorphism, PresheafInvalid, validate_presheaf
+from stargroup.ssets import SSetInvalid, SSetStructure, sset_to_semigroup
+from test_ssets import _enumerate_ssets
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +132,132 @@ def test_a_morphism_is_its_own_transition_key(p21, sl2_inv):
     assert set(generated.transitions) == {(0, 0), (1, 1), (0, 1)}
     assert all(generated.transitions[(m.s, m.e)] == generated.transitions[m]
                for m in site.all_ls_morphisms(sl2_inv))
+
+
+def test_every_fiber_presheaf_passes_validate_presheaf(structure_maps):
+    assert len(structure_maps) == 272
+    for f in structure_maps:
+        P = topos.fiber_presheaf(f)
+        assert _revalidated(P) == P
+
+
+def _is_star_semigroup(X):
+    return check_star_semigroup(X.order, X.mul, X.star) == ()
+
+
+def test_every_small_fhat_is_a_star_semigroup(structure_maps):
+    small = [f for f in structure_maps if f.source.order <= 8]
+    assert len(small) == 137
+    for f in small:
+        fh = modalg.fhat(f)
+        assert _is_star_semigroup(fh.semigroup)
+        assert fh.psi.is_star_hom
+
+
+def test_gamma_algebra_builds_a_star_semigroup(p21):
+    f = topos.lam(p21).structure_map
+    alg = modalg.fhat(f).algebra
+    G = modalg.gamma_algebra(alg)
+    X = G.source.source
+    assert (X.mul, X.star) == (alg.product, alg.module.sset.star)
+    assert _is_star_semigroup(X) and G.source.is_star_hom
+
+
+def _recovers(A):
+    """sset_to_semigroup's removed checks: a *-semigroup, and an etale
+    *-homomorphism whose canonical action is A's."""
+    X, f = sset_to_semigroup(A)
+    return (_is_star_semigroup(X) and f.is_star_hom and is_etale(f)
+            and ssets.canonical_action(f).action == A.action)
+
+
+def test_the_semigroup_of_a_canonical_action_is_a_star_semigroup(
+        structure_maps):
+    for f in structure_maps:
+        assert _recovers(ssets.canonical_action(f))
+
+
+def test_the_semigroup_of_every_small_sset_is_a_star_semigroup(
+        sl2, sl3, i2, lz2, rz2, c2):
+    population = [A for base in (sl2, sl3, i2, lz2, rz2, c2)
+                  for size in (1, 2) for A in _enumerate_ssets(base, size)]
+    population += _enumerate_ssets(sl2, 3)
+    assert len(population) == 47
+    assert all(_recovers(A) for A in population)
+
+
+def test_sset_to_semigroup_refuses_an_empty_sset(sl2):
+    with pytest.raises(ShapeError, match="empty S-set"):
+        sset_to_semigroup(SSetStructure(0, (), sl2, (), ()))
+
+
+# over SL2, each breaking one law of check_sset; before, these raised
+# InvalidStarSemigroup or ConsistencyError
+@pytest.mark.parametrize("size, star, smap, action, law", [
+    (2, (0, 0), (0, 0), ((0, 0), (1, 1)), "Involution"),
+    (1, (0,), (1,), ((0, 0),), "Equivariance"),
+    (2, (0, 1), (1, 1), ((1, 1), (0, 0)), "Unit"),
+    (2, (1, 0), (0, 1), ((0, 0), (1, 1)), "StarMorphism"),
+])
+def test_sset_to_semigroup_refuses_a_broken_sset(sl2, size, star, smap,
+                                                 action, law):
+    A = SSetStructure(size, star, sl2, smap, action)
+    with pytest.raises(SSetInvalid, match=f"{law}Violation"):
+        sset_to_semigroup(A)
+
+
+@pytest.fixture(scope="module")
+def inverse_bases(sl3, b2):
+    return [X for _, X, _ in verify.inverse_pool(4)] + [sl3, b2]
+
+
+def test_every_representable_semigroup_passes_validation(inverse_bases):
+    count = 0
+    for X in inverse_bases:
+        S = site.as_inverse(X)
+        for e in S.idempotents:
+            R = site.representable_semigroup(S, e)
+            se = R.semigroup
+            assert same_tables(
+                validate_star_semigroup(se.order, se.mul, se.star), se)
+            assert classify(se).left_involutive
+            assert R.psi.is_star_hom and is_etale(R.psi)
+            count += 1
+    assert count == 40
+
+
+def test_each_representable_action_is_over_s(inverse_bases):
+    for X in inverse_bases:
+        S = site.as_inverse(X)
+        for m in site.all_ls_morphisms(S):
+            f = site.representable_action(S, m)
+            src = site.representable_semigroup(S, site.ls_dom(S, m))
+            tgt = site.representable_semigroup(S, m.e)
+            assert all(tgt.psi.map[f.map[i]] == src.psi.map[i]
+                       for i in range(src.semigroup.order))
+
+
+def test_each_m_is_a_bijection_over_s(structure_maps):
+    for f in structure_maps:
+        m = topos.m_iso(f)
+        LP = topos.lam(topos.fiber_presheaf(f))
+        assert set(m.map) == set(f.source.elements)
+        assert all(f.map[m.map[i]] == r for i, (r, _) in enumerate(LP.pairs))
+
+
+def test_each_lambda_of_a_natural_map_is_over_s(population):
+    for P in population:
+        if P.is_empty():
+            continue
+        u = topos.unit(P)
+        terminal = site.terminal_presheaf(P.base)
+        maps = [site.validate_presheaf_map(P, u.gamma_obj.presheaf,
+                                           u.components),
+                site.validate_presheaf_map(
+                    P, terminal, {e: (0,) * len(P.fiber(e))
+                                  for e in P.fibers})]
+        for gamma_map in maps:
+            out = topos.lambda_morphism(gamma_map)
+            LP, LQ = topos.lam(gamma_map.source), topos.lam(gamma_map.target)
+            assert all(LQ.pairs[j][0] == LP.pairs[i][0]
+                       for i, j in enumerate(out.map))
