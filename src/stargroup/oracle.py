@@ -10,13 +10,24 @@ validator, used to wrap return values.  Its searches are plain loops, and
 ``REGISTRY`` is the one statement table: each entry holds the statement's
 instance kind, its summary and its naive check.  A predicate's verdict is
 kept only in the dict a caller passes to ``naive_check`` for one run.
+
+The 13 statements over one table are the clause table ``CLAUSES``, one
+clause per line of the paper, evaluated the way a finite-model checker such
+as McCune's Mace4 evaluates first-order clauses: when the guard (a
+table-level predicate) holds of the table, then for every binding of the
+variables the hypothesis implies the conclusion.  To hold a statement
+against the paper, read its clauses top to bottom; each name states its
+clause.  ``evaluate_clauses`` returns True, or the name of the first clause
+that fails and its first falsifying binding.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
+from functools import partial
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import FiniteStarSemigroup, validate_star_semigroup
 
@@ -227,10 +238,11 @@ def enumerate_semigroups(n, dedup="iso+anti", budget=None):
     relabelled transpose) makes smaller, so ``budget`` counts the same steps
     for every dedup and stops at the same table every time.
     """
-    if type(n) is not int or not (budget is None or type(budget) is int):
-        raise ValueError(f"order and budget must be integers, "
-                         f"got {n!r} and {budget!r}")
-    if not 1 <= n <= MAX_ENUM_ORDER:
+    if (type(n) is not int or n < 1
+            or not (budget is None or type(budget) is int)):
+        raise ValueError(f"order and budget must be integers, the order "
+                         f"at least 1, got {n!r} and {budget!r}")
+    if n > MAX_ENUM_ORDER:
         raise BudgetExceeded(f"enumeration capped at order {MAX_ENUM_ORDER}")
     if dedup not in ("none", "iso", "iso+anti"):
         raise ValueError(f"unknown dedup mode {dedup!r}")
@@ -337,16 +349,9 @@ def standard_family(name, n) -> FiniteStarSemigroup:
         def enc(i, j):
             return 1 + i * n + j
         mul = [[0] * order for _ in range(order)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        if j == k:
-                            mul[enc(i, j)][enc(k, l)] = enc(i, l)
-        star = [0] + [0] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                star[enc(i, j)] = enc(j, i)
+        for i, j, l in itertools.product(range(n), repeat=3):
+            mul[enc(i, j)][enc(j, l)] = enc(i, l)
+        star = [0] + [enc(j, i) for i in range(n) for j in range(n)]
         return validate_star_semigroup(order, mul, star, name=f"B{n}")
     raise UnknownFamily(f"unknown family {name!r}")
 
@@ -367,69 +372,76 @@ def _nleq(mul, e, f):
     return mul[e][f] == e and mul[f][e] == e
 
 
+def _nproj(mul, star, x):
+    return mul[x][x] == x and star[x] == x
+
+
 def _nprojections(mul, star):
-    return [p for p in range(len(mul)) if mul[p][p] == p and star[p] == p]
+    return [p for p in range(len(mul)) if _nproj(mul, star, p)]
 
 
-def _n_involutive(mul, star):
+# The defining identities at one pair (x, y).  A table-level predicate is
+# its identity at every pair; a clause below binds the pair itself.
+
+
+def _inv_at(m, s, x, y):  # (xy)* = y*x*
+    return s[m[x][y]] == m[s[y]][s[x]]
+
+
+def _left_at(m, s, x, y):  # (xy)* = (d(x)y)* x*
+    return s[m[x][y]] == m[s[m[_nd(m, s, x)][y]]][s[x]]
+
+
+def _right_at(m, s, x, y):  # (xy)* = y* (x c(y))*
+    return s[m[x][y]] == m[s[y]][s[m[x][_nc(m, s, y)]]]
+
+
+def _local_at(m, s, x, y):
+    # the pairs a locally involutive semigroup reverses: d(x) = c(y), or x
+    # a projection below c(y), or y a projection below d(x)
+    dx, cy = _nd(m, s, x), _nc(m, s, y)
+    return (dx == cy or (_nproj(m, s, x) and _nleq(m, x, cy))
+            or (_nproj(m, s, y) and _nleq(m, y, dx)))
+
+
+def _restrict_at(m, s, x, y):  # d(xy) <= d(y)
+    return _nleq(m, _nd(m, s, m[x][y]), _nd(m, s, y))
+
+
+def _corestrict_at(m, s, x, y):  # c(xy) <= c(x)
+    return _nleq(m, _nc(m, s, m[x][y]), _nc(m, s, x))
+
+
+def _everywhere(identity, where=None):
+    """The table-level predicate: ``identity`` holds at every pair (x, y)
+    that ``where`` (default: every pair) admits."""
+    def predicate(mul, star):
+        n = len(mul)
+        return all(identity(mul, star, x, y)
+                   for x in range(n) for y in range(n)
+                   if where is None or where(mul, star, x, y))
+    return predicate
+
+
+_n_involutive = _everywhere(_inv_at)
+_n_left_involutive = _everywhere(_left_at)
+_n_right_involutive = _everywhere(_right_at)
+_n_locally_involutive = _everywhere(_inv_at, _local_at)
+_n_restrictive = _everywhere(_restrict_at)
+_n_corestrictive = _everywhere(_corestrict_at)
+
+
+def _n_quasi_involutive(mul, star):  # birestrictive, locally involutive
+    return (_n_restrictive(mul, star) and _n_corestrictive(mul, star)
+            and _n_locally_involutive(mul, star))
+
+
+def _n_inverse(mul, star=None):
+    # every x has exactly one y with xyx = x and yxy = y; a clause passes
+    # the star too, which plays no part
     n = len(mul)
-    return all(star[mul[x][y]] == mul[star[y]][star[x]]
-               for x in range(n) for y in range(n))
-
-
-def _n_left_involutive(mul, star):
-    n = len(mul)
-    return all(
-        star[mul[x][y]] == mul[star[mul[_nd(mul, star, x)][y]]][star[x]]
-        for x in range(n) for y in range(n)
-    )
-
-
-def _n_right_involutive(mul, star):
-    n = len(mul)
-    return all(
-        star[mul[x][y]] == mul[star[y]][star[mul[x][_nc(mul, star, y)]]]
-        for x in range(n) for y in range(n)
-    )
-
-
-def _n_locally_involutive(mul, star):
-    n = len(mul)
-    projs = set(_nprojections(mul, star))
-    for x in range(n):
-        for y in range(n):
-            if (
-                _nd(mul, star, x) == _nc(mul, star, y)
-                or (x in projs and _nleq(mul, x, _nc(mul, star, y)))
-                or (y in projs and _nleq(mul, y, _nd(mul, star, x)))
-            ):
-                if star[mul[x][y]] != mul[star[y]][star[x]]:
-                    return False
-    return True
-
-
-def _n_restrictive(mul, star):
-    n = len(mul)
-    return all(_nleq(mul, _nd(mul, star, mul[x][y]), _nd(mul, star, y))
-               for x in range(n) for y in range(n))
-
-
-def _n_corestrictive(mul, star):
-    n = len(mul)
-    return all(_nleq(mul, _nc(mul, star, mul[x][y]), _nc(mul, star, x))
-               for x in range(n) for y in range(n))
-
-
-def _n_inverse(mul):
-    n = len(mul)
-    for x in range(n):
-        count = 0
-        for y in range(n):
-            if mul[mul[x][y]][x] == x and mul[mul[y][x]][y] == y:
-                count += 1
-        if count != 1:
-            return False
-    return True
+    return all(sum(mul[mul[x][y]][x] == x and mul[mul[y][x]][y] == y
+                   for y in range(n)) == 1 for x in range(n))
 
 
 def _n_leq_left(mul, star, x, y):
@@ -523,146 +535,149 @@ def _fact(facts, predicate, *tables):
 # naive statement checks
 
 
-def _st_reduct(inst, facts):
-    mul, star = inst
-    inv = _fact(facts, _n_involutive, mul, star)
-    left = _fact(facts, _n_left_involutive, mul, star)
-    right = _fact(facts, _n_right_involutive, mul, star)
-    loc = _fact(facts, _n_locally_involutive, mul, star)
-    if inv and not (left and right):
-        return False
-    if (left or right) and not loc:
-        return False
+# The clause table (module docstring).  Each letter of ``over`` binds one
+# variable, in the order of the lambda's parameters after (m, s): E an
+# element, P a projection; a clause with no variables is evaluated once.
+# x <=l y and x <=r y are the left and right orders.
+
+
+class Clause(NamedTuple):
+    name: str
+    over: str
+    guard: Callable | None  # a table-level predicate, read through _fact
+    hypothesis: Callable | None  # of (mul, star, *binding); None holds
+    conclusion: Callable
+
+
+_INV, _LEFT, _RIGHT, _LOCAL = (_n_involutive, _n_left_involutive,
+                               _n_right_involutive, _n_locally_involutive)
+
+CLAUSES = {
+    "lem:reduct": (
+        Clause("involutive => left involutive", "EE", _INV, None, _left_at),
+        Clause("involutive => right involutive", "EE", _INV, None, _right_at),
+        Clause("left involutive => locally involutive", "EE", _LEFT,
+               _local_at, _inv_at),
+        Clause("right involutive => locally involutive", "EE", _RIGHT,
+               _local_at, _inv_at),
+    ),
+    "lem:birestrictive": (
+        Clause("left involutive => corestrictive", "EE", _LEFT, None,
+               _corestrict_at),
+        Clause("right involutive => restrictive", "EE", _RIGHT, None,
+               _restrict_at),
+        Clause("involutive => restrictive", "EE", _INV, None, _restrict_at),
+        Clause("involutive => corestrictive", "EE", _INV, None,
+               _corestrict_at),
+        Clause("left involutive, pq a projection => pq.p = pq", "PP",
+               _LEFT, lambda m, s, p, q: _nproj(m, s, m[p][q]),
+               lambda m, s, p, q: m[m[p][q]][p] == m[p][q]),
+        Clause("right involutive, pq a projection => pq.p = qp", "PP",
+               _RIGHT, lambda m, s, p, q: _nproj(m, s, m[p][q]),
+               lambda m, s, p, q: m[m[p][q]][p] == m[q][p]),
+        Clause("involutive, pq a projection => pq = qp", "PP",
+               _INV, lambda m, s, p, q: _nproj(m, s, m[p][q]),
+               lambda m, s, p, q: m[p][q] == m[q][p]),
+    ),
+    "lem:left/right": (
+        Clause("c(y) <= p iff py = y and y*p = y*", "EP", None, None,
+               lambda m, s, y, p: _nleq(m, _nc(m, s, y), p)
+               == (m[p][y] == y and m[s[y]][p] == s[y])),
+        Clause("d(x) <= q iff xq = x and qx* = x*", "EP", None, None,
+               lambda m, s, x, q: _nleq(m, _nd(m, s, x), q)
+               == (m[x][q] == x and m[q][s[x]] == s[x])),
+        Clause("c(y) <= d(x) iff d(x)y = y and y*d(x) = y*", "EE", None, None,
+               lambda m, s, x, y: _nleq(m, _nc(m, s, y), _nd(m, s, x))
+               == (m[_nd(m, s, x)][y] == y and m[s[y]][_nd(m, s, x)] == s[y])),
+        Clause("d(x) <= c(y) iff xc(y) = x and c(y)x* = x*", "EE", None, None,
+               lambda m, s, x, y: _nleq(m, _nd(m, s, x), _nc(m, s, y))
+               == (m[x][_nc(m, s, y)] == x and m[_nc(m, s, y)][s[x]] == s[x])),
+        Clause("left involutive, py = y => y*p = y*", "PE", _LEFT,
+               lambda m, s, p, y: m[p][y] == y,
+               lambda m, s, p, y: m[s[y]][p] == s[y]),
+        Clause("right involutive, xq = x => qx* = x*", "PE", _RIGHT,
+               lambda m, s, q, x: m[x][q] == x,
+               lambda m, s, q, x: m[q][s[x]] == s[x]),
+    ),
+    "cor:3cond": (
+        Clause("left involutive => (c(y) <= d(x) iff d(x)y = y)", "EE",
+               _LEFT, None,
+               lambda m, s, x, y: _nleq(m, _nc(m, s, y), _nd(m, s, x))
+               == (m[_nd(m, s, x)][y] == y)),
+        Clause("left involutive => (d(x) <= c(y) iff c(y)x* = x*)", "EE",
+               _LEFT, None,
+               lambda m, s, x, y: _nleq(m, _nd(m, s, x), _nc(m, s, y))
+               == (m[_nc(m, s, y)][s[x]] == s[x])),
+    ),
+    "prop:commproj": (
+        Clause("inverse => restrictive", "EE", _n_inverse, None, _restrict_at),
+        Clause("inverse => corestrictive", "EE", _n_inverse, None,
+               _corestrict_at),
+        Clause("inverse => locally involutive", "EE", _n_inverse,
+               _local_at, _inv_at),
+        Clause("inverse => pq = qp", "PP", _n_inverse, None,
+               lambda m, s, p, q: m[p][q] == m[q][p]),
+        Clause("quasi-involutive, all pq = qp => inverse", "",
+               _n_quasi_involutive,
+               lambda m, s: all(m[p][q] == m[q][p]
+                                for p in _nprojections(m, s)
+                                for q in _nprojections(m, s)),
+               _n_inverse),
+    ),
+}
+# lem:po-1 .. lem:po-8, one clause each
+for _i, _clause in enumerate((
+    Clause("x <=l y iff xd(y) = x, y*x = d(x) and yx* = c(x)", "EE", None,
+           None, lambda m, s, x, y: _n_leq_left(m, s, x, y)
+           == (m[x][_nd(m, s, y)] == x and m[s[y]][x] == _nd(m, s, x)
+               and m[y][s[x]] == _nc(m, s, x))),
+    Clause("x <=r y iff c(y)x = x, x*y = d(x) and xy* = c(x)", "EE", None,
+           None, lambda m, s, x, y: _n_leq_right(m, s, x, y)
+           == (m[_nc(m, s, y)][x] == x and m[s[x]][y] == _nd(m, s, x)
+               and m[x][s[y]] == _nc(m, s, x))),
+    Clause("left involutive => (x <=l y iff y*x = d(x) and yx* = c(x))",
+           "EE", _LEFT, None, lambda m, s, x, y: _n_leq_left(m, s, x, y)
+           == (m[s[y]][x] == _nd(m, s, x) and m[y][s[x]] == _nc(m, s, x))),
+    Clause("right involutive => (x <=r y iff x*y = d(x) and xy* = c(x))",
+           "EE", _RIGHT, None, lambda m, s, x, y: _n_leq_right(m, s, x, y)
+           == (m[s[x]][y] == _nd(m, s, x) and m[x][s[y]] == _nc(m, s, x))),
+    Clause("x <=l y and xy* = c(x) => x <=r y", "EE", None,
+           lambda m, s, x, y: _n_leq_left(m, s, x, y)
+           and m[x][s[y]] == _nc(m, s, x), _n_leq_right),
+    Clause("x <=r y and y*x = d(x) => x <=l y", "EE", None,
+           lambda m, s, x, y: _n_leq_right(m, s, x, y)
+           and m[s[y]][x] == _nd(m, s, x), _n_leq_left),
+    Clause("locally involutive => (x <=l y iff x <=r y)", "EE", _LOCAL,
+           None, lambda m, s, x, y: _n_leq_left(m, s, x, y)
+           == _n_leq_right(m, s, x, y)),
+    Clause("locally involutive => (x <=l y iff x* <=r y*)", "EE", _LOCAL,
+           None, lambda m, s, x, y: _n_leq_left(m, s, x, y)
+           == _n_leq_right(m, s, s[x], s[y])),
+), 1):
+    CLAUSES[f"lem:po-{_i}"] = (_clause,)
+
+
+def evaluate_clauses(statement_id, instance, facts=None):
+    """The clauses of ``statement_id`` on ``instance = (mul, star)``, in
+    table order, each whose guard holds over its bindings in lexicographic
+    order: True when all hold, else ``(clause name, first falsifying
+    binding)``.  ``facts``, as in ``naive_check``, keeps only the guards'
+    table-level verdicts, never a clause's."""
+    clauses = CLAUSES.get(statement_id)
+    if clauses is None:
+        raise UnknownStatement(statement_id)
+    mul, star = instance
+    ranges = {"E": range(len(mul))}
+    for name, over, guard, hypothesis, conclusion in clauses:
+        if guard is not None and not _fact(facts, guard, mul, star):
+            continue
+        if "P" in over and "P" not in ranges:
+            ranges["P"] = _nprojections(mul, star)
+        for binding in itertools.product(*map(ranges.get, over)):
+            if ((hypothesis is None or hypothesis(mul, star, *binding))
+                    and not conclusion(mul, star, *binding)):
+                return name, binding
     return True
-
-
-def _st_birestrictive(inst, facts):
-    mul, star = inst
-    left = _fact(facts, _n_left_involutive, mul, star)
-    right = _fact(facts, _n_right_involutive, mul, star)
-    inv = _fact(facts, _n_involutive, mul, star)
-    if left and not _fact(facts, _n_corestrictive, mul, star):
-        return False
-    if right and not _fact(facts, _n_restrictive, mul, star):
-        return False
-    if inv and not (_fact(facts, _n_restrictive, mul, star)
-                    and _fact(facts, _n_corestrictive, mul, star)):
-        return False
-    projs = _nprojections(mul, star)
-    for p in projs:
-        for q in projs:
-            pq = mul[p][q]
-            if not (mul[pq][pq] == pq and star[pq] == pq):
-                continue
-            if left and mul[pq][p] != pq:
-                return False
-            if right and mul[pq][p] != mul[q][p]:
-                return False
-            if inv and pq != mul[q][p]:
-                return False
-    return True
-
-
-def _st_leftright(inst, facts):
-    mul, star = inst
-    n = len(mul)
-    projs = _nprojections(mul, star)
-    for y in range(n):
-        cy = _nc(mul, star, y)
-        for p in projs:
-            lhs = _nleq(mul, cy, p)
-            rhs = mul[p][y] == y and mul[star[y]][p] == star[y]
-            if lhs != rhs:
-                return False
-    for x in range(n):
-        dx = _nd(mul, star, x)
-        for q in projs:
-            lhs = _nleq(mul, dx, q)
-            rhs = mul[x][q] == x and mul[q][star[x]] == star[x]
-            if lhs != rhs:
-                return False
-    for x in range(n):
-        dx = _nd(mul, star, x)
-        for y in range(n):
-            cy = _nc(mul, star, y)
-            lhs = _nleq(mul, cy, dx)
-            rhs = mul[dx][y] == y and mul[star[y]][dx] == star[y]
-            if lhs != rhs:
-                return False
-            lhs2 = _nleq(mul, dx, cy)
-            rhs2 = mul[x][cy] == x and mul[cy][star[x]] == star[x]
-            if lhs2 != rhs2:
-                return False
-    if _fact(facts, _n_left_involutive, mul, star):
-        for p in projs:
-            for y in range(n):
-                if mul[p][y] == y and mul[star[y]][p] != star[y]:
-                    return False
-    if _fact(facts, _n_right_involutive, mul, star):
-        for q in projs:
-            for x in range(n):
-                if mul[x][q] == x and mul[q][star[x]] != star[x]:
-                    return False
-    return True
-
-
-def _st_3cond(inst, facts):
-    mul, star = inst
-    if not _fact(facts, _n_left_involutive, mul, star):
-        return True
-    n = len(mul)
-    for x in range(n):
-        dx = _nd(mul, star, x)
-        for y in range(n):
-            cy = _nc(mul, star, y)
-            if _nleq(mul, cy, dx) != (mul[dx][y] == y):
-                return False
-            if _nleq(mul, dx, cy) != (mul[cy][star[x]] == star[x]):
-                return False
-    return True
-
-
-def _st_po(item):
-    # the hypothesis of items 3, 4, 7 and 8 depends on the instance only
-    hypothesis = {3: _n_left_involutive, 4: _n_right_involutive,
-                  7: _n_locally_involutive, 8: _n_locally_involutive}.get(item)
-
-    def check(inst, facts):
-        mul, star = inst
-        if hypothesis is not None and not _fact(facts, hypothesis,
-                                                mul, star):
-            return True
-        n = len(mul)
-        for x in range(n):
-            dx, cx = _nd(mul, star, x), _nc(mul, star, x)
-            for y in range(n):
-                ll = _n_leq_left(mul, star, x, y)
-                rr = _n_leq_right(mul, star, x, y)
-                a1 = (mul[x][_nd(mul, star, y)] == x
-                      and mul[star[y]][x] == dx and mul[y][star[x]] == cx)
-                a2 = (mul[_nc(mul, star, y)][x] == x
-                      and mul[star[x]][y] == dx and mul[x][star[y]] == cx)
-                if item == 1 and ll != a1:
-                    return False
-                if item == 2 and rr != a2:
-                    return False
-                if item == 3:
-                    if ll != (mul[star[y]][x] == dx and mul[y][star[x]] == cx):
-                        return False
-                if item == 4:
-                    if rr != (mul[star[x]][y] == dx and mul[x][star[y]] == cx):
-                        return False
-                if item == 5 and ll and mul[x][star[y]] == cx and not rr:
-                    return False
-                if item == 6 and rr and mul[star[y]][x] == dx and not ll:
-                    return False
-                if item == 7 and ll != rr:
-                    return False
-                if item == 8:
-                    if ll != _n_leq_right(mul, star, star[x], star[y]):
-                        return False
-        return True
-    return check
 
 
 def _st_fdt(inst, facts):
@@ -763,16 +778,6 @@ def _st_xfy(inst, facts):
     return True
 
 
-def _st_commproj(inst, facts):
-    mul, star = inst
-    projs = _nprojections(mul, star)
-    commuting = all(mul[p][q] == mul[q][p] for p in projs for q in projs)
-    quasi = (_fact(facts, _n_restrictive, mul, star)
-             and _fact(facts, _n_corestrictive, mul, star)
-             and _fact(facts, _n_locally_involutive, mul, star))
-    return _fact(facts, _n_inverse, mul) == (quasi and commuting)
-
-
 def _st_rsrs(inst, facts):
     mul, star = inst
     if not _fact(facts, _n_inverse, mul):
@@ -820,26 +825,17 @@ def _st_xirho(inst, facts):
         if not fib:
             return True
 
+    # the left *-homs: alpha(u*) = alpha(u)* and alpha(uv) = alpha(u)
+    # alpha(d(u)v) for all u, v of S(e)
+    du = [_n_se_mul(ms, ss, _n_se_star(ms, ss, u), u) for u in carrier]
     alphas = []
-    for values in itertools.product(*fibers):
-        ok = True
-        for i, u in enumerate(carrier):
-            if sx[values[i]] != values[pos[_n_se_star(ms, ss, u)]]:
-                ok = False
-                break
-        if ok:
-            for i, u in enumerate(carrier):
-                du = _n_se_mul(ms, ss, _n_se_star(ms, ss, u), u)
-                for j, v in enumerate(carrier):
-                    uv = _n_se_mul(ms, ss, u, v)
-                    dv = _n_se_mul(ms, ss, du, v)
-                    if values[pos[uv]] != mx[values[i]][values[pos[dv]]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            alphas.append(values)
+    for a in itertools.product(*fibers):
+        if all(sx[a[i]] == a[pos[_n_se_star(ms, ss, u)]]
+               for i, u in enumerate(carrier)) and all(
+                a[pos[_n_se_mul(ms, ss, u, v)]]
+                == mx[a[i]][a[pos[_n_se_mul(ms, ss, du[i], v)]]]
+                for i, u in enumerate(carrier) for v in carrier):
+            alphas.append(a)
 
     ee = pos[(e, e)]
     seen = {}
@@ -887,25 +883,26 @@ def _st_seinv(inst, facts):
 class StatementSpec:
     kind: str  # semigroup | morphism | pair | triangle | inverse | inverse_idem | etale_idem
     summary: str
-    check: Callable[[tuple, dict | None], bool]
+    # True when the statement holds; anything else is a failure
+    check: Callable[[tuple, dict | None], bool | tuple]
 
 
 REGISTRY = {
     "lem:reduct": StatementSpec(
         "semigroup",
         "involutive implies left+right involutive; left/right implies locally",
-        _st_reduct),
+        partial(evaluate_clauses, "lem:reduct")),
     "lem:birestrictive": StatementSpec(
         "semigroup",
         "left involutive implies corestrictive (and duals); pqp identities",
-        _st_birestrictive),
+        partial(evaluate_clauses, "lem:birestrictive")),
     "lem:left/right": StatementSpec(
         "semigroup", "the four projection-bound identity equivalences",
-        _st_leftright),
+        partial(evaluate_clauses, "lem:left/right")),
     "cor:3cond": StatementSpec(
         "semigroup",
         "c(y) <= d(x) iff d(x)y = y in left involutive semigroups",
-        _st_3cond),
+        partial(evaluate_clauses, "cor:3cond")),
     "lem:fdt": StatementSpec(
         "morphism", "multiplicative iff multiplicative on projection products",
         _st_fdt),
@@ -921,7 +918,7 @@ REGISTRY = {
         "morphism", "x f(d(x)y) = xy for the canonical action", _st_xfy),
     "prop:commproj": StatementSpec(
         "semigroup", "inverse iff quasi-involutive with commuting projections",
-        _st_commproj),
+        partial(evaluate_clauses, "prop:commproj")),
     "lem:rsrs": StatementSpec(
         "inverse", "factorization identities inside S(rr*)", _st_rsrs),
     "lem:xirho": StatementSpec(
@@ -936,7 +933,8 @@ REGISTRY = {
 }
 for _i in range(1, 9):
     REGISTRY[f"lem:po-{_i}"] = StatementSpec(
-        "semigroup", f"partial order characterization ({_i})", _st_po(_i))
+        "semigroup", f"partial order characterization ({_i})",
+        partial(evaluate_clauses, f"lem:po-{_i}"))
 
 
 def statement_ids():
@@ -953,7 +951,8 @@ def naive_check(statement_id, instance, facts=None) -> bool:
     ``_n_is_etale``, ...) per raw tables (``_fact``), so a run computes
     each once.  Without it every predicate is computed on every call.
 
-    Instance shapes by kind:
+    A statement of ``CLAUSES`` is checked by ``evaluate_clauses``, the
+    others by a hand-written check.  Instance shapes by kind:
       semigroup/inverse: (mul, star)
       morphism:          (mul_x, star_x, mul_s, star_s, map)
       pair:              (mul_x, star_x, mul_y, star_y, mul_z, star_z, g, f)
@@ -965,7 +964,7 @@ def naive_check(statement_id, instance, facts=None) -> bool:
     spec = REGISTRY.get(statement_id)
     if spec is None:
         raise UnknownStatement(statement_id)
-    return spec.check(instance, facts)
+    return spec.check(instance, facts) is True
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,17 @@ from stargroup import oracle, site
 from stargroup.core import StarMorphism, identity_morphism, validate_star_semigroup
 
 
+def pytest_collection_modifyitems(config, items):
+    """The ``sweep`` tests are opt-in: deselected unless the ``-m``
+    expression names the marker (``python -m pytest -m sweep``)."""
+    if "sweep" in config.getoption("markexpr"):
+        return
+    opted = [item for item in items if item.get_closest_marker("sweep")]
+    if opted:
+        config.hook.pytest_deselected(items=opted)
+        items[:] = [item for item in items if item not in opted]
+
+
 @pytest.fixture(scope="session")
 def t1():
     return validate_star_semigroup(1, [[0]], [0], "T1")

@@ -425,6 +425,7 @@ def test_a_family_size_that_is_not_a_positive_int_is_refused(name, n):
 @pytest.mark.parametrize("args, kwargs", [
     ((True,), {}), ((2.0,), {}), ((2, "iso"), {"budget": "5"}),
     ((2, "none"), {"budget": 5.0}), ((2, "iso+anti"), {"budget": False}),
+    ((0,), {}), ((-1,), {}),
 ])
 def test_enumeration_refuses_a_non_int_order_or_budget(args, kwargs):
     with pytest.raises(ValueError, match="must be integers"):
