@@ -91,6 +91,13 @@ def _json_rows(rows):
     return "[\n" + ",\n".join(out) + "\n]"
 
 
+def _input_name(args):
+    """The basename of the command's input: ``input``, else ``--presheaf``,
+    else ``--morphism``, else the command's name."""
+    paths = (getattr(args, key, None) for key in ("input", "presheaf", "morphism"))
+    return os.path.basename(next(filter(None, paths), args.command))
+
+
 def _instance_name(obj, path):
     name = getattr(obj, "name", None)
     return name or os.path.basename(str(path))
@@ -386,7 +393,8 @@ def main(argv=None):
         except (SearchBudgetExceeded, CarrierTooLarge, BudgetInvalid):
             raise
         except StarError as exc:
-            report.add("error", type(exc).__name__, False, witness=[str(exc)])
+            report.add("error", _input_name(args), False,
+                       witness=[type(exc).__name__, str(exc)])
         report.emit(args.format)
     except (SearchBudgetExceeded, BudgetExceeded, CarrierTooLarge) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ cells: a row that matches as a tuple holds no violation, and only a row that
 differs is walked cell by cell to name the least witness.  So the row test
 decides "no violation" and the cell loop decides everything else.  The
 O(n^2) sweeps stay cell by cell: at the sizes in use, a row test costs more
-than the cells it would skip.
+than the cells it would skip.  Public functions declare their argument
+kinds once, with ``takes``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import update_wrapper
-from operator import itemgetter
+from inspect import isgeneratorfunction, signature
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 
@@ -123,14 +125,15 @@ class memo:
 
     On a module function, ``func(obj)`` is stored on ``obj`` under the
     function's name (which the object's class must not otherwise use), and
-    ``func(obj, *key)`` in a dict by key there.  ``check(obj, *key)``, if
-    given, runs first on every call.  The function form counts hits and
-    misses for ``cache_info``.  An error is never kept."""
+    ``func(obj, *key)`` in a dict by key there.  ``check``, set by the
+    function's declaration (``takes``), runs first on every call.  The
+    function form counts hits and misses for ``cache_info``.  An error is
+    never kept."""
 
-    def __init__(self, func, check=None):
+    def __init__(self, func):
         update_wrapper(self, func)
         self.func = func
-        self.check = check
+        self.check = None
         self.hits = self.misses = 0
 
     def __get__(self, obj, owner=None):
@@ -168,6 +171,111 @@ class memo:
 _UNSET = object()
 
 
+class Kind(NamedTuple):
+    """An argument kind of ``takes`` other than a class: ``test(name, value,
+    held)`` raises unless ``value`` is of the kind, ``held`` being ``of``,
+    or what the path ``of`` reads off another argument: ``"S.semigroup"``
+    reads the argument S, then its ``semigroup``."""
+
+    test: object
+    of: object = None
+
+
+def _instance(name, value, cls):
+    if not isinstance(value, cls):
+        names = " or ".join(c.__name__ for c in (cls if type(cls) is tuple else (cls,)))
+        raise ShapeError(f"{name} must be of type {names}, got {type(value).__name__}")
+
+
+def _at_least(name, value, least):
+    if type(value) is not int or value < least:
+        raise ShapeError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _below(name, value, stop):
+    if type(value) is not int or not 0 <= value < stop:
+        raise ShapeError(f"{name} must be an integer in 0..{stop - 1}, got {value!r}")
+
+
+def _idempotent(name, value, mul):
+    _below(name, value, len(mul))
+    if mul[value][value] != value:
+        raise NotIdempotent(f"{value} is not idempotent")
+
+
+POSITIVE, NATURAL = Kind(_at_least, 1), Kind(_at_least, 0)
+
+
+def below(of):
+    """An int in 0..n-1, n read by the path ``of``, as "G.n_objects"."""
+    return Kind(_below, of)
+
+
+def element(of):
+    """An element of the semigroup at the path ``of``."""
+    return Kind(_below, f"{of}.order")
+
+
+def idempotent(of):
+    """An idempotent of the semigroup at the path ``of``."""
+    return Kind(_idempotent, f"{of}.mul")
+
+
+def takes(**kinds):
+    """Declare the kind of each checked argument of a public function, method
+    or class and return its checked entry point.  A kind is a class, a tuple
+    of classes (None among them allowing None) or a ``Kind``; each argument
+    is checked in declaration order before the body runs, an argument that
+    a path reads first, and refused with a ShapeError that names it (or
+    NotIdempotent).  A function becomes an entry point that keeps its body
+    as ``__wrapped__``, for internal callers whose arguments are known good,
+    and a generator function stays one; a ``memo`` runs the check in its
+    ``__call__``, and a class has its ``__init__`` wrapped.  The declaration
+    is kept as ``kinds``; an empty one, as of a record, wraps nothing."""
+    def declare(target):
+        if kinds and isinstance(target, type):
+            target.__init__ = takes(**kinds)(target.__init__)
+        elif kinds and isinstance(target, memo):
+            target.check = _entry(target.func, kinds, call=False)
+        elif kinds:
+            target = update_wrapper(_entry(target, kinds, call=True), target)
+        target.kinds = kinds
+        return target
+    return declare
+
+
+def _entry(body, kinds, call):
+    """A function with the parameters of ``body`` that checks ``kinds``,
+    then with ``call`` returns what ``body`` returns, or yields what it
+    yields.  Its source is generated, as dataclasses generate ``__init__``,
+    so a check costs its tests and no binding of arguments."""
+    params = signature(body).parameters.values()
+    if any(p.kind is not p.POSITIONAL_OR_KEYWORD or p.name == "body" for p in params):
+        raise TypeError(f"{body.__qualname__}: only plain parameters, none named "
+                        f"body, are declared")
+    space, lines = {"body": body}, []
+    for n, (name, kind) in enumerate(kinds.items()):
+        if not isinstance(kind, Kind):
+            kind = Kind(_instance, tuple(type(None) if c is None else c for c in kind)
+                        if type(kind) is tuple else kind)
+        arg, _, path = kind.of.partition(".") if type(kind.of) is str else ("",) * 3
+        space[f"test{n}"] = kind.test
+        space[f"of{n}"] = attrgetter(path) if arg else kind.of
+        test = f"test{n}({name!r}, {name}, {f'of{n}({arg})' if arg else f'of{n}'})"
+        lines.append(f"if not isinstance({name}, of{n}): {test}"
+                     if kind.test is _instance else test)
+    names = ", ".join(p.name for p in params)
+    if call:
+        lines.append(("yield from" if isgeneratorfunction(body) else "return")
+                     + f" body({names})")
+    space.update({f"default_{p.name}": p.default for p in params})
+    head = ", ".join(p.name if p.default is p.empty else f"{p.name}=default_{p.name}"
+                     for p in params)
+    source = f"def entry({head}):\n    " + "\n    ".join(lines)
+    exec(compile(source, f"<checked {body.__qualname__}>", "exec"), space)
+    return space["entry"]
+
+
 class Invalid(StarError):
     """A structure fails its axioms; ``violations`` lists every failure."""
 
@@ -190,6 +298,7 @@ class Rows(NamedTuple):
     up: tuple[int, ...]
 
 
+@takes()
 @dataclass(frozen=True)
 class FiniteStarSemigroup:
     """A finite semigroup with involution; every element a partial isometry.
@@ -232,14 +341,13 @@ class FiniteStarSemigroup:
         return f"FiniteStarSemigroup({tag}, order={self.order})"
 
 
+@takes(x=FiniteStarSemigroup, y=FiniteStarSemigroup)
 def same_tables(x: FiniteStarSemigroup, y: FiniteStarSemigroup) -> bool:
     """Table-for-table equality, ignoring names."""
     return x.order == y.order and x.mul == y.mul and x.star == y.star
 
 
 def _freeze_tables(order, mul, star):
-    if type(order) is not int or order < 1:
-        raise ShapeError(f"order must be a positive integer, got {order!r}")
     return (freeze(mul, "mul", order, length=order, width=order),
             freeze(star, "star", order, length=order))
 
@@ -270,14 +378,7 @@ def freeze(values, field, stop, length=None, width=None, start=0):
     return frozen
 
 
-def check_instance(value, cls, field):
-    """Refuse an object argument that is not a ``cls`` with a ShapeError
-    naming ``field``, before anything reads its attributes."""
-    if not isinstance(value, cls):
-        raise ShapeError(f"{field} must be of type {cls.__name__}, "
-                         f"got {type(value).__name__}")
-
-
+@takes(order=POSITIVE)
 def check_star_semigroup(order, mul, star) -> tuple[Violation, ...]:
     """All violated *-semigroup axioms, least witness each; empty if valid."""
     return _axiom_violations(order, *_freeze_tables(order, mul, star))
@@ -391,6 +492,7 @@ def shared(key, build, *args):
     return value
 
 
+@takes(order=POSITIVE, name=(str, None))
 def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
     """Validate raw tables; raises InvalidStarSemigroup with all witnesses.
 
@@ -399,8 +501,6 @@ def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
     name is still held, this returns that one, with everything kept on it,
     and skips the axiom sweep.  The shape checks run on every call."""
     mul, star = _freeze_tables(order, mul, star)
-    if name is not None and type(name) is not str:
-        raise ShapeError(f"name must be a string or None, got {name!r}")
     return shared((mul, star, name), _validated, order, mul, star, name)
 
 
@@ -411,46 +511,38 @@ def _validated(order, mul, star, name):
     return FiniteStarSemigroup(order, mul, star, name)
 
 
-def _check_element(X: FiniteStarSemigroup, x: int):
-    if type(x) is not int or not 0 <= x < X.order:
-        raise ShapeError(f"element {x!r} is not an integer in 0..{X.order - 1}")
-
-
+@takes(X=FiniteStarSemigroup, x=element("X"))
 def dom(X: FiniteStarSemigroup, x: int) -> int:
-    _check_element(X, x)
     e = X.d(x)
     if X.mul[e][e] != e:
         raise ConsistencyError(f"domain {e} of {x} is not idempotent")
     return e
 
 
+@takes(X=FiniteStarSemigroup, x=element("X"))
 def cod(X: FiniteStarSemigroup, x: int) -> int:
-    _check_element(X, x)
     e = X.c(x)
     if X.mul[e][e] != e:
         raise ConsistencyError(f"codomain {e} of {x} is not idempotent")
     return e
 
 
+@takes(X=FiniteStarSemigroup)
 @memo
 def idempotents(X: FiniteStarSemigroup) -> tuple[int, ...]:
     return tuple(x for x in X.elements if X.mul[x][x] == x)
 
 
+@takes(X=FiniteStarSemigroup)
 @memo
 def projections(X: FiniteStarSemigroup) -> tuple[int, ...]:
     return tuple(x for x in X.elements
                  if X.mul[x][x] == x and X.star[x] == x)
 
 
+@takes(X=FiniteStarSemigroup, e=idempotent("X"), f=idempotent("X"))
 def idempotent_leq(X: FiniteStarSemigroup, e: int, f: int) -> bool:
     """e <= f in the idempotent order: e = ef = fe."""
-    _check_element(X, e)
-    _check_element(X, f)
-    if X.mul[e][e] != e:
-        raise NotIdempotent(f"{e} is not idempotent")
-    if X.mul[f][f] != f:
-        raise NotIdempotent(f"{f} is not idempotent")
     return X.mul[e][f] == e and X.mul[f][e] == e
 
 
@@ -461,6 +553,7 @@ FLAG_NAMES = (
 )
 
 
+@takes()
 @dataclass(frozen=True)
 class ClassificationReport:
     restrictive: bool
@@ -588,6 +681,7 @@ def _unique_quasi_inverse_witness(X):
     return None
 
 
+@takes(X=FiniteStarSemigroup)
 @memo
 def classify(X: FiniteStarSemigroup) -> ClassificationReport:
     """Classify X into the semigroup hierarchy.
@@ -636,30 +730,21 @@ def classify(X: FiniteStarSemigroup) -> ClassificationReport:
 # partial orders
 
 
+@takes(X=FiniteStarSemigroup, x=element("X"), y=element("X"))
 def leq_left(X: FiniteStarSemigroup, x: int, y: int) -> bool:
     """x <=_l y: d(x) <= d(y) and x = y d(x)."""
-    _check_element(X, x)
-    _check_element(X, y)
-    return _leq_left(X, x, y)
-
-
-def _leq_left(X, x, y):
     dx, dy = X.d(x), X.d(y)
     return bool(X.rows.up[dx] >> dy & 1) and x == X.mul[y][dx]
 
 
+@takes(X=FiniteStarSemigroup, x=element("X"), y=element("X"))
 def leq_right(X: FiniteStarSemigroup, x: int, y: int) -> bool:
     """x <=_r y: c(x) <= c(y) and x = c(x) y."""
-    _check_element(X, x)
-    _check_element(X, y)
-    return _leq_right(X, x, y)
-
-
-def _leq_right(X, x, y):
     cx, cy = X.c(x), X.c(y)
     return bool(X.rows.up[cx] >> cy & 1) and x == X.mul[cx][y]
 
 
+@takes()
 @dataclass(frozen=True)
 class Relation:
     """A materialized relation on 0..size-1, one bitmask row per element."""
@@ -706,6 +791,7 @@ class Relation:
         return True
 
 
+@takes(X=FiniteStarSemigroup)
 @memo
 def natural_order(X: FiniteStarSemigroup) -> Relation:
     """The common left/right partial order of a locally involutive semigroup.
@@ -717,10 +803,11 @@ def natural_order(X: FiniteStarSemigroup) -> Relation:
         raise NotLocallyInvolutive(
             f"{X!r} is not locally involutive; natural order undefined"
         )
-    rel = Relation.from_predicate(X.order, lambda x, y: _leq_left(X, x, y))
+    left, right = leq_left.__wrapped__, leq_right.__wrapped__
+    rel = Relation.from_predicate(X.order, lambda x, y: left(X, x, y))
     for x in X.elements:
         for y in X.elements:
-            if rel.leq(x, y) != _leq_right(X, x, y):
+            if rel.leq(x, y) != right(X, x, y):
                 raise OrderMismatch((x, y))
     return rel
 
@@ -729,6 +816,7 @@ def natural_order(X: FiniteStarSemigroup) -> Relation:
 # morphisms
 
 
+@takes(source=FiniteStarSemigroup, target=FiniteStarSemigroup)
 @dataclass(eq=False)
 class StarMorphism:
     """A carrier map between *-semigroups; its flags, fibers, lift table,
@@ -741,8 +829,6 @@ class StarMorphism:
     name: str | None = None
 
     def __post_init__(self):
-        check_instance(self.source, FiniteStarSemigroup, "source")
-        check_instance(self.target, FiniteStarSemigroup, "target")
         self.map = freeze(self.map, "map", self.target.order,
                           length=self.source.order)
 
@@ -847,6 +933,7 @@ class StarMorphism:
         return f"StarMorphism({tag}: {self.source!r} -> {self.target!r})"
 
 
+@takes(f=StarMorphism, g=StarMorphism)
 def compose_morphisms(f: StarMorphism, g: StarMorphism) -> StarMorphism:
     """f after g."""
     if g.target is not f.source and not same_tables(g.target, f.source):
@@ -854,6 +941,7 @@ def compose_morphisms(f: StarMorphism, g: StarMorphism) -> StarMorphism:
     return StarMorphism(g.source, f.target, compose(f.map, g.map))
 
 
+@takes(X=FiniteStarSemigroup)
 def identity_morphism(X: FiniteStarSemigroup) -> StarMorphism:
     return StarMorphism(X, X, tuple(X.elements), name="id")
 
@@ -865,6 +953,7 @@ class MorphismFlags:
     is_star_hom: bool
 
 
+@takes(f=StarMorphism)
 def check_morphism(f: StarMorphism) -> MorphismFlags:
     """Compute the three morphism flags and cross-check the implication
     star-homomorphism => left star-homomorphism."""
@@ -881,6 +970,7 @@ def _left_fixpoints(X, p):
     return [z for z, pz in enumerate(X.mul[p]) if pz == z]
 
 
+@takes(f=StarMorphism)
 @memo
 def etale_report(f: StarMorphism) -> Verdict:
     """Is f etale: f restricted to xX is a bijection onto f(x)S for all x.
@@ -945,16 +1035,16 @@ def _crosscheck_etale(f, main_verdict):
         )
 
 
+@takes(f=StarMorphism)
 def is_etale(f: StarMorphism) -> bool:
     return etale_report(f).ok
 
 
+@takes(f=StarMorphism, p=element("f.source"), s=element("f.target"))
 def etale_lift(f: StarMorphism, p: int, s: int) -> int:
     """The unique x with x = p x and f(x) = s, for a projection p and an
     equation s = f(p) s in the target: ``f.action[p][s]``, as c(p) = p."""
-    X, S = f.source, f.target
-    _check_element(X, p)
-    _check_element(S, s)
+    S = f.target
     check_lift_points(f, (p,))
     if S.mul[f.map[p]][s] != s:
         raise NoLift(f"equation s = f(p)s fails for p={p}, s={s}")
@@ -965,8 +1055,7 @@ def check_lift_points(f: StarMorphism, points):
     """Raise as ``etale_lift(f, p, s)`` would for any s and p in ``points``,
     unless each p is a projection of the source and f is etale."""
     X = f.source
-    for p in points:
-        _check_element(X, p)
+    for p in freeze(points, "point", X.order):
         if X.mul[p][p] != p or X.star[p] != p:
             raise NotProjection(f"{p} is not a projection of the source")
     if not is_etale(f):

@@ -22,12 +22,14 @@ from .core import (
     StarError,
     Verdict,
     Violation,
+    below,
     classify,
     compose,
     freeze,
     memo,
     natural_order,
     projections,
+    takes,
     validate_star_semigroup,
 )
 
@@ -52,6 +54,7 @@ class InvalidGroupoid(Invalid):
     pass
 
 
+@takes()
 @dataclass(frozen=True)
 class OrderedGroupoidWithMediator:
     n_objects: int
@@ -73,8 +76,8 @@ class OrderedGroupoidWithMediator:
     def morphisms(self) -> range:
         return range(self.n_morphisms)
 
+    @takes(p=below("self.n_objects"), q=below("self.n_objects"))
     def object_leq(self, p: int, q: int) -> bool:
-        _check_arguments(self, objects=(p, q))
         return _object_leq(self, p, q)
 
     def __repr__(self):
@@ -88,11 +91,9 @@ def _object_leq(G, p, q):
     return G.order.leq(G.identity[p], G.identity[q])
 
 
-def _check_arguments(G, morphisms=(), objects=()):
-    """Refuse a morphism or object argument of a public function that is not
-    an integer in range, with ShapeError; the sweeps index unchecked."""
-    freeze(morphisms, "morphism", G.n_morphisms)
-    freeze(objects, "object", G.n_objects)
+# a morphism and an object of the argument G
+MORPHISM = below("G.n_morphisms")
+OBJECT = below("G.n_objects")
 
 
 def _shape_check(G: OrderedGroupoidWithMediator):
@@ -112,6 +113,7 @@ def _shape_check(G: OrderedGroupoidWithMediator):
         freeze(G.mediator, "mediator", n, length=m, width=m)
 
 
+@takes(G=OrderedGroupoidWithMediator)
 @memo
 def validate_groupoid(G: OrderedGroupoidWithMediator):
     """Check groupoid and ordered-groupoid axioms; raises InvalidGroupoid.
@@ -211,26 +213,26 @@ def _unique_below(G, x, end, p, what):
     return hits[0]
 
 
+@takes(G=OrderedGroupoidWithMediator, x=MORPHISM, p=OBJECT)
 def restrict(G: OrderedGroupoidWithMediator, x: int, p: int) -> int:
     """The unique y <= x with dom(y) = p, for p <= dom(x)."""
-    _check_arguments(G, (x,), (p,))
     if not _object_leq(G, p, G.dom[x]):
         raise NotBounded(f"object {p} is not below dom({x})")
     return _unique_below(G, x, G.dom, p, "restriction")
 
 
+@takes(G=OrderedGroupoidWithMediator, x=MORPHISM, q=OBJECT)
 def corestrict(G: OrderedGroupoidWithMediator, x: int, q: int) -> int:
     """The unique y <= x with cod(y) = q, for q <= cod(x)."""
-    _check_arguments(G, (x,), (q,))
     if not _object_leq(G, q, G.cod[x]):
         raise NotBounded(f"object {q} is not below cod({x})")
     return _unique_below(G, x, G.cod, q, "corestriction")
 
 
+@takes(G=OrderedGroupoidWithMediator, x=MORPHISM, y=MORPHISM)
 def extended_compose(G: OrderedGroupoidWithMediator, x: int, y: int) -> int:
     """x (x) y: compose after restricting x down to cod(y), or corestricting
     y up to dom(x), whichever comparison holds."""
-    _check_arguments(G, (x, y))
     _extended_associativity_checked(G)
     return _ext(G, x, y)
 
@@ -272,6 +274,7 @@ def _extended_associativity_checked(G: OrderedGroupoidWithMediator) -> bool:
 NO_MEDIATOR = Violation("MissingMediator", ())
 
 
+@takes(G=OrderedGroupoidWithMediator)
 @memo
 def validate_mediator(G: OrderedGroupoidWithMediator) -> Verdict:
     """Check order-preservation, the two bounds, and action commutation."""
@@ -316,6 +319,7 @@ def validate_mediator(G: OrderedGroupoidWithMediator) -> Verdict:
 # ESN functors
 
 
+@takes(X=FiniteStarSemigroup)
 def esn_ordered_groupoid(X: FiniteStarSemigroup) -> OrderedGroupoidWithMediator:
     """The ordered groupoid of a locally involutive semigroup, no mediator."""
     rel = natural_order(X)  # raises NotLocallyInvolutive if inapplicable
@@ -342,6 +346,7 @@ def esn_ordered_groupoid(X: FiniteStarSemigroup) -> OrderedGroupoidWithMediator:
     )
 
 
+@takes(X=FiniteStarSemigroup)
 def esn_groupoid(X: FiniteStarSemigroup) -> OrderedGroupoidWithMediator:
     """The ordered groupoid of a quasi-involutive semigroup, with the
     canonical mediator m_pq = pq."""
@@ -360,6 +365,7 @@ def esn_groupoid(X: FiniteStarSemigroup) -> OrderedGroupoidWithMediator:
     return G
 
 
+@takes(G=OrderedGroupoidWithMediator)
 @memo
 def esn_semigroup(G: OrderedGroupoidWithMediator) -> FiniteStarSemigroup:
     """The quasi-involutive semigroup of an ordered groupoid with mediator:
@@ -404,6 +410,7 @@ def _meet(G, p, q):
     return best[0] if best else None
 
 
+@takes(G=OrderedGroupoidWithMediator)
 def mediator_kind(G: OrderedGroupoidWithMediator) -> str:
     """'trivial' (identity at the meet), 'symmetric' (m_pq^-1 = m_qp) or
     'general'; asserted against the classification of the induced semigroup."""

@@ -14,25 +14,29 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 from . import topos
 from .core import (
+    NATURAL,
     ConsistencyError,
     FiniteStarSemigroup,
+    Kind,
     NotEtale,
     ShapeError,
     StarError,
     StarMorphism,
     Verdict,
     Violation,
-    _check_element,
-    check_instance,
+    below,
     classify,
     composer,
+    element,
     freeze,
     is_etale,
     memo,
+    takes,
 )
 from .site import as_inverse
 from .ssets import (
@@ -61,6 +65,7 @@ class NotBalanced(StarError):
     pass
 
 
+@takes(sset=SSetStructure)
 @dataclass(eq=False)
 class SModule:
     """An involutive S-set with a zero section and fiberwise addition.
@@ -75,7 +80,6 @@ class SModule:
     add: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        check_instance(self.sset, SSetStructure, "sset")
         n = self.sset.size
         self.zero = freeze(self.zero, "zero section", n,
                            length=self.sset.base.order)
@@ -89,10 +93,13 @@ class SModule:
     def base(self):
         return self.sset.base
 
+    @takes(a=below("self.size"), b=below("self.size"))
     def plus(self, a, b):
-        """a + b; ShapeError unless both are in 0..size-1."""
-        freeze((a, b), "element", self.size)
-        return _plus(self, a, b)
+        """a + b; FiberMismatch when a and b lie in different fibers."""
+        v = self.add[a][b]
+        if v == -1:
+            raise FiberMismatch(f"{a} and {b} live in different fibers")
+        return v
 
     @memo
     def derived_table(self) -> tuple[tuple[int, ...], ...]:
@@ -104,12 +111,12 @@ class SModule:
         M = self
         if not balanced_check(M.sset).balanced:
             raise NotBalanced("derived product needs a balanced module")
-        A, S = M.sset, M.sset.base
+        A, S, plus = M.sset, M.sset.base, SModule.plus.__wrapped__
         smap, act, zero, left = A.smap, A.action, M.zero, left_table(A)
         table = []
         for a, act_a in enumerate(act):
             left_fa = left[smap[a]]
-            ta = tuple(_plus(M, act_a[smap[b]], left_fa[b])
+            ta = tuple(plus(M, act_a[smap[b]], left_fa[b])
                        for b in A.elements)
             if any(ta[zero[r]] != act_a[r] for r in S.elements):
                 raise ConsistencyError("a 0(r) != ar for the derived product")
@@ -117,13 +124,7 @@ class SModule:
         return tuple(table)
 
 
-def _plus(M, a, b):
-    v = M.add[a][b]
-    if v == -1:
-        raise FiberMismatch(f"{a} and {b} live in different fibers")
-    return v
-
-
+@takes(module=SModule)
 @dataclass(eq=False)
 class SAlgebra:
     """A module with a product table; its validate_algebra verdict is kept
@@ -133,7 +134,6 @@ class SAlgebra:
     product: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        check_instance(self.module, SModule, "module")
         n = self.module.size
         self.product = freeze(self.product, "product", n, length=n, width=n)
 
@@ -142,6 +142,7 @@ class SAlgebra:
         return self.module.size
 
 
+@takes(M=SModule)
 def validate_module(M: SModule) -> Verdict:
     """Every module axiom swept with witnesses; for balanced modules the
     bimodule laws are included."""
@@ -208,6 +209,7 @@ def validate_module(M: SModule) -> Verdict:
     return Verdict(out)
 
 
+@takes(Alg=SAlgebra)
 @memo
 def validate_algebra(Alg: SAlgebra) -> Verdict:
     """The module axioms of the underlying module and the algebra axioms,
@@ -267,12 +269,12 @@ def validate_algebra(Alg: SAlgebra) -> Verdict:
     return Verdict(out)
 
 
+@takes(M=SModule, a=below("M.size"), b=below("M.size"))
 def derived_product(M: SModule, a: int, b: int) -> int:
-    check_instance(M, SModule, "module")
-    freeze((a, b), "element", M.size)
     return M.derived_table[a][b]
 
 
+@takes(M=SModule)
 def idem_to_algebra(M: SModule) -> SAlgebra:
     """A balanced module with idempotent addition becomes a balanced algebra
     under the derived product; validated, with aa* = a psi(a*) asserted."""
@@ -294,187 +296,7 @@ def idem_to_algebra(M: SModule) -> SAlgebra:
     return alg
 
 
-# ---------------------------------------------------------------------------
-# free module F(f): element-level operations
-
-
-class FreeModule:
-    """Formal finite fiberwise sums over an etale left involutive object.
-
-    Elements are pairs (r, multiset) with the multiset stored as a sorted
-    tuple of (element, count) pairs; the empty sum at r is the zero.  The
-    operations refuse a malformed element or base element with ShapeError;
-    ``check_axioms`` calls their unchecked forms, so that a broken operation
-    shows as a violation."""
-
-    def __init__(self, f: StarMorphism):
-        if not f.is_star_hom or not is_etale(f):
-            raise NotEtale("free module needs an etale *-homomorphism")
-        if not classify(f.source).left_involutive:
-            raise topos.NotLeftInvolutive("free module needs a left involutive source")
-        self.f = f
-        self.source = f.source
-        self.base = f.target
-        self.action = canonical_action(f)
-
-    def _check(self, a):
-        """ShapeError unless a is (r, items) with r an element of the base
-        and items (x, count) pairs in ascending x, each x over r and each
-        count a positive int."""
-        if not (type(a) is tuple and len(a) == 2 and type(a[1]) is tuple):
-            raise ShapeError(f"{a!r} is not a pair (r, items) of F(f)")
-        r, items = a
-        _check_element(self.base, r)
-        last = -1
-        for item in items:
-            if not (type(item) is tuple and len(item) == 2):
-                raise ShapeError(f"term {item!r} is not a pair (x, count)")
-            x, k = item
-            _check_element(self.source, x)
-            if x <= last or self.f.map[x] != r or type(k) is not int or k < 1:
-                raise ShapeError(f"{item!r} is not a term (x, count) over {r} "
-                                 f"in ascending order")
-            last = x
-
-    def element(self, r, items) -> tuple:
-        _check_element(self.base, r)
-        counts = {}
-        for x in items:
-            _check_element(self.source, x)
-            if self.f.map[x] != r:
-                raise FiberMismatch(f"{x} does not lie over {r}")
-            counts[x] = counts.get(x, 0) + 1
-        return (r, tuple(sorted(counts.items())))
-
-    def zero(self, r) -> tuple:
-        _check_element(self.base, r)
-        return (r, ())
-
-    def add(self, a, b) -> tuple:
-        self._check(a)
-        self._check(b)
-        return self._add(a, b)
-
-    def _add(self, a, b):
-        if a[0] != b[0]:
-            raise FiberMismatch("cross-fiber addition")
-        counts = dict(a[1])
-        for x, k in b[1]:
-            counts[x] = counts.get(x, 0) + k
-        return (a[0], tuple(sorted(counts.items())))
-
-    def star(self, a) -> tuple:
-        self._check(a)
-        return self._star(a)
-
-    def _star(self, a):
-        X = self.source
-        return (self.base.star[a[0]],
-                tuple(sorted((X.star[x], k) for x, k in a[1])))
-
-    def act(self, a, s) -> tuple:
-        self._check(a)
-        _check_element(self.base, s)
-        return self._act(a, s)
-
-    def _act(self, a, s):
-        counts = {}
-        for x, k in a[1]:
-            y = self.action.action[x][s]
-            counts[y] = counts.get(y, 0) + k
-        return (self.base.mul[a[0]][s], tuple(sorted(counts.items())))
-
-    def rho(self, x) -> tuple:
-        _check_element(self.source, x)
-        return (self.f.map[x], ((x, 1),))
-
-    def support(self, a) -> tuple:
-        """The quotient map to F-hat: forget multiplicities."""
-        self._check(a)
-        return self._support(a)
-
-    def _support(self, a):
-        return (a[0], frozenset(x for x, _ in a[1]))
-
-    def sample_elements(self, max_terms=4, count=40, seed=0):
-        rng = random.Random(seed)
-        out = []
-        for _ in range(count):
-            r = rng.randrange(self.base.order)
-            fiber = self.f.fibers[r]
-            if not fiber:
-                out.append(self.zero(r))
-                continue
-            k = rng.randrange(0, max_terms + 1)
-            out.append(self.element(r, [rng.choice(fiber) for _ in range(k)]))
-        return out
-
-    def check_axioms(self, seed=0, fh=None) -> Verdict:
-        """Module axioms on sampled elements, plus equivariance of rho; with
-        ``fh``, the F-hat of the same map, also that the support quotient
-        lands in it and commutes with star, the action and addition on the
-        same elements.  A Verdict of the violations found."""
-        X, S = self.source, self.base
-        elems = self.sample_elements(seed=seed)
-        out = []
-        for a in elems:
-            r = a[0]
-            if self._add(a, self.zero(r)) != a:
-                out.append(Violation("ZeroLawViolation", (a,)))
-            if self._star(self._star(a)) != a:
-                out.append(Violation("InvolutionViolation", (a,)))
-            for s in S.elements:
-                if self._act(a, s)[0] != S.mul[r][s]:
-                    out.append(Violation("ActionFiberViolation", (a, s)))
-            for b in elems:
-                if b[0] != r:
-                    continue
-                ab = self._add(a, b)
-                if ab != self._add(b, a):
-                    out.append(Violation("AdditionCommutativityViolation", (a, b)))
-                if self._star(ab) != self._add(self._star(a), self._star(b)):
-                    out.append(Violation("StarAdditivityViolation", (a, b)))
-                for s in S.elements:
-                    if self._act(ab, s) != self._add(self._act(a, s), self._act(b, s)):
-                        out.append(Violation("DistributivityViolation", (a, b, s)))
-            for s in S.elements:
-                for t in S.elements:
-                    if self._act(self._act(a, s), t) != self._act(a, S.mul[s][t]):
-                        out.append(Violation("ActionAssociativityViolation", (a, s, t)))
-        for x in X.elements:
-            if self._star(self.rho(x)) != self.rho(X.star[x]):
-                out.append(Violation("RhoStarViolation", (x,)))
-            for s in S.elements:
-                if self._act(self.rho(x), s) != self.rho(self.action.action[x][s]):
-                    out.append(Violation("RhoEquivarianceViolation", (x, s)))
-        if fh is None:
-            return Verdict(out)
-        sset, add = fh.module.sset, fh.module.add
-
-        def at(a):
-            return fh.index.get(self._support(a))
-
-        for a in elems:
-            i = at(a)
-            if i is None:
-                out.append(Violation("SupportRangeViolation", (a,)))
-                continue
-            if sset.star[i] != at(self._star(a)):
-                out.append(Violation("QuotientStarViolation", (a,)))
-            for s in S.elements:
-                if sset.act(i, s) != at(self._act(a, s)):
-                    out.append(Violation("QuotientActionViolation", (a, s)))
-            for b in elems:
-                j = at(b) if b[0] == a[0] else None
-                if j is not None and add[i][j] != at(self._add(a, b)):
-                    out.append(Violation("QuotientAdditionViolation", (a, b)))
-        return Verdict(out)
-
-
-# ---------------------------------------------------------------------------
-# the idempotent quotient F-hat(f)
-
-
+@takes()
 @dataclass(eq=False)
 class FHatAlgebra:
     f: StarMorphism
@@ -493,18 +315,195 @@ class FHatAlgebra:
         return f"FHatAlgebra({len(self.elements)} elements over {self.base!r})"
 
 
+# ---------------------------------------------------------------------------
+# free module F(f): element-level operations
+
+
+def _free_sum(name, a, f):
+    """Refuse ``a`` unless it is an element (r, items) of F(f): r an element
+    of the target and items (x, count) pairs in ascending x, each x over r
+    and each count a positive int."""
+    if not (type(a) is tuple and len(a) == 2 and type(a[1]) is tuple
+            and type(a[0]) is int and 0 <= a[0] < f.target.order):
+        raise ShapeError(f"{name} must be a pair (r, items) of F(f) with r "
+                         f"in 0..{f.target.order - 1}, got {a!r}")
+    r, items = a
+    last = -1
+    for item in items:
+        x, k = item if type(item) is tuple and len(item) == 2 else (None, 0)
+        if not (type(x) is int and last < x < f.source.order
+                and f.map[x] == r and type(k) is int and k >= 1):
+            raise ShapeError(f"{item!r} is not a term (x, count) over {r} "
+                             f"in ascending order")
+        last = x
+
+
+# an element of F(f), of its base and of its source, for its methods
+SUM = Kind(_free_sum, "self.f")
+BASE_ELEMENT = element("self.base")
+SOURCE_ELEMENT = element("self.source")
+
+
+@takes(f=StarMorphism)
+class FreeModule:
+    """Formal finite fiberwise sums over an etale left involutive object.
+
+    Elements are pairs (r, multiset) with the multiset stored as a sorted
+    tuple of (element, count) pairs; the empty sum at r is the zero.  The
+    operations refuse a malformed element or base element with ShapeError;
+    ``check_axioms`` calls their bodies, so that a broken operation shows
+    as a violation."""
+
+    def __init__(self, f: StarMorphism):
+        if not f.is_star_hom or not is_etale(f):
+            raise NotEtale("free module needs an etale *-homomorphism")
+        if not classify(f.source).left_involutive:
+            raise topos.NotLeftInvolutive("free module needs a left involutive source")
+        self.f = f
+        self.source = f.source
+        self.base = f.target
+        self.action = canonical_action(f)
+
+    @takes(r=BASE_ELEMENT)
+    def element(self, r, items) -> tuple:
+        counts = {}
+        for x in freeze(items, "items", self.source.order):
+            if self.f.map[x] != r:
+                raise FiberMismatch(f"{x} does not lie over {r}")
+            counts[x] = counts.get(x, 0) + 1
+        return (r, tuple(sorted(counts.items())))
+
+    @takes(r=BASE_ELEMENT)
+    def zero(self, r) -> tuple:
+        return (r, ())
+
+    @takes(a=SUM, b=SUM)
+    def add(self, a, b) -> tuple:
+        if a[0] != b[0]:
+            raise FiberMismatch("cross-fiber addition")
+        counts = dict(a[1])
+        for x, k in b[1]:
+            counts[x] = counts.get(x, 0) + k
+        return (a[0], tuple(sorted(counts.items())))
+
+    @takes(a=SUM)
+    def star(self, a) -> tuple:
+        X = self.source
+        return (self.base.star[a[0]],
+                tuple(sorted((X.star[x], k) for x, k in a[1])))
+
+    @takes(a=SUM, s=BASE_ELEMENT)
+    def act(self, a, s) -> tuple:
+        counts = {}
+        for x, k in a[1]:
+            y = self.action.action[x][s]
+            counts[y] = counts.get(y, 0) + k
+        return (self.base.mul[a[0]][s], tuple(sorted(counts.items())))
+
+    @takes(x=SOURCE_ELEMENT)
+    def rho(self, x) -> tuple:
+        return (self.f.map[x], ((x, 1),))
+
+    @takes(a=SUM)
+    def support(self, a) -> tuple:
+        """The quotient map to F-hat: forget multiplicities."""
+        return (a[0], frozenset(x for x, _ in a[1]))
+
+    @takes(max_terms=NATURAL, count=NATURAL, seed=int)
+    def sample_elements(self, max_terms=4, count=40, seed=0):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            r = rng.randrange(self.base.order)
+            fiber = self.f.fibers[r]
+            if not fiber:
+                out.append(self.zero(r))
+                continue
+            k = rng.randrange(0, max_terms + 1)
+            out.append(self.element(r, [rng.choice(fiber) for _ in range(k)]))
+        return out
+
+    @takes(seed=int, fh=(FHatAlgebra, None))
+    def check_axioms(self, seed=0, fh=None) -> Verdict:
+        """Module axioms on sampled elements, plus equivariance of rho; with
+        ``fh``, the F-hat of the same map, also that the support quotient
+        lands in it and commutes with star, the action and addition on the
+        same elements.  A Verdict of the violations found."""
+        X, S = self.source, self.base
+        # the bodies: the samples are well formed, what a broken operation
+        # returns need not be
+        add, star, act, support = (partial(getattr(type(self), op).__wrapped__, self)
+                                   for op in ("add", "star", "act", "support"))
+        elems = self.sample_elements(seed=seed)
+        out = []
+        for a in elems:
+            r = a[0]
+            if add(a, self.zero(r)) != a:
+                out.append(Violation("ZeroLawViolation", (a,)))
+            if star(star(a)) != a:
+                out.append(Violation("InvolutionViolation", (a,)))
+            for s in S.elements:
+                if act(a, s)[0] != S.mul[r][s]:
+                    out.append(Violation("ActionFiberViolation", (a, s)))
+            for b in elems:
+                if b[0] != r:
+                    continue
+                ab = add(a, b)
+                if ab != add(b, a):
+                    out.append(Violation("AdditionCommutativityViolation", (a, b)))
+                if star(ab) != add(star(a), star(b)):
+                    out.append(Violation("StarAdditivityViolation", (a, b)))
+                for s in S.elements:
+                    if act(ab, s) != add(act(a, s), act(b, s)):
+                        out.append(Violation("DistributivityViolation", (a, b, s)))
+            for s in S.elements:
+                for t in S.elements:
+                    if act(act(a, s), t) != act(a, S.mul[s][t]):
+                        out.append(Violation("ActionAssociativityViolation", (a, s, t)))
+        for x in X.elements:
+            if star(self.rho(x)) != self.rho(X.star[x]):
+                out.append(Violation("RhoStarViolation", (x,)))
+            for s in S.elements:
+                if act(self.rho(x), s) != self.rho(self.action.action[x][s]):
+                    out.append(Violation("RhoEquivarianceViolation", (x, s)))
+        if fh is None:
+            return Verdict(out)
+        sset, fh_add = fh.module.sset, fh.module.add
+
+        def at(a):
+            return fh.index.get(support(a))
+
+        for a in elems:
+            i = at(a)
+            if i is None:
+                out.append(Violation("SupportRangeViolation", (a,)))
+                continue
+            if sset.star[i] != at(star(a)):
+                out.append(Violation("QuotientStarViolation", (a,)))
+            for s in S.elements:
+                if sset.act(i, s) != at(act(a, s)):
+                    out.append(Violation("QuotientActionViolation", (a, s)))
+            for b in elems:
+                j = at(b) if b[0] == a[0] else None
+                if j is not None and fh_add[i][j] != at(add(a, b)):
+                    out.append(Violation("QuotientAdditionViolation", (a, b)))
+        return Verdict(out)
+
+
+# ---------------------------------------------------------------------------
+# the idempotent quotient F-hat(f)
+
+
+@takes(f=StarMorphism, cap=NATURAL)
 def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     """Materialize F-hat(f) = {(r, A) : A a finite subset of the fiber over
     r} with union addition and the derived product As + rB; CarrierTooLarge
-    when it would have more than ``cap`` elements, and ShapeError when
-    ``cap`` is not a non-negative int.
+    when it would have more than ``cap`` elements.
 
     A subset is the bitmask of its elements' positions in the ascending
     fiber, and (r, A) sits at offset[r] + A.  Star and action map a subset
     through the image of each of its bits; ``elements``, ``index`` and
     ``position`` still speak of frozensets."""
-    if type(cap) is not int or cap < 0:
-        raise ShapeError(f"cap must be a non-negative integer, got {cap!r}")
     if not f.is_star_hom or not is_etale(f):
         raise NotEtale("F-hat needs an etale *-homomorphism")
     X, S = f.source, f.target
@@ -617,6 +616,7 @@ class RhoResult:
     source_involutive: bool
 
 
+@takes(fh=FHatAlgebra)
 def rho(fh: FHatAlgebra) -> RhoResult:
     """x |-> (f(x), {x}): an injective left *-homomorphism into F-hat, and a
     *-homomorphism exactly when the source is involutive."""
@@ -650,6 +650,7 @@ class LiftResult:
     morphism: StarMorphism
 
 
+@takes(phi=StarMorphism, fh_f=FHatAlgebra, fh_g=FHatAlgebra)
 def lift_morphism(phi: StarMorphism, fh_f: FHatAlgebra, fh_g: FHatAlgebra) -> LiftResult:
     """Lift a left *-homomorphism over S between etale objects to the image
     map F-hat(f) -> F-hat(g); preserves star, action, addition, product,
@@ -694,6 +695,7 @@ def lift_morphism(phi: StarMorphism, fh_f: FHatAlgebra, fh_g: FHatAlgebra) -> Li
     return LiftResult(out)
 
 
+@takes(alg_or_fhat=(SAlgebra, FHatAlgebra))
 def gamma_algebra(alg_or_fhat, budget=None) -> "topos.GammaPresheaf":
     """Probe the multiplicative carrier of an involutive S-algebra with left
     *-homomorphisms out of the S(e), reusing the Gamma enumeration."""

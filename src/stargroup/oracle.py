@@ -277,11 +277,30 @@ def _involutions(n):
 
 
 def enumerate_star_structures(table):
-    """All involutions making an associative table a *-semigroup."""
-    n = len(table)
+    """All involutions making an associative table a *-semigroup; ValueError
+    unless ``table`` is a square table of integers in 0..n-1, and
+    InvalidStarSemigroup from the validation when it is not associative."""
+    n = _square(table)
+    if not n:
+        raise ValueError(f"table must be a square table of integers in "
+                         f"0..n-1, n at least 1, got {table!r}")
     for star in _involutions(n):
         if all(table[table[x][star[x]]][x] == x for x in range(n)):
             yield validate_star_semigroup(n, table, star)
+
+
+def _square(table, kinds=(tuple, list)):
+    """The order n of ``table`` if it is a square table of integers in
+    0..n-1, n at least 1, its rows and itself of the types ``kinds``; else
+    0."""
+    n = len(table) if isinstance(table, kinds) else 0
+    return n if n and all(_row(row, n, n, kinds) for row in table) else 0
+
+
+def _row(values, length, stop, kinds=(tuple, list)):
+    """Whether ``values`` is a row of ``length`` integers in 0..stop-1."""
+    return (isinstance(values, kinds) and len(values) == length
+            and all(type(v) is int and 0 <= v < stop for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -941,6 +960,26 @@ def statement_ids():
     return sorted(REGISTRY)
 
 
+# per instance kind (naive_check): how many semigroups it holds, each as
+# (mul, star), followed by the maps that chain them, first to second and so
+# on, and whether an element of the last one ends it
+_LAYOUTS = {"semigroup": (1, False), "inverse": (1, False),
+            "morphism": (2, False), "pair": (3, False), "triangle": (3, False),
+            "inverse_idem": (1, True), "etale_idem": (2, True)}
+
+
+def _instance_ok(kind, inst, kinds):
+    """Whether ``inst`` holds raw tables in the layout of ``kind``, every
+    table, row and instance of the types ``kinds``."""
+    count, last = _LAYOUTS[kind]
+    if not (isinstance(inst, kinds) and len(inst) == 3 * count - 1 + last):
+        return False
+    n = [_square(inst[2 * i], kinds) for i in range(count)]
+    rows = [*zip(inst[1:2 * count:2], n, n), *zip(inst[2 * count:], n, n[1:])]
+    return all(n) and all(_row(*row, kinds) for row in rows) and (
+        not last or _row(inst[-1:], 1, n[-1], kinds))
+
+
 def naive_check(statement_id, instance, facts=None) -> bool:
     """Evaluate a registered statement on a raw instance with the check of
     its ``REGISTRY`` entry.
@@ -960,10 +999,19 @@ def naive_check(statement_id, instance, facts=None) -> bool:
       inverse_idem:      (mul, star, e)
       etale_idem:        (mul_x, star_x, mul_s, star_s, map, e)
     Statements whose hypotheses fail on the instance hold vacuously.
+    ValueError unless ``instance`` holds tables of integers in range in that
+    shape, as tuples when ``facts`` is given, whose keys they become, and
+    ``facts`` is a dict or None.
     """
-    spec = REGISTRY.get(statement_id)
+    spec = REGISTRY.get(statement_id) if type(statement_id) is str else None
     if spec is None:
         raise UnknownStatement(statement_id)
+    if facts is not None and type(facts) is not dict:
+        raise ValueError(f"facts must be a dict or None, got {facts!r}")
+    if not _instance_ok(spec.kind, instance,
+                        (tuple, list) if facts is None else tuple):
+        raise ValueError(f"instance must be the tables of a {spec.kind} "
+                         f"instance, got {instance!r}")
     return spec.check(instance, facts) is True
 
 

@@ -18,29 +18,31 @@ Lambda(e-hat), are built without a sweep of their own.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-from functools import partial
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import (
+    NATURAL,
+    POSITIVE,
     ConsistencyError,
     FiniteStarSemigroup,
     Invalid,
-    NotIdempotent,
+    Kind,
     ShapeError,
     StarError,
     StarMorphism,
     Violation,
-    _check_element,
     backtrack,
-    check_instance,
     classify,
     compose,
     freeze,
+    idempotent,
     idempotents,
     memo,
     shared,
+    takes,
 )
 
 
@@ -56,6 +58,7 @@ class NotNatural(StarError):
     pass
 
 
+@takes()
 @dataclass(frozen=True)
 class InverseSemigroup:
     """A validated inverse semigroup; star is the unique quasi-inverse."""
@@ -74,6 +77,7 @@ class InverseSemigroup:
         return f"InverseSemigroup({self.semigroup.name or '?'})"
 
 
+@takes(X=FiniteStarSemigroup)
 def as_inverse(X: FiniteStarSemigroup) -> InverseSemigroup:
     """Wrap X as an inverse semigroup: classify's inverse flag already means
     that the star is the unique quasi-inverse of each element.  One wrapper
@@ -87,6 +91,7 @@ def as_inverse(X: FiniteStarSemigroup) -> InverseSemigroup:
     return shared(("inverse", id(X)), InverseSemigroup, X)
 
 
+@takes()
 class LSMorphism(NamedTuple):
     """A morphism s: d -> e of L(S): s*s = d and es = s.  A tuple, so it
     is the key of its transition table and equals the plain pair (s, e)."""
@@ -103,17 +108,13 @@ def ls_dom(S: InverseSemigroup, m: LSMorphism) -> int:
     return sg.mul[sg.star[m.s]][m.s]
 
 
-def _check_idempotent(S: InverseSemigroup, e):
-    sg = S.semigroup
-    _check_element(sg, e)
-    if sg.mul[e][e] != e:
-        raise NotIdempotent(f"{e} is not idempotent")
+# an idempotent of the base, the argument S
+IDEMPOTENT = idempotent("S.semigroup")
 
 
+@takes(S=InverseSemigroup, d=IDEMPOTENT, e=IDEMPOTENT)
 def ls_morphisms(S: InverseSemigroup, d: int, e: int) -> tuple[LSMorphism, ...]:
     """All morphisms d -> e, ascending element order."""
-    _check_idempotent(S, d)
-    _check_idempotent(S, e)
     sg = S.semigroup
     return tuple(
         LSMorphism(s, e)
@@ -133,31 +134,24 @@ def all_ls_morphisms(S: InverseSemigroup) -> tuple[LSMorphism, ...]:
     )
 
 
-def _check_ls_morphism(S: InverseSemigroup, m):
-    """Refuse a morphism argument of a public function that is not a
-    morphism of L(S), with ShapeError: its element or codomain out of range,
-    a codomain that is not idempotent, or es != s.  The sweeps index
-    unchecked."""
-    check_instance(m, LSMorphism, "morphism")
-    sg = S.semigroup
-    _check_element(sg, m.s)
-    _check_element(sg, m.e)
-    if sg.mul[m.e][m.e] != m.e:
-        raise ShapeError(f"{m} is not a morphism of L(S): "
-                         f"{m.e} is not idempotent")
-    if sg.mul[m.e][m.s] != m.s:
-        raise ShapeError(f"{m} is not a morphism of L(S): "
-                         f"{m.e}*{m.s} != {m.s}")
+def _ls_morphism(name, m, mul):
+    """Refuse with ShapeError an argument that is not a morphism of L(S), S
+    with the product table ``mul``: an ``LSMorphism`` (s, e) of elements in
+    range with e idempotent and es = s.  The sweeps index unchecked."""
+    if not (isinstance(m, LSMorphism) and type(m.s) is type(m.e) is int
+            and 0 <= m.s < len(mul) and 0 <= m.e < len(mul)
+            and mul[m.e][m.e] == m.e and mul[m.e][m.s] == m.s):
+        raise ShapeError(f"{name} = {m!r} is not a morphism of L(S): out of "
+                         f"range, e not idempotent or es != s")
 
 
+# a morphism of L(S) for the argument S
+MORPHISM = Kind(_ls_morphism, "S.semigroup.mul")
+
+
+@takes(S=InverseSemigroup, m1=MORPHISM, m2=MORPHISM)
 def compose_ls(S: InverseSemigroup, m1: LSMorphism, m2: LSMorphism) -> LSMorphism:
     """m1 after m2: for m1: d -> e and m2: c -> d the product m1.s * m2.s."""
-    _check_ls_morphism(S, m1)
-    _check_ls_morphism(S, m2)
-    return _compose_ls(S, m1, m2)
-
-
-def _compose_ls(S, m1, m2):
     if ls_dom(S, m1) != m2.e:
         raise ShapeError(f"{m1} and {m2} are not composable")
     return LSMorphism(S.semigroup.mul[m1.s][m2.s], m1.e)
@@ -183,11 +177,10 @@ class PullbackSquare:
     to_dom_second: LSMorphism  # apex -> dom(t)
 
 
+@takes(S=InverseSemigroup, s=MORPHISM, t=MORPHISM)
 def ls_pullback(S: InverseSemigroup, s: LSMorphism, t: LSMorphism) -> PullbackSquare:
     """The chosen pullback of s and t over their common codomain, with the
     universal property verified by exhaustive cone search."""
-    _check_ls_morphism(S, s)
-    _check_ls_morphism(S, t)
     if s.e != t.e:
         raise ShapeError("pullback legs need a common codomain")
     sg = S.semigroup
@@ -199,16 +192,18 @@ def ls_pullback(S: InverseSemigroup, s: LSMorphism, t: LSMorphism) -> PullbackSq
     leg2 = LSMorphism(sg.mul[sg.star[t.s]][cs], dt)
     if ls_dom(S, leg1) != apex or ls_dom(S, leg2) != apex:
         raise ConsistencyError("pullback legs have the wrong domain")
-    if _compose_ls(S, s, leg1).s != _compose_ls(S, t, leg2).s:
+    # the bodies: every argument below is a morphism or idempotent of S
+    after, homs = compose_ls.__wrapped__, ls_morphisms.__wrapped__
+    if after(S, s, leg1).s != after(S, t, leg2).s:
         raise ConsistencyError("chosen pullback square does not commute")
     for b in S.idempotents:
-        for u in ls_morphisms(S, b, ds):
-            for v in ls_morphisms(S, b, dt):
+        for u in homs(S, b, ds):
+            for v in homs(S, b, dt):
                 if sg.mul[s.s][u.s] != sg.mul[t.s][v.s]:
                     continue
                 hits = [
                     w
-                    for w in ls_morphisms(S, b, apex)
+                    for w in homs(S, b, apex)
                     if sg.mul[leg1.s][w.s] == u.s and sg.mul[leg2.s][w.s] == v.s
                 ]
                 if len(hits) != 1:
@@ -222,6 +217,7 @@ def ls_pullback(S: InverseSemigroup, s: LSMorphism, t: LSMorphism) -> PullbackSq
 # presheaves
 
 
+@takes()
 @dataclass
 class Presheaf:
     base: InverseSemigroup
@@ -253,22 +249,14 @@ def _transition_shapes(S: InverseSemigroup):
             for m in all_ls_morphisms(S)}
 
 
-def _keys(table, field, stop, width=None):
-    """Check the keys of a dict argument as one row, or with ``width`` as a
-    table, of ints in 0..stop-1."""
-    if not isinstance(table, dict):
-        raise ShapeError(f"{field}s must be a dict, got {type(table).__name__}")
-    freeze(table, f"{field} key", stop, width=width)
-
-
+@takes(base=InverseSemigroup, fibers=dict, transitions=dict)
 def validate_presheaf(base: InverseSemigroup, fibers, transitions) -> Presheaf:
     """The presheaf with these fibers and transitions (keyed by morphisms or
     plain (s, e) pairs), or PresheafInvalid with every violated law."""
-    check_instance(base, InverseSemigroup, "base")
     sg = base.semigroup
     problems = []
-    _keys(fibers, "fiber", sg.order)
-    _keys(transitions, "transition", sg.order, width=2)
+    freeze(fibers, "fiber key", sg.order)
+    freeze(transitions, "transition key", sg.order, width=2)
     try:
         fibers = {e: tuple(map(str, labels)) for e, labels in fibers.items()}
     except TypeError:
@@ -312,10 +300,11 @@ def empty_presheaf(S: InverseSemigroup) -> Presheaf:
     return validate_presheaf(S, fibers, transitions)
 
 
+@takes(S=InverseSemigroup, e=IDEMPOTENT)
 def representable_presheaf(S: InverseSemigroup, e: int) -> Presheaf:
     """e-hat: fiber at d is Hom(d, e), transition by composition."""
-    _check_idempotent(S, e)
-    homs = {d: ls_morphisms(S, d, e) for d in S.idempotents}
+    after = compose_ls.__wrapped__
+    homs = {d: ls_morphisms.__wrapped__(S, d, e) for d in S.idempotents}
     fibers = {d: tuple(str(m.s) for m in homs[d]) for d in S.idempotents}
     transitions = {}
     for t in all_ls_morphisms(S):
@@ -323,7 +312,7 @@ def representable_presheaf(S: InverseSemigroup, e: int) -> Presheaf:
         c = ls_dom(S, t)
         pos = {m.s: i for i, m in enumerate(homs[c])}
         transitions[t] = tuple(
-            pos[_compose_ls(S, m, t).s] for m in homs[d]
+            pos[after(S, m, t).s] for m in homs[d]
         )
     return validate_presheaf(S, fibers, transitions)
 
@@ -337,13 +326,12 @@ class PresheafMap:
     components: dict[int, tuple[int, ...]]
 
 
+@takes(source=Presheaf, target=Presheaf, components=dict)
 def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> PresheafMap:
-    check_instance(source, Presheaf, "source")
-    check_instance(target, Presheaf, "target")
     if source.base != target.base:
         raise ShapeError("presheaf map needs a common base")
     base = source.base
-    _keys(components, "component", base.order)
+    freeze(components, "component key", base.order)
     if set(components) != set(source.fibers):
         raise ShapeError("components must be keyed by every idempotent")
     components = {
@@ -386,7 +374,8 @@ class RepresentableTables(_SeTables):
 
 # the idempotent check runs before the memo is read, so that an unhashable,
 # float or bool e is refused, never a TypeError or the entry of 0 or 1
-@partial(memo, check=_check_idempotent)
+@takes(S=InverseSemigroup, e=IDEMPOTENT)
+@memo
 def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
     """The carrier of S(e), the pairs (r, s) with d(s) = c(r) and es = s in
     lexicographic order, with the product (p, q)(r, s) = (pr, q c(pr)) and
@@ -412,7 +401,8 @@ class RepresentableSemigroup:
     psi: StarMorphism
 
 
-@partial(memo, check=_check_idempotent)
+@takes(S=InverseSemigroup, e=IDEMPOTENT)
+@memo
 def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
     """S(e) with structure map psi(r, s) = r, built once its tables match
     Lambda(e-hat) element for element."""
@@ -438,7 +428,7 @@ def _check_against_lambda(S, e, se, index):
     LP = topos.lam(representable_presheaf(S, e))
     sg = S.semigroup
     # the fiber of e-hat at d lists Hom(d, e) in this order
-    fiber_elem = {d: [m.s for m in ls_morphisms(S, d, e)]
+    fiber_elem = {d: [m.s for m in ls_morphisms.__wrapped__(S, d, e)]
                   for d in S.idempotents}
     mapping = []
     for (r, x) in LP.pairs:
@@ -464,9 +454,9 @@ def _action_table(S: InverseSemigroup, m: LSMorphism) -> tuple[int, ...]:
                  for u, v in representable_tables(S, ls_dom(S, m)).carrier)
 
 
+@takes(S=InverseSemigroup, m=MORPHISM)
 def representable_action(S: InverseSemigroup, m: LSMorphism) -> StarMorphism:
     """S(m): S(d) -> S(e) over S, (u, v) |-> (u, m.s v)."""
-    _check_ls_morphism(S, m)
     src = representable_semigroup(S, ls_dom(S, m))
     tgt = representable_semigroup(S, m.e)
     f = StarMorphism(src.semigroup, tgt.semigroup, _action_table(S, m),
@@ -606,28 +596,21 @@ def _fill_transitions(S, profile, rng=None):
         yield Presheaf(S, fibers, dict(assign))
 
 
-def _check_generator_args(S, max_fiber, least):
-    check_instance(S, InverseSemigroup, "base")
-    if type(max_fiber) is not int or max_fiber < least:
-        raise ShapeError(f"max_fiber must be an integer >= {least}, "
-                         f"got {max_fiber!r}")
-
-
-def enumerate_presheaves(S: InverseSemigroup, max_fiber: int):
-    """All presheaves on L(S) with every fiber of size <= max_fiber,
+@takes(base=InverseSemigroup, max_fiber=NATURAL)
+def enumerate_presheaves(base: InverseSemigroup, max_fiber: int):
+    """All presheaves on L(base) with every fiber of size <= max_fiber,
     deterministic order, canonical string labels."""
-    _check_generator_args(S, max_fiber, 0)
-    for profile in _valid_size_profiles(S, max_fiber):
-        yield from _fill_transitions(S, profile)
+    for profile in _valid_size_profiles(base, max_fiber):
+        yield from _fill_transitions(base, profile)
 
 
-def random_presheaf(S: InverseSemigroup, max_fiber: int, rng) -> Presheaf:
+@takes(base=InverseSemigroup, max_fiber=POSITIVE, rng=random.Random)
+def random_presheaf(base: InverseSemigroup, max_fiber: int, rng) -> Presheaf:
     """One random valid presheaf; deterministic for a given rng state."""
-    _check_generator_args(S, max_fiber, 1)
-    profiles = [p for p in _valid_size_profiles(S, max_fiber)
+    profiles = [p for p in _valid_size_profiles(base, max_fiber)
                 if sum(p.values()) > 0]
     rng.shuffle(profiles)
     for profile in profiles:
-        for P in _fill_transitions(S, profile, rng=rng):
+        for P in _fill_transitions(base, profile, rng=rng):
             return P
     raise ConsistencyError("no valid presheaf found")

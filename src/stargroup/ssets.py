@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    NATURAL,
     ConsistencyError,
     EquivalenceBroken,
     FiniteStarSemigroup,
@@ -20,14 +21,16 @@ from .core import (
     StarMorphism,
     Violation,
     action_associativity_witness,
-    check_instance,
+    below,
     classify,
     columns,
     compose,
     composer,
+    element,
     freeze,
     is_etale,
     memo,
+    takes,
 )
 
 
@@ -35,6 +38,7 @@ class SSetInvalid(Invalid):
     pass
 
 
+@takes(size=NATURAL, base=FiniteStarSemigroup)
 @dataclass(eq=False)
 class SSetStructure:
     """Carrier with involution, structure map into S, and action table;
@@ -55,9 +59,6 @@ class SSetStructure:
 
     def __post_init__(self):
         n = self.size
-        if type(n) is not int or n < 0:
-            raise ShapeError(f"size must be a non-negative integer, got {n!r}")
-        check_instance(self.base, FiniteStarSemigroup, "base")
         self.star = freeze(self.star, "star", n, length=n)
         self.smap = freeze(self.smap, "map", self.base.order, length=n)
         self.action = freeze(self.action, "action", n, length=n,
@@ -67,11 +68,9 @@ class SSetStructure:
     def elements(self) -> range:
         return range(self.size)
 
+    @takes(x=below("self.size"), s=element("self.base"))
     def act(self, x: int, s: int) -> int:
-        """xs; ShapeError unless x is in 0..size-1 and s an element of the
-        base.  Internal sweeps index ``action`` directly."""
-        freeze((x,), "element", self.size)
-        freeze((s,), "element", self.base.order)
+        """xs; internal sweeps index ``action`` directly."""
         return self.action[x][s]
 
     def __repr__(self):
@@ -126,6 +125,7 @@ def check_sset(A: SSetStructure):
                  if wit is not None)
 
 
+@takes(size=NATURAL, base=FiniteStarSemigroup)
 def make_sset(size, star, base, smap, action) -> SSetStructure:
     A = SSetStructure(size, star, base, smap, action)
     violations = check_sset(A)
@@ -153,11 +153,9 @@ def is_left_involutive_sset(A: SSetStructure) -> bool:
     return left_identity_witness(A) is None
 
 
+@takes(A=SSetStructure, r=element("A.base"), x=below("A.size"))
 def left_action(A: SSetStructure, r: int, x: int) -> int:
-    """rx = (x* r*)*, read from left_table; ShapeError unless r is an
-    element of the base and x is in 0..size-1."""
-    freeze((r,), "element", A.base.order)
-    freeze((x,), "element", A.size)
+    """rx = (x* r*)*, read from left_table."""
     return left_table(A)[r][x]
 
 
@@ -171,6 +169,7 @@ class BalancedReport:
     witness2: tuple | None = None
 
 
+@takes(A=SSetStructure)
 @memo
 def balanced_check(A: SSetStructure) -> BalancedReport:
     """Check the two balance conditions and compare with the left identity;
@@ -202,6 +201,7 @@ def balanced_check(A: SSetStructure) -> BalancedReport:
 # canonical action and the category isomorphism
 
 
+@takes(f=StarMorphism)
 @memo
 def canonical_action(f: StarMorphism) -> SSetStructure:
     """The lifting action of an etale left *-homomorphism: xs is the unique
@@ -216,6 +216,7 @@ def canonical_action(f: StarMorphism) -> SSetStructure:
     return A
 
 
+@takes(A=SSetStructure)
 def sset_to_semigroup(A: SSetStructure):
     """(X, f): the *-semigroup X with product xy = x . f(y), and f the
     structure map; SSetInvalid unless A is an S-set, ShapeError if empty.
@@ -240,9 +241,13 @@ class RetwistResult:
     product_unchanged: bool
 
 
+@takes(f=StarMorphism)
 def retwist(f: StarMorphism) -> RetwistResult:
     """Replace the product of X by x(x)y = x f(y) so that f becomes an etale
-    *-homomorphism; checks the four-way equivalence with f being one already."""
+    *-homomorphism; checks the four-way equivalence with f being one already.
+    Condition 1 is condition 2 together with the forward identity being a
+    left *-homomorphism, which is checked first, so 1 <=> 2 holds by
+    construction and is not compared; 3 <=> 4 and 3 => 1 are."""
     if not is_etale(f):
         raise NotEtale(f"{f!r} is not etale")
     X = f.source
@@ -259,11 +264,11 @@ def retwist(f: StarMorphism) -> RetwistResult:
     cond3 = f.is_star_hom
     cond4 = forward.is_star_hom
     conditions = (cond1, cond2, cond3, cond4)
-    # 1 <=> 2 and 3 <=> 4 always; 3 => 1.  The converse 1 => 3 fails: a
+    # 3 <=> 4 always; 3 => 1.  The converse 1 => 3 fails: a
     # non-multiplicative etale left *-homomorphism can still have a left
     # *-homomorphism as the backward identity (X, x) -> X, making the
     # forward identity a left *-isomorphism that is not a *-isomorphism.
-    if cond1 != cond2 or cond3 != cond4 or (cond3 and not cond1):
+    if cond3 != cond4 or (cond3 and not cond1):
         raise EquivalenceBroken(f"retwist equivalence broken: {conditions}")
     if cond3 != (X2.mul == X.mul):
         raise EquivalenceBroken("f multiplicative must mean the product is unchanged")

@@ -64,20 +64,22 @@ from .core import (
     StarMorphism,
     Verdict,
     Violation,
-    _check_element,
     backtrack,
     check_lift_points,
     classify,
     compose,
+    element,
     freeze,
     idempotents,
     is_etale,
     memo,
     projections,
     shared,
+    takes,
     validate_star_semigroup,
 )
 from .site import (
+    IDEMPOTENT,
     InverseSemigroup,
     Presheaf,
     PresheafMap,
@@ -131,6 +133,7 @@ def resolve_budget(value=None):
 # Lambda
 
 
+@takes()
 @dataclass(eq=False)
 class LambdaObject:
     """Lambda(P): pairs (r, x) with the structure map (r, x) |-> r.
@@ -153,6 +156,7 @@ class LambdaObject:
         return f"LambdaObject({len(self.pairs)} elements over {self.base!r})"
 
 
+@takes(P=Presheaf)
 def lam(P: Presheaf) -> LambdaObject:
     """Lambda(P), verified left involutive with etale structure map, with
     projections exactly the idempotent-tagged pairs and the canonical action
@@ -223,6 +227,7 @@ def _lambda_map(lsg, sg, smap) -> StarMorphism:
     return f
 
 
+@takes(gamma_map=PresheafMap)
 def lambda_morphism(gamma_map: PresheafMap) -> StarMorphism:
     """Lambda(gamma)(r, x) = (r, gamma_{c(r)}(x)); a *-homomorphism over S."""
     LP, LQ = lam(gamma_map.source), lam(gamma_map.target)
@@ -241,6 +246,7 @@ def lambda_morphism(gamma_map: PresheafMap) -> StarMorphism:
 # Gamma
 
 
+@takes()
 @dataclass(eq=False)
 class GammaPresheaf:
     """Gamma(f): per idempotent the left *-homomorphisms S(e) -> X over S,
@@ -346,6 +352,7 @@ def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):
     return tuple(sorted(_lift_table(f, carrier, u) for u in f.fibers[e]))
 
 
+@takes(f=StarMorphism)
 def gamma(f: StarMorphism, budget=None) -> GammaPresheaf:
     """Gamma(f) for a *-homomorphism f into an inverse semigroup, by the
     generic search; when f is etale with left involutive source, the
@@ -409,6 +416,7 @@ class UnitResult:
     bijective: bool
 
 
+@takes(P=Presheaf)
 def unit(P: Presheaf) -> UnitResult:
     """eta(P)_d(a)(r, s) = (r, a.s); every component must be a bijection
     onto Gamma(Lambda(P))(d) and the whole family natural.  Shared while
@@ -457,13 +465,14 @@ class CounitResult:
     is_iso: bool
 
 
+@takes(f=StarMorphism, G=(GammaPresheaf, None))
 def counit(f: StarMorphism, G: GammaPresheaf | None = None) -> CounitResult:
     """epsilon_f(r, xi) = xi(r, c(r)); always a left *-homomorphism over S,
     with bijectivity reported rather than assumed.  ``G`` defaults to
     ``gamma(f)`` and must be Gamma of ``f``.  Shared while held (module
     docstring)."""
     G = gamma(f) if G is None else G
-    if not isinstance(G, GammaPresheaf) or G.source is not f:
+    if G.source is not f:
         raise ShapeError("counit needs G to be Gamma of f")
     return shared(("counit", id(G)), _counit, G)
 
@@ -498,6 +507,7 @@ def _counit(G: GammaPresheaf) -> CounitResult:
                         inv_left, bool(bijective and inv_left))
 
 
+@takes(P=Presheaf)
 def triangle_check(P: Presheaf) -> Verdict:
     """epsilon_{Lambda P} . Lambda(eta P) = id elementwise."""
     u = unit(P)
@@ -513,6 +523,7 @@ def triangle_check(P: Presheaf) -> Verdict:
     return Verdict()
 
 
+@takes(f=StarMorphism)
 def triangle_check2(f: StarMorphism) -> Verdict:
     """Gamma(epsilon_f) . eta(Gamma f) = id, fiber by fiber."""
     eps = counit(f)
@@ -533,6 +544,7 @@ def triangle_check2(f: StarMorphism) -> Verdict:
 # the fiber presheaf and m
 
 
+@takes(f=StarMorphism)
 def fiber_presheaf(f: StarMorphism) -> Presheaf:
     """P_f(e) = f^-1(e) with transition u.s = d(lift of s at u); fibers must
     consist of projections and satisfy u.d = u(u.d)."""
@@ -575,6 +587,7 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
     return P
 
 
+@takes(f=StarMorphism)
 def m_iso(f: StarMorphism) -> StarMorphism:
     """m: Lambda(P_f) -> X, the unique lift of r at u; a bijective
     *-homomorphism over S whose transpose inverts alpha |-> alpha(e, e)."""
@@ -603,11 +616,11 @@ def m_iso(f: StarMorphism) -> StarMorphism:
     return m
 
 
+@takes(f=StarMorphism, x=element("f.source"))
 def counit_explicit_preimage(f: StarMorphism, x: int):
     """The explicit (r, xi) with epsilon(r, xi) = x for etale f: r = f(x),
     and xi the lifting table of u = c(x) (``_lift_table``)."""
     S = as_inverse(f.target)
-    _check_element(f.source, x)
     r = f.map[x]
     carrier = representable_tables(S, S.semigroup.c(r)).carrier
     u = f.source.c(x)
@@ -633,6 +646,7 @@ class PropInvReport:
         return len(set(vals)) == 1
 
 
+@takes(P=Presheaf)
 def prop_inv_check(P: Presheaf) -> PropInvReport:
     """Five independently computed equivalent statements about Lambda(P);
     disagreement raises EquivalenceBroken."""
@@ -654,14 +668,9 @@ def prop_inv_check(P: Presheaf) -> PropInvReport:
     return report
 
 
+@takes(S=InverseSemigroup, s=element("S"), t=element("S"))
 def left_compatible(S: InverseSemigroup, s: int, t: int) -> bool:
     """st*t = ts*s; cross-checked against st* being idempotent."""
-    _check_element(S.semigroup, s)
-    _check_element(S.semigroup, t)
-    return _left_compatible(S, s, t)
-
-
-def _left_compatible(S, s, t):
     sg = S.semigroup
     direct = sg.mul[s][sg.mul[sg.star[t]][t]] == sg.mul[t][sg.mul[sg.star[s]][s]]
     u = sg.mul[s][sg.star[t]]
@@ -682,22 +691,22 @@ class PropSymReport:
     seinv_agrees: bool
 
 
+@takes(S=InverseSemigroup, e=IDEMPOTENT)
 def prop_sym_check(S: InverseSemigroup, e: int) -> PropSymReport:
     """Star reversal in S(e) happens exactly at left compatible (s, qp)
     pairs; and S(e) is inverse iff eS is pairwise left compatible."""
-    sg = S.semigroup
+    sg, compatible = S.semigroup, left_compatible.__wrapped__
     R = representable_semigroup(S, e)
     se = R.semigroup
     mismatches = []
     for i, (p, q) in enumerate(R.carrier):
         for j, (r, s) in enumerate(R.carrier):
             reverses = se.star[se.mul[i][j]] == se.mul[se.star[j]][se.star[i]]
-            compatible = _left_compatible(S, s, sg.mul[q][p])
-            if reverses != compatible:
+            if reverses != compatible(S, s, sg.mul[q][p]):
                 mismatches.append(((p, q), (r, s)))
     se_inverse = classify(se).inverse
     es = [s for s in sg.elements if sg.mul[e][s] == s]
-    es_compat = all(_left_compatible(S, a, b) for a in es for b in es)
+    es_compat = all(compatible(S, a, b) for a in es for b in es)
     return PropSymReport(e, not mismatches, tuple(mismatches),
                          se_inverse, es_compat, se_inverse == es_compat)
 
@@ -709,6 +718,7 @@ class IdealReport:
     ideal: tuple[int, ...] | None
 
 
+@takes(S=InverseSemigroup)
 def ideal_correspondence(S: InverseSemigroup, D) -> IdealReport:
     """A normal idempotent subset D yields the two-sided *-closed ideal
     T = {s : s*s in D} with E cap T = D."""
@@ -734,6 +744,7 @@ def ideal_correspondence(S: InverseSemigroup, D) -> IdealReport:
     return IdealReport(True, None, T)
 
 
+@takes(f=StarMorphism)
 def bsleft_eval(f: StarMorphism) -> dict:
     """Data for the equivalence checks: counit bijectivity/iso vs the source
     being left involutive and the map etale."""

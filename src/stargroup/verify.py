@@ -20,17 +20,18 @@ from typing import NamedTuple
 
 from . import oracle, site, topos
 from .core import (
-    ShapeError,
+    POSITIVE,
     StarError,
     StarMorphism,
-    _leq_left,
-    _leq_right,
     classify,
     compose_morphisms,
     idempotent_leq,
     idempotents,
     is_etale,
+    leq_left,
+    leq_right,
     projections,
+    takes,
 )
 from .oracle import BudgetExceeded
 from .site import as_inverse, representable_semigroup
@@ -91,19 +92,19 @@ def _main_birestrictive(X):
 
 
 def _main_leftright(X):
-    r = classify(X)
+    r, leq = classify(X), idempotent_leq.__wrapped__
     projs = projections(X)
     for y in X.elements:
         cy = X.c(y)
         for p in projs:
-            if idempotent_leq(X, cy, p) != (
+            if leq(X, cy, p) != (
                 X.mul[p][y] == y and X.mul[X.star[y]][p] == X.star[y]
             ):
                 return False
     for x in X.elements:
         dx = X.d(x)
         for q in projs:
-            if idempotent_leq(X, dx, q) != (
+            if leq(X, dx, q) != (
                 X.mul[x][q] == x and X.mul[q][X.star[x]] == X.star[x]
             ):
                 return False
@@ -111,11 +112,11 @@ def _main_leftright(X):
         dx = X.d(x)
         for y in X.elements:
             cy = X.c(y)
-            if idempotent_leq(X, cy, dx) != (
+            if leq(X, cy, dx) != (
                 X.mul[dx][y] == y and X.mul[X.star[y]][dx] == X.star[y]
             ):
                 return False
-            if idempotent_leq(X, dx, cy) != (
+            if leq(X, dx, cy) != (
                 X.mul[x][cy] == x and X.mul[cy][X.star[x]] == X.star[x]
             ):
                 return False
@@ -135,13 +136,14 @@ def _main_leftright(X):
 def _main_3cond(X):
     if not classify(X).left_involutive:
         return True
+    leq = idempotent_leq.__wrapped__
     for x in X.elements:
         dx = X.d(x)
         for y in X.elements:
             cy = X.c(y)
-            if idempotent_leq(X, cy, dx) != (X.mul[dx][y] == y):
+            if leq(X, cy, dx) != (X.mul[dx][y] == y):
                 return False
-            if idempotent_leq(X, dx, cy) != (
+            if leq(X, dx, cy) != (
                 X.mul[cy][X.star[x]] == X.star[x]
             ):
                 return False
@@ -150,15 +152,17 @@ def _main_3cond(X):
 
 def _main_po(item):
     """The main check of ``lem:po-<item>``.  It compares the orders through
-    ``core._leq_left``/``_leq_right``, which skip the argument check of
-    their public forms: every element passed comes from ``X.elements`` or
-    ``X.star``."""
+    the bodies of ``core.leq_left``/``leq_right``, their ``__wrapped__``,
+    which skip the declared argument check: every element passed comes from
+    ``X.elements`` or ``X.star``."""
+    left, right = leq_left.__wrapped__, leq_right.__wrapped__
+
     def fn(X):
         r = classify(X)
         for x in X.elements:
             dx, cx = X.d(x), X.c(x)
             for y in X.elements:
-                ll, rr = _leq_left(X, x, y), _leq_right(X, x, y)
+                ll, rr = left(X, x, y), right(X, x, y)
                 if item == 1:
                     alt = (X.mul[x][X.d(y)] == x
                            and X.mul[X.star[y]][x] == dx
@@ -189,7 +193,7 @@ def _main_po(item):
                     if ll != rr:
                         return False
                 elif item == 8 and r.locally_involutive:
-                    if ll != _leq_right(X, X.star[x], X.star[y]):
+                    if ll != right(X, X.star[x], X.star[y]):
                         return False
         return True
     return fn
@@ -452,13 +456,10 @@ def etale_idem_pool():
     return out
 
 
+@takes(max_order=POSITIVE)
 def build_instances(statement_ids=None, max_order=3):
     """(statement, label, instance, raw) for the requested statements: the
-    main check reads the instance, oracle.naive_check the raw tables.
-    ShapeError unless max_order is an int of at least 1."""
-    if type(max_order) is not int or max_order < 1:
-        raise ShapeError(f"max_order must be an integer >= 1, "
-                         f"got {max_order!r}")
+    main check reads the instance, the oracle's naive check the raw tables."""
     ids = statement_ids or sorted(oracle.REGISTRY)
     for sid in ids:
         if sid not in oracle.REGISTRY:
@@ -490,12 +491,14 @@ def build_instances(statement_ids=None, max_order=3):
 def _run_task(task, facts):
     """One row.  An error inside a check fails its own row, with witness
     ("error", type, message), instead of ending the sweep; an exceeded or
-    invalid budget still ends it.  ``facts``: the run's naive verdicts
-    (``oracle.naive_check``)."""
+    invalid budget still ends it.  ``facts``: the run's naive verdicts.
+    The naive verdict is the registered check's, ``oracle.naive_check``
+    without its instance check, as the raw tables are those of validated
+    objects."""
     sid, label, inst, raw = task
     try:
         main = MAIN_CHECKS[sid](inst)
-        naive = oracle.naive_check(sid, raw, facts)
+        naive = oracle.REGISTRY[sid].check(raw, facts) is True
     except (BudgetExceeded, SearchBudgetExceeded, BudgetInvalid):
         raise
     except (StarError, oracle.OracleError) as exc:

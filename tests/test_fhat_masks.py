@@ -99,5 +99,5 @@ def test_fhat_cap_refuses_at_the_reference_size(population):
 
 @pytest.mark.parametrize("cap", [-1, True, False, 2.0, "16", None])
 def test_fhat_cap_must_be_a_non_negative_int(id_sl2, cap):
-    with pytest.raises(ShapeError, match="cap must be a non-negative integer"):
+    with pytest.raises(ShapeError, match="^cap must be an integer >= 0"):
         fhat(id_sl2, cap)

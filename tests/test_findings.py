@@ -38,9 +38,11 @@ def test_n5_1770_2_esn_check_is_an_error_row(capsys):
     assert len(rows) == 1
     row = rows[0]
     assert (row["check"], row["instance"], row["pass"]) == (
-        "error", "ConsistencyError", False)
-    assert "OrderPreservationViolation" in row["witness"][0]
+        "error", "n5_1770_2.json", False)
+    assert row["witness"][0] == "ConsistencyError"
+    assert "OrderPreservationViolation" in row["witness"][1]
     assert cli.main(["esn-check", path]) == 1
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1
-    assert out[0].startswith("FAIL  error  [ConsistencyError]")
+    assert out[0].startswith(
+        "FAIL  error  [n5_1770_2.json]  witness=['ConsistencyError', ")

@@ -343,6 +343,7 @@ def test_validate_reports_the_malformed_groupoid(tmp_path):
     with contextlib.redirect_stdout(buf):
         code = cli.main(["validate", str(path)])
     out = buf.getvalue()
-    assert code == 1 and out.startswith("FAIL  error  [InvalidGroupoid]")
+    assert code == 1 and out.startswith(
+        "FAIL  error  [g.json]  witness=['InvalidGroupoid', ")
     assert "OrderInversion(1, 4)" in out
     assert "RestrictionNotUnique(5, 0, 0)" in out

@@ -28,8 +28,8 @@ BASES = (("semilattice_chain", 2), ("semilattice_chain", 3),
 def reference_lift(f, p, s):
     """etale_lift as it scanned the whole source for each lift."""
     X, S = f.source, f.target
-    core._check_element(X, p)
-    core._check_element(S, s)
+    core.freeze((p,), "p", X.order)
+    core.freeze((s,), "s", S.order)
     if X.mul[p][p] != p or X.star[p] != p:
         raise NotProjection(f"{p} is not a projection of the source")
     if not core.is_etale(f):

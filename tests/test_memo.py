@@ -7,17 +7,22 @@ it, and other results by a tagged key."""
 import ast
 import collections
 import gc
+import importlib
 import pathlib
+import pkgutil
 import random
 import weakref
 
 import pytest
 
+import stargroup
 from stargroup import core, oracle, site, ssets, topos, verify
 from stargroup.core import (
     InvalidStarSemigroup,
+    Kind,
     ShapeError,
     memo,
+    takes,
     validate_star_semigroup,
 )
 
@@ -163,9 +168,9 @@ def test_a_memo_counts_hits_and_misses_and_keeps_no_error():
     class Box:
         pass
 
-    def check(box, key):
+    def check(name, key, held):
         if type(key) is not int:
-            raise ShapeError("key")
+            raise ShapeError(name)
 
     def keyed(box, key):
         calls.append(key)
@@ -177,7 +182,7 @@ def test_a_memo_counts_hits_and_misses_and_keeps_no_error():
         calls.append(None)
         return "whole"
 
-    keyed = memo(keyed, check=check)
+    keyed = takes(key=Kind(check))(memo(keyed))
     whole = memo(whole)
     box = Box()
     assert [whole(box), whole(box), keyed(box, 1), keyed(box, 1)] == [
@@ -435,8 +440,9 @@ def test_the_closure_scan_finds_a_self_referring_one():
                                 ssets.canonical_action])
 def test_a_memo_called_on_none_never_returns_itself(fn):
     # with no key, the memo computes and stores in __call__; the class
-    # access branch of __get__ used to hand back the memo for None
-    with pytest.raises(AttributeError, match="'NoneType' object"):
+    # access branch of __get__ used to hand back the memo for None, and
+    # the declared check now refuses None before either
+    with pytest.raises(ShapeError, match="must be of type"):
         fn(None)
 
 
@@ -552,3 +558,123 @@ def test_the_build_scan_finds_each_form():
         ("<module>", "FiniteStarSemigroup"), ("f", "Presheaf"),
         ("f", "validate_star_semigroup"), ("g", "validate_presheaf"),
         ("h", "FiniteStarSemigroup")]
+
+
+# Every internal call of a checked function or method (``core.takes``), by
+# module and callee.  An internal caller whose arguments are known good
+# calls the body, ``__wrapped__``; a new checked call joins this list on
+# purpose.  A memo checks in its own call and a class in its constructor,
+# so neither has a body to call instead and neither is listed.
+CHECKED_CALLS = {
+    "cli.py": {"as_inverse": 2, "bsleft_eval": 1, "check_axioms": 1,
+               "counit": 1, "esn_groupoid": 3, "fhat": 1, "gamma": 1,
+               "lam": 1, "ls_morphisms": 2, "ls_pullback": 1,
+               "mediator_kind": 1, "prop_inv_check": 1, "prop_sym_check": 1,
+               "rho": 1, "same_tables": 1, "triangle_check": 1,
+               "triangle_check2": 1, "unit": 1},
+    "core.py": {"is_etale": 2, "same_tables": 1},
+    "groupoid.py": {"esn_ordered_groupoid": 1, "validate_star_semigroup": 1},
+    "modalg.py": {"act": 4, "as_inverse": 1, "element": 1, "gamma": 2,
+                  "idem_to_algebra": 1, "is_etale": 2, "make_sset": 1,
+                  "rho": 6, "sample_elements": 1, "validate_module": 1,
+                  "zero": 2},
+    "oracle.py": {"validate_star_semigroup": 7},
+    "serialize.py": {"as_inverse": 1, "make_sset": 1, "validate_presheaf": 1,
+                     "validate_star_semigroup": 1},
+    "site.py": {"lam": 1, "representable_presheaf": 1, "validate_presheaf": 3},
+    "ssets.py": {"is_etale": 2, "make_sset": 1, "sset_to_semigroup": 1},
+    "topos.py": {"as_inverse": 4, "counit": 3, "fiber_presheaf": 1,
+                 "gamma": 3, "is_etale": 4, "lam": 6, "unit": 1,
+                 "validate_presheaf_map": 1, "validate_star_semigroup": 1},
+    "verify.py": {"as_inverse": 3, "build_instances": 1,
+                  "compose_morphisms": 2, "gamma": 1, "is_etale": 9, "lam": 1,
+                  "prop_sym_check": 2, "validate_presheaf": 1},
+}
+# a method name that a set, dict or list also has is left out of the scan:
+# a call of it cannot be told from one of a checked method
+CONTAINER_METHODS = set(dir(set)) | set(dir(dict)) | set(dir(list))
+
+
+def _checked_names():
+    """The names of the package's checked functions, and of its checked
+    methods: those a declaration wraps, keeping the body as ``__wrapped__``."""
+    functions, methods = set(), set()
+    for info in pkgutil.iter_modules(stargroup.__path__):
+        module = importlib.import_module(f"stargroup.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if getattr(obj, "kinds", None) and hasattr(obj, "__wrapped__") \
+                    and not isinstance(obj, (type, memo)):
+                functions.add(name)
+            for attr, member in vars(obj).items() if isinstance(obj, type) \
+                    else ():
+                if attr != "__init__" and getattr(member, "kinds", None):
+                    methods.add(attr)
+    return functions, methods - CONTAINER_METHODS
+
+
+def _checked_calls(tree, functions, methods):
+    """The callee of each call of a name in ``functions``, or of an
+    attribute in ``functions`` or ``methods``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in functions:
+            yield func.id
+        elif (isinstance(func, ast.Attribute)
+              and func.attr in functions | methods):
+            yield func.attr
+
+
+def test_internal_calls_of_checked_forms_are_pinned():
+    functions, methods = _checked_names()
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        calls = collections.Counter(_checked_calls(
+            ast.parse(path.read_text()), functions, methods))
+        if calls:
+            found[path.name] = dict(calls)
+    assert found == CHECKED_CALLS
+
+
+def test_the_checked_call_scan_finds_each_form():
+    text = ("def f(S, F, X):\n"
+            "    topos.lam(P), lam(P), F.add(a, b), add(a, b)\n"
+            "    return classify(X), F.rho(x), rho(fh), X.lam\n")
+    assert sorted(_checked_calls(ast.parse(text), {"lam", "rho"},
+                                 {"add"})) == ["add", "lam", "lam", "rho",
+                                               "rho"]
+
+
+def _undeclared_exports(init, modules):
+    """Each name ``init`` imports from a module of ``modules`` (name ->
+    tree) other than the oracle, whose function or class there has no
+    ``takes`` decorator.  The oracle imports nothing from core but the
+    semigroup and its validator, and checks its own arguments."""
+    declared = {(name, node.name) for name, tree in modules.items()
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and any(isinstance(d, ast.Call)
+                        and getattr(d.func, "id", None) == "takes"
+                        for d in node.decorator_list)}
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "oracle":
+            yield from (alias.name for alias in node.names
+                        if (node.module, alias.name) not in declared)
+
+
+def test_every_export_is_declared():
+    # so every export reaches the fuzz of test_contracts.py
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in SRC.glob("*.py")}
+    assert list(_undeclared_exports(modules.pop("__init__"), modules)) == []
+
+
+def test_the_export_scan_finds_an_undeclared_one():
+    init = ast.parse("from .core import f, g, C\nfrom .oracle import h\n")
+    core_tree = ast.parse("@takes(x=int)\ndef f(x): pass\n"
+                          "@memo\ndef g(x): pass\n"
+                          "@takes()\nclass C: pass\ndef h(): pass\n")
+    assert list(_undeclared_exports(init, {"core": core_tree})) == ["g"]

@@ -189,7 +189,7 @@ def test_act_and_left_action_refuse_an_argument_out_of_range(id_i2, x, s):
     # I2 has seven elements; a negative index must not read from the end
     A = canonical_action(id_i2)
     for call in (lambda: A.act(x, s), lambda: left_action(A, s, x)):
-        with pytest.raises(ShapeError, match="element entr"):
+        with pytest.raises(ShapeError, match="must be an integer in 0..6"):
             call()
 
 

@@ -608,9 +608,10 @@ def test_a_raising_unit_or_counit_keeps_nothing(p21, monkeypatch):
 def test_counit_refuses_a_gamma_of_another_map(id_i2, i2):
     other = identity_morphism(i2)
     assert other is not id_i2 and other.map == id_i2.map
-    for G in (gamma(other), "not a Gamma"):
-        with pytest.raises(ShapeError, match="Gamma of f"):
-            counit(id_i2, G)
+    with pytest.raises(ShapeError, match="Gamma of f"):
+        counit(id_i2, gamma(other))
+    with pytest.raises(ShapeError, match="^G must be of type GammaPresheaf"):
+        counit(id_i2, "not a Gamma")
 
 
 def test_the_chain_sweeps_the_counit_map_once(p21, monkeypatch):
