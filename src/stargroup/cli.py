@@ -157,10 +157,11 @@ def cmd_site(args, report):
         R = site.representable_semigroup(S, e)
         report.add(f"site:S({e})", name, True,
                    witness=[R.semigroup.order])
-        for d in idems:
-            for m in site.ls_morphisms(S, d, e):
-                for m2 in site.ls_morphisms(S, d, e):
-                    site.ls_pullback(S, m, m2)
+        # every cospan m, m2 into e, whatever the domains of its legs
+        legs = [m for m in site.all_ls_morphisms(S) if m.e == e]
+        for m in legs:
+            for m2 in legs:
+                site.ls_pullback(S, m, m2)
     report.add("site:pullbacks-universal", name, True)
 
 

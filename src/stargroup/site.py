@@ -103,11 +103,6 @@ class LSMorphism(NamedTuple):
         return f"({self.s} -> {self.e})"
 
 
-def ls_dom(S: InverseSemigroup, m: LSMorphism) -> int:
-    sg = S.semigroup
-    return sg.mul[sg.star[m.s]][m.s]
-
-
 # an idempotent of the base, the argument S
 IDEMPOTENT = idempotent("S.semigroup")
 
@@ -123,6 +118,7 @@ def ls_morphisms(S: InverseSemigroup, d: int, e: int) -> tuple[LSMorphism, ...]:
     )
 
 
+@takes(S=InverseSemigroup)
 @memo
 def all_ls_morphisms(S: InverseSemigroup) -> tuple[LSMorphism, ...]:
     sg = S.semigroup
@@ -149,10 +145,16 @@ def _ls_morphism(name, m, mul):
 MORPHISM = Kind(_ls_morphism, "S.semigroup.mul")
 
 
+@takes(S=InverseSemigroup, m=MORPHISM)
+def ls_dom(S: InverseSemigroup, m: LSMorphism) -> int:
+    """The domain d(s) = s*s of m; internal callers read S.semigroup.d(m.s)."""
+    return S.semigroup.d(m.s)
+
+
 @takes(S=InverseSemigroup, m1=MORPHISM, m2=MORPHISM)
 def compose_ls(S: InverseSemigroup, m1: LSMorphism, m2: LSMorphism) -> LSMorphism:
     """m1 after m2: for m1: d -> e and m2: c -> d the product m1.s * m2.s."""
-    if ls_dom(S, m1) != m2.e:
+    if S.semigroup.d(m1.s) != m2.e:
         raise ShapeError(f"{m1} and {m2} are not composable")
     return LSMorphism(S.semigroup.mul[m1.s][m2.s], m1.e)
 
@@ -166,7 +168,7 @@ def _composable_triples(S: InverseSemigroup):
         (LSMorphism(S.semigroup.mul[m1.s][m2.s], m1.e), m1, m2)
         for m1 in morphs
         for m2 in morphs
-        if ls_dom(S, m1) == m2.e
+        if S.semigroup.d(m1.s) == m2.e
     )
 
 
@@ -187,10 +189,10 @@ def ls_pullback(S: InverseSemigroup, s: LSMorphism, t: LSMorphism) -> PullbackSq
     cs = sg.c(s.s)
     ct = sg.c(t.s)
     apex = sg.mul[cs][ct]
-    ds, dt = ls_dom(S, s), ls_dom(S, t)
+    ds, dt = sg.d(s.s), sg.d(t.s)
     leg1 = LSMorphism(sg.mul[sg.star[s.s]][ct], ds)
     leg2 = LSMorphism(sg.mul[sg.star[t.s]][cs], dt)
-    if ls_dom(S, leg1) != apex or ls_dom(S, leg2) != apex:
+    if sg.d(leg1.s) != apex or sg.d(leg2.s) != apex:
         raise ConsistencyError("pullback legs have the wrong domain")
     # the bodies: every argument below is a morphism or idempotent of S
     after, homs = compose_ls.__wrapped__, ls_morphisms.__wrapped__
@@ -230,12 +232,6 @@ class Presheaf:
     def is_empty(self) -> bool:
         return not any(self.fibers.values())
 
-    def __eq__(self, other):
-        return (isinstance(other, Presheaf)
-                and self.base == other.base
-                and self.fibers == other.fibers
-                and self.transitions == other.transitions)
-
     def __repr__(self):
         sizes = {e: len(v) for e, v in sorted(self.fibers.items())}
         return f"Presheaf({self.base!r}, fibers={sizes})"
@@ -245,7 +241,7 @@ class Presheaf:
 def _transition_shapes(S: InverseSemigroup):
     """Per L(S)-morphism, the field name that a shape error gives its
     transition, and its domain s*s; built once per base."""
-    return {m: (f"transition along {m}", ls_dom(S, m))
+    return {m: (f"transition along {m}", S.semigroup.d(m.s))
             for m in all_ls_morphisms(S)}
 
 
@@ -288,12 +284,14 @@ def validate_presheaf(base: InverseSemigroup, fibers, transitions) -> Presheaf:
     return Presheaf(base, fibers, transitions)
 
 
+@takes(S=InverseSemigroup)
 def terminal_presheaf(S: InverseSemigroup) -> Presheaf:
     fibers = {e: ("*",) for e in S.idempotents}
     transitions = dict.fromkeys(all_ls_morphisms(S), (0,))
     return validate_presheaf(S, fibers, transitions)
 
 
+@takes(S=InverseSemigroup)
 def empty_presheaf(S: InverseSemigroup) -> Presheaf:
     fibers = {e: () for e in S.idempotents}
     transitions = dict.fromkeys(all_ls_morphisms(S), ())
@@ -309,7 +307,7 @@ def representable_presheaf(S: InverseSemigroup, e: int) -> Presheaf:
     transitions = {}
     for t in all_ls_morphisms(S):
         d = t.e
-        c = ls_dom(S, t)
+        c = S.semigroup.d(t.s)
         pos = {m.s: i for i, m in enumerate(homs[c])}
         transitions[t] = tuple(
             pos[after(S, m, t).s] for m in homs[d]
@@ -339,7 +337,7 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
                   length=len(source.fiber(e)))
         for e, c in components.items()}
     for m in all_ls_morphisms(base):
-        d = ls_dom(base, m)
+        d = base.semigroup.d(m.s)
         src_t = source.transitions[m]
         tgt_t = target.transitions[m]
         for i in range(len(source.fiber(m.e))):
@@ -451,13 +449,13 @@ def _action_table(S: InverseSemigroup, m: LSMorphism) -> tuple[int, ...]:
     mul_s = S.semigroup.mul[m.s]
     tpos = representable_tables(S, m.e).index
     return tuple(tpos[(u, mul_s[v])]
-                 for u, v in representable_tables(S, ls_dom(S, m)).carrier)
+                 for u, v in representable_tables(S, S.semigroup.d(m.s)).carrier)
 
 
 @takes(S=InverseSemigroup, m=MORPHISM)
 def representable_action(S: InverseSemigroup, m: LSMorphism) -> StarMorphism:
     """S(m): S(d) -> S(e) over S, (u, v) |-> (u, m.s v)."""
-    src = representable_semigroup(S, ls_dom(S, m))
+    src = representable_semigroup(S, S.semigroup.d(m.s))
     tgt = representable_semigroup(S, m.e)
     f = StarMorphism(src.semigroup, tgt.semigroup, _action_table(S, m),
                      name=f"S({m.s}->{m.e})")
@@ -522,7 +520,7 @@ def _presheaf_skeleton(S: InverseSemigroup) -> tuple[_FillStep, ...]:
         checks = tuple(sq for sq in squares[m]
                        if all(k in assigned for k in sq)
                        and sq[1] not in identities and sq[2] not in identities)
-        steps.append(_FillStep(m, ls_dom(S, m), forced, checks))
+        steps.append(_FillStep(m, S.semigroup.d(m.s), forced, checks))
     return tuple(steps)
 
 
@@ -533,7 +531,7 @@ def _valid_size_profiles(S: InverseSemigroup, max_fiber: int) -> tuple:
     kept on S per max_fiber."""
     idems = list(S.idempotents)
     morphs = all_ls_morphisms(S)
-    arrows = {(ls_dom(S, m), m.e) for m in morphs}
+    arrows = {(S.semigroup.d(m.s), m.e) for m in morphs}
     profiles = []
     for sizes in itertools.product(range(max_fiber + 1), repeat=len(idems)):
         profile = dict(zip(idems, sizes))

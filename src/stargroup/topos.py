@@ -89,7 +89,6 @@ from .site import (
     all_ls_morphisms,
     as_inverse,
     empty_presheaf,
-    ls_dom,
     representable_semigroup,
     representable_tables,
     validate_presheaf_map,
@@ -382,7 +381,7 @@ def _gamma(f: StarMorphism, budget: int) -> GammaPresheaf:
     for m in all_ls_morphisms(S):
         # alpha . m reads alpha at S(m) of each element of S(d)
         action = _action_table(S, m)
-        lookup = {table: i for i, table in enumerate(alphas[ls_dom(S, m)])}
+        lookup = {table: i for i, table in enumerate(alphas[S.semigroup.d(m.s)])}
         tr = []
         for table in alphas[m.e]:
             moved = compose(table, action)
@@ -400,7 +399,7 @@ def _gamma(f: StarMorphism, budget: int) -> GammaPresheaf:
 
 def _empty_gamma(S: InverseSemigroup) -> GammaPresheaf:
     return GammaPresheaf(S, None, {e: () for e in S.idempotents},
-                         empty_presheaf(S))
+                         empty_presheaf.__wrapped__(S))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +567,7 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
     act = f.action
     transitions = {}
     for m in all_ls_morphisms(S):
-        posd = {u: i for i, u in enumerate(over[ls_dom(S, m)])}
+        posd = {u: i for i, u in enumerate(over[S.semigroup.d(m.s)])}
         transitions[m] = tuple([posd[X.d(act[u][m.s])] for u in over[m.e]])
     # A presheaf without validate_presheaf's sweep.  Identity: the lift of
     # e at u is u, and d(u) = u.  Composition: let x be the lift of s at u

@@ -11,11 +11,18 @@ tables validated elsewhere while held give the same object
 (``core.validate_star_semigroup``).  The oracle receives each entry's raw
 tables, and one run hands all its naive checks one dict of verdicts, so each
 naive predicate is computed once per table or map per run.
+
+On the main side the 13 statements over one table are the clause table
+``CLAUSES``, over ``classify``'s flags and X's tables, written apart from
+``oracle.CLAUSES``: ``evaluate_clauses`` returns True or, as the oracle's
+does, the first clause that fails and its first falsifying binding.  The 9
+statements over morphisms, pairs and ``S(e)`` are checked by hand.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from typing import NamedTuple
 
 from . import oracle, site, topos
@@ -58,145 +65,148 @@ class VerifyRow(NamedTuple):
 # ---------------------------------------------------------------------------
 # main verdicts, one per registered statement
 
+# The clause table (module docstring), one clause per line of the paper,
+# named as the oracle names a line both encode.  Each letter of ``over`` binds
+# one variable, in the order of the lambda's parameters after X: E an element,
+# P a projection; x <=l y and x <=r y are the left and right orders.
 
-def _main_reduct(X):
-    r = classify(X)
-    if r.involutive and not (r.left_involutive and r.right_involutive):
-        return False
-    if (r.left_involutive or r.right_involutive) and not r.locally_involutive:
-        return False
+
+class Clause(NamedTuple):
+    name: str
+    over: str
+    guard: str | None  # a classify flag
+    hypothesis: Callable | None  # of (X, *binding); None holds
+    conclusion: Callable
+
+
+# the bodies: the clauses pass elements of X, and idempotents to _leq
+_leq = idempotent_leq.__wrapped__
+_left, _right = leq_left.__wrapped__, leq_right.__wrapped__
+
+
+def _implies(guard, flag):
+    """The clause ``guard => flag`` between two ``classify`` flags."""
+    return Clause(f"{guard} => {flag}".replace("_", " "), "", guard, None,
+                  lambda X: getattr(classify(X), flag))
+
+
+def _projection_product(X, p, q):  # pq is a projection
+    pq = X.mul[p][q]
+    return X.mul[pq][pq] == pq and X.star[pq] == pq
+
+
+CLAUSES = {
+    "lem:reduct": (
+        _implies("involutive", "left_involutive"),
+        _implies("involutive", "right_involutive"),
+        _implies("left_involutive", "locally_involutive"),
+        _implies("right_involutive", "locally_involutive"),
+    ),
+    "lem:birestrictive": (
+        _implies("left_involutive", "corestrictive"),
+        _implies("right_involutive", "restrictive"),
+        _implies("involutive", "restrictive"),
+        _implies("involutive", "corestrictive"),
+        Clause("left involutive, pq a projection => pq.p = pq", "PP",
+               "left_involutive", _projection_product,
+               lambda X, p, q: X.mul[X.mul[p][q]][p] == X.mul[p][q]),
+        Clause("right involutive, pq a projection => pq.p = qp", "PP",
+               "right_involutive", _projection_product,
+               lambda X, p, q: X.mul[X.mul[p][q]][p] == X.mul[q][p]),
+        Clause("involutive, pq a projection => pq = qp", "PP",
+               "involutive", _projection_product,
+               lambda X, p, q: X.mul[p][q] == X.mul[q][p]),
+    ),
+    "lem:left/right": (
+        Clause("c(y) <= p iff py = y and y*p = y*", "EP", None, None,
+               lambda X, y, p: _leq(X, X.c(y), p)
+               == (X.mul[p][y] == y and X.mul[X.star[y]][p] == X.star[y])),
+        Clause("d(x) <= q iff xq = x and qx* = x*", "EP", None, None,
+               lambda X, x, q: _leq(X, X.d(x), q)
+               == (X.mul[x][q] == x and X.mul[q][X.star[x]] == X.star[x])),
+        Clause("c(y) <= d(x) iff d(x)y = y and y*d(x) = y*", "EE", None, None,
+               lambda X, x, y: _leq(X, X.c(y), X.d(x))
+               == (X.mul[X.d(x)][y] == y
+                   and X.mul[X.star[y]][X.d(x)] == X.star[y])),
+        Clause("d(x) <= c(y) iff xc(y) = x and c(y)x* = x*", "EE", None, None,
+               lambda X, x, y: _leq(X, X.d(x), X.c(y))
+               == (X.mul[x][X.c(y)] == x
+                   and X.mul[X.c(y)][X.star[x]] == X.star[x])),
+        Clause("left involutive, py = y => y*p = y*", "PE",
+               "left_involutive", lambda X, p, y: X.mul[p][y] == y,
+               lambda X, p, y: X.mul[X.star[y]][p] == X.star[y]),
+        Clause("right involutive, xq = x => qx* = x*", "PE",
+               "right_involutive", lambda X, q, x: X.mul[x][q] == x,
+               lambda X, q, x: X.mul[q][X.star[x]] == X.star[x]),
+    ),
+    "cor:3cond": (
+        Clause("left involutive => (c(y) <= d(x) iff d(x)y = y)", "EE",
+               "left_involutive", None, lambda X, x, y:
+               _leq(X, X.c(y), X.d(x)) == (X.mul[X.d(x)][y] == y)),
+        Clause("left involutive => (d(x) <= c(y) iff c(y)x* = x*)", "EE",
+               "left_involutive", None, lambda X, x, y:
+               _leq(X, X.d(x), X.c(y))
+               == (X.mul[X.c(y)][X.star[x]] == X.star[x])),
+    ),
+    "prop:commproj": (
+        _implies("inverse", "restrictive"),
+        _implies("inverse", "corestrictive"),
+        _implies("inverse", "locally_involutive"),
+        Clause("inverse => pq = qp", "", "inverse", None,
+               lambda X: classify(X).commuting_projections),
+        Clause("quasi-involutive, all pq = qp => inverse", "",
+               "quasi_involutive", lambda X: classify(X).commuting_projections,
+               lambda X: classify(X).inverse),
+    ),
+}
+# lem:po-1 .. lem:po-8, one clause each
+for _i, _clause in enumerate((
+    Clause("x <=l y iff xd(y) = x, y*x = d(x) and yx* = c(x)", "EE", None,
+           None, lambda X, x, y: _left(X, x, y)
+           == (X.mul[x][X.d(y)] == x and X.mul[X.star[y]][x] == X.d(x)
+               and X.mul[y][X.star[x]] == X.c(x))),
+    Clause("x <=r y iff c(y)x = x, x*y = d(x) and xy* = c(x)", "EE", None,
+           None, lambda X, x, y: _right(X, x, y)
+           == (X.mul[X.c(y)][x] == x and X.mul[X.star[x]][y] == X.d(x)
+               and X.mul[x][X.star[y]] == X.c(x))),
+    Clause("left involutive => (x <=l y iff y*x = d(x) and yx* = c(x))",
+           "EE", "left_involutive", None, lambda X, x, y: _left(X, x, y)
+           == (X.mul[X.star[y]][x] == X.d(x)
+               and X.mul[y][X.star[x]] == X.c(x))),
+    Clause("right involutive => (x <=r y iff x*y = d(x) and xy* = c(x))",
+           "EE", "right_involutive", None, lambda X, x, y: _right(X, x, y)
+           == (X.mul[X.star[x]][y] == X.d(x)
+               and X.mul[x][X.star[y]] == X.c(x))),
+    Clause("x <=l y and xy* = c(x) => x <=r y", "EE", None, lambda X, x, y:
+           _left(X, x, y) and X.mul[x][X.star[y]] == X.c(x), _right),
+    Clause("x <=r y and y*x = d(x) => x <=l y", "EE", None, lambda X, x, y:
+           _right(X, x, y) and X.mul[X.star[y]][x] == X.d(x), _left),
+    Clause("locally involutive => (x <=l y iff x <=r y)", "EE",
+           "locally_involutive", None,
+           lambda X, x, y: _left(X, x, y) == _right(X, x, y)),
+    Clause("locally involutive => (x <=l y iff x* <=r y*)", "EE",
+           "locally_involutive", None, lambda X, x, y: _left(X, x, y)
+           == _right(X, X.star[x], X.star[y])),
+), 1):
+    CLAUSES[f"lem:po-{_i}"] = (_clause,)
+
+
+def evaluate_clauses(statement_id, X):
+    """The clauses of ``statement_id`` on the *-semigroup X, in table order,
+    each whose guard flag holds over its bindings in lexicographic order:
+    True when all hold, else ``(clause name, first falsifying binding)``."""
+    clauses = CLAUSES.get(statement_id) if type(statement_id) is str else None
+    if clauses is None:
+        raise oracle.UnknownStatement(statement_id)
+    flags, ranges = classify(X), {"E": X.elements, "P": projections(X)}
+    for name, over, guard, hypothesis, conclusion in clauses:
+        if guard is not None and not getattr(flags, guard):
+            continue
+        for binding in itertools.product(*map(ranges.get, over)):
+            if ((hypothesis is None or hypothesis(X, *binding))
+                    and not conclusion(X, *binding)):
+                return name, binding
     return True
-
-
-def _main_birestrictive(X):
-    r = classify(X)
-    if r.left_involutive and not r.corestrictive:
-        return False
-    if r.right_involutive and not r.restrictive:
-        return False
-    if r.involutive and not r.birestrictive:
-        return False
-    projs = projections(X)
-    for p in projs:
-        for q in projs:
-            pq = X.mul[p][q]
-            if not (X.mul[pq][pq] == pq and X.star[pq] == pq):
-                continue
-            if r.left_involutive and X.mul[pq][p] != pq:
-                return False
-            if r.right_involutive and X.mul[pq][p] != X.mul[q][p]:
-                return False
-            if r.involutive and pq != X.mul[q][p]:
-                return False
-    return True
-
-
-def _main_leftright(X):
-    r, leq = classify(X), idempotent_leq.__wrapped__
-    projs = projections(X)
-    for y in X.elements:
-        cy = X.c(y)
-        for p in projs:
-            if leq(X, cy, p) != (
-                X.mul[p][y] == y and X.mul[X.star[y]][p] == X.star[y]
-            ):
-                return False
-    for x in X.elements:
-        dx = X.d(x)
-        for q in projs:
-            if leq(X, dx, q) != (
-                X.mul[x][q] == x and X.mul[q][X.star[x]] == X.star[x]
-            ):
-                return False
-    for x in X.elements:
-        dx = X.d(x)
-        for y in X.elements:
-            cy = X.c(y)
-            if leq(X, cy, dx) != (
-                X.mul[dx][y] == y and X.mul[X.star[y]][dx] == X.star[y]
-            ):
-                return False
-            if leq(X, dx, cy) != (
-                X.mul[x][cy] == x and X.mul[cy][X.star[x]] == X.star[x]
-            ):
-                return False
-    if r.left_involutive:
-        for p in projs:
-            for y in X.elements:
-                if X.mul[p][y] == y and X.mul[X.star[y]][p] != X.star[y]:
-                    return False
-    if r.right_involutive:
-        for q in projs:
-            for x in X.elements:
-                if X.mul[x][q] == x and X.mul[q][X.star[x]] != X.star[x]:
-                    return False
-    return True
-
-
-def _main_3cond(X):
-    if not classify(X).left_involutive:
-        return True
-    leq = idempotent_leq.__wrapped__
-    for x in X.elements:
-        dx = X.d(x)
-        for y in X.elements:
-            cy = X.c(y)
-            if leq(X, cy, dx) != (X.mul[dx][y] == y):
-                return False
-            if leq(X, dx, cy) != (
-                X.mul[cy][X.star[x]] == X.star[x]
-            ):
-                return False
-    return True
-
-
-def _main_po(item):
-    """The main check of ``lem:po-<item>``.  It compares the orders through
-    the bodies of ``core.leq_left``/``leq_right``, their ``__wrapped__``,
-    which skip the declared argument check: every element passed comes from
-    ``X.elements`` or ``X.star``."""
-    left, right = leq_left.__wrapped__, leq_right.__wrapped__
-
-    def fn(X):
-        r = classify(X)
-        for x in X.elements:
-            dx, cx = X.d(x), X.c(x)
-            for y in X.elements:
-                ll, rr = left(X, x, y), right(X, x, y)
-                if item == 1:
-                    alt = (X.mul[x][X.d(y)] == x
-                           and X.mul[X.star[y]][x] == dx
-                           and X.mul[y][X.star[x]] == cx)
-                    if ll != alt:
-                        return False
-                elif item == 2:
-                    alt = (X.mul[X.c(y)][x] == x
-                           and X.mul[X.star[x]][y] == dx
-                           and X.mul[x][X.star[y]] == cx)
-                    if rr != alt:
-                        return False
-                elif item == 3 and r.left_involutive:
-                    if ll != (X.mul[X.star[y]][x] == dx
-                              and X.mul[y][X.star[x]] == cx):
-                        return False
-                elif item == 4 and r.right_involutive:
-                    if rr != (X.mul[X.star[x]][y] == dx
-                              and X.mul[x][X.star[y]] == cx):
-                        return False
-                elif item == 5:
-                    if ll and X.mul[x][X.star[y]] == cx and not rr:
-                        return False
-                elif item == 6:
-                    if rr and X.mul[X.star[y]][x] == dx and not ll:
-                        return False
-                elif item == 7 and r.locally_involutive:
-                    if ll != rr:
-                        return False
-                elif item == 8 and r.locally_involutive:
-                    if ll != right(X, X.star[x], X.star[y]):
-                        return False
-        return True
-    return fn
 
 
 def _main_fdt(f):
@@ -272,12 +282,6 @@ def _main_xfy(f):
     return True
 
 
-def _main_commproj(X):
-    # classify() itself cross-checks the two routes and raises on mismatch
-    classify(X)
-    return True
-
-
 def _main_rsrs(X):
     if not classify(X).inverse:
         return True
@@ -323,23 +327,18 @@ def _main_seinv(inst):
 
 
 MAIN_CHECKS = {
-    "lem:reduct": _main_reduct,
-    "lem:birestrictive": _main_birestrictive,
-    "lem:left/right": _main_leftright,
-    "cor:3cond": _main_3cond,
+    **{sid: (lambda X, sid=sid: evaluate_clauses(sid, X) is True)
+       for sid in CLAUSES},
     "lem:fdt": _main_fdt,
     "lem:reflect": _main_reflect,
     "ex:fg": _main_fg,
     "prop:starhomo": _main_starhomo,
     "lem:xfy": _main_xfy,
-    "prop:commproj": _main_commproj,
     "lem:rsrs": _main_rsrs,
     "lem:xirho": _main_xirho,
     "prop:sym": _main_sym,
     "rem:Seinv": _main_seinv,
 }
-for _i in range(1, 9):
-    MAIN_CHECKS[f"lem:po-{_i}"] = _main_po(_i)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,7 @@ def build_instances(statement_ids=None, max_order=3):
     main check reads the instance, the oracle's naive check the raw tables."""
     ids = statement_ids or sorted(oracle.REGISTRY)
     for sid in ids:
-        if sid not in oracle.REGISTRY:
+        if type(sid) is not str or sid not in oracle.REGISTRY:
             raise oracle.UnknownStatement(sid)
     kinds = {sid: oracle.REGISTRY[sid].kind for sid in ids}
     wanted = set(kinds.values())
@@ -485,7 +484,7 @@ def build_instances(statement_ids=None, max_order=3):
     if "etale_idem" in wanted:
         pools["etale_idem"] = etale_idem_pool()
     return [(sid, label, inst, raw)
-            for sid in ids for label, inst, raw in pools[kinds[sid]]]
+            for sid, kind in kinds.items() for label, inst, raw in pools[kind]]
 
 
 def _run_task(task, facts):

@@ -119,6 +119,33 @@ def test_verify_subset_runs():
     assert "enumeration-self-test" in out
 
 
+def test_site_checks_the_pullback_of_every_cospan(monkeypatch):
+    # I2 has 68 pairs of L(S)-morphisms with a common codomain
+    from stargroup import site
+
+    calls, pullback = [], site.ls_pullback
+
+    def counted(S, s, t):
+        calls.append((s, t))
+        return pullback(S, s, t)
+
+    monkeypatch.setattr(site, "ls_pullback", counted)
+    code, out = run_cli("site", str(FIXTURES / "i2.json"))
+    assert code == 0 and "site:pullbacks-universal" in out
+    assert len(calls) == len(set(calls)) == 68
+    assert all(s.e == t.e for s, t in calls)
+
+
+def test_verify_prints_a_repeated_statement_once():
+    once = run_cli("verify", "--statement", "lem:reduct", "--max-order", "1")
+    twice = run_cli("verify", "--statement", "lem:reduct", "--statement",
+                    "lem:reduct", "--max-order", "1")
+    assert twice == once
+    assert once[0] == 0
+    assert [line.split()[1] for line in once[1].splitlines()].count(
+        "lem:reduct") == 1
+
+
 def test_fhat_command(tmp_path):
     out_path = tmp_path / "fhat.json"
     code, out = run_cli("fhat", "--morphism", str(FIXTURES / "id_sl2.json"),
@@ -329,12 +356,15 @@ def test_verify_max4_report_bytes_are_pinned():
       "const_c2_t1.json")),
     ("fhat_id_sl2_json.sha256", ("fhat", "--morphism", "id_sl2.json")),
     ("gamma_id_i2_json.sha256", ("gamma", "--morphism", "id_i2.json")),
+    ("site_i2_json.sha256", ("site", "i2.json")),
+    ("site_sl3_json.sha256", ("site", "sl3.json")),
 ])
 def test_report_bytes_are_pinned(golden, args):
     """The sha256 of the JSON report of the adjunction chain, F-hat and
     Gamma on their fixtures, recorded before the S(e) tables, the
     canonical action and the S-set and algebra verdicts were each built
-    once per object."""
+    once per object; and of ``site``, recorded while it checked only the
+    cospans whose legs share a domain."""
     import hashlib
 
     args = [str(FIXTURES / a) if a.endswith(".json") else a for a in args]

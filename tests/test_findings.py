@@ -13,18 +13,22 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 def test_n5_866_0_fails_the_right_clause_of_lem_birestrictive():
     """Left and right involutive, not involutive; projections 0, 2 and 3.
     At p = 3, q = 2, pq = 0 is a projection and pq.p = 0, but qp = 1.  The
-    main check and the oracle encode the same clause and agree that it
-    fails; whether the paper states it so is open (the ROADMAP's order-5
-    ``lem:birestrictive`` item)."""
+    main clause table and the oracle's encode the same clause, and each
+    names it and its binding; whether the paper states it so is open (the
+    ROADMAP's order-5 ``lem:birestrictive`` item)."""
     X = serialize.load_semigroup(FIXTURES / "n5_866_0.json")
     raw = (X.mul, X.star)
-    assert verify._main_birestrictive(X) is False
+    assert verify.MAIN_CHECKS["lem:birestrictive"](X) is False
     assert oracle.naive_check("lem:birestrictive", raw) is False
-    assert oracle.evaluate_clauses("lem:birestrictive", raw) == (
-        "right involutive, pq a projection => pq.p = qp", (3, 2))
-    # the other single-table statements hold there
-    assert all(oracle.evaluate_clauses(sid, raw) is True
-               for sid in oracle.CLAUSES if sid != "lem:birestrictive")
+    assert verify.evaluate_clauses("lem:birestrictive", X) == \
+        oracle.evaluate_clauses("lem:birestrictive", raw) == (
+            "right involutive, pq a projection => pq.p = qp", (3, 2))
+    # the other single-table statements hold there, on both sides
+    assert set(verify.CLAUSES) == set(oracle.CLAUSES)
+    for sid in oracle.CLAUSES:
+        if sid != "lem:birestrictive":
+            assert verify.evaluate_clauses(sid, X) is True, sid
+            assert oracle.evaluate_clauses(sid, raw) is True, sid
 
 
 def test_n5_1770_2_esn_check_is_an_error_row(capsys):

@@ -568,7 +568,7 @@ def test_the_build_scan_finds_each_form():
 CHECKED_CALLS = {
     "cli.py": {"as_inverse": 2, "bsleft_eval": 1, "check_axioms": 1,
                "counit": 1, "esn_groupoid": 3, "fhat": 1, "gamma": 1,
-               "lam": 1, "ls_morphisms": 2, "ls_pullback": 1,
+               "lam": 1, "ls_pullback": 1,
                "mediator_kind": 1, "prop_inv_check": 1, "prop_sym_check": 1,
                "rho": 1, "same_tables": 1, "triangle_check": 1,
                "triangle_check2": 1, "unit": 1},

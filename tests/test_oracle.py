@@ -114,6 +114,27 @@ def test_an_unknown_statement_id_is_refused_before_any_pool(monkeypatch):
         verify.build_instances(["lem:reduct", "lem:nope"])
 
 
+@pytest.mark.parametrize("sid", [[1], None, 3, ("lem:reduct",)])
+def test_a_statement_id_that_is_not_a_string_is_refused(sid):
+    from stargroup import verify
+
+    with pytest.raises(UnknownStatement):
+        verify.build_instances([sid], 2)
+    with pytest.raises(UnknownStatement):
+        verify.run_statements(["lem:reduct", sid], 1)
+
+
+def test_a_repeated_statement_id_is_evaluated_once():
+    from stargroup import verify
+
+    once = verify.build_instances(["lem:reduct"], 2)
+    assert once
+    assert verify.build_instances(["lem:reduct", "lem:reduct"], 2) == once
+    assert verify.build_instances(["lem:po-1", "lem:reduct", "lem:po-1"],
+                                  2) == (verify.build_instances(["lem:po-1"], 2)
+                                         + once)
+
+
 def test_the_fact_table_gives_every_task_its_fresh_verdict():
     from stargroup import verify
 
