@@ -1045,12 +1045,13 @@ def etale_lift(f: StarMorphism, p: int, s: int) -> int:
     """The unique x with x = p x and f(x) = s, for a projection p and an
     equation s = f(p) s in the target: ``f.action[p][s]``, as c(p) = p."""
     S = f.target
-    check_lift_points(f, (p,))
+    check_lift_points.__wrapped__(f, (p,))
     if S.mul[f.map[p]][s] != s:
         raise NoLift(f"equation s = f(p)s fails for p={p}, s={s}")
     return f.action[p][s]
 
 
+@takes(f=StarMorphism)
 def check_lift_points(f: StarMorphism, points):
     """Raise as ``etale_lift(f, p, s)`` would for any s and p in ``points``,
     unless each p is a projection of the source and f is etale."""

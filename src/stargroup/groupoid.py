@@ -441,6 +441,7 @@ def mediator_kind(G: OrderedGroupoidWithMediator) -> str:
     return "trivial" if trivial else ("symmetric" if symmetric else "general")
 
 
+@takes(g1=OrderedGroupoidWithMediator, g2=OrderedGroupoidWithMediator)
 def groupoid_equal(g1: OrderedGroupoidWithMediator,
                    g2: OrderedGroupoidWithMediator) -> bool:
     """Equality up to the canonical object bijection matching identities;

@@ -8,25 +8,25 @@ the main code path compares two genuinely different implementations.  The
 only imports from the rest of the package are the container type and its
 validator, used to wrap return values.  Its searches are plain loops, and
 ``REGISTRY`` is the one statement table: each entry holds the statement's
-instance kind, its summary and its naive check.  A predicate's verdict is
-kept only in the dict a caller passes to ``naive_check`` for one run.
+instance kind and its summary.  A predicate's verdict is kept only in the
+dict a caller passes to ``naive_check`` for one run.
 
-The 13 statements over one table are the clause table ``CLAUSES``, one
-clause per line of the paper, evaluated the way a finite-model checker such
-as McCune's Mace4 evaluates first-order clauses: when the guard (a
-table-level predicate) holds of the table, then for every binding of the
-variables the hypothesis implies the conclusion.  To hold a statement
-against the paper, read its clauses top to bottom; each name states its
-clause.  ``evaluate_clauses`` returns True, or the name of the first clause
-that fails and its first falsifying binding.
+Every registered statement is a list of clauses in the table ``CLAUSES``,
+one clause per line of the paper, evaluated the way a finite-model checker
+such as McCune's Mace4 evaluates first-order clauses: when the guard
+(table- and map-level verdicts) holds of the instance, then for every
+binding of the variables the hypothesis implies the conclusion.  To hold a
+statement against the paper, read its clauses top to bottom; each name
+states its clause.  ``evaluate_clauses`` returns True, or the name of the
+first clause that fails and its first falsifying binding.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from functools import partial
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import FiniteStarSemigroup, validate_star_semigroup
@@ -506,14 +506,15 @@ def _n_is_etale(mx, sx, ms, ss, f):
     return True
 
 
+def _n_in_se(mul, star, e, u):  # u = (r, s) with d(s) = c(r) and es = s
+    r, s = u
+    return mul[star[s]][s] == mul[r][star[r]] and mul[e][s] == s
+
+
 def _n_se_carrier(mul, star, e):
     n = len(mul)
-    return [
-        (r, s)
-        for r in range(n)
-        for s in range(n)
-        if mul[star[s]][s] == mul[r][star[r]] and mul[e][s] == s
-    ]
+    return [(r, s) for r in range(n) for s in range(n)
+            if _n_in_se(mul, star, e, (r, s))]
 
 
 def _n_se_mul(mul, star, a, b):
@@ -555,21 +556,39 @@ def _fact(facts, predicate, *tables):
 
 
 # The clause table (module docstring).  Each letter of ``over`` binds one
-# variable, in the order of the lambda's parameters after (m, s): E an
-# element, P a projection; a clause with no variables is evaluated once.
-# x <=l y and x <=r y are the left and right orders.
+# variable, in the order of the lambda's parameters after the instance's
+# tables: E an element and P a projection of the first semigroup, T an
+# element of the second, A an element of S(e); a clause with no variables is
+# evaluated once.  x <=l y and x <=r y are the left and right orders.
+
+
+def _on(predicate, *slots):
+    """The verdict ``(predicate, tables)``: ``predicate`` of the tables at
+    ``slots`` of an instance, which ``tables`` picks."""
+    pick = itemgetter(*slots)
+    return predicate, pick if len(slots) > 1 else lambda i: (pick(i),)
+
+
+def _holds(verdicts, instance, facts):
+    """Whether every verdict of ``verdicts`` holds, read through ``_fact``."""
+    for predicate, tables in verdicts:
+        if not _fact(facts, predicate, *tables(instance)):
+            return False
+    return True
 
 
 class Clause(NamedTuple):
     name: str
     over: str
-    guard: Callable | None  # a table-level predicate, read through _fact
-    hypothesis: Callable | None  # of (mul, star, *binding); None holds
-    conclusion: Callable
+    guard: tuple | None  # verdicts (_on) that must all hold
+    hypothesis: Callable | tuple | None  # of (*tables, *binding), or verdicts
+    conclusion: Callable | tuple
 
 
-_INV, _LEFT, _RIGHT, _LOCAL = (_n_involutive, _n_left_involutive,
-                               _n_right_involutive, _n_locally_involutive)
+_INV, _LEFT, _RIGHT, _LOCAL, _INVERSE, _QUASI = (
+    (_on(predicate, 0, 1),) for predicate in (
+        _n_involutive, _n_left_involutive, _n_right_involutive,
+        _n_locally_involutive, _n_inverse, _n_quasi_involutive))
 
 CLAUSES = {
     "lem:reduct": (
@@ -629,15 +648,15 @@ CLAUSES = {
                == (m[_nc(m, s, y)][s[x]] == s[x])),
     ),
     "prop:commproj": (
-        Clause("inverse => restrictive", "EE", _n_inverse, None, _restrict_at),
-        Clause("inverse => corestrictive", "EE", _n_inverse, None,
+        Clause("inverse => restrictive", "EE", _INVERSE, None, _restrict_at),
+        Clause("inverse => corestrictive", "EE", _INVERSE, None,
                _corestrict_at),
-        Clause("inverse => locally involutive", "EE", _n_inverse,
+        Clause("inverse => locally involutive", "EE", _INVERSE,
                _local_at, _inv_at),
-        Clause("inverse => pq = qp", "PP", _n_inverse, None,
+        Clause("inverse => pq = qp", "PP", _INVERSE, None,
                lambda m, s, p, q: m[p][q] == m[q][p]),
         Clause("quasi-involutive, all pq = qp => inverse", "",
-               _n_quasi_involutive,
+               _QUASI,
                lambda m, s: all(m[p][q] == m[q][p]
                                 for p in _nprojections(m, s)
                                 for q in _nprojections(m, s)),
@@ -676,85 +695,29 @@ for _i, _clause in enumerate((
     CLAUSES[f"lem:po-{_i}"] = (_clause,)
 
 
-def evaluate_clauses(statement_id, instance, facts=None):
-    """The clauses of ``statement_id`` on ``instance = (mul, star)``, in
-    table order, each whose guard holds over its bindings in lexicographic
-    order: True when all hold, else ``(clause name, first falsifying
-    binding)``.  ``facts``, as in ``naive_check``, keeps only the guards'
-    table-level verdicts, never a clause's."""
-    clauses = CLAUSES.get(statement_id)
-    if clauses is None:
-        raise UnknownStatement(statement_id)
-    mul, star = instance
-    ranges = {"E": range(len(mul))}
-    for name, over, guard, hypothesis, conclusion in clauses:
-        if guard is not None and not _fact(facts, guard, mul, star):
-            continue
-        if "P" in over and "P" not in ranges:
-            ranges["P"] = _nprojections(mul, star)
-        for binding in itertools.product(*map(ranges.get, over)):
-            if ((hypothesis is None or hypothesis(mul, star, *binding))
-                    and not conclusion(mul, star, *binding)):
-                return name, binding
-    return True
+# The statements over maps, pairs and S(e).  A morphism or etale_idem
+# instance holds X's tables, S's and f: X -> S at slots 0-4; a pair or
+# triangle X's, Y's and Z's, then X -> Y and Y -> Z at slots 6 and 7.  A
+# guard reads its verdicts in the order the paper names them.
 
 
-def _st_fdt(inst, facts):
-    mx, sx, ms, ss, f = inst
-    if not (_fact(facts, _n_left_involutive, mx, sx)
-            and _fact(facts, _n_left_involutive, ms, ss)
-            and _fact(facts, _n_is_left_hom, mx, sx, ms, ss, f)):
-        return True
-    proj_mult = all(
-        f[mx[p][x]] == ms[f[p]][f[x]]
-        for p in _nprojections(mx, sx) for x in range(len(mx))
-    )
-    return _fact(facts, _n_is_mult, mx, ms, f) == proj_mult
+def _after(i):  # X's tables, Z's and the map X -> Z of a pair or triangle
+    return i[0], i[1], i[4], i[5], tuple(i[7][y] for y in i[6])
 
 
-def _st_reflect(inst, facts):
-    mx, sx, ms, ss, f = inst
-    if not (_fact(facts, _n_is_left_hom, mx, sx, ms, ss, f)
-            and _fact(facts, _n_is_etale, mx, sx, ms, ss, f)):
-        return True
-    for x in range(len(mx)):
-        if f[x] == _nc(ms, ss, f[x]) and x != _nc(mx, sx, x):
-            return False
-    return True
+_F, _FIRST, _SECOND = (0, 1, 2, 3, 4), (0, 1, 2, 3, 6), (2, 3, 4, 5, 7)
+_MULT, _LHOM = (_on(_n_is_mult, 0, 2, 4),), _on(_n_is_left_hom, *_F)
+_FDT = (_on(_n_left_involutive, 0, 1), _on(_n_left_involutive, 2, 3), _LHOM)
+_ETALE_LEFT = (_LHOM, _on(_n_is_etale, *_F))
+_STARHOMO = (_on(_n_is_star_morphism, *_SECOND), _on(_n_is_mult, 2, 4, 7),
+             _on(_n_is_etale, *_SECOND), (_n_is_star_morphism, _after),
+             (_n_is_mult, lambda i: _after(i)[::2]),
+             _on(_n_is_left_hom, *_FIRST))
+_INVERSE_BASE = (_on(_n_inverse, 0),)
 
 
-def _st_fg(inst, facts):
-    # g: X -> Y, f: Y -> Z; if f and f.g are etale then so is g
-    mx, sx, my, sy, mz, sz, g, f = inst
-    fg = tuple(f[g[x]] for x in range(len(mx)))
-    if not (_fact(facts, _n_is_left_hom, mx, sx, my, sy, g)
-            and _fact(facts, _n_is_left_hom, my, sy, mz, sz, f)):
-        return True
-    if not (_fact(facts, _n_is_etale, my, sy, mz, sz, f)
-            and _fact(facts, _n_is_etale, mx, sx, mz, sz, fg)):
-        return True
-    return _fact(facts, _n_is_etale, mx, sx, my, sy, g)
-
-
-def _st_starhomo(inst, facts):
-    # psi: X -> Y, h: Y -> S with h etale *-hom; f = h.psi a *-hom
-    mx, sx, my, sy, ms, ss, psi, h = inst
-    f = tuple(h[psi[x]] for x in range(len(mx)))
-    if not (_fact(facts, _n_is_star_morphism, my, sy, ms, ss, h)
-            and _fact(facts, _n_is_mult, my, ms, h)
-            and _fact(facts, _n_is_etale, my, sy, ms, ss, h)):
-        return True
-    if not (_fact(facts, _n_is_star_morphism, mx, sx, ms, ss, f)
-            and _fact(facts, _n_is_mult, mx, ms, f)):
-        return True
-    if not _fact(facts, _n_is_left_hom, mx, sx, my, sy, psi):
-        return True
-    if not _fact(facts, _n_is_mult, mx, my, psi):
-        return False
-    if (_fact(facts, _n_is_etale, mx, sx, ms, ss, f)
-            and not _fact(facts, _n_is_etale, mx, sx, my, sy, psi)):
-        return False
-    return True
+def _n_fdt_at(mx, sx, ms, ss, f, p, x):  # f(px) = f(p)f(x)
+    return f[mx[p][x]] == ms[f[p]][f[x]]
 
 
 def _n_action(mx, sx, ms, ss, f, x, s):
@@ -766,73 +729,27 @@ def _n_action(mx, sx, ms, ss, f, x, s):
     return hits[0]
 
 
-def _st_xfy(inst, facts):
-    mx, sx, ms, ss, f = inst
-    if not (_fact(facts, _n_is_left_hom, mx, sx, ms, ss, f)
-            and _fact(facts, _n_is_etale, mx, sx, ms, ss, f)):
-        return True
-    n = len(mx)
-    for x in range(n):
-        dx = _nd(mx, sx, x)
-        if _n_action(mx, sx, ms, ss, f, x, f[dx]) != x:
-            return False
-        for y in range(n):
-            if _n_action(mx, sx, ms, ss, f, x, f[mx[dx][y]]) != mx[x][y]:
-                return False
-    mult = _fact(facts, _n_is_mult, mx, ms, f)
-    via_action = all(
-        _n_action(mx, sx, ms, ss, f, x, f[y]) == mx[x][y]
-        for x in range(n) for y in range(n)
-    )
-    if mult != via_action:
-        return False
-    if mult:
-        for x in range(n):
-            for y in range(n):
-                for s in range(len(ms)):
-                    lhs = _n_action(mx, sx, ms, ss, f, mx[x][y], s)
-                    rhs = mx[x][_n_action(mx, sx, ms, ss, f, y, s)]
-                    if lhs != rhs:
-                        return False
-    return True
+def _n_xfy_at(mx, sx, ms, ss, f, x, y):  # x f(y) = xy
+    return _n_action(mx, sx, ms, ss, f, x, f[y]) == mx[x][y]
 
 
-def _st_rsrs(inst, facts):
-    mul, star = inst
-    if not _fact(facts, _n_inverse, mul):
-        return True
-    n = len(mul)
-    for r in range(n):
-        e = mul[r][star[r]]
-        carrier = set(_n_se_carrier(mul, star, e))
-        a = (r, e)
-        for s in range(n):
-            rs = mul[r][s]
-            b = (rs, mul[rs][star[rs]])
-            c = (mul[mul[star[r]][r]][s], mul[r][mul[s][star[s]]])
-            if a not in carrier or b not in carrier or c not in carrier:
-                return False
-            if _n_se_mul(mul, star, a, c) != b:
-                return False
-            da = _n_se_mul(mul, star, _n_se_star(mul, star, a), a)
-            if _n_se_mul(mul, star, da, c) != c:
-                return False
-    return True
+def _n_rsrs(mul, star, r, s):
+    """With e = rr*, a = (r, e), b = (rs, c(rs)) and c = (d(r)s, r c(s)):
+    whether a, b and c lie in S(e), whether ac = b and whether d(a)c = c."""
+    rs, e = mul[r][s], _nc(mul, star, r)
+    a, b = (r, e), (rs, _nc(mul, star, rs))
+    c = (mul[_nd(mul, star, r)][s], mul[r][_nc(mul, star, s)])
+    da = _n_se_mul(mul, star, _n_se_star(mul, star, a), a)
+    return (all(_n_in_se(mul, star, e, u) for u in (a, b, c)),
+            _n_se_mul(mul, star, a, c) == b, _n_se_mul(mul, star, da, c) == c)
 
 
-# the most candidate maps S(e) -> X that _st_xirho enumerates
+# the most candidate maps S(e) -> X that _n_xirho enumerates
 XIRHO_BUDGET = 200000
 
 
-def _st_xirho(inst, facts):
-    # f: X -> S etale *-hom into inverse S, idempotent e: any two left
-    # *-homs S(e) -> X over S agreeing at (e,e) agree
-    mx, sx, ms, ss, f, e = inst
-    if not (_fact(facts, _n_inverse, ms)
-            and _fact(facts, _n_is_star_morphism, mx, sx, ms, ss, f)
-            and _fact(facts, _n_is_mult, mx, ms, f)
-            and _fact(facts, _n_is_etale, mx, sx, ms, ss, f)):
-        return True
+def _n_xirho(mx, sx, ms, ss, f, e):
+    # any two left *-homs S(e) -> X over S agreeing at (e,e) agree
     carrier = _n_se_carrier(ms, ss, e)
     pos = {u: i for i, u in enumerate(carrier)}
     fibers = [[x for x in range(len(mx)) if f[x] == r] for (r, s) in carrier]
@@ -845,115 +762,201 @@ def _st_xirho(inst, facts):
             return True
 
     # the left *-homs: alpha(u*) = alpha(u)* and alpha(uv) = alpha(u)
-    # alpha(d(u)v) for all u, v of S(e)
+    # alpha(d(u)v) for all u, v of S(e); distinct tuples, so two that agree
+    # at (e, e) differ somewhere
     du = [_n_se_mul(ms, ss, _n_se_star(ms, ss, u), u) for u in carrier]
-    alphas = []
-    for a in itertools.product(*fibers):
-        if all(sx[a[i]] == a[pos[_n_se_star(ms, ss, u)]]
-               for i, u in enumerate(carrier)) and all(
-                a[pos[_n_se_mul(ms, ss, u, v)]]
-                == mx[a[i]][a[pos[_n_se_mul(ms, ss, du[i], v)]]]
-                for i, u in enumerate(carrier) for v in carrier):
-            alphas.append(a)
-
-    ee = pos[(e, e)]
-    seen = {}
-    for values in alphas:
-        key = values[ee]
-        if key in seen and seen[key] != values:
-            return False
-        seen[key] = values
-    return True
+    at_ee = [a[pos[(e, e)]] for a in itertools.product(*fibers)
+             if all(sx[a[i]] == a[pos[_n_se_star(ms, ss, u)]]
+                    for i, u in enumerate(carrier)) and all(
+                 a[pos[_n_se_mul(ms, ss, u, v)]]
+                 == mx[a[i]][a[pos[_n_se_mul(ms, ss, du[i], v)]]]
+                 for i, u in enumerate(carrier) for v in carrier)]
+    return len(set(at_ee)) == len(at_ee)
 
 
-def _st_sym(inst, facts):
-    mul, star, e = inst
-    if not _fact(facts, _n_inverse, mul):
-        return True
-    carrier = _n_se_carrier(mul, star, e)
-    for a in carrier:
-        for b in carrier:
-            p, q = a
-            r, s = b
-            lhs = _n_se_star(mul, star, _n_se_mul(mul, star, a, b))
-            rhs = _n_se_mul(mul, star, _n_se_star(mul, star, b),
-                            _n_se_star(mul, star, a))
-            if (lhs == rhs) != _n_left_compatible(mul, star, s, mul[q][p]):
-                return False
-    return True
+def _n_sym_at(mul, star, e, a, b):
+    (p, q), (r, s) = a, b
+    lhs = _n_se_star(mul, star, _n_se_mul(mul, star, a, b))
+    rhs = _n_se_mul(mul, star, _n_se_star(mul, star, b),
+                    _n_se_star(mul, star, a))
+    return (lhs == rhs) == _n_left_compatible(mul, star, s, mul[q][p])
 
 
-def _st_seinv(inst, facts):
-    mul, star, e = inst
-    if not _fact(facts, _n_inverse, mul):
-        return True
+def _n_seinv(mul, star, e):
     carrier = _n_se_carrier(mul, star, e)
     pos = {u: i for i, u in enumerate(carrier)}
-    k = len(carrier)
-    semul = [[pos[_n_se_mul(mul, star, carrier[i], carrier[j])]
-              for j in range(k)] for i in range(k)]
+    semul = [[pos[_n_se_mul(mul, star, u, v)] for v in carrier]
+             for u in carrier]
     es = [s for s in range(len(mul)) if mul[e][s] == s]
     compat = all(_n_left_compatible(mul, star, r, s) for r in es for s in es)
     # semul is a list of lists, so it has no key: a direct call
     return _n_inverse(semul) == compat
 
 
+CLAUSES.update({
+    "lem:fdt": (
+        Clause("f multiplicative => f(px) = f(p)f(x)", "PE", _FDT, _MULT,
+               _n_fdt_at),
+        Clause("f(px) = f(p)f(x) for all p, x => f multiplicative", "", _FDT,
+               lambda *i: all(_n_fdt_at(*i, p, x) for x in range(len(i[0]))
+                              for p in _nprojections(i[0], i[1])), _MULT),
+    ),
+    "lem:reflect": (
+        Clause("f(x) = c(f(x)) => x = c(x)", "E", _ETALE_LEFT,
+               lambda mx, sx, ms, ss, f, x: f[x] == _nc(ms, ss, f[x]),
+               lambda mx, sx, ms, ss, f, x: x == _nc(mx, sx, x)),
+    ),
+    "ex:fg": (
+        Clause("f and fg etale => g etale", "", (
+            _on(_n_is_left_hom, *_FIRST), _on(_n_is_left_hom, *_SECOND),
+            _on(_n_is_etale, *_SECOND), (_n_is_etale, _after)), None,
+            (_on(_n_is_etale, *_FIRST),)),
+    ),
+    "prop:starhomo": (
+        Clause("psi over an etale *-hom => psi multiplicative", "",
+               _STARHOMO, None, (_on(_n_is_mult, 0, 2, 6),)),
+        Clause("h psi etale => psi etale", "", _STARHOMO,
+               ((_n_is_etale, _after),), (_on(_n_is_etale, *_FIRST),)),
+    ),
+    "lem:xfy": (
+        Clause("x f(d(x)) = x", "E", _ETALE_LEFT, None,
+               lambda mx, sx, ms, ss, f, x:
+               _n_action(mx, sx, ms, ss, f, x, f[_nd(mx, sx, x)]) == x),
+        Clause("x f(d(x)y) = xy", "EE", _ETALE_LEFT, None,
+               lambda mx, sx, ms, ss, f, x, y: mx[x][y] == _n_action(
+                   mx, sx, ms, ss, f, x, f[mx[_nd(mx, sx, x)][y]])),
+        Clause("f multiplicative => x f(y) = xy", "EE", _ETALE_LEFT, _MULT,
+               _n_xfy_at),
+        Clause("x f(y) = xy for all x, y => f multiplicative", "",
+               _ETALE_LEFT, lambda *i: all(_n_xfy_at(*i, x, y) for x in
+                                           range(len(i[0])) for y in
+                                           range(len(i[0]))), _MULT),
+        Clause("f multiplicative => (xy)s = x(ys)", "EET", _ETALE_LEFT, _MULT,
+               lambda mx, sx, ms, ss, f, x, y, s:
+               _n_action(mx, sx, ms, ss, f, mx[x][y], s)
+               == mx[x][_n_action(mx, sx, ms, ss, f, y, s)]),
+    ),
+    "lem:rsrs": (
+        Clause("(r, rr*), (rs, c(rs)) and (d(r)s, rc(s)) lie in S(rr*)",
+               "EE", _INVERSE_BASE, None, lambda *i: _n_rsrs(*i)[0]),
+        Clause("(r, rr*)(d(r)s, rc(s)) = (rs, c(rs))", "EE", _INVERSE_BASE,
+               None, lambda *i: _n_rsrs(*i)[1]),
+        Clause("d(r, rr*)(d(r)s, rc(s)) = (d(r)s, rc(s))", "EE",
+               _INVERSE_BASE, None, lambda *i: _n_rsrs(*i)[2]),
+    ),
+    "lem:xirho": (
+        Clause("left *-homs S(e) -> X over S agreeing at (e, e) agree", "",
+               (_on(_n_inverse, 2), _on(_n_is_star_morphism, *_F), *_MULT,
+                _on(_n_is_etale, *_F)), None, _n_xirho),
+    ),
+    "prop:sym": (
+        Clause("((p, q)(r, s))* = (r, s)*(p, q)* iff s and qp are left "
+               "compatible", "AA", _INVERSE_BASE, None, _n_sym_at),
+    ),
+    "rem:Seinv": (
+        Clause("S(e) inverse iff eS pairwise left compatible", "",
+               _INVERSE_BASE, None, _n_seinv),
+    ),
+})
+
+# the range of each variable letter, of the instance's tables
+_RANGES = {"E": lambda mul, *_: range(len(mul)),
+           "P": lambda mul, star, *_: _nprojections(mul, star),
+           "T": lambda mx, sx, ms, *_: range(len(ms)),
+           "A": _n_se_carrier}
+
+
+def evaluate_clauses(statement_id, instance, facts=None):
+    """The clauses of ``statement_id`` on the raw ``instance``, in table
+    order, each whose guard holds over its bindings in lexicographic
+    order: True when all hold, else ``(clause name, first falsifying
+    binding)``.  ``facts``, the instance shapes and the errors are as in
+    ``naive_check``; ``facts`` keeps only the verdicts (``_on``), never a
+    clause's."""
+    spec = REGISTRY.get(statement_id) if type(statement_id) is str else None
+    if spec is None:
+        raise UnknownStatement(statement_id)
+    if facts is not None and type(facts) is not dict:
+        raise ValueError(f"facts must be a dict or None, got {facts!r}")
+    if not _instance_ok(spec.kind, instance,
+                        (tuple, list) if facts is None else tuple):
+        raise ValueError(f"instance must be the tables of a {spec.kind} "
+                         f"instance, got {instance!r}")
+    return _evaluate(statement_id, instance, facts)
+
+
+def _evaluate(statement_id, instance, facts):
+    """``evaluate_clauses`` without its checks, for the tables of validated
+    objects.  A run of clauses under one guard reads it once, and a clause
+    builds its ranges only when its guard holds.  Verdicts for a hypothesis
+    or conclusion are read before any binding: the clause holds when they
+    fail or hold."""
+    last, held = object(), False  # no guard yet
+    for name, over, guard, hypothesis, conclusion in CLAUSES[statement_id]:
+        if guard is not last:
+            last, held = guard, guard is None or _holds(guard, instance, facts)
+        if not held or type(hypothesis) is tuple and not _holds(
+                hypothesis, instance, facts):
+            continue
+        if type(conclusion) is tuple:
+            if _holds(conclusion, instance, facts):
+                continue
+            conclusion = _fails
+        for binding in itertools.product(*(_RANGES[v](*instance)
+                                           for v in over)):
+            if ((type(hypothesis) is tuple or hypothesis is None
+                 or hypothesis(*instance, *binding))
+                    and not conclusion(*instance, *binding)):
+                return name, binding
+    return True
+
+
+def _fails(*binding):  # the conclusion of a clause whose verdicts failed
+    return False
+
+
 @dataclass(frozen=True)
 class StatementSpec:
     kind: str  # semigroup | morphism | pair | triangle | inverse | inverse_idem | etale_idem
     summary: str
-    # True when the statement holds; anything else is a failure
-    check: Callable[[tuple, dict | None], bool | tuple]
 
 
 REGISTRY = {
     "lem:reduct": StatementSpec(
         "semigroup",
-        "involutive implies left+right involutive; left/right implies locally",
-        partial(evaluate_clauses, "lem:reduct")),
+        "involutive implies left+right involutive; left/right implies locally"),
     "lem:birestrictive": StatementSpec(
         "semigroup",
-        "left involutive implies corestrictive (and duals); pqp identities",
-        partial(evaluate_clauses, "lem:birestrictive")),
+        "left involutive implies corestrictive (and duals); pqp identities"),
     "lem:left/right": StatementSpec(
-        "semigroup", "the four projection-bound identity equivalences",
-        partial(evaluate_clauses, "lem:left/right")),
+        "semigroup", "the four projection-bound identity equivalences"),
     "cor:3cond": StatementSpec(
         "semigroup",
-        "c(y) <= d(x) iff d(x)y = y in left involutive semigroups",
-        partial(evaluate_clauses, "cor:3cond")),
+        "c(y) <= d(x) iff d(x)y = y in left involutive semigroups"),
     "lem:fdt": StatementSpec(
-        "morphism", "multiplicative iff multiplicative on projection products",
-        _st_fdt),
+        "morphism", "multiplicative iff multiplicative on projection products"),
     "lem:reflect": StatementSpec(
-        "morphism", "etale left *-homs reflect right projections",
-        _st_reflect),
-    "ex:fg": StatementSpec(
-        "pair", "f and fg etale imply g etale", _st_fg),
+        "morphism", "etale left *-homs reflect right projections"),
+    "ex:fg": StatementSpec("pair", "f and fg etale imply g etale"),
     "prop:starhomo": StatementSpec(
-        "triangle", "left *-hom over an etale *-hom is multiplicative",
-        _st_starhomo),
+        "triangle", "left *-hom over an etale *-hom is multiplicative"),
     "lem:xfy": StatementSpec(
-        "morphism", "x f(d(x)y) = xy for the canonical action", _st_xfy),
+        "morphism", "x f(d(x)y) = xy for the canonical action"),
     "prop:commproj": StatementSpec(
-        "semigroup", "inverse iff quasi-involutive with commuting projections",
-        partial(evaluate_clauses, "prop:commproj")),
+        "semigroup", "inverse iff quasi-involutive with commuting projections"),
     "lem:rsrs": StatementSpec(
-        "inverse", "factorization identities inside S(rr*)", _st_rsrs),
+        "inverse", "factorization identities inside S(rr*)"),
     "lem:xirho": StatementSpec(
-        "etale_idem", "left *-homs out of S(e) agreeing at (e,e) agree",
-        _st_xirho),
+        "etale_idem", "left *-homs out of S(e) agreeing at (e,e) agree"),
     "prop:sym": StatementSpec(
         "inverse_idem",
-        "star reversal in S(e) iff left compatibility of s and qp", _st_sym),
+        "star reversal in S(e) iff left compatibility of s and qp"),
     "rem:Seinv": StatementSpec(
-        "inverse_idem", "S(e) inverse iff eS pairwise left compatible",
-        _st_seinv),
+        "inverse_idem", "S(e) inverse iff eS pairwise left compatible"),
 }
 for _i in range(1, 9):
     REGISTRY[f"lem:po-{_i}"] = StatementSpec(
-        "semigroup", f"partial order characterization ({_i})",
-        partial(evaluate_clauses, f"lem:po-{_i}"))
+        "semigroup", f"partial order characterization ({_i})")
 
 
 def statement_ids():
@@ -981,17 +984,16 @@ def _instance_ok(kind, inst, kinds):
 
 
 def naive_check(statement_id, instance, facts=None) -> bool:
-    """Evaluate a registered statement on a raw instance with the check of
-    its ``REGISTRY`` entry.
+    """Whether a registered statement holds on a raw instance: its clauses
+    (``CLAUSES``) all hold, ``evaluate_clauses`` returning True.
 
-    ``facts``: a dict the caller keeps for one run, in which the checks
+    ``facts``: a dict the caller keeps for one run, in which the guards
     keep the verdict of each table-level predicate (``_n_left_involutive``,
     ``_n_inverse``, ...) and map-level one (``_n_is_left_hom``,
     ``_n_is_etale``, ...) per raw tables (``_fact``), so a run computes
     each once.  Without it every predicate is computed on every call.
 
-    A statement of ``CLAUSES`` is checked by ``evaluate_clauses``, the
-    others by a hand-written check.  Instance shapes by kind:
+    Instance shapes by kind:
       semigroup/inverse: (mul, star)
       morphism:          (mul_x, star_x, mul_s, star_s, map)
       pair:              (mul_x, star_x, mul_y, star_y, mul_z, star_z, g, f)
@@ -1003,16 +1005,7 @@ def naive_check(statement_id, instance, facts=None) -> bool:
     shape, as tuples when ``facts`` is given, whose keys they become, and
     ``facts`` is a dict or None.
     """
-    spec = REGISTRY.get(statement_id) if type(statement_id) is str else None
-    if spec is None:
-        raise UnknownStatement(statement_id)
-    if facts is not None and type(facts) is not dict:
-        raise ValueError(f"facts must be a dict or None, got {facts!r}")
-    if not _instance_ok(spec.kind, instance,
-                        (tuple, list) if facts is None else tuple):
-        raise ValueError(f"instance must be the tables of a {spec.kind} "
-                         f"instance, got {instance!r}")
-    return spec.check(instance, facts) is True
+    return evaluate_clauses(statement_id, instance, facts) is True
 
 
 # ---------------------------------------------------------------------------

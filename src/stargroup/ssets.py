@@ -77,6 +77,7 @@ class SSetStructure:
         return f"SSet(size={self.size}, base={self.base!r})"
 
 
+@takes(A=SSetStructure)
 @memo
 def left_table(A: SSetStructure) -> tuple[tuple[int, ...], ...]:
     """The left action rx = (x* r*)* as one row over x per r of the base;
@@ -103,6 +104,7 @@ def _balance_witness(act, left):
     return None
 
 
+@takes(A=SSetStructure)
 @memo
 def check_sset(A: SSetStructure):
     """Violations of the involutive S-set axioms, swept once per S-set."""
@@ -134,6 +136,7 @@ def make_sset(size, star, base, smap, action) -> SSetStructure:
     return A
 
 
+@takes(A=SSetStructure)
 def left_identity_witness(A: SSetStructure):
     """(xs)* = (x* . f(x)s)* . f(x)* sweep; None when the identity holds."""
     S = A.base
@@ -147,10 +150,11 @@ def left_identity_witness(A: SSetStructure):
     return None
 
 
+@takes(A=SSetStructure)
 @memo
 def is_left_involutive_sset(A: SSetStructure) -> bool:
     """Whether the left identity holds (left_identity_witness); kept on A."""
-    return left_identity_witness(A) is None
+    return left_identity_witness.__wrapped__(A) is None
 
 
 @takes(A=SSetStructure, r=element("A.base"), x=below("A.size"))

@@ -347,7 +347,7 @@ def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):
     """Fiber-presheaf path: alphas correspond to f^-1(e) via evaluation at
     (e, e); each table is built by unique lifting."""
     carrier = representable_tables(S, e).carrier
-    check_lift_points(f, f.fibers[e])
+    check_lift_points.__wrapped__(f, f.fibers[e])
     return tuple(sorted(_lift_table(f, carrier, u) for u in f.fibers[e]))
 
 
@@ -623,7 +623,7 @@ def counit_explicit_preimage(f: StarMorphism, x: int):
     r = f.map[x]
     carrier = representable_tables(S, S.semigroup.c(r)).carrier
     u = f.source.c(x)
-    check_lift_points(f, (u,))
+    check_lift_points.__wrapped__(f, (u,))
     return r, _lift_table(f, carrier, u)
 
 

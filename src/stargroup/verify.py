@@ -12,11 +12,11 @@ tables validated elsewhere while held give the same object
 tables, and one run hands all its naive checks one dict of verdicts, so each
 naive predicate is computed once per table or map per run.
 
-On the main side the 13 statements over one table are the clause table
-``CLAUSES``, over ``classify``'s flags and X's tables, written apart from
-``oracle.CLAUSES``: ``evaluate_clauses`` returns True or, as the oracle's
-does, the first clause that fails and its first falsifying binding.  The 9
-statements over morphisms, pairs and ``S(e)`` are checked by hand.
+On the main side all 22 statements are the clause table ``CLAUSES``, over
+the flags ``classify`` and ``StarMorphism`` keep and the objects' tables,
+written apart from ``oracle.CLAUSES``: ``evaluate_clauses`` returns True or,
+as the oracle's does, the first clause that fails and its first falsifying
+binding.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .core import (
 )
 from .oracle import BudgetExceeded
 from .site import as_inverse, representable_semigroup
-from .ssets import canonical_action
 from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
@@ -67,15 +66,17 @@ class VerifyRow(NamedTuple):
 
 # The clause table (module docstring), one clause per line of the paper,
 # named as the oracle names a line both encode.  Each letter of ``over`` binds
-# one variable, in the order of the lambda's parameters after X: E an element,
-# P a projection; x <=l y and x <=r y are the left and right orders.
+# one variable, in the order of the lambda's parameters after the instance's
+# objects: E an element and P a projection of X or a map's source, T an
+# element of its target, A one of S(e); x <=l y and x <=r y are the left and
+# right orders.
 
 
 class Clause(NamedTuple):
     name: str
     over: str
-    guard: str | None  # a classify flag
-    hypothesis: Callable | None  # of (X, *binding); None holds
+    guard: str | Callable | None  # a classify flag of X, or of the objects
+    hypothesis: Callable | None  # of (*objects, *binding); None holds
     conclusion: Callable
 
 
@@ -93,6 +94,58 @@ def _implies(guard, flag):
 def _projection_product(X, p, q):  # pq is a projection
     pq = X.mul[p][q]
     return X.mul[pq][pq] == pq and X.star[pq] == pq
+
+
+# The statements over maps, pairs and S(e): an instance is a StarMorphism f,
+# a pair (g, f) or triangle (psi, h) of them, an inverse base's wrapper S with
+# an idempotent e, or (f, e).  Guards read the flags classify and maps keep.
+_compatible = topos.left_compatible.__wrapped__
+
+
+def _fdt(f):  # f a left *-homomorphism, both ends left involutive
+    return (f.is_left_star_hom and classify(f.source).left_involutive
+            and classify(f.target).left_involutive)
+
+
+def _fdt_at(f, p, x):  # f(px) = f(p)f(x)
+    return f.map[f.source.mul[p][x]] == f.target.mul[f.map[p]][f.map[x]]
+
+
+def _etale_left(f):  # f an etale left *-homomorphism
+    return f.is_left_star_hom and is_etale(f)
+
+
+def _xfy_at(f, x, y):  # x f(y) = xy by the canonical action f.action
+    return f.action[x][f.map[y]] == f.source.mul[x][y]
+
+
+def _starhomo(psi, h):  # h an etale *-hom, h psi a *-hom, psi a left one
+    return (h.is_star_hom and is_etale(h) and psi.is_left_star_hom
+            and compose_morphisms(h, psi).is_star_hom)
+
+
+def _rsrs(X, r, s):
+    """With e = rr*, a = (r, e), b = (rs, c(rs)) and c = (d(r)s, r c(s)):
+    whether a, b and c lie in S(e), whether ac = b and whether d(a)c = c."""
+    S, e, rs = as_inverse(X), X.c(r), X.mul[r][s]
+    a, b, c = map(site.representable_tables(S, e).index.get, (
+        (r, e), (rs, X.c(rs)), (X.mul[X.d(r)][s], X.mul[r][X.c(s)])))
+    se, held = representable_semigroup(S, e).semigroup, None not in (a, b, c)
+    return (held, held and se.mul[a][c] == b,
+            held and se.mul[se.mul[se.star[a]][a]][c] == c)
+
+
+def _xirho(f, e):  # the left *-homs S(e) -> X over S differ at (e, e)
+    G = topos.gamma(f)
+    ee = site.representable_tables(G.base, e).index[(e, e)]
+    return len({table[ee] for table in G.alphas[e]}) == len(G.alphas[e])
+
+
+def _sym_at(S, e, a, b):  # a = (p, q), b = (r, s), in the tables of S(e)
+    se = site.representable_tables(S, e)
+    i, j = se.index[a], se.index[b]
+    return ((se.star[se.mul[i][j]] == se.mul[se.star[j]][se.star[i]])
+            == _compatible(S, b[1], S.semigroup.mul[a[1]][a[0]]))
 
 
 CLAUSES = {
@@ -158,6 +211,68 @@ CLAUSES = {
                "quasi_involutive", lambda X: classify(X).commuting_projections,
                lambda X: classify(X).inverse),
     ),
+    "lem:fdt": (
+        Clause("f multiplicative => f(px) = f(p)f(x)", "PE", _fdt,
+               lambda f, p, x: f.is_multiplicative, _fdt_at),
+        # read as its contrapositive, so a multiplicative f sweeps nothing
+        Clause("f(px) = f(p)f(x) for all p, x => f multiplicative", "", _fdt,
+               lambda f: not f.is_multiplicative,
+               lambda f: not all(_fdt_at(f, p, x) for x in f.source.elements
+                                 for p in projections(f.source))),
+    ),
+    "lem:reflect": (Clause(
+        "f(x) = c(f(x)) => x = c(x)", "E", _etale_left,
+        lambda f, x: f.map[x] == f.target.c(f.map[x]),
+        lambda f, x: x == f.source.c(x)),),
+    "ex:fg": (Clause(
+        "f and fg etale => g etale", "", lambda g, f: (
+            g.is_left_star_hom and f.is_left_star_hom and is_etale(f)
+            and is_etale(compose_morphisms(f, g))), None,
+        lambda g, f: is_etale(g)),),
+    "prop:starhomo": (
+        Clause("psi over an etale *-hom => psi multiplicative", "",
+               _starhomo, None, lambda psi, h: psi.is_multiplicative),
+        Clause("h psi etale => psi etale", "", _starhomo,
+               lambda psi, h: is_etale(compose_morphisms(h, psi)),
+               lambda psi, h: is_etale(psi)),
+    ),
+    "lem:xfy": (
+        # as x d(x) = x, x f(d(x)y) = xy reads x f(z) = xz at z = d(x)y
+        Clause("x f(d(x)) = x", "E", _etale_left, None,
+               lambda f, x: _xfy_at(f, x, f.source.d(x))),
+        Clause("x f(d(x)y) = xy", "EE", _etale_left, None,
+               lambda f, x, y: _xfy_at(f, x, f.source.mul[f.source.d(x)][y])),
+        Clause("f multiplicative => x f(y) = xy", "EE", _etale_left,
+               lambda f, x, y: f.is_multiplicative, _xfy_at),
+        Clause("x f(y) = xy for all x, y => f multiplicative", "", _etale_left,
+               lambda f: not f.is_multiplicative,  # the contrapositive
+               lambda f: not all(_xfy_at(f, x, y) for x in f.source.elements
+                                 for y in f.source.elements)),
+        Clause("f multiplicative => (xy)s = x(ys)", "EET", _etale_left,
+               lambda f, x, y, s: f.is_multiplicative,
+               lambda f, x, y, s: f.action[f.source.mul[x][y]][s]
+               == f.source.mul[x][f.action[y][s]]),
+    ),
+    "lem:rsrs": (
+        Clause("(r, rr*), (rs, c(rs)) and (d(r)s, rc(s)) lie in S(rr*)",
+               "EE", "inverse", None, lambda *i: _rsrs(*i)[0]),
+        Clause("(r, rr*)(d(r)s, rc(s)) = (rs, c(rs))", "EE", "inverse", None,
+               lambda *i: _rsrs(*i)[1]),
+        Clause("d(r, rr*)(d(r)s, rc(s)) = (d(r)s, rc(s))", "EE", "inverse",
+               None, lambda *i: _rsrs(*i)[2]),
+    ),
+    "lem:xirho": (Clause(
+        "left *-homs S(e) -> X over S agreeing at (e, e) agree", "",
+        lambda f, e: (classify(f.target).inverse and f.is_star_hom
+                      and is_etale(f)), None, _xirho),),
+    "prop:sym": (Clause(
+        "((p, q)(r, s))* = (r, s)*(p, q)* iff s and qp are left compatible",
+        "AA", None, None, _sym_at),),
+    "rem:Seinv": (Clause(
+        "S(e) inverse iff eS pairwise left compatible", "", None, None,
+        lambda S, e: classify(representable_semigroup(S, e).semigroup).inverse
+        == all(_compatible(S, a, b) for a in set(S.semigroup.mul[e])
+               for b in set(S.semigroup.mul[e]))),),
 }
 # lem:po-1 .. lem:po-8, one clause each
 for _i, _clause in enumerate((
@@ -191,154 +306,39 @@ for _i, _clause in enumerate((
     CLAUSES[f"lem:po-{_i}"] = (_clause,)
 
 
-def evaluate_clauses(statement_id, X):
-    """The clauses of ``statement_id`` on the *-semigroup X, in table order,
-    each whose guard flag holds over its bindings in lexicographic order:
-    True when all hold, else ``(clause name, first falsifying binding)``."""
+# the range of each variable letter, of the instance's objects
+_RANGES = {"E": lambda X, *_: getattr(X, "source", X).elements,
+           "P": lambda X, *_: projections(getattr(X, "source", X)),
+           "T": lambda f: f.target.elements,
+           "A": lambda S, e: representable_semigroup(S, e).carrier}
+
+
+def evaluate_clauses(statement_id, instance):
+    """The clauses of ``statement_id`` on ``instance`` (X, or the objects of
+    its pool entry) in table order, each whose guard holds, over bindings in
+    lexicographic order: True when all hold, else ``(clause name, first
+    falsifying binding)``.  A run of clauses under one guard reads it once."""
     clauses = CLAUSES.get(statement_id) if type(statement_id) is str else None
     if clauses is None:
         raise oracle.UnknownStatement(statement_id)
-    flags, ranges = classify(X), {"E": X.elements, "P": projections(X)}
+    objects = instance if type(instance) is tuple else (instance,)
+    last, held = object(), False  # no guard yet
     for name, over, guard, hypothesis, conclusion in clauses:
-        if guard is not None and not getattr(flags, guard):
+        if guard is not last:
+            last, held = guard, guard is None or (
+                getattr(classify(objects[0]), guard) if type(guard) is str
+                else guard(*objects))
+        if not held:
             continue
-        for binding in itertools.product(*map(ranges.get, over)):
-            if ((hypothesis is None or hypothesis(X, *binding))
-                    and not conclusion(X, *binding)):
+        for binding in itertools.product(*(_RANGES[v](*objects) for v in over)):
+            if ((hypothesis is None or hypothesis(*objects, *binding))
+                    and not conclusion(*objects, *binding)):
                 return name, binding
     return True
 
 
-def _main_fdt(f):
-    X, S = f.source, f.target
-    if not (classify(X).left_involutive and classify(S).left_involutive
-            and f.is_left_star_hom):
-        return True
-    proj_mult = all(
-        f.map[X.mul[p][x]] == S.mul[f.map[p]][f.map[x]]
-        for p in projections(X) for x in X.elements
-    )
-    return f.is_multiplicative == proj_mult
-
-
-def _main_reflect(f):
-    if not (f.is_left_star_hom and is_etale(f)):
-        return True
-    X, S = f.source, f.target
-    return all(
-        x == X.c(x)
-        for x in X.elements
-        if f.map[x] == S.c(f.map[x])
-    )
-
-
-def _main_fg(inst):
-    gm, fm = inst
-    fg = compose_morphisms(fm, gm)
-    if not (gm.is_left_star_hom and fm.is_left_star_hom):
-        return True
-    if not (is_etale(fm) and is_etale(fg)):
-        return True
-    return is_etale(gm)
-
-
-def _main_starhomo(inst):
-    pm, hm = inst
-    fm = compose_morphisms(hm, pm)
-    if not (hm.is_star_hom and is_etale(hm) and fm.is_star_hom
-            and pm.is_left_star_hom):
-        return True
-    if not pm.is_multiplicative:
-        return False
-    if is_etale(fm) and not is_etale(pm):
-        return False
-    return True
-
-
-def _main_xfy(f):
-    if not (f.is_left_star_hom and is_etale(f)):
-        return True
-    X, S = f.source, f.target
-    act = canonical_action(f).action
-    for x in X.elements:
-        dx = X.d(x)
-        if act[x][f.map[dx]] != x:
-            return False
-        for y in X.elements:
-            if act[x][f.map[X.mul[dx][y]]] != X.mul[x][y]:
-                return False
-    mult = f.is_multiplicative
-    via = all(act[x][f.map[y]] == X.mul[x][y]
-              for x in X.elements for y in X.elements)
-    if mult != via:
-        return False
-    if mult:
-        for x in X.elements:
-            for y in X.elements:
-                xy = X.mul[x][y]
-                for s in S.elements:
-                    if act[xy][s] != X.mul[x][act[y][s]]:
-                        return False
-    return True
-
-
-def _main_rsrs(X):
-    if not classify(X).inverse:
-        return True
-    S = as_inverse(X)
-    for r in X.elements:
-        e = X.c(r)
-        se = representable_semigroup(S, e).semigroup
-        pos = site.representable_tables(S, e).index
-        a = (r, e)
-        for s in X.elements:
-            rs = X.mul[r][s]
-            b = (rs, X.c(rs))
-            c = (X.mul[X.d(r)][s], X.mul[r][X.mul[s][X.star[s]]])
-            if a not in pos or b not in pos or c not in pos:
-                return False
-            if se.mul[pos[a]][pos[c]] != pos[b]:
-                return False
-            da = se.mul[se.star[pos[a]]][pos[a]]
-            if se.mul[da][pos[c]] != pos[c]:
-                return False
-    return True
-
-
-def _main_xirho(inst):
-    fm, e = inst
-    S0 = fm.target
-    if not (classify(S0).inverse and fm.is_star_hom and is_etale(fm)):
-        return True
-    G = topos.gamma(fm)
-    ee = site.representable_tables(G.base, e).index[(e, e)]
-    values = [table[ee] for table in G.alphas[e]]
-    return len(set(values)) == len(values)
-
-
-def _main_sym(inst):
-    S, e = inst
-    return topos.prop_sym_check(S, e).ok
-
-
-def _main_seinv(inst):
-    S, e = inst
-    return topos.prop_sym_check(S, e).seinv_agrees
-
-
-MAIN_CHECKS = {
-    **{sid: (lambda X, sid=sid: evaluate_clauses(sid, X) is True)
-       for sid in CLAUSES},
-    "lem:fdt": _main_fdt,
-    "lem:reflect": _main_reflect,
-    "ex:fg": _main_fg,
-    "prop:starhomo": _main_starhomo,
-    "lem:xfy": _main_xfy,
-    "lem:rsrs": _main_rsrs,
-    "lem:xirho": _main_xirho,
-    "prop:sym": _main_sym,
-    "rem:Seinv": _main_seinv,
-}
+MAIN_CHECKS = {sid: (lambda inst, sid=sid: evaluate_clauses(sid, inst) is True)
+               for sid in CLAUSES}
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +455,7 @@ def etale_idem_pool():
     return out
 
 
-@takes(max_order=POSITIVE)
+@takes(statement_ids=(list, tuple, None), max_order=POSITIVE)
 def build_instances(statement_ids=None, max_order=3):
     """(statement, label, instance, raw) for the requested statements: the
     main check reads the instance, the oracle's naive check the raw tables."""
@@ -491,13 +491,12 @@ def _run_task(task, facts):
     """One row.  An error inside a check fails its own row, with witness
     ("error", type, message), instead of ending the sweep; an exceeded or
     invalid budget still ends it.  ``facts``: the run's naive verdicts.
-    The naive verdict is the registered check's, ``oracle.naive_check``
-    without its instance check, as the raw tables are those of validated
-    objects."""
+    The naive verdict is ``oracle.naive_check``'s without its instance
+    check (``oracle._evaluate``), the raw tables being validated objects'."""
     sid, label, inst, raw = task
     try:
         main = MAIN_CHECKS[sid](inst)
-        naive = oracle.REGISTRY[sid].check(raw, facts) is True
+        naive = oracle._evaluate(sid, raw, facts) is True
     except (BudgetExceeded, SearchBudgetExceeded, BudgetInvalid):
         raise
     except (StarError, oracle.OracleError) as exc:

@@ -83,6 +83,7 @@ def samples(sl2, t1, id_sl2):
              "fibers": P.fibers, "transitions": P.transitions,
              "components": {0: (0, 1)}, "table": sl2.mul, "n": 2,
              "name": "semilattice_chain", "statement_id": "lem:reduct",
+             "statement_ids": ["lem:reduct"], "points": (0,),
              "instance": (sl2.mul, sl2.star), "cap": 64, "D": (), "items": (),
              # a module over the S-set A of the identity, F-hat's product
              "zero": (0, 1), "add": ((0, -1), (-1, 1)),

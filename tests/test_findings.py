@@ -25,8 +25,8 @@ def test_n5_866_0_fails_the_right_clause_of_lem_birestrictive():
             "right involutive, pq a projection => pq.p = qp", (3, 2))
     # the other single-table statements hold there, on both sides
     assert set(verify.CLAUSES) == set(oracle.CLAUSES)
-    for sid in oracle.CLAUSES:
-        if sid != "lem:birestrictive":
+    for sid, spec in oracle.REGISTRY.items():
+        if spec.kind == "semigroup" and sid != "lem:birestrictive":
             assert verify.evaluate_clauses(sid, X) is True, sid
             assert oracle.evaluate_clauses(sid, raw) is True, sid
 

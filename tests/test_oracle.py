@@ -124,6 +124,34 @@ def test_a_statement_id_that_is_not_a_string_is_refused(sid):
         verify.run_statements(["lem:reduct", sid], 1)
 
 
+@pytest.mark.parametrize("ids", [5, "lem:reduct"])
+def test_statement_ids_that_are_not_a_list_are_refused(ids):
+    # an int is not iterable, and a string would be read letter by letter
+    from stargroup import verify
+    from stargroup.core import ShapeError
+
+    with pytest.raises(ShapeError, match="^statement_ids must be of type"):
+        verify.build_instances(ids, 1)
+    with pytest.raises(ShapeError, match="^statement_ids must be of type"):
+        verify.run_statements(ids, 1)
+
+
+@pytest.mark.parametrize("instance, facts", [
+    (None, None),
+    ((((0,),), (0,), 0), None),  # a semigroup instance holds two tables
+    (([[0]], (0,)), {}),  # with facts the tables are keys: not lists
+    (([[0]], [0]), {}),
+])
+def test_evaluate_clauses_checks_the_instance_as_naive_check_does(instance,
+                                                                   facts):
+    for check in (oracle.evaluate_clauses, naive_check):
+        with pytest.raises(ValueError, match="^instance must be the tables"):
+            check("lem:reduct", instance, facts)
+    # the lists are accepted without facts, the tuples with them
+    assert oracle.evaluate_clauses("lem:reduct", ([[0]], [0])) is True
+    assert oracle.evaluate_clauses("lem:reduct", (((0,),), (0,)), {}) is True
+
+
 def test_a_repeated_statement_id_is_evaluated_once():
     from stargroup import verify
 
@@ -179,6 +207,40 @@ def test_the_fact_table_keeps_no_exception():
     assert facts == {}
 
 
+def test_a_verify_run_computes_each_verdict_as_often_as_pinned():
+    """How often one ``run_statements(max_order=4)`` runs each of the
+    oracle's table- and map-level verdict predicates, counted by code
+    object, so that a reference held in a clause table counts too.  The
+    pools call ``_n_is_left_hom`` and ``_n_inverse`` themselves; every other
+    call reads a verdict into the run's dict (``_fact``), so a verdict
+    computed outside it shows here as a higher count."""
+    import collections
+    import sys
+
+    from stargroup import verify
+
+    codes = {getattr(oracle, name).__code__: name for name in (
+        "_n_is_left_hom", "_n_is_star_morphism", "_n_inverse", "_n_is_etale",
+        "_n_is_mult", "_n_quasi_involutive")}
+    # the six table-level predicates of _everywhere share one code object
+    codes[oracle._n_involutive.__code__] = "_everywhere"
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        rows = verify.run_statements(max_order=4)
+    finally:
+        sys.setprofile(None)
+    assert len(rows) == 6091 and all(r.ok for r in rows)
+    assert counts == {"_n_is_left_hom": 1515, "_n_is_star_morphism": 1569,
+                      "_n_inverse": 228, "_n_is_etale": 218, "_n_is_mult": 161,
+                      "_n_quasi_involutive": 61, "_everywhere": 352}
+
+
 def test_naive_check_examples(lz2, i2):
     assert naive_check("lem:po-7", (lz2.mul, lz2.star))
     assert naive_check("lem:reduct", (i2.mul, i2.star))
@@ -210,7 +272,8 @@ def test_involutions_match_the_recursion_in_order(n):
 def test_every_statement_has_both_checks():
     from stargroup import verify
     assert set(verify.MAIN_CHECKS) == set(oracle.REGISTRY)
-    assert all(callable(spec.check) for spec in oracle.REGISTRY.values())
+    # each side's one form: its clause table, for every statement
+    assert set(verify.CLAUSES) == set(oracle.CLAUSES) == set(oracle.REGISTRY)
 
 
 def test_oracle_does_not_import_main_predicates():
