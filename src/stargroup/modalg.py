@@ -497,13 +497,15 @@ class FreeModule:
 @takes(f=StarMorphism, cap=NATURAL)
 def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     """Materialize F-hat(f) = {(r, A) : A a finite subset of the fiber over
-    r} with union addition and the derived product As + rB; CarrierTooLarge
+    r} with union addition and the derived product As + rB; NotInverse,
+    before any other check, when the base is not inverse, and CarrierTooLarge
     when it would have more than ``cap`` elements.
 
     A subset is the bitmask of its elements' positions in the ascending
     fiber, and (r, A) sits at offset[r] + A.  Star and action map a subset
     through the image of each of its bits; ``elements``, ``index`` and
     ``position`` still speak of frozensets."""
+    as_inverse.__wrapped__(f.target)
     if not f.is_star_hom or not is_etale(f):
         raise NotEtale("F-hat needs an etale *-homomorphism")
     X, S = f.source, f.target

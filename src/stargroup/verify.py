@@ -28,10 +28,13 @@ from typing import NamedTuple
 from . import oracle, site, topos
 from .core import (
     POSITIVE,
+    FiniteStarSemigroup,
+    ShapeError,
     StarError,
     StarMorphism,
     classify,
     compose_morphisms,
+    idempotent,
     idempotent_leq,
     idempotents,
     is_etale,
@@ -41,7 +44,7 @@ from .core import (
     takes,
 )
 from .oracle import BudgetExceeded
-from .site import as_inverse, representable_semigroup
+from .site import InverseSemigroup, as_inverse, representable_semigroup
 from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
@@ -313,17 +316,46 @@ _RANGES = {"E": lambda X, *_: getattr(X, "source", X).elements,
            "A": lambda S, e: representable_semigroup(S, e).carrier}
 
 
+# the objects of an instance of each pool kind (build_instances), checked as
+# core.takes checks arguments
+_INSTANCES = {
+    "semigroup": takes(X=FiniteStarSemigroup)(lambda X: None),
+    "inverse": takes(X=FiniteStarSemigroup)(lambda X: None),
+    "morphism": takes(f=StarMorphism)(lambda f: None),
+    "pair": takes(g=StarMorphism, f=StarMorphism)(lambda g, f: None),
+    "triangle": takes(psi=StarMorphism, h=StarMorphism)(lambda psi, h: None),
+    "inverse_idem": takes(S=InverseSemigroup, e=idempotent("S.semigroup"))(
+        lambda S, e: None),
+    "etale_idem": takes(f=StarMorphism, e=idempotent("f.target"))(
+        lambda f, e: None),
+}
+
+
 def evaluate_clauses(statement_id, instance):
     """The clauses of ``statement_id`` on ``instance`` (X, or the objects of
     its pool entry) in table order, each whose guard holds, over bindings in
     lexicographic order: True when all hold, else ``(clause name, first
-    falsifying binding)``.  A run of clauses under one guard reads it once."""
-    clauses = CLAUSES.get(statement_id) if type(statement_id) is str else None
-    if clauses is None:
+    falsifying binding)``.  A run of clauses under one guard reads it once.
+    ShapeError unless ``instance`` holds the objects of its statement's pool
+    kind."""
+    if type(statement_id) is not str or statement_id not in CLAUSES:
         raise oracle.UnknownStatement(statement_id)
+    kind = oracle.REGISTRY[statement_id].kind
+    check = _INSTANCES[kind]
+    objects = (instance if type(instance) is tuple and len(check.kinds) > 1
+               else (instance,))
+    if len(objects) != len(check.kinds):
+        raise ShapeError(f"{kind} instance must be ({', '.join(check.kinds)}), "
+                         f"got {instance!r}")
+    check(*objects)
+    return _evaluate(statement_id, objects)
+
+
+def _evaluate(statement_id, instance):
+    """``evaluate_clauses`` without its checks, for pool entries."""
     objects = instance if type(instance) is tuple else (instance,)
     last, held = object(), False  # no guard yet
-    for name, over, guard, hypothesis, conclusion in clauses:
+    for name, over, guard, hypothesis, conclusion in CLAUSES[statement_id]:
         if guard is not last:
             last, held = guard, guard is None or (
                 getattr(classify(objects[0]), guard) if type(guard) is str
@@ -337,7 +369,7 @@ def evaluate_clauses(statement_id, instance):
     return True
 
 
-MAIN_CHECKS = {sid: (lambda inst, sid=sid: evaluate_clauses(sid, inst) is True)
+MAIN_CHECKS = {sid: (lambda inst, sid=sid: _evaluate(sid, inst) is True)
                for sid in CLAUSES}
 
 

@@ -1,7 +1,14 @@
+"""The named fixtures and test populations.  A population is a tuple built
+once per session (the Lambdas once per module), when a selected test first
+asks for it, and no test changes one: a test that breaks an object of one
+copies it first."""
+
+import random
+
 import pytest
 
-from stargroup import oracle, site
-from stargroup.core import StarMorphism, identity_morphism, validate_star_semigroup
+from stargroup import oracle, site, topos, verify
+from stargroup.core import StarMorphism, classify, identity_morphism, validate_star_semigroup
 
 
 def pytest_collection_modifyitems(config, items):
@@ -97,9 +104,54 @@ def id_i2(i2):
 
 @pytest.fixture(scope="session")
 def star_pool():
-    """All *-semigroups over the order <= 3 enumeration (iso classes)."""
-    out = []
-    for n in range(1, 4):
-        for table in oracle.enumerate_semigroups(n, "iso"):
-            out.extend(oracle.enumerate_star_structures(table))
-    return out
+    """The 32 *-semigroups of order <= 3 (iso classes), verify's pool."""
+    return tuple(X for _, X, _ in verify.semigroup_pool(3))
+
+
+@pytest.fixture(scope="session")
+def star_pool4():
+    """The 214 *-semigroups of order <= 4 (iso classes, so a table and its
+    transpose are both kept), none sampled."""
+    return tuple(X for _, X, _ in verify.semigroup_pool(4, sample4=0))
+
+
+@pytest.fixture(scope="session")
+def order5_structures():
+    """(label, X) for the 1267 *-semigroups of order 5, labeled as verify
+    labels its pool; past the enumeration cap, so from ``_least_tables``."""
+    return tuple((f"n5#{idx}*{j}", X)
+                 for idx, (table, _) in enumerate(oracle._least_tables(5), 1)
+                 for j, X in enumerate(oracle.enumerate_star_structures(table)))
+
+
+@pytest.fixture(scope="session")
+def inverse_bases(star_pool4, sl2, i2, b2):
+    """The 24 inverse *-semigroups of order <= 4, then SL2, I2, B2 and I3:
+    28 bases with 77 idempotents."""
+    return (*(X for X in star_pool4 if classify(X).inverse),
+            sl2, i2, b2, oracle.standard_family("symmetric_inverse", 3))
+
+
+@pytest.fixture(scope="session")
+def small_presheaves(sl2_inv, sl3_inv, i2_inv):
+    """The 175 presheaves with fibers of size at most 2 over SL2, SL3 and
+    I2, base by base; 172 are non-empty."""
+    return tuple(P for S in (sl2_inv, sl3_inv, i2_inv)
+                 for P in site.enumerate_presheaves(S, 2))
+
+
+@pytest.fixture(scope="module")
+def small_lambdas(small_presheaves):
+    """Lambda(P) of each of the 172 non-empty ``small_presheaves``, held per
+    module, so that their interned semigroups are freed after it."""
+    return tuple(topos.lam(P) for P in small_presheaves if not P.is_empty())
+
+
+@pytest.fixture(scope="session")
+def acceptance_presheaves(small_presheaves, sl2_inv, sl3_inv, i2_inv):
+    """``small_presheaves``, then 100 seeded random presheaves with fibers
+    of size at most 3 over the same bases in turn: 275 in all."""
+    bases = (sl2_inv, sl3_inv, i2_inv)
+    return small_presheaves + tuple(
+        site.random_presheaf(bases[i % 3], 3, random.Random(1000 + i))
+        for i in range(100))

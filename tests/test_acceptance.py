@@ -1,23 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-All comparisons are exact; the populations are the enumeration sweeps and
-the named fixtures.  The adjunction population (criteria 3-6) is built once
-per session: every presheaf with fibers of size at most 2 over SL2, the
-3-chain, and I2, plus 100 seeded random presheaves with fibers at most 3.
+All comparisons are exact; the populations are the named fixtures of
+conftest.py.  The adjunction population (criteria 3-6) is every presheaf with
+fibers of size at most 2 over SL2, the 3-chain, and I2, plus 100 seeded random
+presheaves with fibers at most 3 (``acceptance_presheaves``).
 """
 
-import random
 import time
 
 import pytest
 
-from stargroup import oracle, site, topos, verify
+from stargroup import oracle, topos, verify
 from stargroup.core import (
     StarMorphism,
     classify,
     identity_morphism,
     is_etale,
-    projections,
     same_tables,
 )
 from stargroup.groupoid import esn_groupoid, esn_semigroup, mediator_kind
@@ -31,39 +29,10 @@ def _announce(number, label, started):
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    """Every *-semigroup over the order <= 4 enumeration (iso classes; both
-    chiralities kept so left/right dual statements are each exercised)."""
-    out = []
-    for n in range(1, 5):
-        for table in oracle.enumerate_semigroups(n, "iso"):
-            out.extend(oracle.enumerate_star_structures(table))
-    return out
-
-
-@pytest.fixture(scope="module")
-def bases(sl2_inv, sl3_inv, i2_inv):
-    return (sl2_inv, sl3_inv, i2_inv)
-
-
-@pytest.fixture(scope="module")
-def presheaf_population(bases):
-    population = []
-    for S in bases:
-        for P in site.enumerate_presheaves(S, 2):
-            population.append(P)
-    for i in range(100):
-        S = bases[i % 3]
-        P = site.random_presheaf(S, 3, random.Random(1000 + i))
-        population.append(P)
-    return population
-
-
-@pytest.fixture(scope="module")
-def adjunction_results(presheaf_population):
+def adjunction_results(acceptance_presheaves):
     """Per presheaf: the lambda object, unit, and (when nonempty) counit."""
     out = []
-    for P in presheaf_population:
+    for P in acceptance_presheaves:
         u = topos.unit(P)
         eps = None
         if not u.lam_obj.is_empty():
@@ -72,13 +41,13 @@ def adjunction_results(presheaf_population):
     return out
 
 
-def test_criterion_1_axiom_sweep(sweep):
+def test_criterion_1_axiom_sweep(star_pool4):
     """Implication lattice and the eight order characterizations over the
     full order <= 4 enumeration with every admissible involution."""
     started = time.time()
-    assert len(sweep) > 200
+    assert len(star_pool4) > 200
     po_checks = [verify.MAIN_CHECKS[f"lem:po-{i}"] for i in range(1, 9)]
-    for X in sweep:
+    for X in star_pool4:
         r = classify(X)
         assert not r.involutive or (r.left_involutive and r.right_involutive), X
         assert not (r.left_involutive or r.right_involutive) or r.locally_involutive, X
@@ -94,11 +63,11 @@ def test_criterion_1_axiom_sweep(sweep):
     _announce(1, "axiom/implication sweep", started)
 
 
-def test_criterion_2_esn_roundtrip(sweep):
+def test_criterion_2_esn_roundtrip(star_pool4):
     """ESN roundtrip on every quasi-involutive structure in the sweep, with
     the mediator kind matching the classification."""
     started = time.time()
-    quasi = [X for X in sweep if classify(X).quasi_involutive]
+    quasi = [X for X in star_pool4 if classify(X).quasi_involutive]
     assert len(quasi) > 20
     kinds_seen = set()
     for X in quasi:
@@ -135,12 +104,12 @@ def test_criterion_3_adjunction(adjunction_results, c2, t1):
     _announce(3, f"adjunction over {len(adjunction_results)} presheaves", started)
 
 
-def test_criterion_4_five_way_agreement(presheaf_population):
+def test_criterion_4_five_way_agreement(acceptance_presheaves):
     """prop_inv_check raises EquivalenceBroken on any disagreement, so a
     clean sweep is the assertion; both verdicts must occur."""
     started = time.time()
     verdicts = set()
-    for P in presheaf_population:
+    for P in acceptance_presheaves:
         verdicts.add(topos.prop_inv_check(P).inverse)
     assert verdicts == {True, False}
     _announce(4, "five-way involutivity agreement", started)

@@ -10,7 +10,7 @@ is compared in tier-1; order 5 runs behind the opt-in ``sweep`` marker
 
 import pytest
 
-from stargroup import oracle, verify
+from stargroup import oracle
 from stargroup.oracle import (
     _fact,
     _n_leq_left,
@@ -262,8 +262,8 @@ UNREACHED_AT_ORDER_4 = frozenset()
 
 
 @pytest.fixture(scope="module")
-def pool4():
-    return [raw for _, _, raw in verify.semigroup_pool(4, sample4=0)]
+def pool4(star_pool4):
+    return [(X.mul, X.star) for X in star_pool4]
 
 
 def test_the_clause_table_covers_the_single_table_statements():
@@ -344,21 +344,17 @@ def test_evaluate_clauses_refuses_a_statement_without_clauses():
 
 
 @pytest.mark.sweep
-def test_clause_verdicts_equal_the_reference_at_order_5():
-    """Every star structure of every order-5 table class
-    (``oracle._least_tables(5)``, beyond the enumeration cap)."""
-    structures, failures = 0, []
-    for idx, (table, _) in enumerate(oracle._least_tables(5), 1):
-        for j, X in enumerate(oracle.enumerate_star_structures(table)):
-            raw = (X.mul, X.star)
-            structures += 1
-            for sid, reference in REFERENCE.items():
-                assert naive_check(sid, raw) == reference(raw, None), \
-                    (sid, raw)
-                witness = evaluate_clauses(sid, raw)
-                if witness is not True:
-                    failures.append((f"n5#{idx}*{j}", sid, witness))
-    assert structures == 1267
+def test_clause_verdicts_equal_the_reference_at_order_5(order5_structures):
+    """Every star structure of every order-5 table class."""
+    failures = []
+    for label, X in order5_structures:
+        raw = (X.mul, X.star)
+        for sid, reference in REFERENCE.items():
+            assert naive_check(sid, raw) == reference(raw, None), (sid, raw)
+            witness = evaluate_clauses(sid, raw)
+            if witness is not True:
+                failures.append((label, sid, witness))
+    assert len(order5_structures) == 1267
     # the one failure is the open lem:birestrictive finding
     # (tests/test_findings.py)
     assert failures == [("n5#866*0", "lem:birestrictive",

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from stargroup import cli, modalg
+from stargroup import cli, modalg, serialize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -48,18 +48,11 @@ def test_validate_and_order():
     assert code == 0 and "natural-order" in out
 
 
-def test_order_fails_cleanly_on_non_locally_involutive(tmp_path):
-    from stargroup import oracle, serialize
-    # find a *-semigroup that is not locally involutive
+def test_order_fails_cleanly_on_non_locally_involutive(tmp_path, star_pool):
+    # the first *-semigroup of order 3 that is not locally involutive
     from stargroup.core import classify
-    bad = None
-    for table in oracle.enumerate_semigroups(3, "iso"):
-        for X in oracle.enumerate_star_structures(table):
-            if not classify(X).locally_involutive:
-                bad = X
-                break
-        if bad:
-            break
+    bad = next(X for X in star_pool
+               if X.order == 3 and not classify(X).locally_involutive)
     serialize.save_semigroup(bad, tmp_path / "bad.json")
     code, out = run_cli("order", str(tmp_path / "bad.json"))
     assert code == 1
@@ -153,6 +146,17 @@ def test_fhat_command(tmp_path):
     assert code == 0
     dumped = json.loads(out_path.read_text())
     assert len(dumped["carrier"]) == 4
+
+
+def test_fhat_refuses_a_base_that_is_not_inverse(tmp_path, lz2):
+    from stargroup.core import identity_morphism
+    path = str(tmp_path / "id_lz2.json")
+    serialize.save_morphism(identity_morphism(lz2), path)
+    code, out = run_cli("fhat", "--morphism", path)
+    assert code == 1
+    assert out.startswith("FAIL  error  [id_lz2.json]  witness=['NotInverse'")
+    # as gamma refuses the same map
+    assert run_cli("gamma", "--morphism", path) == (code, out)
 
 
 NON_COMMUTATIVE_FREE_MODULE = """

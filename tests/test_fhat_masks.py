@@ -5,13 +5,9 @@ at the same size."""
 
 import pytest
 
-from stargroup import oracle, site, topos
 from stargroup.core import ShapeError
 from stargroup.modalg import CarrierTooLarge, fhat
 from stargroup.ssets import canonical_action
-
-BASES = (("semilattice_chain", 2), ("semilattice_chain", 3),
-         ("symmetric_inverse", 2))
 
 
 def reference_tables(f, cap=2 ** 16):
@@ -66,15 +62,10 @@ def tables(fh):
 
 
 @pytest.fixture(scope="module")
-def population(id_sl2, id_i2):
+def population(small_lambdas, id_sl2, id_i2):
     """The structure map of every Lambda of the fiber <= 2 population over
     SL2, SL3 and I2, then id_sl2 and id_i2."""
-    out = []
-    for family, n in BASES:
-        S = site.as_inverse(oracle.standard_family(family, n))
-        out += [topos.lam(P).structure_map
-                for P in site.enumerate_presheaves(S, 2) if not P.is_empty()]
-    return out + [id_sl2, id_i2]
+    return [LP.structure_map for LP in small_lambdas] + [id_sl2, id_i2]
 
 
 def test_fhat_tables_match_the_reference(population):

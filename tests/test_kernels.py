@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from stargroup import core, modalg, oracle, site, ssets, topos, verify
+from stargroup import core, modalg, ssets, topos
 from stargroup.core import (
     ConsistencyError,
     NotEtale,
@@ -28,9 +28,6 @@ from stargroup.core import (
     composer,
     is_etale,
 )
-
-BASES = (("semilattice_chain", 2), ("semilattice_chain", 3),
-         ("symmetric_inverse", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +152,6 @@ def some_cells(table, rng, count):
     return cells if len(cells) <= count else rng.sample(cells, count)
 
 
-@pytest.fixture(scope="module")
-def lambdas():
-    """The Lambda of every non-empty presheaf with fibers of size at most 2
-    over SL2, SL3 and I2."""
-    out = []
-    for family, n in BASES:
-        S = site.as_inverse(oracle.standard_family(family, n))
-        out += [topos.lam(P) for P in site.enumerate_presheaves(S, 2)
-                if not P.is_empty()]
-    assert len(out) > 150
-    return out
-
-
 # ---------------------------------------------------------------------------
 # compose
 
@@ -195,13 +179,12 @@ def test_columns():
 # associativity and balance
 
 
-def test_associativity_matches_the_cell_sweep(star_pool, lambdas):
-    # every *-semigroup of order <= 3, the verify pool at order 4 and the
-    # Lambdas, then one perturbed cell of each
+def test_associativity_matches_the_cell_sweep(star_pool4, small_lambdas):
+    # every *-semigroup of order <= 4 and the Lambdas, then perturbed cells
+    # of each
     rng = random.Random(0)
-    tables = [X.mul for X in star_pool]
-    tables += [X.mul for _, X, _ in verify.semigroup_pool(4)]
-    tables += [LP.semigroup.mul for LP in lambdas]
+    tables = [X.mul for X in star_pool4]
+    tables += [LP.semigroup.mul for LP in small_lambdas]
     assert len(tables) > 250
     broken = 0
     for mul in tables:
@@ -214,10 +197,10 @@ def test_associativity_matches_the_cell_sweep(star_pool, lambdas):
     assert broken > 100
 
 
-def test_sset_kernels_match_the_cell_sweeps(lambdas):
+def test_sset_kernels_match_the_cell_sweeps(small_lambdas):
     rng = random.Random(2)
     broken = [0, 0]
-    for LP in lambdas:
+    for LP in small_lambdas:
         A = ssets.canonical_action(LP.structure_map)
         S = A.base
         actions = [A.action]
@@ -233,11 +216,11 @@ def test_sset_kernels_match_the_cell_sweeps(lambdas):
     assert min(broken) > 50, broken
 
 
-def test_algebra_kernel_lists_every_violation_of_a_broken_product(lambdas):
+def test_algebra_kernel_lists_every_violation_of_a_broken_product(small_lambdas):
     # F-hat of every fourth Lambda with at most 6 elements, then two
     # perturbed product cells of each
     rng = random.Random(4)
-    small = [LP for LP in lambdas if LP.semigroup.order <= 6][::4]
+    small = [LP for LP in small_lambdas if LP.semigroup.order <= 6][::4]
     assert len(small) > 5
     lists = 0
     for LP in small:
@@ -254,17 +237,17 @@ def test_algebra_kernel_lists_every_violation_of_a_broken_product(lambdas):
 
 
 def test_every_fhat_has_its_left_table_and_the_laws_its_sweeps_settle(
-        lambdas):
+        small_lambdas):
     # the F-hat S-set of every Lambda; fhat no longer asks classify for
     # involutivity or psi for the *-homomorphism laws, as validate_algebra
     # and check_sset have swept them on the same tables
     balanced = 0
-    for LP in lambdas:
+    for LP in small_lambdas:
         fh = modalg.fhat(LP.structure_map)
         balanced += assert_left_table(fh.module.sset)
         assert core.classify(fh.semigroup).involutive
         assert fh.psi.is_star_hom
-    assert balanced == len(lambdas)
+    assert balanced == len(small_lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +262,11 @@ def test_the_lift_readers_still_refuse_a_non_etale_map(const_c2_t1):
         topos.fiber_presheaf(const_c2_t1)
 
 
-def test_an_ambiguous_lift_read_still_raises(lambdas):
+def test_an_ambiguous_lift_read_still_raises(small_lambdas):
     # every lift group doubled after the etale verdict is kept and before
     # any reader builds the action table: a read that took the first
     # candidate would pass
-    f = next(LP.structure_map for LP in lambdas
+    f = next(LP.structure_map for LP in small_lambdas
              if len(LP.pairs) > LP.base.order)
     assert topos.fiber_presheaf(f)
     g = StarMorphism(f.source, f.target, f.map)

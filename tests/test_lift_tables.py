@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from stargroup import core, oracle, site, ssets, topos, verify
+from stargroup import core, site, ssets, topos, verify
 from stargroup.core import (
     ConsistencyError,
     NoLift,
@@ -20,10 +20,6 @@ from stargroup.core import (
 )
 from stargroup.topos import SearchBudgetExceeded
 from test_kernels import assert_left_table
-
-BASES = (("semilattice_chain", 2), ("semilattice_chain", 3),
-         ("symmetric_inverse", 2))
-
 
 def reference_lift(f, p, s):
     """etale_lift as it scanned the whole source for each lift."""
@@ -135,30 +131,20 @@ def _outcome(call, *args):
         return type(exc)
 
 
-@pytest.fixture(scope="module")
-def presheaves():
-    """Every non-empty presheaf with fibers of size at most 2 over SL2, SL3
-    and I2."""
-    out = []
-    for family, n in BASES:
-        S = site.as_inverse(oracle.standard_family(family, n))
-        out += [P for P in site.enumerate_presheaves(S, 2) if not P.is_empty()]
-    return out
-
-
 def _etale_maps(presheaves):
     """Every etale map of verify.etale_idem_pool(), then the structure map
-    of Lambda(P) for each presheaf.  Built by the calling test: both read
-    the lift table, so a fault there fails the test, not a shared fixture."""
+    of Lambda(P) for each non-empty presheaf.  Built by the calling test:
+    both read the lift table, so a fault there fails the test, not a shared
+    fixture."""
     maps = list(dict.fromkeys(f for _, (f, _), _ in verify.etale_idem_pool()))
-    lambdas = [topos.lam(P) for P in presheaves]
+    lambdas = [topos.lam(P) for P in presheaves if not P.is_empty()]
     maps += [LP.structure_map for LP in lambdas]
     assert len(maps) > 150 and all(is_etale(f) for f in maps)
     return maps
 
 
-def test_lift_table_is_the_grouped_scan(presheaves):
-    for f in _etale_maps(presheaves):
+def test_lift_table_is_the_grouped_scan(small_presheaves):
+    for f in _etale_maps(small_presheaves):
         X = f.source
         codomains = {X.c(x) for x in X.elements}
         assert set(f.lifts) == codomains
@@ -170,21 +156,21 @@ def test_lift_table_is_the_grouped_scan(presheaves):
             assert f.lifts[p] == {s: tuple(zs) for s, zs in scan.items()}
 
 
-def test_etale_lift_matches_the_scan(presheaves):
-    for f in _etale_maps(presheaves):
+def test_etale_lift_matches_the_scan(small_presheaves):
+    for f in _etale_maps(small_presheaves):
         for p in f.source.elements:
             for s in f.target.elements:
                 want = _outcome(reference_lift, f, p, s)
                 assert _outcome(etale_lift, f, p, s) == want, (f, p, s)
 
 
-def test_canonical_action_matches_the_scan(presheaves):
-    for f in _etale_maps(presheaves):
+def test_canonical_action_matches_the_scan(small_presheaves):
+    for f in _etale_maps(small_presheaves):
         assert ssets.canonical_action(f).action == reference_action(f), f
 
 
-def test_action_table_matches_the_scan(presheaves):
-    for f in _etale_maps(presheaves):
+def test_action_table_matches_the_scan(small_presheaves):
+    for f in _etale_maps(small_presheaves):
         assert f.action == reference_action(f), f
         for p in f.source.elements:
             for s in f.target.elements:
@@ -193,8 +179,9 @@ def test_action_table_matches_the_scan(presheaves):
                     assert etale_lift(f, p, s) == f.action[p][s] == want
 
 
-def test_left_table_of_the_canonical_action_is_the_cell_formula(presheaves):
-    maps = _etale_maps(presheaves)
+def test_left_table_of_the_canonical_action_is_the_cell_formula(
+        small_presheaves):
+    maps = _etale_maps(small_presheaves)
     balanced = sum(assert_left_table(ssets.canonical_action(f)) for f in maps)
     assert balanced > 150
 
@@ -219,8 +206,8 @@ def test_an_ambiguous_lift_still_raises(c2, t1, monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [1, 10, 100])
-def test_generic_gamma_matches_the_inline_plan(presheaves, budget):
-    for f in _etale_maps(presheaves):
+def test_generic_gamma_matches_the_inline_plan(small_presheaves, budget):
+    for f in _etale_maps(small_presheaves):
         S = site.as_inverse(f.target)
         want = _outcome(lambda: {e: reference_generic_alphas(f, S, e, budget)[0]
                                  for e in S.idempotents})
@@ -228,10 +215,10 @@ def test_generic_gamma_matches_the_inline_plan(presheaves, budget):
         assert got == want, (f, budget)
 
 
-def test_generic_gamma_stops_where_the_inline_plan_does(presheaves):
+def test_generic_gamma_stops_where_the_inline_plan_does(small_presheaves):
     # each idempotent's search has its own step count, so the least budget
     # that suffices is the largest of them
-    for f in _etale_maps(presheaves):
+    for f in _etale_maps(small_presheaves):
         S = site.as_inverse(f.target)
         need = max(reference_generic_alphas(f, S, e, math.inf)[1]
                    for e in S.idempotents)

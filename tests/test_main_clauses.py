@@ -16,6 +16,7 @@ import pytest
 from stargroup import oracle, verify
 from stargroup.core import (
     FLAG_NAMES,
+    ShapeError,
     classify,
     idempotent_leq,
     leq_left,
@@ -192,11 +193,6 @@ REFERENCE = {
 UNREACHED_AT_ORDER_4 = frozenset()
 
 
-@pytest.fixture(scope="module")
-def pool4():
-    return [X for _, X, _ in verify.semigroup_pool(4, sample4=0)]
-
-
 def test_the_clause_table_covers_the_single_table_statements():
     single = {sid for sid, spec in oracle.REGISTRY.items()
               if spec.kind == "semigroup"}
@@ -257,9 +253,9 @@ def test_no_main_clause_reads_the_oracle():
 
 
 @pytest.mark.parametrize("sid", sorted(REFERENCE))
-def test_main_verdicts_equal_the_reference_at_order_4(sid, pool4):
-    assert len(pool4) == 214
-    for X in pool4:
+def test_main_verdicts_equal_the_reference_at_order_4(sid, star_pool4):
+    assert len(star_pool4) == 214
+    for X in star_pool4:
         expected = REFERENCE[sid](X)
         assert verify.MAIN_CHECKS[sid](X) is expected, X
         assert (evaluate_clauses(sid, X) is True) == expected, X
@@ -271,14 +267,14 @@ def _clause_ids():
 
 
 @pytest.mark.parametrize("sid, index", _clause_ids())
-def test_negating_a_conclusion_is_seen_at_order_4(monkeypatch, pool4, sid,
-                                                  index):
+def test_negating_a_conclusion_is_seen_at_order_4(monkeypatch, star_pool4,
+                                                  sid, index):
     clauses = verify.CLAUSES[sid]
     clause = clauses[index]
     negated = clause._replace(conclusion=lambda *a: not clause.conclusion(*a))
     monkeypatch.setitem(verify.CLAUSES, sid,
                         clauses[:index] + (negated,) + clauses[index + 1:])
-    broken = [X for X in pool4 if not verify.MAIN_CHECKS[sid](X)]
+    broken = [X for X in star_pool4 if not verify.MAIN_CHECKS[sid](X)]
     if clause.name in UNREACHED_AT_ORDER_4:
         assert not broken
         return
@@ -302,20 +298,35 @@ def test_evaluate_clauses_refuses_a_statement_without_clauses(t1, sid):
         evaluate_clauses(sid, t1)
 
 
+@pytest.mark.parametrize("sid", sorted(oracle.REGISTRY))
+def test_evaluate_clauses_refuses_an_instance_of_another_kind(sid, i2, i2_inv,
+                                                              id_i2):
+    # per pool kind, the objects of another kind
+    wrong = {"semigroup": id_i2, "inverse": id_i2, "morphism": i2,
+             "pair": (id_i2, i2), "triangle": (i2, id_i2),
+             "inverse_idem": (i2, 0), "etale_idem": (i2_inv, 0)}
+    for instance in (None, 5, (None, None), wrong[oracle.REGISTRY[sid].kind]):
+        with pytest.raises(ShapeError):
+            evaluate_clauses(sid, instance)
+
+
+def test_a_verify_run_checks_no_instance(monkeypatch):
+    # MAIN_CHECKS, which a run calls, read the unchecked body
+    monkeypatch.setattr(verify, "_INSTANCES", {})
+    assert all(row.ok for row in verify.run_statements(max_order=2))
+
+
 @pytest.mark.sweep
-def test_main_verdicts_equal_the_reference_at_order_5():
-    """Every star structure of every order-5 table class
-    (``oracle._least_tables(5)``, beyond the enumeration cap)."""
-    structures, failures = 0, []
-    for idx, (table, _) in enumerate(oracle._least_tables(5), 1):
-        for j, X in enumerate(oracle.enumerate_star_structures(table)):
-            structures += 1
-            for sid, reference in REFERENCE.items():
-                witness = evaluate_clauses(sid, X)
-                assert (witness is True) == reference(X), (sid, X)
-                if witness is not True:
-                    failures.append((f"n5#{idx}*{j}", sid, witness))
-    assert structures == 1267
+def test_main_verdicts_equal_the_reference_at_order_5(order5_structures):
+    """Every star structure of every order-5 table class."""
+    failures = []
+    for label, X in order5_structures:
+        for sid, reference in REFERENCE.items():
+            witness = evaluate_clauses(sid, X)
+            assert (witness is True) == reference(X), (sid, X)
+            if witness is not True:
+                failures.append((label, sid, witness))
+    assert len(order5_structures) == 1267
     # the one failure is the open lem:birestrictive finding, named as the
     # oracle names it (tests/test_findings.py)
     assert failures == [("n5#866*0", "lem:birestrictive",

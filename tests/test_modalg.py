@@ -4,6 +4,7 @@ from stargroup import ssets, topos
 from stargroup.core import (
     ConsistencyError,
     ShapeError,
+    StarMorphism,
     Verdict,
     classify,
     identity_morphism,
@@ -25,7 +26,7 @@ from stargroup.modalg import (
     validate_algebra,
     validate_module,
 )
-from stargroup.site import terminal_presheaf, validate_presheaf_map
+from stargroup.site import NotInverse, terminal_presheaf, validate_presheaf_map
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,13 @@ def fhat_p21(p21):
 @pytest.fixture(scope="module")
 def fhat_id_i2(id_i2):
     return fhat(id_i2)
+
+
+def test_fhat_refuses_a_base_that_is_not_inverse_first(lz2, c2):
+    # an etale *-homomorphism and one that is not etale, into LZ2
+    for f in (identity_morphism(lz2), StarMorphism(c2, lz2, (0, 0))):
+        with pytest.raises(NotInverse, match="LZ2"):
+            fhat(f)
 
 
 def test_fhat_id_sl2_carrier(fhat_id_sl2):

@@ -8,12 +8,13 @@ references both evaluators must agree with, on verify's ``--max-order 4``
 pools and on a wider population:
 
 - every *-map ``verify._star_morphism_maps`` lists between the 35 structures
-  of ``semigroup_pool(3)`` and SL2, SL3 and I2 (``lem:fdt``, ``lem:reflect``,
+  of ``star_pool`` with SL2, SL3 and I2 (``lem:fdt``, ``lem:reflect``,
   ``lem:xfy``);
 - every composable pair of left *-homomorphisms of order <= 2, without
   ``verify.PAIR_CAP`` (``ex:fg``, ``prop:starhomo``);
-- the 24 inverse structures of order <= 4 with SL2, I2, B2 and I3
-  (``lem:rsrs``), each at every idempotent (``prop:sym``, ``rem:Seinv``);
+- ``inverse_bases``, the 24 inverse structures of order <= 4 with SL2, I2,
+  B2 and I3 (``lem:rsrs``), each at every idempotent (``prop:sym``,
+  ``rem:Seinv``);
 - ``verify.etale_idem_pool()`` (``lem:xirho``).
 """
 
@@ -396,36 +397,23 @@ NAIVE_REFERENCE = {
 UNREACHED = frozenset()
 
 
-def _inverse_structures():
-    out = [X for _, X, _ in verify.semigroup_pool(4, sample4=0)
-           if classify(X).inverse]
-    return out + [oracle.standard_family("semilattice_chain", 2),
-                  oracle.standard_family("symmetric_inverse", 2),
-                  oracle.standard_family("brandt", 2),
-                  oracle.standard_family("symmetric_inverse", 3)]
-
-
 @pytest.fixture(scope="module")
-def population():
+def population(star_pool, sl2, sl3, i2, inverse_bases):
     """Per statement, its (instance, raw tables) rows: the population of
     the module docstring."""
-    structures = [X for _, X, _ in verify.semigroup_pool(3)] + [
-        oracle.standard_family("semilattice_chain", 2),
-        oracle.standard_family("semilattice_chain", 3),
-        oracle.standard_family("symmetric_inverse", 2)]
+    structures = [*star_pool, sl2, sl3, i2]
     maps = [(StarMorphism(X, S, f), (X.mul, X.star, S.mul, S.star, f))
             for X in structures for S in structures
             for f in verify._star_morphism_maps(X, S)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "PAIR_CAP", float("inf"))
         pairs = [(inst, raw) for _, inst, raw in verify.pair_pool()]
-    inverse = _inverse_structures()
     at_idempotents = [((S, e), (S.semigroup.mul, S.semigroup.star, e))
-                      for S in map(as_inverse, inverse)
+                      for S in map(as_inverse, inverse_bases)
                       for e in S.idempotents]
     return {"lem:fdt": maps, "lem:reflect": maps, "lem:xfy": maps,
             "ex:fg": pairs, "prop:starhomo": pairs,
-            "lem:rsrs": [(X, (X.mul, X.star)) for X in inverse],
+            "lem:rsrs": [(X, (X.mul, X.star)) for X in inverse_bases],
             "prop:sym": at_idempotents, "rem:Seinv": at_idempotents,
             "lem:xirho": [(inst, raw)
                           for _, inst, raw in verify.etale_idem_pool()]}

@@ -7,7 +7,7 @@ Two mutants of the rows, a mask without ``fe = e`` and swapped ``d`` and
 
 import pytest
 
-from stargroup import core, oracle, site, topos, verify
+from stargroup import core, verify
 from stargroup.core import (
     ClassificationReport,
     ConsistencyError,
@@ -16,10 +16,6 @@ from stargroup.core import (
     StarMorphism,
     projections,
 )
-
-BASES = (("semilattice_chain", 2), ("semilattice_chain", 3),
-         ("symmetric_inverse", 2))
-
 
 # ---------------------------------------------------------------------------
 # the reference
@@ -139,33 +135,23 @@ def transpose(X):
 
 
 @pytest.fixture(scope="module")
-def star_structures():
+def star_structures(star_pool4):
     """Every order <= 4 *-structure (iso classes) and its transpose."""
-    out = []
-    for n in range(1, 5):
-        for table in oracle.enumerate_semigroups(n, "iso"):
-            for X in oracle.enumerate_star_structures(table):
-                out += [X, transpose(X)]
-    return out
+    return [Y for X in star_pool4 for Y in (X, transpose(X))]
 
 
 @pytest.fixture(scope="module")
-def chain_maps():
+def chain_maps(small_lambdas):
     """The structure maps of every Lambda of the fiber <= 2 population over
     SL2, SL3 and I2, and the F-hat psi of each that has at most 8
     elements."""
     from stargroup import modalg
 
     out = []
-    for family, n in BASES:
-        S = site.as_inverse(oracle.standard_family(family, n))
-        for P in site.enumerate_presheaves(S, 2):
-            L = topos.lam(P)
-            if L.is_empty():
-                continue
-            out.append(L.structure_map)
-            if len(L.pairs) <= 8:
-                out.append(modalg.fhat(L.structure_map).psi)
+    for L in small_lambdas:
+        out.append(L.structure_map)
+        if len(L.pairs) <= 8:
+            out.append(modalg.fhat(L.structure_map).psi)
     return out
 
 

@@ -96,16 +96,12 @@ def test_retwist_idempotent(id_i2):
     assert rt2.semigroup.mul == rt.semigroup.mul
 
 
-def test_retwist_on_oracle_found_nonmult():
+def test_retwist_on_oracle_found_nonmult(star_pool):
     """Retwist genuinely non-multiplicative etale left *-homomorphisms from
     the oracle search: the product must change and conditions 3 and 4 must
     be false; 1 and 2 stay paired but need not follow (the two-atom
     semilattice collapsed onto SL2 leaves them true)."""
-    sources = []
-    for n in range(1, 4):
-        for table in oracle.enumerate_semigroups(n, "iso"):
-            for X in oracle.enumerate_star_structures(table):
-                sources.append((X.mul, X.star))
+    sources = [(X.mul, X.star) for X in star_pool]
     targets = [t for t in sources if oracle._n_inverse(t[0])]
     found = oracle.search_nonmult_etale_left_homs(sources, targets)
     assert found, "expected non-multiplicative etale left *-homs at order <= 3"

@@ -4,15 +4,13 @@ the semigroup of an S-set are built without the sweep that used to follow
 them, each law following from a check already run on the same object.
 These tests keep each removed sweep as a reference over the acceptance
 population (every presheaf with fibers of size at most 2 over SL2, the
-3-chain and I2, plus 100 seeded random presheaves) and the inverse pool
-of verify, so a builder that broke a law would show here.  A morphism of
+3-chain and I2, plus 100 seeded random presheaves) and the inverse bases
+(conftest.py), so a builder that broke a law would show here.  A morphism of
 L(S) is its own transition key, equal to its plain pair."""
-
-import random
 
 import pytest
 
-from stargroup import modalg, oracle, site, ssets, topos, verify
+from stargroup import modalg, site, ssets, topos
 from stargroup.core import (
     ShapeError,
     check_star_semigroup,
@@ -28,17 +26,8 @@ from test_ssets import _enumerate_ssets
 
 
 @pytest.fixture(scope="module")
-def population(sl2_inv, sl3_inv, i2_inv):
-    bases = (sl2_inv, sl3_inv, i2_inv)
-    out = [P for S in bases for P in site.enumerate_presheaves(S, 2)]
-    out += [site.random_presheaf(bases[i % 3], 3, random.Random(1000 + i))
-            for i in range(100)]
-    return out
-
-
-@pytest.fixture(scope="module")
-def structure_maps(population):
-    return [topos.lam(P).structure_map for P in population
+def structure_maps(acceptance_presheaves):
+    return [topos.lam(P).structure_map for P in acceptance_presheaves
             if not P.is_empty()]
 
 
@@ -46,9 +35,10 @@ def _revalidated(P):
     return validate_presheaf(P.base, P.fibers, P.transitions)
 
 
-def test_every_generated_presheaf_passes_validate_presheaf(population):
-    assert len(population) == 275
-    for P in population:
+def test_every_generated_presheaf_passes_validate_presheaf(
+        acceptance_presheaves):
+    assert len(acceptance_presheaves) == 275
+    for P in acceptance_presheaves:
         assert _revalidated(P) == P
 
 
@@ -123,12 +113,13 @@ def test_a_composition_violation_names_plain_pairs(sl3_inv):
         assert str(info.value) == message
 
 
-def test_a_morphism_is_its_own_transition_key(p21, sl2_inv):
+def test_a_morphism_is_its_own_transition_key(p21, sl2_inv,
+                                              small_presheaves):
     m = LSMorphism(0, 1)
     assert m == (0, 1) and hash(m) == hash((0, 1)) and repr(m) == "(0 -> 1)"
     assert p21.transitions[m] == p21.transitions[(0, 1)] == (0, 0)
-    generated = next(P for P in site.enumerate_presheaves(sl2_inv, 2)
-                     if len(P.fiber(1)) == 2)
+    generated = next(P for P in small_presheaves
+                     if P.base is sl2_inv and len(P.fiber(1)) == 2)
     assert set(generated.transitions) == {(0, 0), (1, 1), (0, 1)}
     assert all(generated.transitions[(m.s, m.e)] == generated.transitions[m]
                for m in site.all_ls_morphisms(sl2_inv))
@@ -206,11 +197,6 @@ def test_sset_to_semigroup_refuses_a_broken_sset(sl2, size, star, smap,
         sset_to_semigroup(A)
 
 
-@pytest.fixture(scope="module")
-def inverse_bases(sl3, b2):
-    return [X for _, X, _ in verify.inverse_pool(4)] + [sl3, b2]
-
-
 def test_every_representable_semigroup_passes_validation(inverse_bases):
     count = 0
     for X in inverse_bases:
@@ -223,7 +209,7 @@ def test_every_representable_semigroup_passes_validation(inverse_bases):
             assert classify(se).left_involutive
             assert R.psi.is_star_hom and is_etale(R.psi)
             count += 1
-    assert count == 40
+    assert count == 77
 
 
 def test_each_representable_action_is_over_s(inverse_bases):
@@ -245,8 +231,8 @@ def test_each_m_is_a_bijection_over_s(structure_maps):
         assert all(f.map[m.map[i]] == r for i, (r, _) in enumerate(LP.pairs))
 
 
-def test_each_lambda_of_a_natural_map_is_over_s(population):
-    for P in population:
+def test_each_lambda_of_a_natural_map_is_over_s(acceptance_presheaves):
+    for P in acceptance_presheaves:
         if P.is_empty():
             continue
         u = topos.unit(P)
