@@ -190,11 +190,10 @@ def cmd_adjunction(args, report):
     report.add("unit-iso", name, u.bijective)
     f = u.lam_obj.structure_map
     # built before the triangles, which then reuse the Lambda it holds
-    eps = None if f is None else topos.counit(f, u.gamma_obj)
+    eps = topos.counit(f, u.gamma_obj)
     report.add("triangle-1", name, bool(topos.triangle_check(P)))
-    if eps is not None:
-        report.add("triangle-2", name, bool(topos.triangle_check2(f)))
-        report.add("counit-bijective-on-etale", name, eps.bijective)
+    report.add("triangle-2", name, bool(topos.triangle_check2(f)))
+    report.add("counit-bijective-on-etale", name, eps.bijective)
     if args.morphism:
         f = serialize.load_morphism(args.morphism)
         data = topos.bsleft_eval(f)

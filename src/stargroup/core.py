@@ -378,7 +378,7 @@ def freeze(values, field, stop, length=None, width=None, start=0):
     return frozen
 
 
-@takes(order=POSITIVE)
+@takes(order=NATURAL)
 def check_star_semigroup(order, mul, star) -> tuple[Violation, ...]:
     """All violated *-semigroup axioms, least witness each; empty if valid."""
     return _axiom_violations(order, *_freeze_tables(order, mul, star))
@@ -492,7 +492,7 @@ def shared(key, build, *args):
     return value
 
 
-@takes(order=POSITIVE, name=(str, None))
+@takes(order=NATURAL, name=(str, None))
 def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
     """Validate raw tables; raises InvalidStarSemigroup with all witnesses.
 

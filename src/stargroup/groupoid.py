@@ -98,8 +98,8 @@ OBJECT = below("G.n_objects")
 
 def _shape_check(G: OrderedGroupoidWithMediator):
     n, m = G.n_morphisms, G.n_objects
-    if not (type(n) is type(m) is int and n >= 1 and m >= 1):
-        raise ShapeError(f"object and morphism counts must be positive "
+    if not (type(n) is type(m) is int and n >= 0 and m >= 0):
+        raise ShapeError(f"object and morphism counts must be non-negative "
                          f"integers, got {m!r} and {n!r}")
     freeze(G.dom, "dom", m, length=n)
     freeze(G.cod, "cod", m, length=n)

@@ -411,9 +411,10 @@ class FreeModule:
 
     @takes(max_terms=NATURAL, count=NATURAL, seed=int)
     def sample_elements(self, max_terms=4, count=40, seed=0):
+        """``count`` sums drawn by ``seed``; none over an empty base."""
         rng = random.Random(seed)
         out = []
-        for _ in range(count):
+        for _ in range(count if self.base.order else 0):
             r = rng.randrange(self.base.order)
             fiber = self.f.fibers[r]
             if not fiber:

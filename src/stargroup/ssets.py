@@ -17,7 +17,6 @@ from .core import (
     FiniteStarSemigroup,
     Invalid,
     NotEtale,
-    ShapeError,
     StarMorphism,
     Violation,
     action_associativity_witness,
@@ -223,12 +222,10 @@ def canonical_action(f: StarMorphism) -> SSetStructure:
 @takes(A=SSetStructure)
 def sset_to_semigroup(A: SSetStructure):
     """(X, f): the *-semigroup X with product xy = x . f(y), and f the
-    structure map; SSetInvalid unless A is an S-set, ShapeError if empty.
+    structure map; SSetInvalid unless A is an S-set.
     By check_sset's laws, (x f(y)) f(z) = x f(y f(z)), x f(x*) f(x) = x,
     x** = x and f(x f(y)) = f(x) f(y); a lift z at c(x) is c(x) f(z), so f
     is etale, and xs = c(x) f(x)s, so its canonical action is that of A."""
-    if not A.size:
-        raise ShapeError("an empty S-set has no semigroup")
     if check_sset(A):
         raise SSetInvalid(check_sset(A))
     mul = tuple([compose(row, A.smap) for row in A.action])

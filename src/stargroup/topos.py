@@ -12,6 +12,11 @@ Gamma's presheaf is not swept again: its laws follow from those of S(m),
 swept once per base (``site._representable_functoriality``); nor is the
 fiber presheaf, each of whose transitions is a unique lift.
 
+The empty presheaf, the initial object, takes the same path: Lambda of it
+is the empty *-semigroup, validated like any other, with its empty
+structure map, so unit, counit and the triangles have no branch of their
+own for it.  The oracle and verify's pools still start at order 1.
+
 Two rules keep what is built.  Derived data lives on its owner: what is
 derived from one object alone is kept on it with ``core.memo`` and lives as
 long as it does: the S(e) tables on their base
@@ -88,7 +93,6 @@ from .site import (
     _representable_functoriality,
     all_ls_morphisms,
     as_inverse,
-    empty_presheaf,
     representable_semigroup,
     representable_tables,
     validate_presheaf_map,
@@ -135,21 +139,14 @@ def resolve_budget(value=None):
 @takes()
 @dataclass(eq=False)
 class LambdaObject:
-    """Lambda(P): pairs (r, x) with the structure map (r, x) |-> r.
-
-    For the empty presheaf the carrier is empty and both ``semigroup`` and
-    ``structure_map`` are None; the element list is still usable.
-    """
+    """Lambda(P): pairs (r, x) with the structure map (r, x) |-> r."""
 
     presheaf: Presheaf
     base: InverseSemigroup
     pairs: tuple[tuple[int, int], ...]
     index: dict
-    semigroup: FiniteStarSemigroup | None
-    structure_map: StarMorphism | None
-
-    def is_empty(self) -> bool:
-        return not self.pairs
+    semigroup: FiniteStarSemigroup
+    structure_map: StarMorphism
 
     def __repr__(self):
         return f"LambdaObject({len(self.pairs)} elements over {self.base!r})"
@@ -170,8 +167,6 @@ def _lam(P: Presheaf) -> LambdaObject:
     width = [len(P.fiber(c[r])) for r in sg.elements]
     pairs = tuple([(r, x) for r in sg.elements for x in range(width[r])])
     index = {pair: i for i, pair in enumerate(pairs)}
-    if not pairs:
-        return LambdaObject(P, S, pairs, index, None, None)
     # pairs run through r, then x, so (r, x) sits at offset[r] + x
     offset = (0, *accumulate(width))
     trans = P.transitions
@@ -397,11 +392,6 @@ def _gamma(f: StarMorphism, budget: int) -> GammaPresheaf:
     return GammaPresheaf(S, f, alphas, Presheaf(S, fibers, transitions))
 
 
-def _empty_gamma(S: InverseSemigroup) -> GammaPresheaf:
-    return GammaPresheaf(S, None, {e: () for e in S.idempotents},
-                         empty_presheaf.__wrapped__(S))
-
-
 # ---------------------------------------------------------------------------
 # unit, counit, triangles
 
@@ -426,12 +416,6 @@ def unit(P: Presheaf) -> UnitResult:
 def _unit(P: Presheaf) -> UnitResult:
     S = P.base
     LP = lam(P)
-    if LP.is_empty():
-        G = _empty_gamma(S)
-        empty_components = {e: () for e in S.idempotents}
-        if any(G.alphas[e] for e in S.idempotents):
-            raise UnitNotIso("Gamma of the empty object is not empty")
-        return UnitResult(P, LP, G, empty_components, True)
     G = gamma(LP.structure_map)
     components = {}
     for d in S.idempotents:
@@ -456,7 +440,7 @@ def _unit(P: Presheaf) -> UnitResult:
 class CounitResult:
     gamma_obj: GammaPresheaf
     lam_gamma: LambdaObject
-    morphism: StarMorphism | None
+    morphism: StarMorphism
     injective: bool
     surjective: bool
     bijective: bool
@@ -481,8 +465,6 @@ def _counit(G: GammaPresheaf) -> CounitResult:
     X = f.source
     sg = S.semigroup
     LG = lam(G.presheaf)
-    if LG.is_empty():
-        return CounitResult(G, LG, None, True, X.order == 0, False, None, False)
     index = {e: representable_tables(S, e).index for e in S.idempotents}
     mapping = []
     for (r, xi) in LG.pairs:
@@ -510,8 +492,6 @@ def _counit(G: GammaPresheaf) -> CounitResult:
 def triangle_check(P: Presheaf) -> Verdict:
     """epsilon_{Lambda P} . Lambda(eta P) = id elementwise."""
     u = unit(P)
-    if u.lam_obj.is_empty():
-        return Verdict()
     sg = P.base.semigroup
     eps = counit(u.lam_obj.structure_map, u.gamma_obj)
     LGP = eps.lam_gamma
@@ -650,18 +630,14 @@ def prop_inv_check(P: Presheaf) -> PropInvReport:
     """Five independently computed equivalent statements about Lambda(P);
     disagreement raises EquivalenceBroken."""
     LP = lam(P)
+    sgl = LP.semigroup
+    projs = projections(sgl)
+    commute = all(sgl.mul[p][q] == sgl.mul[q][p] for p in projs for q in projs)
+    rep = classify(sgl)
+    injective = len(set(LP.structure_map.map)) == len(LP.pairs)
     subterminal = all(len(P.fiber(e)) <= 1 for e in P.fibers)
-    if LP.is_empty():
-        report = PropInvReport(True, True, True, subterminal, True)
-    else:
-        sgl = LP.semigroup
-        projs = projections(sgl)
-        commute = all(sgl.mul[p][q] == sgl.mul[q][p]
-                      for p in projs for q in projs)
-        rep = classify(sgl)
-        injective = len(set(LP.structure_map.map)) == len(LP.pairs)
-        report = PropInvReport(commute, rep.inverse, rep.involutive,
-                               subterminal, injective)
+    report = PropInvReport(commute, rep.inverse, rep.involutive,
+                           subterminal, injective)
     if not report.all_agree():
         raise EquivalenceBroken(f"five-way equivalence broken: {report}")
     return report

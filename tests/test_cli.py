@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from stargroup import cli, modalg, serialize
+from stargroup.core import FLAG_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -146,6 +147,53 @@ def test_fhat_command(tmp_path):
     assert code == 0
     dumped = json.loads(out_path.read_text())
     assert len(dumped["carrier"]) == 4
+
+
+# each command over the empty *-semigroup E, its identity and the empty
+# presheaf over SL2: every row passes, nothing goes to stderr
+EMPTY_OBJECT_REPORTS = [
+    (("validate", "e0.json"),
+     ["PASS  validate  [E]  witness=['FiniteStarSemigroup']"]),
+    (("validate", "id_e0.json"),
+     ["PASS  validate  [id_e0.json]  witness=['StarMorphism']"]),
+    (("classify", "e0.json"),
+     [f"PASS  classify:{flag}  [E]  witness=[True]" for flag in FLAG_NAMES]),
+    (("order", "e0.json"), ["PASS  natural-order  [E]  witness=[]"]),
+    (("groupoid", "e0.json"),
+     ["PASS  esn-groupoid  [E]  witness=[0, 0]",
+      "PASS  mediator-kind  [E]  witness=['trivial']"]),
+    (("esn-check", "e0.json"),
+     ["PASS  esn-roundtrip-semigroup  [E]",
+      "PASS  esn-roundtrip-groupoid  [E]"]),
+    (("site", "e0.json"),
+     ["PASS  site:idempotents  [E]  witness=[]",
+      "PASS  site:pullbacks-universal  [E]"]),
+    (("compat", "e0.json"), []),
+    (("gamma", "--morphism", "id_e0.json"),
+     ["PASS  gamma:fibers  [id_e0.json]  witness=[{}]"]),
+    (("lambda", "--presheaf", "empty_sl2.json"),
+     ["PASS  lambda:build  [empty_sl2.json]  witness=[0]",
+      "PASS  lambda:five-way-agreement  [empty_sl2.json]  witness=[True]"]),
+    (("adjunction", "--presheaf", "empty_sl2.json"),
+     ["PASS  unit-iso  [empty_sl2.json]",
+      "PASS  triangle-1  [empty_sl2.json]",
+      "PASS  triangle-2  [empty_sl2.json]",
+      "PASS  counit-bijective-on-etale  [empty_sl2.json]"]),
+    # the free module over the empty base samples no sum
+    (("fhat", "--morphism", "id_e0.json"),
+     ["PASS  fhat:build  [id_e0.json]  witness=[0]",
+      "PASS  fhat:algebra-axioms  [id_e0.json]",
+      "PASS  fhat:rho-left-star-hom  [id_e0.json]",
+      "PASS  fhat:free-module-sample  [id_e0.json]"]),
+]
+
+
+@pytest.mark.parametrize("args, rows", EMPTY_OBJECT_REPORTS,
+                         ids=[" ".join(a) for a, _ in EMPTY_OBJECT_REPORTS])
+def test_every_command_accepts_the_empty_object(capsys, args, rows):
+    code, out = run_cli(*args[:-1], str(FIXTURES / args[-1]))
+    assert (code, out.splitlines()) == (0, rows)
+    assert capsys.readouterr().err == ""
 
 
 def test_fhat_refuses_a_base_that_is_not_inverse(tmp_path, lz2):

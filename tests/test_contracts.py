@@ -91,6 +91,41 @@ def samples(sl2, t1, id_sl2):
     return objects, kinds, named
 
 
+@pytest.fixture(scope="module")
+def empty_samples():
+    """The samples of ``samples`` built over the empty *-semigroup E: its
+    identity, E as an inverse base, the empty presheaf on it and what the
+    identity carries, so every argument that names an object holds none."""
+    E = core.validate_star_semigroup(0, (), ())
+    f = core.identity_morphism(E)
+    base = site.as_inverse(E)
+    P = site.empty_presheaf(base)
+    fh = modalg.fhat(f)
+    A = ssets.canonical_action(f)
+    objects = {
+        core.FiniteStarSemigroup: E, site.InverseSemigroup: base,
+        core.StarMorphism: f, site.Presheaf: P,
+        site.PresheafMap: site.validate_presheaf_map(P, P, {}),
+        topos.GammaPresheaf: topos.gamma(f),
+        stargroup.OrderedGroupoidWithMediator: stargroup.esn_groupoid(E),
+        ssets.SSetStructure: A, modalg.SModule: fh.module,
+        modalg.SAlgebra: fh.algebra, modalg.FHatAlgebra: fh,
+        modalg.FreeModule: modalg.FreeModule(f),
+        random.Random: random.Random(0), int: 0, str: "x", dict: {},
+    }
+    kinds = {core._below: 0, core._idempotent: 0,
+             site._ls_morphism: site.LSMorphism(0, 0),
+             modalg._free_sum: (0, ()), core._at_least: None}
+    named = {"order": 0, "mul": (), "star": (), "map": (), "size": 0,
+             "smap": (), "action": (), "fibers": {}, "transitions": {},
+             "components": {}, "table": (), "n": 0,
+             "name": "semilattice_chain", "statement_id": "lem:reduct",
+             "statement_ids": ["lem:reduct"], "points": (), "instance": ((), ()),
+             "cap": 64, "D": (), "items": (), "zero": (), "add": (),
+             "product": ()}
+    return objects, kinds, named
+
+
 def _valid(samples, target, param):
     objects, kinds, named = samples
     kind = getattr(target[3], "kinds", {}).get(param.name)
@@ -238,3 +273,12 @@ def test_classify_of_none_is_a_shape_error():
     with pytest.raises(ShapeError, match="^X must be of type "
                                          "FiniteStarSemigroup, got NoneType"):
         core.classify(None)
+
+
+def test_every_target_over_the_empty_object_returns_or_raises_a_documented_error(
+        empty_samples):
+    # the empty *-semigroup is an object like any other: no call over it
+    # may end in a traceback
+    for target in TARGETS:
+        _attempt(empty_samples, target,
+                 [_valid(empty_samples, target, p) for p in _params(target[3])])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from stargroup import oracle
 from stargroup.core import (
+    FLAG_NAMES,
     Invalid,
     InvalidStarSemigroup,
     NoLift,
@@ -58,8 +59,13 @@ def test_validate_left_zero():
 
 
 def test_validate_rejects_empty():
+    # order 0 is the empty *-semigroup, which has every property; only a
+    # negative order is refused
+    E = validate_star_semigroup(0, [], [])
+    assert E.order == 0 and E.mul == () and E.star == ()
+    assert all(classify(E).flag(flag) for flag in FLAG_NAMES)
     with pytest.raises(ShapeError):
-        validate_star_semigroup(0, [], [])
+        validate_star_semigroup(-1, [], [])
 
 
 def test_validate_shape_errors():

@@ -30,18 +30,20 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stargroup"
 FORBIDDEN = {"cache", "lru_cache", "cached_property"}
 
 
+# a semigroup no other test builds: the two-element chain labelled against
+# the standard one
+CHAIN = ([[0, 1], [1, 1]], [0, 1])
+
+
 def test_a_dropped_lambda_semigroup_is_freed():
-    S = site.as_inverse(oracle.standard_family("semilattice_chain", 2))
-    LP = topos.lam(site.terminal_presheaf(S))
+    # Lambda of the terminal presheaf has its base's tables, so a base no
+    # other test builds keeps any Lambda held elsewhere from being this one
+    X = validate_star_semigroup(2, *CHAIN, name="lambda-freed")
+    LP = topos.lam(site.terminal_presheaf(site.as_inverse(X)))
     ref = weakref.ref(LP.semigroup)
     del LP
     gc.collect()
     assert ref() is None
-
-
-# a semigroup no other test builds: the two-element chain labelled against
-# the standard one
-CHAIN = ([[0, 1], [1, 1]], [0, 1])
 
 
 def test_equal_tables_and_name_give_one_object_while_held():

@@ -12,7 +12,6 @@ import pytest
 
 from stargroup import modalg, site, ssets, topos
 from stargroup.core import (
-    ShapeError,
     check_star_semigroup,
     classify,
     identity_morphism,
@@ -94,8 +93,7 @@ def test_representable_functoriality_sweeps_once_per_base(monkeypatch):
                                 [0, 1, 2], name="functoriality-once")
     S = site.as_inverse(X)
     for P in site.enumerate_presheaves(S, 1):
-        if not P.is_empty():
-            topos.unit(P)
+        topos.unit(P)
     topos.gamma(identity_morphism(X))
     assert built == [S]
 
@@ -178,8 +176,11 @@ def test_the_semigroup_of_every_small_sset_is_a_star_semigroup(
 
 
 def test_sset_to_semigroup_refuses_an_empty_sset(sl2):
-    with pytest.raises(ShapeError, match="empty S-set"):
-        sset_to_semigroup(SSetStructure(0, (), sl2, (), ()))
+    # nothing to refuse: the empty S-set is the empty *-semigroup, etale
+    # over its base; a broken S-set is refused below
+    X, f = sset_to_semigroup(SSetStructure(0, (), sl2, (), ()))
+    assert X.order == 0 and f.target is sl2
+    assert f.is_star_hom and is_etale(f)
 
 
 # over SL2, each breaking one law of check_sset; before, these raised
@@ -233,8 +234,6 @@ def test_each_m_is_a_bijection_over_s(structure_maps):
 
 def test_each_lambda_of_a_natural_map_is_over_s(acceptance_presheaves):
     for P in acceptance_presheaves:
-        if P.is_empty():
-            continue
         u = topos.unit(P)
         terminal = site.terminal_presheaf(P.base)
         maps = [site.validate_presheaf_map(P, u.gamma_obj.presheaf,

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from stargroup import core, oracle, site, topos
+from stargroup import core, oracle, site, topos, verify
 from stargroup.core import (
     ConsistencyError,
     InvalidStarSemigroup,
@@ -26,6 +26,8 @@ from stargroup.site import (
     validate_presheaf,
     validate_presheaf_map,
 )
+from stargroup.modalg import fhat, rho, validate_algebra
+from stargroup.ssets import balanced_check, canonical_action
 from stargroup.topos import (
     bsleft_eval,
     counit,
@@ -318,6 +320,47 @@ def test_prop_inv_representable(sl2_inv):
 def test_prop_inv_empty(sl2_inv):
     rep = prop_inv_check(empty_presheaf(sl2_inv))
     assert rep.all_agree() and rep.inverse
+
+
+def test_every_star_hom_into_an_inverse_target_has_a_counit():
+    """The counit is a *-morphism and the second triangle holds for every
+    *-homomorphism of the verify pool into an inverse target, among them
+    those whose Gamma is empty at every idempotent: their counit is the
+    empty map out of Lambda of the empty presheaf."""
+    homs = [f for _, f, _ in verify.morphism_pool(3)
+            if f.is_star_hom and classify(f.target).inverse]
+    assert len(homs) == 176
+    empty = 0
+    for f in homs:
+        assert triangle_check2(f), f
+        eps = counit(f)
+        assert isinstance(eps.morphism, StarMorphism), f
+        empty += not any(eps.gamma_obj.alphas.values())
+    assert empty == 101
+
+
+def test_the_empty_presheaf_passes_the_whole_chain(inverse_bases):
+    """Lambda of the empty presheaf is the empty *-semigroup, etale over
+    its base, and the initial object goes through every check of the
+    chain: the adjunction, m, the five-way report, balance and F-hat."""
+    assert len(inverse_bases) == 28
+    for X in inverse_bases:
+        P = empty_presheaf(site.as_inverse(X))
+        u = unit(P)
+        f = u.lam_obj.structure_map
+        eps = counit(f, u.gamma_obj)
+        assert f.source.order == 0 and f.target is X and is_etale(f)
+        assert u.bijective and eps.is_iso
+        assert triangle_check(P) and triangle_check2(f)
+        m = m_iso(f)
+        assert m.is_star_hom and m.is_bijective
+        rep = prop_inv_check(P)
+        assert rep.all_agree() and rep.inverse
+        assert balanced_check(canonical_action(f)).balanced
+        fh = fhat(f)
+        assert len(fh.elements) == X.order
+        assert validate_algebra(fh.algebra)
+        assert rho(fh).injective
 
 
 def test_cor_se(i2_inv, sl2_inv):
