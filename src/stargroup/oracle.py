@@ -335,9 +335,16 @@ def _invert_partial(x):
     return tuple(out)
 
 
+# the largest order standard_family builds, as each family fills an order x
+# order table and sweeps it in order^3 steps; symmetric_inverse stops sooner,
+# at n = 3 (order 34)
+FAMILY_ORDER_CAP = 256
+
+
 def standard_family(name, n) -> FiniteStarSemigroup:
     """Named standard *-semigroups with their canonical involution; n an
-    int of at least 1, else UnknownFamily."""
+    int of at least 1 and the order at most FAMILY_ORDER_CAP, else
+    UnknownFamily, refused before any table is built."""
     if type(n) is not int or n < 1:
         raise UnknownFamily(f"family size must be an integer >= 1, got {n!r}")
     if name == "symmetric_inverse":
@@ -349,6 +356,10 @@ def standard_family(name, n) -> FiniteStarSemigroup:
         mul = [[index[_compose_partial(a, b)] for b in maps] for a in maps]
         star = [index[_invert_partial(a)] for a in maps]
         return validate_star_semigroup(order, mul, star, name=f"I{n}")
+    order = n * n + 1 if name == "brandt" else n
+    if order > FAMILY_ORDER_CAP:
+        raise UnknownFamily(f"family order {order} is above the cap "
+                            f"{FAMILY_ORDER_CAP}")
     if name == "semilattice_chain":
         mul = [[min(i, j) for j in range(n)] for i in range(n)]
         return validate_star_semigroup(n, mul, range(n), name=f"SL{n}")
@@ -364,7 +375,6 @@ def standard_family(name, n) -> FiniteStarSemigroup:
         return validate_star_semigroup(n, mul, range(n), name=f"RZ{n}")
     if name == "brandt":
         # n x n matrix units over the trivial group, plus a zero
-        order = n * n + 1
         def enc(i, j):
             return 1 + i * n + j
         mul = [[0] * order for _ in range(order)]

@@ -91,7 +91,15 @@ def _write(path, obj):
 
 
 def _read(path):
-    return json.loads(Path(path).read_text())
+    """The JSON value in the file at ``path``; text that is not UTF-8, or
+    nesting deeper than the parser can recurse, is an InputError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
 
 
 # semigroups ----------------------------------------------------------------

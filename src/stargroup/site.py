@@ -4,10 +4,10 @@ presheaves on it, and the representable left involutive semigroups S(e).
 Presheaves store a transition table for every L(S)-morphism, so validation
 is pure table checking.  An ``LSMorphism`` is its own transition key,
 equal to its plain pair (s, e).  Fiber labels are opaque strings; fibers
-are addressed by dense indices, S(e) by ``RepresentableTables.index``.
+are addressed by dense indices, S(e) by ``RepresentableSemigroup.index``.
 
 What depends on the base alone (its L(S)-morphisms, the presheaf search
-plan, the S(e) tables and semigroups) is kept on the ``InverseSemigroup``
+plan, each S(e), checked once) is kept on the ``InverseSemigroup``
 with ``core.memo``, and ``as_inverse`` shares one per semigroup while held
 (``core.shared``), so it is built once per base while some holder keeps the
 wrapper, and is freed with the last holder.  Validation sweeps a presheaf
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -350,75 +350,52 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
 # representable semigroups S(e)
 
 
-class _SeTables(NamedTuple):
+@dataclass(frozen=True)
+class RepresentableSemigroup:
+    """S(e) for the idempotent ``e``: the ``carrier`` pairs, ``index`` the
+    slot of each, the checked ``semigroup`` on those slots and its
+    structure map ``psi``.  What is derived from S(e) alone (the generic
+    Gamma search plan, topos._gamma_plan) is kept on it with core.memo and
+    lives exactly as long as it does."""
+
+    e: int
     carrier: tuple[tuple[int, int], ...]
-    mul: tuple[tuple[int, ...], ...]
-    star: tuple[int, ...]
-
-
-class RepresentableTables(_SeTables):
-    """S(e) as bare index tables over ``carrier``, not yet checked, for
-    the idempotent ``e``, with ``index`` the slot of each carrier pair.  Not
-    slotted, so that what is derived from S(e) alone (the generic Gamma
-    search plan, topos._gamma_plan) is kept on the tables with core.memo
-    and lives exactly as long as they do."""
-
-    def __new__(cls, carrier, mul, star, e, index):
-        tables = super().__new__(cls, carrier, mul, star)
-        tables.e = e
-        tables.index = index
-        return tables
+    index: dict = field(compare=False)  # read off carrier; keeps it hashable
+    semigroup: FiniteStarSemigroup
+    psi: StarMorphism
 
 
 # the idempotent check runs before the memo is read, so that an unhashable,
 # float or bool e is refused, never a TypeError or the entry of 0 or 1
 @takes(S=InverseSemigroup, e=IDEMPOTENT)
 @memo
-def representable_tables(S: InverseSemigroup, e: int) -> RepresentableTables:
-    """The carrier of S(e), the pairs (r, s) with d(s) = c(r) and es = s in
-    lexicographic order, with the product (p, q)(r, s) = (pr, q c(pr)) and
-    the star (r, s)* = (r*, sr) as index tables.  Kept on S per e;
-    representable_semigroup checks them, the Gamma search reads them."""
+def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
+    """S(e): the pairs (r, s) with d(s) = c(r) and es = s in lexicographic
+    order, with the product (p, q)(r, s) = (pr, q c(pr)), the star
+    (r, s)* = (r*, sr) and the structure map psi(r, s) = r, built once its
+    tables match Lambda(e-hat) element for element.  Kept on S per e."""
     sg = S.semigroup
     mul, star, c = sg.mul, sg.star, [sg.c(x) for x in sg.elements]
     carrier = tuple([(r, s) for r in sg.elements for s in sg.elements
                      if sg.d(s) == c[r] and mul[e][s] == s])
-    pos = {pair: i for i, pair in enumerate(carrier)}
+    index = {pair: i for i, pair in enumerate(carrier)}
     se_mul = tuple([
-        tuple([pos[(mul[p][r], mul[q][c[mul[p][r]]])] for r, _ in carrier])
+        tuple([index[(mul[p][r], mul[q][c[mul[p][r]]])] for r, _ in carrier])
         for p, q in carrier])
-    se_star = tuple([pos[(star[r], mul[s][r])] for r, s in carrier])
-    return RepresentableTables(carrier, se_mul, se_star, e, pos)
-
-
-@dataclass(frozen=True)
-class RepresentableSemigroup:
-    e: int
-    carrier: tuple[tuple[int, int], ...]
-    semigroup: FiniteStarSemigroup
-    psi: StarMorphism
-
-
-@takes(S=InverseSemigroup, e=IDEMPOTENT)
-@memo
-def representable_semigroup(S: InverseSemigroup, e: int) -> RepresentableSemigroup:
-    """S(e) with structure map psi(r, s) = r, built once its tables match
-    Lambda(e-hat) element for element."""
-    sg = S.semigroup
-    carrier, mul, star = tables = representable_tables(S, e)
-    _check_against_lambda(S, e, tables, tables.index)
+    se_star = tuple([index[(star[r], mul[s][r])] for r, s in carrier])
+    _check_against_lambda(S, e, se_mul, se_star, index)
     # No sweep: the comparison is a bijection from Lambda(e-hat) that
     # carries its product and star onto these tables and keeps the first
     # component.  _lam swept Lambda(e-hat), and _lambda_map found it left
     # involutive over S by an etale *-homomorphism (r, x) |-> r, which is
     # psi after the bijection: so S(e) is left involutive and psi etale.
     sename = f"S({sg.name}|{e})" if sg.name else f"S(?|{e})"
-    se = FiniteStarSemigroup(len(carrier), mul, star, sename)
+    se = FiniteStarSemigroup(len(carrier), se_mul, se_star, sename)
     psi = StarMorphism(se, sg, tuple(r for r, s in carrier), name=f"psi_{e}")
-    return RepresentableSemigroup(e, carrier, se, psi)
+    return RepresentableSemigroup(e, carrier, index, se, psi)
 
 
-def _check_against_lambda(S, e, se, index):
+def _check_against_lambda(S, e, mul, star, index):
     # the S(e) tables must equal Lambda(e-hat) element for element; topos
     # imports this module, so it is imported here, at call time
     from . import topos
@@ -436,10 +413,10 @@ def _check_against_lambda(S, e, se, index):
         raise ConsistencyError("Lambda(e-hat) and S(e) carriers differ")
     lsg = LP.semigroup
     for i in range(lsg.order):
-        if se.star[mapping[i]] != mapping[lsg.star[i]]:
+        if star[mapping[i]] != mapping[lsg.star[i]]:
             raise ConsistencyError("Lambda(e-hat) and S(e) stars differ")
         for j in range(lsg.order):
-            if se.mul[mapping[i]][mapping[j]] != mapping[lsg.mul[i][j]]:
+            if mul[mapping[i]][mapping[j]] != mapping[lsg.mul[i][j]]:
                 raise ConsistencyError("Lambda(e-hat) and S(e) products differ")
 
 
@@ -447,9 +424,9 @@ def _check_against_lambda(S, e, se, index):
 def _action_table(S: InverseSemigroup, m: LSMorphism) -> tuple[int, ...]:
     """S(m) as an index table from the S(d) to the S(e) carrier."""
     mul_s = S.semigroup.mul[m.s]
-    tpos = representable_tables(S, m.e).index
+    tpos = representable_semigroup(S, m.e).index
     return tuple(tpos[(u, mul_s[v])]
-                 for u, v in representable_tables(S, S.semigroup.d(m.s)).carrier)
+                 for u, v in representable_semigroup(S, S.semigroup.d(m.s)).carrier)
 
 
 @takes(S=InverseSemigroup, m=MORPHISM)
@@ -604,11 +581,16 @@ def enumerate_presheaves(base: InverseSemigroup, max_fiber: int):
 
 @takes(base=InverseSemigroup, max_fiber=POSITIVE, rng=random.Random)
 def random_presheaf(base: InverseSemigroup, max_fiber: int, rng) -> Presheaf:
-    """One random valid presheaf; deterministic for a given rng state."""
+    """One random valid presheaf, non-empty unless the base has no
+    idempotents; deterministic for a given rng state."""
     profiles = [p for p in _valid_size_profiles(base, max_fiber)
                 if sum(p.values()) > 0]
     rng.shuffle(profiles)
     for profile in profiles:
         for P in _fill_transitions(base, profile, rng=rng):
             return P
-    raise ConsistencyError("no valid presheaf found")
+    # the all-ones profile always fills, so only a base without idempotents
+    # gets here, and the empty presheaf is its one presheaf
+    if base.idempotents:
+        raise ConsistencyError("no valid presheaf found")
+    return empty_presheaf.__wrapped__(base)

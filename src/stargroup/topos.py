@@ -19,14 +19,14 @@ own for it.  The oracle and verify's pools still start at order 1.
 
 Two rules keep what is built.  Derived data lives on its owner: what is
 derived from one object alone is kept on it with ``core.memo`` and lives as
-long as it does: the S(e) tables on their base
-(``site.representable_tables``; Gamma reads them unvalidated and keeps its
-search plan on them, ``_gamma_plan``), the lift and canonical action tables
-on a morphism (``StarMorphism.lifts``; ``StarMorphism.action``, which
-checks each lift's uniqueness once and which every lift read here indexes),
-its S-set (``ssets.canonical_action``), the axiom sweep and left-action
-table on an S-set (``ssets.check_sset``, ``ssets.left_table``) and the
-verdict on an algebra (``modalg.validate_algebra``).
+long as it does: each S(e), checked, on its base
+(``site.representable_semigroup``; Gamma keeps its search plan on it,
+``_gamma_plan``), the lift and canonical action tables on a morphism
+(``StarMorphism.lifts``; ``StarMorphism.action``, which checks each lift's
+uniqueness once and which every lift read here indexes), its S-set
+(``ssets.canonical_action``), the axiom sweep and left-action table on an
+S-set (``ssets.check_sset``, ``ssets.left_table``) and the verdict on an
+algebra (``modalg.validate_algebra``).
 
 What is shared is shared while held, through ``core.shared``: a call of
 ``lam(P)``, ``gamma(f, budget)``, ``unit(P)`` or ``counit(f, G)`` returns
@@ -88,13 +88,12 @@ from .site import (
     InverseSemigroup,
     Presheaf,
     PresheafMap,
-    RepresentableTables,
+    RepresentableSemigroup,
     _action_table,
     _representable_functoriality,
     all_ls_morphisms,
     as_inverse,
     representable_semigroup,
-    representable_tables,
     validate_presheaf_map,
 )
 
@@ -245,7 +244,7 @@ def lambda_morphism(gamma_map: PresheafMap) -> StarMorphism:
 class GammaPresheaf:
     """Gamma(f): per idempotent the left *-homomorphisms S(e) -> X over S,
     stored as value tables in the carrier order of
-    ``site.representable_tables(base, e)``."""
+    ``site.representable_semigroup(base, e)``."""
 
     base: InverseSemigroup
     source: StarMorphism
@@ -263,17 +262,16 @@ class _GammaPlan(NamedTuple):
 
 
 @memo
-def _gamma_plan(tables: RepresentableTables) -> _GammaPlan:
+def _gamma_plan(R: RepresentableSemigroup) -> _GammaPlan:
     """The generic search plan over S(e), which depends on S and e alone:
     the slot order, and per depth the star pairs and the product
     constraints (u, v, uv, d(u)v) whose latest-assigned slot is filled at
-    that depth.  Kept on the tables, so it is built once per (S, e)."""
-    carrier, mul_idx, star_idx = tables
-    k = len(carrier)
-    dom_idx = tuple(mul_idx[star_idx[i]][i] for i in range(k))
-    ee = tables.index[(tables.e, tables.e)]
-    projs = [i for i in range(k)
-             if star_idx[i] == i and mul_idx[i][i] == i and i != ee]
+    that depth.  Kept on S(e), so it is built once per (S, e)."""
+    se = R.semigroup
+    k, mul_idx, star_idx = se.order, se.mul, se.star
+    dom_idx = [se.d(i) for i in range(k)]
+    ee = R.index[(R.e, R.e)]
+    projs = [i for i in projections(se) if i != ee]
     order = [ee] + projs + [i for i in range(k) if i != ee and i not in projs]
     rank = {u: t for t, u in enumerate(order)}
 
@@ -302,11 +300,11 @@ def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
     each assignment is checked against the star pairing and every product
     constraint whose participants are already assigned (_gamma_plan).
     """
-    tables = representable_tables(S, e)
-    fibers = [f.fibers[r] for r, _ in tables.carrier]
+    R = representable_semigroup(S, e)
+    fibers = [f.fibers[r] for r in R.psi.map]
     if any(not fib for fib in fibers):
         return ()
-    order, star_at, constraints_at = _gamma_plan(tables)
+    order, star_at, constraints_at = _gamma_plan(R)
     values = [-1] * len(order)
     xmul, xstar = f.source.mul, f.source.star
 
@@ -341,7 +339,7 @@ def _lift_table(f: StarMorphism, carrier, u: int) -> tuple[int, ...]:
 def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):
     """Fiber-presheaf path: alphas correspond to f^-1(e) via evaluation at
     (e, e); each table is built by unique lifting."""
-    carrier = representable_tables(S, e).carrier
+    carrier = representable_semigroup(S, e).carrier
     check_lift_points.__wrapped__(f, f.fibers[e])
     return tuple(sorted(_lift_table(f, carrier, u) for u in f.fibers[e]))
 
@@ -419,7 +417,7 @@ def _unit(P: Presheaf) -> UnitResult:
     G = gamma(LP.structure_map)
     components = {}
     for d in S.idempotents:
-        carrier = representable_tables(S, d).carrier
+        carrier = representable_semigroup(S, d).carrier
         lookup = {table: i for i, table in enumerate(G.alphas[d])}
         comp = []
         # each (r, s) of the carrier as r and the transition along s
@@ -465,7 +463,7 @@ def _counit(G: GammaPresheaf) -> CounitResult:
     X = f.source
     sg = S.semigroup
     LG = lam(G.presheaf)
-    index = {e: representable_tables(S, e).index for e in S.idempotents}
+    index = {e: representable_semigroup(S, e).index for e in S.idempotents}
     mapping = []
     for (r, xi) in LG.pairs:
         e = sg.c(r)
@@ -510,7 +508,7 @@ def triangle_check2(f: StarMorphism) -> Verdict:
     index, eps_map = eps.lam_gamma.index, eps.morphism.map
     for e in G.base.idempotents:
         along = [(p, G.presheaf.transitions[(q, e)])
-                 for p, q in representable_tables(G.base, e).carrier]
+                 for p, q in representable_semigroup(G.base, e).carrier]
         for xi_idx, table in enumerate(G.alphas[e]):
             # epsilon(p, xi . q) over the carrier
             out = [eps_map[index[(p, tr[xi_idx])]] for p, tr in along]
@@ -601,7 +599,7 @@ def counit_explicit_preimage(f: StarMorphism, x: int):
     and xi the lifting table of u = c(x) (``_lift_table``)."""
     S = as_inverse(f.target)
     r = f.map[x]
-    carrier = representable_tables(S, S.semigroup.c(r)).carrier
+    carrier = representable_semigroup(S, S.semigroup.c(r)).carrier
     u = f.source.c(x)
     check_lift_points.__wrapped__(f, (u,))
     return r, _lift_table(f, carrier, u)

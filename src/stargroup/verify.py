@@ -131,22 +131,23 @@ def _rsrs(X, r, s):
     """With e = rr*, a = (r, e), b = (rs, c(rs)) and c = (d(r)s, r c(s)):
     whether a, b and c lie in S(e), whether ac = b and whether d(a)c = c."""
     S, e, rs = as_inverse(X), X.c(r), X.mul[r][s]
-    a, b, c = map(site.representable_tables(S, e).index.get, (
+    R = representable_semigroup(S, e)
+    a, b, c = map(R.index.get, (
         (r, e), (rs, X.c(rs)), (X.mul[X.d(r)][s], X.mul[r][X.c(s)])))
-    se, held = representable_semigroup(S, e).semigroup, None not in (a, b, c)
+    se, held = R.semigroup, None not in (a, b, c)
     return (held, held and se.mul[a][c] == b,
             held and se.mul[se.mul[se.star[a]][a]][c] == c)
 
 
 def _xirho(f, e):  # the left *-homs S(e) -> X over S differ at (e, e)
     G = topos.gamma(f)
-    ee = site.representable_tables(G.base, e).index[(e, e)]
+    ee = representable_semigroup(G.base, e).index[(e, e)]
     return len({table[ee] for table in G.alphas[e]}) == len(G.alphas[e])
 
 
 def _sym_at(S, e, a, b):  # a = (p, q), b = (r, s), in the tables of S(e)
-    se = site.representable_tables(S, e)
-    i, j = se.index[a], se.index[b]
+    R = representable_semigroup(S, e)
+    se, i, j = R.semigroup, R.index[a], R.index[b]
     return ((se.star[se.mul[i][j]] == se.mul[se.star[j]][se.star[i]])
             == _compatible(S, b[1], S.semigroup.mul[a[1]][a[0]]))
 

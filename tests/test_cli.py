@@ -366,6 +366,8 @@ def test_format_flag_both_positions():
     (("family", "--name", "brandt", "--n", "0"), 2),
     (("family", "--name", "symmetric_inverse", "--n", "4"), 2),
     (("verify", "--max-order", "5"), 3),
+    (("family", "--name", "cyclic_group", "--n", "257"), 2),
+    (("family", "--name", "brandt", "--n", "16"), 2),
 ])
 def test_usage_and_budget_errors_exit_cleanly(capsys, args, code):
     # argparse reports its errors by raising SystemExit
@@ -519,6 +521,20 @@ def test_loader_input_errors_exit_2(tmp_path, capsys, command, text, message):
     assert (code, out) == (2, "")
     assert err.startswith("input error:") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"[" * 100_000, "JSON nested too deeply"),
+], ids=["not-utf8", "nested-too-deeply"])
+def test_an_unreadable_json_file_exits_2(tmp_path, capsys, data, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    code, out = run_cli("validate", str(path))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and message in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_verify_budget_error_in_a_task_still_exits_3(monkeypatch, capsys):

@@ -65,7 +65,8 @@ def reference_generic_alphas(f, S, e, budget):
     """_generic_alphas with its search plan built inline on every call;
     returns the alphas and the number of search steps taken."""
     X = f.source
-    carrier, mul_idx, star_idx = site.representable_tables(S, e)
+    R = site.representable_semigroup(S, e)
+    carrier, mul_idx, star_idx = R.carrier, R.semigroup.mul, R.semigroup.star
     k = len(carrier)
     dom_idx = tuple(mul_idx[star_idx[i]][i] for i in range(k))
     fibers = [
@@ -230,6 +231,6 @@ def test_generic_gamma_stops_where_the_inline_plan_does(small_presheaves):
 def test_gamma_plan_is_kept_on_the_tables(i2):
     S = site.as_inverse(i2)
     for e in S.idempotents:
-        tables = site.representable_tables(S, e)
-        assert topos._gamma_plan(tables) is topos._gamma_plan(tables)
-        assert tables.e == e and len(tables) == 3
+        R = site.representable_semigroup(S, e)
+        assert topos._gamma_plan(R) is topos._gamma_plan(R)
+        assert R.e == e and R._gamma_plan is topos._gamma_plan(R)

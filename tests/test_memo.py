@@ -161,7 +161,7 @@ def test_as_inverse_keeps_one_wrapper_per_semigroup():
     X = oracle.standard_family("semilattice_chain", 3)
     S = site.as_inverse(X)
     assert site.as_inverse(X) is S
-    assert site.representable_tables(S, 0) is site.representable_tables(S, 0)
+    assert site.representable_semigroup(S, 0) is site.representable_semigroup(S, 0)
 
 
 def test_a_memo_counts_hits_and_misses_and_keeps_no_error():

@@ -135,8 +135,8 @@ def _main_rsrs(X):
     S = as_inverse(X)
     for r in X.elements:
         e = X.c(r)
-        se = representable_semigroup(S, e).semigroup
-        pos = site.representable_tables(S, e).index
+        R = representable_semigroup(S, e)
+        se, pos = R.semigroup, R.index
         a = (r, e)
         for s in X.elements:
             rs = X.mul[r][s]
@@ -158,7 +158,7 @@ def _main_xirho(inst):
     if not (classify(S0).inverse and fm.is_star_hom and is_etale(fm)):
         return True
     G = topos.gamma(fm)
-    ee = site.representable_tables(G.base, e).index[(e, e)]
+    ee = representable_semigroup(G.base, e).index[(e, e)]
     values = [table[ee] for table in G.alphas[e]]
     return len(set(values)) == len(values)
 

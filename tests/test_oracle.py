@@ -97,6 +97,28 @@ def test_standard_families(sl2, c2, i2):
         standard_family("symmetric_inverse", 4)
 
 
+@pytest.mark.parametrize("name, n, order", [
+    ("cyclic_group", 256, 256), ("semilattice_chain", 256, 256),
+    ("brandt", 15, 226),
+])
+def test_standard_family_builds_up_to_the_order_cap(monkeypatch, name, n,
+                                                    order):
+    # the validator stubbed out, so no O(order^3) sweep runs
+    monkeypatch.setattr(oracle, "validate_star_semigroup",
+                        lambda order, mul, star, name: order)
+    assert standard_family(name, n) == order <= oracle.FAMILY_ORDER_CAP
+
+
+@pytest.mark.parametrize("name, n", [
+    ("cyclic_group", 257), ("left_zero", 257), ("brandt", 16),
+])
+def test_standard_family_refuses_an_order_above_the_cap_before_building(
+        monkeypatch, name, n):
+    monkeypatch.setattr(oracle, "validate_star_semigroup", None)
+    with pytest.raises(UnknownFamily, match="order 257 is above the cap 256"):
+        standard_family(name, n)
+
+
 def test_naive_check_ids():
     assert "lem:po-7" in statement_ids()
     assert len(statement_ids()) == 22

@@ -21,7 +21,7 @@ BUILDER_CALLS = {
     "test_memo.py": {"enumerate_presheaves": 1, "random_presheaf": 1},
     "test_oracle.py": {"_least_tables": 1, "enumerate_star_structures": 3,
                        "semigroup_pool": 2},
-    "test_site.py": {"enumerate_presheaves": 7, "random_presheaf": 5},
+    "test_site.py": {"enumerate_presheaves": 7, "random_presheaf": 6},
     "test_swept_once.py": {"enumerate_presheaves": 1},
 }
 

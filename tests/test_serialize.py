@@ -96,6 +96,15 @@ def test_load_any(tmp_path, p21, i2):
     assert serialize.load_any(tmp_path / "p.json").fiber(1) == ("u", "v")
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not-utf8", "nested-too-deeply"])
+def test_load_any_refuses_an_unreadable_file_with_input_error(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    with pytest.raises(serialize.InputError):
+        serialize.load_any(path)
+
+
 def test_fhat_dump(id_sl2):
     from stargroup.modalg import fhat
     d = serialize.fhat_to_dict(fhat(id_sl2), include_product=True)

@@ -35,7 +35,6 @@ from stargroup.site import (
     ls_pullback,
     representable_action,
     representable_semigroup,
-    representable_tables,
     terminal_presheaf,
     validate_presheaf,
     validate_presheaf_map,
@@ -163,7 +162,7 @@ def test_a_wrong_object_argument_is_a_shape_error_naming_it(sl2, p21, name,
         build(sl2, p21)
 
 
-@pytest.mark.parametrize("fn", [representable_tables, representable_semigroup])
+@pytest.mark.parametrize("fn", [representable_semigroup])
 def test_an_unhashable_element_is_a_shape_error(sl2_inv, fn):
     info = fn.cache_info()
     with pytest.raises(ShapeError):

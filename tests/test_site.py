@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stargroup import oracle, site, topos
-from stargroup.core import ShapeError, classify, is_etale
+from stargroup.core import ShapeError, classify, is_etale, validate_star_semigroup
 from stargroup.site import (
     LSMorphism,
     NotInverse,
@@ -181,7 +181,7 @@ def test_lem_xirho_on_generated_instances(i2_inv, sl2_inv, id_i2, id_sl2):
     for S, f in ((i2_inv, id_i2), (sl2_inv, id_sl2)):
         G = topos.gamma(f)
         for e in S.idempotents:
-            ee = site.representable_tables(S, e).index[(e, e)]
+            ee = representable_semigroup(S, e).index[(e, e)]
             values = [t[ee] for t in G.alphas[e]]
             assert len(set(values)) == len(values)
 
@@ -390,7 +390,7 @@ def test_presheaf_map_refuses_a_component_that_is_not_a_sequence(p21,
 @pytest.mark.parametrize("fn, args", [
     (ls_morphisms, (0, 9)),
     (ls_morphisms, (-1, 1)),
-    (site.representable_tables, (9,)),
+    (representable_semigroup, (True,)),
     (representable_presheaf, (9,)),
     (representable_presheaf, (True,)),
     (representable_semigroup, (9,)),
@@ -398,8 +398,10 @@ def test_presheaf_map_refuses_a_component_that_is_not_a_sequence(p21,
     (representable_semigroup, (0.0,)),
 ])
 def test_element_arguments_are_checked_first(sl2_inv, fn, args):
-    # with S(0) cached, 0.0 must still be refused, not served the entry of 0
+    # with S(0) and S(1) cached, 0.0 and True must still be refused, not
+    # served the entry of 0 or 1
     representable_semigroup(sl2_inv, 0)
+    representable_semigroup(sl2_inv, 1)
     with pytest.raises(ShapeError):
         fn(sl2_inv, *args)
 
@@ -425,3 +427,11 @@ def test_presheaf_generators_refuse_a_base_that_is_not_inverse(sl2):
 
 def test_enumerate_presheaves_with_max_fiber_0_yields_the_empty_one(sl2_inv):
     assert [P.is_empty() for P in enumerate_presheaves(sl2_inv, 0)] == [True]
+
+
+def test_random_presheaf_over_the_empty_base_is_the_empty_presheaf():
+    # the only presheaf over a base without idempotents
+    E = as_inverse(validate_star_semigroup(0, (), ()))
+    for max_fiber in (1, 3):
+        P = random_presheaf(E, max_fiber, random.Random(0))
+        assert (P.base, P.fibers, P.transitions) == (E, {}, {})

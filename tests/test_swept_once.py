@@ -59,7 +59,7 @@ def _transpose_inverts_evaluation(f, m):
     LP = topos.lam(P)
     G = topos.gamma(f)
     for e in S.idempotents:
-        carrier = site.representable_tables(S, e).carrier
+        carrier = site.representable_semigroup(S, e).carrier
         pos_ee = carrier.index((e, e))
         along = [(r, P.transitions[(s, e)]) for r, s in carrier]
         tables = []

@@ -261,7 +261,7 @@ def test_gamma_fast_equals_generic(p21, id_i2, id_sl2, i2_inv):
 
 def test_gamma_cross_checks_the_lifting_path(i2, monkeypatch):
     def wrong(f, S, e):
-        return ((0,) * len(site.representable_tables(S, e).carrier),)
+        return ((0,) * len(site.representable_semigroup(S, e).carrier),)
 
     monkeypatch.setattr(topos, "_fast_alphas", wrong)
     with pytest.raises(ConsistencyError, match="lifting disagree"):
@@ -698,7 +698,7 @@ def test_resolve_budget_sources(monkeypatch, id_sl2):
 
 def _reference_se_tables(S, e):
     """The S(e) index tables as topos built them for the generic Gamma
-    search before site.representable_tables existed, from the product
+    search before site built them, from the product
     (p, q)(r, s) = (pr, q c(pr)) and the star (r, s)* = (r*, sr)."""
     sg = S.semigroup
     carrier = tuple(
@@ -729,16 +729,21 @@ def _reference_se_tables(S, e):
 def test_site_se_tables_match_the_reference(family, n):
     S = site.as_inverse(oracle.standard_family(family, n))
     for e in S.idempotents:
-        tables = site.representable_tables(S, e)
-        assert tuple(tables) == _reference_se_tables(S, e)
-        assert site.representable_tables(S, e) is tables
+        R = site.representable_semigroup(S, e)
+        carrier, mul, star = _reference_se_tables(S, e)
+        assert (R.carrier, R.semigroup.mul, R.semigroup.star) == (carrier, mul,
+                                                                  star)
+        assert R.index == {pair: i for i, pair in enumerate(carrier)}
+        assert site.representable_semigroup(S, e) is R
 
 
-def test_gamma_reads_se_tables_without_validating_them(monkeypatch, i2):
-    def refuse(S, e):
-        raise AssertionError("Gamma validated S(e)")
-
-    monkeypatch.setattr(site, "representable_semigroup", refuse)
-    f = StarMorphism(i2, i2, tuple(i2.elements))
-    G = gamma(f)
+def test_gamma_keeps_its_plan_on_the_checked_s_e(i2):
+    G = gamma(StarMorphism(i2, i2, tuple(i2.elements)))
     assert [G.fiber_size(e) for e in G.base.idempotents] == [1, 1, 1, 1]
+    for e in G.base.idempotents:
+        assert "_gamma_plan" in vars(site.representable_semigroup(G.base, e))
+    # the base is held by G, so a second Gamma over it finds every S(e)
+    misses = site.representable_semigroup.cache_info().misses
+    G2 = gamma(StarMorphism(i2, i2, tuple(i2.elements)))
+    assert G2 is not G and G2.base is G.base
+    assert site.representable_semigroup.cache_info().misses == misses
