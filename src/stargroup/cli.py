@@ -2,7 +2,8 @@
 
 Every subcommand loads inputs, runs checks, and prints a report whose rows
 follow one schema: {check, instance, pass, witness?}.  Exit codes: 0 all
-requested checks pass, 1 a check failed, 2 usage or IO problem (one line on
+requested checks pass, 1 a check failed; ``verify.EXIT_CODES`` maps the
+errors that end a command to the others: 2 usage or IO problem (one line on
 stderr), 3 a search budget was exceeded, 130 interrupted (SIGINT, with one
 ``interrupted`` line on stderr and no report).
 """
@@ -18,16 +19,11 @@ from json.encoder import encode_basestring_ascii
 from . import groupoid as gp
 from . import modalg, oracle, serialize, site, topos, verify
 from .core import (
-    StarError,
     classify,
     natural_order,
     same_tables,
     FLAG_NAMES,
 )
-from .modalg import CarrierTooLarge
-from .oracle import BudgetExceeded, UnknownFamily
-from .serialize import InputError
-from .topos import BudgetInvalid, SearchBudgetExceeded
 
 
 class Report:
@@ -238,7 +234,7 @@ def cmd_verify(args, report):
                        witness=[spec.summary])
         return
     if args.max_order > oracle.MAX_ENUM_ORDER:
-        raise BudgetExceeded(
+        raise oracle.BudgetExceeded(
             f"enumeration capped at order {oracle.MAX_ENUM_ORDER}")
     ids = args.statement or None
     report.rows.extend(verify.run_statements(statement_ids=ids,
@@ -379,6 +375,15 @@ def build_parser():
     return parser
 
 
+def _run(args, report):
+    """The command's rows; an error that does not end the command is its
+    last row, ``error``, witness [kind, message]."""
+    try:
+        args.fn(args, report)
+    except verify.ROW_ERRORS as exc:
+        report.rows.append(verify.error_row(exc, "error", _input_name(args)))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -388,29 +393,13 @@ def main(argv=None):
         # STARGROUP_BUDGET, whose steps are Gamma search steps
         if getattr(args, "budget", None) is not None:
             args.budget = topos.resolve_budget(args.budget)
-        try:
-            args.fn(args, report)
-        except (SearchBudgetExceeded, CarrierTooLarge, BudgetInvalid):
-            raise
-        except StarError as exc:
-            report.add("error", _input_name(args), False,
-                       witness=[type(exc).__name__, str(exc)])
+        _run(args, report)
         report.emit(args.format)
-    except (SearchBudgetExceeded, BudgetExceeded, CarrierTooLarge) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (BudgetInvalid, UnknownFamily) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
+    except tuple(verify.EXIT_CODES) as exc:
+        code, prefix = next(v for cls, v in verify.EXIT_CODES.items()
+                            if isinstance(exc, cls))
+        print(prefix if code == 130 else f"{prefix}: {exc}", file=sys.stderr)
+        return code
     return 0 if report.ok else 1
 
 

@@ -27,47 +27,20 @@ from typing import NamedTuple
 
 
 class StarError(Exception):
-    """Base error for this package."""
+    """Base error for this package.  ``kind`` names the failure, as an error
+    row prints it: the class name unless given."""
+
+    def __init__(self, *args, kind=None):
+        super().__init__(*args)
+        self.kind = kind or type(self).__name__
 
 
 class ShapeError(StarError):
     pass
 
 
-class NotIdempotent(StarError):
-    pass
-
-
-class NotProjection(StarError):
-    pass
-
-
-class NotLocallyInvolutive(StarError):
-    pass
-
-
-class NotLeftStarHom(StarError):
-    pass
-
-
-class NotEtale(StarError):
-    pass
-
-
-class NoLift(StarError):
-    pass
-
-
 class ConsistencyError(StarError):
     """Two independently computed answers disagree: an implementation bug."""
-
-
-class OrderMismatch(ConsistencyError):
-    pass
-
-
-class EquivalenceBroken(ConsistencyError):
-    pass
 
 
 class SearchBudgetExceeded(StarError):
@@ -200,7 +173,7 @@ def _below(name, value, stop):
 def _idempotent(name, value, mul):
     _below(name, value, len(mul))
     if mul[value][value] != value:
-        raise NotIdempotent(f"{value} is not idempotent")
+        raise StarError(f"{value} is not idempotent", kind="NotIdempotent")
 
 
 POSITIVE, NATURAL = Kind(_at_least, 1), Kind(_at_least, 0)
@@ -226,12 +199,13 @@ def takes(**kinds):
     or class and return its checked entry point.  A kind is a class, a tuple
     of classes (None among them allowing None) or a ``Kind``; each argument
     is checked in declaration order before the body runs, an argument that
-    a path reads first, and refused with a ShapeError that names it (or
-    NotIdempotent).  A function becomes an entry point that keeps its body
-    as ``__wrapped__``, for internal callers whose arguments are known good,
-    and a generator function stays one; a ``memo`` runs the check in its
-    ``__call__``, and a class has its ``__init__`` wrapped.  The declaration
-    is kept as ``kinds``; an empty one, as of a record, wraps nothing."""
+    a path reads first, and refused with a ShapeError that names it (or a
+    StarError of kind NotIdempotent).  A function becomes an entry point
+    that keeps its body as ``__wrapped__``, for internal callers whose
+    arguments are known good, and a generator function stays one; a ``memo``
+    runs the check in its ``__call__``, and a class has its ``__init__``
+    wrapped.  The declaration is kept as ``kinds``; an empty one, as of a
+    record, wraps nothing."""
     def declare(target):
         if kinds and isinstance(target, type):
             target.__init__ = takes(**kinds)(target.__init__)
@@ -279,13 +253,9 @@ def _entry(body, kinds, call):
 class Invalid(StarError):
     """A structure fails its axioms; ``violations`` lists every failure."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, kind=None):
         self.violations = tuple(violations)
-        super().__init__("; ".join(map(str, self.violations)))
-
-
-class InvalidStarSemigroup(Invalid):
-    pass
+        super().__init__("; ".join(map(str, self.violations)), kind=kind)
 
 
 class Rows(NamedTuple):
@@ -494,7 +464,8 @@ def shared(key, build, *args):
 
 @takes(order=NATURAL, name=(str, None))
 def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
-    """Validate raw tables; raises InvalidStarSemigroup with all witnesses.
+    """Validate raw tables; raises Invalid, of kind InvalidStarSemigroup,
+    with all witnesses.
 
     Interned by content (hash-consing: Filliatre and Conchon, ML Workshop
     2006): while a semigroup validated from equal tables under the same
@@ -507,7 +478,7 @@ def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
 def _validated(order, mul, star, name):
     violations = _axiom_violations(order, mul, star)
     if violations:
-        raise InvalidStarSemigroup(violations)
+        raise Invalid(violations, kind="InvalidStarSemigroup")
     return FiniteStarSemigroup(order, mul, star, name)
 
 
@@ -797,18 +768,19 @@ def natural_order(X: FiniteStarSemigroup) -> Relation:
     """The common left/right partial order of a locally involutive semigroup.
 
     Asserts that the two orders coincide before returning; a mismatch is an
-    implementation bug (OrderMismatch), not a property of the input.
+    implementation bug (a ConsistencyError of kind OrderMismatch), not a
+    property of the input.
     """
     if not classify(X).locally_involutive:
-        raise NotLocallyInvolutive(
-            f"{X!r} is not locally involutive; natural order undefined"
-        )
+        raise StarError(
+            f"{X!r} is not locally involutive; natural order undefined",
+            kind="NotLocallyInvolutive")
     left, right = leq_left.__wrapped__, leq_right.__wrapped__
     rel = Relation.from_predicate(X.order, lambda x, y: left(X, x, y))
     for x in X.elements:
         for y in X.elements:
             if rel.leq(x, y) != right(X, x, y):
-                raise OrderMismatch((x, y))
+                raise ConsistencyError((x, y), kind="OrderMismatch")
     return rel
 
 
@@ -897,9 +869,9 @@ class StarMorphism:
         the unique z with c(x)z = z and f(z) = f(x)s, read from ``lifts``.
         Every lift is read here (``etale_lift``, ``ssets.canonical_action``
         and the topos readers), so a lift's uniqueness is checked once, in
-        this build.  NotEtale when f is not etale."""
+        this build.  A StarError of kind NotEtale when f is not etale."""
         if not is_etale(self):
-            raise NotEtale(f"{self!r} is not etale")
+            raise StarError(f"{self!r} is not etale", kind="NotEtale")
         X, S, f, lifts = self.source, self.target, self.map, self.lifts
         table = []
         for x in X.elements:
@@ -980,7 +952,8 @@ def etale_report(f: StarMorphism) -> Verdict:
     equations s = f(p)s) are recomputed and must agree.  Kept on ``f``.
     """
     if not f.is_left_star_hom:
-        raise NotLeftStarHom(f"{f!r} is not a left *-homomorphism")
+        raise StarError(f"{f!r} is not a left *-homomorphism",
+                        kind="NotLeftStarHom")
     X, S = f.source, f.target
     checked = {}
     out = []
@@ -1047,7 +1020,8 @@ def etale_lift(f: StarMorphism, p: int, s: int) -> int:
     S = f.target
     check_lift_points.__wrapped__(f, (p,))
     if S.mul[f.map[p]][s] != s:
-        raise NoLift(f"equation s = f(p)s fails for p={p}, s={s}")
+        raise StarError(f"equation s = f(p)s fails for p={p}, s={s}",
+                        kind="NoLift")
     return f.action[p][s]
 
 
@@ -1058,6 +1032,7 @@ def check_lift_points(f: StarMorphism, points):
     X = f.source
     for p in freeze(points, "point", X.order):
         if X.mul[p][p] != p or X.star[p] != p:
-            raise NotProjection(f"{p} is not a projection of the source")
+            raise StarError(f"{p} is not a projection of the source",
+                            kind="NotProjection")
     if not is_etale(f):
-        raise NotEtale(f"{f!r} is not etale")
+        raise StarError(f"{f!r} is not etale", kind="NotEtale")

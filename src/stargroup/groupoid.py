@@ -16,7 +16,6 @@ from .core import (
     ConsistencyError,
     FiniteStarSemigroup,
     Invalid,
-    InvalidStarSemigroup,
     Relation,
     ShapeError,
     StarError,
@@ -34,23 +33,7 @@ from .core import (
 )
 
 
-class NotBounded(StarError):
-    pass
-
-
-class NonUnique(StarError):
-    pass
-
-
 class NotComparable(StarError):
-    pass
-
-
-class NotQuasiInvolutive(StarError):
-    pass
-
-
-class InvalidGroupoid(Invalid):
     pass
 
 
@@ -116,7 +99,8 @@ def _shape_check(G: OrderedGroupoidWithMediator):
 @takes(G=OrderedGroupoidWithMediator)
 @memo
 def validate_groupoid(G: OrderedGroupoidWithMediator):
-    """Check groupoid and ordered-groupoid axioms; raises InvalidGroupoid.
+    """Check groupoid and ordered-groupoid axioms; raises Invalid, of kind
+    InvalidGroupoid.
 
     Restriction/corestriction existence and uniqueness are checked here, so
     restrict() can later assume exactly one candidate.  Swept once per
@@ -198,7 +182,7 @@ def validate_groupoid(G: OrderedGroupoidWithMediator):
                 problems.append(Violation("CorestrictionFormula", (x, q)))
 
     if problems:
-        raise InvalidGroupoid(problems)
+        raise Invalid(problems, kind="InvalidGroupoid")
 
 
 def _below(G, x, end, p):
@@ -209,7 +193,7 @@ def _below(G, x, end, p):
 def _unique_below(G, x, end, p, what):
     hits = _below(G, x, end, p)
     if len(hits) != 1:
-        raise NonUnique(f"{what} of {x} to {p}: {hits}")
+        raise StarError(f"{what} of {x} to {p}: {hits}", kind="NonUnique")
     return hits[0]
 
 
@@ -217,7 +201,8 @@ def _unique_below(G, x, end, p, what):
 def restrict(G: OrderedGroupoidWithMediator, x: int, p: int) -> int:
     """The unique y <= x with dom(y) = p, for p <= dom(x)."""
     if not _object_leq(G, p, G.dom[x]):
-        raise NotBounded(f"object {p} is not below dom({x})")
+        raise StarError(f"object {p} is not below dom({x})",
+                        kind="NotBounded")
     return _unique_below(G, x, G.dom, p, "restriction")
 
 
@@ -225,7 +210,8 @@ def restrict(G: OrderedGroupoidWithMediator, x: int, p: int) -> int:
 def corestrict(G: OrderedGroupoidWithMediator, x: int, q: int) -> int:
     """The unique y <= x with cod(y) = q, for q <= cod(x)."""
     if not _object_leq(G, q, G.cod[x]):
-        raise NotBounded(f"object {q} is not below cod({x})")
+        raise StarError(f"object {q} is not below cod({x})",
+                        kind="NotBounded")
     return _unique_below(G, x, G.cod, q, "corestriction")
 
 
@@ -279,7 +265,7 @@ NO_MEDIATOR = Violation("MissingMediator", ())
 def validate_mediator(G: OrderedGroupoidWithMediator) -> Verdict:
     """Check order-preservation, the two bounds, and action commutation."""
     if G.mediator is None:
-        raise InvalidGroupoid([NO_MEDIATOR])
+        raise Invalid([NO_MEDIATOR], kind="InvalidGroupoid")
     _shape_check(G)
     med = G.mediator
     out = []
@@ -322,7 +308,7 @@ def validate_mediator(G: OrderedGroupoidWithMediator) -> Verdict:
 @takes(X=FiniteStarSemigroup)
 def esn_ordered_groupoid(X: FiniteStarSemigroup) -> OrderedGroupoidWithMediator:
     """The ordered groupoid of a locally involutive semigroup, no mediator."""
-    rel = natural_order(X)  # raises NotLocallyInvolutive if inapplicable
+    rel = natural_order(X)  # NotLocallyInvolutive if inapplicable
     projs = projections(X)
     obj_of = {p: i for i, p in enumerate(projs)}
     n = X.order
@@ -351,7 +337,8 @@ def esn_groupoid(X: FiniteStarSemigroup) -> OrderedGroupoidWithMediator:
     """The ordered groupoid of a quasi-involutive semigroup, with the
     canonical mediator m_pq = pq."""
     if not classify(X).quasi_involutive:
-        raise NotQuasiInvolutive(f"{X!r} is not quasi-involutive")
+        raise StarError(f"{X!r} is not quasi-involutive",
+                        kind="NotQuasiInvolutive")
     G0 = esn_ordered_groupoid(X)
     projs = G0.identity
     mediator = tuple(compose(X.mul[p], projs) for p in projs)
@@ -373,7 +360,7 @@ def esn_semigroup(G: OrderedGroupoidWithMediator) -> FiniteStarSemigroup:
     validate_groupoid(G)
     report = validate_mediator(G)
     if not report.ok:
-        raise InvalidGroupoid(report.violations)
+        raise Invalid(report.violations, kind="InvalidGroupoid")
     med = G.mediator
     n = G.n_morphisms
     mul = [[0] * n for _ in range(n)]
@@ -384,22 +371,25 @@ def esn_semigroup(G: OrderedGroupoidWithMediator) -> FiniteStarSemigroup:
     try:
         X = validate_star_semigroup(n, mul, G.inverse,
                                     name=f"S({G.name})" if G.name else None)
-    except InvalidStarSemigroup as exc:
-        raise InvalidGroupoid(exc.violations) from None
+    except Invalid as exc:
+        raise Invalid(exc.violations, kind="InvalidGroupoid") from None
     report = classify(X)
     if not report.quasi_involutive:
-        raise InvalidGroupoid([Violation(
-            "InducedNotQuasiInvolutive", report.witness("quasi_involutive"))])
+        raise Invalid([Violation(
+            "InducedNotQuasiInvolutive", report.witness("quasi_involutive"))],
+            kind="InvalidGroupoid")
     idents = set(G.identity)
     if set(projections(X)) != idents:
         # the identities-are-projections claim fails; typically an order-2
         # automorphism slipped through the mediator axioms
-        raise InvalidGroupoid([Violation(
+        raise Invalid([Violation(
             "ProjectionsNotIdentities",
-            tuple(sorted(set(projections(X)) ^ idents)))])
+            tuple(sorted(set(projections(X)) ^ idents)))],
+            kind="InvalidGroupoid")
     for x in X.elements:
         if X.d(x) != G.identity[G.dom[x]] or X.c(x) != G.identity[G.cod[x]]:
-            raise InvalidGroupoid([Violation("EndpointMismatch", (x,))])
+            raise Invalid([Violation("EndpointMismatch", (x,))],
+                          kind="InvalidGroupoid")
     return X
 
 
@@ -415,7 +405,7 @@ def mediator_kind(G: OrderedGroupoidWithMediator) -> str:
     """'trivial' (identity at the meet), 'symmetric' (m_pq^-1 = m_qp) or
     'general'; asserted against the classification of the induced semigroup."""
     if G.mediator is None:
-        raise InvalidGroupoid([NO_MEDIATOR])
+        raise Invalid([NO_MEDIATOR], kind="InvalidGroupoid")
     med = G.mediator
     idents = set(G.identity)
     trivial = True

@@ -23,7 +23,7 @@ from .core import (
     ConsistencyError,
     FiniteStarSemigroup,
     Kind,
-    NotEtale,
+    SearchBudgetExceeded,
     ShapeError,
     StarError,
     StarMorphism,
@@ -47,22 +47,6 @@ from .ssets import (
     left_table,
     make_sset,
 )
-
-
-class FiberMismatch(StarError):
-    pass
-
-
-class CarrierTooLarge(StarError):
-    pass
-
-
-class AdditionNotIdempotent(StarError):
-    pass
-
-
-class NotBalanced(StarError):
-    pass
 
 
 @takes(sset=SSetStructure)
@@ -95,10 +79,12 @@ class SModule:
 
     @takes(a=below("self.size"), b=below("self.size"))
     def plus(self, a, b):
-        """a + b; FiberMismatch when a and b lie in different fibers."""
+        """a + b; a StarError of kind FiberMismatch when a and b lie in
+        different fibers."""
         v = self.add[a][b]
         if v == -1:
-            raise FiberMismatch(f"{a} and {b} live in different fibers")
+            raise StarError(f"{a} and {b} live in different fibers",
+                            kind="FiberMismatch")
         return v
 
     @memo
@@ -110,7 +96,8 @@ class SModule:
         ``validate_algebra``."""
         M = self
         if not balanced_check(M.sset).balanced:
-            raise NotBalanced("derived product needs a balanced module")
+            raise StarError("derived product needs a balanced module",
+                            kind="NotBalanced")
         A, S, plus = M.sset, M.sset.base, SModule.plus.__wrapped__
         smap, act, zero, left = A.smap, A.action, M.zero, left_table(A)
         table = []
@@ -280,10 +267,11 @@ def idem_to_algebra(M: SModule) -> SAlgebra:
     under the derived product; validated, with aa* = a psi(a*) asserted."""
     A = M.sset
     if not balanced_check(A).balanced:
-        raise NotBalanced("idempotent-addition construction needs balance")
+        raise StarError("idempotent-addition construction needs balance",
+                        kind="NotBalanced")
     for a in A.elements:
         if M.add[a][a] != a:
-            raise AdditionNotIdempotent(f"a + a != a at {a}")
+            raise StarError(f"a + a != a at {a}", kind="AdditionNotIdempotent")
     table = M.derived_table
     alg = SAlgebra(M, table)
     report = validate_algebra(alg)
@@ -356,9 +344,11 @@ class FreeModule:
 
     def __init__(self, f: StarMorphism):
         if not f.is_star_hom or not is_etale(f):
-            raise NotEtale("free module needs an etale *-homomorphism")
+            raise StarError("free module needs an etale *-homomorphism",
+                            kind="NotEtale")
         if not classify(f.source).left_involutive:
-            raise topos.NotLeftInvolutive("free module needs a left involutive source")
+            raise StarError("free module needs a left involutive source",
+                            kind="NotLeftInvolutive")
         self.f = f
         self.source = f.source
         self.base = f.target
@@ -369,7 +359,7 @@ class FreeModule:
         counts = {}
         for x in freeze(items, "items", self.source.order):
             if self.f.map[x] != r:
-                raise FiberMismatch(f"{x} does not lie over {r}")
+                raise StarError(f"{x} does not lie over {r}", kind="FiberMismatch")
             counts[x] = counts.get(x, 0) + 1
         return (r, tuple(sorted(counts.items())))
 
@@ -380,7 +370,7 @@ class FreeModule:
     @takes(a=SUM, b=SUM)
     def add(self, a, b) -> tuple:
         if a[0] != b[0]:
-            raise FiberMismatch("cross-fiber addition")
+            raise StarError("cross-fiber addition", kind="FiberMismatch")
         counts = dict(a[1])
         for x, k in b[1]:
             counts[x] = counts.get(x, 0) + k
@@ -498,9 +488,10 @@ class FreeModule:
 @takes(f=StarMorphism, cap=NATURAL)
 def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     """Materialize F-hat(f) = {(r, A) : A a finite subset of the fiber over
-    r} with union addition and the derived product As + rB; NotInverse,
-    before any other check, when the base is not inverse, and CarrierTooLarge
-    when it would have more than ``cap`` elements.
+    r} with union addition and the derived product As + rB.  A StarError of
+    kind NotInverse, before any other check, when the base is not inverse,
+    and a SearchBudgetExceeded of kind CarrierTooLarge when it would have
+    more than ``cap`` elements.
 
     A subset is the bitmask of its elements' positions in the ascending
     fiber, and (r, A) sits at offset[r] + A.  Star and action map a subset
@@ -508,10 +499,11 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     ``position`` still speak of frozensets."""
     as_inverse.__wrapped__(f.target)
     if not f.is_star_hom or not is_etale(f):
-        raise NotEtale("F-hat needs an etale *-homomorphism")
+        raise StarError("F-hat needs an etale *-homomorphism", kind="NotEtale")
     X, S = f.source, f.target
     if not classify(X).left_involutive:
-        raise topos.NotLeftInvolutive("F-hat needs a left involutive source")
+        raise StarError("F-hat needs a left involutive source",
+                        kind="NotLeftInvolutive")
     fibers = f.fibers
     bit = [0] * X.order
     for fib in fibers:
@@ -520,7 +512,9 @@ def fhat(f: StarMorphism, cap: int = 2 ** 16) -> FHatAlgebra:
     sizes = [1 << len(fib) for fib in fibers]
     total = sum(sizes)
     if total > cap:
-        raise CarrierTooLarge(f"F-hat carrier would have {total} > {cap} elements")
+        raise SearchBudgetExceeded(
+            f"F-hat carrier would have {total} > {cap} elements",
+            kind="CarrierTooLarge")
 
     A0 = canonical_action(f)
     act0, left0 = A0.action, left_table(A0)

@@ -279,7 +279,8 @@ def _involutions(n):
 def enumerate_star_structures(table):
     """All involutions making an associative table a *-semigroup; ValueError
     unless ``table`` is a square table of integers in 0..n-1, and
-    InvalidStarSemigroup from the validation when it is not associative."""
+    ``core.Invalid`` (kind InvalidStarSemigroup) from the validation when it
+    is not associative."""
     n = _square(table)
     if not n:
         raise ValueError(f"table must be a square table of integers in "

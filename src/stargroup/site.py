@@ -46,18 +46,6 @@ from .core import (
 )
 
 
-class NotInverse(StarError):
-    pass
-
-
-class PresheafInvalid(Invalid):
-    pass
-
-
-class NotNatural(StarError):
-    pass
-
-
 @takes()
 @dataclass(frozen=True)
 class InverseSemigroup:
@@ -85,9 +73,9 @@ def as_inverse(X: FiniteStarSemigroup) -> InverseSemigroup:
     it."""
     report = classify(X)
     if not report.inverse:
-        raise NotInverse(
-            f"{X!r} is not inverse (witness {report.witness('inverse') or report.witness('commuting_projections')})"
-        )
+        raise StarError(
+            f"{X!r} is not inverse (witness {report.witness('inverse') or report.witness('commuting_projections')})",
+            kind="NotInverse")
     return shared(("inverse", id(X)), InverseSemigroup, X)
 
 
@@ -248,7 +236,8 @@ def _transition_shapes(S: InverseSemigroup):
 @takes(base=InverseSemigroup, fibers=dict, transitions=dict)
 def validate_presheaf(base: InverseSemigroup, fibers, transitions) -> Presheaf:
     """The presheaf with these fibers and transitions (keyed by morphisms or
-    plain (s, e) pairs), or PresheafInvalid with every violated law."""
+    plain (s, e) pairs), or Invalid, of kind PresheafInvalid, with every
+    violated law."""
     sg = base.semigroup
     problems = []
     freeze(fibers, "fiber key", sg.order)
@@ -280,7 +269,7 @@ def validate_presheaf(base: InverseSemigroup, fibers, transitions) -> Presheaf:
             problems.append(Violation("CompositionViolation",
                                       (tuple(m1), tuple(m2))))
     if problems:
-        raise PresheafInvalid(problems)
+        raise Invalid(problems, kind="PresheafInvalid")
     return Presheaf(base, fibers, transitions)
 
 
@@ -342,7 +331,8 @@ def validate_presheaf_map(source: Presheaf, target: Presheaf, components) -> Pre
         tgt_t = target.transitions[m]
         for i in range(len(source.fiber(m.e))):
             if components[d][src_t[i]] != tgt_t[components[m.e][i]]:
-                raise NotNatural(f"naturality square fails along {m} at {i}")
+                raise StarError(f"naturality square fails along {m} at {i}",
+                                kind="NotNatural")
     return PresheafMap(source, target, components)
 
 

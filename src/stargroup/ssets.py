@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from .core import (
     NATURAL,
     ConsistencyError,
-    EquivalenceBroken,
     FiniteStarSemigroup,
     Invalid,
-    NotEtale,
+    StarError,
     StarMorphism,
     Violation,
     action_associativity_witness,
@@ -31,10 +30,6 @@ from .core import (
     memo,
     takes,
 )
-
-
-class SSetInvalid(Invalid):
-    pass
 
 
 @takes(size=NATURAL, base=FiniteStarSemigroup)
@@ -131,7 +126,7 @@ def make_sset(size, star, base, smap, action) -> SSetStructure:
     A = SSetStructure(size, star, base, smap, action)
     violations = check_sset(A)
     if violations:
-        raise SSetInvalid(violations)
+        raise Invalid(violations, kind="SSetInvalid")
     return A
 
 
@@ -179,7 +174,8 @@ def balanced_check(A: SSetStructure) -> BalancedReport:
     kept on A.
 
     Balanced always implies the left identity; over an inverse base the two
-    are equivalent.  Either implication failing raises EquivalenceBroken.
+    are equivalent.  Either implication failing raises a ConsistencyError of
+    kind EquivalenceBroken.
     """
     S = A.base
     star, act = A.star, A.action
@@ -193,10 +189,12 @@ def balanced_check(A: SSetStructure) -> BalancedReport:
     balanced = w1 is None and w2 is None
     left = is_left_involutive_sset(A)
     if balanced and not left:
-        raise EquivalenceBroken("balanced S-set without the left identity")
+        raise ConsistencyError("balanced S-set without the left identity",
+                               kind="EquivalenceBroken")
     if classify(S).inverse and balanced != left:
-        raise EquivalenceBroken(
-            "balanced and left involutive disagree over an inverse base")
+        raise ConsistencyError(
+            "balanced and left involutive disagree over an inverse base",
+            kind="EquivalenceBroken")
     return BalancedReport(w1 is None, w2 is None, balanced, left, w1, w2)
 
 
@@ -222,12 +220,12 @@ def canonical_action(f: StarMorphism) -> SSetStructure:
 @takes(A=SSetStructure)
 def sset_to_semigroup(A: SSetStructure):
     """(X, f): the *-semigroup X with product xy = x . f(y), and f the
-    structure map; SSetInvalid unless A is an S-set.
+    structure map; Invalid, of kind SSetInvalid, unless A is an S-set.
     By check_sset's laws, (x f(y)) f(z) = x f(y f(z)), x f(x*) f(x) = x,
     x** = x and f(x f(y)) = f(x) f(y); a lift z at c(x) is c(x) f(z), so f
     is etale, and xs = c(x) f(x)s, so its canonical action is that of A."""
     if check_sset(A):
-        raise SSetInvalid(check_sset(A))
+        raise Invalid(check_sset(A), kind="SSetInvalid")
     mul = tuple([compose(row, A.smap) for row in A.action])
     X = FiniteStarSemigroup(A.size, mul, A.star)
     return X, StarMorphism(X, A.base, A.smap)
@@ -250,7 +248,7 @@ def retwist(f: StarMorphism) -> RetwistResult:
     left *-homomorphism, which is checked first, so 1 <=> 2 holds by
     construction and is not compared; 3 <=> 4 and 3 => 1 are."""
     if not is_etale(f):
-        raise NotEtale(f"{f!r} is not etale")
+        raise StarError(f"{f!r} is not etale", kind="NotEtale")
     X = f.source
     A = canonical_action(f)
     X2, f2 = sset_to_semigroup(A)
@@ -270,7 +268,10 @@ def retwist(f: StarMorphism) -> RetwistResult:
     # *-homomorphism as the backward identity (X, x) -> X, making the
     # forward identity a left *-isomorphism that is not a *-isomorphism.
     if cond3 != cond4 or (cond3 and not cond1):
-        raise EquivalenceBroken(f"retwist equivalence broken: {conditions}")
+        raise ConsistencyError(f"retwist equivalence broken: {conditions}",
+                               kind="EquivalenceBroken")
     if cond3 != (X2.mul == X.mul):
-        raise EquivalenceBroken("f multiplicative must mean the product is unchanged")
+        raise ConsistencyError(
+            "f multiplicative must mean the product is unchanged",
+            kind="EquivalenceBroken")
     return RetwistResult(X2, f2, forward, conditions, X2.mul == X.mul)

@@ -60,9 +60,7 @@ from typing import NamedTuple
 from . import ssets
 from .core import (
     ConsistencyError,
-    EquivalenceBroken,
     FiniteStarSemigroup,
-    NotEtale,
     SearchBudgetExceeded,
     ShapeError,
     StarError,
@@ -96,14 +94,6 @@ from .site import (
     representable_semigroup,
     validate_presheaf_map,
 )
-
-
-class UnitNotIso(StarError):
-    pass
-
-
-class NotLeftInvolutive(StarError):
-    pass
 
 
 class BudgetInvalid(StarError):
@@ -425,10 +415,12 @@ def _unit(P: Presheaf) -> UnitResult:
         for a in range(len(P.fiber(d))):
             table = tuple([LP.index[(r, tr[a])] for r, tr in along])
             if table not in lookup:
-                raise UnitNotIso(f"unit image at {d} is not a Gamma element")
+                raise StarError(f"unit image at {d} is not a Gamma element",
+                                kind="UnitNotIso")
             comp.append(lookup[table])
         if len(set(comp)) != len(comp) or len(comp) != len(G.alphas[d]):
-            raise UnitNotIso(f"unit component at {d} is not a bijection")
+            raise StarError(f"unit component at {d} is not a bijection",
+                            kind="UnitNotIso")
         components[d] = tuple(comp)
     validate_presheaf_map(P, G.presheaf, components)
     return UnitResult(P, LP, G, components, True)
@@ -529,9 +521,11 @@ def fiber_presheaf(f: StarMorphism) -> Presheaf:
     S = as_inverse(f.target)
     sg = S.semigroup
     if not f.is_star_hom or not is_etale(f):
-        raise NotEtale("fiber presheaf needs an etale *-homomorphism")
+        raise StarError("fiber presheaf needs an etale *-homomorphism",
+                        kind="NotEtale")
     if not classify(X).left_involutive:
-        raise NotLeftInvolutive("fiber presheaf needs a left involutive source")
+        raise StarError("fiber presheaf needs a left involutive source",
+                        kind="NotLeftInvolutive")
     over = f.fibers
     projs = set(projections(X))
     for e in S.idempotents:
@@ -626,7 +620,7 @@ class PropInvReport:
 @takes(P=Presheaf)
 def prop_inv_check(P: Presheaf) -> PropInvReport:
     """Five independently computed equivalent statements about Lambda(P);
-    disagreement raises EquivalenceBroken."""
+    disagreement raises a ConsistencyError of kind EquivalenceBroken."""
     LP = lam(P)
     sgl = LP.semigroup
     projs = projections(sgl)
@@ -637,7 +631,8 @@ def prop_inv_check(P: Presheaf) -> PropInvReport:
     report = PropInvReport(commute, rep.inverse, rep.involutive,
                            subterminal, injective)
     if not report.all_agree():
-        raise EquivalenceBroken(f"five-way equivalence broken: {report}")
+        raise ConsistencyError(f"five-way equivalence broken: {report}",
+                               kind="EquivalenceBroken")
     return report
 
 

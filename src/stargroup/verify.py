@@ -22,6 +22,7 @@ binding.
 from __future__ import annotations
 
 import itertools
+import json
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -29,6 +30,7 @@ from . import oracle, site, topos
 from .core import (
     POSITIVE,
     FiniteStarSemigroup,
+    SearchBudgetExceeded,
     ShapeError,
     StarError,
     StarMorphism,
@@ -44,8 +46,9 @@ from .core import (
     takes,
 )
 from .oracle import BudgetExceeded
+from .serialize import InputError
 from .site import InverseSemigroup, as_inverse, representable_semigroup
-from .topos import BudgetInvalid, SearchBudgetExceeded
+from .topos import BudgetInvalid
 
 
 class VerifyRow(NamedTuple):
@@ -62,6 +65,32 @@ class VerifyRow(NamedTuple):
         if self.witness is not None:
             out["witness"] = list(self.witness)
         return out
+
+
+# The exit-code contract past 0 (every check passed) and 1 (one failed): an
+# error of a class here ends the command with its code and one stderr line,
+# "<prefix>: <message>", or the prefix alone for 130.  Any other StarError or
+# oracle error fails one row (error_row).
+EXIT_CODES = {
+    SearchBudgetExceeded: (3, "budget exceeded"),
+    BudgetExceeded: (3, "budget exceeded"),
+    BudgetInvalid: (2, "usage error"),
+    oracle.UnknownFamily: (2, "usage error"),
+    InputError: (2, "input error"),
+    OSError: (2, "io error"),
+    json.JSONDecodeError: (2, "io error"),
+    KeyboardInterrupt: (130, "interrupted"),
+}
+ROW_ERRORS = (StarError, oracle.OracleError)
+
+
+def error_row(exc, check, instance, *head):
+    """The failed row of an error a check raised, its witness ``(*head,
+    kind, message)``; an error of a class in EXIT_CODES is raised again."""
+    if isinstance(exc, tuple(EXIT_CODES)):
+        raise exc
+    kind = getattr(exc, "kind", type(exc).__name__)
+    return VerifyRow(check, instance, False, (*head, kind, str(exc)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +551,16 @@ def build_instances(statement_ids=None, max_order=3):
 
 def _run_task(task, facts):
     """One row.  An error inside a check fails its own row, with witness
-    ("error", type, message), instead of ending the sweep; an exceeded or
-    invalid budget still ends it.  ``facts``: the run's naive verdicts.
+    ("error", kind, message), instead of ending the sweep, unless EXIT_CODES
+    ends the command with it.  ``facts``: the run's naive verdicts.
     The naive verdict is ``oracle.naive_check``'s without its instance
     check (``oracle._evaluate``), the raw tables being validated objects'."""
     sid, label, inst, raw = task
     try:
         main = MAIN_CHECKS[sid](inst)
         naive = oracle._evaluate(sid, raw, facts) is True
-    except (BudgetExceeded, SearchBudgetExceeded, BudgetInvalid):
-        raise
-    except (StarError, oracle.OracleError) as exc:
-        return VerifyRow(sid, label, False,
-                         ("error", type(exc).__name__, str(exc)))
+    except ROW_ERRORS as exc:
+        return error_row(exc, sid, label, "error")
     ok = bool(main) and main == naive
     witness = None if ok else ("main", main, "naive", naive)
     return VerifyRow(sid, label, ok, witness)

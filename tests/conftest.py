@@ -1,14 +1,23 @@
 """The named fixtures and test populations.  A population is a tuple built
 once per session (the Lambdas once per module), when a selected test first
 asks for it, and no test changes one: a test that breaks an object of one
-copies it first."""
+copies it first.  ``raises_kind`` checks an error's class and kind."""
 
+import contextlib
 import random
 
 import pytest
 
 from stargroup import oracle, site, topos, verify
 from stargroup.core import StarMorphism, classify, identity_morphism, validate_star_semigroup
+
+
+@contextlib.contextmanager
+def raises_kind(error, kind, match=None):
+    """``pytest.raises(error, match=match)`` whose error has this ``kind``."""
+    with pytest.raises(error, match=match) as info:
+        yield info
+    assert info.value.kind == kind
 
 
 def pytest_collection_modifyitems(config, items):

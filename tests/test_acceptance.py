@@ -101,8 +101,9 @@ def test_criterion_3_adjunction(adjunction_results, c2, t1):
 
 
 def test_criterion_4_five_way_agreement(acceptance_presheaves):
-    """prop_inv_check raises EquivalenceBroken on any disagreement, so a
-    clean sweep is the assertion; both verdicts must occur."""
+    """prop_inv_check raises a ConsistencyError (EquivalenceBroken) on any
+    disagreement, so a clean sweep is the assertion; both verdicts must
+    occur."""
     started = time.time()
     verdicts = set()
     for P in acceptance_presheaves:
@@ -139,7 +140,7 @@ def test_criterion_6_balanced(adjunction_results, sl2, sl3, i2):
            + _enumerate_ssets(sl3, 2) + _enumerate_ssets(i2, 2))
     outcomes = set()
     for A in pop:
-        rep = balanced_check(A)  # raises EquivalenceBroken on any mismatch
+        rep = balanced_check(A)  # a ConsistencyError on any mismatch
         outcomes.add((rep.balanced, rep.left_identity))
     assert (True, True) in outcomes and (False, False) in outcomes
     _announce(6, f"balanced iff left involutive over {len(pop)} S-sets", started)

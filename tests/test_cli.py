@@ -43,6 +43,16 @@ def test_verify_list_golden():
     assert out == (GOLDEN / "verify_list.txt").read_text()
 
 
+def test_python_dash_m_runs_the_command():
+    """``python -m stargroup`` works in a checkout without an install."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "stargroup", "verify", "--list"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "verify_list.txt").read_text()
+
+
 def test_validate_and_order():
     assert run_cli("validate", str(FIXTURES / "p21.json"))[0] == 0
     code, out = run_cli("order", str(FIXTURES / "sl2.json"))
@@ -205,6 +215,37 @@ def test_fhat_refuses_a_base_that_is_not_inverse(tmp_path, lz2):
     assert out.startswith("FAIL  error  [id_lz2.json]  witness=['NotInverse'")
     # as gamma refuses the same map
     assert run_cli("gamma", "--morphism", path) == (code, out)
+
+
+def save_constant_etale_map(path):
+    """The constant map n2#3*1 -> SL2 onto 0 of ``verify.morphism_pool(3)``:
+    an etale *-homomorphism whose source is not left involutive."""
+    from stargroup import verify
+    f = next(f for label, f, _ in verify.morphism_pool(3)
+             if label == "n2#3*1->SL2:00")
+    serialize.save_morphism(f, path)
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("NotInverse", ["site", "lz2.json"]),
+    ("NotQuasiInvolutive", ["groupoid", "lz2.json"]),
+    ("NotEtale", ["fhat", "--morphism", "const_c2_t1.json"]),
+    ("InvalidStarSemigroup", ["validate", "not_a_star.json"]),
+    ("NotLeftInvolutive", ["fhat", "--morphism", "const_n2_sl2.json"]),
+])
+def test_each_error_kind_is_one_error_row(tmp_path, capsys, kind, args):
+    (tmp_path / "not_a_star.json").write_text(
+        '{"order":2,"mul":[[0,0],[0,0]],"star":[0,1]}')
+    if "const_n2_sl2.json" in args:
+        save_constant_etale_map(tmp_path / "const_n2_sl2.json")
+    paths = [str(tmp_path / a if (tmp_path / a).exists() else FIXTURES / a)
+             if a.endswith(".json") else a for a in args]
+    code, out = run_cli("--format", "json", *paths)
+    assert capsys.readouterr().err == ""
+    [row] = json.loads(out)
+    assert (code, row["check"], row["instance"], row["pass"]) == \
+        (1, "error", args[-1], False)
+    assert row["witness"][0] == kind and len(row["witness"]) == 2
 
 
 NON_COMMUTATIVE_FREE_MODULE = """
@@ -482,6 +523,20 @@ def test_verify_error_in_one_task_fails_only_its_rows(monkeypatch, max_order):
                                       "routes disagree"]
         else:
             assert row == old
+
+
+def test_an_oracle_error_the_table_does_not_map_is_an_error_row(monkeypatch,
+                                                                 capsys):
+    from stargroup import oracle
+
+    def unknown(args, report):
+        raise oracle.UnknownStatement("lem:none")
+
+    monkeypatch.setattr(cli, "cmd_classify", unknown)
+    code, out = run_cli("classify", str(FIXTURES / "i2.json"))
+    assert (code, capsys.readouterr().err) == (1, "")
+    assert out == "FAIL  error  [i2.json]  witness=['UnknownStatement', " \
+        "'lem:none']\n"
 
 
 def test_fhat_cap_exceeded_exits_3(capsys):

@@ -5,8 +5,9 @@ at the same size."""
 
 import pytest
 
-from stargroup.core import ShapeError
-from stargroup.modalg import CarrierTooLarge, fhat
+from conftest import raises_kind
+from stargroup.core import SearchBudgetExceeded, ShapeError
+from stargroup.modalg import fhat
 from stargroup.ssets import canonical_action
 
 
@@ -18,7 +19,9 @@ def reference_tables(f, cap=2 ** 16):
     fibers = {r: [x for x in X.elements if f.map[x] == r] for r in S.elements}
     total = sum(2 ** len(v) for v in fibers.values())
     if total > cap:
-        raise CarrierTooLarge(f"F-hat carrier would have {total} > {cap} elements")
+        raise SearchBudgetExceeded(
+            f"F-hat carrier would have {total} > {cap} elements",
+            kind="CarrierTooLarge")
     act0 = canonical_action(f)
     elements = []
     for r in S.elements:
@@ -81,9 +84,10 @@ def test_fhat_cap_refuses_at_the_reference_size(population):
     for f in population[::9]:
         total = len(reference_tables(f)["elements"])
         for cap in (total - 1, 0):
-            with pytest.raises(CarrierTooLarge):
+            with raises_kind(SearchBudgetExceeded, "CarrierTooLarge"):
                 reference_tables(f, cap)
-            with pytest.raises(CarrierTooLarge, match=f"{total} > {cap}"):
+            with raises_kind(SearchBudgetExceeded, "CarrierTooLarge",
+                             match=f"{total} > {cap}"):
                 fhat(f, cap)
         assert len(fhat(f, total).elements) == total
 

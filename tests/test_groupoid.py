@@ -5,19 +5,19 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import raises_kind
 from stargroup import cli, oracle, serialize
 from stargroup.core import (
+    Invalid,
     Relation,
     ShapeError,
+    StarError,
     StarMorphism,
     classify,
     same_tables,
 )
 from stargroup.groupoid import (
-    InvalidGroupoid,
-    NotBounded,
     NotComparable,
-    NotQuasiInvolutive,
     OrderedGroupoidWithMediator,
     corestrict,
     esn_groupoid,
@@ -51,7 +51,7 @@ def test_esn_i2_counts(i2):
 
 
 def test_esn_requires_quasi(lz2):
-    with pytest.raises(NotQuasiInvolutive):
+    with raises_kind(StarError, "NotQuasiInvolutive"):
         esn_groupoid(lz2)
     # but the ordered groupoid alone is available for locally involutive input
     G = esn_ordered_groupoid(lz2)
@@ -75,7 +75,7 @@ def test_restrict_examples(sl2, i2):
 
 def test_restrict_not_bounded(sl2):
     G = esn_groupoid(sl2)
-    with pytest.raises(NotBounded):
+    with raises_kind(StarError, "NotBounded"):
         restrict(G, 0, 1)
 
 
@@ -214,7 +214,7 @@ def test_order_two_automorphism_mediator_rejected(c2):
     G = esn_groupoid(c2)
     bad = replace(G, mediator=((1,),))
     assert validate_mediator(bad).ok  # the axioms alone do not exclude it
-    with pytest.raises(InvalidGroupoid):
+    with raises_kind(Invalid, "InvalidGroupoid"):
         esn_semigroup(bad)
 
 
@@ -329,7 +329,7 @@ def _two_vertex_groups():
 def test_a_missing_restriction_is_listed_not_raised():
     # the corestriction formula at (b, 0) would read the restriction of b^2
     # to 0; it is compared only where that restriction is unique
-    with pytest.raises(InvalidGroupoid) as info:
+    with raises_kind(Invalid, "InvalidGroupoid") as info:
         validate_groupoid(_two_vertex_groups())
     kinds = [v.kind for v in info.value.violations]
     assert {"OrderInversion", "RestrictionNotUnique"} <= set(kinds)

@@ -16,10 +16,11 @@ import random
 
 import pytest
 
+from conftest import raises_kind
 from stargroup import core, modalg, ssets, topos
 from stargroup.core import (
     ConsistencyError,
-    NotEtale,
+    StarError,
     StarMorphism,
     Verdict,
     Violation,
@@ -256,9 +257,9 @@ def test_every_fhat_has_its_left_table_and_the_laws_its_sweeps_settle(
 
 def test_the_lift_readers_still_refuse_a_non_etale_map(const_c2_t1):
     assert not is_etale(const_c2_t1)
-    with pytest.raises(NotEtale):
+    with raises_kind(StarError, "NotEtale"):
         topos.counit_explicit_preimage(const_c2_t1, 0)
-    with pytest.raises(NotEtale):
+    with raises_kind(StarError, "NotEtale"):
         topos.fiber_presheaf(const_c2_t1)
 
 

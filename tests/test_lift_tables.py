@@ -11,9 +11,7 @@ import pytest
 from stargroup import core, site, ssets, topos, verify
 from stargroup.core import (
     ConsistencyError,
-    NoLift,
-    NotEtale,
-    NotProjection,
+    StarError,
     StarMorphism,
     etale_lift,
     is_etale,
@@ -27,11 +25,13 @@ def reference_lift(f, p, s):
     core.freeze((p,), "p", X.order)
     core.freeze((s,), "s", S.order)
     if X.mul[p][p] != p or X.star[p] != p:
-        raise NotProjection(f"{p} is not a projection of the source")
+        raise StarError(f"{p} is not a projection of the source",
+                        kind="NotProjection")
     if not core.is_etale(f):
-        raise NotEtale(f"{f!r} is not etale")
+        raise StarError(f"{f!r} is not etale", kind="NotEtale")
     if S.mul[f.map[p]][s] != s:
-        raise NoLift(f"equation s = f(p)s fails for p={p}, s={s}")
+        raise StarError(f"equation s = f(p)s fails for p={p}, s={s}",
+                        kind="NoLift")
     hits = [x for x in X.elements if X.mul[p][x] == x and f.map[x] == s]
     if len(hits) != 1:
         raise ConsistencyError(
@@ -43,7 +43,7 @@ def reference_action(f):
     """The action table of canonical_action as it scanned the whole source
     for each entry."""
     if not core.is_etale(f):
-        raise NotEtale(f"{f!r} is not etale")
+        raise StarError(f"{f!r} is not etale", kind="NotEtale")
     X, S = f.source, f.target
     action = []
     for x in X.elements:
@@ -125,11 +125,11 @@ def reference_generic_alphas(f, S, e, budget):
 
 
 def _outcome(call, *args):
-    """What a call returns, or the type of what it raises."""
+    """What a call returns, or the type and kind of what it raises."""
     try:
         return call(*args)
     except core.StarError as exc:
-        return type(exc)
+        return type(exc), exc.kind
 
 
 def _etale_maps(presheaves):

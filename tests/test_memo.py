@@ -16,9 +16,10 @@ import weakref
 import pytest
 
 import stargroup
+from conftest import raises_kind
 from stargroup import core, oracle, site, ssets, topos, verify
 from stargroup.core import (
-    InvalidStarSemigroup,
+    Invalid,
     Kind,
     ShapeError,
     memo,
@@ -57,7 +58,7 @@ def test_equal_tables_and_name_give_one_object_while_held():
 def test_an_invalid_table_raises_on_every_call_and_is_never_stored():
     before = len(core._INTERNED)
     for _ in range(2):
-        with pytest.raises(InvalidStarSemigroup):
+        with raises_kind(Invalid, "InvalidStarSemigroup"):
             validate_star_semigroup(2, [[1, 0], [0, 0]], [0, 1], name="bad")
     with pytest.raises(ShapeError):
         validate_star_semigroup(2, *CHAIN, name=["not", "a", "string"])

@@ -1,9 +1,12 @@
 import pytest
 
-from stargroup import ssets, topos
+from conftest import raises_kind
+from stargroup import ssets, topos, verify
 from stargroup.core import (
     ConsistencyError,
+    SearchBudgetExceeded,
     ShapeError,
+    StarError,
     StarMorphism,
     Verdict,
     classify,
@@ -11,9 +14,6 @@ from stargroup.core import (
     projections,
 )
 from stargroup.modalg import (
-    AdditionNotIdempotent,
-    CarrierTooLarge,
-    FiberMismatch,
     FreeModule,
     SAlgebra,
     SModule,
@@ -26,7 +26,7 @@ from stargroup.modalg import (
     validate_algebra,
     validate_module,
 )
-from stargroup.site import NotInverse, terminal_presheaf, validate_presheaf_map
+from stargroup.site import terminal_presheaf, validate_presheaf_map
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,19 @@ def fhat_id_i2(id_i2):
 def test_fhat_refuses_a_base_that_is_not_inverse_first(lz2, c2):
     # an etale *-homomorphism and one that is not etale, into LZ2
     for f in (identity_morphism(lz2), StarMorphism(c2, lz2, (0, 0))):
-        with pytest.raises(NotInverse, match="LZ2"):
+        with raises_kind(StarError, "NotInverse", match="LZ2"):
             fhat(f)
+
+
+def test_a_source_that_is_not_left_involutive_is_refused_by_kind():
+    # the constant map onto 0 is an etale *-homomorphism into SL2, and its
+    # source, n2#3*1, is not left involutive
+    f = next(f for label, f, _ in verify.morphism_pool(3)
+             if label == "n2#3*1->SL2:00")
+    assert f.is_star_hom and not classify(f.source).left_involutive
+    for build in (fhat, FreeModule, topos.fiber_presheaf):
+        with raises_kind(StarError, "NotLeftInvolutive"):
+            build(f)
 
 
 def test_fhat_id_sl2_carrier(fhat_id_sl2):
@@ -115,7 +126,7 @@ def test_fhat_projections(fhat_p21):
 
 
 def test_fhat_cap(id_i2):
-    with pytest.raises(CarrierTooLarge):
+    with raises_kind(SearchBudgetExceeded, "CarrierTooLarge"):
         fhat(id_i2, cap=4)
 
 
@@ -192,7 +203,7 @@ def test_idem_to_algebra_rejects_free(id_sl2):
     zero_one = fh.position(1, [])
     add[zero_one][zero_one] = one
     bad = SModule(M.sset, M.zero, add)
-    with pytest.raises(AdditionNotIdempotent):
+    with raises_kind(StarError, "AdditionNotIdempotent"):
         idem_to_algebra(bad)
 
 
@@ -241,7 +252,7 @@ def test_free_module_ops(id_sl2, sl2):
     assert F.add(x, F.zero(1)) == x
     two = F.add(x, x)
     assert two == (1, ((1, 2),))
-    with pytest.raises(FiberMismatch):
+    with raises_kind(StarError, "FiberMismatch"):
         F.add(x, F.zero(0))
     assert F.check_axioms()
 

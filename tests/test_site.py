@@ -3,12 +3,18 @@ import random
 
 import pytest
 
+from conftest import raises_kind
 from stargroup import oracle, site, topos
-from stargroup.core import ShapeError, classify, is_etale, validate_star_semigroup
+from stargroup.core import (
+    Invalid,
+    ShapeError,
+    StarError,
+    classify,
+    is_etale,
+    validate_star_semigroup,
+)
 from stargroup.site import (
     LSMorphism,
-    NotInverse,
-    PresheafInvalid,
     as_inverse,
     all_ls_morphisms,
     compose_ls,
@@ -23,14 +29,13 @@ from stargroup.site import (
     terminal_presheaf,
     validate_presheaf,
     validate_presheaf_map,
-    NotNatural,
 )
 
 
 def test_as_inverse(i2, sl2, lz2):
     as_inverse(i2)
     as_inverse(sl2)
-    with pytest.raises(NotInverse):
+    with raises_kind(StarError, "NotInverse"):
         as_inverse(lz2)
 
 
@@ -94,7 +99,7 @@ def test_validate_presheaf_p21(p21):
 
 
 def test_identity_violation_caught(sl2_inv):
-    with pytest.raises(PresheafInvalid) as err:
+    with raises_kind(Invalid, "PresheafInvalid") as err:
         validate_presheaf(sl2_inv, {1: ("u", "v"), 0: ("w",)},
                           {(0, 0): (0,), (1, 1): (1, 0), (0, 1): (0, 0)})
     assert any(k == "IdentityViolation" for k, _ in err.value.violations)
@@ -106,7 +111,7 @@ def test_composition_violation_caught(sl3_inv):
         (0, 0): (0, 1), (1, 1): (0,), (2, 2): (0,),
         (1, 2): (0,), (0, 1): (0,), (0, 2): (1,),
     }
-    with pytest.raises(PresheafInvalid) as err:
+    with raises_kind(Invalid, "PresheafInvalid") as err:
         validate_presheaf(sl3_inv, fibers, transitions)
     assert any(k == "CompositionViolation" for k, _ in err.value.violations)
 
@@ -215,7 +220,7 @@ def test_presheaf_map_validation(p21, sl2_inv):
         sl2_inv, {1: ("a", "b"), 0: ("z",)},
         {(0, 0): (0,), (1, 1): (0, 1), (0, 1): (0, 0)})
     validate_presheaf_map(p21, Q2, {1: (0, 1), 0: (0,)})
-    with pytest.raises(NotNatural):
+    with raises_kind(StarError, "NotNatural"):
         # p21 transitions send both u, v to w; map below forces a mismatch
         Q3 = validate_presheaf(
             sl2_inv, {1: ("a",), 0: ("z0", "z1")},

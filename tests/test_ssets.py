@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
+from conftest import raises_kind
 from stargroup import oracle, topos
-from stargroup.core import ShapeError, StarMorphism, same_tables
+from stargroup.core import Invalid, ShapeError, StarMorphism, same_tables
 from stargroup.ssets import (
-    SSetInvalid,
     SSetStructure,
     balanced_check,
     canonical_action,
@@ -156,7 +156,7 @@ def test_corrupted_action_caught(sl2, id_sl2):
     A = canonical_action(id_sl2)
     bad_action = [list(r) for r in A.action]
     bad_action[1][0] = 1  # 1 . 0 should be 0
-    with pytest.raises(SSetInvalid):
+    with raises_kind(Invalid, "SSetInvalid"):
         make_sset(A.size, A.star, A.base, A.smap, bad_action)
 
 
@@ -229,15 +229,15 @@ def _enumerate_ssets(base, size):
             ):
                 try:
                     out.append(make_sset(size, star, S, smap, choice))
-                except SSetInvalid:
-                    pass
+                except Invalid as exc:
+                    assert exc.kind == "SSetInvalid"
     return out
 
 
 def test_balanced_iff_left_involutive_over_inverse(sl2, sl3, i2):
     """Over an inverse base, balanced and left involutive coincide;
-    balanced_check raises EquivalenceBroken internally if they ever differ,
-    so sweeping the full population is the assertion."""
+    balanced_check raises a ConsistencyError (EquivalenceBroken) if they
+    ever differ, so sweeping the full population is the assertion."""
     pop = (_enumerate_ssets(sl2, 2) + _enumerate_ssets(sl2, 3)
            + _enumerate_ssets(sl3, 2) + _enumerate_ssets(i2, 2))
     assert len(pop) > 20

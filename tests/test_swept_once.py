@@ -10,8 +10,10 @@ L(S) is its own transition key, equal to its plain pair."""
 
 import pytest
 
+from conftest import raises_kind
 from stargroup import modalg, site, ssets, topos
 from stargroup.core import (
+    Invalid,
     check_star_semigroup,
     classify,
     identity_morphism,
@@ -19,8 +21,8 @@ from stargroup.core import (
     same_tables,
     validate_star_semigroup,
 )
-from stargroup.site import LSMorphism, PresheafInvalid, validate_presheaf
-from stargroup.ssets import SSetInvalid, SSetStructure, sset_to_semigroup
+from stargroup.site import LSMorphism, validate_presheaf
+from stargroup.ssets import SSetStructure, sset_to_semigroup
 from test_ssets import _enumerate_ssets
 
 
@@ -106,7 +108,7 @@ def test_a_composition_violation_names_plain_pairs(sl3_inv):
     message = "CompositionViolation((1, 2), (0, 1))"
     for keys in (transitions, {LSMorphism(*k): t
                                for k, t in transitions.items()}):
-        with pytest.raises(PresheafInvalid) as info:
+        with raises_kind(Invalid, "PresheafInvalid") as info:
             validate_presheaf(sl3_inv, fibers, keys)
         assert str(info.value) == message
 
@@ -184,7 +186,7 @@ def test_sset_to_semigroup_refuses_an_empty_sset(sl2):
 
 
 # over SL2, each breaking one law of check_sset; before, these raised
-# InvalidStarSemigroup or ConsistencyError
+# an Invalid of kind InvalidStarSemigroup or a ConsistencyError
 @pytest.mark.parametrize("size, star, smap, action, law", [
     (2, (0, 0), (0, 0), ((0, 0), (1, 1)), "Involution"),
     (1, (0,), (1,), ((0, 0),), "Equivariance"),
@@ -194,7 +196,7 @@ def test_sset_to_semigroup_refuses_an_empty_sset(sl2):
 def test_sset_to_semigroup_refuses_a_broken_sset(sl2, size, star, smap,
                                                  action, law):
     A = SSetStructure(size, star, sl2, smap, action)
-    with pytest.raises(SSetInvalid, match=f"{law}Violation"):
+    with raises_kind(Invalid, "SSetInvalid", match=f"{law}Violation"):
         sset_to_semigroup(A)
 
 

@@ -5,11 +5,13 @@ import weakref
 
 import pytest
 
+from conftest import raises_kind
 from stargroup import core, oracle, site, topos, verify
 from stargroup.core import (
     ConsistencyError,
-    InvalidStarSemigroup,
+    Invalid,
     ShapeError,
+    StarError,
     StarMorphism,
     classify,
     etale_lift,
@@ -136,7 +138,7 @@ def test_a_non_natural_unit_raises_not_natural(p21, monkeypatch):
 
     monkeypatch.setattr(topos, "gamma", swapped)
     P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
-    with pytest.raises(site.NotNatural):
+    with raises_kind(StarError, "NotNatural"):
         unit(P)
 
 
@@ -581,7 +583,7 @@ def test_lam_that_raises_keeps_raising(sl3_inv, monkeypatch):
         {(0, 0): (0, 1), (1, 1): (0,), (2, 2): (0,),
          (1, 2): (0,), (0, 1): (0,), (0, 2): (1,)})
     for _ in range(2):
-        with pytest.raises(InvalidStarSemigroup):
+        with raises_kind(Invalid, "InvalidStarSemigroup"):
             lam(bad)
     assert len(builds) == 2
 
