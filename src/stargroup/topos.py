@@ -30,18 +30,34 @@ algebra (``modalg.validate_algebra``).
 
 What is shared is shared while held, through ``core.shared``: a call of
 ``lam(P)``, ``gamma(f, budget)``, ``unit(P)`` or ``counit(f, G)`` returns
-the object already built for the same ``P`` (or ``f`` and budget, or Gamma
-``G``) while some caller still holds it, and builds afresh once every
-holder has dropped it; so the triangle checks reuse the unit and counit
-the chain holds.  Lambda also shares by table: its semigroup is interned
-by its product and star (``core.validate_star_semigroup``), and its
-structure map by that semigroup, the base semigroup and the map.  So a
-Lambda whose tables equal those of one still held gets that one's
-validated semigroup and structure map, with their verdicts, and runs only
-the check against its own ``P``'s transitions: the unit, counit and ``m``
-checks on one presheaf, whose three Lambdas often have equal tables,
-validate each distinct Lambda once.  Every other check runs once per
-object built, and a call that raises keeps nothing that failed a check.
+the object already built for the same key while some caller still holds
+it, and builds afresh once every holder has dropped it; so the triangle
+checks reuse the unit and counit the chain holds.  ``gamma``, ``unit`` and
+``counit`` key by their input (``f`` and the resolved budget, ``P``, Gamma
+``G``).  Two more rules follow the equivalence, under which Gamma(f)(e) is
+f^-1(e) by evaluation at (e, e) and Lambda(P) depends only on P's tables.
+
+Gamma's fibers in evaluation order: each fiber of Gamma(f) is sorted by
+the value at (e, e), then by the table.  For f etale with left involutive
+source that value tells the tables apart and runs through f^-1(e) in
+ascending order, so the lifting path lists its tables in the order of
+``f.fibers[e]``.  The unit's table of a in P(d) takes the value (d, a) at
+(d, d), and Lambda(P) lists the pairs (d, a) in the order of a, so every
+unit component is the identity and Gamma(Lambda P) has exactly P's fiber
+sizes and transitions.
+
+Lambda by its presheaf's tables: ``lam`` keys by the base object, P's
+fiber sizes per idempotent and its transitions in ``all_ls_morphisms``
+order, not by P.  So the counit's Lambda(Gamma(Lambda P)) and ``m_iso``'s
+Lambda(P_f), which have P's tables, are the unit's Lambda(P), and each
+distinct Lambda runs its transition-formula check once.  Below it, the
+semigroup is interned by its product and star
+(``core.validate_star_semigroup``) and its structure map shared by that
+semigroup, the base semigroup and the map, so a new Lambda whose tables
+equal those of a structure map still held gets that map, with its
+verdicts, and runs only its own transition check.  Every other check runs
+once per object built, and a call that raises keeps nothing that failed a
+check.
 
 Shared objects are handed to every caller, so a ``Presheaf`` or
 ``StarMorphism`` must not be mutated after construction, nor a
@@ -128,9 +144,12 @@ def resolve_budget(value=None):
 @takes()
 @dataclass(eq=False)
 class LambdaObject:
-    """Lambda(P): pairs (r, x) with the structure map (r, x) |-> r."""
+    """Lambda(P): pairs (r, x) with the structure map (r, x) |-> r.
 
-    presheaf: Presheaf
+    It depends on P only through P's fiber sizes and transition tables, so
+    it keeps no presheaf: ``lam`` hands one object to every presheaf with
+    these tables over ``base`` while it is held (module docstring)."""
+
     base: InverseSemigroup
     pairs: tuple[tuple[int, int], ...]
     index: dict
@@ -145,8 +164,13 @@ class LambdaObject:
 def lam(P: Presheaf) -> LambdaObject:
     """Lambda(P), verified left involutive with etale structure map, with
     projections exactly the idempotent-tagged pairs and the canonical action
-    matching the transition formula.  Shared while held (module docstring)."""
-    return shared(("lam", id(P)), _lam, P)
+    matching the transition formula.  Shared while held with every presheaf
+    of the same fiber sizes and transitions over the same base object
+    (module docstring)."""
+    S = P.base
+    key = ("lam", id(S), tuple([len(P.fibers[e]) for e in S.idempotents]),
+           tuple([P.transitions[m] for m in all_ls_morphisms(S)]))
+    return shared(key, _lam, P)
 
 
 def _lam(P: Presheaf) -> LambdaObject:
@@ -191,7 +215,7 @@ def _lam(P: Presheaf) -> LambdaObject:
             if act_i[s] != offset[rs] + trans[(c[rs], c[r])][x]:
                 raise ConsistencyError("canonical action differs from the "
                                        "transition formula on Lambda(P)")
-    return LambdaObject(P, S, pairs, index, lsg, f)
+    return LambdaObject(S, pairs, index, lsg, f)
 
 
 def _lambda_map(lsg, sg, smap) -> StarMorphism:
@@ -234,7 +258,9 @@ def lambda_morphism(gamma_map: PresheafMap) -> StarMorphism:
 class GammaPresheaf:
     """Gamma(f): per idempotent the left *-homomorphisms S(e) -> X over S,
     stored as value tables in the carrier order of
-    ``site.representable_semigroup(base, e)``."""
+    ``site.representable_semigroup(base, e)``, each fiber sorted by the
+    value at (e, e), then by the table (module docstring); the element i
+    of ``presheaf``'s fiber at e is ``alphas[e][i]``."""
 
     base: InverseSemigroup
     source: StarMorphism
@@ -312,7 +338,9 @@ def _generic_alphas(f: StarMorphism, S: InverseSemigroup, e: int, budget):
         return True
 
     leaves = backtrack(len(order), lambda t: fibers[order[t]], place, budget)
-    return tuple(sorted(tuple(values) for _ in leaves))
+    ee = order[0]  # the slot of (e, e): fibers in evaluation order
+    return tuple(sorted((tuple(values) for _ in leaves),
+                        key=lambda table: (table[ee], table)))
 
 
 def _lift_table(f: StarMorphism, carrier, u: int) -> tuple[int, ...]:
@@ -328,10 +356,11 @@ def _lift_table(f: StarMorphism, carrier, u: int) -> tuple[int, ...]:
 
 def _fast_alphas(f: StarMorphism, S: InverseSemigroup, e: int):
     """Fiber-presheaf path: alphas correspond to f^-1(e) via evaluation at
-    (e, e); each table is built by unique lifting."""
+    (e, e), so listed in the ascending order of f^-1(e) they are in
+    evaluation order; each table is built by unique lifting."""
     carrier = representable_semigroup(S, e).carrier
     check_lift_points.__wrapped__(f, f.fibers[e])
-    return tuple(sorted(_lift_table(f, carrier, u) for u in f.fibers[e]))
+    return tuple([_lift_table(f, carrier, u) for u in f.fibers[e]])
 
 
 @takes(f=StarMorphism)

@@ -22,7 +22,6 @@ binding.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -78,7 +77,6 @@ EXIT_CODES = {
     oracle.UnknownFamily: (2, "usage error"),
     InputError: (2, "input error"),
     OSError: (2, "io error"),
-    json.JSONDecodeError: (2, "io error"),
     KeyboardInterrupt: (130, "interrupted"),
 }
 ROW_ERRORS = (StarError, oracle.OracleError)

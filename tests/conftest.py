@@ -1,9 +1,11 @@
 """The named fixtures and test populations.  A population is a tuple built
 once per session (the Lambdas once per module), when a selected test first
 asks for it, and no test changes one: a test that breaks an object of one
-copies it first.  ``raises_kind`` checks an error's class and kind."""
+copies it first.  ``raises_kind`` checks an error's class and kind;
+``private_copy`` gives a base that no other test shares anything with."""
 
 import contextlib
+import itertools
 import random
 
 import pytest
@@ -18,6 +20,18 @@ def raises_kind(error, kind, match=None):
     with pytest.raises(error, match=match) as info:
         yield info
     assert info.value.kind == kind
+
+
+_PRIVATE = itertools.count()
+
+
+def private_copy(S):
+    """The inverse semigroup S under a name of its own: a new base object
+    with S's tables, so that no Lambda, Gamma, unit, counit or S(e) that
+    another test holds is shared with what is built over it."""
+    sg = S.semigroup
+    return site.as_inverse(validate_star_semigroup(
+        sg.order, sg.mul, sg.star, name=f"{sg.name}-private-{next(_PRIVATE)}"))
 
 
 def pytest_collection_modifyitems(config, items):

@@ -592,6 +592,36 @@ def test_an_unreadable_json_file_exits_2(tmp_path, capsys, data, message):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+TRUNCATED = '{"order": 1, "mul": [[0]], "star": [0]'
+
+
+@pytest.mark.parametrize("command", ["classify", "validate", "site", "lambda",
+                                     "gamma", "fhat"])
+def test_a_file_that_is_not_valid_json_exits_2_naming_it(tmp_path, capsys,
+                                                        command):
+    path = tmp_path / "in.json"
+    path.write_text(TRUNCATED)
+    flag = {"lambda": ["--presheaf"], "gamma": ["--morphism"],
+            "fhat": ["--morphism"]}.get(command, [])
+    code, out = run_cli(command, *flag, str(path))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"input error: {path}: not valid JSON (Expecting ',' delimiter at "
+        f"line 1 column 39)\n")
+
+
+def test_a_referenced_file_that_is_not_valid_json_exits_2_naming_it(
+        tmp_path, capsys):
+    (tmp_path / "base.json").write_text(TRUNCATED)
+    path = tmp_path / "in.json"
+    path.write_text('{"base": "base.json", "fibers": {}, "transitions": {}}')
+    code, out = run_cli("lambda", "--presheaf", str(path))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1
+    assert f"{tmp_path / 'base.json'}: not valid JSON (" in err
+
+
 def test_verify_budget_error_in_a_task_still_exits_3(monkeypatch, capsys):
     from stargroup import verify
     from stargroup.topos import SearchBudgetExceeded

@@ -121,7 +121,8 @@ def reference_generic_alphas(f, S, e, budget):
         values[slot] = -1
 
     fill(0)
-    return tuple(sorted(found)), steps
+    # each fiber in evaluation order: by the value at (e, e), then the table
+    return tuple(sorted(found, key=lambda table: (table[ee], table))), steps
 
 
 def _outcome(call, *args):

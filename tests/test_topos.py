@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from conftest import raises_kind
+from conftest import private_copy, raises_kind
 from stargroup import core, oracle, site, topos, verify
 from stargroup.core import (
     ConsistencyError,
@@ -548,9 +548,14 @@ def test_lam_shared_while_held(sl2_inv, monkeypatch):
 
 
 def test_lam_not_shared_between_equal_presheaves(sl2_inv):
-    P, Q = terminal_presheaf(sl2_inv), terminal_presheaf(sl2_inv)
+    # equal presheaves over two base objects with equal tables
+    twin = site.as_inverse(dataclasses.replace(sl2_inv.semigroup))
+    assert twin is not sl2_inv and twin == sl2_inv
+    P, Q = terminal_presheaf(sl2_inv), terminal_presheaf(twin)
     assert P == Q
-    assert lam(P) is not lam(Q)
+    LP, LQ = lam(P), lam(Q)
+    assert LP is not LQ
+    assert LQ.base is twin and LQ.structure_map.target is twin.semigroup
 
 
 def test_gamma_is_one_entry_per_resolved_budget(i2):
@@ -590,11 +595,13 @@ def test_lam_that_raises_keeps_raising(sl3_inv, monkeypatch):
 
 def test_chain_builds_lambda_and_gamma_once_per_object(p21, monkeypatch):
     """The unit, counit, triangles, m and the five-way check on one
-    presheaf build Lambda(P), Lambda(Gamma(Lambda P)), Lambda(P_f) and one
-    Gamma."""
+    presheaf over a new base build Lambda(P) once, as Lambda(Gamma(Lambda P))
+    and Lambda(P_f) have its tables, one Lambda(e-hat) per idempotent as
+    Gamma first reads each S(e), and one Gamma."""
     lams = count_builds(monkeypatch, "_lam")
     gammas = count_builds(monkeypatch, "_gamma")
-    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    S = private_copy(p21.base)
+    P = validate_presheaf(S, p21.fibers, p21.transitions)
     u = unit(P)
     f = u.lam_obj.structure_map
     eps = counit(f, u.gamma_obj)
@@ -602,14 +609,46 @@ def test_chain_builds_lambda_and_gamma_once_per_object(p21, monkeypatch):
     assert m_iso(f).is_bijective
     assert prop_inv_check(P).all_agree()
     assert eps.bijective
-    assert len(lams) == 3
+    assert lams == [(P,)] + [(representable_presheaf(S, e),)
+                             for e in S.idempotents]
     assert len(gammas) == 1
+
+
+def test_the_chain_builds_one_lambda_per_presheaf_table(
+        acceptance_presheaves, monkeypatch):
+    """The benchmark's chain over the acceptance population, moved to new
+    bases and held throughout, builds one Lambda and one structure map per
+    distinct (base, fiber sizes, transitions), besides the Lambda(e-hat)
+    each S(e) of a new base builds once and drops."""
+    copies = {S: private_copy(S)
+              for S in dict.fromkeys(P.base for P in acceptance_presheaves)}
+    lams = count_builds(monkeypatch, "_lam")
+    maps = count_builds(monkeypatch, "_lambda_map")
+    for S in copies.values():
+        for e in S.idempotents:
+            representable_semigroup(S, e)
+    idems = sum(len(S.idempotents) for S in copies.values())
+    assert (len(lams), len(maps)) == (idems, idems)
+    # held throughout, so no Lambda is dropped before a later presheaf with
+    # its tables asks for it
+    held, tables = [], set()
+    for Q in acceptance_presheaves:
+        P = validate_presheaf(copies[Q.base], Q.fibers, Q.transitions)
+        u = unit(P)
+        f = u.lam_obj.structure_map
+        eps = counit(f, u.gamma_obj)
+        assert triangle_check(P) and triangle_check2(f)
+        assert m_iso(f).is_bijective and prop_inv_check(P).all_agree()
+        held.append((P, u, eps))
+        tables.add((P.base, tuple(len(P.fiber(e)) for e in P.base.idempotents),
+                    tuple(map(P.transitions.get, site.all_ls_morphisms(P.base)))))
+    assert len(lams) == len(maps) == idems + len(tables)
 
 
 def test_unit_and_counit_shared_while_held(p21, monkeypatch):
     units = count_builds(monkeypatch, "_unit")
     counits = count_builds(monkeypatch, "_counit")
-    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    P = validate_presheaf(private_copy(p21.base), p21.fibers, p21.transitions)
     u = unit(P)
     assert unit(P) is u
     f = u.lam_obj.structure_map
@@ -622,7 +661,7 @@ def test_unit_and_counit_shared_while_held(p21, monkeypatch):
 def test_unit_and_counit_rebuilt_once_dropped(p21, monkeypatch):
     units = count_builds(monkeypatch, "_unit")
     counits = count_builds(monkeypatch, "_counit")
-    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    P = validate_presheaf(private_copy(p21.base), p21.fibers, p21.transitions)
     f = lam(P).structure_map
     held = weakref.ref(unit(P)), weakref.ref(counit(f))
     gc.collect()
