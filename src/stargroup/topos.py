@@ -29,13 +29,15 @@ S-set (``ssets.check_sset``, ``ssets.left_table``) and the verdict on an
 algebra (``modalg.validate_algebra``).
 
 What is shared is shared while held, through ``core.shared``: a call of
-``lam(P)``, ``gamma(f, budget)``, ``unit(P)`` or ``counit(f, G)`` returns
-the object already built for the same key while some caller still holds
-it, and builds afresh once every holder has dropped it; so the triangle
-checks reuse the unit and counit the chain holds.  ``gamma``, ``unit`` and
-``counit`` key by their input (``f`` and the resolved budget, ``P``, Gamma
-``G``).  Two more rules follow the equivalence, under which Gamma(f)(e) is
-f^-1(e) by evaluation at (e, e) and Lambda(P) depends only on P's tables.
+``lam(P)``, ``gamma(f, budget)`` or ``counit(f, G)`` returns the object
+already built for the same key while some caller still holds it, and
+builds afresh once every holder has dropped it; so the triangle checks
+reuse the Lambda, Gamma and counit the chain holds.  ``gamma`` and
+``counit`` key by their input (``f`` and the resolved budget, Gamma ``G``).
+``unit(P)`` is built per call: it is the identity, and checking that costs
+less than keeping it.  Two more rules follow the equivalence, under which
+Gamma(f)(e) is f^-1(e) by evaluation at (e, e) and Lambda(P) depends only
+on P's tables.
 
 Gamma's fibers in evaluation order: each fiber of Gamma(f) is sorted by
 the value at (e, e), then by the table.  For f etale with left involutive
@@ -44,7 +46,7 @@ ascending order, so the lifting path lists its tables in the order of
 ``f.fibers[e]``.  The unit's table of a in P(d) takes the value (d, a) at
 (d, d), and Lambda(P) lists the pairs (d, a) in the order of a, so every
 unit component is the identity and Gamma(Lambda P) has exactly P's fiber
-sizes and transitions.
+sizes and transitions, which is what ``unit`` checks.
 
 Lambda by its presheaf's tables: ``lam`` keys by the base object, P's
 fiber sizes per idempotent and its transitions in ``all_ls_morphisms``
@@ -52,18 +54,17 @@ order, not by P.  So the counit's Lambda(Gamma(Lambda P)) and ``m_iso``'s
 Lambda(P_f), which have P's tables, are the unit's Lambda(P), and each
 distinct Lambda runs its transition-formula check once.  Below it, the
 semigroup is interned by its product and star
-(``core.validate_star_semigroup``) and its structure map shared by that
-semigroup, the base semigroup and the map, so a new Lambda whose tables
-equal those of a structure map still held gets that map, with its
-verdicts, and runs only its own transition check.  Every other check runs
-once per object built, and a call that raises keeps nothing that failed a
-check.
+(``core.validate_star_semigroup``), so a new Lambda whose tables equal
+those of a semigroup still held gets it with its verdicts; its structure
+map has no key of its own and is built and checked with each Lambda.
+Every other check runs once per object built, and a call that raises
+keeps nothing that failed a check.
 
 Shared objects are handed to every caller, so a ``Presheaf`` or
 ``StarMorphism`` must not be mutated after construction, nor a
-``LambdaObject``, ``GammaPresheaf``, ``UnitResult`` or ``CounitResult`` at
-all; neither may an object that carries a memo, an ``SSetStructure``,
-``SModule`` or ``SAlgebra`` too.
+``LambdaObject``, ``GammaPresheaf`` or ``CounitResult`` at all; neither
+may an object that carries a memo, an ``SSetStructure``, ``SModule`` or
+``SAlgebra`` too.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ from .site import (
     all_ls_morphisms,
     as_inverse,
     representable_semigroup,
-    validate_presheaf_map,
 )
 
 
@@ -201,12 +201,10 @@ def _lam(P: Presheaf) -> LambdaObject:
     star = tuple([offset[sg.star[r]] + trans[(r, c[r])][x]
                   for r, x in pairs])
     smap = tuple([r for r, _ in pairs])
-    # the semigroup is interned by its tables, and its structure map onto
-    # sg is shared while held, so both come validated with their verdicts;
-    # only the check against P's transitions below is P's own
+    # the semigroup is interned by its tables, so it may come validated
+    # with its verdicts; its structure map is built and checked per Lambda
     lsg = validate_star_semigroup(len(smap), mul, star, name="Lambda")
-    f = shared(("lambda-map", id(lsg), id(sg), smap), _lambda_map,
-               lsg, sg, smap)
+    f = _lambda_map(lsg, sg, smap)
     A = ssets.canonical_action(f)
     for (r, x), act_i in zip(pairs, A.action):
         mul_r = sg.mul[r]
@@ -222,7 +220,7 @@ def _lambda_map(lsg, sg, smap) -> StarMorphism:
     """The structure map ``smap`` of the Lambda semigroup ``lsg`` onto
     ``sg``, validated: ``lsg`` left involutive, an etale *-homomorphism, and
     projections exactly the pairs over idempotents."""
-    f = StarMorphism(lsg, sg, smap, name="lambda-map")
+    f = StarMorphism(lsg, sg, smap, name="structure map")
     if not classify(lsg).left_involutive:
         raise ConsistencyError("Lambda(P) is not left involutive")
     if not f.is_star_hom or not is_etale(f):
@@ -424,34 +422,32 @@ class UnitResult:
 
 @takes(P=Presheaf)
 def unit(P: Presheaf) -> UnitResult:
-    """eta(P)_d(a)(r, s) = (r, a.s); every component must be a bijection
-    onto Gamma(Lambda(P))(d) and the whole family natural.  Shared while
-    held (module docstring)."""
-    return shared(("unit", id(P)), _unit, P)
+    """eta(P)_d(a)(r, s) = (r, a.s).  Gamma lists its fibers in evaluation
+    order (module docstring), so eta must be the identity onto
+    Gamma(Lambda(P)): each component's a-th table is Gamma's a-th, and
+    Gamma(Lambda P) has P's transitions, which makes the identity natural.
+    Built per call; its Lambda and Gamma are shared while held."""
+    return _unit(P)
 
 
 def _unit(P: Presheaf) -> UnitResult:
     S = P.base
     LP = lam(P)
     G = gamma(LP.structure_map)
-    components = {}
     for d in S.idempotents:
         carrier = representable_semigroup(S, d).carrier
-        lookup = {table: i for i, table in enumerate(G.alphas[d])}
-        comp = []
         # each (r, s) of the carrier as r and the transition along s
         along = [(r, P.transitions[(s, d)]) for r, s in carrier]
-        for a in range(len(P.fiber(d))):
-            table = tuple([LP.index[(r, tr[a])] for r, tr in along])
-            if table not in lookup:
-                raise StarError(f"unit image at {d} is not a Gamma element",
-                                kind="UnitNotIso")
-            comp.append(lookup[table])
-        if len(set(comp)) != len(comp) or len(comp) != len(G.alphas[d]):
-            raise StarError(f"unit component at {d} is not a bijection",
+        if len(G.alphas[d]) != len(P.fiber(d)) or any(
+                tuple([LP.index[(r, tr[a])] for r, tr in along]) != table
+                for a, table in enumerate(G.alphas[d])):
+            raise StarError(f"unit component at {d} is not the identity",
                             kind="UnitNotIso")
-        components[d] = tuple(comp)
-    validate_presheaf_map(P, G.presheaf, components)
+    for m in all_ls_morphisms(S):
+        if G.presheaf.transitions[m] != P.transitions[m]:
+            raise StarError(f"unit is not natural along {m}",
+                            kind="NotNatural")
+    components = {d: tuple(range(len(P.fiber(d)))) for d in S.idempotents}
     return UnitResult(P, LP, G, components, True)
 
 

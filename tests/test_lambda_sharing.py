@@ -1,13 +1,12 @@
 """Lambda is shared by its presheaf's tables while held: ``lam`` of any
 presheaf with the same fiber sizes and transitions over the same base object
 returns the ``LambdaObject`` still held.  Below it, the semigroup is interned
-by its product and star (``core.validate_star_semigroup``) and its structure
-map shared by that semigroup, the base semigroup and the map (``core.shared``),
-so a new Lambda whose tables equal those of a structure map still held gets
-that map, validated, and runs only its own transition check.  Each test builds
-its own base, a two-element chain labelled against the standard one under a
-name of its own, so that no Lambda or structure map another test holds can be
-shared with it."""
+by its product and star (``core.validate_star_semigroup``), so a new Lambda
+whose tables equal those of a semigroup still held gets it, validated; its
+structure map has no sharing key of its own and is built and checked, with the
+transition check, by each new Lambda.  Each test builds its own base, a
+two-element chain labelled against the standard one under a name of its own,
+so that no Lambda or semigroup another test holds can be shared with it."""
 
 import gc
 import hashlib
@@ -41,9 +40,9 @@ def copy(P):
 
 
 def table_entries(S):
-    """The structure maps onto S still shared."""
-    return [f for key, f in list(core._INTERNED.items())
-            if key[0] == "lambda-map" and f.target is S.semigroup]
+    """The Lambdas over S still shared by their presheaf's tables."""
+    return [L for key, L in list(core._INTERNED.items())
+            if key[0] == "lam" and L.base is S]
 
 
 def count_map_builds(monkeypatch):
@@ -63,14 +62,15 @@ def test_shared_by_table_while_held(monkeypatch):
     P = site.terminal_presheaf(private_base())
     first = lam(P)
     assert lam(copy(P)) is first
-    # with the Lambda dropped and its structure map held, a new Lambda gets
-    # the validated semigroup and structure map
+    # with the Lambda dropped and its semigroup held, a new Lambda gets the
+    # validated semigroup and builds and checks its own structure map
     held = first.structure_map
     del first
     second = lam(copy(P))
     assert second.semigroup is held.source
-    assert second.structure_map is held
-    assert len(builds) == 1 and len(table_entries(P.base)) == 1
+    assert second.structure_map is not held
+    assert second.structure_map.map == held.map
+    assert len(builds) == 2 and table_entries(P.base) == [second]
 
 
 def test_not_shared_once_every_holder_is_dropped(monkeypatch):
@@ -150,16 +150,16 @@ def test_a_failed_transition_check_stores_nothing(monkeypatch):
 
 
 def test_the_transition_check_runs_on_a_hit(monkeypatch):
-    # the Lambda is dropped, its structure map held
+    # the Lambda is dropped, its semigroup held
     P = site.terminal_presheaf(private_base())
-    held = lam(P).structure_map
+    held = lam(P).semigroup
     builds = count_map_builds(monkeypatch)
     monkeypatch.setattr(ssets, "canonical_action", tampered_action)
     with pytest.raises(ConsistencyError, match="transition formula"):
         lam(copy(P))
-    assert builds == [] and table_entries(P.base)
+    assert len(builds) == 1 and table_entries(P.base) == []
     monkeypatch.undo()
-    assert lam(copy(P)).structure_map is held
+    assert lam(copy(P)).semigroup is held
 
 
 def lam_keys(S):
@@ -215,13 +215,15 @@ def test_presheaves_digest_with_every_or_no_lambda_held(held, monkeypatch):
         monkeypatch.setattr(topos, "lam", lam_held)
     else:
         monkeypatch.setattr(core, "_INTERNED", _HoldNothing())
-    # each S(e) first built in the run builds Lambda(e-hat) through topos.lam;
-    # whether the bases' S(e) are already built depends on the tests before
+    # five calls of topos.lam per presheaf: the unit, the counit, the first
+    # triangle's own unit, m and the five-way check; each S(e) first built in
+    # the run builds Lambda(e-hat) through topos.lam, and whether the bases'
+    # S(e) are already built depends on the tests before
     misses = site.representable_semigroup.cache_info().misses
     outcome = workloads.run_presheaves(workloads.setup_presheaves(0))
     misses = site.representable_semigroup.cache_info().misses - misses
     assert (outcome.items, outcome.failed) == (272, 0)
-    assert len(kept) == (1088 + misses if held == "every" else 0)
+    assert len(kept) == (1360 + misses if held == "every" else 0)
     text = json.dumps(outcome.summaries["items"], sort_keys=True,
                       separators=(",", ":"))
     expected = json.loads((PERFBENCH / "expected.json").read_text())

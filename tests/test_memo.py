@@ -588,7 +588,7 @@ CHECKED_CALLS = {
     "ssets.py": {"is_etale": 2, "make_sset": 1, "sset_to_semigroup": 1},
     "topos.py": {"as_inverse": 4, "counit": 3, "fiber_presheaf": 1,
                  "gamma": 3, "is_etale": 4, "lam": 6, "unit": 1,
-                 "validate_presheaf_map": 1, "validate_star_semigroup": 1},
+                 "validate_star_semigroup": 1},
     "verify.py": {"as_inverse": 3, "build_instances": 1,
                   "compose_morphisms": 3, "gamma": 1, "is_etale": 8, "lam": 1,
                   "validate_presheaf": 1},
@@ -649,6 +649,57 @@ def test_the_checked_call_scan_finds_each_form():
     assert sorted(_checked_calls(ast.parse(text), {"lam", "rho"},
                                  {"add"})) == ["add", "lam", "lam", "rho",
                                                "rho"]
+
+
+# Every ``core.shared`` key, by module and function: the string tag that
+# leads it, or the content key of a validated semigroup as written.  Only
+# what is reused while held is shared; a new key joins this list on purpose.
+SHARING_KEYS = [
+    ("core.py", "validate_star_semigroup", "(mul, star, name)"),
+    ("site.py", "as_inverse", "inverse"),
+    ("topos.py", "counit", "counit"),
+    ("topos.py", "gamma", "gamma"),
+    ("topos.py", "lam", "lam"),
+]
+
+
+def _sharing_keys(tree):
+    """(function, key) of each ``shared(key, ...)`` call in ``tree``: a key
+    named in the function is read from its assignment there, and a tuple
+    led by a string gives that string."""
+    for scope in ast.walk(tree):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        bound = {target.id: node.value for node in ast.walk(scope)
+                 if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) \
+                    == "shared":
+                key = node.args[0]
+                if isinstance(key, ast.Name):
+                    key = bound.get(key.id, key)
+                lead = key.elts[0] if isinstance(key, ast.Tuple) else None
+                yield scope.name, (lead.value if isinstance(lead, ast.Constant)
+                                   and isinstance(lead.value, str)
+                                   else ast.unparse(key))
+
+
+def test_the_sharing_keys_are_pinned():
+    found = sorted((path.name, scope, key) for path in SRC.glob("*.py")
+                   for scope, key in _sharing_keys(ast.parse(path.read_text())))
+    assert found == SHARING_KEYS
+
+
+def test_the_sharing_key_scan_finds_each_form():
+    text = ("def f(P):\n"
+            "    key = ('lam', id(P))\n"
+            "    return shared(key, g, P)\n"
+            "def g(mul, star):\n"
+            "    return core.shared((mul, star), h), shared(k, h)\n")
+    assert sorted(_sharing_keys(ast.parse(text))) == [
+        ("f", "lam"), ("g", "(mul, star)"), ("g", "k")]
 
 
 def _undeclared_exports(init, modules):

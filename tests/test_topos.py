@@ -142,6 +142,31 @@ def test_a_non_natural_unit_raises_not_natural(p21, monkeypatch):
         unit(P)
 
 
+def test_a_gamma_out_of_evaluation_order_fails_the_unit(p21, monkeypatch):
+    # Gamma with its two tables at 1 swapped and its transitions renumbered
+    # to match: a valid presheaf, and each unit component still a natural
+    # bijection onto it, but not the identity
+    real = topos.gamma
+
+    def reversed_at_1(f):
+        G = real(f)
+        swap = (1, 0)
+        # reordered as a map out of the fiber at 1, renamed as one into it
+        transitions = {
+            m: tuple(swap[i] if G.base.semigroup.d(m.s) == 1 else i
+                     for i in (tr[::-1] if m.e == 1 else tr))
+            for m, tr in G.presheaf.transitions.items()}
+        presheaf = validate_presheaf(G.base, G.presheaf.fibers, transitions)
+        return dataclasses.replace(G, alphas={**G.alphas, 1: G.alphas[1][::-1]},
+                                   presheaf=presheaf)
+
+    monkeypatch.setattr(topos, "gamma", reversed_at_1)
+    P = validate_presheaf(p21.base, p21.fibers, p21.transitions)
+    assert len(P.fiber(1)) == 2
+    with raises_kind(StarError, "UnitNotIso"):
+        unit(P)
+
+
 def test_unit_yoneda(i2_inv):
     """eta on a representable recovers Yoneda fullness: components biject
     Hom(d, e) with the *-homomorphisms S(d) -> S(e) over S."""
@@ -646,16 +671,19 @@ def test_the_chain_builds_one_lambda_per_presheaf_table(
 
 
 def test_unit_and_counit_shared_while_held(p21, monkeypatch):
+    # the unit is built per call, on the Lambda and Gamma it holds
     units = count_builds(monkeypatch, "_unit")
     counits = count_builds(monkeypatch, "_counit")
     P = validate_presheaf(private_copy(p21.base), p21.fibers, p21.transitions)
     u = unit(P)
-    assert unit(P) is u
+    again = unit(P)
+    assert again is not u
+    assert again.lam_obj is u.lam_obj and again.gamma_obj is u.gamma_obj
     f = u.lam_obj.structure_map
     eps = counit(f)
     assert counit(f) is eps and counit(f, u.gamma_obj) is eps
     assert eps.gamma_obj is u.gamma_obj
-    assert (len(units), len(counits)) == (1, 1)
+    assert (len(units), len(counits)) == (2, 1)
 
 
 def test_unit_and_counit_rebuilt_once_dropped(p21, monkeypatch):
@@ -682,11 +710,10 @@ def test_a_raising_unit_or_counit_keeps_nothing(p21, monkeypatch):
     for call in (lambda: unit(P), lambda: counit(f, G)):
         with pytest.raises(ConsistencyError, match="broken Lambda"):
             call()
-    assert ("unit", id(P)) not in core._INTERNED
     assert ("counit", id(G)) not in core._INTERNED
     monkeypatch.undo()
-    u, eps = unit(P), counit(f, G)
-    assert unit(P) is u and counit(f, G) is eps
+    eps = counit(f, G)
+    assert unit(P).bijective and counit(f, G) is eps
 
 
 def test_counit_refuses_a_gamma_of_another_map(id_i2, i2):
