@@ -452,10 +452,9 @@ def shared(key, build, *args):
     under ``key`` and returned.  Values are held weakly, so an entry lasts
     while some caller holds its value, and an error is never kept.
 
-    A validated semigroup's key is its content, (mul, star, name); every
-    other key is a tuple led by a string tag, so the two cannot collide.
-    Every id in a key is that of an object the value holds, so no id is
-    reused while the entry lives."""
+    Every key is a tuple led by a string tag, and every id in a key is that
+    of an object the value holds, so no id is reused while the entry
+    lives."""
     value = _INTERNED.get(key)
     if value is None:
         value = _INTERNED[key] = build(*args)
@@ -465,17 +464,10 @@ def shared(key, build, *args):
 @takes(order=NATURAL, name=(str, None))
 def validate_star_semigroup(order, mul, star, name=None) -> FiniteStarSemigroup:
     """Validate raw tables; raises Invalid, of kind InvalidStarSemigroup,
-    with all witnesses.
-
-    Interned by content (hash-consing: Filliatre and Conchon, ML Workshop
-    2006): while a semigroup validated from equal tables under the same
-    name is still held, this returns that one, with everything kept on it,
-    and skips the axiom sweep.  The shape checks run on every call."""
+    with all witnesses.  Every call runs the shape checks and the axiom
+    sweep and builds its own object: a caller that reads a structure again
+    holds it (verify's catalogue)."""
     mul, star = _freeze_tables(order, mul, star)
-    return shared((mul, star, name), _validated, order, mul, star, name)
-
-
-def _validated(order, mul, star, name):
     violations = _axiom_violations(order, mul, star)
     if violations:
         raise Invalid(violations, kind="InvalidStarSemigroup")

@@ -52,12 +52,10 @@ Lambda by its presheaf's tables: ``lam`` keys by the base object, P's
 fiber sizes per idempotent and its transitions in ``all_ls_morphisms``
 order, not by P.  So the counit's Lambda(Gamma(Lambda P)) and ``m_iso``'s
 Lambda(P_f), which have P's tables, are the unit's Lambda(P), and each
-distinct Lambda runs its transition-formula check once.  Below it, the
-semigroup is interned by its product and star
-(``core.validate_star_semigroup``), so a new Lambda whose tables equal
-those of a semigroup still held gets it with its verdicts; its structure
-map has no key of its own and is built and checked with each Lambda.
-Every other check runs once per object built, and a call that raises
+distinct Lambda runs its transition-formula check once.  Nothing below it
+is shared: each new Lambda validates its own semigroup
+(``core.validate_star_semigroup``) and builds and checks its own structure
+map.  Every other check runs once per object built, and a call that raises
 keeps nothing that failed a check.
 
 Shared objects are handed to every caller, so a ``Presheaf`` or
@@ -201,8 +199,6 @@ def _lam(P: Presheaf) -> LambdaObject:
     star = tuple([offset[sg.star[r]] + trans[(r, c[r])][x]
                   for r, x in pairs])
     smap = tuple([r for r, _ in pairs])
-    # the semigroup is interned by its tables, so it may come validated
-    # with its verdicts; its structure map is built and checked per Lambda
     lsg = validate_star_semigroup(len(smap), mul, star, name="Lambda")
     f = _lambda_map(lsg, sg, smap)
     A = ssets.canonical_action(f)

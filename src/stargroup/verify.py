@@ -4,11 +4,11 @@ re-derivation, over instance pools generated from the enumeration and the
 standard families.  A row passes when both verdicts are True.
 
 Instance pools are generated deterministically and the rows are sorted, so
-the report is the same on every run.  A pool entry carries its validated
-semigroups and morphisms, or the ``InverseSemigroup`` of its base, so every
-statement over it reads the verdicts kept on those objects, and equal
-tables validated elsewhere while held give the same object
-(``core.validate_star_semigroup``).  The oracle receives each entry's raw
+the report is the same on every run.  Each run builds one ``Catalogue``,
+its structures validated once, and every pool is a view of it; a pool
+entry carries those semigroups, morphisms between them, or the
+``InverseSemigroup`` of its base, so every statement over it reads the
+verdicts kept on those objects.  The oracle receives each entry's raw
 tables, and one run hands all its naive checks one dict of verdicts, so each
 naive predicate is computed once per table or map per run.
 
@@ -429,6 +429,28 @@ def semigroup_pool(max_order=3, sample4=8):
     return out
 
 
+class Catalogue(NamedTuple):
+    """One run's structures, each built once, of which every pool is a view:
+    ``semigroup_pool(max(max_order, 2), sample4=4)`` and the bases by name."""
+    max_order: int
+    entries: list
+    bases: dict
+
+
+def catalogue(max_order=3):
+    return Catalogue(max_order, semigroup_pool(max(max_order, 2), sample4=4), {
+        "SL2": oracle.standard_family("semilattice_chain", 2),
+        "SL3": oracle.standard_family("semilattice_chain", 3),
+        "I2": oracle.standard_family("symmetric_inverse", 2)})
+
+
+def _up_to(cat, max_order, sample4=4):
+    """The entries of order <= max_order, of order 4 those sample4 keeps."""
+    return [(label, X, raw) for label, X, raw in cat.entries
+            if X.order <= max_order and (X.order != 4 or (
+                int(label[3:].partition("*")[0]) - 1) % sample4 == 0)]
+
+
 def _star_morphism_maps(X, S):
     if S.order ** X.order > MAP_CAP:
         return
@@ -437,17 +459,13 @@ def _star_morphism_maps(X, S):
             yield f
 
 
-def morphism_pool(max_order=3):
-    """All *-morphisms between pool semigroups plus the standard fixtures."""
-    base = semigroup_pool(min(max_order, 2))
-    extras = [
-        ("SL2", oracle.standard_family("semilattice_chain", 2)),
-        ("SL3", oracle.standard_family("semilattice_chain", 3)),
-        ("I2", oracle.standard_family("symmetric_inverse", 2)),
-    ]
-    pool = [(label, X) for label, X, _ in base] + extras
+def morphism_pool(cat):
+    """All *-morphisms among the bases and the semigroups of order
+    <= min(max_order, 2)."""
+    pool = [(label, X) for label, X, _ in _up_to(cat, min(cat.max_order, 2))]
     out = []
-    for (la, X), (lb, S) in itertools.product(pool, repeat=2):
+    for (la, X), (lb, S) in itertools.product(
+            pool + list(cat.bases.items()), repeat=2):
         for f in _star_morphism_maps(X, S):
             out.append((f"{la}->{lb}:{''.join(map(str, f))}",
                         StarMorphism(X, S, f),
@@ -464,10 +482,10 @@ def _left_homs(X, S, made):
     return made[key]
 
 
-def pair_pool():
+def pair_pool(cat):
     """The first PAIR_CAP composable left *-homomorphism pairs
-    (g: X->Y, f: Y->Z) over the semigroups of order <= 2."""
-    pool = semigroup_pool(2)
+    (g: X->Y, f: Y->Z) over the semigroups of ``cat`` of order <= 2."""
+    pool = _up_to(cat, 2)
     made = {}
     out = []
     for la, X, tx in pool:
@@ -485,25 +503,20 @@ def pair_pool():
     return out
 
 
-def inverse_pool(max_order=3):
-    out = [(label, X, raw)
-           for label, X, raw in semigroup_pool(max_order, sample4=4)
-           if oracle._n_inverse(X.mul)]
-    for name, X in [("SL2", oracle.standard_family("semilattice_chain", 2)),
-                    ("I2", oracle.standard_family("symmetric_inverse", 2))]:
-        out.append((name, X, (X.mul, X.star)))
-    return out
+def inverse_pool(cat):
+    bases = [(name, X, (X.mul, X.star)) for name, X in cat.bases.items()
+             if name != "SL3"]
+    return [(label, X, raw) for label, X, raw in _up_to(cat, cat.max_order)
+            if oracle._n_inverse(X.mul)] + bases
 
 
-def etale_idem_pool():
+def etale_idem_pool(cat):
     """Etale *-homomorphisms into inverse bases, one instance per idempotent:
     identity maps plus a lambda object with two-point fibers."""
-    bases = [("SL2", oracle.standard_family("semilattice_chain", 2)),
-             ("I2", oracle.standard_family("symmetric_inverse", 2))]
     maps = [(f"id:{name}", StarMorphism(X, X, tuple(X.elements)))
-            for name, X in bases]
-    sl2 = as_inverse(oracle.standard_family("semilattice_chain", 2))
-    P = site.validate_presheaf(sl2, {1: ("u", "v"), 0: ("w",)},
+            for name in ("SL2", "I2") for X in [cat.bases[name]]]
+    P = site.validate_presheaf(as_inverse(cat.bases["SL2"]),
+                               {1: ("u", "v"), 0: ("w",)},
                                {(0, 0): (0,), (1, 1): (0, 1), (0, 1): (0, 0)})
     maps.append(("lambda:P21", topos.lam(P).structure_map))
     out = []
@@ -525,24 +538,23 @@ def build_instances(statement_ids=None, max_order=3):
             raise oracle.UnknownStatement(sid)
     kinds = {sid: oracle.REGISTRY[sid].kind for sid in ids}
     wanted = set(kinds.values())
+    cat = catalogue(max_order)
     pools = {}
     if wanted & {"semigroup", "inverse"}:
-        pools["semigroup"] = pools["inverse"] = semigroup_pool(max_order)
+        pools["semigroup"] = pools["inverse"] = _up_to(cat, max_order, 8)
     if "morphism" in wanted:
-        pools["morphism"] = morphism_pool(max_order)
+        pools["morphism"] = morphism_pool(cat)
     if wanted & {"pair", "triangle"}:
-        pools["pair"] = pools["triangle"] = pair_pool()
+        pools["pair"] = pools["triangle"] = pair_pool(cat)
     if "inverse_idem" in wanted:
         # each entry holds its base's wrapper, so the S(e) kept on it are
         # built once per base for the whole run
-        pools["inverse_idem"] = [
-            (f"{label}@e{e}", (S, e), (*raw, e))
-            for label, X, raw in inverse_pool(max_order)
-            for S in [as_inverse(X)]
-            for e in S.idempotents
-        ]
+        pools["inverse_idem"] = [(f"{label}@e{e}", (S, e), (*raw, e))
+                                 for label, X, raw in inverse_pool(cat)
+                                 for S in [as_inverse(X)]
+                                 for e in S.idempotents]
     if "etale_idem" in wanted:
-        pools["etale_idem"] = etale_idem_pool()
+        pools["etale_idem"] = etale_idem_pool(cat)
     return [(sid, label, inst, raw)
             for sid, kind in kinds.items() for label, inst, raw in pools[kind]]
 

@@ -166,7 +166,7 @@ def small_presheaves(sl2_inv, sl3_inv, i2_inv):
 @pytest.fixture(scope="module")
 def small_lambdas(small_presheaves):
     """Lambda(P) of each of the 172 non-empty ``small_presheaves``, held per
-    module, so that their interned semigroups are freed after it."""
+    module, so that their semigroups are freed after it."""
     return tuple(topos.lam(P) for P in small_presheaves if not P.is_empty())
 
 

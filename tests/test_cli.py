@@ -218,10 +218,11 @@ def test_fhat_refuses_a_base_that_is_not_inverse(tmp_path, lz2):
 
 
 def save_constant_etale_map(path):
-    """The constant map n2#3*1 -> SL2 onto 0 of ``verify.morphism_pool(3)``:
-    an etale *-homomorphism whose source is not left involutive."""
+    """The constant map n2#3*1 -> SL2 onto 0 of verify's morphism pool at
+    max order 3: an etale *-homomorphism whose source is not left
+    involutive."""
     from stargroup import verify
-    f = next(f for label, f, _ in verify.morphism_pool(3)
+    f = next(f for label, f, _ in verify.morphism_pool(verify.catalogue(3))
              if label == "n2#3*1->SL2:00")
     serialize.save_morphism(f, path)
 
@@ -421,15 +422,20 @@ def test_usage_and_budget_errors_exit_cleanly(capsys, args, code):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def test_verify_report_bytes_are_pinned():
-    """The sha256 of `verify --max-order 3 --format json`, recorded before
-    the enumeration was rewritten: any change to the enumeration order,
-    the labels or a verdict changes it."""
+@pytest.mark.parametrize("max_order", [1, 2, 3])
+def test_verify_report_bytes_are_pinned(max_order):
+    """The sha256 of `verify --max-order N --format json`, order 3 recorded
+    before the enumeration was rewritten, orders 1 and 2 before the pools
+    became views of one catalogue: any change to the enumeration order, the
+    labels, a pool's content or order bound, or a verdict changes it.  The
+    pair pool reads order 2 at every max order, so order 1 pins that too."""
     import hashlib
 
-    code, out = run_cli("--format", "json", "verify", "--max-order", "3")
+    code, out = run_cli("--format", "json", "verify", "--max-order",
+                        str(max_order))
     assert code == 0
-    expected = (GOLDEN / "verify_max3_json.sha256").read_text().split()[0]
+    expected = (GOLDEN / f"verify_max{max_order}_json.sha256").read_text(
+    ).split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 

@@ -42,7 +42,8 @@ def test_lambda_is_one_object_through_the_chain(acceptance_presheaves):
 
 
 def test_etale_fibers_list_the_lifts_in_fiber_order():
-    maps = dict.fromkeys(f for _, (f, _), _ in verify.etale_idem_pool())
+    maps = dict.fromkeys(
+        f for _, (f, _), _ in verify.etale_idem_pool(verify.catalogue(2)))
     for f in maps:
         S = site.as_inverse(f.target)
         G = topos.gamma(f)
@@ -52,7 +53,7 @@ def test_etale_fibers_list_the_lifts_in_fiber_order():
 
 
 def test_other_fibers_are_sorted_by_evaluation_then_table():
-    maps = [f for _, f, _ in verify.morphism_pool(3)
+    maps = [f for _, f, _ in verify.morphism_pool(verify.catalogue(3))
             if classify(f.target).inverse and f.is_star_hom
             and not is_etale(f)]
     assert len(maps) > 50

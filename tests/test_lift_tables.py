@@ -134,11 +134,12 @@ def _outcome(call, *args):
 
 
 def _etale_maps(presheaves):
-    """Every etale map of verify.etale_idem_pool(), then the structure map
+    """Every etale map of verify.etale_idem_pool, then the structure map
     of Lambda(P) for each non-empty presheaf.  Built by the calling test:
     both read the lift table, so a fault there fails the test, not a shared
     fixture."""
-    maps = list(dict.fromkeys(f for _, (f, _), _ in verify.etale_idem_pool()))
+    maps = list(dict.fromkeys(
+        f for _, (f, _), _ in verify.etale_idem_pool(verify.catalogue(2))))
     lambdas = [topos.lam(P) for P in presheaves if not P.is_empty()]
     maps += [LP.structure_map for LP in lambdas]
     assert len(maps) > 150 and all(is_etale(f) for f in maps)

@@ -1,8 +1,8 @@
 """Derived data is kept on the object it is derived from, with core.memo,
 so it is freed with that object and shared only by identity; what is
-shared while held goes through core.shared: validated semigroups are
-interned by content, so equal tables share one object and what is kept on
-it, and other results by a tagged key."""
+shared while held goes through core.shared, under a key led by a string
+tag.  A validated semigroup is not shared: each validation sweeps the axioms
+and builds its own object."""
 
 import ast
 import collections
@@ -47,12 +47,16 @@ def test_a_dropped_lambda_semigroup_is_freed():
     assert ref() is None
 
 
-def test_equal_tables_and_name_give_one_object_while_held():
-    X = validate_star_semigroup(2, *CHAIN, name="intern-one")
-    Y = validate_star_semigroup(2, [(0, 1), (1, 1)], (0, 1), name="intern-one")
-    assert Y is X
-    assert validate_star_semigroup(2, *CHAIN, name="intern-two") is not X
-    assert validate_star_semigroup(2, *CHAIN) is not X
+def test_every_validation_sweeps_the_axioms_and_builds_its_own_object(
+        monkeypatch):
+    sweeps, sweep = [], core._axiom_violations
+    monkeypatch.setattr(core, "_axiom_violations",
+                        lambda *args: sweeps.append(args) or sweep(*args))
+    X = validate_star_semigroup(2, *CHAIN, name="validated-twice")
+    Y = validate_star_semigroup(2, [(0, 1), (1, 1)], (0, 1),
+                                name="validated-twice")
+    assert Y is not X and Y == X
+    assert len(sweeps) == 2
 
 
 def test_an_invalid_table_raises_on_every_call_and_is_never_stored():
@@ -62,16 +66,15 @@ def test_an_invalid_table_raises_on_every_call_and_is_never_stored():
             validate_star_semigroup(2, [[1, 0], [0, 0]], [0, 1], name="bad")
     with pytest.raises(ShapeError):
         validate_star_semigroup(2, *CHAIN, name=["not", "a", "string"])
-    assert ((((1, 0), (0, 0)), (0, 1), "bad") not in core._INTERNED
-            and len(core._INTERNED) <= before)
+    assert len(core._INTERNED) <= before
 
 
 def test_a_dropped_semigroup_is_freed_and_its_entry_goes():
-    X = validate_star_semigroup(2, *CHAIN, name="intern-dropped")
-    site.as_inverse(X)  # a wrapper that refers back to X
-    key = (X.mul, X.star, X.name)
+    X = validate_star_semigroup(2, *CHAIN, name="wrapper-dropped")
+    S = site.as_inverse(X)  # a wrapper that refers back to X
+    key = ("inverse", id(X))
     ref = weakref.ref(X)
-    del X
+    del X, S
     gc.collect()
     assert ref() is None and key not in core._INTERNED
 
@@ -112,12 +115,10 @@ def test_a_base_and_all_built_on_it_go_with_the_last_holder():
                 *(R.semigroup for R in reps)]
         refs = [weakref.ref(obj) for obj in held]
         ids = {id(obj) for obj in held}
-        contents = {(Y.mul, Y.star, Y.name) for Y in held[:1] + held[2:]}
         del X, S, P, u, f, eps, m, reps, held
         assert [ref() for ref in refs] == [None] * len(refs)
         assert [key for key in core._INTERNED.keys()
-                if key in contents
-                or isinstance(key[0], str) and ids & set(key[1:])] == []
+                if ids & set(key[1:])] == []
     finally:
         gc.enable()
 
@@ -509,7 +510,7 @@ BUILDS = {
     ("site.py", "empty_presheaf", "validate_presheaf"): 1,
     ("site.py", "representable_presheaf", "validate_presheaf"): 1,
     # the validators' own builds
-    ("core.py", "_validated", "FiniteStarSemigroup"): 1,
+    ("core.py", "validate_star_semigroup", "FiniteStarSemigroup"): 1,
     ("site.py", "validate_presheaf", "Presheaf"): 1,
     # derived builds
     ("site.py", "_fill_transitions", "Presheaf"): 1,
@@ -652,10 +653,10 @@ def test_the_checked_call_scan_finds_each_form():
 
 
 # Every ``core.shared`` key, by module and function: the string tag that
-# leads it, or the content key of a validated semigroup as written.  Only
-# what is reused while held is shared; a new key joins this list on purpose.
+# leads it.  Only what is reused while held is shared; a new key joins this
+# list on purpose, and a key not led by a tag, such as a content key, is
+# refused.
 SHARING_KEYS = [
-    ("core.py", "validate_star_semigroup", "(mul, star, name)"),
     ("site.py", "as_inverse", "inverse"),
     ("topos.py", "counit", "counit"),
     ("topos.py", "gamma", "gamma"),
@@ -664,9 +665,9 @@ SHARING_KEYS = [
 
 
 def _sharing_keys(tree):
-    """(function, key) of each ``shared(key, ...)`` call in ``tree``: a key
-    named in the function is read from its assignment there, and a tuple
-    led by a string gives that string."""
+    """(function, tag) of each ``shared(key, ...)`` call in ``tree``: a key
+    named in the function is read from its assignment there; a tuple led by
+    a string literal gives that string, and any other key None."""
     for scope in ast.walk(tree):
         if not isinstance(scope, ast.FunctionDef):
             continue
@@ -682,14 +683,14 @@ def _sharing_keys(tree):
                     key = bound.get(key.id, key)
                 lead = key.elts[0] if isinstance(key, ast.Tuple) else None
                 yield scope.name, (lead.value if isinstance(lead, ast.Constant)
-                                   and isinstance(lead.value, str)
-                                   else ast.unparse(key))
+                                   and isinstance(lead.value, str) else None)
 
 
 def test_the_sharing_keys_are_pinned():
-    found = sorted((path.name, scope, key) for path in SRC.glob("*.py")
-                   for scope, key in _sharing_keys(ast.parse(path.read_text())))
-    assert found == SHARING_KEYS
+    found = [(path.name, scope, tag) for path in sorted(SRC.glob("*.py"))
+             for scope, tag in _sharing_keys(ast.parse(path.read_text()))]
+    assert [(name, scope) for name, scope, tag in found if tag is None] == []
+    assert sorted(found) == SHARING_KEYS
 
 
 def test_the_sharing_key_scan_finds_each_form():
@@ -699,7 +700,7 @@ def test_the_sharing_key_scan_finds_each_form():
             "def g(mul, star):\n"
             "    return core.shared((mul, star), h), shared(k, h)\n")
     assert sorted(_sharing_keys(ast.parse(text))) == [
-        ("f", "lam"), ("g", "(mul, star)"), ("g", "k")]
+        ("f", "lam"), ("g", None), ("g", None)]
 
 
 def _undeclared_exports(init, modules):

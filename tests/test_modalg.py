@@ -54,7 +54,7 @@ def test_fhat_refuses_a_base_that_is_not_inverse_first(lz2, c2):
 def test_a_source_that_is_not_left_involutive_is_refused_by_kind():
     # the constant map onto 0 is an etale *-homomorphism into SL2, and its
     # source, n2#3*1, is not left involutive
-    f = next(f for label, f, _ in verify.morphism_pool(3)
+    f = next(f for label, f, _ in verify.morphism_pool(verify.catalogue(3))
              if label == "n2#3*1->SL2:00")
     assert f.is_star_hom and not classify(f.source).left_involutive
     for build in (fhat, FreeModule, topos.fiber_presheaf):

@@ -15,7 +15,7 @@ pools and on a wider population:
 - ``inverse_bases``, the 24 inverse structures of order <= 4 with SL2, I2,
   B2 and I3 (``lem:rsrs``), each at every idempotent (``prop:sym``,
   ``rem:Seinv``);
-- ``verify.etale_idem_pool()`` (``lem:xirho``).
+- ``verify.etale_idem_pool`` (``lem:xirho``).
 """
 
 import itertools
@@ -405,9 +405,10 @@ def population(star_pool, sl2, sl3, i2, inverse_bases):
     maps = [(StarMorphism(X, S, f), (X.mul, X.star, S.mul, S.star, f))
             for X in structures for S in structures
             for f in verify._star_morphism_maps(X, S)]
+    catalogue = verify.catalogue(2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "PAIR_CAP", float("inf"))
-        pairs = [(inst, raw) for _, inst, raw in verify.pair_pool()]
+        pairs = [(inst, raw) for _, inst, raw in verify.pair_pool(catalogue)]
     at_idempotents = [((S, e), (S.semigroup.mul, S.semigroup.star, e))
                       for S in map(as_inverse, inverse_bases)
                       for e in S.idempotents]
@@ -416,7 +417,7 @@ def population(star_pool, sl2, sl3, i2, inverse_bases):
             "lem:rsrs": [(X, (X.mul, X.star)) for X in inverse_bases],
             "prop:sym": at_idempotents, "rem:Seinv": at_idempotents,
             "lem:xirho": [(inst, raw)
-                          for _, inst, raw in verify.etale_idem_pool()]}
+                          for _, inst, raw in verify.etale_idem_pool(catalogue)]}
 
 
 def test_the_population_has_the_sizes_it_names(population):

@@ -440,6 +440,43 @@ def test_semigroup_pool_sample4_keeps_every_kth_class():
         == [214, 214, 94, 61]
 
 
+def test_one_run_builds_each_population_once(monkeypatch):
+    """One ``build_instances`` enumerates its structures once and builds
+    each base once, and every pool entry reads those objects."""
+    from stargroup import verify
+
+    built = {"semigroup_pool": [], "standard_family": []}
+
+    def recorded(name, build):
+        def record(*args, **kwargs):
+            built[name].append(build(*args, **kwargs))
+            return built[name][-1]
+        return record
+
+    monkeypatch.setattr(verify, "semigroup_pool",
+                        recorded("semigroup_pool", verify.semigroup_pool))
+    monkeypatch.setattr(oracle, "standard_family",
+                        recorded("standard_family", oracle.standard_family))
+    tasks = verify.build_instances(None, 4)
+    assert [len(v) for v in built.values()] == [1, 3]
+    made = {id(X) for _, X, _ in built["semigroup_pool"][0]}
+    made |= {id(X) for X in built["standard_family"]}
+    kinds = {sid: spec.kind for sid, spec in oracle.REGISTRY.items()}
+    def ends(*maps):
+        return [X for f in maps for X in (f.source, f.target)]
+
+    read = {"semigroup": lambda X: [X], "inverse": lambda X: [X],
+            "morphism": ends, "pair": lambda gf: ends(*gf),
+            "triangle": lambda ph: ends(*ph),
+            "inverse_idem": lambda Se: [Se[0].semigroup]}
+    seen = set()
+    for sid, _, inst, _ in tasks:
+        if kinds[sid] in read:
+            seen.add(kinds[sid])
+            assert all(id(X) in made for X in read[kinds[sid]](inst))
+    assert seen == set(read)
+
+
 def test_run_statements_past_the_enumeration_cap_raises():
     # the pools follow oracle.MAX_ENUM_ORDER instead of stopping below it
     from stargroup import verify

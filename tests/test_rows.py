@@ -160,7 +160,7 @@ def pool_maps():
     """Left *-homomorphisms of verify's morphism pool between left
     involutive semigroups, etale or not."""
     out = []
-    for _, g, _ in verify.morphism_pool(3):
+    for _, g, _ in verify.morphism_pool(verify.catalogue(3)):
         X, S = g.source, g.target
         if (g.is_left_star_hom and core.classify(X).left_involutive
                 and core.classify(S).left_involutive):

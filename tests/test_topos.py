@@ -354,7 +354,7 @@ def test_every_star_hom_into_an_inverse_target_has_a_counit():
     *-homomorphism of the verify pool into an inverse target, among them
     those whose Gamma is empty at every idempotent: their counit is the
     empty map out of Lambda of the empty presheaf."""
-    homs = [f for _, f, _ in verify.morphism_pool(3)
+    homs = [f for _, f, _ in verify.morphism_pool(verify.catalogue(3))
             if f.is_star_hom and classify(f.target).inverse]
     assert len(homs) == 176
     empty = 0
